@@ -47,7 +47,7 @@ class CountMinSketch:
         self.seed = seed
         #: sum of all update increments (the N of the epsilon*N bound).
         self.total = 0
-        #: number of update() calls (telemetry, not part of the bound).
+        #: updates applied, a folded run counted in full (telemetry only).
         self.updates = 0
         self._salts = tuple(
             derive_seed(seed, f"cms-row-{row}") for row in range(depth)
@@ -56,31 +56,36 @@ class CountMinSketch:
 
     # -- updates -----------------------------------------------------------
 
-    def update(self, key: int, count: int = 1) -> int:
-        """Add ``count`` to ``key``; returns the new estimate."""
-        if count < 1:
-            raise ValueError("count-min increments must be positive")
+    def cells(self, key: int) -> list:
+        """``key``'s ``(row, index)`` per hash row: hash once, update often."""
         width = self.width
-        cells = [
+        return [
             (row, mix64(key ^ salt) % width)
             for row, salt in zip(self._rows, self._salts)
         ]
-        estimate = min(row[index] for row, index in cells)
-        raised = estimate + count
+
+    def update_cells(self, cells: list, count: int = 1, updates: int = 1) -> int:
+        """Conservative update of one key's :meth:`cells` by ``count``,
+        standing for ``updates`` back-to-back per-packet updates (their
+        increments summed: with no other key interleaved the cells end
+        up identical); returns the new estimate."""
+        if count < 1:
+            raise ValueError("count-min increments must be positive")
+        raised = min(row[index] for row, index in cells) + count
         for row, index in cells:
             if row[index] < raised:
                 row[index] = raised
         self.total += count
-        self.updates += 1
+        self.updates += updates
         return raised
+
+    def update(self, key: int, count: int = 1) -> int:
+        """Add ``count`` to ``key``; returns the new estimate."""
+        return self.update_cells(self.cells(key), count)
 
     def estimate(self, key: int) -> int:
         """The (over-)estimate of ``key``'s total count."""
-        width = self.width
-        return min(
-            row[mix64(key ^ salt) % width]
-            for row, salt in zip(self._rows, self._salts)
-        )
+        return min(row[index] for row, index in self.cells(key))
 
     # -- bounds and sizing -------------------------------------------------
 

@@ -38,7 +38,8 @@ def _alpha(m: int) -> float:
 class HyperLogLog:
     """Seeded HLL cardinality estimator over integer keys."""
 
-    __slots__ = ("precision", "seed", "updates", "_salt", "_registers")
+    _PICKLED = ("precision", "seed", "updates", "_salt", "_registers")
+    __slots__ = _PICKLED + ("_estimate",)
 
     def __init__(self, precision: int = 12, seed: int = 0) -> None:
         if not 4 <= precision <= 18:
@@ -48,8 +49,12 @@ class HyperLogLog:
         self.updates = 0
         self._salt = derive_seed(seed, "hll")
         self._registers = bytearray(1 << precision)
+        #: :meth:`estimate` memo, ``None`` whenever a register changed
+        #: since it was computed; derived, so never pickled.
+        self._estimate = None
 
-    def add(self, key: int) -> None:
+    def add(self, key: int, count: int = 1) -> None:
+        """Observe ``key``, ``count`` times over (registers are idempotent)."""
         precision = self.precision
         hashed = mix64(key ^ self._salt)
         index = hashed >> (64 - precision)
@@ -58,17 +63,17 @@ class HyperLogLog:
         rank = tail_bits - tail.bit_length() + 1
         if rank > self._registers[index]:
             self._registers[index] = rank
-        self.updates += 1
+            self._estimate = None
+        self.updates += count
 
     def estimate(self) -> float:
-        registers = self._registers
-        m = len(registers)
-        raw = _alpha(m) * m * m / sum(2.0 ** -value for value in registers)
-        if raw <= 2.5 * m:
-            zeros = registers.count(0)
-            if zeros:
-                return m * math.log(m / zeros)
-        return raw
+        if self._estimate is None:
+            registers = self._registers
+            m = len(registers)
+            raw = _alpha(m) * m * m / sum(2.0 ** -value for value in registers)
+            zeros = registers.count(0) if raw <= 2.5 * m else 0
+            self._estimate = m * math.log(m / zeros) if zeros else raw
+        return self._estimate
 
     @property
     def relative_error(self) -> float:
@@ -91,14 +96,16 @@ class HyperLogLog:
         for index, value in enumerate(other._registers):
             if value > mine[index]:
                 mine[index] = value
+        self._estimate = None
         self.updates += other.updates
 
     def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        return {slot: getattr(self, slot) for slot in self._PICKLED}
 
     def __setstate__(self, state):
         for slot, value in state.items():
             setattr(self, slot, value)
+        self._estimate = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -48,6 +48,16 @@ from repro.util.timeutil import HOUR, MINUTE
 
 VECTORS = ("quic", "tcp", "icmp")
 
+#: An observation is ``(kind, source, timestamp, wire_length)``; ``kind``
+#: is REQUEST or the packet's backscatter vector (a QUIC response: "quic").
+REQUEST = "request"
+_KIND_OF_CLASS = {
+    PacketClass.QUIC_REQUEST: REQUEST,
+    PacketClass.QUIC_RESPONSE: "quic",
+    PacketClass.TCP_BACKSCATTER: "tcp",
+    PacketClass.ICMP_BACKSCATTER: "icmp",
+}
+
 _TCP_RST = int(TcpFlags.RST)
 _TCP_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
@@ -56,7 +66,7 @@ _TCP_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 # analyzer calls publish_metrics() after each batch — never per packet.
 _M_UPDATES = obs.counter(
     "repro_sketch_updates_total",
-    "per-packet sketch updates applied, per structure",
+    "packets applied to each structure",
     labels=("structure",),
 )
 _M_EVICTIONS = obs.counter(
@@ -149,7 +159,7 @@ class SketchTier:
         self.hourly_responses: dict = {}
         self._published: dict = {}
 
-    # -- per-batch consumption ---------------------------------------------
+    # -- adapters: packets -> observations ----------------------------------
 
     def consume_lane(self, batch: list, lane) -> None:
         """Fast-lane twin of :meth:`consume`: inline int classification
@@ -157,6 +167,8 @@ class SketchTier:
         ``PartialState.consume_lane``'s branch structure."""
         entry_for = lane.entry_for
         dissect = lane.dissect_payloads
+        observations = []
+        observe = observations.append
         for packet in batch:
             if packet.is_udp:
                 src443 = packet.src_port == 443
@@ -165,68 +177,103 @@ class SketchTier:
                     continue  # port conflict or unrelated UDP
                 if dissect and not entry_for(packet.payload)[0]:
                     continue  # malformed / non-QUIC payload
-                self._observe_quic(
-                    packet.src,
-                    packet.timestamp,
-                    packet.wire_length,
-                    request=dst443,
-                )
+                kind = REQUEST if dst443 else "quic"
+                observe((kind, packet.src, packet.timestamp, packet.wire_length))
             elif packet.is_tcp:
                 transport = packet.transport
                 if transport is None:
                     continue
                 flags = int(transport.flags)
                 if (flags & _TCP_SYN_ACK) == _TCP_SYN_ACK or flags & _TCP_RST:
-                    self._observe_backscatter(
-                        "tcp", packet.src, packet.timestamp
-                    )
+                    observe(("tcp", packet.src, packet.timestamp, 0))
             elif packet.is_icmp:
                 transport = packet.transport
                 if transport is not None and transport.is_backscatter:
-                    self._observe_backscatter(
-                        "icmp", packet.src, packet.timestamp
-                    )
+                    observe(("icmp", packet.src, packet.timestamp, 0))
+        self._apply(observations)
 
     def consume(self, batch: list, classifier) -> None:
-        """Rich-classifier path (``--no-fast-lane``): identical updates
-        driven by ``classify_batch`` instead of the inline walk."""
+        """Rich-classifier path (``--no-fast-lane``): the same
+        observations, driven by ``classify_batch``."""
+        observations = []
+        observe = observations.append
         for classified in classifier.classify_batch(batch):
-            cls = classified.packet_class
-            packet = classified.packet
-            if cls is PacketClass.QUIC_REQUEST:
-                self._observe_quic(
-                    packet.src, packet.timestamp, packet.wire_length, request=True
-                )
-            elif cls is PacketClass.QUIC_RESPONSE:
-                self._observe_quic(
-                    packet.src, packet.timestamp, packet.wire_length, request=False
-                )
-            elif cls is PacketClass.TCP_BACKSCATTER:
-                self._observe_backscatter("tcp", packet.src, packet.timestamp)
-            elif cls is PacketClass.ICMP_BACKSCATTER:
-                self._observe_backscatter("icmp", packet.src, packet.timestamp)
-
-    # -- per-packet updates ------------------------------------------------
+            kind = _KIND_OF_CLASS.get(classified.packet_class)
+            if kind is not None:
+                packet = classified.packet
+                observe((kind, packet.src, packet.timestamp, packet.wire_length))
+        self._apply(observations)
 
     def _observe_quic(
         self, source: int, timestamp: float, wire_length: int, *, request: bool
     ) -> None:
-        self.packet_counts.update(source)
-        self.byte_counts.update(source, wire_length)
-        self.sources.add(source)
-        hour = int(timestamp // HOUR)
-        if request:
-            self.hourly_requests[hour] = self.hourly_requests.get(hour, 0) + 1
-        else:
-            self.hourly_responses[hour] = (
-                self.hourly_responses.get(hour, 0) + 1
-            )
-            self._observe_backscatter("quic", source, timestamp)
+        kind = REQUEST if request else "quic"
+        self._apply([(kind, source, timestamp, wire_length)])
 
     def _observe_backscatter(
         self, vector: str, source: int, timestamp: float
     ) -> None:
-        self.victims.add(source)
+        self._apply([(vector, source, timestamp, 0)])
+
+    # -- the batch kernel: every state update ------------------------------
+
+    def _apply(self, observations) -> None:
+        """Apply time-ordered observations exactly as per-packet updates
+        would, paying per distinct source and per run instead.  Three
+        reductions, all in locals of this call: each source's count-min
+        cells are hashed once; consecutive QUIC observations of one
+        source fold into one conservative update by their sum (nothing
+        touched the cells in between); an HLL key already seen cannot
+        raise a register again, so it only counts.  Updates to
+        *different* keys may share a cell and do not commute: runs keep
+        stream order, so the state is independent of batch boundaries."""
+        packet_counts = self.packet_counts
+        byte_counts = self.byte_counts
+        sources = self.sources
+        victims = self.victims
+        hourly_requests = self.hourly_requests
+        hourly_responses = self.hourly_responses
+        cells: dict = {}
+        seen_victims: set = set()
+
+        def fold(source: int, packets: int, wire_bytes: int) -> None:
+            if source not in cells:
+                cells[source] = packet_counts.cells(source), byte_counts.cells(source)
+                sources.add(source, packets)
+            else:
+                sources.updates += packets
+            packet_cells, byte_cells = cells[source]
+            packet_counts.update_cells(packet_cells, packets, packets)
+            byte_counts.update_cells(byte_cells, wire_bytes, packets)
+
+        run_source = None
+        run_packets = run_bytes = 0
+        for kind, source, timestamp, wire_length in observations:
+            if kind == REQUEST or kind == "quic":
+                if source != run_source:
+                    if run_packets:
+                        fold(run_source, run_packets, run_bytes)
+                    run_source = source
+                    run_packets = run_bytes = 0
+                run_packets += 1
+                run_bytes += wire_length
+                hour = int(timestamp // HOUR)
+                if kind == REQUEST:
+                    hourly_requests[hour] = hourly_requests.get(hour, 0) + 1
+                    continue
+                hourly_responses[hour] = hourly_responses.get(hour, 0) + 1
+            if source in seen_victims:
+                victims.updates += 1
+            else:
+                seen_victims.add(source)
+                victims.add(source)
+            self._backscatter(kind, source, timestamp)
+        if run_packets:
+            fold(run_source, run_packets, run_bytes)
+
+    def _backscatter(self, vector: str, source: int, timestamp: float) -> None:
+        """One backscatter packet's heavy-hitter + episode update (per
+        packet by nature: the episode needs every timestamp)."""
         count, error, displaced = self.heavy[vector].update(source)
         episodes = self._episodes[vector]
         if displaced is not None:

@@ -8,8 +8,6 @@ documented exception — each worker warms its own cache, so the
 hit/miss split depends on the sharding while the sum does not.
 """
 
-import os
-
 import pytest
 
 from repro.net.ipv4 import IPProto, IPv4Header
@@ -32,8 +30,6 @@ from repro.telescope import Scenario, ScenarioConfig
 
 RNG = SeededRng(777)
 REQUEST_PAYLOAD = ClientConnection(RNG.child("c")).initial_datagram()
-
-CPUS = os.cpu_count() or 1
 
 
 def quic_request(ts, src, dst=2):
@@ -254,22 +250,3 @@ def test_encode_decode_roundtrip_preserves_analysis_fields():
         assert decoded.wire_length == original.wire_length
     syn_ack = decode_packet(encode_packet(originals[1]))
     assert syn_ack.transport.is_syn_ack
-
-
-# -- throughput smoke --------------------------------------------------------
-
-
-@pytest.mark.skipif(CPUS < 2, reason="parallel speedup needs >= 2 cores")
-def test_parallel_throughput_at_least_serial(scenario, packets):
-    """On multi-core machines the sharded run must not be slower."""
-    import time
-
-    def timed(workers):
-        start = time.perf_counter()
-        run_pipeline(scenario, packets, workers=workers)
-        return time.perf_counter() - start
-
-    timed(1)  # warm caches and imports
-    serial = min(timed(1) for _ in range(2))
-    parallel = min(timed(min(4, CPUS)) for _ in range(2))
-    assert parallel <= serial * 1.1  # allow 10% jitter headroom

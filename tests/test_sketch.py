@@ -9,11 +9,23 @@ three merge deterministically (associative/commutative) across the
 source-sharded splits the parallel pipeline produces.
 """
 
+import dataclasses
 import math
 import pickle
+import random
 
 import pytest
 
+from repro import obs as metrics
+from repro.core.batchlane import BatchLane
+from repro.core.classify import TrafficClassifier
+from repro.core.dos import DosThresholds
+from repro.net.icmp import IcmpHeader, IcmpType
+from repro.net.ipv4 import IPProto, IPv4Header
+from repro.net.packet import CapturedPacket
+from repro.net.tcp import TcpFlags, TcpHeader
+from repro.net.udp import UdpHeader
+from repro.quic.connection import ClientConnection, ServerConnection
 from repro.stream.sketch import (
     CountMinSketch,
     HyperLogLog,
@@ -21,6 +33,7 @@ from repro.stream.sketch import (
     SpaceSaving,
     mix64,
 )
+from repro.stream.sketch.tier import FloodEpisode
 from repro.util.rng import SeededRng
 
 
@@ -469,3 +482,334 @@ def test_tier_pickle_drops_callbacks():
     clone = pickle.loads(pickle.dumps(tier))
     assert clone.on_alert is None and clone.on_ended is None
     assert clone.packet_counts.estimate(1) == 1
+
+
+# -- the batch kernel vs a naive per-packet oracle ---------------------------
+#
+# SketchTier._apply hashes each source once per call and folds same-source
+# runs into one count-min update.  The oracle below does neither: one
+# public per-key call per packet, in stream order.  On a width-8 sketch
+# with a dozen sources, cells are shared, so any reordering of updates to
+# different keys (or a fold across an interleaved key) shows up in _rows.
+
+ORACLE_SIZING = dict(
+    width=8,
+    depth=2,
+    capacity=4,
+    precision=4,
+    seed=5,
+    timeout=30.0,
+    thresholds=DosThresholds(min_packets=4, min_duration=2.0, min_max_pps=0.05),
+)
+ORACLE_RNG = SeededRng(4242)
+REQUEST_PAYLOAD = ClientConnection(ORACLE_RNG.child("c")).initial_datagram()
+RESPONSE_PAYLOAD = (
+    ServerConnection(ORACLE_RNG.child("s"))
+    .handle_datagram(
+        ClientConnection(ORACLE_RNG.child("c2")).initial_datagram(), 1, 2, now=0.0
+    )[0]
+    .data
+)
+
+
+def observation_stream(seed, length=1500):
+    """Time-ordered ``(kind, source, timestamp, wire_length)`` with
+    same-source runs, interleaved colliding sources, flood-dense
+    stretches, super-timeout gaps and an hour boundary."""
+    rng = random.Random(seed)
+    pool = [mix64(index) & 0xFFFFFFFF for index in range(12)]
+    source = pool[0]
+    timestamp = 3000.0
+    stream = []
+    for _ in range(length):
+        if rng.random() < 0.5:
+            source = rng.choice(pool)
+        timestamp += rng.choice((0.0, 0.01, 0.5, 3.0))
+        if rng.random() < 0.01:
+            timestamp += 45.0
+        kind = rng.choice(("request", "request", "quic", "quic", "tcp", "icmp"))
+        stream.append((kind, source, timestamp, rng.randrange(40, 1400)))
+    return stream
+
+
+def packets_of(stream, seed):
+    """The stream as captured packets, salted with packets that must
+    yield no observation on either consume path."""
+    rng = random.Random(seed)
+
+    def captured(timestamp, source, proto, transport, payload=b"", length=0):
+        header = IPv4Header(source, 2, proto, total_length=length)
+        return CapturedPacket(timestamp, header, transport, payload)
+
+    packets = []
+    for kind, source, timestamp, length in stream:
+        if kind == "request":
+            transport, payload = UdpHeader(50000, 443), REQUEST_PAYLOAD
+        elif kind == "quic":
+            transport, payload = UdpHeader(443, 50000), RESPONSE_PAYLOAD
+        elif kind == "tcp":
+            flags = rng.choice((TcpFlags.SYN | TcpFlags.ACK, TcpFlags.RST))
+            transport, payload = TcpHeader(443, 999, flags=flags), b""
+        else:
+            transport, payload = IcmpHeader(IcmpType.DEST_UNREACHABLE), b""
+        proto = {"tcp": IPProto.TCP, "icmp": IPProto.ICMP}.get(kind, IPProto.UDP)
+        packets.append(captured(timestamp, source, proto, transport, payload, length))
+        if rng.random() < 0.2:
+            noise = rng.choice(
+                (
+                    (IPProto.UDP, UdpHeader(53, 53), b"dns"),
+                    (IPProto.UDP, UdpHeader(443, 443), REQUEST_PAYLOAD),
+                    (IPProto.UDP, UdpHeader(50000, 443), b"\x00not quic"),
+                    (IPProto.TCP, TcpHeader(999, 443, flags=TcpFlags.SYN), b""),
+                    (IPProto.ICMP, IcmpHeader(IcmpType.ECHO_REQUEST), b""),
+                )
+            )
+            packets.append(captured(timestamp, source, *noise))
+    return packets
+
+
+def recording_tier(events):
+    def on_alert(*alert):
+        events.append(("alert",) + alert)
+
+    def on_ended(*ended):
+        events.append(("ended",) + ended)
+
+    return SketchTier(**ORACLE_SIZING, on_alert=on_alert, on_ended=on_ended)
+
+
+def oracle(stream):
+    """Naive reference: per packet, per key, public API only.  The
+    tier object only holds the identically seeded structures; none of
+    its consume/_apply/_observe methods run here."""
+    events = []
+    tier = recording_tier(events)
+    thresholds = tier.thresholds
+    for kind, source, timestamp, length in stream:
+        if kind in ("request", "quic"):
+            tier.packet_counts.update(source)
+            tier.byte_counts.update(source, length)
+            tier.sources.add(source)
+            hourly = (
+                tier.hourly_requests if kind == "request" else tier.hourly_responses
+            )
+            hourly[int(timestamp // 3600)] = hourly.get(int(timestamp // 3600), 0) + 1
+            if kind == "request":
+                continue
+        tier.victims.add(source)
+        heavy = tier.heavy[kind]
+        episodes = tier._episodes[kind]
+
+        def end(victim, episode):
+            if episode.alerted:
+                packets = max(0, heavy.lower_bound(victim) - episode.base)
+                events.append(
+                    ("ended", kind, victim, episode.first_ts, episode.last_ts)
+                    + (packets, episode.max_minute / 60)
+                )
+
+        count, error, displaced = heavy.update(source)
+        if displaced in episodes:
+            end(displaced, episodes.pop(displaced))
+        episode = episodes.get(source)
+        if episode is None or timestamp - episode.last_ts > tier.timeout:
+            if episode is not None:
+                end(source, episode)
+            episodes[source] = FloodEpisode(
+                timestamp, timestamp, count - error - 1, int(timestamp // 60)
+            )
+            continue
+        episode.last_ts = timestamp
+        if int(timestamp // 60) == episode.minute:
+            episode.minute_count += 1
+            episode.max_minute = max(episode.max_minute, episode.minute_count)
+        else:
+            episode.minute, episode.minute_count = int(timestamp // 60), 1
+        packets = count - error - episode.base
+        if (
+            not episode.alerted
+            and packets > thresholds.min_packets
+            and timestamp - episode.first_ts > thresholds.min_duration
+            and episode.max_minute / 60 > thresholds.min_max_pps
+        ):
+            episode.alerted = True
+            events.append(
+                ("alert", kind, source, episode.first_ts, timestamp)
+                + (packets, episode.max_minute / 60)
+            )
+    return tier, events
+
+
+def tier_fields(tier):
+    fields = {}
+    for name in ("packet_counts", "byte_counts"):
+        sketch = getattr(tier, name)
+        fields[f"{name}._rows"] = [list(row) for row in sketch._rows]
+        fields[f"{name}.total"] = sketch.total
+        fields[f"{name}.updates"] = sketch.updates
+    for name in ("sources", "victims"):
+        hll = getattr(tier, name)
+        fields[f"{name}._registers"] = bytes(hll._registers)
+        fields[f"{name}.updates"] = hll.updates
+    for vector, summary in tier.heavy.items():
+        fields[f"heavy[{vector}]"] = (
+            summary.items(),
+            summary.total,
+            summary.evictions,
+        )
+        fields[f"episodes[{vector}]"] = [
+            (victim, dataclasses.astuple(episode))
+            for victim, episode in tier._episodes[vector].items()
+        ]
+    fields["hourly_requests"] = list(tier.hourly_requests.items())
+    fields["hourly_responses"] = list(tier.hourly_responses.items())
+    return fields
+
+
+def consume_split(packets, size, fast):
+    events = []
+    tier = recording_tier(events)
+    if fast:
+        lane = BatchLane()
+        for start in range(0, len(packets), size):
+            tier.consume_lane(packets[start : start + size], lane)
+    else:
+        classifier = TrafficClassifier()
+        for start in range(0, len(packets), size):
+            tier.consume(packets[start : start + size], classifier)
+    return tier, events
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 5, 8, 13])
+def test_batch_kernel_equals_naive_oracle_at_every_split(seed):
+    stream = observation_stream(seed)
+    packets = packets_of(stream, seed)
+    reference, reference_events = oracle(stream)
+    want = tier_fields(reference)
+    assert any(event[0] == "alert" for event in reference_events)
+    assert any(event[0] == "ended" for event in reference_events)
+    assert sum(s.evictions for s in reference.heavy.values()) > 0
+    pickles = set()
+    for size in (1, 7, 512, len(packets)):
+        for fast in (True, False):
+            tier, events = consume_split(packets, size, fast)
+            got = tier_fields(tier)
+            for field, value in want.items():
+                assert got[field] == value, (field, size, fast)
+            assert events == reference_events, (size, fast)
+            pickles.add(pickle.dumps(tier))
+    assert len(pickles) == 1
+    assert set(vars(tier)) == set(vars(reference))  # no attribute survives a call
+
+
+def test_grouping_a_batch_by_source_would_change_cells():
+    """The oracle test has teeth: folding *all* of a batch's packets per
+    source (instead of consecutive runs) lands different cells, because
+    conservative updates to colliding keys do not commute."""
+    stream = [obs for obs in observation_stream(1) if obs[0] == "request"]
+    in_order = CountMinSketch(width=8, depth=2, seed=5)
+    grouped = CountMinSketch(width=8, depth=2, seed=5)
+    totals: dict = {}
+    for _kind, source, _timestamp, _length in stream:
+        in_order.update(source)
+        totals[source] = totals.get(source, 0) + 1
+    for source, count in totals.items():
+        grouped.update(source, count)
+    assert grouped.total == in_order.total
+    assert grouped._rows != in_order._rows
+
+
+def test_countmin_cell_updates_compose_to_update():
+    direct = CountMinSketch(width=16, depth=3, seed=9)
+    composed = CountMinSketch(width=16, depth=3, seed=9)
+    cells = composed.cells(77)
+    for count in (1, 5, 2):
+        assert composed.update_cells(cells, count) == direct.update(77, count)
+    assert composed._rows == direct._rows
+    # a folded run: one update by the sum, counted as its packets
+    composed.update_cells(cells, 9, updates=3)
+    for count in (4, 4, 1):
+        direct.update(77, count)
+    assert composed._rows == direct._rows
+    assert (composed.total, composed.updates) == (direct.total, direct.updates)
+    with pytest.raises(ValueError):
+        composed.update_cells(cells, 0)
+
+
+# -- HLL estimate cache ------------------------------------------------------
+
+
+def fresh_estimate(hll):
+    """What an instance that never cached anything says."""
+    fresh = HyperLogLog(hll.precision, hll.seed)
+    fresh._registers[:] = hll._registers
+    return fresh.estimate()
+
+
+def test_hll_estimate_cache_follows_the_registers():
+    hll = HyperLogLog(precision=6, seed=3)
+    assert hll.estimate() == 0.0
+    before = bytes(hll._registers)
+    hll.add(1)  # raises a register of an empty sketch
+    assert bytes(hll._registers) != before
+    assert hll.estimate() == fresh_estimate(hll) > 0.0
+    hll.add(1)  # raises nothing: cached value stays right
+    assert hll.estimate() == fresh_estimate(hll)
+    other = HyperLogLog(precision=6, seed=3)
+    for key in range(100, 160):
+        other.add(key)
+    hll.estimate()
+    hll.merge(other)
+    assert hll.estimate() == fresh_estimate(hll) >= other.estimate()
+    clone = pickle.loads(pickle.dumps(hll))
+    assert clone.estimate() == fresh_estimate(clone) == hll.estimate()
+
+
+def test_hll_pickled_state_has_no_cache():
+    hll = HyperLogLog(precision=6, seed=3)
+    keys = {"precision", "seed", "updates", "_salt", "_registers"}
+    assert set(hll.__getstate__()) == keys
+    cold = pickle.dumps(hll)
+    hll.estimate()
+    assert set(hll.__getstate__()) == keys
+    assert pickle.dumps(hll) == cold
+
+
+# -- metrics contract --------------------------------------------------------
+
+
+def test_updates_metric_counts_packets_not_folded_runs():
+    stream = observation_stream(21)
+    packets = packets_of(stream, 21)
+    quic = sum(1 for obs in stream if obs[0] in ("request", "quic"))
+    backscatter = sum(1 for obs in stream if obs[0] != "request")
+    was = metrics.enabled()
+    metrics.REGISTRY.reset()
+    metrics.enable()
+    try:
+        tier = SketchTier(**ORACLE_SIZING)
+        lane = BatchLane()
+        for start in range(0, len(packets), 64):
+            tier.consume_lane(packets[start : start + 64], lane)
+            tier.publish_metrics()
+        updates = metrics.REGISTRY.get("repro_sketch_updates_total")
+        published = {
+            structure: updates.value(structure=structure)
+            for structure in (
+                "countmin-packets",
+                "countmin-bytes",
+                "hll-sources",
+                "hll-victims",
+                "spacesaving",
+            )
+        }
+    finally:
+        metrics.REGISTRY.reset()
+        metrics.set_enabled(was)
+    assert published == {
+        "countmin-packets": quic,
+        "countmin-bytes": quic,
+        "hll-sources": quic,
+        "hll-victims": backscatter,
+        "spacesaving": backscatter,
+    }
