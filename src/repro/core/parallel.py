@@ -52,7 +52,7 @@ except ImportError:  # pragma: no cover - always present on CPython >= 3.8
 from repro import obs
 from repro.net.icmp import IcmpHeader
 from repro.net.ipv4 import IPv4Header
-from repro.net.packet import CapturedPacket
+from repro.net.packet import KIND_ICMP, KIND_TCP, KIND_UDP, CapturedPacket
 from repro.net.tcp import TcpHeader
 from repro.net.udp import UdpHeader
 from repro.core.batchlane import BatchLane
@@ -97,35 +97,32 @@ def shard_of(source: int, workers: int) -> int:
 
 # -- compact packet IPC ----------------------------------------------------
 #
-# Pickling CapturedPacket's nested header dataclasses per packet would
-# dominate the parent's feed loop, so packets cross the process
-# boundary as flat tuples of primitives carrying exactly the fields the
-# per-packet phase reads (timestamps, addresses, ports/flags, payload,
-# wire length).  Unread header fields (checksums, TTL, seq/ack) are not
-# shipped; no analysis output depends on them.
-
-_UDP, _TCP, _ICMP = 1, 2, 3
+# Pickling whole CapturedPackets (header objects or kept header bytes)
+# would dominate the parent's feed loop, so packets cross the process
+# boundary as flat tuples of the packet's scalar slots — exactly the
+# fields the per-packet phase reads (timestamps, addresses, ports/flags,
+# payload, wire length).  Unread header fields (checksums, TTL, seq/ack)
+# are not shipped; no analysis output depends on them, and reading the
+# slots keeps a parsed packet's headers unmaterialised in the parent.
 
 
 def encode_packet(packet: CapturedPacket) -> tuple:
-    """Flatten a packet into a cheap-to-pickle tuple."""
-    transport = packet.transport
-    kind = type(transport)
-    if kind is UdpHeader:
-        wire = (_UDP, transport.src_port, transport.dst_port)
-    elif kind is TcpHeader:
-        wire = (_TCP, transport.src_port, transport.dst_port, int(transport.flags))
-    elif kind is IcmpHeader:
-        wire = (_ICMP, transport.icmp_type, transport.code)
+    """Flatten a packet's scalar slots into a cheap-to-pickle tuple."""
+    kind = packet.kind
+    if kind == KIND_UDP:
+        wire = (kind, packet.src_port, packet.dst_port)
+    elif kind == KIND_TCP:
+        wire = (kind, packet.src_port, packet.dst_port, packet.tcp_flags)
+    elif kind == KIND_ICMP:
+        wire = (kind, packet.icmp_type, packet.icmp_code)
     else:
         wire = None
-    ip = packet.ip
     return (
         packet.timestamp,
-        ip.src,
-        ip.dst,
-        ip.proto,
-        ip.total_length,
+        packet.src,
+        packet.dst,
+        packet.proto,
+        packet.total_length,
         wire,
         packet.payload,
     )
@@ -136,9 +133,9 @@ def decode_packet(record: tuple) -> CapturedPacket:
     timestamp, src, dst, proto, total_length, wire, payload = record
     if wire is None:
         transport = None
-    elif wire[0] == _UDP:
+    elif wire[0] == KIND_UDP:
         transport = UdpHeader(wire[1], wire[2])
-    elif wire[0] == _TCP:
+    elif wire[0] == KIND_TCP:
         transport = TcpHeader(wire[1], wire[2], 0, 0, wire[3])
     else:
         transport = IcmpHeader(wire[1], wire[2])
@@ -151,9 +148,9 @@ def decode_packet(record: tuple) -> CapturedPacket:
 #
 # One scalar record per packet, packed little-endian with no padding:
 # timestamp f64, src u32, dst u32, total_length u16, proto u8, kind u8,
-# f1 u16, f2 u16, f3 u16, payload_length u32.  ``kind`` names the
-# parsed transport (0 none, 1 UDP, 2 TCP, 3 ICMP); f1/f2 carry the
-# ports (UDP/TCP) or ICMP type/code, f3 the TCP flags.  Payload bytes
+# f1 u16, f2 u16, f3 u16, payload_length u32 — the lane record of
+# ``PartialState.consume_lane_records``, filled from the packet's
+# scalar slots (``kind`` is ``CapturedPacket.kind``).  Payload bytes
 # follow the record only when the high bit of ``kind`` is set — the
 # parent ships them solely for dissectable UDP packets with exactly one
 # port == 443, the only payloads the per-packet phase ever reads.
@@ -161,7 +158,6 @@ def decode_packet(record: tuple) -> CapturedPacket:
 # wire lengths even for unshipped payloads.
 
 _SHM_RECORD = struct.Struct("<dIIHBBHHHI")
-_KIND_UDP, _KIND_TCP, _KIND_ICMP = 1, 2, 3
 _PAYLOAD_FLAG = 0x80
 
 #: slots per worker ring — bounds in-flight batches (and parent-side
@@ -485,7 +481,7 @@ def _run_sharded_queues(
         buffers: list = [[] for _ in range(workers)]
         encode = encode_packet
         for packet in stream:
-            shard = ((packet.ip.src * _GOLDEN) & 0xFFFFFFFF) % workers
+            shard = ((packet.src * _GOLDEN) & 0xFFFFFFFF) % workers
             buffer = buffers[shard]
             buffer.append(encode(packet))
             if len(buffer) >= batch:
@@ -557,41 +553,29 @@ def _run_sharded_shm(
             counts[shard] = 0
 
         for packet in stream:
-            shard = ((packet.ip.src * _GOLDEN) & 0xFFFFFFFF) % workers
-            transport = packet.transport
-            transport_type = type(transport)
+            shard = ((packet.src * _GOLDEN) & 0xFFFFFFFF) % workers
+            kind = packet.kind
+            f1 = f2 = 0
             ship = False
-            f3 = 0
-            if transport_type is UdpHeader:
-                kind = _KIND_UDP
-                f1 = transport.src_port
-                f2 = transport.dst_port
-                ship = dissect and (f1 == 443) != (f2 == 443)
-            elif transport_type is TcpHeader:
-                kind = _KIND_TCP
-                f1 = transport.src_port
-                f2 = transport.dst_port
-                f3 = int(transport.flags) & 0xFFFF
-            elif transport_type is IcmpHeader:
-                kind = _KIND_ICMP
-                f1 = int(transport.icmp_type) & 0xFFFF
-                f2 = int(transport.code) & 0xFFFF
-            else:
-                kind = 0
-                f1 = f2 = 0
+            if kind == KIND_ICMP:
+                f1 = packet.icmp_type & 0xFFFF
+                f2 = packet.icmp_code & 0xFFFF
+            elif kind:
+                f1 = packet.src_port
+                f2 = packet.dst_port
+                ship = kind == KIND_UDP and dissect and (f1 == 443) != (f2 == 443)
             payload = packet.payload
-            ip = packet.ip
             buffer = buffers[shard]
             buffer += pack(
                 packet.timestamp,
-                ip.src,
-                ip.dst,
-                ip.total_length & 0xFFFF,
-                ip.proto & 0xFF,
+                packet.src,
+                packet.dst,
+                packet.total_length & 0xFFFF,
+                packet.proto & 0xFF,
                 kind | _PAYLOAD_FLAG if ship else kind,
                 f1,
                 f2,
-                f3,
+                packet.tcp_flags & 0xFFFF,
                 len(payload),
             )
             if ship:

@@ -37,7 +37,8 @@ from repro import obs
 from repro.internet.activescan import ActiveScanCensus
 from repro.internet.asn import AsRegistry, NetworkType
 from repro.internet.greynoise import GreyNoisePlatform
-from repro.net.icmp import IcmpType
+from repro.net.icmp import BACKSCATTER_TYPES as _ICMP_BACKSCATTER_TYPES
+from repro.net.packet import KIND_ICMP, KIND_TCP
 from repro.net.tcp import TcpFlags
 from repro.util.batching import batched
 from repro.util.rng import SeededRng
@@ -113,13 +114,6 @@ _M_MALFORMED = obs.counter(
 _TCP_SYN = int(TcpFlags.SYN)
 _TCP_RST = int(TcpFlags.RST)
 _TCP_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
-_ICMP_BACKSCATTER_TYPES = frozenset(
-    (
-        int(IcmpType.ECHO_REPLY),
-        int(IcmpType.DEST_UNREACHABLE),
-        int(IcmpType.TIME_EXCEEDED),
-    )
-)
 
 
 @dataclass
@@ -373,7 +367,8 @@ class PartialState:
         (:meth:`~repro.core.sessions.Sessionizer.add_entry`) — no
         ``ClassifiedPacket``/``Dissection`` construction per packet.
         Every counter update mirrors :meth:`consume` exactly; the lane
-        equivalence suite pins the two paths bit for bit.
+        equivalence suite pins the two paths bit for bit.  Reads scalar
+        slots only: ``.ip`` / ``.transport`` would materialise headers.
         """
         if not packets:
             return
@@ -468,11 +463,10 @@ class PartialState:
                         delta,
                     )
             elif packet.is_tcp:
-                transport = packet.transport
-                if transport is None:
+                if packet.kind != KIND_TCP:
                     n_tcp_other += 1
                     continue
-                flags = int(transport.flags)
+                flags = packet.tcp_flags
                 if (flags & _TCP_SYN_ACK) == _TCP_SYN_ACK or flags & _TCP_RST:
                     n_tcp_back += 1
                     tcp_add(
@@ -488,10 +482,9 @@ class PartialState:
                 else:
                     n_tcp_other += 1
             elif packet.is_icmp:
-                transport = packet.transport
                 if (
-                    transport is not None
-                    and transport.icmp_type in _ICMP_BACKSCATTER_TYPES
+                    packet.kind == KIND_ICMP
+                    and packet.icmp_type in _ICMP_BACKSCATTER_TYPES
                 ):
                     n_icmp_back += 1
                     icmp_add(
@@ -524,14 +517,16 @@ class PartialState:
         _M_BATCHES.inc()
 
     def consume_lane_records(self, records: list, lane: BatchLane) -> None:
-        """:meth:`consume_lane` over scalar wire records.
+        """:meth:`consume_lane` over scalar lane records.
 
-        The shared-memory shard transport ships packets as flat field
-        tuples (see :mod:`repro.core.parallel`) — one record is
+        Defines the 11-field *lane record* that the generation lane
+        (:mod:`repro.telescope.genlane`) emits and the shared-memory
+        shard transport (:mod:`repro.core.parallel`) ships:
         ``(timestamp, src, dst, total_length, proto, kind, f1, f2, f3,
-        payload_length, payload)`` with ``kind`` naming the parsed
-        transport (0 none, 1 UDP, 2 TCP, 3 ICMP), ``f1/f2`` the ports
-        (TCP/UDP) or ICMP type/code, and ``f3`` the TCP flags.
+        payload_length, payload)``.  ``kind`` is
+        :attr:`CapturedPacket.kind` (0 no transport header parsed,
+        1 UDP, 2 TCP, 3 ICMP), ``f1/f2`` the ports (UDP/TCP) or ICMP
+        type/code, ``f3`` the TCP flags; 0 where they do not apply.
         ``payload`` is only materialized for dissectable UDP/443
         packets; ``payload_length`` is always the true length so wire
         lengths match :attr:`CapturedPacket.wire_length` exactly.

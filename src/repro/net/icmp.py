@@ -24,6 +24,13 @@ class IcmpType(enum.IntEnum):
     TIME_EXCEEDED = 11
 
 
+#: types a darknet interprets as responses to spoofed packets
+BACKSCATTER_TYPES = frozenset(
+    int(t)
+    for t in (IcmpType.ECHO_REPLY, IcmpType.DEST_UNREACHABLE, IcmpType.TIME_EXCEEDED)
+)
+
+
 @dataclass(slots=True)
 class IcmpHeader:
     icmp_type: int
@@ -34,12 +41,7 @@ class IcmpHeader:
 
     @property
     def is_backscatter(self) -> bool:
-        """Types a darknet interprets as responses to spoofed packets."""
-        return self.icmp_type in (
-            IcmpType.ECHO_REPLY,
-            IcmpType.DEST_UNREACHABLE,
-            IcmpType.TIME_EXCEEDED,
-        )
+        return self.icmp_type in BACKSCATTER_TYPES
 
     def pack(self, payload: bytes = b"") -> bytes:
         head = _HEADER.pack(self.icmp_type, self.code, 0, self.identifier, self.sequence)

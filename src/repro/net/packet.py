@@ -1,24 +1,30 @@
 """The packet record shared by generators, pcaps, and the pipeline.
 
-A :class:`CapturedPacket` is a timestamped IPv4 packet with its parsed
-transport header and opaque transport payload.  Generators construct
-records directly (cheap); pcap I/O round-trips them through real wire
-bytes so that the analysis behaves identically on synthetic streams and
-on files.
+A :class:`CapturedPacket` is a timestamped IPv4 packet with its
+transport header and opaque transport payload.  It is the pipeline's
+hottest object — one instance per packet — so it is slotted and
+everything the per-packet paths (``PartialState.consume_lane``,
+``SketchTier.consume_lane``, the shard transports) read is a plain
+scalar slot: ``timestamp``, ``src``, ``dst``, ``proto``, ``is_udp`` /
+``is_tcp`` / ``is_icmp``, ``src_port`` / ``dst_port`` (``None`` without
+a parsed UDP/TCP header), ``payload``, ``kind`` (``KIND_*``: which
+transport header parsed), ``tcp_flags``, ``icmp_type`` / ``icmp_code``
+(0 for other kinds), ``total_length`` (the IPv4 length field, 0 until
+packed) and the derived :attr:`~CapturedPacket.wire_length`.
 
-The record is the pipeline's hottest object: one instance per packet,
-touched by the classifier, the sessionizers, and the hourly counters.
-It is therefore slotted (no per-instance ``__dict__``) and the derived
-fields the hot path reads — addresses, ports, protocol flags — are
-computed once at construction instead of via isinstance-dispatched
-properties.  Instances stay picklable (the parallel runner ships them
-to worker processes) and equality still compares only the defining
-fields.
+The constructor is eager: generators hand over real header objects and
+the scalars are copied out of them once.
+:meth:`CapturedPacket.from_bytes` is lazy: one pass over the wire bytes
+fills the scalars and keeps only the header bytes; ``packet.ip`` and
+``packet.transport`` build (and cache) the header objects on first
+access, with every field the wire carried (checksums, TTL, seq/ack).
+Equality, pickling, ``to_bytes`` and ``repr`` do not depend on which
+way a packet came in or whether its headers were materialised yet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
 from typing import Optional, Union
 
 from repro.net import icmp, ipv4, tcp, udp
@@ -34,91 +40,188 @@ _UDP = int(IPProto.UDP)
 _TCP = int(IPProto.TCP)
 _ICMP = int(IPProto.ICMP)
 
-_TRANSPORT_HEADER_LEN = {
-    UdpHeader: udp.HEADER_LEN,
-    TcpHeader: tcp.HEADER_LEN,
-    IcmpHeader: icmp.HEADER_LEN,
-}
+#: ``CapturedPacket.kind``: which transport header the packet carries
+KIND_NONE, KIND_UDP, KIND_TCP, KIND_ICMP = 0, 1, 2, 3
+
+#: indexed by kind
+_TRANSPORT_HEADER = (None, UdpHeader, TcpHeader, IcmpHeader)
+_TRANSPORT_HEADER_LEN = (0, udp.HEADER_LEN, tcp.HEADER_LEN, icmp.HEADER_LEN)
+_KIND_OF_HEADER = {header: kind for kind, header in enumerate(_TRANSPORT_HEADER)}
+
+# ``ipv4._HEADER`` / ``udp._HEADER`` / ``tcp._HEADER`` with the fields no
+# per-packet path reads turned into pad bytes
+_IP_SCALARS = struct.Struct("!BxH5xB2xII")  # ver/ihl, total, proto, src, dst
+_UDP_SCALARS = struct.Struct("!HHH")  # ports, length
+_TCP_SCALARS = struct.Struct("!HH8xBB")  # ports, data offset, flags
 
 
-@dataclass(slots=True)
 class CapturedPacket:
     """One packet as seen at the telescope."""
 
-    timestamp: float
-    ip: IPv4Header
-    transport: Optional[TransportHeader]
-    payload: bytes = b""
+    __slots__ = (
+        ("timestamp", "payload", "_ip", "_transport", "_head")
+        + ("src", "dst", "proto", "total_length", "is_udp", "is_tcp", "is_icmp")
+        + ("kind", "src_port", "dst_port", "tcp_flags", "icmp_type", "icmp_code")
+    )
+    __hash__ = None  # == compares mutable content
 
-    # -- derived fields, precomputed for the per-packet hot path ---------
-
-    src: int = field(init=False, repr=False, compare=False)
-    dst: int = field(init=False, repr=False, compare=False)
-    proto: int = field(init=False, repr=False, compare=False)
-    src_port: Optional[int] = field(init=False, repr=False, compare=False)
-    dst_port: Optional[int] = field(init=False, repr=False, compare=False)
-    is_udp: bool = field(init=False, repr=False, compare=False)
-    is_tcp: bool = field(init=False, repr=False, compare=False)
-    is_icmp: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ip = self.ip
+    def __init__(
+        self,
+        timestamp: float,
+        ip: IPv4Header,
+        transport: Optional[TransportHeader],
+        payload: bytes = b"",
+    ) -> None:
+        self.timestamp = timestamp
+        self.payload = payload
+        self._ip = ip
+        self._transport = transport
+        self._head = None
         proto = ip.proto
         self.src = ip.src
         self.dst = ip.dst
         self.proto = proto
+        self.total_length = ip.total_length
         self.is_udp = proto == _UDP
         self.is_tcp = proto == _TCP
         self.is_icmp = proto == _ICMP
-        transport = self.transport
-        if isinstance(transport, (UdpHeader, TcpHeader)):
+        kind = _KIND_OF_HEADER.get(type(transport), KIND_NONE)
+        self.kind = kind
+        self.src_port = self.dst_port = None
+        self.tcp_flags = self.icmp_type = self.icmp_code = 0
+        if kind == KIND_ICMP:
+            self.icmp_type = int(transport.icmp_type)
+            self.icmp_code = int(transport.code)
+        elif kind:
             self.src_port = transport.src_port
             self.dst_port = transport.dst_port
-        else:
-            self.src_port = None
-            self.dst_port = None
+            if kind == KIND_TCP:
+                self.tcp_flags = int(transport.flags)
 
     # -- wire round-trip ---------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Serialize to IPv4 wire bytes (checksums filled in)."""
-        transport = self.transport
-        if isinstance(transport, (UdpHeader, TcpHeader)):
-            body = transport.pack(self.payload, self.ip.src, self.ip.dst)
-        elif isinstance(transport, IcmpHeader):
-            body = transport.pack(self.payload)
-        else:
-            body = self.payload
-        return self.ip.pack(len(body)) + body
-
     @classmethod
     def from_bytes(cls, timestamp: float, data: bytes) -> "CapturedPacket":
-        """Parse wire bytes into a record.
+        """Parse wire bytes into a record, in one pass and without
+        building header objects (see :attr:`ip` / :attr:`transport`).
 
-        Unknown transport protocols keep the raw payload and a ``None``
-        transport header — the classifier treats them as non-QUIC.
+        IP-level damage raises ``ValueError`` exactly like
+        :meth:`IPv4Header.parse`.  Unknown transport protocols, and
+        transport headers that do not parse, keep the whole IP payload
+        and a ``None`` transport header — the classifier treats them as
+        non-QUIC.
         """
-        ip, ip_payload = IPv4Header.parse(data)
-        transport: Optional[TransportHeader] = None
-        payload = ip_payload
-        try:
-            if ip.proto == _UDP:
-                transport, payload = UdpHeader.parse(ip_payload)
-            elif ip.proto == _TCP:
-                transport, payload = TcpHeader.parse(ip_payload)
-            elif ip.proto == _ICMP:
-                transport, payload = IcmpHeader.parse(ip_payload)
-        except ValueError:
-            transport, payload = None, ip_payload
-        return cls(timestamp=timestamp, ip=ip, transport=transport, payload=payload)
+        n = len(data)
+        if n < ipv4.HEADER_LEN:
+            raise ValueError("IPv4 header truncated")
+        ver_ihl, total, proto, src, dst = _IP_SCALARS.unpack_from(data)
+        if ver_ihl >> 4 != 4:
+            raise ValueError(f"not an IPv4 packet (version={ver_ihl >> 4})")
+        ihl = ver_ihl & 0xF
+        if ihl < 5:
+            raise ValueError(f"invalid IHL {ihl}")
+        offset = ihl * 4  # of the IP payload, then of the transport payload
+        if n < offset:
+            raise ValueError("IPv4 options truncated")
+        end = total if offset <= total < n else n
+        self = object.__new__(cls)
+        self.timestamp = timestamp
+        self.src = src
+        self.dst = dst
+        self.proto = proto
+        self.total_length = total
+        self.is_udp = self.is_tcp = self.is_icmp = False
+        self.kind = KIND_NONE
+        self.src_port = self.dst_port = None
+        self.tcp_flags = self.icmp_type = self.icmp_code = 0
+        self._ip = self._transport = None
+        if proto == _UDP:
+            self.is_udp = True
+            if end - offset >= udp.HEADER_LEN:
+                src_port, dst_port, length = _UDP_SCALARS.unpack_from(data, offset)
+                if length >= udp.HEADER_LEN:
+                    self.kind = KIND_UDP
+                    self.src_port = src_port
+                    self.dst_port = dst_port
+                    if offset + length < end:
+                        end = offset + length
+                    offset += udp.HEADER_LEN
+        elif proto == _TCP:
+            self.is_tcp = True
+            if end - offset >= tcp.HEADER_LEN:
+                src_port, dst_port, offset_byte, flags = _TCP_SCALARS.unpack_from(
+                    data, offset
+                )
+                data_offset = (offset_byte >> 4) * 4
+                if tcp.HEADER_LEN <= data_offset <= end - offset:
+                    self.kind = KIND_TCP
+                    self.src_port = src_port
+                    self.dst_port = dst_port
+                    self.tcp_flags = flags
+                    offset += data_offset
+        elif proto == _ICMP:
+            self.is_icmp = True
+            if end - offset >= icmp.HEADER_LEN:
+                self.kind = KIND_ICMP
+                self.icmp_type = data[offset]
+                self.icmp_code = data[offset + 1]
+                offset += icmp.HEADER_LEN
+        self._head = data[:offset]
+        self.payload = data[offset:end]
+        return self
+
+    @property
+    def ip(self) -> IPv4Header:
+        """The IPv4 header; built from the kept header bytes on first
+        access when the packet came from :meth:`from_bytes`."""
+        ip = self._ip
+        if ip is None:
+            ip = self._ip = IPv4Header.parse(self._head)[0]
+        return ip
+
+    @property
+    def transport(self) -> Optional[TransportHeader]:
+        """The transport header (``None`` for :data:`KIND_NONE`); built
+        lazily like :attr:`ip`."""
+        transport = self._transport
+        if transport is None and self.kind:
+            head = self._head
+            header = _TRANSPORT_HEADER[self.kind]
+            transport = self._transport = header.parse(head[(head[0] & 0xF) * 4 :])[0]
+        return transport
+
+    def to_bytes(self) -> bytes:
+        """Serialize to IPv4 wire bytes (checksums filled in)."""
+        ip = self.ip
+        transport = self.transport
+        if self.kind == KIND_ICMP:
+            body = transport.pack(self.payload)
+        elif self.kind:
+            body = transport.pack(self.payload, ip.src, ip.dst)
+        else:
+            body = self.payload
+        data = ip.pack(len(body)) + body
+        self.total_length = ip.total_length  # pack fills it in when 0
+        return data
 
     @property
     def wire_length(self) -> int:
         """Total IPv4 length without serializing."""
-        if self.ip.total_length:
-            return self.ip.total_length
-        transport_len = _TRANSPORT_HEADER_LEN.get(type(self.transport), 0)
-        return ipv4.HEADER_LEN + transport_len + len(self.payload)
+        return self.total_length or (
+            ipv4.HEADER_LEN + _TRANSPORT_HEADER_LEN[self.kind] + len(self.payload)
+        )
+
+    # -- value semantics ----------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.timestamp, self.ip, self.transport, self.payload) == (
+            other.timestamp,
+            other.ip,
+            other.transport,
+            other.payload,
+        )
 
     def __repr__(self) -> str:
         proto = {1: "ICMP", 6: "TCP", 17: "UDP"}.get(self.proto, str(self.proto))
@@ -130,77 +233,3 @@ class CapturedPacket:
             f"{format_ipv4(self.src)}->{format_ipv4(self.dst)}{ports} "
             f"len={len(self.payload)})"
         )
-
-
-def wire_record(timestamp: float, data: bytes) -> tuple:
-    """Parse wire bytes into the batch lane's flat scalar record.
-
-    Scalar twin of :meth:`CapturedPacket.from_bytes` for the columnar
-    fast lane: returns ``(timestamp, src, dst, total_length, proto,
-    kind, f1, f2, f3, payload_length, payload)`` as consumed by
-    :meth:`repro.core.pipeline.PartialState.consume_lane_records`,
-    without constructing any header dataclass.  ``kind`` is 1/2/3 for a
-    parsed UDP/TCP/ICMP transport and 0 when the transport header does
-    not parse (the same inputs :meth:`from_bytes` maps to a ``None``
-    transport); IP-level errors raise ``ValueError`` exactly like
-    :meth:`from_bytes`.
-    """
-    n = len(data)
-    if n < ipv4.HEADER_LEN:
-        raise ValueError("IPv4 header truncated")
-    ver_ihl = data[0]
-    version = ver_ihl >> 4
-    if version != 4:
-        raise ValueError(f"not an IPv4 packet (version={version})")
-    ihl = ver_ihl & 0xF
-    if ihl < 5:
-        raise ValueError(f"invalid IHL {ihl}")
-    header_len = ihl * 4
-    if n < header_len:
-        raise ValueError("IPv4 options truncated")
-    total = int.from_bytes(data[2:4], "big")
-    proto = data[9]
-    src = int.from_bytes(data[12:16], "big")
-    dst = int.from_bytes(data[16:20], "big")
-    payload_end = min(n, total) if total >= header_len else n
-    body = data[header_len:payload_end]
-    body_len = len(body)
-    kind = 0
-    f1 = f2 = f3 = 0
-    payload = body
-    if proto == _UDP:
-        if body_len >= udp.HEADER_LEN:
-            length = int.from_bytes(body[4:6], "big")
-            if length >= udp.HEADER_LEN:
-                kind = 1
-                f1 = int.from_bytes(body[0:2], "big")
-                f2 = int.from_bytes(body[2:4], "big")
-                payload = body[udp.HEADER_LEN : min(body_len, length)]
-    elif proto == _TCP:
-        if body_len >= tcp.HEADER_LEN:
-            data_offset = (body[12] >> 4) * 4
-            if tcp.HEADER_LEN <= data_offset <= body_len:
-                kind = 2
-                f1 = int.from_bytes(body[0:2], "big")
-                f2 = int.from_bytes(body[2:4], "big")
-                f3 = body[13]
-                payload = body[data_offset:]
-    elif proto == _ICMP:
-        if body_len >= icmp.HEADER_LEN:
-            kind = 3
-            f1 = body[0]
-            f2 = body[1]
-            payload = body[icmp.HEADER_LEN :]
-    return (
-        timestamp,
-        src,
-        dst,
-        total,
-        proto,
-        kind,
-        f1,
-        f2,
-        f3,
-        len(payload),
-        payload,
-    )

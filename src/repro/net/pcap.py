@@ -13,7 +13,7 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
-from repro.net.packet import CapturedPacket, wire_record
+from repro.net.packet import CapturedPacket
 from repro.util.batching import batched
 
 MAGIC_MICROS = 0xA1B2C3D4
@@ -126,23 +126,10 @@ class PcapReader:
         return True
 
     def __iter__(self) -> Iterator[CapturedPacket]:
-        return self._iterate(CapturedPacket.from_bytes)
-
-    def records(self) -> Iterator[tuple]:
-        """Iterate flat scalar records instead of packet objects.
-
-        Batch-lane entry point: yields the
-        :func:`~repro.net.packet.wire_record` tuples consumed by
-        :meth:`repro.core.pipeline.PartialState.consume_lane_records`,
-        skipping all header-dataclass construction.  Tail/lenient
-        semantics are identical to ``__iter__`` — both parsers accept
-        and reject exactly the same wire bytes.
-        """
-        return self._iterate(wire_record)
-
-    def _iterate(self, parse) -> Iterator:
         if self._record is None and not self._try_read_header():
             return
+        parse = CapturedPacket.from_bytes
+        tick = self._tick
         record = self._record
         stream = self._stream
         tail = self._tail
@@ -175,7 +162,7 @@ class PcapReader:
                     self.corrupt_records += 1
                     return
                 raise PcapFormatError("truncated pcap record body")
-            timestamp = seconds + fraction * self._tick
+            timestamp = seconds + fraction * tick
             if lenient:
                 try:
                     packet = parse(timestamp, data)
@@ -212,6 +199,8 @@ class PcapReader:
         rec_size = record.size
         window = 1 << 20
         base = search_from
+        stream.seek(0, 2)
+        eof = stream.tell()
         while True:
             stream.seek(base)
             chunk = stream.read(window + rec_size)
@@ -223,17 +212,17 @@ class PcapReader:
                 if not self._plausible(fraction, caplen, origlen):
                     continue
                 candidate = base + i
-                if self._verify_candidate(candidate, rec_size, caplen):
+                if self._verify_candidate(candidate, rec_size, caplen, eof):
                     stream.seek(candidate)
                     return True
             if len(chunk) < window + rec_size:
                 return False
             base += window
 
-    def _verify_candidate(self, candidate: int, rec_size: int, caplen: int) -> bool:
+    def _verify_candidate(
+        self, candidate: int, rec_size: int, caplen: int, eof: int
+    ) -> bool:
         stream = self._stream
-        stream.seek(0, 2)
-        eof = stream.tell()
         end = candidate + rec_size + caplen
         if end > eof:
             # the candidate's own body would run past EOF — a payload
@@ -327,20 +316,3 @@ def read_pcap_batches(
     workers analyze (see :mod:`repro.core.parallel`).
     """
     return batched(read_pcap(path), batch_size)
-
-
-def read_pcap_records(
-    path: Union[str, Path], batch_size: int = 512, lenient: bool = False
-) -> Iterator[list]:
-    """Yield scalar wire-record batches for the batch fast lane.
-
-    Object-free feed: each batch is a list of
-    :func:`~repro.net.packet.wire_record` tuples ready for
-    :meth:`repro.core.pipeline.PartialState.consume_lane_records`.
-    """
-
-    def _records():
-        with open(path, "rb") as stream:
-            yield from PcapReader(stream, lenient=lenient).records()
-
-    return batched(_records(), batch_size)

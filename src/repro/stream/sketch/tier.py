@@ -39,6 +39,8 @@ from repro import obs
 from repro.core.classify import PacketClass
 from repro.core.dos import DosThresholds
 from repro.core.sessions import DEFAULT_TIMEOUT
+from repro.net.icmp import BACKSCATTER_TYPES
+from repro.net.packet import KIND_ICMP, KIND_TCP
 from repro.net.tcp import TcpFlags
 from repro.stream.sketch.countmin import CountMinSketch
 from repro.stream.sketch.hll import HyperLogLog
@@ -180,15 +182,13 @@ class SketchTier:
                 kind = REQUEST if dst443 else "quic"
                 observe((kind, packet.src, packet.timestamp, packet.wire_length))
             elif packet.is_tcp:
-                transport = packet.transport
-                if transport is None:
+                if packet.kind != KIND_TCP:
                     continue
-                flags = int(transport.flags)
+                flags = packet.tcp_flags
                 if (flags & _TCP_SYN_ACK) == _TCP_SYN_ACK or flags & _TCP_RST:
                     observe(("tcp", packet.src, packet.timestamp, 0))
             elif packet.is_icmp:
-                transport = packet.transport
-                if transport is not None and transport.is_backscatter:
+                if packet.kind == KIND_ICMP and packet.icmp_type in BACKSCATTER_TYPES:
                     observe(("icmp", packet.src, packet.timestamp, 0))
         self._apply(observations)
 

@@ -5,7 +5,7 @@ The mirror image of ``repro.core.batchlane``.  The batch lane made
 objects; this module makes *generation* fast the same way.  Traffic
 models grow ``records()`` twins of their ``packets()`` generators that
 emit flat tuples instead of :class:`~repro.net.packet.CapturedPacket`
-dataclasses, and this module turns those tuples into wire bytes by
+objects, and this module turns those tuples into wire bytes by
 stamping preallocated template buffers — bytearray copies of each
 distinct datagram with the mutable fields (addresses, ports, checksums,
 TCP sequence numbers, ICMP identifiers) patched in place per packet,
@@ -20,7 +20,7 @@ extended with two wire-only fields::
     (timestamp, src, dst, total_length, proto, kind,
      f1, f2, f3, payload_length, payload[, x1, x2])
 
-``kind``/``f1``/``f2``/``f3`` follow ``net.packet.wire_record`` exactly
+The lane record is defined on ``PartialState.consume_lane_records``
 (kind 1 UDP: ports; kind 2 TCP: ports + flags; kind 3 ICMP: type/code).
 UDP records are plain 11-tuples — they already *are* lane records, so
 the generate→analyze path hands them to

@@ -5,8 +5,8 @@ The acceptance contract of the columnar fast lane
 bit-identical :class:`PipelineResult` — sessions, attacks, hourly
 series, malformed tallies, and the rendered report — to the rich path,
 across serial and worker counts 1–4 (shared-memory ring transport),
-the streaming monitor's exact mode, the raw pcap record feed, and a
-fault-injected stream exercising the full malformed taxonomy.
+the streaming monitor's exact mode, and a fault-injected stream
+exercising the full malformed taxonomy.
 """
 
 import dataclasses
@@ -14,11 +14,9 @@ import dataclasses
 import pytest
 
 from repro.core import QuicsandPipeline
-from repro.core.batchlane import BatchLane
-from repro.core.pipeline import AnalysisConfig, PartialState
+from repro.core.pipeline import AnalysisConfig
 from repro.core.report import build_report
 from repro.faults import FaultInjector, FaultSpec
-from repro.net.pcap import read_pcap, read_pcap_records, write_pcap
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.timeutil import HOUR
 
@@ -133,24 +131,3 @@ def test_fast_vs_rich_under_faults(scenario, faulted_packets):
         scenario, faulted_packets, fast_lane=True, workers=2
     )
     assert_identical(rich, fast_parallel, scenario, "faults-workers=2")
-
-
-def test_pcap_record_feed_equivalent(tmp_path, scenario, packets):
-    """The object-free pcap record feed (read_pcap_records →
-    consume_lane_records) matches the CapturedPacket path bit for bit."""
-    path = tmp_path / "lane.pcap"
-    write_pcap(path, iter(packets))
-
-    reference = make_pipeline(scenario, fast_lane=True).process(read_pcap(path))
-
-    pipeline = make_pipeline(scenario, fast_lane=True)
-    cfg = pipeline.config
-    lane = BatchLane(dissect_payloads=cfg.dissect_payloads)
-    state = PartialState.initial(cfg)
-    for batch in read_pcap_records(path, cfg.batch_size):
-        state.consume_lane_records(batch, lane)
-    state.record_classifier(lane)
-    state.close()
-    records_result = pipeline.finalize_state(state)
-
-    assert_identical(reference, records_result, scenario, "pcap-records")
