@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 from repro.core import AnalysisConfig
+from repro.core.classify import PacketClass
 from repro.stream import StreamAnalyzer, StreamConfig
 from repro.stream.sketch import SketchTier
 from repro.telescope import Scenario, ScenarioConfig
@@ -107,9 +108,10 @@ def test_sketch_memory_ceiling(emit):
             source = (index * 2654435761) & 0xFFFFFFFF
             # requests tally sources; responses also exercise the
             # heavy-hitter table and victim HLL
-            tier._observe_quic(
-                source, float(index), 80, request=(index % 4 != 0)
+            kind = (
+                PacketClass.QUIC_REQUEST if index % 4 else PacketClass.QUIC_RESPONSE
             )
+            tier.apply([(kind, source, float(index), None, None, 80, None)])
         tiers.append(tier)
     small, large = tiers
     assert large.sources.estimate() > 2 * small.sources.estimate()

@@ -51,6 +51,9 @@ from repro.core.dissect import (
     QuicDissector,
     _LONG_HEADER_TYPES,
 )
+from repro.net.icmp import BACKSCATTER_TYPES as _ICMP_BACKSCATTER_TYPES
+from repro.net.packet import KIND_ICMP, KIND_TCP
+from repro.net.tcp import TcpFlags
 from repro.quic.header import PacketType
 from repro.quic.versions import version_by_value
 
@@ -74,6 +77,13 @@ _M_FALLBACK = obs.counter(
 #: ``error`` — the fast parser raised (defensive mirror of the rich
 #: path's never-raise boundary).
 FALLBACK_REASONS = ("parse", "error")
+
+# int views of the transport predicates the adapters branch on —
+# identical semantics to TcpHeader.is_syn_ack / .is_rst and
+# IcmpHeader.is_backscatter, without enum dispatch per packet.
+_TCP_SYN = int(TcpFlags.SYN)
+_TCP_RST = int(TcpFlags.RST)
+_TCP_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 # LaneEntry tuple indexes (kept a plain tuple: entries are created and
 # cached millions of times, and tuples pickle/compare cheapest).
@@ -394,6 +404,222 @@ class BatchLane:
             return entry
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
         return entry_from_dissection(self._dissector.dissect_once(payload))
+
+    # -- adapters: one batch -> observations --------------------------------
+    #
+    # The only two runs of the scalar classification ladder, one per
+    # input representation (docs/ARCHITECTURE.md, "observations:
+    # adapters and sinks").  Each returns the batch's *observations* —
+    # ``(kind, source, timestamp, dst, dst_port, wire_length, entry)``
+    # for the four session-bearing classes, ``kind`` being that
+    # :class:`PacketClass` and ``entry`` the payload's memoized
+    # :data:`LaneEntry` (``None`` for TCP/ICMP and when
+    # ``dissect_payloads`` is off) — tallies all ten classes on
+    # :attr:`counters`, and the malformed reasons into the dict it is
+    # handed.  What the observations update is the sink's business:
+    # :meth:`PartialState.apply`, :meth:`SketchTier.apply`.
+
+    def observe_packets(self, packets: list, malformed_counts: dict) -> list:
+        """Observations of a batch of :class:`CapturedPacket`\\ s (a
+        capture or a live feed).  Reads scalar slots only: ``.ip`` /
+        ``.transport`` would materialise headers."""
+        entry_for = self.entry_for
+        dissect = self.dissect_payloads
+        request_cls = PacketClass.QUIC_REQUEST
+        response_cls = PacketClass.QUIC_RESPONSE
+        tcp_cls = PacketClass.TCP_BACKSCATTER
+        icmp_cls = PacketClass.ICMP_BACKSCATTER
+        observations: list = []
+        observe = observations.append
+        n_request = n_response = n_nonquic = n_other_udp = 0
+        n_tcp_request = n_tcp_back = n_tcp_other = 0
+        n_icmp_back = n_icmp_other = n_other = 0
+        for packet in packets:
+            if packet.is_udp:
+                src443 = packet.src_port == 443
+                dst443 = packet.dst_port == 443
+                if src443:
+                    if dst443:
+                        # never observed in the paper's data; rejected
+                        # before dissection, like the rich classifier
+                        n_nonquic += 1
+                        malformed_counts["port-conflict"] = (
+                            malformed_counts.get("port-conflict", 0) + 1
+                        )
+                        continue
+                elif not dst443:
+                    n_other_udp += 1
+                    continue
+                entry = None
+                if dissect:
+                    entry = entry_for(packet.payload)
+                    if not entry[0]:
+                        n_nonquic += 1
+                        reason = entry[1]
+                        malformed_counts[reason] = (
+                            malformed_counts.get(reason, 0) + 1
+                        )
+                        continue
+                if dst443:
+                    n_request += 1
+                    quic_cls = request_cls
+                else:
+                    n_response += 1
+                    quic_cls = response_cls
+                observe((
+                    quic_cls, packet.src, packet.timestamp, packet.dst,
+                    packet.dst_port, packet.wire_length, entry,
+                ))
+            elif packet.is_tcp:
+                if packet.kind != KIND_TCP:
+                    n_tcp_other += 1
+                    continue
+                flags = packet.tcp_flags
+                if (flags & _TCP_SYN_ACK) == _TCP_SYN_ACK or flags & _TCP_RST:
+                    n_tcp_back += 1
+                    observe((
+                        tcp_cls, packet.src, packet.timestamp, packet.dst,
+                        packet.dst_port, packet.wire_length, None,
+                    ))
+                elif flags & _TCP_SYN:
+                    n_tcp_request += 1
+                else:
+                    n_tcp_other += 1
+            elif packet.is_icmp:
+                if (
+                    packet.kind == KIND_ICMP
+                    and packet.icmp_type in _ICMP_BACKSCATTER_TYPES
+                ):
+                    n_icmp_back += 1
+                    observe((
+                        icmp_cls, packet.src, packet.timestamp, packet.dst,
+                        None, packet.wire_length, None,
+                    ))
+                else:
+                    n_icmp_other += 1
+            else:
+                n_other += 1
+        self._tally(
+            n_request, n_response, n_nonquic, n_other_udp, n_tcp_request,
+            n_tcp_back, n_tcp_other, n_icmp_back, n_icmp_other, n_other,
+        )
+        return observations
+
+    def observe_records(self, records: list, malformed_counts: dict) -> list:
+        """Observations of a batch of scalar *lane records*.
+
+        Defines the 11-field lane record that the generation lane
+        (:mod:`repro.telescope.genlane`) emits and the shared-memory
+        shard transport (:mod:`repro.core.parallel`) ships:
+        ``(timestamp, src, dst, total_length, proto, kind, f1, f2, f3,
+        payload_length, payload)``.  ``kind`` is
+        :attr:`CapturedPacket.kind` (0 no transport header parsed,
+        1 UDP, 2 TCP, 3 ICMP), ``f1/f2`` the ports (UDP/TCP) or ICMP
+        type/code, ``f3`` the TCP flags; 0 where they do not apply.
+        ``payload`` is only materialized for dissectable UDP/443
+        packets; ``payload_length`` is always the true length so wire
+        lengths match :attr:`CapturedPacket.wire_length` exactly.
+        """
+        entry_for = self.entry_for
+        dissect = self.dissect_payloads
+        request_cls = PacketClass.QUIC_REQUEST
+        response_cls = PacketClass.QUIC_RESPONSE
+        tcp_cls = PacketClass.TCP_BACKSCATTER
+        icmp_cls = PacketClass.ICMP_BACKSCATTER
+        observations: list = []
+        observe = observations.append
+        n_request = n_response = n_nonquic = n_other_udp = 0
+        n_tcp_request = n_tcp_back = n_tcp_other = 0
+        n_icmp_back = n_icmp_other = n_other = 0
+        for record in records:
+            (
+                timestamp,
+                source,
+                dst,
+                total_length,
+                proto,
+                kind,
+                f1,
+                f2,
+                f3,
+                payload_length,
+                payload,
+            ) = record
+            if proto == 17:
+                # ports mirror CapturedPacket's derivation: present for
+                # parsed UDP/TCP transports, None otherwise
+                if kind != 1 and kind != 2:
+                    n_other_udp += 1
+                    continue
+                src443 = f1 == 443
+                dst443 = f2 == 443
+                if src443:
+                    if dst443:
+                        n_nonquic += 1
+                        malformed_counts["port-conflict"] = (
+                            malformed_counts.get("port-conflict", 0) + 1
+                        )
+                        continue
+                elif not dst443:
+                    n_other_udp += 1
+                    continue
+                entry = None
+                if dissect:
+                    entry = entry_for(payload)
+                    if not entry[0]:
+                        n_nonquic += 1
+                        reason = entry[1]
+                        malformed_counts[reason] = (
+                            malformed_counts.get(reason, 0) + 1
+                        )
+                        continue
+                wire_length = total_length or (
+                    28 + payload_length  # IPv4 20 + UDP 8
+                    if kind == 1
+                    else 40 + payload_length  # IPv4 20 + TCP 20
+                )
+                if dst443:
+                    n_request += 1
+                    quic_cls = request_cls
+                else:
+                    n_response += 1
+                    quic_cls = response_cls
+                observe((quic_cls, source, timestamp, dst, f2, wire_length, entry))
+            elif proto == 6:
+                if kind != 2:
+                    n_tcp_other += 1
+                    continue
+                if (f3 & _TCP_SYN_ACK) == _TCP_SYN_ACK or f3 & _TCP_RST:
+                    n_tcp_back += 1
+                    wire_length = total_length or 40 + payload_length
+                    observe((tcp_cls, source, timestamp, dst, f2, wire_length, None))
+                elif f3 & _TCP_SYN:
+                    n_tcp_request += 1
+                else:
+                    n_tcp_other += 1
+            elif proto == 1:
+                if kind == 3 and f1 in _ICMP_BACKSCATTER_TYPES:
+                    n_icmp_back += 1
+                    wire_length = total_length or 28 + payload_length
+                    observe(
+                        (icmp_cls, source, timestamp, dst, None, wire_length, None)
+                    )
+                else:
+                    n_icmp_other += 1
+            else:
+                n_other += 1
+        self._tally(
+            n_request, n_response, n_nonquic, n_other_udp, n_tcp_request,
+            n_tcp_back, n_tcp_other, n_icmp_back, n_icmp_other, n_other,
+        )
+        return observations
+
+    def _tally(self, *counts: int) -> None:
+        """Add one batch's per-class counts, given in
+        :class:`PacketClass` declaration order."""
+        counters = self.counters
+        for packet_class, count in zip(PacketClass, counts):
+            counters[packet_class] += count
 
     def publish_lane_metrics(self) -> None:
         """Publish the fast/fallback split to the registry.

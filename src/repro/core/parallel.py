@@ -149,7 +149,7 @@ def decode_packet(record: tuple) -> CapturedPacket:
 # One scalar record per packet, packed little-endian with no padding:
 # timestamp f64, src u32, dst u32, total_length u16, proto u8, kind u8,
 # f1 u16, f2 u16, f3 u16, payload_length u32 — the lane record of
-# ``PartialState.consume_lane_records``, filled from the packet's
+# ``BatchLane.observe_records``, filled from the packet's
 # scalar slots (``kind`` is ``CapturedPacket.kind``).  Payload bytes
 # follow the record only when the high bit of ``kind`` is set — the
 # parent ships them solely for dissectable UDP packets with exactly one

@@ -37,9 +37,6 @@ from repro import obs
 from repro.internet.activescan import ActiveScanCensus
 from repro.internet.asn import AsRegistry, NetworkType
 from repro.internet.greynoise import GreyNoisePlatform
-from repro.net.icmp import BACKSCATTER_TYPES as _ICMP_BACKSCATTER_TYPES
-from repro.net.packet import KIND_ICMP, KIND_TCP
-from repro.net.tcp import TcpFlags
 from repro.util.batching import batched
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
@@ -107,13 +104,6 @@ _M_MALFORMED = obs.counter(
     "(see MalformedReason in repro.core.dissect)",
     labels=("reason",),
 )
-
-# int views of the transport predicates the lane loops branch on —
-# identical semantics to TcpHeader.is_syn_ack / .is_rst and
-# IcmpHeader.is_backscatter, without enum dispatch per packet.
-_TCP_SYN = int(TcpFlags.SYN)
-_TCP_RST = int(TcpFlags.RST)
-_TCP_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
 @dataclass
@@ -359,191 +349,50 @@ class PartialState:
         _M_BATCHES.inc()
 
     def consume_lane(self, packets: list, lane: BatchLane) -> None:
-        """Columnar fast-lane twin of :meth:`consume`.
-
-        Classification is inlined as int comparisons, dissection facts
-        come as memoized :data:`~repro.core.batchlane.LaneEntry` tuples,
-        and sessions absorb precomputed deltas
-        (:meth:`~repro.core.sessions.Sessionizer.add_entry`) — no
-        ``ClassifiedPacket``/``Dissection`` construction per packet.
-        Every counter update mirrors :meth:`consume` exactly; the lane
-        equivalence suite pins the two paths bit for bit.  Reads scalar
-        slots only: ``.ip`` / ``.transport`` would materialise headers.
-        """
+        """Columnar fast lane over packets: the lane classifies the
+        batch (:meth:`BatchLane.observe_packets`), :meth:`apply`
+        updates the state.  Bit-identical to :meth:`consume`, the
+        reference the lane equivalence suite compares against."""
         if not packets:
             return
-        if self.window_start is None:
-            self.window_start = packets[0].timestamp
-        self.window_end = packets[-1].timestamp
-        self.total_packets += len(packets)
-        entry_for = lane.entry_for
-        dissect = lane.dissect_payloads
-        malformed_counts = self.malformed_counts
-        sessionizers = self.sessionizers
-        request_add = sessionizers[PacketClass.QUIC_REQUEST].add_entry
-        response_add = sessionizers[PacketClass.QUIC_RESPONSE].add_entry
-        tcp_add = sessionizers[PacketClass.TCP_BACKSCATTER].add_entry
-        icmp_add = sessionizers[PacketClass.ICMP_BACKSCATTER].add_entry
-        sweep_observe = self.sweep.observe
-        quic_source_packets = self.quic_source_packets
-        per_source_hourly = self.per_source_hourly
-        hourly_requests = self.hourly_requests
-        hourly_responses = self.hourly_responses
-        response_long = 0
-        response_empty_dcid = 0
-        retry_packets = 0
-        n_request = n_response = n_nonquic = n_other_udp = 0
-        n_tcp_request = n_tcp_back = n_tcp_other = 0
-        n_icmp_back = n_icmp_other = n_other = 0
-        for packet in packets:
-            if packet.is_udp:
-                src443 = packet.src_port == 443
-                dst443 = packet.dst_port == 443
-                if src443:
-                    if dst443:
-                        # never observed in the paper's data; rejected
-                        # before dissection, like the rich classifier
-                        n_nonquic += 1
-                        malformed_counts["port-conflict"] = (
-                            malformed_counts.get("port-conflict", 0) + 1
-                        )
-                        continue
-                elif not dst443:
-                    n_other_udp += 1
-                    continue
-                entry = None
-                delta = None
-                if dissect:
-                    entry = entry_for(packet.payload)
-                    if not entry[0]:
-                        n_nonquic += 1
-                        reason = entry[1]
-                        malformed_counts[reason] = (
-                            malformed_counts.get(reason, 0) + 1
-                        )
-                        continue
-                    delta = entry[2]
-                timestamp = packet.timestamp
-                source = packet.src
-                hour = int(timestamp // HOUR)
-                quic_source_packets[source] = (
-                    quic_source_packets.get(source, 0) + 1
-                )
-                if dst443:
-                    n_request += 1
-                    hours = per_source_hourly.setdefault(source, {})
-                    hours[hour] = hours.get(hour, 0) + 1
-                    hourly_requests[hour] = hourly_requests.get(hour, 0) + 1
-                    sweep_observe(source, timestamp)
-                    request_add(
-                        source,
-                        timestamp,
-                        packet.dst,
-                        packet.dst_port,
-                        packet.wire_length,
-                        delta,
-                    )
-                else:
-                    n_response += 1
-                    hourly_responses[hour] = hourly_responses.get(hour, 0) + 1
-                    if entry is not None:
-                        if entry[3]:
-                            retry_packets += 1
-                        if entry[4]:
-                            response_long += 1
-                            if entry[5]:
-                                response_empty_dcid += 1
-                    sweep_observe(source, timestamp)
-                    response_add(
-                        source,
-                        timestamp,
-                        packet.dst,
-                        packet.dst_port,
-                        packet.wire_length,
-                        delta,
-                    )
-            elif packet.is_tcp:
-                if packet.kind != KIND_TCP:
-                    n_tcp_other += 1
-                    continue
-                flags = packet.tcp_flags
-                if (flags & _TCP_SYN_ACK) == _TCP_SYN_ACK or flags & _TCP_RST:
-                    n_tcp_back += 1
-                    tcp_add(
-                        packet.src,
-                        packet.timestamp,
-                        packet.dst,
-                        packet.dst_port,
-                        packet.wire_length,
-                        None,
-                    )
-                elif flags & _TCP_SYN:
-                    n_tcp_request += 1
-                else:
-                    n_tcp_other += 1
-            elif packet.is_icmp:
-                if (
-                    packet.kind == KIND_ICMP
-                    and packet.icmp_type in _ICMP_BACKSCATTER_TYPES
-                ):
-                    n_icmp_back += 1
-                    icmp_add(
-                        packet.src,
-                        packet.timestamp,
-                        packet.dst,
-                        None,
-                        packet.wire_length,
-                        None,
-                    )
-                else:
-                    n_icmp_other += 1
-            else:
-                n_other += 1
-        counters = lane.counters
-        counters[PacketClass.QUIC_REQUEST] += n_request
-        counters[PacketClass.QUIC_RESPONSE] += n_response
-        counters[PacketClass.NON_QUIC_UDP443] += n_nonquic
-        counters[PacketClass.OTHER_UDP] += n_other_udp
-        counters[PacketClass.TCP_REQUEST] += n_tcp_request
-        counters[PacketClass.TCP_BACKSCATTER] += n_tcp_back
-        counters[PacketClass.TCP_OTHER] += n_tcp_other
-        counters[PacketClass.ICMP_BACKSCATTER] += n_icmp_back
-        counters[PacketClass.ICMP_OTHER] += n_icmp_other
-        counters[PacketClass.OTHER] += n_other
-        self.response_long_header_packets += response_long
-        self.response_empty_dcid_packets += response_empty_dcid
-        self.passive_retry_packets += retry_packets
-        _M_PACKETS.inc(len(packets))
-        _M_BATCHES.inc()
+        self.note_batch(packets[0].timestamp, packets[-1].timestamp, len(packets))
+        self.apply(lane.observe_packets(packets, self.malformed_counts))
 
     def consume_lane_records(self, records: list, lane: BatchLane) -> None:
-        """:meth:`consume_lane` over scalar lane records.
-
-        Defines the 11-field *lane record* that the generation lane
-        (:mod:`repro.telescope.genlane`) emits and the shared-memory
-        shard transport (:mod:`repro.core.parallel`) ships:
-        ``(timestamp, src, dst, total_length, proto, kind, f1, f2, f3,
-        payload_length, payload)``.  ``kind`` is
-        :attr:`CapturedPacket.kind` (0 no transport header parsed,
-        1 UDP, 2 TCP, 3 ICMP), ``f1/f2`` the ports (UDP/TCP) or ICMP
-        type/code, ``f3`` the TCP flags; 0 where they do not apply.
-        ``payload`` is only materialized for dissectable UDP/443
-        packets; ``payload_length`` is always the true length so wire
-        lengths match :attr:`CapturedPacket.wire_length` exactly.
-        """
+        """:meth:`consume_lane` over 11-field lane records (layout on
+        :meth:`BatchLane.observe_records`): the generation lane's and
+        the shared-memory shard transport's feed."""
         if not records:
             return
+        self.note_batch(records[0][0], records[-1][0], len(records))
+        self.apply(lane.observe_records(records, self.malformed_counts))
+
+    def note_batch(self, first_ts: float, last_ts: float, count: int) -> None:
+        """Account one time-ordered, non-empty batch: window bounds,
+        packet total, and the per-batch metrics."""
         if self.window_start is None:
-            self.window_start = records[0][0]
-        self.window_end = records[-1][0]
-        self.total_packets += len(records)
-        entry_for = lane.entry_for
-        dissect = lane.dissect_payloads
-        malformed_counts = self.malformed_counts
+            self.window_start = first_ts
+        self.window_end = last_ts
+        self.total_packets += count
+        _M_PACKETS.inc(count)
+        _M_BATCHES.inc()
+
+    def apply(self, observations: list) -> None:
+        """The fast lane's state update: hourly series, per-source
+        tallies, sweep and sessions from one batch's observations (see
+        :class:`BatchLane`'s adapters for the tuple).
+
+        Sessions absorb the entry's precomputed delta
+        (:meth:`~repro.core.sessions.Sessionizer.add_entry`) — no
+        ``ClassifiedPacket``/``Dissection`` construction per packet.
+        """
+        request_cls = PacketClass.QUIC_REQUEST
+        response_cls = PacketClass.QUIC_RESPONSE
+        tcp_cls = PacketClass.TCP_BACKSCATTER
         sessionizers = self.sessionizers
-        request_add = sessionizers[PacketClass.QUIC_REQUEST].add_entry
-        response_add = sessionizers[PacketClass.QUIC_RESPONSE].add_entry
-        tcp_add = sessionizers[PacketClass.TCP_BACKSCATTER].add_entry
+        request_add = sessionizers[request_cls].add_entry
+        response_add = sessionizers[response_cls].add_entry
+        tcp_add = sessionizers[tcp_cls].add_entry
         icmp_add = sessionizers[PacketClass.ICMP_BACKSCATTER].add_entry
         sweep_observe = self.sweep.observe
         quic_source_packets = self.quic_source_packets
@@ -553,75 +402,19 @@ class PartialState:
         response_long = 0
         response_empty_dcid = 0
         retry_packets = 0
-        n_request = n_response = n_nonquic = n_other_udp = 0
-        n_tcp_request = n_tcp_back = n_tcp_other = 0
-        n_icmp_back = n_icmp_other = n_other = 0
-        for record in records:
-            (
-                timestamp,
-                source,
-                dst,
-                total_length,
-                proto,
-                kind,
-                f1,
-                f2,
-                f3,
-                payload_length,
-                payload,
-            ) = record
-            if proto == 17:
-                # ports mirror CapturedPacket's derivation: present for
-                # parsed UDP/TCP transports, None otherwise
-                if kind == 1 or kind == 2:
-                    src443 = f1 == 443
-                    dst443 = f2 == 443
-                    dst_port = f2
-                else:
-                    n_other_udp += 1
-                    continue
-                if src443:
-                    if dst443:
-                        n_nonquic += 1
-                        malformed_counts["port-conflict"] = (
-                            malformed_counts.get("port-conflict", 0) + 1
-                        )
-                        continue
-                elif not dst443:
-                    n_other_udp += 1
-                    continue
-                entry = None
-                delta = None
-                if dissect:
-                    entry = entry_for(payload)
-                    if not entry[0]:
-                        n_nonquic += 1
-                        reason = entry[1]
-                        malformed_counts[reason] = (
-                            malformed_counts.get(reason, 0) + 1
-                        )
-                        continue
-                    delta = entry[2]
-                wire_length = total_length or (
-                    28 + payload_length  # IPv4 20 + UDP 8
-                    if kind == 1
-                    else 40 + payload_length  # IPv4 20 + TCP 20
-                )
+        for kind, source, timestamp, dst, dst_port, wire_length, entry in observations:
+            if kind is request_cls or kind is response_cls:
+                delta = None if entry is None else entry[2]
                 hour = int(timestamp // HOUR)
                 quic_source_packets[source] = (
                     quic_source_packets.get(source, 0) + 1
                 )
-                if dst443:
-                    n_request += 1
+                if kind is request_cls:
                     hours = per_source_hourly.setdefault(source, {})
                     hours[hour] = hours.get(hour, 0) + 1
                     hourly_requests[hour] = hourly_requests.get(hour, 0) + 1
-                    sweep_observe(source, timestamp)
-                    request_add(
-                        source, timestamp, dst, dst_port, wire_length, delta
-                    )
+                    add = request_add
                 else:
-                    n_response += 1
                     hourly_responses[hour] = hourly_responses.get(hour, 0) + 1
                     if entry is not None:
                         if entry[3]:
@@ -630,47 +423,16 @@ class PartialState:
                             response_long += 1
                             if entry[5]:
                                 response_empty_dcid += 1
-                    sweep_observe(source, timestamp)
-                    response_add(
-                        source, timestamp, dst, dst_port, wire_length, delta
-                    )
-            elif proto == 6:
-                if kind != 2:
-                    n_tcp_other += 1
-                    continue
-                if (f3 & _TCP_SYN_ACK) == _TCP_SYN_ACK or f3 & _TCP_RST:
-                    n_tcp_back += 1
-                    wire_length = total_length or 40 + payload_length
-                    tcp_add(source, timestamp, dst, f2, wire_length, None)
-                elif f3 & _TCP_SYN:
-                    n_tcp_request += 1
-                else:
-                    n_tcp_other += 1
-            elif proto == 1:
-                if kind == 3 and f1 in _ICMP_BACKSCATTER_TYPES:
-                    n_icmp_back += 1
-                    wire_length = total_length or 28 + payload_length
-                    icmp_add(source, timestamp, dst, None, wire_length, None)
-                else:
-                    n_icmp_other += 1
+                    add = response_add
+                sweep_observe(source, timestamp)
+                add(source, timestamp, dst, dst_port, wire_length, delta)
+            elif kind is tcp_cls:
+                tcp_add(source, timestamp, dst, dst_port, wire_length, None)
             else:
-                n_other += 1
-        counters = lane.counters
-        counters[PacketClass.QUIC_REQUEST] += n_request
-        counters[PacketClass.QUIC_RESPONSE] += n_response
-        counters[PacketClass.NON_QUIC_UDP443] += n_nonquic
-        counters[PacketClass.OTHER_UDP] += n_other_udp
-        counters[PacketClass.TCP_REQUEST] += n_tcp_request
-        counters[PacketClass.TCP_BACKSCATTER] += n_tcp_back
-        counters[PacketClass.TCP_OTHER] += n_tcp_other
-        counters[PacketClass.ICMP_BACKSCATTER] += n_icmp_back
-        counters[PacketClass.ICMP_OTHER] += n_icmp_other
-        counters[PacketClass.OTHER] += n_other
+                icmp_add(source, timestamp, dst, dst_port, wire_length, None)
         self.response_long_header_packets += response_long
         self.response_empty_dcid_packets += response_empty_dcid
         self.passive_retry_packets += retry_packets
-        _M_PACKETS.inc(len(records))
-        _M_BATCHES.inc()
 
     def record_classifier(self, classifier: TrafficClassifier) -> None:
         """Fold the classifier's counters into the partial state.
@@ -876,7 +638,7 @@ class QuicsandPipeline:
 
         The generate→analyze fast lane: a scenario's
         ``lane_batches()`` feed (or any other source of
-        :meth:`PartialState.consume_lane_records` batches) goes
+        :meth:`BatchLane.observe_records` batches) goes
         straight into the per-packet phase with no wire serialization
         and no dissection-side parsing.  Identical to
         :meth:`process` over the equivalent packet stream

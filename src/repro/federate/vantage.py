@@ -112,37 +112,30 @@ class Vantage:
         if config.mode == SKETCH_MODE:
             from repro.stream.sketch.tier import SketchTier
 
-            def on_alert(vector, victim, start, crossed_at, count, max_pps):
-                alerts.append(
-                    {
-                        "vector": vector,
-                        "victim": victim,
-                        "start": start,
-                        "crossed_at": crossed_at,
-                        "packets": count,
-                        "max_pps": max_pps,
-                    }
-                )
-                return None
+            def recorder(log: list, moment: str):
+                """A tier callback appending its event to ``log``;
+                ``moment`` names the event's second timestamp."""
 
-            def on_ended(vector, victim, start, end, count, max_pps):
-                ended.append(
-                    {
-                        "vector": vector,
-                        "victim": victim,
-                        "start": start,
-                        "end": end,
-                        "packets": count,
-                        "max_pps": max_pps,
-                    }
-                )
+                def record(vector, victim, start, at, count, max_pps):
+                    log.append(
+                        {
+                            "vector": vector,
+                            "victim": victim,
+                            "start": start,
+                            moment: at,
+                            "packets": count,
+                            "max_pps": max_pps,
+                        }
+                    )
+
+                return record
 
             tier = SketchTier(
                 thresholds=analysis.thresholds,
                 timeout=analysis.session_timeout,
                 seed=config.scenario.seed,
-                on_alert=on_alert,
-                on_ended=on_ended,
+                on_alert=recorder(alerts, "crossed_at"),
+                on_ended=recorder(ended, "end"),
             )
 
         self._emit(
@@ -171,10 +164,14 @@ class Vantage:
                 state.consume_lane_records(batch, lane)
                 watermark = batch[-1][0]
             else:
-                state.consume_lane(batch, lane)
-                if tier is not None:
-                    tier.consume_lane(batch, lane)
+                # classify once; the exact state and the tier are two
+                # sinks of the same observations
                 watermark = batch[-1].timestamp
+                observations = lane.observe_packets(batch, state.malformed_counts)
+                state.note_batch(batch[0].timestamp, watermark, len(batch))
+                state.apply(observations)
+                if tier is not None:
+                    tier.apply(observations)
             if config.snapshot_every:
                 if next_snapshot is None:
                     next_snapshot = watermark + config.snapshot_every

@@ -29,10 +29,12 @@ additions:
    active sources (plus the alert history and the rolling hour window),
    not capture size; telemetry reports the live/evicted counts.
 4. **Sketch mode** (``StreamConfig(mode="sketch")``) — no sessions and
-   no per-source dicts at all: per-packet updates land in the
-   fixed-size structures of :mod:`repro.stream.sketch` (count-min
-   source tallies, space-saving heavy-hitter victims carrying flood
-   episodes, HyperLogLog cardinalities), and alerts fire when the
+   no per-source dicts at all: the lane classifies each batch exactly
+   as in the other modes (same classifier tallies and metrics), but
+   the observations go to the fixed-size structures of
+   :mod:`repro.stream.sketch` (count-min source tallies, space-saving
+   heavy-hitter victims carrying flood episodes, HyperLogLog
+   cardinalities), and alerts fire when the
    space-saving *lower bound* crosses the Moore thresholds.  Memory is
    constant in source cardinality;
    ``benchmarks/bench_sketch_accuracy.py`` measures alert
@@ -156,21 +158,16 @@ class StreamConfig:
     #: watermark = newest event time − allowed lateness; 0 is exact for
     #: time-ordered feeds, raise it for mildly out-of-order captures.
     allowed_lateness: float = 0.0
-    #: evict closed sessions / idle sources and disable the per-packet
-    #: timeout sweep, bounding memory by *active* sources.  Disables
-    #: the batch-identical ``result()``.  Kept as the boolean spelling
-    #: of ``mode="bounded"`` for backward compatibility; ``mode`` wins
-    #: when both are given.
-    bounded: bool = False
     #: sliding window for online multi-vector correlation.
     correlation_horizon: float = 24 * HOUR
     #: hour buckets kept in the rolling hourly series (bounded/sketch).
     retain_hours: int = 48
     #: state retention: "exact" (full state, batch-identical result),
-    #: "bounded" (evict closed sessions, prune idle sources) or
-    #: "sketch" (constant memory — repro.stream.sketch structures).
-    #: ``None`` derives exact/bounded from the legacy ``bounded`` flag.
-    mode: Optional[str] = None
+    #: "bounded" (evict closed sessions and idle sources, no per-packet
+    #: timeout sweep: memory follows *active* sources, ``result()`` is
+    #: surrendered) or "sketch" (constant memory —
+    #: repro.stream.sketch structures).
+    mode: str = "exact"
     #: count-min geometry for sketch mode (cells per hash row / rows).
     sketch_width: int = 2048
     sketch_depth: int = 4
@@ -182,13 +179,10 @@ class StreamConfig:
     sketch_seed: int = 20210401
 
     def __post_init__(self) -> None:
-        if self.mode is None:
-            self.mode = "bounded" if self.bounded else "exact"
         if self.mode not in STREAM_MODES:
             raise ValueError(
                 f"unknown stream mode {self.mode!r}; pick one of {STREAM_MODES}"
             )
-        self.bounded = self.mode == "bounded"
 
 
 @dataclass
@@ -303,17 +297,16 @@ class StreamAnalyzer:
                 seed=self.stream_config.sketch_seed,
                 thresholds=self.config.thresholds,
                 timeout=self.config.session_timeout,
-                on_alert=self._on_sketch_alert,
-                on_ended=self._on_sketch_ended,
+                on_alert=self._on_alert,
+                on_ended=self._on_ended,
             )
-            self.state.sweep = _NullSweep()
         else:
             for cls in _BACKSCATTER_CLASSES:
                 self.state.sessionizers[cls].on_update = (
                     self._on_backscatter_update
                 )
-            if self.stream_config.bounded:
-                self.state.sweep = _NullSweep()
+        if self.stream_config.mode != "exact":
+            self.state.sweep = _NullSweep()
 
     # -- streaming loop ---------------------------------------------------
 
@@ -325,11 +318,18 @@ class StreamAnalyzer:
             return []
         with obs.span(_M_BATCH):
             if self.sketch is not None:
-                if self.state.window_start is None:
-                    self.state.window_start = batch[0].timestamp
-                self.state.window_end = batch[-1].timestamp
+                # the exact state keeps the window, packet total and
+                # classifier tallies; sessions and per-source dicts
+                # stay empty — the tier is the sink
+                self.state.note_batch(
+                    batch[0].timestamp, batch[-1].timestamp, len(batch)
+                )
                 if self.config.fast_lane:
-                    self.sketch.consume_lane(batch, self.classifier)
+                    self.sketch.apply(
+                        self.classifier.observe_packets(
+                            batch, self.state.malformed_counts
+                        )
+                    )
                 else:
                     self.sketch.consume(batch, self.classifier)
             elif self.config.fast_lane:
@@ -371,9 +371,8 @@ class StreamAnalyzer:
         self._finished = True
         if self.sketch is not None:
             self.sketch.flush()
-        else:
-            self.state.record_classifier(self.classifier)
-            self.state.close()
+        self.state.record_classifier(self.classifier)
+        self.state.close()
         events = self._drain(self.telemetry.watermark)
         self._update_gauges()
         return events
@@ -394,22 +393,15 @@ class StreamAnalyzer:
         if not self._finished:
             raise RuntimeError("call finish() before result()")
         mode = self.stream_config.mode
-        if mode == "bounded":
+        if mode != "exact":
             raise StreamResultUnavailable(
                 mode,
                 (
                     "stream_report()",
                     "the StreamTelemetry snapshot (analyzer.telemetry)",
-                    "hourly_counters()",
-                ),
-            )
-        if mode == "sketch":
-            raise StreamResultUnavailable(
-                mode,
-                (
-                    "stream_report()",
-                    "the StreamTelemetry snapshot (analyzer.telemetry)",
-                    "the sketch estimates (analyzer.sketch: count-min "
+                    "hourly_counters()"
+                    if mode == "bounded"
+                    else "the sketch estimates (analyzer.sketch: count-min "
                     "packet/byte counts, space-saving heavy hitters, "
                     "HyperLogLog cardinalities)",
                 ),
@@ -418,72 +410,37 @@ class StreamAnalyzer:
 
     # -- incremental detection hooks --------------------------------------
 
+    # The session modes and the sketch tier report floods through the
+    # same two scalar hooks — the tier calls them directly (they are its
+    # on_alert/on_ended protocol), the sessionizer hooks adapt a Session.
+    # An active flood is keyed (label, victim, start); the label is the
+    # session's traffic class or, from the tier, the vector.
+
     def _on_backscatter_update(self, session: Session) -> None:
         attack = self.detector.observe_update(session)
-        if attack is None:
-            return
-        alert = FloodAlert(
-            victim_ip=attack.victim_ip,
-            vector=attack.vector,
-            start=attack.start,
-            crossed_at=session.last_ts,
-            packet_count=attack.packet_count,
-            max_pps=attack.max_pps,
-        )
-        self._pending.append(alert)
-        self.alerts.append(alert)
-        self.telemetry.alerts += 1
-        _M_ALERTS.inc(vector=attack.vector)
-        flood = LiveFlood(
-            victim_ip=attack.victim_ip,
-            vector=attack.vector,
-            start=attack.start,
-            session=session,
-        )
-        self._active[
-            (session.traffic_class, session.source, session.first_ts)
-        ] = flood
-        if attack.vector != "quic":
-            self.correlator.register_common(flood)
+        if attack is not None:
+            self._on_alert(
+                attack.vector,
+                attack.victim_ip,
+                attack.start,
+                session.last_ts,
+                attack.packet_count,
+                attack.max_pps,
+                session,
+            )
 
     def _on_session_closed(self, session: Session) -> None:
-        key = (session.traffic_class, session.source, session.first_ts)
         self.detector.release(session)
-        flood = self._active.pop(key, None)
-        if flood is None:
-            return
-        flood.end = session.last_ts
-        flood.session = None
-        category = None
-        partners: tuple = ()
-        gap = None
-        if flood.vector == "quic":
-            category, partners, gap = self.correlator.classify(
-                session.source, session.first_ts, session.last_ts
-            )
-            self._category_counts[category] = (
-                self._category_counts.get(category, 0) + 1
-            )
-        self._floods_by_vector[flood.vector] = (
-            self._floods_by_vector.get(flood.vector, 0) + 1
-        )
-        self.telemetry.attacks_ended += 1
-        _M_ENDED.inc(vector=flood.vector)
-        self._pending.append(
-            AttackEnded(
-                victim_ip=session.source,
-                vector=flood.vector,
-                start=session.first_ts,
-                end=session.last_ts,
-                packet_count=session.packet_count,
-                max_pps=session.max_pps,
-                category=category,
-                partner_vectors=partners,
-                nearest_gap=gap,
-            )
+        self._on_ended(
+            session.traffic_class,
+            session.source,
+            session.first_ts,
+            session.last_ts,
+            session.packet_count,
+            session.max_pps,
         )
 
-    def _on_sketch_alert(
+    def _on_alert(
         self,
         vector: str,
         victim: int,
@@ -491,10 +448,12 @@ class StreamAnalyzer:
         crossed_at: float,
         packet_count: int,
         max_pps: float,
-    ):
-        """Sketch-tier twin of :meth:`_on_backscatter_update`: the tier
-        proved (via the space-saving lower bound) that a monitored
-        victim crossed the Moore thresholds."""
+        session: Optional[Session] = None,
+    ) -> LiveFlood:
+        """A flood crossed the Moore thresholds: an open ``session``
+        did, or the tier proved it (via the space-saving lower bound)
+        for a monitored victim.  Returns the LiveFlood; without a
+        session its ``end`` is what the tier keeps fresh."""
         alert = FloodAlert(
             victim_ip=victim,
             vector=vector,
@@ -507,39 +466,44 @@ class StreamAnalyzer:
         self.alerts.append(alert)
         self.telemetry.alerts += 1
         _M_ALERTS.inc(vector=vector)
-        flood = LiveFlood(
-            victim_ip=victim, vector=vector, start=start, end=crossed_at
-        )
-        self._active[(vector, victim, start)] = flood
+        if session is not None:
+            label = session.traffic_class
+            flood = LiveFlood(victim, vector, start, session=session)
+        else:
+            label = vector
+            flood = LiveFlood(victim, vector, start, end=crossed_at)
+        self._active[(label, victim, start)] = flood
         if vector != "quic":
             self.correlator.register_common(flood)
-        return flood  # the tier keeps flood.end fresh per packet
+        return flood
 
-    def _on_sketch_ended(
+    def _on_ended(
         self,
-        vector: str,
+        label: str,
         victim: int,
         start: float,
         end: float,
         packet_count: int,
         max_pps: float,
     ) -> None:
-        flood = self._active.pop((vector, victim, start), None)
-        if flood is not None:
-            flood.end = end
+        """A session or episode closed; if it was an alerted flood,
+        classify it against the correlation window, tally it and emit
+        :class:`AttackEnded`."""
+        flood = self._active.pop((label, victim, start), None)
+        if flood is None:
+            return
+        flood.end = end
+        flood.session = None
+        vector = flood.vector
         category = None
         partners: tuple = ()
         gap = None
         if vector == "quic":
-            category, partners, gap = self.correlator.classify(
-                victim, start, end
-            )
+            category, partners, gap = self.correlator.classify(victim, start, end)
             self._category_counts[category] = (
                 self._category_counts.get(category, 0) + 1
             )
-        self._floods_by_vector[vector] = (
-            self._floods_by_vector.get(vector, 0) + 1
-        )
+        self._floods_by_vector[vector] = self._floods_by_vector.get(vector, 0) + 1
         self.telemetry.attacks_ended += 1
         _M_ENDED.inc(vector=vector)
         self._pending.append(
@@ -566,7 +530,7 @@ class StreamAnalyzer:
                 for session in closed[cursor:]:
                     self._on_session_closed(session)
                 self._cursor[cls] = len(closed)
-        if self.stream_config.bounded:
+        if self.stream_config.mode == "bounded":
             for cls, sessionizer in self.state.sessionizers.items():
                 evicted = sessionizer.evict_closed()
                 self.telemetry.evicted_sessions += evicted
@@ -591,21 +555,27 @@ class StreamAnalyzer:
         if first:
             return
         self.correlator.prune(watermark)
-        if self.sketch is not None:
-            requests, responses, buckets = self.sketch.prune_hours(
-                hour, self.stream_config.retain_hours
-            )
-            self._pruned_requests += requests
-            self._pruned_responses += responses
-            if buckets:
-                self.telemetry.pruned_hours += buckets
-                _M_PRUNED_HOURS.inc(buckets)
-        elif self.stream_config.bounded:
-            self._evict_idle(hour)
+        if self.stream_config.mode == "exact":
+            return
+        floor = hour - self.stream_config.retain_hours
+        if self.sketch is None:
+            self._evict_idle(floor)
+        # roll hour buckets older than the retain window out of the
+        # active mode's hourly series
+        hourly_requests, hourly_responses = self._hourly_series()
+        buckets = len(hourly_requests) + len(hourly_responses)
+        for rolled in [h for h in hourly_requests if h < floor]:
+            self._pruned_requests += hourly_requests.pop(rolled)
+        for rolled in [h for h in hourly_responses if h < floor]:
+            self._pruned_responses += hourly_responses.pop(rolled)
+        buckets -= len(hourly_requests) + len(hourly_responses)
+        if buckets:
+            self.telemetry.pruned_hours += buckets
+            _M_PRUNED_HOURS.inc(buckets)
 
-    def _evict_idle(self, hour: int) -> None:
+    def _evict_idle(self, floor: int) -> None:
         """Bounded mode, per hour: keep tallies only for open sources
-        and research-threshold heavy hitters; prune rolled-off hours."""
+        and research-threshold heavy hitters, within the retain window."""
         state = self.state
         telemetry = self.telemetry
         open_sources: set = set()
@@ -632,54 +602,38 @@ class StreamAnalyzer:
             }
             telemetry.pruned_sources += dropped
             _M_PRUNED_SOURCES.inc(dropped)
-        floor = hour - self.stream_config.retain_hours
-        for rolled in [h for h in state.hourly_requests if h < floor]:
-            self._pruned_requests += state.hourly_requests.pop(rolled)
-            telemetry.pruned_hours += 1
-            _M_PRUNED_HOURS.inc()
-        for rolled in [h for h in state.hourly_responses if h < floor]:
-            self._pruned_responses += state.hourly_responses.pop(rolled)
-            telemetry.pruned_hours += 1
-            _M_PRUNED_HOURS.inc()
         for hours in state.per_source_hourly.values():
             for rolled in [h for h in hours if h < floor]:
                 del hours[rolled]
 
     def _update_gauges(self) -> None:
         telemetry = self.telemetry
-        if self.sketch is not None:
-            sketch = self.sketch
+        sketch = self.sketch
+        if sketch is not None:
             telemetry.open_sessions = 0
             telemetry.live_sources = sketch.episode_count()
-            if telemetry.live_sources > telemetry.peak_live_sources:
-                telemetry.peak_live_sources = telemetry.live_sources
-            telemetry.active_floods = len(self._active)
             telemetry.tracked_sources = sketch.heavy_entries()
             telemetry.sketch_memory_bytes = sketch.memory_bytes()
             telemetry.distinct_sources_est = int(sketch.sources.estimate())
             telemetry.distinct_victims_est = int(sketch.victims.estimate())
-            if obs.enabled():
-                _M_OPEN_SESSIONS.set(0)
-                _M_LIVE_SOURCES.set(telemetry.live_sources)
-                _M_ACTIVE_FLOODS.set(telemetry.active_floods)
-                _M_TRACKED_SOURCES.set(telemetry.tracked_sources)
-                sketch.publish_metrics()
-            return
-        sessionizers = self.state.sessionizers.values()
-        telemetry.open_sessions = sum(s.open_count for s in sessionizers)
-        live: set = set()
-        for sessionizer in sessionizers:
-            live.update(s.source for s in sessionizer.open_sessions())
-        telemetry.live_sources = len(live)
+        else:
+            sessionizers = self.state.sessionizers.values()
+            telemetry.open_sessions = sum(s.open_count for s in sessionizers)
+            live: set = set()
+            for sessionizer in sessionizers:
+                live.update(s.source for s in sessionizer.open_sessions())
+            telemetry.live_sources = len(live)
+            telemetry.tracked_sources = len(self.state.quic_source_packets)
         if telemetry.live_sources > telemetry.peak_live_sources:
             telemetry.peak_live_sources = telemetry.live_sources
         telemetry.active_floods = len(self._active)
-        telemetry.tracked_sources = len(self.state.quic_source_packets)
         if obs.enabled():
             _M_OPEN_SESSIONS.set(telemetry.open_sessions)
             _M_LIVE_SOURCES.set(telemetry.live_sources)
             _M_ACTIVE_FLOODS.set(telemetry.active_floods)
             _M_TRACKED_SOURCES.set(telemetry.tracked_sources)
+            if sketch is not None:
+                sketch.publish_metrics()
 
     # -- reporting ---------------------------------------------------------
 

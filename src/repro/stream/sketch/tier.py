@@ -1,10 +1,12 @@
 """The sketch tier: constant-memory flood detection for the monitor.
 
 :class:`SketchTier` is the third :class:`~repro.stream.analyzer.
-StreamAnalyzer` mode's engine.  It consumes the same classified packet
-stream as the exact/bounded modes but keeps **no sessions and no
-per-source dicts** — every per-packet update lands in a fixed-size
-probabilistic structure:
+StreamAnalyzer` mode's engine: a sink of the same observations the
+exact/bounded modes' :class:`~repro.core.pipeline.PartialState`
+applies (classified once, by :class:`~repro.core.batchlane.BatchLane`'s
+adapters — the tier itself contains no classification).  It keeps **no
+sessions and no per-source dicts** — every per-packet update lands in
+a fixed-size probabilistic structure:
 
 - :class:`~repro.stream.sketch.countmin.CountMinSketch` ×2 — per-source
   QUIC packet and byte tallies (the exact mode's
@@ -39,9 +41,6 @@ from repro import obs
 from repro.core.classify import PacketClass
 from repro.core.dos import DosThresholds
 from repro.core.sessions import DEFAULT_TIMEOUT
-from repro.net.icmp import BACKSCATTER_TYPES
-from repro.net.packet import KIND_ICMP, KIND_TCP
-from repro.net.tcp import TcpFlags
 from repro.stream.sketch.countmin import CountMinSketch
 from repro.stream.sketch.hll import HyperLogLog
 from repro.stream.sketch.spacesaving import SpaceSaving
@@ -49,19 +48,6 @@ from repro.util.rng import derive_seed
 from repro.util.timeutil import HOUR, MINUTE
 
 VECTORS = ("quic", "tcp", "icmp")
-
-#: An observation is ``(kind, source, timestamp, wire_length)``; ``kind``
-#: is REQUEST or the packet's backscatter vector (a QUIC response: "quic").
-REQUEST = "request"
-_KIND_OF_CLASS = {
-    PacketClass.QUIC_REQUEST: REQUEST,
-    PacketClass.QUIC_RESPONSE: "quic",
-    PacketClass.TCP_BACKSCATTER: "tcp",
-    PacketClass.ICMP_BACKSCATTER: "icmp",
-}
-
-_TCP_RST = int(TcpFlags.RST)
-_TCP_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 # Registry families of the sketch tier (see docs/METRICS.md).  Like
 # every repro.obs surface these publish at batch boundaries — the
@@ -161,36 +147,15 @@ class SketchTier:
         self.hourly_responses: dict = {}
         self._published: dict = {}
 
-    # -- adapters: packets -> observations ----------------------------------
+    # -- feeds: classified elsewhere, applied here ---------------------------
 
     def consume_lane(self, batch: list, lane) -> None:
-        """Fast-lane twin of :meth:`consume`: inline int classification
-        plus the lane's memoized validity oracle, mirroring
-        ``PartialState.consume_lane``'s branch structure."""
-        entry_for = lane.entry_for
-        dissect = lane.dissect_payloads
-        observations = []
-        observe = observations.append
-        for packet in batch:
-            if packet.is_udp:
-                src443 = packet.src_port == 443
-                dst443 = packet.dst_port == 443
-                if src443 == dst443:
-                    continue  # port conflict or unrelated UDP
-                if dissect and not entry_for(packet.payload)[0]:
-                    continue  # malformed / non-QUIC payload
-                kind = REQUEST if dst443 else "quic"
-                observe((kind, packet.src, packet.timestamp, packet.wire_length))
-            elif packet.is_tcp:
-                if packet.kind != KIND_TCP:
-                    continue
-                flags = packet.tcp_flags
-                if (flags & _TCP_SYN_ACK) == _TCP_SYN_ACK or flags & _TCP_RST:
-                    observe(("tcp", packet.src, packet.timestamp, 0))
-            elif packet.is_icmp:
-                if packet.kind == KIND_ICMP and packet.icmp_type in BACKSCATTER_TYPES:
-                    observe(("icmp", packet.src, packet.timestamp, 0))
-        self._apply(observations)
+        """Fast lane, standalone: the lane classifies the batch, the
+        tier applies it.  (A caller that also wants the malformed
+        tallies or feeds a second sink calls
+        :meth:`BatchLane.observe_packets` itself — the analyzer and the
+        federation vantage do.)"""
+        self.apply(lane.observe_packets(batch, {}))
 
     def consume(self, batch: list, classifier) -> None:
         """Rich-classifier path (``--no-fast-lane``): the same
@@ -198,35 +163,33 @@ class SketchTier:
         observations = []
         observe = observations.append
         for classified in classifier.classify_batch(batch):
-            kind = _KIND_OF_CLASS.get(classified.packet_class)
-            if kind is not None:
+            kind = classified.packet_class
+            if kind.is_quic or kind.is_backscatter:
                 packet = classified.packet
-                observe((kind, packet.src, packet.timestamp, packet.wire_length))
-        self._apply(observations)
-
-    def _observe_quic(
-        self, source: int, timestamp: float, wire_length: int, *, request: bool
-    ) -> None:
-        kind = REQUEST if request else "quic"
-        self._apply([(kind, source, timestamp, wire_length)])
-
-    def _observe_backscatter(
-        self, vector: str, source: int, timestamp: float
-    ) -> None:
-        self._apply([(vector, source, timestamp, 0)])
+                observe((
+                    kind, packet.src, packet.timestamp, packet.dst,
+                    packet.dst_port, packet.wire_length,
+                    None,  # no LaneEntry on the rich path; unused here
+                ))
+        self.apply(observations)
 
     # -- the batch kernel: every state update ------------------------------
 
-    def _apply(self, observations) -> None:
+    def apply(self, observations) -> None:
         """Apply time-ordered observations exactly as per-packet updates
-        would, paying per distinct source and per run instead.  Three
-        reductions, all in locals of this call: each source's count-min
-        cells are hashed once; consecutive QUIC observations of one
+        would, paying per distinct source and per run instead.  The
+        tuple is the one :class:`~repro.core.batchlane.BatchLane`'s
+        adapters emit; the tier reads kind, source, timestamp and (QUIC
+        only) wire length.  Three reductions, all in locals of this
+        call: each source's count-min cells are hashed once; consecutive QUIC observations of one
         source fold into one conservative update by their sum (nothing
         touched the cells in between); an HLL key already seen cannot
         raise a register again, so it only counts.  Updates to
         *different* keys may share a cell and do not commute: runs keep
         stream order, so the state is independent of batch boundaries."""
+        request_cls = PacketClass.QUIC_REQUEST
+        response_cls = PacketClass.QUIC_RESPONSE
+        tcp_cls = PacketClass.TCP_BACKSCATTER
         packet_counts = self.packet_counts
         byte_counts = self.byte_counts
         sources = self.sources
@@ -248,8 +211,8 @@ class SketchTier:
 
         run_source = None
         run_packets = run_bytes = 0
-        for kind, source, timestamp, wire_length in observations:
-            if kind == REQUEST or kind == "quic":
+        for kind, source, timestamp, _, _, wire_length, _ in observations:
+            if kind is request_cls or kind is response_cls:
                 if source != run_source:
                     if run_packets:
                         fold(run_source, run_packets, run_bytes)
@@ -258,16 +221,19 @@ class SketchTier:
                 run_packets += 1
                 run_bytes += wire_length
                 hour = int(timestamp // HOUR)
-                if kind == REQUEST:
+                if kind is request_cls:
                     hourly_requests[hour] = hourly_requests.get(hour, 0) + 1
                     continue
                 hourly_responses[hour] = hourly_responses.get(hour, 0) + 1
+                vector = "quic"
+            else:
+                vector = "tcp" if kind is tcp_cls else "icmp"
             if source in seen_victims:
                 victims.updates += 1
             else:
                 seen_victims.add(source)
                 victims.add(source)
-            self._backscatter(kind, source, timestamp)
+            self._backscatter(vector, source, timestamp)
         if run_packets:
             fold(run_source, run_packets, run_bytes)
 
@@ -282,17 +248,9 @@ class SketchTier:
                 self._end_episode(vector, displaced, dead)
         lower = count - error
         episode = episodes.get(source)
-        if episode is None:
-            episodes[source] = FloodEpisode(
-                first_ts=timestamp,
-                last_ts=timestamp,
-                base=lower - 1,
-                minute=int(timestamp // MINUTE),
-            )
-            return
-        if timestamp - episode.last_ts > self.timeout:
+        if episode is None or timestamp - episode.last_ts > self.timeout:
             # the sessionizer's gap-split rule: same victim, new flood
-            if episode.alerted:
+            if episode is not None and episode.alerted:
                 self._end_episode(vector, source, episode)
             episodes[source] = FloodEpisode(
                 first_ts=timestamp,
@@ -366,25 +324,7 @@ class SketchTier:
 
     def flush(self) -> None:
         """End of stream: close every remaining episode."""
-        for vector in VECTORS:
-            episodes = self._episodes[vector]
-            for source, episode in episodes.items():
-                if episode.alerted:
-                    self._end_episode(vector, source, episode)
-            episodes.clear()
-
-    def prune_hours(self, hour: int, retain_hours: int):
-        """Roll hour buckets older than the retain window out of the
-        hourly series; returns (pruned requests, responses, buckets)."""
-        floor = hour - retain_hours
-        pruned_requests = pruned_responses = buckets = 0
-        for rolled in [h for h in self.hourly_requests if h < floor]:
-            pruned_requests += self.hourly_requests.pop(rolled)
-            buckets += 1
-        for rolled in [h for h in self.hourly_responses if h < floor]:
-            pruned_responses += self.hourly_responses.pop(rolled)
-            buckets += 1
-        return pruned_requests, pruned_responses, buckets
+        self.sweep(float("inf"))
 
     # -- telemetry ---------------------------------------------------------
 
@@ -459,14 +399,10 @@ class SketchTier:
 
     # -- composition -------------------------------------------------------
 
-    def merge(self, other: "SketchTier") -> None:
-        """Fold a shard's tier into this one.
-
-        Valid under the parallel pipeline's source-IP sharding: key
-        sets are disjoint, so count-min rows add, HLL registers max,
-        space-saving summaries union (exact until capacity), hourly
-        buckets add, and live episodes transfer without collisions.
-        """
+    def _merge_tallies(self, other: "SketchTier") -> None:
+        """What both merges share — everything but the live episodes:
+        count-min rows add, HLL registers max, space-saving summaries
+        union, hourly buckets add."""
         if (self.width, self.depth, self.capacity, self.precision, self.seed) != (
             other.width,
             other.depth,
@@ -481,6 +417,22 @@ class SketchTier:
         self.victims.merge(other.victims)
         for vector in VECTORS:
             self.heavy[vector].merge(other.heavy[vector])
+        for mine, theirs in (
+            (self.hourly_requests, other.hourly_requests),
+            (self.hourly_responses, other.hourly_responses),
+        ):
+            for hour, count in theirs.items():
+                mine[hour] = mine.get(hour, 0) + count
+
+    def merge(self, other: "SketchTier") -> None:
+        """Fold a shard's tier into this one.
+
+        Valid under the parallel pipeline's source-IP sharding: key
+        sets are disjoint, so the tallies merge exactly (space-saving
+        until capacity) and live episodes transfer without collisions.
+        """
+        self._merge_tallies(other)
+        for vector in VECTORS:
             mine = self._episodes[vector]
             theirs = other._episodes[vector]
             overlap = mine.keys() & theirs.keys()
@@ -490,14 +442,6 @@ class SketchTier:
                     f"sources: {sorted(overlap)[:3]}"
                 )
             mine.update(theirs)
-        for hour, count in other.hourly_requests.items():
-            self.hourly_requests[hour] = (
-                self.hourly_requests.get(hour, 0) + count
-            )
-        for hour, count in other.hourly_responses.items():
-            self.hourly_responses[hour] = (
-                self.hourly_responses.get(hour, 0) + count
-            )
 
     def merge_federated(self, other: "SketchTier") -> None:
         """Fold a *destination-partitioned* vantage's tier into this one.
@@ -519,20 +463,8 @@ class SketchTier:
         and the aggregator dedups floods on those events, not on
         episode state (see docs/FEDERATION.md).
         """
-        if (self.width, self.depth, self.capacity, self.precision, self.seed) != (
-            other.width,
-            other.depth,
-            other.capacity,
-            other.precision,
-            other.seed,
-        ):
-            raise ValueError("sketch tier merge needs identical sizing + seed")
-        self.packet_counts.merge(other.packet_counts)
-        self.byte_counts.merge(other.byte_counts)
-        self.sources.merge(other.sources)
-        self.victims.merge(other.victims)
+        self._merge_tallies(other)
         for vector in VECTORS:
-            self.heavy[vector].merge(other.heavy[vector])
             mine = self._episodes[vector]
             for victim, episode in other._episodes[vector].items():
                 current = mine.get(victim)
@@ -551,14 +483,6 @@ class SketchTier:
                     mine[victim] = first
                 else:
                     mine[victim] = second
-        for hour, count in other.hourly_requests.items():
-            self.hourly_requests[hour] = (
-                self.hourly_requests.get(hour, 0) + count
-            )
-        for hour, count in other.hourly_responses.items():
-            self.hourly_responses[hour] = (
-                self.hourly_responses.get(hour, 0) + count
-            )
 
     def __getstate__(self):
         state = dict(self.__dict__)

@@ -20,7 +20,7 @@ extended with two wire-only fields::
     (timestamp, src, dst, total_length, proto, kind,
      f1, f2, f3, payload_length, payload[, x1, x2])
 
-The lane record is defined on ``PartialState.consume_lane_records``
+The lane record is defined on ``BatchLane.observe_records``
 (kind 1 UDP: ports; kind 2 TCP: ports + flags; kind 3 ICMP: type/code).
 UDP records are plain 11-tuples — they already *are* lane records, so
 the generate→analyze path hands them to

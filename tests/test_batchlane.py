@@ -10,9 +10,16 @@ corpus (``tests/data/corpus/*.hex``), seeded random bytes, the fuzz
 suite's structure-aware mutation generator, and real scenario traffic,
 so both the trivially-rejected bulk and the deep parser paths cross the
 boundary.
+
+Below that, the adapter/sink seam: the lane's two adapters
+(``observe_packets`` / ``observe_records``) must emit the same
+observations, counters and malformed tallies for the same traffic, and
+the two sinks (``PartialState.apply`` / ``SketchTier.apply``) must not
+care where a batch boundary falls.
 """
 
 import pathlib
+import pickle
 
 import pytest
 
@@ -28,7 +35,15 @@ from repro.core.batchlane import (
     fast_entry,
 )
 from repro.core.dissect import MalformedReason, QuicDissector
+from repro.core.pipeline import AnalysisConfig, PartialState
+from repro.net.icmp import IcmpHeader, IcmpType
+from repro.net.ipv4 import IPProto, IPv4Header
+from repro.net.packet import KIND_ICMP, KIND_UDP, CapturedPacket
+from repro.net.tcp import TcpFlags, TcpHeader
+from repro.net.udp import UdpHeader
+from repro.stream.sketch import SketchTier
 from repro.telescope import Scenario, ScenarioConfig
+from repro.telescope.presets import get_scenario, scenario_names
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 
@@ -230,3 +245,194 @@ def test_publish_lane_metrics_exports_families():
     finally:
         obs.REGISTRY.reset()
         obs.set_enabled(False)
+
+
+# -- the seam: two adapters, two sinks ----------------------------------------
+
+
+def lane_record(packet, dissect=True):
+    """A packet as the 11-field lane record — the fields
+    ``_run_sharded_shm`` packs, written out independently of it."""
+    kind = packet.kind
+    f1 = f2 = 0
+    ship = False
+    if kind == KIND_ICMP:
+        f1, f2 = packet.icmp_type, packet.icmp_code
+    elif kind:
+        f1, f2 = packet.src_port, packet.dst_port
+        ship = kind == KIND_UDP and dissect and (f1 == 443) != (f2 == 443)
+    return (
+        packet.timestamp,
+        packet.src,
+        packet.dst,
+        packet.total_length,
+        packet.proto,
+        kind,
+        f1,
+        f2,
+        packet.tcp_flags,
+        len(packet.payload),
+        packet.payload if ship else b"",
+    )
+
+
+def assert_adapters_agree(packets, dissect=True):
+    """Both adapters over the same traffic: same observations, same ten
+    class counters, same malformed reasons.  Returns the observations,
+    the packet-side lane and its malformed tallies."""
+    packet_lane = BatchLane(dissect_payloads=dissect)
+    record_lane = BatchLane(dissect_payloads=dissect)
+    packet_malformed: dict = {}
+    record_malformed: dict = {}
+    records = [lane_record(packet, dissect) for packet in packets]
+    observations = []
+    for start in range(0, len(packets), 97):
+        from_packets = packet_lane.observe_packets(
+            packets[start : start + 97], packet_malformed
+        )
+        from_records = record_lane.observe_records(
+            records[start : start + 97], record_malformed
+        )
+        assert from_packets == from_records, start
+        observations += from_packets
+    assert packet_lane.counters == record_lane.counters
+    assert sum(packet_lane.counters.values()) == len(packets)
+    assert packet_malformed == record_malformed
+    assert (packet_lane.cache_hits, packet_lane.cache_misses) == (
+        record_lane.cache_hits,
+        record_lane.cache_misses,
+    )
+    return observations, packet_lane, packet_malformed
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_adapters_agree_on_scenario_traffic(name):
+    scenario = Scenario(get_scenario(name).config(duration=HOUR / 6))
+    packets = list(scenario.packets())
+    assert packets
+    assert_adapters_agree(packets)
+
+
+def wire(proto, transport, payload=b"") -> bytes:
+    return CapturedPacket(0.0, IPv4Header(7, 9, proto), transport, payload).to_bytes()
+
+
+def patched(data: bytes, at: int, value: int, width: int = 1) -> bytes:
+    return data[:at] + value.to_bytes(width, "big") + data[at + width :]
+
+
+def odd_packets():
+    """One packet (at least) per rung of the ladder, plus the shapes a
+    damaged capture produces; offsets are into a 20-byte IPv4 header."""
+    quic = valid_datagrams()[0]
+    request = wire(IPProto.UDP, UdpHeader(50000, 443), quic)
+    syn_ack = wire(IPProto.TCP, TcpHeader(443, 6000, flags=TcpFlags.SYN | TcpFlags.ACK))
+    unreachable = wire(IPProto.ICMP, IcmpHeader(IcmpType.DEST_UNREACHABLE, 3), b"quoted")
+    wires = [
+        request,
+        wire(IPProto.UDP, UdpHeader(443, 50000), quic),  # response
+        wire(IPProto.UDP, UdpHeader(443, 443), quic),  # port conflict
+        wire(IPProto.UDP, UdpHeader(50000, 443), b"\x00not quic"),  # no-fixed-bit
+        wire(IPProto.UDP, UdpHeader(50000, 443)),  # empty payload
+        wire(IPProto.UDP, UdpHeader(53, 53), quic),  # unrelated UDP
+        patched(request, 24, 7, 2),  # UDP length < 8: no transport header parsed
+        request[:26],  # UDP header cut
+        patched(request, 2, 0, 2),  # total_length == 0: wire length derived
+        syn_ack,
+        patched(syn_ack, 2, 0, 2),
+        patched(syn_ack, 33, 0x04),  # RST
+        patched(syn_ack, 33, 0x02),  # SYN: a TCP request
+        patched(syn_ack, 33, 0x10),  # ACK: other TCP
+        patched(syn_ack, 32, 0xF0),  # data offset past the end: truncated header
+        syn_ack[:30],
+        unreachable,
+        patched(unreachable, 2, 0, 2),
+        patched(unreachable, 20, 8),  # echo request: not backscatter
+        unreachable[:25],  # ICMP header cut
+        patched(request, 9, 47),  # unknown protocol
+    ]
+    packets = [
+        CapturedPacket.from_bytes(float(index), data)
+        for index, data in enumerate(wires)
+    ]
+    # a generator-built packet: total_length still 0, never serialized
+    ip = IPv4Header(7, 9, IPProto.UDP)
+    packets.append(CapturedPacket(99.0, ip, UdpHeader(50000, 443), quic))
+    return packets
+
+
+@pytest.mark.parametrize("dissect", [True, False])
+def test_adapters_agree_on_odd_packets(dissect):
+    packets = odd_packets()
+    observations, lane, malformed = assert_adapters_agree(packets, dissect)
+    # every class of the ladder is exercised, and the pinned cases mean
+    # what their comments say
+    assert all(lane.counters.values()), lane.counters
+    if dissect:
+        assert malformed == {"port-conflict": 1, "no-fixed-bit": 1, "empty": 1}
+        assert all(obs[6] is not None for obs in observations if obs[4] == 443)
+    else:
+        assert malformed == {"port-conflict": 1}
+        assert all(obs[6] is None for obs in observations)
+        assert lane.cache_hits == lane.cache_misses == 0
+    assert all(obs[5] > 0 for obs in observations)  # wire lengths derived
+
+
+@pytest.fixture(scope="module")
+def seam_capture():
+    config = ScenarioConfig(seed=29, duration=HOUR // 2, research_sample=1 / 64)
+    return list(Scenario(config).packets())
+
+
+def fresh_sinks():
+    return (
+        PartialState.initial(AnalysisConfig()),
+        SketchTier(width=256, capacity=64, precision=10, seed=29),
+    )
+
+
+def test_sinks_ignore_batch_boundaries(seam_capture):
+    observations = BatchLane().observe_packets(seam_capture, {})
+    kinds = {obs[0] for obs in observations}
+    assert len(kinds) == 4, kinds
+    whole_state, whole_tier = fresh_sinks()
+    whole_state.apply(observations)
+    whole_tier.apply(observations)
+    want = pickle.dumps(whole_state), pickle.dumps(whole_tier)
+    for k in (0, 1, len(observations) // 3, len(observations) - 1, len(observations)):
+        state, tier = fresh_sinks()
+        for part in (observations[:k], observations[k:]):
+            state.apply(part)
+            tier.apply(part)
+        assert (pickle.dumps(state), pickle.dumps(tier)) == want, k
+
+
+def test_one_observation_list_feeds_both_sinks(seam_capture):
+    """Classify once, apply twice == each sink's own ``consume_lane``."""
+    lane = BatchLane()
+    state, tier = fresh_sinks()
+    for start in range(0, len(seam_capture), 512):
+        batch = seam_capture[start : start + 512]
+        state.consume_lane(batch, lane)
+    state.record_classifier(lane)
+    tier_lane = BatchLane()
+    for start in range(0, len(seam_capture), 512):
+        tier.consume_lane(seam_capture[start : start + 512], tier_lane)
+
+    shared_lane = BatchLane()
+    shared_state, shared_tier = fresh_sinks()
+    observations = shared_lane.observe_packets(
+        seam_capture, shared_state.malformed_counts
+    )
+    shared_state.note_batch(
+        seam_capture[0].timestamp, seam_capture[-1].timestamp, len(seam_capture)
+    )
+    shared_state.apply(observations)
+    shared_tier.apply(observations)
+    shared_state.record_classifier(shared_lane)
+    assert pickle.dumps(shared_state) == pickle.dumps(state)
+    assert pickle.dumps(shared_tier) == pickle.dumps(tier)
+    assert (shared_lane.cache_hits, shared_lane.cache_misses) == (
+        lane.cache_hits,
+        lane.cache_misses,
+    )

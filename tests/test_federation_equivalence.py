@@ -138,6 +138,36 @@ def test_partition_equivalence_sketch(tmp_path, shared_packets, baseline, vantag
         assert stream.sketch["tier"].packet_counts.width > 0
 
 
+def test_sketch_vantage_classifies_each_packet_once(shared_packets):
+    """A sketch vantage feeds two sinks from one classification pass:
+    its classifier tallies (memo hits and misses, class counts) are the
+    exact vantage's, not double."""
+
+    class Discard:
+        def send(self, frame_bytes):
+            pass
+
+    states = {
+        mode: Vantage(
+            VantageConfig(
+                name=mode,
+                mode=mode,
+                scenario=ScenarioConfig(**SCENARIO_KW),
+                analysis=AnalysisConfig(),
+            )
+        ).run(Discard(), packets=shared_packets)
+        for mode in ("exact", "sketch")
+    }
+    exact, sketch = states["exact"], states["sketch"]
+    assert exact.cache_hits > 0
+    assert (sketch.cache_hits, sketch.cache_misses) == (
+        exact.cache_hits,
+        exact.cache_misses,
+    )
+    assert sketch.class_counts == exact.class_counts
+    assert sum(sketch.class_counts.values()) == sketch.total_packets
+
+
 def test_cross_telescope_dedup(tmp_path, shared_packets, baseline):
     """The same flood seen from several tiles collapses to one."""
     _agg, fed, _s = run_federation(tmp_path, shared_packets, 2, "exact")

@@ -1,8 +1,9 @@
 """Unit tests for the ``repro.obs`` metrics core.
 
-Everything here runs against private ``Registry`` instances, never the
-process-wide ``REGISTRY``, so the suite cannot leak state between
-tests (or into the instrumented modules).
+Everything but the last section runs against private ``Registry``
+instances, never the process-wide ``REGISTRY``, so the suite cannot
+leak state between tests (or into the instrumented modules); the
+instrumented-path case at the end resets ``REGISTRY`` both ways.
 """
 
 import json
@@ -10,6 +11,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.core import AnalysisConfig
 from repro.obs.export import (
     metrics_dict,
     render_json,
@@ -19,6 +21,10 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import Registry
 from repro.obs.timers import span, timed
+from repro.stream import StreamAnalyzer, StreamConfig
+from repro.telescope import Scenario, ScenarioConfig
+from repro.util.batching import batched
+from repro.util.timeutil import HOUR
 
 
 @pytest.fixture
@@ -291,3 +297,52 @@ def test_enable_disable_roundtrip():
         assert not obs.enabled()
     finally:
         obs.set_enabled(before)
+
+
+# --------------------------------------------------------------------------
+# Instrumented paths: what a monitor run publishes
+# --------------------------------------------------------------------------
+
+#: published from the classifier's tallies, whatever the sink
+CLASSIFIER_FAMILIES = (
+    "repro_pipeline_packets_total",
+    "repro_pipeline_batches_total",
+    "repro_pipeline_classified_total",
+    "repro_dissect_cache_hits_total",
+    "repro_dissect_cache_misses_total",
+    "repro_batchlane_fast_total",
+    "repro_batchlane_fallback_total",
+    "repro_malformed_packets_total",
+)
+
+
+def test_sketch_mode_publishes_the_classifier_families():
+    """``watch --sketch --metrics-out`` used to read 0 for all of these:
+    the tier's own walker tallied nothing and ``finish()`` folded
+    nothing.  Same feed, same classifier, same numbers as bounded mode."""
+    packets = list(Scenario(ScenarioConfig(seed=7, duration=HOUR / 2)).packets())
+    was = obs.enabled()
+    published = {}
+    try:
+        obs.enable()
+        for mode in ("bounded", "sketch"):
+            obs.REGISTRY.reset()
+            analyzer = StreamAnalyzer(
+                config=AnalysisConfig(), stream_config=StreamConfig(mode=mode)
+            )
+            for batch in batched(iter(packets), 512):
+                analyzer.process_batch(batch)
+            analyzer.finish()
+            snapshot = obs.REGISTRY.snapshot(run_collectors=False)
+            published[mode] = {
+                name: snapshot[name][4] for name in CLASSIFIER_FAMILIES
+            }
+    finally:
+        obs.REGISTRY.reset()
+        obs.set_enabled(was)
+    bounded = published["bounded"]
+    assert bounded["repro_pipeline_packets_total"] == {(): len(packets)}
+    assert sum(bounded["repro_pipeline_classified_total"].values()) == len(packets)
+    assert bounded["repro_dissect_cache_hits_total"][()] > 0
+    assert bounded["repro_malformed_packets_total"]
+    assert published["sketch"] == bounded

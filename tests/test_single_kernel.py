@@ -1,0 +1,80 @@
+"""The fast lane classifies in two places and updates state in one.
+
+``BatchLane.observe_packets`` / ``observe_records`` are the only runs
+of the scalar classification ladder (one per input representation: a
+measured −12 % keeps them apart, see docs/ARCHITECTURE.md), and
+``PartialState.apply`` is the only fast-lane state update; the sketch
+tier is a second sink of the same observations.  Equivalence suites can
+only compare walkers that exist — this guard keeps a new one from being
+written, by pinning *where* the three calls that make a walker may
+appear under ``src/repro``:
+
+- ``.add_entry`` (sessions from lane entries) — ``PartialState.apply``;
+- ``.entry_for`` (the dissection memo) — the two adapters;
+- ``Sessionizer.add`` (sessions from rich objects, recognised by a
+  receiver spelled ``…sessionizer….add``) — ``PartialState.consume``,
+  the reference implementation the lane suites compare against.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+class _Sites(ast.NodeVisitor):
+    """``Class.function`` of every ``<receiver>.<attr>`` reference."""
+
+    def __init__(self, attr: str, receiver: str) -> None:
+        self.attr = attr
+        self.receiver = receiver
+        self.scope: list = []
+        self.found: set = set()
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scoped
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == self.attr and self.receiver in ast.unparse(node.value).lower():
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def sites(attr: str, receiver: str = "") -> set:
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        visitor = _Sites(attr, receiver)
+        visitor.visit(ast.parse(path.read_text()))
+        found |= visitor.found
+    return found
+
+
+def test_one_fast_lane_state_update():
+    assert sites("add_entry") == {"PartialState.apply"}
+
+
+def test_one_classification_ladder_per_input_representation():
+    assert sites("entry_for") == {
+        "BatchLane.observe_packets",
+        "BatchLane.observe_records",
+    }
+
+
+def test_rich_sessionizer_feed_is_the_reference_walker_only():
+    assert sites("add", receiver="sessionizer") == {"PartialState.consume"}
+
+
+def test_sinks_know_nothing_of_packet_layout():
+    """No classification in a sink: neither module imports ``repro.net``."""
+    for module in ("core/pipeline.py", "stream/sketch/tier.py"):
+        tree = ast.parse((SRC / module).read_text())
+        imported = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+        }
+        assert not {name for name in imported if name.startswith("repro.net")}, module

@@ -18,7 +18,7 @@ import pytest
 
 from repro import obs as metrics
 from repro.core.batchlane import BatchLane
-from repro.core.classify import TrafficClassifier
+from repro.core.classify import PacketClass, TrafficClassifier
 from repro.core.dos import DosThresholds
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
@@ -426,7 +426,12 @@ def test_tier_merge_deterministic_across_workers(workers):
     def build(part):
         tier = SketchTier(width=256, capacity=64, precision=10, seed=31)
         for source, ts, length in part:
-            tier._observe_quic(source, ts, length, request=(source % 2 == 0))
+            kind = (
+                PacketClass.QUIC_REQUEST
+                if source % 2 == 0
+                else PacketClass.QUIC_RESPONSE
+            )
+            tier.apply([(kind, source, ts, None, None, length, None)])
         return tier
 
     shards = [[] for _ in range(workers)]
@@ -469,8 +474,9 @@ def test_tier_merge_rejects_mismatched_sizing():
 def test_tier_merge_rejects_overlapping_episodes():
     left = SketchTier(width=64, capacity=8, seed=1)
     right = SketchTier(width=64, capacity=8, seed=1)
-    left._observe_backscatter("tcp", 42, 0.0)
-    right._observe_backscatter("tcp", 42, 0.0)
+    observation = (PacketClass.TCP_BACKSCATTER, 42, 0.0, None, None, 0, None)
+    left.apply([observation])
+    right.apply([observation])
     with pytest.raises(ValueError):
         left.merge(right)
 
@@ -478,7 +484,7 @@ def test_tier_merge_rejects_overlapping_episodes():
 def test_tier_pickle_drops_callbacks():
     fired = []
     tier = SketchTier(width=64, capacity=8, seed=1, on_alert=fired.append)
-    tier._observe_quic(1, 0.0, 100, request=True)
+    tier.apply([(PacketClass.QUIC_REQUEST, 1, 0.0, None, None, 100, None)])
     clone = pickle.loads(pickle.dumps(tier))
     assert clone.on_alert is None and clone.on_ended is None
     assert clone.packet_counts.estimate(1) == 1
@@ -486,7 +492,7 @@ def test_tier_pickle_drops_callbacks():
 
 # -- the batch kernel vs a naive per-packet oracle ---------------------------
 #
-# SketchTier._apply hashes each source once per call and folds same-source
+# SketchTier.apply hashes each source once per call and folds same-source
 # runs into one count-min update.  The oracle below does neither: one
 # public per-key call per packet, in stream order.  On a width-8 sketch
 # with a dozen sources, cells are shared, so any reordering of updates to
@@ -581,7 +587,7 @@ def recording_tier(events):
 def oracle(stream):
     """Naive reference: per packet, per key, public API only.  The
     tier object only holds the identically seeded structures; none of
-    its consume/_apply/_observe methods run here."""
+    its consume/apply methods run here."""
     events = []
     tier = recording_tier(events)
     thresholds = tier.thresholds

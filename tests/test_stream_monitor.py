@@ -228,7 +228,7 @@ def run_monitor(scenario, stream_config):
 
 def test_bounded_mode_evicts_and_still_alerts(monitor_scenario):
     analyzer, events = run_monitor(
-        monitor_scenario, StreamConfig(bounded=True, retain_hours=1)
+        monitor_scenario, StreamConfig(mode="bounded", retain_hours=1)
     )
     alerts = [e for e in events if isinstance(e, FloodAlert)]
     ended = [e for e in events if isinstance(e, AttackEnded)]
@@ -257,21 +257,21 @@ def test_bounded_mode_evicts_and_still_alerts(monitor_scenario):
 
 
 def test_bounded_alerts_match_exact_alerts(monitor_scenario):
-    bounded, _ = run_monitor(monitor_scenario, StreamConfig(bounded=True))
-    exact, _ = run_monitor(monitor_scenario, StreamConfig(bounded=False))
+    bounded, _ = run_monitor(monitor_scenario, StreamConfig(mode="bounded"))
+    exact, _ = run_monitor(monitor_scenario, StreamConfig(mode="exact"))
     key = lambda a: (a.vector, a.victim_ip, a.start)
     assert sorted(map(key, bounded.alerts)) == sorted(map(key, exact.alerts))
 
 
 def test_process_batch_after_finish_rejected(monitor_scenario):
-    analyzer, _ = run_monitor(monitor_scenario, StreamConfig(bounded=True))
+    analyzer, _ = run_monitor(monitor_scenario, StreamConfig(mode="bounded"))
     with pytest.raises(RuntimeError):
         analyzer.process_batch([backscatter(0.0)])
     assert analyzer.finish() == []  # idempotent
 
 
 def test_status_line_and_telemetry(monitor_scenario):
-    analyzer, _ = run_monitor(monitor_scenario, StreamConfig(bounded=True))
+    analyzer, _ = run_monitor(monitor_scenario, StreamConfig(mode="bounded"))
     line = analyzer.status_line()
     assert line.startswith("[status] watermark=")
     assert f"alerts={analyzer.telemetry.alerts}" in line

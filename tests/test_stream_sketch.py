@@ -57,13 +57,6 @@ def test_stream_config_mode_validation():
         StreamConfig(mode="approximate")
 
 
-def test_stream_config_bounded_flag_back_compat():
-    legacy = StreamConfig(bounded=True)
-    assert legacy.mode == "bounded" and legacy.bounded
-    sketch = StreamConfig(mode="sketch")
-    assert not sketch.bounded
-
-
 # -- alert equivalence vs the exact oracle -----------------------------------
 
 
