@@ -22,9 +22,10 @@ carries the same keys) so speedups are tracked across revisions:
 - ``analyze_pps``   — the default serial analysis path, i.e. the
   columnar batch fast lane (kept in the legacy ``serial_pps`` field as
   well, so the trajectory stays comparable across revisions);
-- ``rich_pps``      — the same stream through ``--no-fast-lane``, the
-  per-packet rich-dissection path that was the default before the lane
-  landed;
+- ``rich_pps``      — the same stream through the reference walker
+  (``PartialState.consume`` + ``TrafficClassifier``, called directly:
+  no flag selects it), the per-packet rich-dissection path the lane
+  replaced;
 - ``fast_speedup``  — ``analyze_pps / rich_pps``; the lane's whole
   point, asserted ``>= 2.0`` in full runs;
 - ``e2e_pps``       — generation (fast lane) and default serial
@@ -41,7 +42,7 @@ carries the same keys) so speedups are tracked across revisions:
   rather than cross-round accumulations.
 
 The source-sharded parallel path (``workers=4``, shared-memory ring
-transport under the fast lane) is only measured when the machine
+transport) is only measured when the machine
 actually has multiple CPUs; on a 1-core runner the fork+IPC overhead
 measures the machine, not the code, so ``parallel_pps`` and
 ``speedup`` are recorded as ``null`` instead of a misleading number.
@@ -49,8 +50,8 @@ measures the machine, not the code, so ``parallel_pps`` and
 ``REPRO_BENCH_QUICK=1`` switches to a smoke configuration for CI: a
 small packet budget, one timing round, and no trajectory append (quick
 rates would pollute the revision history).  Quick mode still times
-*both* lanes and fails if the fast lane regresses below the rich path
-(with headroom for runner noise).
+the lane *and* the reference walker and fails if the lane regresses
+below the walker (with headroom for runner noise).
 """
 
 import json
@@ -59,8 +60,10 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.core import AnalysisConfig, QuicsandPipeline
+from repro.core import AnalysisConfig, PartialState, QuicsandPipeline
+from repro.core.classify import TrafficClassifier
 from repro.telescope import Scenario, ScenarioConfig
+from repro.util.batching import batched
 from repro.util.timeutil import HOUR
 
 PARALLEL_WORKERS = 4
@@ -100,14 +103,30 @@ def _scenario_config():
     return ScenarioConfig(duration=SCENARIO_HOURS * HOUR, research_sample=1.0 / 512)
 
 
-def _run(scenario, packets, workers, fast_lane=True):
-    pipeline = QuicsandPipeline(
+def _pipeline(scenario, workers=1):
+    return QuicsandPipeline(
         registry=scenario.internet.registry,
         census=scenario.internet.census,
         greynoise=scenario.internet.greynoise,
-        config=AnalysisConfig(workers=workers, fast_lane=fast_lane),
+        config=AnalysisConfig(workers=workers),
     )
-    return pipeline.process(iter(packets))
+
+
+def _run(scenario, packets, workers):
+    return _pipeline(scenario, workers).process(iter(packets))
+
+
+def _run_rich(scenario, packets):
+    """The reference walker, driven directly (cf. tests/oracle.py)."""
+    pipeline = _pipeline(scenario)
+    config = pipeline.config
+    state = PartialState.initial(config)
+    classifier = TrafficClassifier(dissect_payloads=config.dissect_payloads)
+    for batch in batched(iter(packets), config.batch_size):
+        state.consume(batch, classifier)
+    state.record_classifier(classifier)
+    state.close()
+    return pipeline.finalize_state(state)
 
 
 def _append_trajectory(record):
@@ -158,13 +177,13 @@ def test_pipeline_throughput(emit, benchmark):
     generate_rate = len(packets) / generate_time
     gen_speedup = generate_rate / generate_rich_rate
 
-    # -- serial analysis, both lanes ------------------------------------
+    # -- serial analysis: reference walker, then the lane ---------------
     scenario = Scenario(_scenario_config())
-    rich_result = _run(scenario, packets, workers=1, fast_lane=False)  # warm-up
+    rich_result = _run_rich(scenario, packets)  # warm-up
     rich_times = []
     for _ in range(TIMING_ROUNDS):
         start = time.perf_counter()
-        rich_result = _run(scenario, packets, workers=1, fast_lane=False)
+        rich_result = _run_rich(scenario, packets)
         rich_times.append(time.perf_counter() - start)
     rich_rate = len(packets) / min(rich_times)
 
@@ -284,12 +303,12 @@ def test_pipeline_throughput(emit, benchmark):
     emit(
         "pipeline_throughput",
         f"packets: {len(packets):,}  (cpus: {cpus}, quick: {QUICK})\n"
-        f"generation, gen lane (default): {generate_rate:,.0f} packets/s\n"
-        f"generation, rich path (--no-gen-lane): "
+        f"generation, gen lane: {generate_rate:,.0f} packets/s\n"
+        f"generation, rich path (Scenario.packets()): "
         f"{generate_rich_rate:,.0f} packets/s\n"
         f"generation speedup: {gen_speedup:.2f}x\n"
-        f"serial analysis, fast lane (default): {analyze_rate:,.0f} packets/s\n"
-        f"serial analysis, rich path (--no-fast-lane): {rich_rate:,.0f} packets/s\n"
+        f"serial analysis, fast lane: {analyze_rate:,.0f} packets/s\n"
+        f"serial analysis, reference walker: {rich_rate:,.0f} packets/s\n"
         f"fast-lane speedup: {fast_speedup:.2f}x "
         f"({lane_fast_share * 100:.1f}% of memo misses settled fast)\n"
         f"end-to-end (generate + analyze): {e2e_rate:,.0f} packets/s\n"

@@ -52,9 +52,10 @@ from repro.core.export import export_results
 from repro.core.report import build_report
 from repro.core.retry_audit import ActiveProber
 from repro.net.addresses import format_ipv4
-from repro.net.pcap import PcapReader
+from repro.net.pcap import PcapReader, write_records
 from repro.server import run_table1, table1_rows
 from repro.telescope import Scenario, ScenarioConfig
+from repro.telescope.genlane import wire_items
 from repro.telescope.presets import scenario_names
 from repro.telescope.presets import scenario_config as _named_scenario_config
 from repro.util.render import format_table
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="generate a telescope capture pcap")
     _scenario_args(simulate)
     simulate.add_argument("--out", required=True, help="output pcap path")
-    _gen_args(simulate)
+    _gen_workers_arg(simulate)
 
     analyze = sub.add_parser("analyze", help="analyze a pcap capture")
     analyze.add_argument("pcap", help="input pcap path")
@@ -106,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "repro_pcap_corrupt_records_total)",
     )
     _workers_arg(analyze)
-    _lane_arg(analyze)
     _metrics_arg(analyze)
     _faults_args(analyze)
 
@@ -115,8 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--report-out", help="also write the report to a file")
     report.add_argument("--export", help="write per-figure CSV/JSON data here")
     _workers_arg(report)
-    _lane_arg(report)
-    _gen_args(report)
+    _gen_workers_arg(report)
     _metrics_arg(report)
     _faults_args(report)
 
@@ -173,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip-and-count corrupt pcap records while tail-following "
         "(surfaced in the stream report and StreamTelemetry)",
     )
-    _lane_arg(watch)
     _metrics_arg(watch)
     _faults_args(watch)
 
@@ -331,34 +329,14 @@ def _workers_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _lane_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fast-lane",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the per-packet phase on the columnar batch fast lane "
-        "(results are identical either way; --no-fast-lane forces the "
-        "rich per-packet classifier/dissector)",
-    )
-
-
-def _gen_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--gen-lane",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="generate through the columnar generation fast lane (wire "
-        "bytes stamped from mutable templates; output is byte-identical "
-        "either way; --no-gen-lane forces the rich per-packet object "
-        "path)",
-    )
+def _gen_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--gen-workers",
         type=int,
         default=1,
         help="worker processes for scenario generation (sharded by "
         "traffic source; the merged stream is bit-identical to "
-        "--gen-workers 1; requires --gen-lane)",
+        "--gen-workers 1)",
     )
 
 
@@ -440,20 +418,16 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     return Scenario(_scenario_config(args))
 
 
-def _pipeline(
-    scenario: Optional[Scenario], workers: int = 1, fast_lane: bool = True
-) -> QuicsandPipeline:
+def _pipeline(scenario: Optional[Scenario], workers: int = 1) -> QuicsandPipeline:
     if scenario is None:
         return QuicsandPipeline(
-            config=AnalysisConfig(
-                retry_probe_count=0, workers=workers, fast_lane=fast_lane
-            )
+            config=AnalysisConfig(retry_probe_count=0, workers=workers)
         )
     return QuicsandPipeline(
         registry=scenario.internet.registry,
         census=scenario.internet.census,
         greynoise=scenario.internet.greynoise,
-        config=AnalysisConfig(workers=workers, fast_lane=fast_lane),
+        config=AnalysisConfig(workers=workers),
     )
 
 
@@ -471,15 +445,9 @@ def cmd_simulate(args, stream) -> int:
     scenario = _scenario(args)
     hours = scenario.config.duration / HOUR
     print(f"simulating {hours:.1f} h at telescope {scenario.telescope.prefix} ...", file=stream)
-    if args.gen_lane:
-        from repro.net.pcap import write_records
-        from repro.telescope.genlane import wire_items
-
-        count = write_records(
-            args.out, wire_items(scenario.records(workers=args.gen_workers))
-        )
-    else:
-        count = scenario.telescope.capture_to_pcap(scenario.packets(), args.out)
+    count = write_records(
+        args.out, wire_items(scenario.records(workers=args.gen_workers))
+    )
     print(
         f"wrote {count:,} packets to {args.out} "
         f"(planned QUIC floods: {len(scenario.plan.quic_floods)})",
@@ -494,7 +462,7 @@ def cmd_analyze(args, stream) -> int:
     if injector == 2:
         return 2
     scenario = None if args.no_correlation else _scenario(args)
-    pipeline = _pipeline(scenario, workers=args.workers, fast_lane=args.fast_lane)
+    pipeline = _pipeline(scenario, workers=args.workers)
     with open(args.pcap, "rb") as pcap_stream:
         reader = PcapReader(pcap_stream, lenient=args.lenient)
         packets = iter(reader)
@@ -523,13 +491,8 @@ def cmd_report(args, stream) -> int:
     if injector == 2:
         return 2
     scenario = _scenario(args)
-    pipeline = _pipeline(scenario, workers=args.workers, fast_lane=args.fast_lane)
-    if (
-        args.gen_lane
-        and args.fast_lane
-        and args.workers == 1
-        and injector is None
-    ):
+    pipeline = _pipeline(scenario, workers=args.workers)
+    if args.workers == 1 and injector is None:
         # fused fast path: gen records feed the batch lane directly —
         # no CapturedPacket objects, no wire bytes, no dissection
         result = pipeline.process_record_batches(
@@ -580,7 +543,6 @@ def cmd_watch(args, stream) -> int:
         registry=scenario.internet.registry,
         census=scenario.internet.census,
         greynoise=scenario.internet.greynoise,
-        config=AnalysisConfig(fast_lane=args.fast_lane),
         stream_config=StreamConfig(mode=mode),
     )
     injector = _fault_injector(args, stream)

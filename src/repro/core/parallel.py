@@ -14,22 +14,17 @@ merged result — a serial and a parallel run yield identical
 
 Mechanically, the parent reads the stream, routes each packet to its
 shard buffer (:func:`shard_of`), and ships filled buffers to worker
-processes.  Two transports exist:
-
-* **shared-memory rings** (default, fast lane): each worker owns a
-  ring of fixed-size slots in one ``multiprocessing.shared_memory``
-  segment.  The parent packs batches as flat scalar records
-  (:data:`_SHM_RECORD`) plus raw payload bytes straight into a free
-  slot and sends only a tiny ``(slot, count)`` descriptor over the
-  queue; the worker parses records in place and returns the slot
-  number on an ack queue.  Nothing per-packet is pickled.  Workers
-  feed :meth:`PartialState.consume_lane_records` on a
-  :class:`~repro.core.batchlane.BatchLane`.
-* **compact tuples** (rich path, ``fast_lane=False``, or when shared
-  memory is unavailable): packets cross the boundary as flat tuples
-  (:func:`encode_packet`); workers rebuild
-  :class:`~repro.net.packet.CapturedPacket` records and run the rich
-  classifier.
+processes over **shared-memory rings**: each worker owns a ring of
+fixed-size slots in one ``multiprocessing.shared_memory`` segment.  The
+parent packs batches as flat scalar records (:data:`_SHM_RECORD`) plus
+raw payload bytes straight into a free slot and sends only a tiny
+``(slot, count)`` descriptor over the queue; the worker parses records
+in place, feeds :meth:`PartialState.consume_lane_records` on a
+:class:`~repro.core.batchlane.BatchLane`, and returns the slot number
+on an ack queue.  Nothing per-packet is pickled.  A host that cannot
+allocate the rings runs the in-process loop instead
+(:func:`~repro.core.pipeline.run_serial`) — the same state by
+construction, and faster than any transport that pickles packets.
 
 Time order holds within each source's substream because a source maps
 to exactly one shard and slots/buffers preserve arrival order.
@@ -50,14 +45,9 @@ except ImportError:  # pragma: no cover - always present on CPython >= 3.8
     _shared_memory = None
 
 from repro import obs
-from repro.net.icmp import IcmpHeader
-from repro.net.ipv4 import IPv4Header
-from repro.net.packet import KIND_ICMP, KIND_TCP, KIND_UDP, CapturedPacket
-from repro.net.tcp import TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.packet import KIND_ICMP, KIND_UDP
 from repro.core.batchlane import BatchLane
-from repro.core.classify import TrafficClassifier
-from repro.core.pipeline import AnalysisConfig, PartialState
+from repro.core.pipeline import AnalysisConfig, PartialState, run_serial
 
 # Worker processes publish into their own (reset-after-fork) registry
 # and ship one snapshot back with their partial state; the parent
@@ -83,9 +73,6 @@ _M_MERGE = obs.histogram(
 )
 
 DEFAULT_BATCH = 512
-#: per-worker input queue depth, in batches — bounds parent-side memory
-#: and applies backpressure when a shard falls behind.
-QUEUE_DEPTH = 16
 
 _GOLDEN = 0x9E3779B1  # Fibonacci-hash multiplier: mixes clustered IPs
 
@@ -93,55 +80,6 @@ _GOLDEN = 0x9E3779B1  # Fibonacci-hash multiplier: mixes clustered IPs
 def shard_of(source: int, workers: int) -> int:
     """Map a source IP to its shard (stable hash partition)."""
     return ((source * _GOLDEN) & 0xFFFFFFFF) % workers
-
-
-# -- compact packet IPC ----------------------------------------------------
-#
-# Pickling whole CapturedPackets (header objects or kept header bytes)
-# would dominate the parent's feed loop, so packets cross the process
-# boundary as flat tuples of the packet's scalar slots — exactly the
-# fields the per-packet phase reads (timestamps, addresses, ports/flags,
-# payload, wire length).  Unread header fields (checksums, TTL, seq/ack)
-# are not shipped; no analysis output depends on them, and reading the
-# slots keeps a parsed packet's headers unmaterialised in the parent.
-
-
-def encode_packet(packet: CapturedPacket) -> tuple:
-    """Flatten a packet's scalar slots into a cheap-to-pickle tuple."""
-    kind = packet.kind
-    if kind == KIND_UDP:
-        wire = (kind, packet.src_port, packet.dst_port)
-    elif kind == KIND_TCP:
-        wire = (kind, packet.src_port, packet.dst_port, packet.tcp_flags)
-    elif kind == KIND_ICMP:
-        wire = (kind, packet.icmp_type, packet.icmp_code)
-    else:
-        wire = None
-    return (
-        packet.timestamp,
-        packet.src,
-        packet.dst,
-        packet.proto,
-        packet.total_length,
-        wire,
-        packet.payload,
-    )
-
-
-def decode_packet(record: tuple) -> CapturedPacket:
-    """Rebuild a :class:`CapturedPacket` from :func:`encode_packet` output."""
-    timestamp, src, dst, proto, total_length, wire, payload = record
-    if wire is None:
-        transport = None
-    elif wire[0] == KIND_UDP:
-        transport = UdpHeader(wire[1], wire[2])
-    elif wire[0] == KIND_TCP:
-        transport = TcpHeader(wire[1], wire[2], 0, 0, wire[3])
-    else:
-        transport = IcmpHeader(wire[1], wire[2])
-    return CapturedPacket(
-        timestamp, IPv4Header(src, dst, proto, total_length), transport, payload
-    )
 
 
 # -- shared-memory ring transport ------------------------------------------
@@ -160,29 +98,13 @@ def decode_packet(record: tuple) -> CapturedPacket:
 _SHM_RECORD = struct.Struct("<dIIHBBHHHI")
 _PAYLOAD_FLAG = 0x80
 
-#: slots per worker ring — bounds in-flight batches (and parent-side
-#: backpressure) exactly like QUEUE_DEPTH bounds the tuple transport.
+#: slots per worker ring — bounds in-flight batches, parent-side
+#: memory, and the backpressure on a shard that falls behind.
 RING_SLOTS = 8
 #: slot byte size; one batch must fit.  Flush early once a slot cannot
 #: take another worst-case record (30 B header + 64 KiB payload).
 SLOT_SIZE = 1 << 20
 _FLUSH_WATERMARK = SLOT_SIZE - (_SHM_RECORD.size + 0x10000)
-
-
-def shm_transport_available() -> bool:
-    """Can this host back the ring transport with shared memory?"""
-    if _shared_memory is None:
-        return False
-    try:
-        probe = _shared_memory.SharedMemory(create=True, size=16)
-    except (OSError, ValueError):
-        return False
-    probe.close()
-    try:
-        probe.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - cleanup race
-        pass
-    return True
 
 
 def _attach_segment(name: str):
@@ -216,36 +138,50 @@ def _attach_segment(name: str):
             resource_tracker.register = original_register
 
 
-class _ShardRing:
-    """Parent-side view of one worker's slot ring."""
+def allocate_segments(count: int) -> Optional[list]:
+    """``count`` parent-owned ring segments, or ``None`` when shared
+    memory cannot back all of them — whatever was created before the
+    failure is unlinked first, so a failed allocation leaves nothing
+    behind."""
+    if _shared_memory is None:
+        return None
+    segments: list = []
+    try:
+        for _ in range(count):
+            segments.append(
+                _shared_memory.SharedMemory(
+                    create=True, size=RING_SLOTS * SLOT_SIZE
+                )
+            )
+    except (OSError, ValueError):
+        release_segments(segments)
+        return None
+    return segments
 
-    def __init__(self, slots: int = RING_SLOTS, slot_size: int = SLOT_SIZE):
-        self.slot_size = slot_size
-        self.shm = _shared_memory.SharedMemory(
-            create=True, size=slots * slot_size
-        )
-        self.free = collections.deque(range(slots))
 
-    def close_and_unlink(self) -> None:
+def release_segments(segments: list) -> None:
+    """Close and unlink parent-owned ring segments."""
+    for segment in segments:
         try:
-            self.shm.close()
-        except OSError:  # pragma: no cover - double close
+            segment.close()
+        except (OSError, BufferError):  # pragma: no cover - double close
             pass
         try:
-            self.shm.unlink()
+            segment.unlink()
         except (FileNotFoundError, OSError):  # pragma: no cover
             pass
 
 
-def _acquire_slot(ring, ack_queue, process) -> int:
-    """Next free slot, recycling acked ones; notices a dead worker."""
+def _acquire_slot(free, ack_queue, process) -> int:
+    """Next free slot of one ring, recycling acked ones; notices a
+    dead worker."""
     while True:
         try:
-            ring.free.append(ack_queue.get_nowait())
+            free.append(ack_queue.get_nowait())
         except queue_module.Empty:
             break
-    if ring.free:
-        return ring.free.popleft()
+    if free:
+        return free.popleft()
     while True:
         try:
             return ack_queue.get(timeout=5.0)
@@ -260,57 +196,25 @@ def _acquire_slot(ring, ack_queue, process) -> int:
 # -- worker process --------------------------------------------------------
 
 
-def _shard_worker(index, config, in_queue, out_queue, metrics_enabled=False) -> None:
-    """Consume encoded batches until the ``None`` sentinel, then ship
-    the flushed partial state (plus a metrics snapshot) to the parent.
-
-    The fork start method copies the parent's registry values into the
-    child, so the first thing a worker does is reset its registry —
-    the snapshot it ships then carries only this worker's deltas and
-    the parent's merge is exactly-once by construction.
-    """
-    try:
-        obs.REGISTRY.reset()
-        obs.set_enabled(metrics_enabled)
-        classifier = TrafficClassifier(dissect_payloads=config.dissect_payloads)
-        state = PartialState.initial(config)
-        decode = decode_packet
-        batches = 0
-        while True:
-            batch = in_queue.get()
-            if batch is None:
-                break
-            batches += 1
-            state.consume([decode(record) for record in batch], classifier)
-        state.record_classifier(classifier)
-        state.close()
-        if obs.enabled():
-            _M_SHARD_PACKETS.inc(state.total_packets, worker=str(index))
-            _M_SHARD_BATCHES.inc(batches, worker=str(index))
-            snapshot = obs.REGISTRY.snapshot(run_collectors=False)
-        else:
-            snapshot = None
-        out_queue.put((index, state, snapshot, None))
-    except BaseException:
-        out_queue.put((index, None, None, traceback.format_exc()))
-
-
-def _shm_shard_worker(
+def _shard_worker(
     index,
     config,
     shm_name,
-    slot_size,
     in_queue,
     ack_queue,
     out_queue,
     metrics_enabled=False,
 ) -> None:
-    """Ring-transport twin of :func:`_shard_worker`.
+    """Consume ``(slot, count)`` descriptors until the ``None``
+    sentinel, parsing scalar records straight out of the shared segment
+    and feeding the batch fast lane; each drained slot is acked back to
+    the parent for reuse.  Ships the flushed partial state (plus a
+    metrics snapshot) to the parent.
 
-    Consumes ``(slot, count)`` descriptors until the ``None`` sentinel,
-    parsing scalar records straight out of the shared segment and
-    feeding the batch fast lane; each drained slot is acked back to the
-    parent for reuse.
+    The fork start method copies the parent's registry values into the
+    child, so the first thing a worker does is reset its registry —
+    the snapshot it ships then carries only this worker's deltas and
+    the parent's merge is exactly-once by construction.
     """
     segment = None
     try:
@@ -329,7 +233,7 @@ def _shm_shard_worker(
                 break
             batches += 1
             slot, count = descriptor
-            offset = slot * slot_size
+            offset = slot * SLOT_SIZE
             records = []
             append = records.append
             for _ in range(count):
@@ -434,81 +338,13 @@ def run_sharded(
     """Run the per-packet phase sharded by source across ``workers``
     processes and return the merged :class:`PartialState`.
 
-    With ``config.fast_lane`` (the default) packets travel over the
-    shared-memory ring transport and workers run the batch fast lane;
-    the rich path — and any host without usable shared memory — uses
-    the original compact-tuple queues.  Both produce identical merged
-    states (tests/test_lane_equivalence.py).
+    A host without usable shared memory gets the in-process loop — the
+    identical state, with no second transport kept alive for the case.
     """
     workers = max(1, int(workers))
-    if getattr(config, "fast_lane", True) and _shared_memory is not None:
-        rings = None
-        try:
-            rings = [_ShardRing() for _ in range(workers)]
-        except (OSError, ValueError):
-            rings = None
-        if rings is not None:
-            return _run_sharded_shm(
-                stream, config, workers, batch_size, start_method, rings
-            )
-    return _run_sharded_queues(stream, config, workers, batch_size, start_method)
-
-
-def _run_sharded_queues(
-    stream: Iterable,
-    config: AnalysisConfig,
-    workers: int,
-    batch_size: Optional[int] = None,
-    start_method: Optional[str] = None,
-) -> PartialState:
-    """Compact-tuple transport (rich classifier in the workers)."""
-    batch = int(batch_size or DEFAULT_BATCH)
-    ctx = multiprocessing.get_context(start_method or _default_start_method())
-    in_queues = [ctx.Queue(maxsize=QUEUE_DEPTH) for _ in range(workers)]
-    out_queue = ctx.Queue()
-    processes = [
-        ctx.Process(
-            target=_shard_worker,
-            args=(index, config, in_queues[index], out_queue, obs.enabled()),
-            name=f"quicsand-shard-{index}",
-            daemon=True,
-        )
-        for index in range(workers)
-    ]
-    for process in processes:
-        process.start()
-    try:
-        buffers: list = [[] for _ in range(workers)]
-        encode = encode_packet
-        for packet in stream:
-            shard = ((packet.src * _GOLDEN) & 0xFFFFFFFF) % workers
-            buffer = buffers[shard]
-            buffer.append(encode(packet))
-            if len(buffer) >= batch:
-                _put_with_liveness(in_queues[shard], buffer, processes[shard])
-                buffers[shard] = []
-        for shard, buffer in enumerate(buffers):
-            if buffer:
-                _put_with_liveness(in_queues[shard], buffer, processes[shard])
-            _put_with_liveness(in_queues[shard], None, processes[shard])
-        states, snapshots = _collect_results(processes, out_queue, workers)
-    finally:
-        for process in processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-    return _merge_results(states, snapshots, workers)
-
-
-def _run_sharded_shm(
-    stream: Iterable,
-    config: AnalysisConfig,
-    workers: int,
-    batch_size: Optional[int],
-    start_method: Optional[str],
-    rings: list,
-) -> PartialState:
-    """Shared-memory ring transport (batch fast lane in the workers)."""
+    segments = allocate_segments(workers)
+    if segments is None:
+        return run_serial(stream, config)
     batch = int(batch_size or DEFAULT_BATCH)
     ctx = multiprocessing.get_context(start_method or _default_start_method())
     in_queues = [ctx.Queue(maxsize=RING_SLOTS + 1) for _ in range(workers)]
@@ -516,12 +352,11 @@ def _run_sharded_shm(
     out_queue = ctx.Queue()
     processes = [
         ctx.Process(
-            target=_shm_shard_worker,
+            target=_shard_worker,
             args=(
                 index,
                 config,
-                rings[index].shm.name,
-                rings[index].slot_size,
+                segments[index].name,
                 in_queues[index],
                 ack_queues[index],
                 out_queue,
@@ -535,17 +370,17 @@ def _run_sharded_shm(
     for process in processes:
         process.start()
     try:
+        free = [collections.deque(range(RING_SLOTS)) for _ in range(workers)]
         buffers = [bytearray() for _ in range(workers)]
         counts = [0] * workers
         dissect = config.dissect_payloads
         pack = _SHM_RECORD.pack
 
         def flush(shard: int) -> None:
-            ring = rings[shard]
-            slot = _acquire_slot(ring, ack_queues[shard], processes[shard])
+            slot = _acquire_slot(free[shard], ack_queues[shard], processes[shard])
             data = buffers[shard]
-            base = slot * ring.slot_size
-            ring.shm.buf[base : base + len(data)] = data
+            base = slot * SLOT_SIZE
+            segments[shard].buf[base : base + len(data)] = data
             _put_with_liveness(
                 in_queues[shard], (slot, counts[shard]), processes[shard]
             )
@@ -588,11 +423,17 @@ def _run_sharded_shm(
                 flush(shard)
             _put_with_liveness(in_queues[shard], None, processes[shard])
         states, snapshots = _collect_results(processes, out_queue, workers)
+    except BaseException:
+        # the stream, a worker or the user interrupted the feed: workers
+        # blocked on their queue will never see a sentinel, so stop them
+        # before the join below waits on them
+        for process in processes:
+            process.terminate()
+        raise
     finally:
         for process in processes:
             process.join(timeout=5.0)
             if process.is_alive():
                 process.terminate()
-        for ring in rings:
-            ring.close_and_unlink()
+        release_segments(segments)
     return _merge_results(states, snapshots, workers)

@@ -116,11 +116,6 @@ class AnalysisConfig:
     #: and exceeds this many QUIC packets.
     research_min_packets: int = 1000
     dissect_payloads: bool = True
-    #: run the per-packet phase on the columnar batch fast lane (see
-    #: :mod:`repro.core.batchlane`); results are bit-identical to the
-    #: rich path, pinned by tests/test_lane_equivalence.py.  False
-    #: forces the rich classifier/dissector (``--no-fast-lane``).
-    fast_lane: bool = True
     #: probe this many top victims in the active RETRY audit.
     retry_probe_count: int = 10
     audit_seed: int = 424242
@@ -352,7 +347,8 @@ class PartialState:
         """Columnar fast lane over packets: the lane classifies the
         batch (:meth:`BatchLane.observe_packets`), :meth:`apply`
         updates the state.  Bit-identical to :meth:`consume`, the
-        reference the lane equivalence suite compares against."""
+        reference walker only the equivalence suites drive
+        (``tests/oracle.py``)."""
         if not packets:
             return
         self.note_batch(packets[0].timestamp, packets[-1].timestamp, len(packets))
@@ -584,6 +580,18 @@ class PartialState:
         self.hourly_responses = dict(sorted(self.hourly_responses.items()))
 
 
+def run_serial(stream: Iterable, config: AnalysisConfig) -> PartialState:
+    """The in-process per-packet phase: the whole stream through one
+    :class:`BatchLane` into one closed :class:`PartialState`."""
+    state = PartialState.initial(config)
+    lane = BatchLane(dissect_payloads=config.dissect_payloads)
+    for batch in batched(stream, config.batch_size):
+        state.consume_lane(batch, lane)
+    state.record_classifier(lane)
+    state.close()
+    return state
+
+
 class QuicsandPipeline:
     """Single-pass streaming analysis of a telescope capture."""
 
@@ -617,20 +625,7 @@ class QuicsandPipeline:
                 )
         else:
             with obs.span(_M_STAGE, stage="per-packet-serial"):
-                state = PartialState.initial(cfg)
-                if cfg.fast_lane:
-                    lane = BatchLane(dissect_payloads=cfg.dissect_payloads)
-                    for batch in batched(stream, cfg.batch_size):
-                        state.consume_lane(batch, lane)
-                    state.record_classifier(lane)
-                else:
-                    classifier = TrafficClassifier(
-                        dissect_payloads=cfg.dissect_payloads
-                    )
-                    for batch in batched(stream, cfg.batch_size):
-                        state.consume(batch, classifier)
-                    state.record_classifier(classifier)
-                state.close()
+                state = run_serial(stream, cfg)
         return self._finalize(state)
 
     def process_record_batches(self, batches: Iterable[list]) -> PipelineResult:

@@ -149,8 +149,8 @@ class Vantage:
         )
 
         next_snapshot: Optional[float] = None
-        use_gen_lane = packets is None and tier is None
-        if use_gen_lane:
+        from_records = packets is None and tier is None
+        if from_records:
             batches = self.scenario.lane_batches(analysis.batch_size)
         elif packets is None:
             batches = self.scenario.packet_batches(analysis.batch_size)
@@ -160,7 +160,7 @@ class Vantage:
                 analysis.batch_size,
             )
         for batch in batches:
-            if use_gen_lane:
+            if from_records:
                 state.consume_lane_records(batch, lane)
                 watermark = batch[-1][0]
             else:

@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro import obs
 from repro.core.batchlane import BatchLane
-from repro.core.classify import PacketClass, TrafficClassifier
+from repro.core.classify import PacketClass
 from repro.core.dos import DosDetector
 from repro.core.pipeline import AnalysisConfig, PartialState, PipelineResult, QuicsandPipeline
 from repro.core.sessions import Session
@@ -259,17 +259,7 @@ class StreamAnalyzer:
         self.config = self.pipeline.config
         self.stream_config = stream_config or StreamConfig()
         self.state = PartialState.initial(self.config)
-        # the monitor rides the batch fast lane unless the escape hatch
-        # (--no-fast-lane) asked for the rich classifier; finish() and
-        # record_classifier() are duck-typed over both.
-        if self.config.fast_lane:
-            self.classifier = BatchLane(
-                dissect_payloads=self.config.dissect_payloads
-            )
-        else:
-            self.classifier = TrafficClassifier(
-                dissect_payloads=self.config.dissect_payloads
-            )
+        self.classifier = BatchLane(dissect_payloads=self.config.dissect_payloads)
         self.detector = DosDetector(self.config.thresholds)
         self.correlator = OnlineCorrelator(
             horizon=self.stream_config.correlation_horizon
@@ -324,18 +314,13 @@ class StreamAnalyzer:
                 self.state.note_batch(
                     batch[0].timestamp, batch[-1].timestamp, len(batch)
                 )
-                if self.config.fast_lane:
-                    self.sketch.apply(
-                        self.classifier.observe_packets(
-                            batch, self.state.malformed_counts
-                        )
+                self.sketch.apply(
+                    self.classifier.observe_packets(
+                        batch, self.state.malformed_counts
                     )
-                else:
-                    self.sketch.consume(batch, self.classifier)
-            elif self.config.fast_lane:
-                self.state.consume_lane(batch, self.classifier)
+                )
             else:
-                self.state.consume(batch, self.classifier)
+                self.state.consume_lane(batch, self.classifier)
             telemetry = self.telemetry
             telemetry.packets += len(batch)
             telemetry.batches += 1

@@ -157,22 +157,6 @@ class SketchTier:
         federation vantage do.)"""
         self.apply(lane.observe_packets(batch, {}))
 
-    def consume(self, batch: list, classifier) -> None:
-        """Rich-classifier path (``--no-fast-lane``): the same
-        observations, driven by ``classify_batch``."""
-        observations = []
-        observe = observations.append
-        for classified in classifier.classify_batch(batch):
-            kind = classified.packet_class
-            if kind.is_quic or kind.is_backscatter:
-                packet = classified.packet
-                observe((
-                    kind, packet.src, packet.timestamp, packet.dst,
-                    packet.dst_port, packet.wire_length,
-                    None,  # no LaneEntry on the rich path; unused here
-                ))
-        self.apply(observations)
-
     # -- the batch kernel: every state update ------------------------------
 
     def apply(self, observations) -> None:

@@ -51,13 +51,14 @@ import struct
 import traceback
 from typing import Iterator
 
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - always present on CPython >= 3.8
-    _shared_memory = None
-
 from repro import obs
-from repro.core.parallel import RING_SLOTS, SLOT_SIZE, _attach_segment
+from repro.core.parallel import (
+    RING_SLOTS,
+    SLOT_SIZE,
+    _attach_segment,
+    allocate_segments,
+    release_segments,
+)
 from repro.telescope.genlane import M_GEN_WORKERS, M_SHARD_RECORDS
 
 #: one generated record, little-endian, no padding: timestamp f64,
@@ -256,7 +257,10 @@ def generate_records(scenario, workers: int) -> Iterator[tuple]:
     if not units:
         return
     workers = max(1, min(int(workers), len(units)))
-    if workers == 1 or _shared_memory is None:
+    segments = allocate_segments(workers) if workers > 1 else None
+    if segments is None:
+        # one process asked for, or no usable shared memory: generate
+        # in-process
         merged = heapq.merge(
             *(_tagged(unit_iter, i) for i, unit_iter in enumerate(units)),
             key=lambda item: item[0][0],
@@ -268,24 +272,6 @@ def generate_records(scenario, workers: int) -> Iterator[tuple]:
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0]
     )
-    segments = []
-    try:
-        segments = [
-            _shared_memory.SharedMemory(create=True, size=RING_SLOTS * SLOT_SIZE)
-            for _ in range(workers)
-        ]
-    except (OSError, ValueError):
-        for segment in segments:
-            segment.close()
-            segment.unlink()
-        # no usable shared memory: fall back to in-process generation
-        merged = heapq.merge(
-            *(_tagged(unit_iter, i) for i, unit_iter in enumerate(units)),
-            key=lambda item: item[0][0],
-        )
-        for record, _unit in merged:
-            yield record
-        return
     desc_queues = [ctx.Queue(maxsize=RING_SLOTS + 2) for _ in range(workers)]
     ack_queues = [ctx.Queue() for _ in range(workers)]
     processes = [
@@ -338,12 +324,4 @@ def generate_records(scenario, workers: int) -> Iterator[tuple]:
             process.join(timeout=5.0)
             if process.is_alive():
                 process.terminate()
-        for segment in segments:
-            try:
-                segment.close()
-            except (OSError, BufferError):  # pragma: no cover - double close
-                pass
-            try:
-                segment.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
+        release_segments(segments)

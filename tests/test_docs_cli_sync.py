@@ -4,8 +4,7 @@ Builds the real argparse parser, enumerates every subcommand and its
 long flags, and asserts both directions of sync against the CLI table
 in ``README.md``: every subcommand has a row listing *all* of its
 flags, and the table names no command or flag the parser doesn't
-have.  ``--x``/``--no-x`` BooleanOptionalAction pairs are normalized
-to their positive form on both sides.
+have.
 """
 
 import argparse
@@ -35,8 +34,6 @@ def parser_commands():
             longs = [o for o in action.option_strings if o.startswith("--")]
             if not longs or "--help" in longs:
                 continue
-            # BooleanOptionalAction registers --x and --no-x; the first
-            # long option is the canonical spelling either way.
             flags.add(longs[0])
         commands[name] = flags
     return commands
@@ -66,16 +63,6 @@ def readme_commands():
     return commands
 
 
-def normalize(flags):
-    """Collapse --no-x onto --x when the positive form is present."""
-    out = set()
-    for flag in flags:
-        if flag.startswith("--no-") and "--" + flag[len("--no-"):] in flags:
-            continue
-        out.add(flag)
-    return out
-
-
 def test_readme_cli_table_matches_parser():
     from_parser = parser_commands()
     from_readme = readme_commands()
@@ -87,32 +74,9 @@ def test_readme_cli_table_matches_parser():
     assert not unknown_rows, f"README CLI table names unknown subcommands: {unknown_rows}"
 
     for command in from_parser:
-        documented = normalize(from_readme[command])
-        actual = normalize(from_parser[command])
+        documented = from_readme[command]
+        actual = from_parser[command]
         missing = sorted(actual - documented)
         stale = sorted(documented - actual)
         assert not missing, f"`{command}` row is missing flags: {missing}"
         assert not stale, f"`{command}` row lists unknown flags: {stale}"
-
-
-def test_readme_mentions_every_boolean_pair():
-    """--x/--no-x pairs read differently: the README must show the
-    negated spelling for defaults-on toggles so users can find it."""
-    text = README.read_text()
-    parser = _build_parser()
-    sub = next(
-        action
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    pairs = set()
-    for subparser in sub.choices.values():
-        for action in subparser._actions:
-            if isinstance(action, argparse.BooleanOptionalAction):
-                pairs.add(tuple(o for o in action.option_strings if o.startswith("--")))
-    assert pairs, "expected at least one BooleanOptionalAction toggle"
-    for longs in pairs:
-        for spelling in longs:
-            assert f"`{spelling}`" in text or f"`{longs[0]}`/`{longs[1]}`" in text, (
-                f"README never shows {spelling}"
-            )

@@ -12,26 +12,20 @@ mirroring ``tests/test_lane_equivalence.py`` for the analysis lane:
   processes merged by timestamp) is bit-identical to serial;
 - the fused generate→analyze path
   (``process_record_batches(scenario.lane_batches())``) produces a
-  :class:`PipelineResult` identical to dissecting the rich packet
-  stream, with and without generation workers.
+  :class:`PipelineResult` identical to the rich reference walker
+  (``tests/oracle.py``) over the rich packet stream, with and without
+  generation workers.
 """
-
-import dataclasses
 
 import pytest
 
-from repro.core import QuicsandPipeline
-from repro.core.pipeline import AnalysisConfig
-from repro.core.report import build_report
 from repro.net.pcap import write_records
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.genlane import wire_items
 from repro.util.timeutil import HOUR
+from tests.oracle import assert_identical, make_pipeline, rich_result
 
 SCENARIO_KW = dict(seed=11, duration=HOUR, research_sample=1 / 2048)
-
-#: same identity-compared helper fields as tests/test_lane_equivalence.py
-_IDENTITY_FIELDS = {"config", "timeout_sweep", "quic_detector", "common_detector"}
 
 
 def scenario():
@@ -46,31 +40,6 @@ def rich_pcap_bytes(tmp_path_factory):
     count = s.telescope.capture_to_pcap(s.packets(), path)
     assert count > 0
     return path.read_bytes()
-
-
-def make_pipeline(s, **config_kw):
-    return QuicsandPipeline(
-        registry=s.internet.registry,
-        census=s.internet.census,
-        greynoise=s.internet.greynoise,
-        config=AnalysisConfig(**config_kw),
-    )
-
-
-def assert_identical(reference, other, s, label):
-    for field in dataclasses.fields(reference):
-        if field.name in _IDENTITY_FIELDS:
-            continue
-        assert getattr(reference, field.name) == getattr(
-            other, field.name
-        ), (label, field.name)
-    assert reference.timeout_sweep.sweep(range(1, 61)) == other.timeout_sweep.sweep(
-        range(1, 61)
-    ), label
-    weight = s.truth.research_weight
-    assert build_report(reference, research_weight=weight) == build_report(
-        other, research_weight=weight
-    ), label
 
 
 def test_gen_lane_pcap_bytes_identical_to_rich(tmp_path, rich_pcap_bytes):
@@ -104,17 +73,17 @@ def test_fused_record_path_matches_rich_pipeline():
     """generate→analyze without packets or wire bytes: lane_batches into
     process_record_batches equals the full dissection pipeline."""
     s_rich = scenario()
-    reference = make_pipeline(s_rich, fast_lane=True).process(s_rich.packets())
+    reference = rich_result(s_rich, s_rich.packets())
 
     s_fused = scenario()
-    pipeline = make_pipeline(s_fused, fast_lane=True)
+    pipeline = make_pipeline(s_fused)
     fused = pipeline.process_record_batches(
         s_fused.lane_batches(pipeline.config.batch_size)
     )
     assert_identical(reference, fused, s_rich, "fused")
 
     s_workers = scenario()
-    pipeline = make_pipeline(s_workers, fast_lane=True)
+    pipeline = make_pipeline(s_workers)
     fused_workers = pipeline.process_record_batches(
         s_workers.lane_batches(pipeline.config.batch_size, workers=2)
     )

@@ -309,8 +309,8 @@ def test_monitor_over_a_capture_builds_no_headers(scenario, packets, capture, pa
     assert not parse_calls
 
 
-@pytest.mark.parametrize("fast_lane", [True, False], ids=["shm-ring", "pickled-tuples"])
-def test_shard_feed_builds_no_headers_in_the_parent(packets, capture, parse_calls, fast_lane):
-    state = run_sharded(read_pcap(capture), AnalysisConfig(fast_lane=fast_lane), workers=2)
+@pytest.mark.parametrize("workers", [2], ids=["shm-ring"])
+def test_shard_feed_builds_no_headers_in_the_parent(packets, capture, parse_calls, workers):
+    state = run_sharded(read_pcap(capture), AnalysisConfig(), workers=workers)
     assert state.total_packets == len(packets)
     assert not parse_calls

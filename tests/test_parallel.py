@@ -8,23 +8,22 @@ documented exception — each worker warms its own cache, so the
 hit/miss split depends on the sharding while the sum does not.
 """
 
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 from repro.quic.connection import ClientConnection
 from repro.core import AnalysisConfig, PartialState, QuicsandPipeline
 from repro.core.classify import PacketClass, TrafficClassifier
-from repro.core.parallel import (
-    decode_packet,
-    encode_packet,
-    run_sharded,
-    shard_of,
-)
+from repro.core import parallel
+from repro.core.parallel import run_sharded, shard_of
+from repro.core.pipeline import run_serial
 from repro.core.report import build_report
 from repro.telescope import Scenario, ScenarioConfig
 
@@ -217,7 +216,7 @@ def test_merge_window_bounds():
     assert a.window_end == 9.0
 
 
-# -- sharding and IPC encoding ----------------------------------------------
+# -- sharding ----------------------------------------------------------------
 
 
 def test_shard_of_is_stable_and_in_range():
@@ -228,25 +227,103 @@ def test_shard_of_is_stable_and_in_range():
             assert shard == shard_of(source, workers)
 
 
-def test_encode_decode_roundtrip_preserves_analysis_fields():
-    originals = [
-        quic_request(1.5, src=42, dst=7),
-        CapturedPacket(
-            2.0,
-            IPv4Header(3, 4, IPProto.TCP),
-            TcpHeader(443, 999, flags=TcpFlags.SYN | TcpFlags.ACK),
-        ),
-        CapturedPacket(3.0, IPv4Header(5, 6, 99), None, b"opaque"),
+# -- resource exhaustion and interruption ------------------------------------
+
+
+class SegmentSpy:
+    """Stands in for ``SharedMemory``: the ``fail_at``-th ``create``
+    raises ``OSError``; every other call goes to the real class, and
+    each created segment's ``unlink`` is recorded."""
+
+    def __init__(self, monkeypatch, fail_at=None):
+        self.real = parallel._shared_memory.SharedMemory
+        self.fail_at = fail_at
+        self.created = []
+        self.unlinked = []
+        monkeypatch.setattr(parallel._shared_memory, "SharedMemory", self)
+
+    def __call__(self, *args, create=False, **kwargs):
+        if not create:
+            return self.real(*args, **kwargs)
+        if len(self.created) + 1 == self.fail_at:
+            raise OSError(28, "No space left on device")
+        segment = self.real(*args, create=True, **kwargs)
+        self.created.append(segment.name)
+        unlink = segment.unlink
+
+        def recording_unlink():
+            unlink()
+            self.unlinked.append(segment.name)
+
+        segment.unlink = recording_unlink
+        return segment
+
+
+def forbid_processes(monkeypatch):
+    def start(process):
+        raise AssertionError(f"started {process.name}")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+
+
+def shard_workers():
+    return [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("quicsand-shard-")
     ]
-    for original in originals:
-        decoded = decode_packet(encode_packet(original))
-        assert decoded.timestamp == original.timestamp
-        assert decoded.src == original.src
-        assert decoded.dst == original.dst
-        assert decoded.proto == original.proto
-        assert decoded.src_port == original.src_port
-        assert decoded.dst_port == original.dst_port
-        assert decoded.payload == original.payload
-        assert decoded.wire_length == original.wire_length
-    syn_ack = decode_packet(encode_packet(originals[1]))
-    assert syn_ack.transport.is_syn_ack
+
+
+def comparable(state):
+    state.canonicalize()
+    return pickle.dumps(state)
+
+
+@pytest.fixture(scope="module")
+def serial_state(packets):
+    return comparable(run_serial(iter(packets), AnalysisConfig()))
+
+
+def test_no_shared_memory_falls_back_to_the_in_process_loop(
+    packets, serial_state, monkeypatch
+):
+    spy = SegmentSpy(monkeypatch, fail_at=1)
+    forbid_processes(monkeypatch)
+    state = run_sharded(iter(packets), AnalysisConfig(), workers=2)
+    assert comparable(state) == serial_state
+    assert spy.created == []
+
+
+def test_failed_ring_allocation_unlinks_what_it_created(
+    packets, serial_state, monkeypatch
+):
+    spy = SegmentSpy(monkeypatch, fail_at=2)
+    forbid_processes(monkeypatch)
+    state = run_sharded(iter(packets), AnalysisConfig(), workers=2)
+    assert comparable(state) == serial_state
+    assert len(spy.created) == 1
+    assert spy.unlinked == spy.created
+
+
+def test_failed_generation_ring_allocation_unlinks_what_it_created(monkeypatch):
+    config = ScenarioConfig(duration=HOUR / 4, research_sample=1.0 / 512)
+    serial = list(Scenario(config).records())
+    spy = SegmentSpy(monkeypatch, fail_at=2)
+    forbid_processes(monkeypatch)
+    assert list(Scenario(config).records(workers=2)) == serial
+    assert len(spy.created) == 1
+    assert spy.unlinked == spy.created
+
+
+def test_stream_error_stops_workers_and_frees_segments(packets, monkeypatch):
+    spy = SegmentSpy(monkeypatch)
+
+    def failing_stream():
+        yield from packets[:2000]
+        raise ValueError("capture went away")
+
+    with pytest.raises(ValueError, match="capture went away"):
+        run_sharded(failing_stream(), AnalysisConfig(), workers=2)
+    assert not shard_workers()
+    assert len(spy.created) == 2
+    assert sorted(spy.unlinked) == sorted(spy.created)

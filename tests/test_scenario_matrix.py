@@ -5,7 +5,7 @@ Auto-discovers :data:`repro.telescope.presets.SCENARIOS` — the four
 IBR classes in isolation plus every adversarial workload — and pins,
 for each one:
 
-- fast lane == rich lane (``AnalysisConfig.fast_lane``);
+- fast lane == the rich reference walker (``tests/oracle.py``);
 - gen-lane synthesis == rich synthesis (fused
   ``process_record_batches`` feed, plus sharded ``records(workers=2)``
   against serial records);
@@ -18,51 +18,13 @@ record twins, or whose record units mis-order under the parallel
 merge, fails here before it ever reaches a golden report.
 """
 
-import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
-from repro.core import QuicsandPipeline
-from repro.core.pipeline import AnalysisConfig
-from repro.core.report import build_report
 from repro.telescope import Scenario
 from repro.telescope.presets import SCENARIOS, get_scenario, scenario_names
-
-#: result fields compared by identity-only helpers (no value equality);
-#: everything they influence is covered by the compared fields and the
-#: rendered report (mirrors tests/test_lane_equivalence.py).
-_IDENTITY_FIELDS = {"config", "timeout_sweep", "quic_detector", "common_detector"}
-
-
-def make_pipeline(scenario, **config_kw):
-    return QuicsandPipeline(
-        registry=scenario.internet.registry,
-        census=scenario.internet.census,
-        greynoise=scenario.internet.greynoise,
-        config=AnalysisConfig(**config_kw),
-    )
-
-
-def run(scenario, packets, **config_kw):
-    return make_pipeline(scenario, **config_kw).process(iter(packets))
-
-
-def assert_identical(reference, other, scenario, label):
-    for field in dataclasses.fields(reference):
-        if field.name in _IDENTITY_FIELDS:
-            continue
-        assert getattr(reference, field.name) == getattr(
-            other, field.name
-        ), (label, field.name)
-    assert reference.timeout_sweep.sweep(range(1, 61)) == other.timeout_sweep.sweep(
-        range(1, 61)
-    ), label
-    weight = scenario.truth.research_weight
-    assert build_report(reference, research_weight=weight) == build_report(
-        other, research_weight=weight
-    ), label
-
+from tests.oracle import assert_identical, make_pipeline, rich_result, run
 
 @pytest.fixture(scope="module", params=scenario_names())
 def case(request):
@@ -76,7 +38,7 @@ def case(request):
     config = preset.config()
     scenario = Scenario(config)
     packets = list(scenario.packets())
-    reference = run(scenario, packets, fast_lane=True)
+    reference = run(scenario, packets)
     return SimpleNamespace(
         name=name,
         preset=preset,
@@ -106,7 +68,7 @@ def test_scenario_generates_traffic(case):
 
 
 def test_fast_lane_vs_rich_lane(case):
-    rich = run(case.scenario, case.packets, fast_lane=False)
+    rich = rich_result(case.scenario, case.packets)
     assert_identical(case.reference, rich, case.scenario, f"{case.name}:rich")
 
 
@@ -126,9 +88,7 @@ def test_gen_lane_vs_rich_synthesis(case):
 
 def test_serial_vs_workers(case):
     for workers in (2, 3, 4):
-        parallel = run(
-            case.scenario, case.packets, fast_lane=True, workers=workers
-        )
+        parallel = run(case.scenario, case.packets, workers=workers)
         assert_identical(
             case.reference,
             parallel,
@@ -145,7 +105,6 @@ def test_batch_vs_streaming_exact(case):
         registry=case.scenario.internet.registry,
         census=case.scenario.internet.census,
         greynoise=case.scenario.internet.greynoise,
-        config=AnalysisConfig(fast_lane=True),
     )
     for _ in analyzer.events(batched(iter(case.packets), 512)):
         pass

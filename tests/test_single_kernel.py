@@ -14,6 +14,12 @@ appear under ``src/repro``:
 - ``Sessionizer.add`` (sessions from rich objects, recognised by a
   receiver spelled ``…sessionizer….add``) — ``PartialState.consume``,
   the reference implementation the lane suites compare against.
+
+The lane is not a knob either: ``PartialState.consume`` is the only
+``classify_batch`` caller and itself has no caller under ``src/repro``
+(the suites drive it through ``tests/oracle.py``), nothing is named
+``fast_lane``/``gen_lane``, and ``core/parallel.py`` has one worker
+function.
 """
 
 import ast
@@ -44,11 +50,16 @@ class _Sites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path, ast.parse(path.read_text())
+
+
 def sites(attr: str, receiver: str = "") -> set:
     found = set()
-    for path in sorted(SRC.rglob("*.py")):
+    for _path, tree in trees():
         visitor = _Sites(attr, receiver)
-        visitor.visit(ast.parse(path.read_text()))
+        visitor.visit(tree)
         found |= visitor.found
     return found
 
@@ -78,3 +89,32 @@ def test_sinks_know_nothing_of_packet_layout():
             if isinstance(node, ast.ImportFrom) and node.module
         }
         assert not {name for name in imported if name.startswith("repro.net")}, module
+
+
+def test_rich_walker_is_an_oracle_not_a_path():
+    assert sites("classify_batch") == {"PartialState.consume"}
+    assert sites("consume") == set()
+
+
+def test_no_lane_selection_is_left():
+    knobs = {"fast_lane", "gen_lane"}
+    for path, tree in trees():
+        for node in ast.walk(tree):
+            named = {
+                getattr(node, "attr", None),  # config.fast_lane
+                getattr(node, "arg", None),  # f(fast_lane=…), def f(fast_lane)
+                getattr(node, "id", None),  # a name: variable, dataclass field
+            }
+            assert not knobs & named, (path, node.lineno)
+
+
+def test_one_shard_worker_function():
+    tree = ast.parse((SRC / "core" / "parallel.py").read_text())
+    targets = [
+        ast.unparse(keyword.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Process")
+        for keyword in node.keywords
+        if keyword.arg == "target"
+    ]
+    assert targets == ["_shard_worker"]

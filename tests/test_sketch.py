@@ -18,7 +18,7 @@ import pytest
 
 from repro import obs as metrics
 from repro.core.batchlane import BatchLane
-from repro.core.classify import PacketClass, TrafficClassifier
+from repro.core.classify import PacketClass
 from repro.core.dos import DosThresholds
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
@@ -672,17 +672,12 @@ def tier_fields(tier):
     return fields
 
 
-def consume_split(packets, size, fast):
+def consume_split(packets, size):
     events = []
     tier = recording_tier(events)
-    if fast:
-        lane = BatchLane()
-        for start in range(0, len(packets), size):
-            tier.consume_lane(packets[start : start + size], lane)
-    else:
-        classifier = TrafficClassifier()
-        for start in range(0, len(packets), size):
-            tier.consume(packets[start : start + size], classifier)
+    lane = BatchLane()
+    for start in range(0, len(packets), size):
+        tier.consume_lane(packets[start : start + size], lane)
     return tier, events
 
 
@@ -697,13 +692,12 @@ def test_batch_kernel_equals_naive_oracle_at_every_split(seed):
     assert sum(s.evictions for s in reference.heavy.values()) > 0
     pickles = set()
     for size in (1, 7, 512, len(packets)):
-        for fast in (True, False):
-            tier, events = consume_split(packets, size, fast)
-            got = tier_fields(tier)
-            for field, value in want.items():
-                assert got[field] == value, (field, size, fast)
-            assert events == reference_events, (size, fast)
-            pickles.add(pickle.dumps(tier))
+        tier, events = consume_split(packets, size)
+        got = tier_fields(tier)
+        for field, value in want.items():
+            assert got[field] == value, (field, size)
+        assert events == reference_events, size
+        pickles.add(pickle.dumps(tier))
     assert len(pickles) == 1
     assert set(vars(tier)) == set(vars(reference))  # no attribute survives a call
 
