@@ -53,23 +53,20 @@ class DecryptError(ValueError):
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
     """HKDF-Extract with SHA-256."""
-    return hmac.new(salt or b"\x00" * HASH_LEN, ikm, hashlib.sha256).digest()
+    return hmac.digest(salt or b"\x00" * HASH_LEN, ikm, "sha256")
 
 
 def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
     """HKDF-Expand with SHA-256."""
     if length > 255 * HASH_LEN:
         raise ValueError("HKDF-Expand length too large")
-    blocks = []
-    previous = b""
+    out = previous = b""
     counter = 1
-    while sum(len(b) for b in blocks) < length:
-        previous = hmac.new(
-            prk, previous + info + bytes([counter]), hashlib.sha256
-        ).digest()
-        blocks.append(previous)
+    while len(out) < length:
+        previous = hmac.digest(prk, previous + info + bytes([counter]), "sha256")
+        out += previous
         counter += 1
-    return b"".join(blocks)[:length]
+    return out[:length]
 
 
 def hkdf_expand_label(secret: bytes, label: str, context: bytes, length: int) -> bytes:

@@ -19,9 +19,8 @@ flooded at rate R" into the concrete packets:
 
 from __future__ import annotations
 
-import hashlib
+import weakref
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
@@ -34,7 +33,7 @@ from repro.quic import crypto, tls
 from repro.quic.crypto import derive_handshake_secret, derive_initial_keys
 from repro.quic.frames import AckFrame, CryptoFrame, PingFrame, serialize_frames
 from repro.quic.header import LongHeader, PacketType
-from repro.quic.packet import PlainPacket, build_datagram, protect_packet
+from repro.quic.packet import PlainPacket, protect_packet
 from repro.quic.versions import KNOWN_VERSIONS, QUIC_V1, QuicVersion
 
 _VERSIONS_BY_NAME = {v.name: v for v in KNOWN_VERSIONS}
@@ -43,11 +42,13 @@ _VERSIONS_BY_NAME = {v.name: v for v in KNOWN_VERSIONS}
 class DatagramTemplateCache:
     """Memoizes protected wire bytes keyed by template identity.
 
-    Flood responders and scanner probe builders emit the same few
-    datagrams thousands of times: the plaintext, keys, and packet
-    numbers repeat, only the spoofed destination varies.  Serializing
-    and encrypting each distinct template once and replaying the bytes
-    turns per-packet crypto into per-template crypto.
+    Scanner probe builders emit the same few datagrams thousands of
+    times: the plaintext, keys, and packet numbers repeat, only the
+    destination varies.  Serializing and encrypting each distinct
+    template once and replaying the bytes turns per-packet crypto into
+    per-template crypto.  (Flood responders cannot replay bytes — SCID
+    and ServerHello random change per response — and compile sealers
+    instead, see :func:`_compile_sealer`.)
 
     A *key* must capture every input that determines the bytes (keys
     follow from the attacker DCID; header fields from version, SCID and
@@ -85,17 +86,14 @@ class DatagramTemplateCache:
         return cached
 
 
-#: Handshake/ping datagrams shared across responders (and scenario
-#: re-instantiations: repeated bench rounds, the equivalence suite).
-#: Keys are namespaced by version and a digest of the responder's TLS
-#: flight, so two victims only share entries when their protected bytes
-#: would be identical anyway.
-_RESPONSE_TEMPLATES = DatagramTemplateCache(max_entries=8192)
+# Publish the compiled-flight tallies through the shared template-cache
+# metric family (see docs/METRICS.md); pulled by a collector at export
+# time so the responder hot path stays metric-free.  The flights
+# themselves live on each responder and die with it — only these three
+# integers are process-wide.
+_FLIGHT_TALLY = {"hits": 0, "misses": 0, "size": 0}
 
-# Publish this cache's tallies through the shared template-cache metric
-# family (see docs/METRICS.md); pulled by a collector at export time so
-# the responder hot path stays metric-free.
-from repro import obs as _obs  # noqa: E402  (after the cache it observes)
+from repro import obs as _obs  # noqa: E402  (after the tallies it observes)
 
 _M_CACHE_HITS = _obs.counter(
     "repro_template_cache_hits_total",
@@ -114,112 +112,109 @@ _M_CACHE_SIZE = _obs.gauge(
 )
 
 
-def _collect_response_template_metrics() -> None:
-    _M_CACHE_HITS.set_total(_RESPONSE_TEMPLATES.hits, cache="response")
-    _M_CACHE_MISSES.set_total(_RESPONSE_TEMPLATES.misses, cache="response")
-    _M_CACHE_SIZE.set(len(_RESPONSE_TEMPLATES), cache="response")
-    _M_CACHE_HITS.set_total(_INITIAL_SEALER_STATS["hits"], cache="initial-sealer")
-    _M_CACHE_MISSES.set_total(
-        _INITIAL_SEALER_STATS["misses"], cache="initial-sealer"
-    )
-    _M_CACHE_SIZE.set(len(_INITIAL_SEALERS), cache="initial-sealer")
+def _collect_flight_metrics() -> None:
+    _M_CACHE_HITS.set_total(_FLIGHT_TALLY["hits"], cache="flight")
+    _M_CACHE_MISSES.set_total(_FLIGHT_TALLY["misses"], cache="flight")
+    _M_CACHE_SIZE.set(_FLIGHT_TALLY["size"], cache="flight")
 
 
-_obs.REGISTRY.add_collector(_collect_response_template_metrics)
+_obs.REGISTRY.add_collector(_collect_flight_metrics)
 
 
-#: Compiled per-``(version, attacker DCID, SCID)`` sealers for the one
-#: packet the template cache cannot hold: the server Initial, whose
-#: plaintext embeds a fresh 32-byte ServerHello random per response.
-#: Everything around that window — frame serialization, keys, keystream,
-#: header bytes — is fixed per key, so a sealer precomputes those parts
-#: and each response costs one XOR, one HMAC tag, and one HP mask.
-#: ``False`` marks a shape the template could not reproduce (the build
-#: self-verifies against :func:`protect_packet` before first use).
-_INITIAL_SEALERS: dict = {}
-_INITIAL_SEALER_MAX = 8192
-_INITIAL_SEALER_STATS = {"hits": 0, "misses": 0}
+def _release_flights(flights: dict) -> None:
+    """A responder died: its compiled flights are no longer held."""
+    _FLIGHT_TALLY["size"] -= sum(1 for flight in flights.values() if flight)
 
 
-def _build_initial_sealer(version, attacker_dcid, scid, probe_random):
-    """Compile the fast Initial sealer for one template identity.
+def _initial_frames(sh_random: bytes) -> list:
+    """Payload of the server Initial: the ACK and the ServerHello."""
+    return [AckFrame(0), CryptoFrame(0, tls.ServerHello(random=sh_random).serialize())]
 
-    Locates the 32-byte ServerHello-random window inside the serialized
-    payload with two sentinel fills (0x00 / 0xFF differ at every window
-    byte, so the common prefix/suffix delimit it exactly), precomputes
-    header bytes, keystream, and AAD, then replays :func:`protect_packet`
-    arithmetic per call.  Returns ``None`` — caller falls back to the
-    canonical path — if the payload shape defies the window model or the
-    compiled sealer fails its self-check against ``protect_packet``.
+
+#: Where the 32-byte ServerHello random sits inside that payload (every
+#: compiled sealer is checked against ``protect_packet`` before use, so
+#: a payload shape this misreads falls back to the canonical path).
+_SH_RANDOM_AT = serialize_frames(_initial_frames(b"\xff" * 32)).index(b"\xff" * 32)
+
+
+def _compile_sealer(plain: PlainPacket, keys, expected: bytes):
+    """Compile ``protect_packet(plain, keys)`` into ``seal(scid, fill=b"")``.
+
+    Keys, nonce and keystream follow from ``(version, attacker DCID,
+    packet number)``; the SCID only enters as header bytes inside the
+    AAD.  So the ciphertext is a constant — but for the server Initial,
+    whose 32 bytes at :data:`_SH_RANDOM_AT` are the per-response
+    ServerHello random ``fill`` — the HMAC state is advanced once through
+    ``nonce ‖ header-up-to-SCID``, and a call costs one state copy +
+    update, one header-protection mask (a constant too when its sample
+    lies inside constant ciphertext) and one concatenation.  ``scid``
+    must be as long as ``plain``'s (its length byte is compiled in).
+    Returns ``None`` unless the sealer reproduces ``expected``, the
+    canonical bytes of ``plain``, byte for byte.
     """
-    _ckeys, server_init = derive_initial_keys(version, attacker_dcid)
-
-    def payload_for(r32: bytes) -> bytes:
-        return serialize_frames(
-            [AckFrame(0), CryptoFrame(0, tls.ServerHello(random=r32).serialize())]
-        )
-
-    low, high = payload_for(b"\x00" * 32), payload_for(b"\xff" * 32)
-    size = len(low)
-    if len(high) != size or size < 4:
-        return None
-    start = 0
-    while start < size and low[start] == high[start]:
-        start += 1
-    stop = size
-    while stop > start and low[stop - 1] == high[stop - 1]:
-        stop -= 1
-    if stop - start != 32 or low[start:stop] != b"\x00" * 32:
-        return None
-    prefix, suffix = low[:start], low[stop:]
-    pn_bytes = crypto.encode_packet_number(0, -1)
+    header = plain.header
+    pn_bytes = crypto.encode_packet_number(plain.packet_number, -1)
     pn_len = len(pn_bytes)
-    header = LongHeader(
-        packet_type=PacketType.INITIAL, version=version.value, dcid=b"", scid=scid
-    )
-    header_bytes = header.pack_prefix(pn_len, pn_len + size + crypto.AEAD_TAG_LEN)
-    nonce = crypto._nonce(server_init.iv, 0)
-    # the sealed tag covers nonce + AAD (header ‖ pn) + ciphertext
-    auth_head = nonce + header_bytes + pn_bytes
-    stream_int = int.from_bytes(
-        crypto._keystream(server_init.key, nonce, size), "big"
-    )
-    key, hp = server_init.key, server_init.hp
-    head_first, head_rest = header_bytes[0], header_bytes[1:]
+    # protect_packet's rule: PADDING up to a sampleable ciphertext
+    payload = serialize_frames(plain.frames).ljust(max(1, 4 - pn_len), b"\x00")
+    size = len(payload)
+    prefix = header.pack_prefix(pn_len, pn_len + size + crypto.AEAD_TAG_LEN)
+    cut = 7 + len(header.dcid)
+    first, head_rest = prefix[0], prefix[1:cut]
+    tail = prefix[cut + len(header.scid) :]
+    nonce = crypto._nonce(keys.iv, plain.packet_number)
+    stream = int.from_bytes(crypto._keystream(keys.key, nonce, size), "big")
+    mac = crypto._hmac_base(keys.key).copy()
+    mac.update(nonce + prefix[:cut])
+    pn_int = int.from_bytes(pn_bytes, "big")
     sample_at = 4 - pn_len
     sample_end = sample_at + crypto.HP_SAMPLE_LEN
+    hp_mask, hp = crypto.header_protection_mask, keys.hp
     from_bytes = int.from_bytes
 
-    def seal(r32: bytes) -> bytes:
-        ciphertext = (
-            from_bytes(prefix + r32 + suffix, "big") ^ stream_int
-        ).to_bytes(size, "big")
-        sealed = ciphertext + crypto._hmac_tag(key, auth_head + ciphertext)
-        mask = crypto.header_protection_mask(hp, sealed[sample_at:sample_end])
-        protected_pn = bytes(
-            b ^ m for b, m in zip(pn_bytes, mask[1 : 1 + pn_len])
+    if header.packet_type is PacketType.INITIAL:
+        at = _SH_RANDOM_AT
+        left, probe, right = payload[:at], payload[at : at + 32], payload[at + 32 :]
+        fixed = fixed_mask = None
+    else:
+        left = probe = right = b""  # unused: the ciphertext is ``fixed``
+        fixed = (from_bytes(payload, "big") ^ stream).to_bytes(size, "big")
+        fixed_mask = (
+            hp_mask(hp, fixed[sample_at:sample_end]) if sample_end <= size else None
         )
+
+    def seal(scid: bytes, fill: bytes = b"") -> bytes:
+        ciphertext = fixed or (
+            from_bytes(left + fill + right, "big") ^ stream
+        ).to_bytes(size, "big")
+        tagger = mac.copy()
+        tagger.update(scid + tail + pn_bytes + ciphertext)
+        sealed = ciphertext + tagger.digest()[: crypto.AEAD_TAG_LEN]
+        mask = fixed_mask or hp_mask(hp, sealed[sample_at:sample_end])
         return (
-            bytes([head_first ^ (mask[0] & 0x0F)])
+            bytes((first ^ (mask[0] & 0x0F),))
             + head_rest
-            + protected_pn
+            + scid
+            + tail
+            + (pn_int ^ from_bytes(mask[1 : 1 + pn_len], "big")).to_bytes(pn_len, "big")
             + sealed
         )
 
-    expected = protect_packet(
-        PlainPacket(
-            header=header,
-            packet_number=0,
-            frames=[
-                AckFrame(0),
-                CryptoFrame(0, tls.ServerHello(random=probe_random).serialize()),
-            ],
-        ),
-        server_init,
-    )
-    if seal(probe_random) != expected:
-        return None
-    return seal
+    return seal if seal(header.scid, probe) == expected else None
+
+
+def _compile_flight(parts: list, packets: list):
+    """One sealer per packet of a response flight, each checked against
+    the canonical bytes in ``packets``: ``(seal_initial, seal_rest)``, or
+    ``False`` — the DCID stays on the canonical path — if any differs."""
+    sealers = [
+        _compile_sealer(plain, keys, expected)
+        for (plain, keys), expected in zip(parts, packets)
+    ]
+    if None in sealers:
+        return False
+    return sealers[0], tuple(sealers[1:])
+
 
 # Hoisted flag combinations: ``IntFlag.__or__`` costs an enum lookup per
 # call, and the TCP responder builds one of these per backscatter packet.
@@ -259,11 +254,7 @@ class QuicVictimResponder:
     """Builds the backscatter train one victim emits per spoofed Initial."""
 
     def __init__(
-        self,
-        victim_ip: int,
-        rng: SeededRng,
-        policy: ResponderPolicy,
-        templates: Optional[DatagramTemplateCache] = None,
+        self, victim_ip: int, rng: SeededRng, policy: ResponderPolicy
     ) -> None:
         self.victim_ip = victim_ip
         self.rng = rng.child(f"responder:{victim_ip}")
@@ -278,17 +269,16 @@ class QuicVictimResponder:
         self._dcid_pool = [
             self.rng.randbytes(8) for _ in range(max(1, policy.attacker_dcid_pool))
         ]
-        # Handshake datagrams and keep-alive pings are pure functions of
-        # (version, TLS flight, attacker DCID, SCID): the packet numbers
-        # are fixed and the keys follow from version + DCID.  The cache
-        # defaults to the module-wide one — keyed by that full tuple via
-        # ``_template_ns`` — so templates survive across floods and
-        # scenario rebuilds instead of dying with each responder.
-        self.templates = _RESPONSE_TEMPLATES if templates is None else templates
-        self._template_ns = (
-            policy.version.value,
-            hashlib.sha256(self._hs_stream).digest(),
-        )
+        # Everything in a response flight but the SCID and the
+        # ServerHello random follows from (this responder's TLS flight,
+        # attacker DCID), so the compiled flights are keyed on the DCID
+        # alone and owned by the responder: at most one per pool entry,
+        # gone with the flood.  ``False`` marks a DCID whose compiled
+        # flight failed its self-check; ``_seen_once`` holds the first
+        # canonical response of a DCID until it recurs.
+        self._flights: dict = {}
+        self._seen_once: dict = {}
+        weakref.finalize(self, _release_flights, self._flights)
 
     def _scid_for(self, spoofed_ip: int) -> bytes:
         if self.policy.scid_policy == "source":
@@ -353,85 +343,53 @@ class QuicVictimResponder:
         # The attacker's Initial carried a DCID from its template pool;
         # the victim keys its Initial-level response on it.
         attacker_dcid = self.rng.choice(self._dcid_pool)
-        server_hs = derive_handshake_secret(version, attacker_dcid, "server hs")
-
         sh_random = self.rng.randbytes(32)
-        first_chunk = min(len(self._hs_stream), 900)
-        # The Initial carries the per-response ServerHello random, so it
-        # is protected fresh (via the compiled sealer when the template
-        # caches are on); its Handshake companions are templates.
-        # Coalescing is plain concatenation (no padding requested), so
-        # the cached suffix is byte-identical to an inline build.
-        ns = self._template_ns
-        datagram_1 = self._initial_datagram(
-            version, attacker_dcid, scid, sh_random
-        ) + self.templates.get(
-            ("hs1", ns, attacker_dcid, scid),
-            lambda: protect_packet(
-                self._handshake_packet(0, CryptoFrame(0, self._hs_stream[:first_chunk]), scid),
-                server_hs,
-            ),
-        )
-        datagram_2 = self.templates.get(
-            ("hs2", ns, attacker_dcid, scid),
-            lambda: build_datagram(
-                [
-                    (
-                        self._handshake_packet(
-                            1,
-                            CryptoFrame(first_chunk, self._hs_stream[first_chunk:]),
-                            scid,
-                        ),
-                        server_hs,
-                    )
-                ]
-            ),
-        )
 
-        schedule = [(0.0, datagram_1), (0.002, datagram_2)]
-        for i in range(self.policy.keepalive_pings):
-            ping_bytes = self.templates.get(
-                ("ping", ns, attacker_dcid, scid, i),
-                lambda i=i: build_datagram(
-                    [(self._handshake_packet(2 + i, PingFrame(), scid), server_hs)]
-                ),
+        # the gate is read once per response, not once per packet
+        flight = self._flights.get(attacker_dcid) if template_cache_enabled() else False
+        if flight is None and attacker_dcid in self._seen_once:
+            # the DCID recurred: compile, checked against its first response
+            flight = self._flights[attacker_dcid] = _compile_flight(
+                *self._seen_once.pop(attacker_dcid)
             )
-            schedule.append((0.05 * (i + 1), ping_bytes))
+            _FLIGHT_TALLY["size"] += bool(flight)
+        if flight:
+            _FLIGHT_TALLY["hits"] += 1
+            seal_initial, seal_rest = flight
+            packets = [seal_initial(scid, sh_random)]
+            packets += [seal(scid) for seal in seal_rest]
+        else:
+            _FLIGHT_TALLY["misses"] += 1
+            parts = self._flight_parts(version, attacker_dcid, scid, sh_random)
+            packets = [protect_packet(plain, keys) for plain, keys in parts]
+            if flight is None:
+                # A DCID used once must cost no more than this build
+                # (misconfiguration sessions draw ~3 responses over 24
+                # DCIDs), so nothing is compiled until it recurs.
+                self._seen_once[attacker_dcid] = (parts, packets)
+
+        # Coalescing is plain concatenation (no padding requested).
+        datagram_1 = packets[0] + packets[1]
+        schedule = [(0.0, datagram_1), (0.002, packets[2])]
+        for i, ping_bytes in enumerate(packets[3:], 1):
+            schedule.append((0.05 * i, ping_bytes))
         if self.rng.random() < self.policy.retransmit_probability:
             # PTO fires: the whole first datagram is retransmitted.
             schedule.append((1.0, datagram_1))
 
         return schedule
 
-    def _initial_datagram(
+    def _flight_parts(
         self, version, attacker_dcid: bytes, scid: bytes, sh_random: bytes
-    ) -> bytes:
-        """The protected server Initial for one response.
-
-        Served by a compiled sealer from :data:`_INITIAL_SEALERS` when
-        the template caches are enabled; the canonical
-        :func:`protect_packet` path otherwise (and for any shape the
-        sealer build could not verify) — both produce identical bytes.
-        """
-        if template_cache_enabled():
-            key = (version.value, attacker_dcid, scid)
-            sealer = _INITIAL_SEALERS.get(key)
-            if sealer is None:
-                _INITIAL_SEALER_STATS["misses"] += 1
-                if len(_INITIAL_SEALERS) >= _INITIAL_SEALER_MAX:
-                    _INITIAL_SEALERS.clear()
-                built = _build_initial_sealer(
-                    version, attacker_dcid, scid, sh_random
-                )
-                sealer = _INITIAL_SEALERS[key] = (
-                    built if built is not None else False
-                )
-            else:
-                _INITIAL_SEALER_STATS["hits"] += 1
-            if sealer:
-                return sealer(sh_random)
+    ) -> list:
+        """The flight's ``(PlainPacket, keys)`` pairs, in packet order:
+        the Initial (ACK + ServerHello), the TLS flight in two Handshake
+        CRYPTO packets, then the keep-alive PINGs."""
         _ckeys, server_init = derive_initial_keys(version, attacker_dcid)
-        initial_packet = PlainPacket(
+        server_hs = derive_handshake_secret(version, attacker_dcid, "server hs")
+        stream = self._hs_stream
+        first_chunk = min(len(stream), 900)
+        initial = PlainPacket(
             header=LongHeader(
                 packet_type=PacketType.INITIAL,
                 version=version.value,
@@ -439,12 +397,16 @@ class QuicVictimResponder:
                 scid=scid,
             ),
             packet_number=0,
-            frames=[
-                AckFrame(0),
-                CryptoFrame(0, tls.ServerHello(random=sh_random).serialize()),
-            ],
+            frames=_initial_frames(sh_random),
         )
-        return protect_packet(initial_packet, server_init)
+        frames = [
+            CryptoFrame(0, stream[:first_chunk]),
+            CryptoFrame(first_chunk, stream[first_chunk:]),
+        ] + [PingFrame()] * self.policy.keepalive_pings
+        return [(initial, server_init)] + [
+            (self._handshake_packet(number, frame, scid), server_hs)
+            for number, frame in enumerate(frames)
+        ]
 
     def _handshake_packet(self, packet_number: int, frame, scid: bytes) -> PlainPacket:
         return PlainPacket(

@@ -241,10 +241,14 @@ def wire_items(records: Iterable[tuple]) -> Iterator[Tuple[float, bytearray]]:
         yield record[0], wire(record)
 
 
+#: the batch lane's record width; TCP/ICMP gen records carry two more
+LANE_FIELDS = 11
+
+
 def lane_records(records: Iterable[tuple]) -> Iterator[tuple]:
     """Strip gen records down to the batch lane's 11-field records."""
     for record in records:
-        yield record if len(record) == 11 else record[:11]
+        yield record if len(record) == LANE_FIELDS else record[:LANE_FIELDS]
 
 
 # -- observability ---------------------------------------------------------

@@ -10,6 +10,7 @@ attacks.  Modeling it matters because the detector must *reject* it
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterator
 
 from repro.net.ipv4 import IPProto, IPv4Header
@@ -86,21 +87,30 @@ class MisconfigurationModel:
         return packets
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """``packets()`` as flat gen records (same draws, same order)."""
+        """``packets()`` as flat gen records (same draws, same order).
+
+        Streams instead of sorting the whole window: session starts only
+        increase and no record precedes its session's start, so whatever
+        the ``(timestamp, sequence)`` reorder heap holds at or before the
+        next start is final — the stable sort's order, with memory
+        bounded by the sessions still open.
+        """
         rate = self.sessions_per_day / 86400.0
-        sessions = []
+        pending: list = []
+        sequence = 0
         t = start
         while True:
             t += self.rng.expovariate(rate)
-            if t >= end:
-                break
-            sessions.append(self._session_items(t, records=True))
-        merged = sorted(
-            (r for session in sessions for r in session), key=lambda r: r[0]
-        )
-        for record in merged:
-            if start <= record[0] < end:
-                yield record
+            last = t >= end
+            while pending and (last or pending[0][0] <= t):
+                record = heappop(pending)[2]
+                if start <= record[0] < end:
+                    yield record
+            if last:
+                return
+            for record in self._session_items(t, records=True):
+                heappush(pending, (record[0], sequence, record))
+                sequence += 1
 
 
 @dataclass

@@ -10,8 +10,11 @@ pipeline shape as the UCSD telescope feeding the paper's toolchain.
 from __future__ import annotations
 
 import heapq
+import operator
 import time
-from typing import Iterable, Iterator
+from bisect import bisect_left, insort
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.net.addresses import IPv4Network
@@ -36,6 +39,8 @@ _M_GENERATE = obs.histogram(
     "wall seconds per full capture-stream generation",
 )
 _FLUSH_EVERY = 4096
+#: records pulled from a unit per generator resumption in merge_chunks
+_PULL = 256
 
 
 class Telescope:
@@ -86,61 +91,84 @@ class Telescope:
             _M_DROPPED.inc(self.packets_dropped - dropped_base)
             _M_GENERATE.observe(time.perf_counter() - start)
 
-    def capture_records(self, stream: Iterable[tuple]) -> Iterator[tuple]:
+    def capture_records(self, chunks: Iterable[list]) -> Iterator[list]:
         """The generation fast lane's twin of :meth:`capture`.
 
-        Filters flat gen records (see :mod:`repro.telescope.genlane`)
-        on their destination field with the same counters and the same
-        bulk-flushed metrics, plus the lane's own
+        Filters time-sorted chunks (lists) of flat gen records (see
+        :mod:`repro.telescope.genlane`) on their destination field, one
+        list comprehension per chunk, with the same counters and
+        metrics — flushed per chunk — plus the lane's own
         ``repro_genlane_records_total``.
         """
-        prefix = self.prefix
-        network = prefix.network
-        netmask = prefix.netmask
-        if not obs.enabled():
-            # counters kept in locals and flushed on close: an instance
-            # attribute store per record is measurable at lane rates
-            seen = dropped = 0
-            try:
-                for record in stream:
-                    if record[2] & netmask == network:
-                        seen += 1
-                        yield record
-                    else:
-                        dropped += 1
-            finally:
-                self.packets_seen += seen
-                self.packets_dropped += dropped
-            return
-        # metrics-on keeps the same local-counter loop: the lane runs
-        # fast enough that even instance-attribute stores per record
-        # would show up against the <5% instrumentation budget
-        seen = dropped = flushed = 0
+        network = self.prefix.network
+        netmask = self.prefix.netmask
         start = time.perf_counter()
         try:
-            for record in stream:
-                if record[2] & netmask == network:
-                    seen += 1
-                    yield record
-                    if seen - flushed >= _FLUSH_EVERY:
-                        pending = seen - flushed
-                        _M_GENERATED.inc(pending)
-                        _M_LANE_RECORDS.inc(pending)
-                        flushed = seen
-                else:
-                    dropped += 1
+            for chunk in chunks:
+                kept = [record for record in chunk if record[2] & netmask == network]
+                seen = len(kept)
+                dropped = len(chunk) - seen
+                self.packets_seen += seen
+                self.packets_dropped += dropped
+                _M_GENERATED.inc(seen)
+                _M_LANE_RECORDS.inc(seen)
+                _M_DROPPED.inc(dropped)
+                if kept:
+                    yield kept
         finally:
-            pending = seen - flushed
-            _M_GENERATED.inc(pending)
-            _M_LANE_RECORDS.inc(pending)
-            _M_DROPPED.inc(dropped)
-            self.packets_seen += seen
-            self.packets_dropped += dropped
             _M_GENERATE.observe(time.perf_counter() - start)
 
     def capture_to_pcap(self, stream: Iterable[CapturedPacket], path) -> int:
         """Capture a stream to a pcap file; returns the packet count."""
         return write_pcap(path, self.capture(stream))
+
+
+def merge_chunks(units: Sequence[tuple], window: float) -> Iterator[list]:
+    """Merge time-sorted record iterators one time window at a time.
+
+    ``units`` holds ``(start, iterator)`` pairs in tie-break order: no
+    record of ``iterator`` is earlier than ``start``, and the iterator
+    is not advanced before the window containing ``start`` is due (a
+    flood's responder is set up when the flood begins, not at t0).  Per
+    window, the records below its upper edge are taken from each active
+    unit in unit order into one list and ``list.sort`` orders it by
+    timestamp.  The sort is stable, so records with equal timestamps
+    keep unit order and, within a unit, emission order — the order
+    ``heapq.merge(*iterators, key=itemgetter(0))`` produces — by
+    construction.  Concatenated, the yielded (non-empty) lists are that
+    merge.
+    """
+    first = operator.itemgetter(0)  # a record's timestamp, a state's position
+    # (start, position) descending: pop() hands out the next unit to join
+    waiting = sorted(
+        ((start, position, iter(unit)) for position, (start, unit) in enumerate(units)),
+        key=operator.itemgetter(0, 1),
+        reverse=True,
+    )
+    active: list = []  # (position, iterator, buffered records), by position
+    edge = float("-inf")
+    while waiting or active:
+        if not active:
+            edge = max(edge, waiting[-1][0])
+        edge += window
+        while waiting and waiting[-1][0] < edge:
+            _start, position, unit = waiting.pop()
+            insort(active, (position, unit, []), key=first)
+        chunk: list = []
+        for _position, unit, buffer in active:
+            while not (buffer and buffer[-1][0] >= edge):
+                block = list(islice(unit, _PULL))
+                buffer += block
+                if len(block) < _PULL:
+                    break  # exhausted
+            cut = bisect_left(buffer, edge, key=first)
+            chunk += buffer[:cut]
+            del buffer[:cut]
+        # a unit that is not exhausted has buffered a record past the edge
+        active = [state for state in active if state[2]]
+        if chunk:
+            chunk.sort(key=first)
+            yield chunk
 
 
 def merge_streams(*streams: Iterable[CapturedPacket]) -> Iterator[CapturedPacket]:

@@ -12,14 +12,13 @@ statistics (durations, rates, session sizes) are at paper scale, event
 
 from __future__ import annotations
 
-import heapq
-import operator
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Optional
 
 from repro.net.packet import CapturedPacket
-from repro.telescope.genlane import lane_records
+from repro.telescope.genlane import LANE_FIELDS
 from repro.util.batching import batched
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY
@@ -33,7 +32,10 @@ from repro.telescope.attacks import (
 )
 from repro.telescope.noise import MisconfigurationModel, StrayUdpModel
 from repro.telescope.scanners import BotScannerModel, ResearchScannerModel, TcpScannerModel
-from repro.telescope.telescope import Telescope, merge_streams
+from repro.telescope.telescope import Telescope, merge_chunks, merge_streams
+
+#: simulated seconds sorted per step of the serial record merge
+_MERGE_WINDOW = 300.0
 
 
 @dataclass
@@ -205,48 +207,66 @@ class Scenario:
         one merge over these units — research sweeps, bots, TCP scans,
         each flood in plan order, misconfig, stray, then each
         adversarial source in spec order — preserves the
-        lexicographic tie-break exactly, so ``records()`` (and the
-        sharded ``telescope/parallel.py`` path, which merges by
-        ``(timestamp, unit index)``) reproduces ``packets()`` order bit
+        lexicographic tie-break exactly, so ``records()`` (whose
+        per-window stable sort fills each window in this order, see
+        :func:`~repro.telescope.telescope.merge_chunks`) and the
+        sharded ``telescope/parallel.py`` path (which merges by
+        ``(timestamp, unit index)``) reproduce ``packets()`` order bit
         for bit.
         """
+        return [unit for _start, unit in self._timed_units()]
+
+    def _timed_units(self) -> list:
+        """:meth:`record_units` as ``(start, iterator)`` pairs: no record
+        of a unit is earlier than its ``start`` (a flood's own start, the
+        window's for every other unit)."""
         start, end = self.config.start, self.config.end
         units = []
         if self.config.include_research:
-            units.extend(model.records(start, end) for model in self._research)
+            units.extend((start, model.records(start, end)) for model in self._research)
         if self.config.include_bots:
-            units.append(self._bots.records(start, end))
+            units.append((start, self._bots.records(start, end)))
         if self.config.include_tcp_scans:
-            units.append(self._tcp_scans.records(start, end))
+            units.append((start, self._tcp_scans.records(start, end)))
         if self.config.include_attacks:
             units.extend(
-                self._attack_traffic.flood_records(flood)
+                (flood.start, self._attack_traffic.flood_records(flood))
                 for flood in self.plan.all_floods
             )
         if self.config.include_misconfig:
-            units.append(self._misconfig.records(start, end))
+            units.append((start, self._misconfig.records(start, end)))
         if self.config.include_stray:
-            units.append(self._stray.records(start, end))
-        units.extend(model.records(start, end) for model in self.adversarial)
+            units.append((start, self._stray.records(start, end)))
+        units.extend((start, model.records(start, end)) for model in self.adversarial)
         return units
+
+    def _captured_chunks(self, workers: int) -> Iterator[list]:
+        """The capture as time-sorted lists of gen records.
+
+        Serially, :func:`merge_chunks` sorts one window of every active
+        unit at a time; ``workers > 1`` shards the units across
+        processes (see :mod:`repro.telescope.parallel`) and slices their
+        merged stream.  The telescope filter always runs here in the
+        parent, so counters and metrics match on both paths.
+        """
+        if workers > 1:
+            from repro.telescope.parallel import generate_records
+
+            chunks = batched(generate_records(self, workers), 4096)
+        else:
+            chunks = merge_chunks(self._timed_units(), _MERGE_WINDOW)
+        return self.telescope.capture_records(chunks)
 
     def records(self, workers: int = 1) -> Iterator[tuple]:
         """The capture as flat gen records — the generation fast lane.
 
         Same packets as :meth:`packets` (same seeds, same draws, same
         order), emitted as ``genlane`` record tuples instead of
-        :class:`CapturedPacket` objects.  ``workers > 1`` shards the
-        units across processes and k-way-merges the results back into
-        the identical serial order (see :mod:`repro.telescope.parallel`);
-        the telescope filter always runs here in the parent, so
-        counters and metrics match the serial path.
+        :class:`CapturedPacket` objects: the flat view over
+        :meth:`_captured_chunks`, whose ``workers > 1`` form reproduces
+        the identical serial order.
         """
-        if workers > 1:
-            from repro.telescope.parallel import generate_records
-
-            return self.telescope.capture_records(generate_records(self, workers))
-        merged = heapq.merge(*self.record_units(), key=operator.itemgetter(0))
-        return self.telescope.capture_records(merged)
+        return chain.from_iterable(self._captured_chunks(workers))
 
     def lane_batches(
         self, batch_size: int = 512, workers: int = 1
@@ -258,7 +278,11 @@ class Scenario:
         directly, skipping wire serialization *and* dissection-side
         parsing entirely.
         """
-        return batched(lane_records(self.records(workers)), batch_size)
+        stripped = (
+            [record[:LANE_FIELDS] for record in chunk]
+            for chunk in self._captured_chunks(workers)
+        )
+        return batched(chain.from_iterable(stripped), batch_size)
 
     def packet_batches(self, batch_size: int = 512) -> Iterator[list]:
         """The capture as time-ordered batches.

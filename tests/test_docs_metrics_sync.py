@@ -92,5 +92,5 @@ def test_documented_label_values_exist():
     for klass in ("quic-request", "quic-response", "tcp-backscatter"):
         assert klass in {c.value for c in PacketClass}
         assert klass in text
-    for cache in ("keystream", "response", "initial"):
+    for cache in ("keystream", "flight", "initial"):
         assert f"`{cache}`" in text

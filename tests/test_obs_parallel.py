@@ -14,6 +14,8 @@ Two contracts:
    hit counters must report zero hits.
 """
 
+import gc
+
 import pytest
 
 from repro import obs
@@ -113,11 +115,13 @@ def test_disabled_template_cache_reports_zero_hits(metrics_on, monkeypatch):
     from repro.telescope import backscatter, scanners
 
     crypto._cached_keystream.cache_clear()
-    for cache in (backscatter._RESPONSE_TEMPLATES, scanners._INITIAL_TEMPLATES):
-        cache.hits = cache.misses = 0
-        cache._cache.clear()
-    backscatter._INITIAL_SEALERS.clear()
-    backscatter._INITIAL_SEALER_STATS.update(hits=0, misses=0)
+    cache = scanners._INITIAL_TEMPLATES
+    cache.hits = cache.misses = 0
+    cache._cache.clear()
+    # compiled flights live on responders: collect the dead ones first so
+    # none gives its entries back while this test is counting
+    gc.collect()
+    backscatter._FLIGHT_TALLY.update(hits=0, misses=0, size=0)
 
     scenario = Scenario(
         ScenarioConfig(duration=0.5 * HOUR, research_sample=1.0 / 2048)

@@ -9,15 +9,26 @@ contract; any cache key that misses a byte-determining input shows up
 here as a diff.
 """
 
+import gc
+import os
+import weakref
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import QuicsandPipeline
 from repro.core.report import build_report
-from repro.telescope import Scenario, ScenarioConfig
+from repro.quic.packet import protect_packet
+from repro.quic.versions import KNOWN_VERSIONS
+from repro.telescope import Scenario, ScenarioConfig, attacks, backscatter
 from repro.telescope.backscatter import (
+    _FLIGHT_TALLY,
     DatagramTemplateCache,
     QuicVictimResponder,
     ResponderPolicy,
+    _compile_flight,
 )
 from repro.util.caching import DISABLE_TEMPLATE_CACHE_ENV, template_cache_enabled
 from repro.util.rng import SeededRng
@@ -105,26 +116,30 @@ def _respond_train(monkeypatch, disabled: bool):
         monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
     else:
         monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
+    hits_before = _FLIGHT_TALLY["hits"]
     responder = QuicVictimResponder(
         victim_ip=0x08080808,
         rng=SeededRng(42),
         policy=ResponderPolicy(
             scid_policy="source", keepalive_pings=2, attacker_dcid_pool=2
         ),
-        templates=DatagramTemplateCache(),
     )
     packets = []
     for i in range(8):
         packets += responder.respond(float(i), 0x0A000001, 4000 + i)
-    return responder, [(p.timestamp, p.to_bytes()) for p in packets]
+    hits = _FLIGHT_TALLY["hits"] - hits_before
+    return responder, hits, [(p.timestamp, p.to_bytes()) for p in packets]
 
 def test_responder_bytes_identical_cache_on_vs_off(monkeypatch):
-    responder_on, train_on = _respond_train(monkeypatch, disabled=False)
-    responder_off, train_off = _respond_train(monkeypatch, disabled=True)
+    responder_on, hits_on, train_on = _respond_train(monkeypatch, disabled=False)
+    responder_off, hits_off, train_off = _respond_train(monkeypatch, disabled=True)
     assert train_on == train_off
-    # under a "source" SCID policy the per-(dcid, scid) templates repeat
-    assert responder_on.templates.hits > 0
-    assert responder_off.templates.hits == 0
+    # two attacker DCIDs: each is answered canonically once, then from
+    # its compiled flight — whatever SCID or ServerHello random follows
+    assert hits_on > 0
+    assert all(responder_on._flights.values())
+    assert hits_off == 0
+    assert not responder_off._flights
 
 
 # -- scenario-level equivalence ----------------------------------------
@@ -157,3 +172,139 @@ def test_pipeline_result_identical_cache_on_vs_off(monkeypatch):
     assert result_on.hourly_requests == result_off.hourly_requests
     assert result_on.hourly_responses == result_off.hourly_responses
     assert report_on == report_off
+
+
+# -- compiled flights ---------------------------------------------------
+
+#: raised by the fuzz-smoke CI job, like the dissector fuzz suites
+ITERS = int(os.environ.get("REPRO_FUZZ_ITERS", "300"))
+
+
+def _canonical(responder, dcid, scid, sh_random):
+    parts = responder._flight_parts(responder.policy.version, dcid, scid, sh_random)
+    return parts, [protect_packet(plain, keys) for plain, keys in parts]
+
+
+@settings(max_examples=ITERS // 5, deadline=None)
+@given(
+    version=st.sampled_from(KNOWN_VERSIONS),
+    pings=st.integers(0, 3),
+    scid_policy=st.sampled_from(["request", "source"]),
+    dcid=st.binary(min_size=0, max_size=20),
+    scid_len=st.integers(0, 20),
+    data=st.data(),
+)
+def test_compiled_packets_equal_protect_packet(
+    version, pings, scid_policy, dcid, scid_len, data
+):
+    """Every sealer of a compiled flight reproduces ``protect_packet`` on
+    the equivalent ``PlainPacket`` for SCIDs and ServerHello randoms it
+    was not compiled from — including the 3-byte PING payload, whose
+    header-protection sample lies entirely in the per-response tag."""
+    scid = st.binary(min_size=scid_len, max_size=scid_len)
+    sh_random = st.binary(min_size=32, max_size=32)
+    responder = QuicVictimResponder(
+        0x08080808,
+        SeededRng(1),
+        ResponderPolicy(version=version, keepalive_pings=pings, scid_policy=scid_policy),
+    )
+    flight = _compile_flight(*_canonical(responder, dcid, data.draw(scid), data.draw(sh_random)))
+    assert flight, "the compiled flight failed its own self-check"
+    seal_initial, seal_rest = flight
+    assert len(seal_rest) == 2 + pings
+    for _ in range(3):
+        new_scid, new_random = data.draw(scid), data.draw(sh_random)
+        _parts, expected = _canonical(responder, dcid, new_scid, new_random)
+        sealed = [seal_initial(new_scid, new_random)]
+        sealed += [seal(new_scid) for seal in seal_rest]
+        assert sealed == expected
+
+
+@settings(max_examples=ITERS // 12, deadline=None)
+@given(
+    version=st.sampled_from(KNOWN_VERSIONS),
+    pings=st.integers(0, 3),
+    scid_policy=st.sampled_from(["request", "source"]),
+    seed=st.integers(0, 2**32),
+)
+def test_responder_trains_identical_cache_on_vs_off(version, pings, scid_policy, seed):
+    def train(disabled):
+        with mock.patch.dict(os.environ):
+            if disabled:
+                os.environ[DISABLE_TEMPLATE_CACHE_ENV] = "1"
+            else:
+                os.environ.pop(DISABLE_TEMPLATE_CACHE_ENV, None)
+            responder = QuicVictimResponder(
+                0x08080808,
+                SeededRng(seed),
+                ResponderPolicy(
+                    version=version,
+                    keepalive_pings=pings,
+                    scid_policy=scid_policy,
+                    retransmit_probability=0.2,
+                    attacker_dcid_pool=3,
+                ),
+            )
+            return [
+                responder.respond_records(float(i), 0x0A000001 + i % 2, 4000)
+                for i in range(12)
+            ]
+
+    assert train(disabled=False) == train(disabled=True)
+
+
+class _SpyPool(list):
+    """A DCID pool that logs every draw ``rng.choice`` makes from it."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, index):
+        dcid = super().__getitem__(index)
+        self.log.append(dcid)
+        return dcid
+
+
+def test_flights_compile_once_per_recurring_dcid_and_die_with_the_flood(monkeypatch):
+    monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
+    draws, responders, compiles = [], [], []
+
+    class SpyResponder(QuicVictimResponder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            log = []
+            draws.append(log)
+            self._dcid_pool = _SpyPool(self._dcid_pool, log)
+            responders.append(weakref.ref(self))
+
+    def counting_compile(parts, packets):
+        compiles.append(1)
+        return _compile_flight(parts, packets)
+
+    monkeypatch.setattr(attacks, "QuicVictimResponder", SpyResponder)
+    monkeypatch.setattr(backscatter, "_compile_flight", counting_compile)
+    gc.collect()
+    before = dict(_FLIGHT_TALLY)
+
+    scenario = _scenario()
+    floods = scenario.plan.quic_floods
+    assert floods
+    for flood in floods:
+        records = scenario._attack_traffic.flood_records(flood)
+        assert sum(1 for _ in records) > 0
+        del records
+        # the flood is over: its responder, and with it the table of
+        # compiled flights, is gone without waiting for a collection
+        assert responders[-1]() is None
+        assert _FLIGHT_TALLY["size"] == before["size"]
+
+    assert len(responders) == len(floods)
+    recurring = sum(
+        1 for log in draws for dcid in set(log) if log.count(dcid) > 1
+    )
+    assert 0 < len(compiles) <= recurring
+    hits = _FLIGHT_TALLY["hits"] - before["hits"]
+    misses = _FLIGHT_TALLY["misses"] - before["misses"]
+    assert hits + misses == sum(len(log) for log in draws)
+    assert hits / (hits + misses) >= 0.8
