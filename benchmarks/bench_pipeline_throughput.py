@@ -14,9 +14,9 @@ carries the same keys) so speedups are tracked across revisions:
   multi-round or long-window run).  Mirrored in ``generate_fast_pps``
   so the column's meaning is explicit next to ``generate_rich_pps``;
 - ``generate_rich_pps`` — the same scenario through
-  ``Scenario.packets()``, the per-packet object path that was the only
-  generation path before the gen lane landed (the schema-2 meaning of
-  ``generate_pps``);
+  ``Scenario.rich_packets()``, the per-packet object path that was the
+  only generation path before the gen lane landed (the schema-2
+  meaning of ``generate_pps``) and is the tests' reference today;
 - ``gen_speedup``   — ``generate_fast_pps / generate_rich_pps``; the
   generation lane's headline, asserted ``>= 2.0`` in full runs;
 - ``analyze_pps``   — the default serial analysis path, i.e. the
@@ -153,11 +153,11 @@ def test_pipeline_throughput(emit, benchmark):
     cpus = os.cpu_count() or 1
 
     # -- generation: one priming pass per lane, then timed warm passes --
-    packets = list(Scenario(_scenario_config()).packets())
+    packets = list(Scenario(_scenario_config()).rich_packets())
     generate_rich_times = []
     for _ in range(TIMING_ROUNDS):
         start = time.perf_counter()
-        count = sum(1 for _ in Scenario(_scenario_config()).packets())
+        count = sum(1 for _ in Scenario(_scenario_config()).rich_packets())
         generate_rich_times.append(time.perf_counter() - start)
         assert count == len(packets)
     # best-of-rounds: the minimum is the least noise-contaminated
@@ -304,7 +304,7 @@ def test_pipeline_throughput(emit, benchmark):
         "pipeline_throughput",
         f"packets: {len(packets):,}  (cpus: {cpus}, quick: {QUICK})\n"
         f"generation, gen lane: {generate_rate:,.0f} packets/s\n"
-        f"generation, rich path (Scenario.packets()): "
+        f"generation, rich path (Scenario.rich_packets()): "
         f"{generate_rich_rate:,.0f} packets/s\n"
         f"generation speedup: {gen_speedup:.2f}x\n"
         f"serial analysis, fast lane: {analyze_rate:,.0f} packets/s\n"

@@ -266,10 +266,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _scenario_args(profile)
     profile.add_argument(
         "--stage",
-        choices=["generate", "analyze", "batch", "both"],
+        choices=["generate", "analyze", "both"],
         default="both",
-        help="which pipeline stage to profile ('batch' profiles only "
-        "the columnar fast lane's per-packet phase; default: both)",
+        help="which stage of `repro report` to profile: record "
+        "generation, the fused record-batch analysis, or both (default)",
     )
     profile.add_argument(
         "--top", type=int, default=25, help="print this many functions"
@@ -501,7 +501,9 @@ def cmd_report(args, stream) -> int:
             )
         )
     else:
-        packets = scenario.packets()
+        # the shard feed and the injector take packets: the same
+        # records, viewed as the packets a capture of them would hold
+        packets = scenario.packets(workers=args.gen_workers)
         if injector is not None:
             packets = injector.wrap(packets)
         result = pipeline.process(packets)
@@ -596,39 +598,30 @@ def cmd_watch(args, stream) -> int:
 
 
 def cmd_profile(args, stream) -> int:
-    """cProfile the generator and/or the analysis pipeline."""
+    """cProfile what ``repro report`` runs: record generation and/or the
+    fused record-batch analysis."""
     import cProfile
     import pstats
     import time
 
     scenario = _scenario(args)
-    profiler = cProfile.Profile()
-    profile_generate = args.stage in ("generate", "both")
-    profile_analyze = args.stage in ("analyze", "both")
-
-    start = time.perf_counter()
-    if profile_generate:
-        profiler.enable()
-        packets = list(scenario.packets())
-        profiler.disable()
-    else:
-        packets = list(scenario.packets())
-    generate_elapsed = time.perf_counter() - start
-
-    if args.stage == "batch":
-        return _profile_batch(args, stream, scenario, packets, profiler, generate_elapsed)
-
     pipeline = _pipeline(scenario)
-    start = time.perf_counter()
-    if profile_analyze:
-        profiler.enable()
-        result = pipeline.process(iter(packets))
-        profiler.disable()
-    else:
-        result = pipeline.process(iter(packets))
-    analyze_elapsed = time.perf_counter() - start
+    profiler = cProfile.Profile()
 
-    count = len(packets)
+    def timed(stage, work):
+        """``(work(), seconds)``, profiled when ``stage`` was asked for."""
+        start = time.perf_counter()
+        out = profiler.runcall(work) if args.stage in (stage, "both") else work()
+        return out, time.perf_counter() - start
+
+    batches, generate_elapsed = timed(
+        "generate", lambda: list(scenario.lane_batches(pipeline.config.batch_size))
+    )
+    result, analyze_elapsed = timed(
+        "analyze", lambda: pipeline.process_record_batches(batches)
+    )
+
+    count = sum(map(len, batches))
     print(
         f"profiled stage(s): {args.stage}  ({count:,} packets, "
         f"{len(scenario.plan.quic_floods)} planned QUIC floods)",
@@ -639,61 +632,6 @@ def cmd_profile(args, stream) -> int:
         f"({count / generate_elapsed:,.0f} pps)   "
         f"analyze: {analyze_elapsed:.2f} s "
         f"({count / analyze_elapsed:,.0f} pps)",
-        file=stream,
-    )
-    print(f"analyzed packets: {result.total_packets:,}\n", file=stream)
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats(args.sort).print_stats(args.top)
-    if args.dump:
-        stats.dump_stats(args.dump)
-        print(f"pstats dump written to {args.dump}", file=stream)
-    return 0
-
-
-def _profile_batch(args, stream, scenario, packets, profiler, generate_elapsed) -> int:
-    """``profile --stage batch``: profile only the columnar fast lane's
-    per-packet phase (generation and finalization run unprofiled), then
-    print the lane's own hot-path telemetry."""
-    import pstats
-    import time
-
-    from repro.core.batchlane import BatchLane
-    from repro.core.pipeline import PartialState
-    from repro.util.batching import batched
-
-    pipeline = _pipeline(scenario)
-    cfg = pipeline.config
-    lane = BatchLane(dissect_payloads=cfg.dissect_payloads)
-    state = PartialState.initial(cfg)
-    start = time.perf_counter()
-    profiler.enable()
-    for batch in batched(iter(packets), cfg.batch_size):
-        state.consume_lane(batch, lane)
-    profiler.disable()
-    batch_elapsed = time.perf_counter() - start
-    state.record_classifier(lane)
-    state.close()
-    result = pipeline.finalize_state(state)
-
-    count = len(packets)
-    print(
-        f"profiled stage(s): batch  ({count:,} packets, "
-        f"{len(scenario.plan.quic_floods)} planned QUIC floods)",
-        file=stream,
-    )
-    print(
-        f"generate: {generate_elapsed:.2f} s "
-        f"({count / generate_elapsed:,.0f} pps)   "
-        f"batch lane: {batch_elapsed:.2f} s "
-        f"({count / batch_elapsed:,.0f} pps)",
-        file=stream,
-    )
-    memo_total = lane.cache_hits + lane.cache_misses
-    hit_rate = lane.cache_hits / memo_total if memo_total else 0.0
-    fallbacks = sum(lane.fallbacks.values())
-    print(
-        f"lane: {lane.fast_parses:,} fast parses, {fallbacks:,} rich "
-        f"fallbacks, memo hit rate {hit_rate:.1%}",
         file=stream,
     )
     print(f"analyzed packets: {result.total_packets:,}\n", file=stream)

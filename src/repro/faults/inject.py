@@ -23,6 +23,7 @@ Two invariants matter for downstream analysis:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro import obs
@@ -160,9 +161,13 @@ class FaultInjector:
                 stats["bitflip"] += 1
         if not mutated:
             return packet
+        ip = packet.ip
+        if len(payload) != len(packet.payload):
+            # a capture-sourced header carries the original wire length
+            ip = replace(ip, total_length=0, checksum=0)
         return CapturedPacket(
             timestamp=packet.timestamp,
-            ip=packet.ip,
+            ip=ip,
             transport=packet.transport,
             payload=payload,
         )

@@ -27,6 +27,7 @@ bit-equal to a single-stream sketch; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from repro.core.batchlane import BatchLane
@@ -149,29 +150,26 @@ class Vantage:
         )
 
         next_snapshot: Optional[float] = None
-        from_records = packets is None and tier is None
-        if from_records:
+        # the two feeds differ in representation only: lane records from
+        # the scenario's own generator, packets when handed a stream
+        if packets is None:
             batches = self.scenario.lane_batches(analysis.batch_size)
-        elif packets is None:
-            batches = self.scenario.packet_batches(analysis.batch_size)
+            observe, stamp = lane.observe_records, itemgetter(0)
         else:
             batches = batched(
                 self.scenario.telescope.capture(iter(packets)),
                 analysis.batch_size,
             )
+            observe, stamp = lane.observe_packets, attrgetter("timestamp")
         for batch in batches:
-            if from_records:
-                state.consume_lane_records(batch, lane)
-                watermark = batch[-1][0]
-            else:
-                # classify once; the exact state and the tier are two
-                # sinks of the same observations
-                watermark = batch[-1].timestamp
-                observations = lane.observe_packets(batch, state.malformed_counts)
-                state.note_batch(batch[0].timestamp, watermark, len(batch))
-                state.apply(observations)
-                if tier is not None:
-                    tier.apply(observations)
+            # classify once; the exact state and the tier are two sinks
+            # of the same observations
+            watermark = stamp(batch[-1])
+            observations = observe(batch, state.malformed_counts)
+            state.note_batch(stamp(batch[0]), watermark, len(batch))
+            state.apply(observations)
+            if tier is not None:
+                tier.apply(observations)
             if config.snapshot_every:
                 if next_snapshot is None:
                     next_snapshot = watermark + config.snapshot_every

@@ -15,8 +15,9 @@ On any finite capture the exact mode reproduces the batch
 ``PipelineResult`` bit for bit (``tests/test_stream_equivalence.py``),
 the same way the parallel runner pins serial ≡ parallel.
 
-``python -m repro watch`` is the CLI front end; feeds come from
-:mod:`repro.stream.feeds` (live simulator, tail-followed pcap).
+``python -m repro watch`` is the CLI front end; its feeds are
+``Scenario.live_batches`` (live simulator) and
+:func:`repro.stream.feeds.follow_pcap` (tail-followed pcap).
 """
 
 from repro.stream.analyzer import (
@@ -28,7 +29,7 @@ from repro.stream.analyzer import (
 )
 from repro.stream.correlate import LiveFlood, OnlineCorrelator
 from repro.stream.events import AttackEnded, FloodAlert
-from repro.stream.feeds import follow_pcap, simulator_feed
+from repro.stream.feeds import follow_pcap
 from repro.stream.sketch import (
     CountMinSketch,
     HyperLogLog,
@@ -51,5 +52,4 @@ __all__ = [
     "StreamResultUnavailable",
     "StreamTelemetry",
     "follow_pcap",
-    "simulator_feed",
 ]

@@ -7,9 +7,9 @@ Two sources drive :class:`~repro.stream.analyzer.StreamAnalyzer`:
   record means "not yet written", so the feed polls until the file
   stops growing for ``idle_timeout`` seconds (``0`` reads a complete
   capture once and stops; ``None`` follows forever).
-- :func:`simulator_feed` — the telescope simulator driven as a live
-  generator (see :meth:`repro.telescope.workload.Scenario.live_batches`),
-  optionally paced against the wall clock.
+- :meth:`repro.telescope.workload.Scenario.live_batches` — the
+  telescope simulator driven as a live generator, optionally paced
+  against the wall clock.
 
 Both yield non-empty, time-ordered packet batches.
 """
@@ -100,17 +100,3 @@ def follow_pcap(
                 idle += poll_interval
         if pending:
             yield pending
-
-
-def simulator_feed(
-    scenario,
-    *,
-    batch_size: int = 512,
-    speed: Optional[float] = None,
-) -> Iterator[list]:
-    """The telescope simulator as a live feed.
-
-    ``speed`` is event-seconds per wall-second (``None`` or ``0``
-    releases batches as fast as they generate).
-    """
-    return scenario.live_batches(batch_size=batch_size, speed=speed)

@@ -3,12 +3,14 @@
 The mirror image of ``repro.core.batchlane``.  The batch lane made
 *analysis* fast by walking raw bytes instead of building header
 objects; this module makes *generation* fast the same way.  Traffic
-models grow ``records()`` twins of their ``packets()`` generators that
-emit flat tuples instead of :class:`~repro.net.packet.CapturedPacket`
-objects, and this module turns those tuples into wire bytes by
-stamping preallocated template buffers — bytearray copies of each
-distinct datagram with the mutable fields (addresses, ports, checksums,
-TCP sequence numbers, ICMP identifiers) patched in place per packet,
+models emit flat tuples from ``records()`` — their ``packets()``
+twins, which build :class:`~repro.net.packet.CapturedPacket` objects
+out of header objects, are the tests' reference; production gets its
+packets by parsing the stamped bytes back (``Scenario.packets``) — and
+this module turns those tuples into wire bytes by stamping
+preallocated template buffers: bytearray copies of each distinct
+datagram with the mutable fields (addresses, ports, checksums, TCP
+sequence numbers, ICMP identifiers) patched in place per packet,
 DPDK-style, instead of re-serializing four header objects per packet.
 
 Record format

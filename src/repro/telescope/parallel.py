@@ -319,6 +319,13 @@ def generate_records(scenario, workers: int) -> Iterator[tuple]:
         for snapshot in snapshots:
             if snapshot is not None:
                 obs.REGISTRY.merge_snapshot(snapshot)
+    except BaseException:
+        # the consumer closed the stream early or a worker failed:
+        # workers blocked on a full ring will never be acked, so stop
+        # them before the join below waits on them
+        for process in processes:
+            process.terminate()
+        raise
     finally:
         for process in processes:
             process.join(timeout=5.0)

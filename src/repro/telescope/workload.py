@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Iterator, Optional
 
 from repro.net.packet import CapturedPacket
-from repro.telescope.genlane import LANE_FIELDS
+from repro.telescope.genlane import LANE_FIELDS, wire_items
 from repro.util.batching import batched
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY
@@ -178,8 +178,28 @@ class Scenario:
             raise ValueError(f"{prefix} is not inside telescope prefix {net}")
         self.telescope = Telescope(prefix)
 
-    def packets(self) -> Iterator[CapturedPacket]:
-        """The telescope's merged capture for the whole window."""
+    def packets(self, workers: int = 1) -> Iterator[CapturedPacket]:
+        """The telescope's merged capture for the whole window.
+
+        A packet view of :meth:`records`, the in-process ``simulate |
+        analyze``: each record is stamped to wire bytes and parsed back,
+        so each packet is what a capture of the same traffic would
+        contain (lazy headers, ``total_length`` filled, timestamp
+        untouched).
+        """
+        from_bytes = CapturedPacket.from_bytes
+        return (
+            from_bytes(timestamp, bytes(wire))
+            for timestamp, wire in wire_items(self.records(workers))
+        )
+
+    def rich_packets(self) -> Iterator[CapturedPacket]:
+        """The reference generator: the same capture assembled from
+        header objects, one ``model.packets()`` twin per traffic model.
+
+        The tests' oracle for :meth:`records` (same seeds, same draws,
+        same order) — nothing under ``src/repro`` calls it.
+        """
         start, end = self.config.start, self.config.end
         streams = []
         if self.config.include_research:
@@ -211,8 +231,8 @@ class Scenario:
         per-window stable sort fills each window in this order, see
         :func:`~repro.telescope.telescope.merge_chunks`) and the
         sharded ``telescope/parallel.py`` path (which merges by
-        ``(timestamp, unit index)``) reproduce ``packets()`` order bit
-        for bit.
+        ``(timestamp, unit index)``) reproduce ``rich_packets()`` order
+        bit for bit.
         """
         return [unit for _start, unit in self._timed_units()]
 
@@ -260,8 +280,8 @@ class Scenario:
     def records(self, workers: int = 1) -> Iterator[tuple]:
         """The capture as flat gen records — the generation fast lane.
 
-        Same packets as :meth:`packets` (same seeds, same draws, same
-        order), emitted as ``genlane`` record tuples instead of
+        Same packets as :meth:`rich_packets` (same seeds, same draws,
+        same order), emitted as ``genlane`` record tuples instead of
         :class:`CapturedPacket` objects: the flat view over
         :meth:`_captured_chunks`, whose ``workers > 1`` form reproduces
         the identical serial order.

@@ -1,6 +1,7 @@
 """Tests for the CLI and the full-text report."""
 
 import io
+import re
 
 import pytest
 
@@ -84,6 +85,31 @@ def test_cli_report_writes_file(tmp_path):
     assert "Overview (Figure 2)" in out_file.read_text()
 
 
+@pytest.mark.parametrize(
+    "needs_packets",
+    [["--faults", "garbage=0.02", "--fault-seed", "7"], ["--workers", "2"]],
+    ids=["faults", "workers"],
+)
+def test_cli_report_gen_workers_reach_the_packet_arm(monkeypatch, needs_packets):
+    """``--gen-workers`` shards generation on the arm that needs packet
+    objects too, and the report does not change."""
+    from repro.telescope import parallel
+
+    entered = []
+
+    def spy(scenario, workers, _generate=parallel.generate_records):
+        entered.append(workers)
+        return _generate(scenario, workers)
+
+    monkeypatch.setattr(parallel, "generate_records", spy)
+    argv = ["report", "--hours", "0.5", "--research-sample", "0.0005"] + needs_packets
+    code, serial = run_cli(argv + ["--gen-workers", "1"])
+    assert code == 0 and not entered
+    code, sharded = run_cli(argv + ["--gen-workers", "2"])
+    assert code == 0 and entered == [2]
+    assert sharded == serial
+
+
 def test_cli_simulate_then_analyze(tmp_path):
     pcap = tmp_path / "capture.pcap"
     code, out = run_cli(["simulate"] + FAST + ["--out", str(pcap)])
@@ -119,6 +145,25 @@ def test_cli_probe():
     assert out.count("yes") >= 3  # handshakes complete
     lines = [l for l in out.splitlines() if l and l[0].isdigit()]
     assert len(lines) == 3
+
+
+def test_cli_profile_profiles_what_report_runs():
+    code, out = run_cli(
+        ["profile", "--hours", "0.1", "--research-sample", "0.0005", "--top", "40"]
+    )
+    assert code == 0
+    stages, rates = out.splitlines()[:2]
+    assert re.search(r"both  \([\d,]+ packets, \d+ planned QUIC floods\)", stages)
+    assert re.search(r"generate: .+ \([\d,]+ pps\) +analyze: .+ \([\d,]+ pps\)", rates)
+    for ran in ("flood_records", "observe_records"):
+        assert ran in out
+    for reference_only in ("flood_packets", "observe_packets"):
+        assert reference_only not in out
+
+
+def test_cli_profile_has_no_batch_stage():
+    code, _out = run_cli(["profile", "--stage", "batch"])
+    assert code == 2
 
 
 def test_cli_requires_command():

@@ -11,7 +11,8 @@ Three contracts:
 3. **Path equivalence** — under a fixed fault seed, serial,
    ``workers=2..4`` and streaming-exact runs produce identical
    ``PipelineResult`` contents, including identical malformed-input
-   tallies (the ``malformed:*`` class counts).
+   tallies (the ``malformed:*`` class counts); and a faulted packet is
+   the same whether its input was constructor-built or capture-parsed.
 """
 
 import pytest
@@ -170,6 +171,45 @@ def test_serial_parallel_streaming_identical_under_faults(scenario, packets):
         assert golden_report == build_report(
             other, research_weight=weight
         ), label
+
+
+def test_faulted_length_does_not_depend_on_packet_source():
+    """A fault that shortens the payload yields the same packet whether
+    its input was built from header objects (``total_length`` unset) or
+    parsed off the wire (``total_length`` = the original length), so
+    ``report --faults X`` and ``simulate | analyze --faults X`` feed the
+    detectors the same byte counts — and it leaves its input alone."""
+    spec = FaultSpec.parse("truncate=0.2,zero=0.1")
+    config = ScenarioConfig(seed=11, duration=HOUR / 2, research_sample=1 / 2048)
+    sources = {
+        "rich": list(Scenario(config).rich_packets()),
+        "view": list(Scenario(config).packets()),
+    }
+    faulted = {
+        name: list(FaultInjector(spec, 7).wrap(iter(source)))
+        for name, source in sources.items()
+    }
+    # neither kind adds or drops, so input and output pair up by index
+    assert len(faulted["rich"]) == len(faulted["view"]) == len(sources["view"])
+
+    def observed(packets):
+        return [(p.timestamp, p.payload, p.wire_length) for p in packets]
+
+    assert observed(faulted["rich"]) == observed(faulted["view"])
+    transport_len = (0, 8, 20, 8)  # by CapturedPacket.kind
+    shortened = 0
+    for name, source in sources.items():
+        for before, packet in zip(source, faulted[name]):
+            if len(packet.payload) == len(before.payload):
+                continue
+            shortened += 1
+            lengths = before.total_length, before.ip.total_length
+            expected = 20 + transport_len[packet.kind] + len(packet.payload)
+            assert packet.wire_length == expected == len(packet.to_bytes())
+            # packing it did not write the new length into its input
+            assert packet.ip is not before.ip
+            assert (before.total_length, before.ip.total_length) == lengths
+    assert shortened > 200
 
 
 def test_malformed_tally_matches_rejected_class(scenario, packets):

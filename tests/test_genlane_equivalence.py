@@ -7,7 +7,7 @@ mirroring ``tests/test_lane_equivalence.py`` for the analysis lane:
 - the wire bytes stamped from mutable templates
   (``write_records(wire_items(scenario.records()))``) produce a pcap
   byte-identical to the rich per-packet object path
-  (``capture_to_pcap(scenario.packets())``);
+  (``capture_to_pcap(scenario.rich_packets())``);
 - sharded parallel generation (``records(workers=1..4)``, worker
   processes merged by timestamp) is bit-identical to serial;
 - the fused generate→analyze path
@@ -37,7 +37,7 @@ def scenario():
 def rich_pcap_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("genlane") / "rich.pcap"
     s = scenario()
-    count = s.telescope.capture_to_pcap(s.packets(), path)
+    count = s.telescope.capture_to_pcap(s.rich_packets(), path)
     assert count > 0
     return path.read_bytes()
 
@@ -73,7 +73,7 @@ def test_fused_record_path_matches_rich_pipeline():
     """generate→analyze without packets or wire bytes: lane_batches into
     process_record_batches equals the full dissection pipeline."""
     s_rich = scenario()
-    reference = rich_result(s_rich, s_rich.packets())
+    reference = rich_result(s_rich, s_rich.rich_packets())
 
     s_fused = scenario()
     pipeline = make_pipeline(s_fused)

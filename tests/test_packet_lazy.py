@@ -211,7 +211,9 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def packets(scenario):
-    return list(scenario.packets())
+    # constructor-built packets: the reference generator, not the
+    # from_bytes view production gets from Scenario.packets()
+    return list(scenario.rich_packets())
 
 
 @pytest.fixture(scope="module")

@@ -327,3 +327,45 @@ def test_stream_error_stops_workers_and_frees_segments(packets, monkeypatch):
     assert not shard_workers()
     assert len(spy.created) == 2
     assert sorted(spy.unlinked) == sorted(spy.created)
+
+
+def test_interrupted_sharded_generator_stops_workers_before_joining(
+    scenario, packets, monkeypatch
+):
+    """``report --faults interrupt=p --gen-workers 2``: the injector
+    abandons the sharded generator mid-stream while its workers sit on
+    a full ring, so they are terminated first — a join that precedes
+    the terminate would wait out its timeout on each of them."""
+    from repro.faults import FaultInjector, FaultSpec
+
+    spec = FaultSpec.parse("interrupt=0.001")
+    serial = list(FaultInjector(spec, 7).wrap(iter(packets)))
+    # cut short enough that neither worker's ring (8 x 512 records) has
+    # room for the rest of its share
+    assert 0 < len(serial) < 4096 < len(packets) // 4
+
+    spy = SegmentSpy(monkeypatch)
+    teardown = []
+    for step in ("terminate", "join"):
+        real = getattr(multiprocessing.process.BaseProcess, step)
+
+        def recorded(process, *args, _real=real, _step=step, **kwargs):
+            if process.name.startswith("quicsand-gen-"):
+                teardown.append((process.name, _step))
+            return _real(process, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, step, recorded)
+
+    sharded = list(FaultInjector(spec, 7).wrap(scenario.packets(workers=2)))
+    assert [p.to_bytes() for p in sharded] == [p.to_bytes() for p in serial]
+    first_step = {}
+    for name, step in teardown:
+        first_step.setdefault(name, step)
+    assert first_step == {"quicsand-gen-0": "terminate", "quicsand-gen-1": "terminate"}
+    assert not [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("quicsand-gen-")
+    ]
+    assert len(spy.created) == 2
+    assert sorted(spy.unlinked) == sorted(spy.created)

@@ -8,7 +8,8 @@ for each one:
 - fast lane == the rich reference walker (``tests/oracle.py``);
 - gen-lane synthesis == rich synthesis (fused
   ``process_record_batches`` feed, plus sharded ``records(workers=2)``
-  against serial records);
+  against serial records), and ``packets()`` — the production packet
+  view of the records — == ``rich_packets()`` packet by packet;
 - serial == workers 2–4 (shared-memory ring transport);
 - batch == streaming-exact ``PipelineResult``s, bit for bit.
 
@@ -37,7 +38,7 @@ def case(request):
     preset = get_scenario(name)
     config = preset.config()
     scenario = Scenario(config)
-    packets = list(scenario.packets())
+    packets = list(scenario.rich_packets())
     reference = run(scenario, packets)
     return SimpleNamespace(
         name=name,
@@ -84,6 +85,34 @@ def test_gen_lane_vs_rich_synthesis(case):
     serial = list(Scenario(case.config).records())
     sharded = list(Scenario(case.config).records(workers=2))
     assert serial == sharded, f"{case.name}: gen-workers=2 diverged"
+
+
+#: what a consumer can read off a packet, however it was built
+#: (``total_length`` is left out: 0 on a constructor-built packet
+#: until it is packed, and ``wire_length`` covers it)
+_SCALARS = (
+    ("src", "dst", "proto", "kind", "src_port", "dst_port")
+    + ("tcp_flags", "icmp_type", "icmp_code")
+)
+
+
+def _observable(packet) -> tuple:
+    scalars = tuple(getattr(packet, slot) for slot in _SCALARS)
+    # wire_length first: computed on the rich side, read off the wire
+    # on the view's
+    return (packet.timestamp, packet.wire_length, packet.payload, *scalars, packet.to_bytes())
+
+
+def test_packet_view_vs_rich_synthesis(case):
+    """``Scenario.packets()`` — the packets every production consumer
+    gets, a view of ``records()`` — is the rich capture packet by
+    packet, and sharded generation does not change it."""
+    view = list(Scenario(case.config).packets())
+    assert len(view) == len(case.packets), case.name
+    for index, (got, rich) in enumerate(zip(view, case.packets)):
+        assert _observable(got) == _observable(rich), f"{case.name}: packet {index}"
+    sharded = list(Scenario(case.config).packets(workers=2))
+    assert sharded == view, f"{case.name}: packets(workers=2) diverged"
 
 
 def test_serial_vs_workers(case):

@@ -20,6 +20,11 @@ The lane is not a knob either: ``PartialState.consume`` is the only
 (the suites drive it through ``tests/oracle.py``), nothing is named
 ``fast_lane``/``gen_lane``, and ``core/parallel.py`` has one worker
 function.
+
+Generation has the same shape: ``Scenario.records()`` is the one
+generator production runs and ``Scenario.packets()`` a view of it;
+``Scenario.rich_packets()`` and the per-model ``packets()`` twins it
+merges are the reference, with no caller under ``src/repro``.
 """
 
 import ast
@@ -62,6 +67,34 @@ def sites(attr: str, receiver: str = "") -> set:
         visitor.visit(tree)
         found |= visitor.found
     return found
+
+
+def names_in(node: ast.AST) -> set:
+    """Every identifier under ``node``: names, attributes, definitions,
+    imported names."""
+    return {
+        value
+        for child in ast.walk(node)
+        for value in (getattr(child, f, None) for f in ("id", "attr", "name"))
+        if isinstance(value, str)
+    }
+
+
+def function(module: str, qualname: str) -> ast.FunctionDef:
+    body = ast.parse((SRC / module).read_text()).body
+    for name in qualname.split("."):
+        node = next(
+            n
+            for n in body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name
+        )
+        body = node.body
+    return node
+
+
+def calls(node: ast.AST) -> list:
+    """The callee expression of every call under ``node``, as source."""
+    return [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
 
 
 def test_one_fast_lane_state_update():
@@ -118,3 +151,43 @@ def test_one_shard_worker_function():
         if keyword.arg == "target"
     ]
     assert targets == ["_shard_worker"]
+
+
+#: where the reference generator and its helpers live
+RICH_GENERATOR_HOMES = {
+    f"telescope/{name}.py" for name in ("workload", "telescope", "attacks", "scanners")
+}
+
+
+def test_rich_generator_is_an_oracle_not_a_path():
+    assert function("telescope/workload.py", "Scenario.rich_packets")  # defined,
+    assert sites("rich_packets") == set()  # never called
+    rich_only = {"merge_streams", "flood_packets", "session_packets"}
+    for path, tree in trees():
+        if path.relative_to(SRC).as_posix() not in RICH_GENERATOR_HOMES:
+            assert not rich_only & names_in(tree), path
+
+
+def test_scenario_packets_is_a_view_of_records():
+    packets = function("telescope/workload.py", "Scenario.packets")
+    called = calls(packets)
+    assert "self.records" in called
+    assert not [callee for callee in called if callee.endswith(".packets")]
+    assert "merge_streams" not in names_in(packets)
+
+
+def test_both_report_arms_draw_from_the_sharded_generator():
+    (fork,) = [
+        node
+        for node in function("cli.py", "cmd_report").body
+        if isinstance(node, ast.If) and node.orelse
+    ]
+    for arm in (fork.body, fork.orelse):
+        assert any("gen_workers" in names_in(statement) for statement in arm)
+
+
+def test_vantage_has_one_loop_body():
+    called = calls(function("federate/vantage.py", "Vantage.run"))
+    assert called.count("state.apply") == 1
+    assert called.count("tier.apply") == 1
+    assert not [callee for callee in called if callee.startswith("state.consume")]

@@ -41,8 +41,8 @@ def _scenario():
     )
 
 
-def _capture(scenario):
-    return [(p.timestamp, p.to_bytes()) for p in scenario.packets()]
+def _capture(scenario, generator):
+    return [(p.timestamp, p.to_bytes()) for p in getattr(scenario, generator)()]
 
 
 def _analyze(scenario):
@@ -146,12 +146,15 @@ def test_responder_bytes_identical_cache_on_vs_off(monkeypatch):
 
 
 def test_scenario_stream_bytes_identical_cache_on_vs_off(monkeypatch):
-    monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
-    enabled = _capture(_scenario())
-    monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
-    disabled = _capture(_scenario())
-    assert len(enabled) == len(disabled)
-    assert enabled == disabled
+    # the reference generator runs the responders' respond(), the
+    # production one their respond_records(): each has its own cache use
+    for generator in ("rich_packets", "packets"):
+        monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
+        enabled = _capture(_scenario(), generator)
+        monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
+        disabled = _capture(_scenario(), generator)
+        assert len(enabled) == len(disabled), generator
+        assert enabled == disabled, generator
 
 
 def test_pipeline_result_identical_cache_on_vs_off(monkeypatch):
