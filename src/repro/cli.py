@@ -224,14 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "scenario's full telescope prefix)",
     )
     federate.add_argument(
-        "--sketch",
-        action="store_true",
-        help="vantages additionally run the constant-memory sketch "
-        "tier and ship it with their flood alert history (the global "
-        "result still merges from the exact states; see "
-        "docs/FEDERATION.md)",
-    )
-    federate.add_argument(
         "--snapshot-every",
         type=float,
         default=3600.0,
@@ -663,7 +655,6 @@ def cmd_federate(args, stream) -> int:
         connect_with_retry,
         tile_prefixes,
     )
-    from repro.federate.vantage import EXACT, SKETCH_MODE
 
     _maybe_enable_metrics(args)
     if args.vantages < 1:
@@ -671,7 +662,6 @@ def cmd_federate(args, stream) -> int:
         return 2
     scenario_config = _scenario_config(args)
     analysis = AnalysisConfig()
-    mode = SKETCH_MODE if args.sketch else EXACT
 
     if args.connect:
         endpoint = _parse_endpoint(args.connect)
@@ -682,7 +672,6 @@ def cmd_federate(args, stream) -> int:
             VantageConfig(
                 name=args.vantage_name,
                 prefix=args.prefix,
-                mode=mode,
                 snapshot_every=args.snapshot_every,
                 scenario=scenario_config,
                 analysis=analysis,
@@ -739,7 +728,6 @@ def cmd_federate(args, stream) -> int:
                 VantageConfig(
                     name=name,
                     prefix=str(tile),
-                    mode=mode,
                     snapshot_every=args.snapshot_every,
                     scenario=scenario_config,
                     analysis=analysis,

@@ -39,10 +39,6 @@ class PacketClass(enum.Enum):
     OTHER = "other"
 
     @property
-    def is_quic(self) -> bool:
-        return self in (PacketClass.QUIC_REQUEST, PacketClass.QUIC_RESPONSE)
-
-    @property
     def is_backscatter(self) -> bool:
         return self in (
             PacketClass.QUIC_RESPONSE,
@@ -89,14 +85,6 @@ class TrafficClassifier:
             counters[result.packet_class] += 1
             append(result)
         return out
-
-    def merge_counters(self, other: "TrafficClassifier") -> None:
-        """Fold another classifier's counters into this one (sharded
-        runs classify disjoint substreams, so counters just add)."""
-        for cls, count in other.counters.items():
-            self.counters[cls] += count
-        self.dissector.cache_hits += other.dissector.cache_hits
-        self.dissector.cache_misses += other.dissector.cache_misses
 
     @property
     def cache_hits(self) -> int:

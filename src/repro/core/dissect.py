@@ -131,22 +131,12 @@ class Dissection:
     reason: Optional[MalformedReason] = None
 
     @property
-    def packet_types(self) -> list:
-        return [p.packet_type for p in self.packets]
-
-    @property
     def scids(self) -> list:
         return [p.scid for p in self.packets if p.scid]
 
     @property
     def has_retry(self) -> bool:
         return any(p.packet_type is PacketType.RETRY for p in self.packets)
-
-    @property
-    def has_version_negotiation(self) -> bool:
-        return any(
-            p.packet_type is PacketType.VERSION_NEGOTIATION for p in self.packets
-        )
 
     @property
     def has_long_header(self) -> bool:

@@ -64,12 +64,6 @@ class ScanProfile:
         return median(gaps) if gaps else None
 
     @property
-    def mean_rate(self) -> float:
-        if self.duration <= 0:
-            return float(self.packet_count)
-        return self.packet_count / self.duration
-
-    @property
     def active_rate(self) -> float:
         """Probe rate while actually scanning — the per-sweep rate for
         periodic scanners, regardless of how long they sleep between

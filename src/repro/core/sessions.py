@@ -318,11 +318,6 @@ class Sessionizer:
         """
         self.closed.sort(key=lambda s: (s.first_ts, s.source))
 
-    @property
-    def session_count(self) -> int:
-        return len(self.closed) + len(self._open)
-
-
 def _clone_session(session: Session) -> Session:
     """A deep-enough copy for federated joining (fresh sets/dicts)."""
     return Session(
@@ -475,11 +470,6 @@ class TimeoutSweep:
             )
         index = bisect.bisect_right(self._sorted, timeout)
         return self.source_count + len(self._sorted) - index
-
-    def _sorted_gaps(self) -> list:
-        """The currently-included gaps in sorted order (testing hook)."""
-        self.sessions_at(0.0)
-        return list(self._sorted or ())
 
     def sweep(self, timeouts_minutes: Iterable[float]) -> list:
         """(timeout_minutes, session_count) series for Figure 4."""

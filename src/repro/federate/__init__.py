@@ -36,7 +36,6 @@ from repro.federate.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     SCHEMA_VERSION,
-    decode_frames,
     encode_frame,
 )
 from repro.federate.transport import (
@@ -68,7 +67,6 @@ __all__ = [
     "VantageConfig",
     "VantageStream",
     "connect_with_retry",
-    "decode_frames",
     "encode_frame",
     "merge_federated_states",
     "tile_prefixes",

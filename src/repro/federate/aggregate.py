@@ -43,7 +43,6 @@ from repro.federate.protocol import (
     HELLO,
     OBS,
     SCHEMA_VERSION,
-    SKETCH,
     STATE,
     Frame,
     ProtocolError,
@@ -73,12 +72,10 @@ class VantageStream:
 
     name: str
     prefix: Optional[str] = None
-    mode: str = "exact"
     #: the final-state payload is kept as bytes and rehydrated on
     #: demand — the aggregator needs two *independent* copies (the
     #: global merge and the per-vantage finalization both mutate).
     state_bytes: Optional[bytes] = None
-    sketch: Optional[dict] = None
     obs_snapshot: Optional[dict] = None
     bye: Optional[dict] = None
     frames: int = 0
@@ -126,6 +123,10 @@ class FederationResult:
     #: vantage name → extrapolation check row (tile share, scaled
     #: estimate, estimate / federation observation).
     extrapolation: Dict[str, dict] = field(default_factory=dict)
+    #: vantage name → the stream checked against its own ``bye``
+    #: manifest (:meth:`Aggregator._manifest_checks`); ``None`` for a
+    #: stream that ended without one.
+    manifests: Dict[str, Optional[dict]] = field(default_factory=dict)
 
 
 class Aggregator:
@@ -164,13 +165,10 @@ class Aggregator:
                     )
                 stream.name = meta.get("vantage", fallback_name)
                 stream.prefix = meta.get("prefix")
-                stream.mode = meta.get("mode", "exact")
             elif frame.kind == STATE:
                 stream.interim_states += 1
             elif frame.kind == FINAL_STATE:
                 stream.state_bytes = frame.payload
-            elif frame.kind == SKETCH:
-                stream.sketch = frame.unpickle()
             elif frame.kind == OBS:
                 stream.obs_snapshot = frame.unpickle()
                 if obs.enabled():
@@ -219,7 +217,7 @@ class Aggregator:
             vantage_results, config.session_timeout
         )
         merge_seconds = time.perf_counter() - started
-        extrapolation = self._extrapolation(global_result)
+        extrapolation = self._extrapolation(global_result, vantage_results)
         if obs.enabled():
             M_MERGE.observe(merge_seconds)
             if dedup_hits:
@@ -239,6 +237,7 @@ class Aggregator:
             corrupt_frames=self.corrupt_frames,
             merge_seconds=merge_seconds,
             extrapolation=extrapolation,
+            manifests=self._manifest_checks(vantage_results),
         )
 
     def _dedup(
@@ -284,7 +283,38 @@ class Aggregator:
         floods.sort(key=lambda f: (f.start, f.victim_ip, f.vector))
         return floods, dedup_hits
 
-    def _extrapolation(self, global_result: PipelineResult) -> Dict[str, dict]:
+    def _manifest_checks(
+        self, vantage_results: Dict[str, PipelineResult]
+    ) -> Dict[str, Optional[dict]]:
+        """Each stream against what its vantage says it shipped.
+
+        The closing ``bye`` announces the stream's frame count and the
+        final state's packet count.  ``frames_lost`` is how many of the
+        announced frames never decoded (damage is also counted in
+        ``corrupt_frames``, but only the manifest can tell it from a
+        stream that simply stopped); ``packets_missing`` is non-zero
+        when the final state ingested is not the one the vantage closed
+        with.  A stream with no (well-formed) ``bye`` maps to ``None``.
+        """
+        checks: Dict[str, Optional[dict]] = {}
+        for stream in self.streams:
+            bye = stream.bye or {}
+            frames, packets = bye.get("frames"), bye.get("packets")
+            if not (isinstance(frames, int) and isinstance(packets, int)):
+                checks[stream.name] = None
+                continue
+            checks[stream.name] = {
+                "frames_lost": frames - stream.frames,
+                "packets_missing": packets
+                - vantage_results[stream.name].total_packets,
+            }
+        return checks
+
+    def _extrapolation(
+        self,
+        global_result: PipelineResult,
+        vantage_results: Dict[str, PipelineResult],
+    ) -> Dict[str, dict]:
         """Each tile's scaled packet estimate vs the federation total.
 
         The paper extrapolates /9 observations to the full address
@@ -307,13 +337,13 @@ class Aggregator:
         federation_size = sum(net.size for net in known) or 1
         global_packets = global_result.total_packets
         for stream, net in zip(self.streams, tiles):
-            state = stream.state()
+            packets = vantage_results[stream.name].total_packets
             share = (net.size / federation_size) if net is not None else 1.0
-            estimate = state.total_packets / share if share else 0.0
+            estimate = packets / share if share else 0.0
             checks[stream.name] = {
                 "prefix": stream.prefix,
                 "share": share,
-                "packets": state.total_packets,
+                "packets": packets,
                 "estimate": estimate,
                 "ratio": (estimate / global_packets) if global_packets else 0.0,
             }
@@ -335,17 +365,30 @@ class Aggregator:
         return ("\n" + "=" * 72 + "\n").join(s for s in sections if s)
 
     def _summary_section(self, fed: FederationResult) -> str:
-        modes = ", ".join(
-            f"{stream.name} ({stream.mode})" for stream in fed.streams
-        )
+        names = ", ".join(stream.name for stream in fed.streams)
         rows = [
-            ["vantages", f"{len(fed.streams)}: {modes}"],
+            ["vantages", f"{len(fed.streams)}: {names}"],
             ["frames ingested", str(sum(s.frames for s in fed.streams))],
             ["corrupt frames skipped", str(fed.corrupt_frames)],
             ["global floods", str(len(fed.global_floods))],
             ["dedup hits", str(fed.dedup_hits)],
             ["merge + finalize", f"{fed.merge_seconds:.3f}s"],
         ]
+        # manifest rows appear only for streams that fail their check
+        for key, label in (
+            ("frames_lost", "frames lost"),
+            ("packets_missing", "manifest packets missing"),
+        ):
+            failed = [
+                f"{name}: {check[key]}"
+                for name, check in fed.manifests.items()
+                if check and check[key]
+            ]
+            if failed:
+                rows.append([label, ", ".join(failed)])
+        unsigned = [name for name, check in fed.manifests.items() if check is None]
+        if unsigned:
+            rows.append(["no manifest", ", ".join(unsigned)])
         return format_table(
             ["metric", "value"], rows, title="Federation overview"
         )

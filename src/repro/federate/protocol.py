@@ -11,7 +11,7 @@ Frame layout (all integers big-endian)::
     offset  size  field
     0       4     magic        b"QSFD"
     4       1     protocol     PROTOCOL_VERSION (frame format)
-    5       1     kind         see FRAME_KINDS
+    5       1     kind         code of one of FRAME_KINDS
     6       4     sequence     per-vantage monotonically increasing
     10      8     length       payload bytes that follow the header
     18      4     crc32        zlib.crc32 of the payload
@@ -20,8 +20,7 @@ Frame layout (all integers big-endian)::
 Payloads are either JSON (``hello``/``bye`` — the schema-version
 handshake and the closing manifest) or pickles (``state``/
 ``final-state`` carry :class:`~repro.core.pipeline.PartialState`
-snapshots, ``sketch`` a :class:`~repro.stream.sketch.tier.SketchTier`
-plus its alert history, ``obs`` a registry snapshot dict).
+snapshots, ``obs`` a registry snapshot dict).
 ``SCHEMA_VERSION`` governs the pickled payload schema and travels in
 the ``hello`` frame; the aggregator rejects a vantage whose schema
 does not match instead of unpickling blind.
@@ -55,12 +54,14 @@ MAGIC = b"QSFD"
 HELLO = "hello"
 STATE = "state"
 FINAL_STATE = "final-state"
-SKETCH = "sketch"
 OBS = "obs"
 BYE = "bye"
 
-FRAME_KINDS = (HELLO, STATE, FINAL_STATE, SKETCH, OBS, BYE)
-_KIND_CODES = {kind: index + 1 for index, kind in enumerate(FRAME_KINDS)}
+#: the code byte of each kind is part of the spool format: 4 (the
+#: retired ``sketch`` frame) is never reassigned, so kept spools stay
+#: readable and a stream that carries one decodes it as damage.
+_KIND_CODES = {HELLO: 1, STATE: 2, FINAL_STATE: 3, OBS: 5, BYE: 6}
+FRAME_KINDS = tuple(_KIND_CODES)
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 _HEADER = struct.Struct(">4sBBIQI")
@@ -119,15 +120,10 @@ def encode_frame(kind: str, payload: bytes, seq: int = 0) -> bytes:
     return header + payload
 
 
-def hello_frame(vantage: str, prefix: str, mode: str, seq: int = 0) -> bytes:
+def hello_frame(vantage: str, prefix: str, seq: int = 0) -> bytes:
     """The handshake frame opening every vantage stream."""
     payload = json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "vantage": vantage,
-            "prefix": prefix,
-            "mode": mode,
-        },
+        {"schema": SCHEMA_VERSION, "vantage": vantage, "prefix": prefix},
         sort_keys=True,
     ).encode("utf-8")
     return encode_frame(HELLO, payload, seq)
@@ -231,11 +227,3 @@ class FrameDecoder:
             self._count_corrupt()
         self._buffer.clear()
         self._resyncing = False
-
-
-def decode_frames(data: bytes) -> tuple[list, int]:
-    """Decode a complete byte string; returns (frames, corrupt count)."""
-    decoder = FrameDecoder()
-    frames = list(decoder.feed(data))
-    decoder.finish()
-    return frames, decoder.corrupt_frames

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import socket
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.federate.protocol import Frame, FrameDecoder
 from repro.util.rng import SeededRng
@@ -226,12 +226,3 @@ class FederationListener:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def drain_frames(sink, frames: Iterable[bytes]) -> int:
-    """Send every encoded frame through ``sink`` (writer or sender)."""
-    count = 0
-    for frame_bytes in frames:
-        sink.send(frame_bytes)
-        count += 1
-    return count

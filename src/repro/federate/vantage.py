@@ -6,22 +6,14 @@ scenario under the **same seed** — the simulated Internet is identical
 at every vantage, only the capture tap differs — and runs the
 per-packet analysis phase locally.  Its product is a frame stream
 (:mod:`repro.federate.protocol`): a ``hello`` handshake, periodic
-cumulative ``state`` snapshots, the closing ``final-state`` (and, in
-sketch mode, a ``sketch`` frame carrying the tier plus its alert
-history), an optional ``obs`` metrics snapshot, and a ``bye``
-manifest.
+cumulative ``state`` snapshots, the closing ``final-state``, an
+optional ``obs`` metrics snapshot, and a ``bye`` manifest the
+aggregator checks the stream against.
 
-The vantage always accumulates an exact
+The vantage accumulates an exact
 :class:`~repro.core.pipeline.PartialState` with a
 :class:`~repro.core.sessions.RecordingSweep`, because the federated
-merge replays sweep timestamps to stay bit-exact.  ``sketch`` mode
-*additionally* runs a :class:`~repro.stream.sketch.tier.SketchTier`
-and ships it with the recorded flood alert/ended events — the
-aggregator's cross-telescope dedup works on those events, while the
-global result still merges from the exact states (conservative-update
-count-min is order-dependent, so a partitioned sketch union cannot be
-bit-equal to a single-stream sketch; see
-``SketchTier.merge_federated``).
+merge replays sweep timestamps to stay bit-exact.
 """
 
 from __future__ import annotations
@@ -36,7 +28,6 @@ from repro.core.sessions import RecordingSweep
 from repro.federate.protocol import (
     FINAL_STATE,
     OBS,
-    SKETCH,
     STATE,
     bye_frame,
     hello_frame,
@@ -45,9 +36,6 @@ from repro.federate.protocol import (
 from repro.telescope.workload import Scenario, ScenarioConfig
 from repro.util.batching import batched
 from repro import obs
-
-EXACT = "exact"
-SKETCH_MODE = "sketch"
 
 
 @dataclass
@@ -58,7 +46,6 @@ class VantageConfig:
     #: CIDR tile to capture; ``None`` keeps the scenario's full prefix
     #: (a one-vantage federation).
     prefix: Optional[str] = None
-    mode: str = EXACT
     #: event-seconds between cumulative interim ``state`` frames;
     #: ``0`` ships only the final state.
     snapshot_every: float = 3600.0
@@ -77,8 +64,6 @@ class Vantage:
     """
 
     def __init__(self, config: VantageConfig) -> None:
-        if config.mode not in (EXACT, SKETCH_MODE):
-            raise ValueError(f"unknown vantage mode {config.mode!r}")
         self.config = config
         self.scenario = Scenario(config.scenario)
         if config.prefix is not None:
@@ -107,44 +92,11 @@ class Vantage:
         state.sweep = RecordingSweep()
         lane = BatchLane(dissect_payloads=analysis.dissect_payloads)
 
-        tier = None
-        alerts: list = []
-        ended: list = []
-        if config.mode == SKETCH_MODE:
-            from repro.stream.sketch.tier import SketchTier
-
-            def recorder(log: list, moment: str):
-                """A tier callback appending its event to ``log``;
-                ``moment`` names the event's second timestamp."""
-
-                def record(vector, victim, start, at, count, max_pps):
-                    log.append(
-                        {
-                            "vector": vector,
-                            "victim": victim,
-                            "start": start,
-                            moment: at,
-                            "packets": count,
-                            "max_pps": max_pps,
-                        }
-                    )
-
-                return record
-
-            tier = SketchTier(
-                thresholds=analysis.thresholds,
-                timeout=analysis.session_timeout,
-                seed=config.scenario.seed,
-                on_alert=recorder(alerts, "crossed_at"),
-                on_ended=recorder(ended, "end"),
-            )
-
         self._emit(
             sink,
             hello_frame(
                 config.name,
                 str(self.scenario.telescope.prefix),
-                config.mode,
                 self._seq,
             ),
         )
@@ -162,14 +114,10 @@ class Vantage:
             )
             observe, stamp = lane.observe_packets, attrgetter("timestamp")
         for batch in batches:
-            # classify once; the exact state and the tier are two sinks
-            # of the same observations
             watermark = stamp(batch[-1])
             observations = observe(batch, state.malformed_counts)
             state.note_batch(stamp(batch[0]), watermark, len(batch))
             state.apply(observations)
-            if tier is not None:
-                tier.apply(observations)
             if config.snapshot_every:
                 if next_snapshot is None:
                     next_snapshot = watermark + config.snapshot_every
@@ -180,16 +128,6 @@ class Vantage:
         state.record_classifier(lane)
         state.close()
         self._emit(sink, pickle_frame(FINAL_STATE, state, self._seq))
-        if tier is not None:
-            tier.flush()
-            self._emit(
-                sink,
-                pickle_frame(
-                    SKETCH,
-                    {"tier": tier, "alerts": alerts, "ended": ended},
-                    self._seq,
-                ),
-            )
         if obs.enabled():
             self._emit(
                 sink,

@@ -58,12 +58,5 @@ class ActiveScanCensus:
     def by_provider(self, provider: str) -> list:
         return [r for r in self._by_address.values() if r.provider == provider]
 
-    def providers(self) -> dict:
-        """Provider → server count."""
-        counts: dict[str, int] = {}
-        for record in self._by_address.values():
-            counts[record.provider] = counts.get(record.provider, 0) + 1
-        return counts
-
     def all_records(self) -> list:
         return list(self._by_address.values())

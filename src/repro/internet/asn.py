@@ -39,9 +39,6 @@ class AutonomousSystem:
     country: str = "ZZ"
     prefixes: list = field(default_factory=list)
 
-    def covers(self, address: int) -> bool:
-        return any(address in prefix for prefix in self.prefixes)
-
     def __str__(self) -> str:
         return f"AS{self.asn} ({self.name}, {self.network_type.value})"
 

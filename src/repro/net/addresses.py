@@ -84,9 +84,6 @@ class IPv4Network:
     def __contains__(self, address: int) -> bool:
         return (address & self.netmask) == self.network
 
-    def contains(self, address: int) -> bool:
-        return address in self
-
     def subnets(self, new_prefix_len: int) -> list["IPv4Network"]:
         """Split into equal-size subnets of ``new_prefix_len``."""
         if new_prefix_len < self.prefix_len or new_prefix_len > 32:

@@ -98,10 +98,6 @@ class PcapReader:
         if not tail:
             self._try_read_header()
 
-    @property
-    def header_read(self) -> bool:
-        return self._record is not None
-
     def _try_read_header(self) -> bool:
         pos = self._stream.tell() if self._tail else None
         header = self._stream.read(_GLOBAL.size)

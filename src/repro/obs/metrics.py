@@ -121,10 +121,6 @@ class Metric:
         """Drop every recorded value; the family itself stays registered."""
         self._values.clear()
 
-    def _enabled(self) -> bool:
-        return self.registry.enabled
-
-
 class Counter(Metric):
     """Monotonically increasing total."""
 
@@ -175,10 +171,6 @@ class Gauge(Metric):
             return
         key = _labelkey(self.label_names, labels)
         self._values[key] = self._values.get(key, 0) + amount
-
-    def dec(self, amount: float = 1, **labels) -> None:
-        """Subtract ``amount`` (default 1) from the labelled value."""
-        self.inc(-amount, **labels)
 
     def value(self, **labels) -> float:
         """The current value for this label combination (0 if unseen)."""

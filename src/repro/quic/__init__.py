@@ -35,7 +35,6 @@ from repro.quic.versions import (
     version_by_value,
 )
 from repro.quic.header import (
-    HeaderForm,
     LongHeader,
     PacketType,
     RetryPacket,
@@ -84,7 +83,6 @@ __all__ = [
     "MVFST_EXP",
     "QuicVersion",
     "version_by_value",
-    "HeaderForm",
     "LongHeader",
     "PacketType",
     "RetryPacket",

@@ -23,11 +23,6 @@ FIXED_BIT = 0x40
 MAX_CID_LEN = 20
 
 
-class HeaderForm(enum.Enum):
-    LONG = "long"
-    SHORT = "short"
-
-
 class PacketType(enum.Enum):
     """Long-header packet types plus the short-header 1-RTT type."""
 
@@ -119,10 +114,6 @@ class ShortHeader:
     @property
     def spin_bit(self) -> bool:
         return bool(self.first_byte & 0x20)
-
-    def dcid_assuming_length(self, length: int) -> bytes:
-        return self.raw[:length]
-
 
 @dataclass
 class RetryPacket:

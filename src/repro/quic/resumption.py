@@ -30,15 +30,6 @@ class ResumptionState:
     address_token: bytes = b""
     session_ticket: bytes = b""
 
-    @property
-    def can_skip_address_validation(self) -> bool:
-        return bool(self.address_token)
-
-    @property
-    def can_send_early_data(self) -> bool:
-        return bool(self.session_ticket)
-
-
 def early_data_keys(ticket: bytes) -> PacketKeys:
     """0-RTT packet protection keys, derived from the session ticket.
 
@@ -77,6 +68,3 @@ class SessionCache:
 
     def lookup(self, server_name: str) -> Optional[ResumptionState]:
         return self._entries.get(server_name)
-
-    def evict(self, server_name: str) -> None:
-        self._entries.pop(server_name, None)

@@ -5,7 +5,6 @@ Initial floods at 10-100,000 pps against worker pools of 4 or 128,
 with and without RETRY.  This package rebuilds that testbed as a
 discrete-event simulation:
 
-- :mod:`repro.server.simulation` — the event loop,
 - :mod:`repro.server.nginx` — the worker-pool server model (per-worker
   connection tables, handshake-state lingering, crypto service times,
   RETRY short-circuit),
@@ -17,8 +16,6 @@ discrete-event simulation:
 from repro.server.benchmark import BenchmarkRow, run_attack, run_table1, table1_rows
 from repro.server.client import LegitimateClient, ReplayClient
 from repro.server.nginx import NginxConfig, NginxQuicServer
-from repro.server.simulation import EventLoop
-from repro.server.wire import WireNginxServer
 
 __all__ = [
     "BenchmarkRow",
@@ -29,6 +26,4 @@ __all__ = [
     "ReplayClient",
     "NginxConfig",
     "NginxQuicServer",
-    "EventLoop",
-    "WireNginxServer",
 ]

@@ -54,11 +54,6 @@ class ReplayClient:
                 timestamp=start + i * spacing, flow_hash=self._flow_hashes[i]
             )
 
-    @property
-    def recorded_flow_count(self) -> int:
-        return len(self._flow_hashes)
-
-
 @dataclass
 class ProbeOutcome:
     """Result of one legitimate handshake attempt."""

@@ -180,7 +180,3 @@ class NginxQuicServer:
         if self.config.retry_enabled:
             return True  # retry path is stateless; the client retries
         return not worker.table_full
-
-    @property
-    def open_states(self) -> int:
-        return sum(len(w.slots) for w in self._workers)

@@ -384,7 +384,8 @@ class StreamAnalyzer:
                 (
                     "stream_report()",
                     "the StreamTelemetry snapshot (analyzer.telemetry)",
-                    "hourly_counters()"
+                    "the rolling hourly series (analyzer.state.hourly_requests, "
+                    ".hourly_responses)"
                     if mode == "bounded"
                     else "the sketch estimates (analyzer.sketch: count-min "
                     "packet/byte counts, space-saving heavy hitters, "
@@ -627,19 +628,6 @@ class StreamAnalyzer:
         if self.sketch is not None:
             return self.sketch.hourly_requests, self.sketch.hourly_responses
         return self.state.hourly_requests, self.state.hourly_responses
-
-    def hourly_counters(self) -> dict:
-        """Rolling hourly requests/responses (current window), newest
-        hours last."""
-        hourly_requests, hourly_responses = self._hourly_series()
-        hours = sorted(set(hourly_requests) | set(hourly_responses))
-        return {
-            hour: (
-                hourly_requests.get(hour, 0),
-                hourly_responses.get(hour, 0),
-            )
-            for hour in hours
-        }
 
     def status_line(self) -> str:
         """One-line monitor status for the periodic watch output."""

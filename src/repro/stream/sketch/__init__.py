@@ -18,11 +18,8 @@ with one-sided, quantified error:
   the per-packet update path behind ``StreamConfig(mode="sketch")``,
   firing Moore-threshold flood alerts off the space-saving lower bound.
 
-Every structure is seeded (deterministic across runs and processes),
-picklable, and merges deterministically — count-min rows add, HLL
-registers max, space-saving summaries union-and-truncate — so they
-compose with the source-sharded parallel pipeline the same way
-``PartialState`` does.  The exact mode is the ground truth:
+Every structure is seeded (deterministic across runs and processes)
+and picklable.  The exact mode is the ground truth:
 ``benchmarks/bench_sketch_accuracy.py`` measures alert precision/
 recall and count error against it across scenario seeds.
 """

@@ -14,12 +14,7 @@ weakening either guarantee.
 Memory is ``depth * width * 8`` bytes regardless of how many distinct
 keys pass through — the whole point of the sketch tier.
 
-Sketches with the same geometry **and the same seed** merge by
-element-wise addition, which is associative, commutative, and
-preserves the overestimate-only property (each addend already
-dominates its shard's true counts); :meth:`merge` refuses mismatched
-partners loudly.  Plain attributes keep instances picklable for the
-sharded pipeline and obs snapshots.
+Plain attributes keep instances picklable.
 """
 
 from __future__ import annotations
@@ -90,11 +85,6 @@ class CountMinSketch:
     # -- bounds and sizing -------------------------------------------------
 
     @property
-    def epsilon(self) -> float:
-        """Per-key overcount bound factor: error <= epsilon * total."""
-        return math.e / self.width
-
-    @property
     def delta(self) -> float:
         """Probability the epsilon bound fails for a given key."""
         return math.exp(-self.depth)
@@ -102,27 +92,6 @@ class CountMinSketch:
     def memory_bytes(self) -> int:
         """Actual bytes held by the tally rows — constant in key count."""
         return sum(sys.getsizeof(row) for row in self._rows)
-
-    # -- composition -------------------------------------------------------
-
-    def merge(self, other: "CountMinSketch") -> None:
-        """Element-wise add ``other`` into self (same geometry + seed)."""
-        if (self.width, self.depth, self.seed) != (
-            other.width,
-            other.depth,
-            other.seed,
-        ):
-            raise ValueError(
-                "count-min merge needs identical width/depth/seed: "
-                f"{(self.width, self.depth, self.seed)} vs "
-                f"{(other.width, other.depth, other.seed)}"
-            )
-        for mine, theirs in zip(self._rows, other._rows):
-            for index, value in enumerate(theirs):
-                if value:
-                    mine[index] += value
-        self.total += other.total
-        self.updates += other.updates
 
     # -- pickling (arrays carry their typecode, but keep the protocol
     # explicit so __slots__ classes round-trip on every pickle level) ------

@@ -9,10 +9,7 @@ telescope never exceeds).  The small-range linear-counting correction
 is applied below ``2.5 * m``; the 32-bit large-range correction is
 unnecessary because ranks come from a 64-bit hash.
 
-Merging is register-wise ``max`` — associative, commutative,
-idempotent — valid only across sketches built with the same precision
-*and* seed (same hash family), which :meth:`merge` enforces.  A
-``bytearray`` register file keeps instances picklable and exactly
+A ``bytearray`` register file keeps instances picklable and exactly
 ``m`` bytes big regardless of how many keys were added.
 """
 
@@ -75,29 +72,9 @@ class HyperLogLog:
             self._estimate = m * math.log(m / zeros) if zeros else raw
         return self._estimate
 
-    @property
-    def relative_error(self) -> float:
-        """The standard error of :meth:`estimate`: 1.04 / sqrt(m)."""
-        return 1.04 / math.sqrt(len(self._registers))
-
     def memory_bytes(self) -> int:
         """Bytes held by the register file — constant in key count."""
         return sys.getsizeof(self._registers)
-
-    def merge(self, other: "HyperLogLog") -> None:
-        """Register-wise max of ``other`` into self (same p + seed)."""
-        if (self.precision, self.seed) != (other.precision, other.seed):
-            raise ValueError(
-                "HLL merge needs identical precision/seed: "
-                f"{(self.precision, self.seed)} vs "
-                f"{(other.precision, other.seed)}"
-            )
-        mine = self._registers
-        for index, value in enumerate(other._registers):
-            if value > mine[index]:
-                mine[index] = value
-        self._estimate = None
-        self.updates += other.updates
 
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in self._PICKLED}

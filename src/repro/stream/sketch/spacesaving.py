@@ -12,12 +12,7 @@ exactly what the sketch tier needs to fire Moore-threshold flood
 alerts without false positives from sketch error.
 
 Eviction breaks count ties on the smaller key, so runs are
-deterministic regardless of dict iteration history.  Summaries with
-equal capacity merge by adding matched (count, error) pairs and
-keeping the top ``capacity`` survivors ordered by (count desc, key
-asc) — commutative always, associative whenever the combined key set
-fits (the sharded pipeline's per-source shards keep key sets disjoint,
-so worker merges are exact unions until capacity is hit).  Plain-dict
+deterministic regardless of dict iteration history.  Plain-dict
 state keeps instances picklable.
 """
 
@@ -85,14 +80,6 @@ class SpaceSaving:
             return 0
         return entry[0] - entry[1]
 
-    @property
-    def min_count(self) -> int:
-        """Smallest monitored count (0 until the table fills)."""
-        entries = self._entries
-        if len(entries) < self.capacity:
-            return 0
-        return min(entry[0] for entry in entries.values())
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -134,35 +121,6 @@ class SpaceSaving:
         return sys.getsizeof({}) + self.capacity * (
             per_entry + self._DICT_SLOT_BYTES
         )
-
-    # -- composition -------------------------------------------------------
-
-    def merge(self, other: "SpaceSaving") -> None:
-        """Combine ``other`` into self (equal capacities required)."""
-        if self.capacity != other.capacity:
-            raise ValueError(
-                "space-saving merge needs equal capacities: "
-                f"{self.capacity} vs {other.capacity}"
-            )
-        combined = {
-            key: list(entry) for key, entry in self._entries.items()
-        }
-        for key, entry in other._entries.items():
-            mine = combined.get(key)
-            if mine is None:
-                combined[key] = list(entry)
-            else:
-                mine[0] += entry[0]
-                mine[1] += entry[1]
-        if len(combined) > self.capacity:
-            ranked = sorted(
-                combined.items(), key=lambda item: (-item[1][0], item[0])
-            )
-            combined = dict(ranked[: self.capacity])
-            self.evictions += len(ranked) - self.capacity
-        self._entries = combined
-        self.total += other.total
-        self.evictions += other.evictions
 
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in self.__slots__}

@@ -381,93 +381,6 @@ class SketchTier:
         _M_DISTINCT.set(int(self.sources.estimate()), entity="source")
         _M_DISTINCT.set(int(self.victims.estimate()), entity="victim")
 
-    # -- composition -------------------------------------------------------
-
-    def _merge_tallies(self, other: "SketchTier") -> None:
-        """What both merges share — everything but the live episodes:
-        count-min rows add, HLL registers max, space-saving summaries
-        union, hourly buckets add."""
-        if (self.width, self.depth, self.capacity, self.precision, self.seed) != (
-            other.width,
-            other.depth,
-            other.capacity,
-            other.precision,
-            other.seed,
-        ):
-            raise ValueError("sketch tier merge needs identical sizing + seed")
-        self.packet_counts.merge(other.packet_counts)
-        self.byte_counts.merge(other.byte_counts)
-        self.sources.merge(other.sources)
-        self.victims.merge(other.victims)
-        for vector in VECTORS:
-            self.heavy[vector].merge(other.heavy[vector])
-        for mine, theirs in (
-            (self.hourly_requests, other.hourly_requests),
-            (self.hourly_responses, other.hourly_responses),
-        ):
-            for hour, count in theirs.items():
-                mine[hour] = mine.get(hour, 0) + count
-
-    def merge(self, other: "SketchTier") -> None:
-        """Fold a shard's tier into this one.
-
-        Valid under the parallel pipeline's source-IP sharding: key
-        sets are disjoint, so the tallies merge exactly (space-saving
-        until capacity) and live episodes transfer without collisions.
-        """
-        self._merge_tallies(other)
-        for vector in VECTORS:
-            mine = self._episodes[vector]
-            theirs = other._episodes[vector]
-            overlap = mine.keys() & theirs.keys()
-            if overlap:
-                raise ValueError(
-                    f"sketch tier merge with overlapping {vector} episode "
-                    f"sources: {sorted(overlap)[:3]}"
-                )
-            mine.update(theirs)
-
-    def merge_federated(self, other: "SketchTier") -> None:
-        """Fold a *destination-partitioned* vantage's tier into this one.
-
-        Telescope federation splits the stream by destination prefix,
-        so the same source/victim legitimately appears in several
-        tiers — the disjoint-source precondition of :meth:`merge` does
-        not hold.  The mergeable structures stay exact or
-        conservative: count-min rows add (the merged estimate is an
-        upper bound on the union count), HLL registers max (*exactly*
-        the union cardinality sketch), space-saving summaries
-        union-and-truncate, hourly buckets add (exact).  Live episodes
-        for the same victim are joined with the sessionizer gap rule —
-        span-union when the fragments overlap or sit within the
-        timeout, else the later fragment wins — an *approximation*
-        (episode packet counts are lower-bound deltas and cannot be
-        reconstructed across partitions), which is why federated
-        vantages ship their alert/ended event lists alongside the tier
-        and the aggregator dedups floods on those events, not on
-        episode state (see docs/FEDERATION.md).
-        """
-        self._merge_tallies(other)
-        for vector in VECTORS:
-            mine = self._episodes[vector]
-            for victim, episode in other._episodes[vector].items():
-                current = mine.get(victim)
-                if current is None:
-                    mine[victim] = episode
-                    continue
-                first, second = (
-                    (current, episode)
-                    if current.first_ts <= episode.first_ts
-                    else (episode, current)
-                )
-                if second.first_ts - first.last_ts <= self.timeout:
-                    first.last_ts = max(first.last_ts, second.last_ts)
-                    first.max_minute = max(first.max_minute, second.max_minute)
-                    first.alerted = first.alerted or second.alerted
-                    mine[victim] = first
-                else:
-                    mine[victim] = second
-
     def __getstate__(self):
         state = dict(self.__dict__)
         state["on_alert"] = None  # analyzer-bound callbacks don't travel

@@ -30,11 +30,12 @@ rather than assumed:
 Every model draws from :class:`~repro.util.rng.SeededRng` children
 derived from *labels*, never from shared mutable state, so
 ``records()`` is idempotent: the same model yields the same stream on
-every call, which is what lets the rich path, the generation fast lane,
-and re-built worker-process scenarios agree bit for bit.  All
-adversarial traffic is UDP, so ``packets()`` is a thin wrapper that
-boxes each gen record into a :class:`~repro.net.packet.CapturedPacket`
-— one generator, one draw path, zero twin-divergence risk.
+every call, which is what lets the tests' reference generator, the
+generation fast lane, and re-built worker-process scenarios agree bit
+for bit.  All adversarial traffic is UDP, so the reference
+(``tests/reference/generator.py``) merely boxes each gen record into a
+:class:`~repro.net.packet.CapturedPacket` — one generator, one draw
+path.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.udp import UdpHeader
 from repro.quic.crypto import derive_handshake_secret
 from repro.quic.frames import StreamFrame
 from repro.quic.h3 import H3Request
@@ -149,22 +147,6 @@ class _AdversarialModel:
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
         raise NotImplementedError
-
-    def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
-        """The record stream boxed as captured packets (same draws).
-
-        All adversarial traffic is UDP, so unlike the scanner/flood
-        models there is no separate rich generator to keep in lockstep:
-        this *is* the record stream.
-        """
-        for r in self.records(start, end):
-            yield CapturedPacket(
-                timestamp=r[0],
-                ip=IPv4Header(src=r[1], dst=r[2], proto=IPProto.UDP),
-                transport=UdpHeader(src_port=r[6], dst_port=r[7]),
-                payload=r[10],
-            )
-
 
 class OptimisticAckFloodModel(_AdversarialModel):
     """Optimistic-ACK amplification seen from the telescope.

@@ -73,11 +73,6 @@ class FloodEvent:
     def end(self) -> float:
         return self.start + self.duration
 
-    @property
-    def expected_requests(self) -> float:
-        return self.telescope_request_rate * self.duration
-
-
 @dataclass
 class AttackPlanConfig:
     """Event-level knobs; defaults follow the paper's statistics."""
@@ -396,57 +391,13 @@ class AttackTrafficModel:
     #: (keep-alives at +0.1 s, one PTO retransmission at +1 s).
     _TRAIN_SPAN = 1.5
 
-    def flood_packets(self, flood: FloodEvent) -> Iterator:
-        """Telescope packets for one flood, lazily, in time order.
-
-        Requests are generated in order; each spawns a short response
-        train, so a bounded reorder buffer suffices to emit a globally
-        sorted stream without materializing the flood.
-        """
-        rng = self.rng.child(
-            f"flood:{flood.vector}:{flood.victim_ip}:{flood.start:.3f}"
-        )
-        if flood.vector == QUIC:
-            responder = QuicVictimResponder(
-                flood.victim_ip, rng, self._policy_for(flood)
-            )
-        elif flood.vector == TCP:
-            responder = TcpVictimResponder(flood.victim_ip, rng)
-        else:
-            responder = IcmpVictimResponder(flood.victim_ip, rng)
-        pool = [
-            self.internet.random_telescope_address(rng)
-            for _ in range(flood.spoofed_pool_size)
-        ]
-        cfg = self.config
-        buffer: list = []
-        sequence = 0
-        t = flood.start
-        while True:
-            t += rng.expovariate(flood.telescope_request_rate)
-            if rng.random() < cfg.pulse_probability:
-                # attacker pulse: a sub-timeout silence inside the flood
-                t += min(
-                    rng.lognormvariate(math.log(cfg.pulse_median), cfg.pulse_sigma),
-                    cfg.pulse_max,
-                )
-            if t >= flood.end:
-                break
-            spoofed_ip = rng.choice(pool)
-            spoofed_port = rng.randint(1024, 65535)
-            for packet in responder.respond(t, spoofed_ip, spoofed_port):
-                heapq.heappush(buffer, (packet.timestamp, sequence, packet))
-                sequence += 1
-            while buffer and buffer[0][0] <= t - self._TRAIN_SPAN:
-                yield heapq.heappop(buffer)[2]
-        while buffer:
-            yield heapq.heappop(buffer)[2]
-
     def flood_records(self, flood: FloodEvent) -> Iterator:
-        """:meth:`flood_packets` as flat gen records (same draws).
+        """One flood's telescope records, lazily, in time order.
 
-        The responder's ``respond_records`` twin shares the draw path
-        with ``respond``, and the reorder buffer keys on the identical
+        Draw for draw the stream the tests' reference builds as packet
+        objects (``tests/reference/generator.py``): the responder's
+        ``respond_records`` shares its draw path with the reference
+        ``respond``, and the reorder buffer keys on the identical
         ``(timestamp, sequence)`` pairs, so the record stream is the
         packet stream minus the dataclasses.
 
@@ -454,7 +405,7 @@ class AttackTrafficModel:
         ``expovariate`` is ``-log(1 - random()) / rate`` and ``choice``
         / ``randint`` bottom out in ``_randbelow``'s rejection loop
         over ``getrandbits`` — consuming the generator identically to
-        the :class:`random.Random` methods the rich loop calls, while
+        the :class:`random.Random` methods the reference loop calls, while
         skipping two or three interpreter frames per draw.  TCP and
         ICMP floods additionally skip the reorder buffer entirely:
         their responders answer with exactly one record at the request
@@ -552,8 +503,8 @@ class AttackTrafficModel:
                     0, 0, 0, 32, _ICMP_RECORD_PAYLOAD, identifier, sequence,
                 )
             return
-        # QUIC: response trains extend past the request, so the bounded
-        # reorder buffer from flood_packets is still required.
+        # QUIC: response trains extend past the request, so a bounded
+        # reorder buffer is required.
         buffer: list = []
         sequence = 0
         respond = responder.respond_records
@@ -580,8 +531,3 @@ class AttackTrafficModel:
                 yield heappop(buffer)[2]
         while buffer:
             yield heappop(buffer)[2]
-
-    def packets(self, plan: AttackPlan) -> Iterator:
-        """Merged, time-sorted packet stream for every planned flood."""
-        streams = [self.flood_packets(flood) for flood in plan.all_floods]
-        return heapq.merge(*streams, key=lambda p: p.timestamp)

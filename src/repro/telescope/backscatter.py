@@ -22,11 +22,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.tcp import TcpFlags
 from repro.util.caching import template_cache_enabled
 from repro.util.rng import SeededRng
 from repro.quic import crypto, tls
@@ -294,27 +290,15 @@ class QuicVictimResponder:
         """SCIDs handed out so far under a 'source' policy."""
         return len(self._scid_cache)
 
-    def respond(
-        self, timestamp: float, spoofed_ip: int, spoofed_port: int
-    ) -> list:
-        """Packets sent to ``spoofed_ip`` in response to one Initial.
-
-        Returns :class:`~repro.net.packet.CapturedPacket` records in
-        time order.
-        """
-        return [
-            self._packet(timestamp + delay, spoofed_ip, spoofed_port, payload)
-            for delay, payload in self._response_schedule(spoofed_ip)
-        ]
-
     def respond_records(
         self, timestamp: float, spoofed_ip: int, spoofed_port: int
     ) -> list:
-        """:meth:`respond` as flat gen records (same draws, same bytes).
+        """The train sent to ``spoofed_ip`` in response to one Initial,
+        as flat gen records in time order.
 
-        The generation fast lane's twin: one ``(delay, payload)``
-        schedule feeds both methods, so the two differ only in the
-        container built around each datagram.
+        One ``(delay, payload)`` schedule feeds this and the tests'
+        reference ``respond`` (``tests/reference/generator.py``), so the
+        two differ only in the container built around each datagram.
         """
         victim = self.victim_ip
         return [
@@ -431,17 +415,6 @@ class QuicVictimResponder:
         )
         return packet.serialize()
 
-    def _packet(
-        self, timestamp: float, dst_ip: int, dst_port: int, payload: bytes
-    ) -> CapturedPacket:
-        return CapturedPacket(
-            timestamp=timestamp,
-            ip=IPv4Header(src=self.victim_ip, dst=dst_ip, proto=IPProto.UDP),
-            transport=UdpHeader(src_port=443, dst_port=dst_port),
-            payload=payload,
-        )
-
-
 class TcpVictimResponder:
     """SYN-ACK / RST backscatter from a spoofed TCP SYN flood."""
 
@@ -469,25 +442,10 @@ class TcpVictimResponder:
             ack = getrandbits(33)
         return flags, seq, ack
 
-    def respond(self, timestamp: float, spoofed_ip: int, spoofed_port: int) -> list:
-        flags, seq, ack = self._respond_fields()
-        packet = CapturedPacket(
-            timestamp=timestamp,
-            ip=IPv4Header(src=self.victim_ip, dst=spoofed_ip, proto=IPProto.TCP),
-            transport=TcpHeader(
-                src_port=self.service_port,
-                dst_port=spoofed_port,
-                seq=seq,
-                ack=ack,
-                flags=flags,
-            ),
-        )
-        return [packet]
-
     def respond_records(
         self, timestamp: float, spoofed_ip: int, spoofed_port: int
     ) -> list:
-        """:meth:`respond` as a flat 13-field gen record (same draws)."""
+        """The response to one request as a flat 13-field gen record."""
         flags, seq, ack = self._respond_fields()
         return [
             (
@@ -521,24 +479,10 @@ class IcmpVictimResponder:
         self.rng = rng.child(f"icmp-responder:{victim_ip}")
         self._sequence = 0
 
-    def respond(self, timestamp: float, spoofed_ip: int, _spoofed_port: int) -> list:
-        self._sequence = (self._sequence + 1) & 0xFFFF
-        packet = CapturedPacket(
-            timestamp=timestamp,
-            ip=IPv4Header(src=self.victim_ip, dst=spoofed_ip, proto=IPProto.ICMP),
-            transport=IcmpHeader(
-                IcmpType.ECHO_REPLY,
-                identifier=self.rng.randint(0, 0xFFFF),
-                sequence=self._sequence,
-            ),
-            payload=_ICMP_PAYLOAD,
-        )
-        return [packet]
-
     def respond_records(
         self, timestamp: float, spoofed_ip: int, _spoofed_port: int
     ) -> list:
-        """:meth:`respond` as a flat 13-field gen record (same draws).
+        """The response to one request as a flat 13-field gen record.
 
         f1/f2 carry the ICMP type/code (echo reply: 0/0), x1/x2 the
         identifier and sequence the wire needs.

@@ -3,10 +3,11 @@
 The mirror image of ``repro.core.batchlane``.  The batch lane made
 *analysis* fast by walking raw bytes instead of building header
 objects; this module makes *generation* fast the same way.  Traffic
-models emit flat tuples from ``records()`` — their ``packets()``
-twins, which build :class:`~repro.net.packet.CapturedPacket` objects
-out of header objects, are the tests' reference; production gets its
-packets by parsing the stamped bytes back (``Scenario.packets``) — and
+models emit flat tuples from ``records()`` — the generator building
+:class:`~repro.net.packet.CapturedPacket` objects out of header
+objects is the tests' reference (``tests/reference/generator.py``);
+production gets its packets by parsing the stamped bytes back
+(``Scenario.packets``) — and
 this module turns those tuples into wire bytes by stamping
 preallocated template buffers: bytearray copies of each distinct
 datagram with the mutable fields (addresses, ports, checksums, TCP
@@ -102,7 +103,7 @@ class WireStamper:
     output is byte-identical to ``CapturedPacket.to_bytes()`` for the
     headers the generators produce (TTL 64, no IP options, TCP window
     65535) — ``tests/test_genlane_equivalence.py`` pins whole-pcap
-    equality against the rich path.
+    equality against the reference generator.
     """
 
     def __init__(self) -> None:

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator
 
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.udp import UdpHeader
 from repro.util.rng import SeededRng
 from repro.internet.topology import InternetModel
 from repro.telescope.backscatter import QuicVictimResponder, ResponderPolicy
@@ -44,27 +41,8 @@ class MisconfigurationModel:
         prefix = self.rng.choice(system.prefixes)
         return prefix.address_at(self.rng.randint(1, prefix.size - 2))
 
-    def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
-        """All misconfiguration packets in [start, end), time-sorted."""
-        rate = self.sessions_per_day / 86400.0
-        sessions = []
-        t = start
-        while True:
-            t += self.rng.expovariate(rate)
-            if t >= end:
-                break
-            sessions.append(self._session(t))
-        merged = sorted(
-            (p for session in sessions for p in session), key=lambda p: p.timestamp
-        )
-        for packet in merged:
-            if start <= packet.timestamp < end:
-                yield packet
-
-    def _session(self, session_start: float) -> list:
-        return self._session_items(session_start, records=False)
-
-    def _session_items(self, session_start: float, records: bool) -> list:
+    def _session_items(self, session_start: float) -> list:
+        """One session's gen records, time-sorted."""
         source = self._pick_source()
         responder = QuicVictimResponder(
             source,
@@ -77,17 +55,16 @@ class MisconfigurationModel:
         requests = max(1, count // 3)
         dst = self.internet.random_telescope_address(self.rng)
         dst_port = self.rng.randint(1024, 65535)
-        respond = responder.respond_records if records else responder.respond
-        packets = []
+        records = []
         t = session_start
         for _ in range(requests):
-            packets.extend(respond(t, dst, dst_port))
+            records.extend(responder.respond_records(t, dst, dst_port))
             t += self.rng.expovariate(requests / max(self.mean_duration, 1.0))
-        packets.sort(key=(lambda r: r[0]) if records else (lambda p: p.timestamp))
-        return packets
+        records.sort(key=lambda r: r[0])
+        return records
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """``packets()`` as flat gen records (same draws, same order).
+        """All misconfiguration records in [start, end), time-sorted.
 
         Streams instead of sorting the whole window: session starts only
         increase and no record precedes its session's start, so whatever
@@ -108,7 +85,7 @@ class MisconfigurationModel:
                     yield record
             if last:
                 return
-            for record in self._session_items(t, records=True):
+            for record in self._session_items(t):
                 heappush(pending, (record[0], sequence, record))
                 sequence += 1
 
@@ -128,36 +105,11 @@ class StrayUdpModel:
     def __post_init__(self) -> None:
         self.rng = self.rng.child("stray-udp")
 
-    def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
-        rate = self.packets_per_day / 86400.0
-        t = start
-        while True:
-            t += self.rng.expovariate(rate)
-            if t >= end:
-                break
-            to_port_443 = self.rng.random() < 0.5
-            # DTLS 1.2 ClientHello-ish or plain garbage — either way it
-            # must fail QUIC dissection.
-            if self.rng.random() < 0.5:
-                payload = b"\x16\xfe\xfd" + self.rng.randbytes(45)
-            else:
-                payload = self.rng.randbytes(self.rng.randint(1, 25))
-            source = self.internet.random_unrouted_address()
-            dst = self.internet.random_telescope_address(self.rng)
-            yield CapturedPacket(
-                timestamp=t,
-                ip=IPv4Header(src=source, dst=dst, proto=IPProto.UDP),
-                transport=UdpHeader(
-                    src_port=443 if not to_port_443 else self.rng.randint(1024, 65535),
-                    dst_port=443 if to_port_443 else self.rng.randint(1024, 65535),
-                ),
-                payload=payload,
-            )
-
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """``packets()`` as flat gen records (same draws, same order).
+        """Stray UDP/443 records in [start, end), in time order.
 
-        Note the ``random_unrouted_address()`` call draws from the
+        DTLS 1.2 ClientHello-ish or plain garbage — either way it must
+        fail QUIC dissection.  Note the ``random_unrouted_address()`` call draws from the
         *shared* topology RNG — this stream must therefore stay a single
         generation unit (see ``telescope/parallel.py``), which keeps
         sharded generation bit-identical.

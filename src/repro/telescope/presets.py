@@ -5,9 +5,9 @@ Sizing presets (window/scale knobs for the default workload):
 - :func:`demo` — minutes-scale, for examples and interactive use;
 - :func:`bench_day` — the benchmark suite's default (one day);
 - :func:`paper_month` — the full April 2021 window at the paper's event
-  rates.  At the default sweep sampling this generates on the order of
-  30M packets; expect a multi-hour pure-Python run — it exists so the
-  full-scale numbers are *reproducible*, not quick.
+  rates.  At the default 1/64 sweep sampling this is ≈ 29M packets; it
+  exists so the full-scale numbers are *reproducible* (ROADMAP item 1
+  makes it a benchmark workload).
 
 All presets accept keyword overrides that are applied on top.
 
@@ -53,9 +53,11 @@ def paper_month(**overrides) -> ScenarioConfig:
 
     Event counts then land at paper scale: ~2900 QUIC floods, ~390
     victims, two research scanners sweeping twice a day.  Research
-    sweeps stay sampled at 1/64 (8.4M -> 131k packets per sweep); set
-    ``research_sample=1.0`` only if you intend to generate the full
-    92M-packet month.
+    sweeps stay sampled at 1/64 (8.4M -> 131k packets per sweep,
+    524,288 research records a day): ≈ 29M packets for the month.
+    ``research_sample=1.0`` is ≈ 33.5M research packets a day, ≈ 1.0B
+    for the month — not the paper's 92M-packet April, which corresponds
+    to a sample of ≈ 1/13.
     """
     config = ScenarioConfig(
         start=APRIL_1_2021,

@@ -27,9 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.udp import UdpHeader
 from repro.util.rng import SeededRng
 from repro.quic import tls
 from repro.quic.crypto import derive_initial_keys
@@ -175,42 +172,14 @@ class ResearchScannerModel:
         """Multiply sampled packet counts by this for full-scale numbers."""
         return 1.0 / self.sample
 
-    def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
-        """Probe packets within [start, end), in time order."""
-        telescope = self.internet.telescope_net
-        probes_per_sweep = max(1, int(telescope.size * self.sample))
-        stride = max(1, telescope.size // probes_per_sweep)
-        sweep_start = start + self.phase
-        while sweep_start < end:
-            spacing = self.sweep_duration / probes_per_sweep
-            offset = self.rng.randint(0, stride - 1)
-            for i in range(probes_per_sweep):
-                timestamp = sweep_start + i * spacing
-                if timestamp >= end:
-                    break
-                if timestamp < start:
-                    continue
-                dst = telescope.address_at((offset + i * stride) % telescope.size)
-                yield CapturedPacket(
-                    timestamp=timestamp,
-                    ip=IPv4Header(
-                        src=self.scanner.address, dst=dst, proto=IPProto.UDP
-                    ),
-                    transport=UdpHeader(
-                        src_port=40000 + (i % 20000), dst_port=443
-                    ),
-                    payload=self._pool.next_probe(),
-                )
-            sweep_start += self.sweep_interval
-
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """``packets()`` as flat gen records (same draws, same order).
+        """Probe records within [start, end), in time order.
 
-        The generation fast lane's twin of :meth:`packets`: identical
-        RNG consumption, identical timestamps/addresses/payloads, but
-        flat tuples (see ``telescope/genlane.py``) instead of header
-        dataclasses.  ``tests/test_genlane_equivalence.py`` pins the
-        equivalence for the whole scenario.
+        Flat gen-record tuples (see ``telescope/genlane.py``); the
+        tests' reference (``tests/reference/generator.py``) makes the
+        identical draws into header dataclasses, and
+        ``tests/test_genlane_equivalence.py`` pins the equivalence for
+        the whole scenario.
         """
         telescope = self.internet.telescope_net
         probes_per_sweep = max(1, int(telescope.size * self.sample))
@@ -287,31 +256,9 @@ class BotScannerModel:
                 starts.append((t, self.rng.choice(bots)))
         return starts
 
-    def session_packets(self, session_start: float, bot: BotHost) -> list:
-        """One scan session: a burst of Initials to random darknet addresses."""
-        count = max(1, int(self.rng.expovariate(1.0 / self.mean_packets_per_session)) + 1)
-        src_port = self.rng.randint(1024, 65535)
-        legacy = self.rng.random() < self.gquic_fraction
-        legacy_payload = gquic_probe(self.rng) if legacy else None
-        packets = []
-        t = session_start
-        for _ in range(count):
-            dst = self.internet.random_telescope_address(self.rng)
-            packets.append(
-                CapturedPacket(
-                    timestamp=t,
-                    ip=IPv4Header(src=bot.address, dst=dst, proto=IPProto.UDP),
-                    transport=UdpHeader(src_port=src_port, dst_port=443),
-                    payload=legacy_payload if legacy else self._pool.next_probe(),
-                )
-            )
-            t += self.rng.expovariate(1.0 / self.mean_inter_packet_gap)
-            if self.rng.random() < self.pause_probability:
-                t += self.rng.uniform(45.0, self.pause_max)
-        return packets
-
     def session_records(self, session_start: float, bot: BotHost) -> list:
-        """:meth:`session_packets` as flat gen records (same draws)."""
+        """One scan session: a burst of Initials to random darknet
+        addresses, as flat gen records."""
         rng = self.rng
         count = max(1, int(rng.expovariate(1.0 / self.mean_packets_per_session)) + 1)
         src_port = rng.randint(1024, 65535)
@@ -332,20 +279,8 @@ class BotScannerModel:
                 t += rng.uniform(45.0, self.pause_max)
         return records
 
-    def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
-        """All bot scan packets in [start, end), time-sorted."""
-        sessions = []
-        for session_start, bot in self.session_starts(start, end):
-            sessions.append(self.session_packets(session_start, bot))
-        merged = sorted(
-            (p for session in sessions for p in session), key=lambda p: p.timestamp
-        )
-        for packet in merged:
-            if start <= packet.timestamp < end:
-                yield packet
-
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """``packets()`` as flat gen records (same draws, same order)."""
+        """All bot scan records in [start, end), time-sorted."""
         sessions = []
         for session_start, bot in self.session_starts(start, end):
             sessions.append(self.session_records(session_start, bot))
@@ -379,51 +314,8 @@ class TcpScannerModel:
         if self.diurnal is None:
             self.diurnal = DiurnalModel()
 
-    def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
-        from repro.net.tcp import TcpFlags, TcpHeader
-
-        peak = self.diurnal.peak_rate_factor()
-        rate = self.sessions_per_day / 86400.0 * peak
-        bots = self.internet.bot_hosts
-        if not bots:
-            return
-        sessions = []
-        t = start
-        while True:
-            t += self.rng.expovariate(rate)
-            if t >= end:
-                break
-            if self.rng.random() >= self.diurnal.factor(t) / peak:
-                continue
-            bot = self.rng.choice(bots)
-            port = self.rng.choice(self.target_ports)
-            count = max(1, int(self.rng.expovariate(1.0 / self.mean_packets_per_session)) + 1)
-            src_port = self.rng.randint(1024, 65535)
-            session = []
-            ts = t
-            for _ in range(count):
-                dst = self.internet.random_telescope_address(self.rng)
-                session.append(
-                    CapturedPacket(
-                        timestamp=ts,
-                        ip=IPv4Header(src=bot.address, dst=dst, proto=IPProto.TCP),
-                        transport=TcpHeader(
-                            src_port=src_port,
-                            dst_port=port,
-                            seq=self.rng.randint(0, 2**32 - 1),
-                            flags=TcpFlags.SYN,
-                        ),
-                    )
-                )
-                ts += self.rng.expovariate(0.8)
-            sessions.append(session)
-        merged = sorted((p for s in sessions for p in s), key=lambda p: p.timestamp)
-        for packet in merged:
-            if start <= packet.timestamp < end:
-                yield packet
-
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """``packets()`` as flat gen records (same draws, same order).
+        """All TCP scan records in [start, end), time-sorted.
 
         TCP gen records are 13-tuples: the lane's 11 fields (f3 carries
         the flags) plus the wire-only seq/ack numbers.

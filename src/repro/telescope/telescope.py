@@ -9,7 +9,6 @@ pipeline shape as the UCSD telescope feeding the paper's toolchain.
 
 from __future__ import annotations
 
-import heapq
 import operator
 import time
 from bisect import bisect_left, insort
@@ -169,8 +168,3 @@ def merge_chunks(units: Sequence[tuple], window: float) -> Iterator[list]:
         if chunk:
             chunk.sort(key=first)
             yield chunk
-
-
-def merge_streams(*streams: Iterable[CapturedPacket]) -> Iterator[CapturedPacket]:
-    """Merge per-source time-sorted packet streams into one tap feed."""
-    return heapq.merge(*streams, key=lambda p: p.timestamp)

@@ -32,7 +32,7 @@ from repro.telescope.attacks import (
 )
 from repro.telescope.noise import MisconfigurationModel, StrayUdpModel
 from repro.telescope.scanners import BotScannerModel, ResearchScannerModel, TcpScannerModel
-from repro.telescope.telescope import Telescope, merge_chunks, merge_streams
+from repro.telescope.telescope import Telescope, merge_chunks
 
 #: simulated seconds sorted per step of the serial record merge
 _MERGE_WINDOW = 300.0
@@ -193,37 +193,14 @@ class Scenario:
             for timestamp, wire in wire_items(self.records(workers))
         )
 
-    def rich_packets(self) -> Iterator[CapturedPacket]:
-        """The reference generator: the same capture assembled from
-        header objects, one ``model.packets()`` twin per traffic model.
-
-        The tests' oracle for :meth:`records` (same seeds, same draws,
-        same order) — nothing under ``src/repro`` calls it.
-        """
-        start, end = self.config.start, self.config.end
-        streams = []
-        if self.config.include_research:
-            streams.extend(model.packets(start, end) for model in self._research)
-        if self.config.include_bots:
-            streams.append(self._bots.packets(start, end))
-        if self.config.include_tcp_scans:
-            streams.append(self._tcp_scans.packets(start, end))
-        if self.config.include_attacks:
-            streams.append(self._attack_traffic.packets(self.plan))
-        if self.config.include_misconfig:
-            streams.append(self._misconfig.packets(start, end))
-        if self.config.include_stray:
-            streams.append(self._stray.packets(start, end))
-        streams.extend(model.packets(start, end) for model in self.adversarial)
-        return self.telescope.capture(merge_streams(*streams))
-
     def record_units(self) -> list:
         """Per-actor gen-record iterators, one per *generation unit*.
 
-        The unit order is load-bearing: the serial rich path is a merge
-        of per-source streams (with the attack stream itself a merge of
-        per-flood streams), and ``heapq.merge`` breaks timestamp ties
-        toward the earlier iterator.  Flattening that nested merge into
+        The unit order is load-bearing: the tests' reference generator
+        (``tests/reference/generator.py``) is a merge of per-source
+        streams (with the attack stream itself a merge of per-flood
+        streams), and ``heapq.merge`` breaks timestamp ties toward the
+        earlier iterator.  Flattening that nested merge into
         one merge over these units — research sweeps, bots, TCP scans,
         each flood in plan order, misconfig, stray, then each
         adversarial source in spec order — preserves the
@@ -231,8 +208,8 @@ class Scenario:
         per-window stable sort fills each window in this order, see
         :func:`~repro.telescope.telescope.merge_chunks`) and the
         sharded ``telescope/parallel.py`` path (which merges by
-        ``(timestamp, unit index)``) reproduce ``rich_packets()`` order
-        bit for bit.
+        ``(timestamp, unit index)``) reproduce the reference's order bit
+        for bit.
         """
         return [unit for _start, unit in self._timed_units()]
 
@@ -280,9 +257,9 @@ class Scenario:
     def records(self, workers: int = 1) -> Iterator[tuple]:
         """The capture as flat gen records — the generation fast lane.
 
-        Same packets as :meth:`rich_packets` (same seeds, same draws,
-        same order), emitted as ``genlane`` record tuples instead of
-        :class:`CapturedPacket` objects: the flat view over
+        Same packets as the tests' reference generator (same seeds, same
+        draws, same order), emitted as ``genlane`` record tuples instead
+        of :class:`CapturedPacket` objects: the flat view over
         :meth:`_captured_chunks`, whose ``workers > 1`` form reproduces
         the identical serial order.
         """

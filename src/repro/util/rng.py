@@ -80,9 +80,6 @@ class SeededRng:
 
     # -- remaining delegating helpers --------------------------------------
 
-    def choices(self, seq: Sequence[T], weights: Sequence[float], k: int = 1) -> list[T]:
-        return self._random.choices(seq, weights=weights, k=k)
-
     def randbytes(self, n: int) -> bytes:
         return self._random.getrandbits(8 * n).to_bytes(n, "big") if n else b""
 

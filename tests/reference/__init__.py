@@ -1,0 +1,23 @@
+"""Code only tests drive, kept out of ``src/repro``.
+
+Everything here was written as part of ``repro`` and moved out of the
+package textually unchanged once nothing a user can run reached it
+(``tests/test_reachability.py`` is the rule).  References and harnesses:
+
+- :mod:`tests.reference.generator` — the rich packet generator, the
+  oracle ``Scenario.records()`` is compared against;
+- :mod:`tests.reference.wire` — the wire-level NGINX worker pool, the
+  server DES's ground truth;
+- :mod:`tests.reference.transport` — the lossy-link handshake harness.
+
+Parked, with the unit tests that are their only callers — delete each
+with its tests, or move it back when a command needs it:
+
+- :mod:`tests.reference.sketch_merge` — the sketch merges (wanted by
+  sketch-only federation, ROADMAP *Parked*);
+- :mod:`tests.reference.bursts` — the EWMA burst pre-screen;
+- :mod:`tests.reference.simulation` — the discrete-event loop.
+
+The rich *walker* is driven from ``tests/oracle.py`` but still lives in
+``src/repro`` (``benchmarks/e2e`` times it).
+"""

@@ -16,8 +16,8 @@ This module closes the loop for *individual* connections:
   with exponential backoff (RFC 9002 §6.2) until the handshake
   completes or the attempt times out.
 
-Used by tests to show handshakes survive heavy loss, and available to
-applications that want realistic end-to-end behaviour.
+Used by tests to show handshakes survive heavy loss; no command,
+example or bench drives it, so it lives with the tests.
 """
 
 from __future__ import annotations

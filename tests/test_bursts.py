@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import AnalysisConfig, QuicsandPipeline
-from repro.core.bursts import Burst, BurstDetector, burstiness, detect_bursts
+from tests.reference.bursts import Burst, BurstDetector, burstiness, detect_bursts
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.timeutil import HOUR
 

@@ -260,12 +260,17 @@ def test_timeout_sweep_exclude_keeps_sorted_incremental():
         for gap in gaps:
             t += gap
             sweep.observe(source, t)
-    assert sweep._sorted_gaps() == [30.0, 30.0, 45.0, 120.0, 600.0]
+
+    def sorted_gaps():
+        sweep.sessions_at(0.0)  # any query folds pending gaps in
+        return list(sweep._sorted)
+
+    assert sorted_gaps() == [30.0, 30.0, 45.0, 120.0, 600.0]
     sweep.exclude_sources({2})
-    assert sweep._sorted_gaps() == [30.0, 45.0, 120.0]
+    assert sorted_gaps() == [30.0, 45.0, 120.0]
     assert sweep.sessions_at(60) == 3  # sources 1,3 + the 120 s gap
     sweep.exclude_sources({2})  # no-op repeat
-    assert sweep._sorted_gaps() == [30.0, 45.0, 120.0]
+    assert sorted_gaps() == [30.0, 45.0, 120.0]
 
 
 def test_timeout_sweep_merge_disjoint_sources():

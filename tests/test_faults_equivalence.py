@@ -24,6 +24,7 @@ from repro.stream import StreamAnalyzer
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.batching import batched
 from repro.util.timeutil import HOUR
+from tests.reference.generator import rich_packets
 
 FAULT_SPEC = FaultSpec(
     bitflip=0.03,
@@ -182,7 +183,7 @@ def test_faulted_length_does_not_depend_on_packet_source():
     spec = FaultSpec.parse("truncate=0.2,zero=0.1")
     config = ScenarioConfig(seed=11, duration=HOUR / 2, research_sample=1 / 2048)
     sources = {
-        "rich": list(Scenario(config).rich_packets()),
+        "rich": list(rich_packets(Scenario(config))),
         "view": list(Scenario(config).packets()),
     }
     faulted = {

@@ -52,15 +52,17 @@ def test_federate_report_out_and_sketch(tmp_path):
             *FAST,
             "--vantages",
             "2",
-            "--sketch",
             "--report-out",
             str(report_path),
         ]
     )
     assert code == 0
-    assert "(sketch)" in out
+    assert "vantages                2: vantage-0, vantage-1" in out
     text = report_path.read_text()
     assert "Federation overview" in text
+    # sketch-mode federation is gone: the flag is a usage error
+    code, _out = run_cli(["federate", *FAST, "--sketch"])
+    assert code == 2
 
 
 def test_federate_rejects_bad_endpoints():
@@ -133,7 +135,7 @@ def test_federate_socket_roles():
     assert agg_code == [0]
     text = agg_out.getvalue()
     assert "Federation overview" in text
-    assert "solo (exact)" in text
+    assert "vantages                1: solo" in text
 
 
 @pytest.fixture

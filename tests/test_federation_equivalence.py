@@ -4,13 +4,13 @@ The acceptance pin of :mod:`repro.federate`: K vantages tiling the /9
 by destination prefix, each running the full per-packet phase locally
 and shipping state over the file-spool transport, must merge into a
 :class:`PipelineResult` — and a rendered report — **byte-identical**
-to a single telescope analyzing the whole prefix.  Exact and sketch
-vantage modes both pin (sketch vantages ship exact state alongside
-the tier).  Damage to interim spool frames must be counted, skipped,
-and must not perturb the merged result.
+to a single telescope analyzing the whole prefix.  Damage to interim
+spool frames must be counted, skipped, reported against each vantage's
+``bye`` manifest, and must not perturb the merged result.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -27,7 +27,7 @@ from repro.federate import (
     merge_federated_states,
     tile_prefixes,
 )
-from repro.federate.protocol import BYE, FINAL_STATE, HELLO, SKETCH
+from repro.federate.protocol import BYE, FINAL_STATE, HELLO, MAGIC, FrameDecoder
 from repro.net.addresses import IPv4Network
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.rng import SeededRng
@@ -67,7 +67,7 @@ def baseline(shared_packets):
     return result, report
 
 
-def run_federation(spool_dir, shared_packets, vantages, mode):
+def run_federation(spool_dir, shared_packets, vantages):
     """Spool K vantage streams and aggregate them."""
     tiles = tile_prefixes("44.0.0.0/9", vantages)
     for index, tile in enumerate(tiles):
@@ -75,7 +75,6 @@ def run_federation(spool_dir, shared_packets, vantages, mode):
             VantageConfig(
                 name=f"v{index}",
                 prefix=str(tile),
-                mode=mode,
                 snapshot_every=1800.0,
                 scenario=ScenarioConfig(**SCENARIO_KW),
                 analysis=AnalysisConfig(),
@@ -89,6 +88,11 @@ def run_federation(spool_dir, shared_packets, vantages, mode):
     )
     aggregator.consume_spool(str(spool_dir))
     return aggregator, aggregator.federate(), s
+
+
+def decoded_frames(data: bytes) -> int:
+    decoder = FrameDecoder()
+    return sum(1 for _frame in decoder.feed(data))
 
 
 def assert_identical(reference, other, weight, label):
@@ -110,7 +114,7 @@ def assert_identical(reference, other, weight, label):
 def test_partition_equivalence_exact(tmp_path, shared_packets, baseline, vantages):
     """K exact vantages over the spool reproduce the single telescope."""
     reference, reference_report = baseline
-    _agg, fed, s = run_federation(tmp_path, shared_packets, vantages, "exact")
+    _agg, fed, s = run_federation(tmp_path, shared_packets, vantages)
     assert_identical(
         reference, fed.global_result, s.truth.research_weight, f"exact-k{vantages}"
     )
@@ -120,57 +124,9 @@ def test_partition_equivalence_exact(tmp_path, shared_packets, baseline, vantage
     )
 
 
-@pytest.mark.parametrize("vantages", [1, 3])
-def test_partition_equivalence_sketch(tmp_path, shared_packets, baseline, vantages):
-    """Sketch vantages ship exact state too: global result still pins."""
-    reference, reference_report = baseline
-    _agg, fed, s = run_federation(tmp_path, shared_packets, vantages, "sketch")
-    assert_identical(
-        reference, fed.global_result, s.truth.research_weight, f"sketch-k{vantages}"
-    )
-    assert (
-        build_report(fed.global_result, research_weight=s.truth.research_weight)
-        == reference_report
-    )
-    for stream in fed.streams:
-        assert stream.mode == "sketch"
-        assert stream.sketch is not None
-        assert stream.sketch["tier"].packet_counts.width > 0
-
-
-def test_sketch_vantage_classifies_each_packet_once(shared_packets):
-    """A sketch vantage feeds two sinks from one classification pass:
-    its classifier tallies (memo hits and misses, class counts) are the
-    exact vantage's, not double."""
-
-    class Discard:
-        def send(self, frame_bytes):
-            pass
-
-    states = {
-        mode: Vantage(
-            VantageConfig(
-                name=mode,
-                mode=mode,
-                scenario=ScenarioConfig(**SCENARIO_KW),
-                analysis=AnalysisConfig(),
-            )
-        ).run(Discard(), packets=shared_packets)
-        for mode in ("exact", "sketch")
-    }
-    exact, sketch = states["exact"], states["sketch"]
-    assert exact.cache_hits > 0
-    assert (sketch.cache_hits, sketch.cache_misses) == (
-        exact.cache_hits,
-        exact.cache_misses,
-    )
-    assert sketch.class_counts == exact.class_counts
-    assert sum(sketch.class_counts.values()) == sketch.total_packets
-
-
 def test_cross_telescope_dedup(tmp_path, shared_packets, baseline):
     """The same flood seen from several tiles collapses to one."""
-    _agg, fed, _s = run_federation(tmp_path, shared_packets, 2, "exact")
+    _agg, fed, _s = run_federation(tmp_path, shared_packets, 2)
     assert fed.dedup_hits > 0
     sightings = sum(len(flood.vantages) for flood in fed.global_floods)
     assert sightings == len(fed.global_floods) + fed.dedup_hits
@@ -185,9 +141,10 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, shared_packets, basel
     """Fault-injected spool damage: counted, skipped, result unchanged.
 
     Interim ``state`` frames absorb all the damage (the load-bearing
-    hello/final-state/sketch/bye frames are spared), so the federation
-    must still produce the bit-exact global report while reporting a
-    nonzero corrupt count.
+    hello/final-state/bye frames are spared), so the federation must
+    still produce the bit-exact global report while reporting a nonzero
+    corrupt count — and, per vantage, how many of the frames its ``bye``
+    manifest announced never decoded.
     """
     reference, reference_report = baseline
     tiles = tile_prefixes("44.0.0.0/9", 2)
@@ -196,7 +153,6 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, shared_packets, basel
             VantageConfig(
                 name=f"v{index}",
                 prefix=str(tile),
-                mode="exact",
                 snapshot_every=600.0,  # many interim frames to damage
                 scenario=ScenarioConfig(**SCENARIO_KW),
                 analysis=AnalysisConfig(),
@@ -205,15 +161,18 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, shared_packets, basel
         with SpoolWriter(str(tmp_path), f"v{index}") as writer:
             vantage.run(writer, packets=shared_packets)
     damaged_total = 0
+    lost = {}
     for path in tmp_path.glob("*.qsf"):
+        undamaged = decoded_frames(path.read_bytes())
         damaged, n = corrupt_frame_bytes(
             path.read_bytes(),
             SeededRng(5, path.name),
             rate=1.0,
-            spare_kinds=(HELLO, FINAL_STATE, SKETCH, BYE),
+            spare_kinds=(HELLO, FINAL_STATE, BYE),
         )
         path.write_bytes(damaged)
         damaged_total += n
+        lost[path.stem] = undamaged - decoded_frames(damaged)
     assert damaged_total > 0, "need interim frames to damage"
     s = scenario()
     aggregator = Aggregator(
@@ -229,13 +188,54 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, shared_packets, basel
         build_report(fed.global_result, research_weight=s.truth.research_weight)
         == reference_report
     )
+    assert all(lost.values()) and sum(lost.values()) == damaged_total
+    assert {
+        name: check["frames_lost"] for name, check in fed.manifests.items()
+    } == lost
+    assert not any(check["packets_missing"] for check in fed.manifests.values())
     report = aggregator.report(fed)
     assert f"corrupt frames skipped  {damaged_total}" in report
+    row = ", ".join(f"{name}: {count}" for name, count in sorted(lost.items()))
+    assert f"frames lost             {row}" in report
+    assert "no manifest" not in report
+
+
+def test_stream_without_bye_reports_no_manifest(tmp_path, shared_packets):
+    """A stream that ends before its ``bye`` (a vantage killed after the
+    final state went out) still federates, flagged ``no manifest``; the
+    complete stream beside it shows no manifest row at all."""
+    run_federation(tmp_path, shared_packets, 2)
+    path = tmp_path / "v1.qsf"
+    whole = path.read_bytes()
+    path.write_bytes(whole[: whole.rindex(MAGIC)])  # the bye is the last frame
+    s = scenario()
+    aggregator = Aggregator(make_pipeline(s), research_weight=s.truth.research_weight)
+    aggregator.consume_spool(str(tmp_path))
+    fed = aggregator.federate()
+    assert fed.corrupt_frames == 0
+    assert fed.manifests["v1"] is None
+    assert fed.manifests["v0"] == {"frames_lost": 0, "packets_missing": 0}
+    report = aggregator.report(fed)
+    assert "no manifest             v1" in report
+    assert "frames lost" not in report
+
+
+def test_federate_rehydrates_each_state_twice(tmp_path, shared_packets):
+    """One copy of each vantage state for the global merge, one for its
+    own finalization — the extrapolation check reads the results."""
+    from repro.core.pipeline import PartialState
+
+    aggregator, _fed, _s = run_federation(tmp_path, shared_packets, 3)
+    with mock.patch.object(
+        PartialState, "from_snapshot_bytes", wraps=PartialState.from_snapshot_bytes
+    ) as rehydrate:
+        aggregator.federate()
+    assert rehydrate.call_count == 2 * 3
 
 
 def test_extrapolation_check_rows(tmp_path, shared_packets, baseline):
     reference, _ = baseline
-    _agg, fed, _s = run_federation(tmp_path, shared_packets, 2, "exact")
+    _agg, fed, _s = run_federation(tmp_path, shared_packets, 2)
     assert set(fed.extrapolation) == {"v0", "v1"}
     for check in fed.extrapolation.values():
         assert check["share"] == 0.5

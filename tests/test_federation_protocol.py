@@ -8,7 +8,9 @@ recoverable corruption costs exactly one ``corrupt_frames`` tick.
 """
 
 import socket
+import struct
 import threading
+import zlib
 
 import pytest
 
@@ -27,7 +29,6 @@ from repro.federate.protocol import (
     FrameDecoder,
     ProtocolError,
     bye_frame,
-    decode_frames,
     encode_frame,
     hello_frame,
     pickle_frame,
@@ -43,9 +44,17 @@ from repro.federate.transport import (
 from repro.util.rng import SeededRng
 
 
+def decode_frames(data: bytes) -> tuple:
+    """Decode a complete byte string; returns (frames, corrupt count)."""
+    decoder = FrameDecoder()
+    frames = list(decoder.feed(data))
+    decoder.finish()
+    return frames, decoder.corrupt_frames
+
+
 def sample_frames():
     return [
-        hello_frame("v0", "44.0.0.0/10", "exact", 0),
+        hello_frame("v0", "44.0.0.0/10", 0),
         encode_frame(STATE, b"interim" * 40, 1),
         pickle_frame(FINAL_STATE, {"total": 123}, 2),
         bye_frame(3, 123, 3),
@@ -71,7 +80,6 @@ def test_roundtrip_stream_and_json_payloads():
         "schema": SCHEMA_VERSION,
         "vantage": "v0",
         "prefix": "44.0.0.0/10",
-        "mode": "exact",
     }
     assert frames[2].unpickle() == {"total": 123}
     assert frames[3].json() == {"frames": 3, "packets": 123}
@@ -80,6 +88,30 @@ def test_roundtrip_stream_and_json_payloads():
 def test_encode_rejects_unknown_kind():
     with pytest.raises(ProtocolError):
         encode_frame("no-such-kind", b"")
+    with pytest.raises(ProtocolError):
+        encode_frame("sketch", b"")  # retired with its code
+
+
+def test_kind_codes_are_the_spool_format():
+    """The code byte of a kind never changes — kept spools stay readable
+    — and 4, the retired ``sketch`` frame, is not reassigned."""
+    codes = {kind: encode_frame(kind, b"")[5] for kind in FRAME_KINDS}
+    assert codes == {"hello": 1, "state": 2, "final-state": 3, "obs": 5, "bye": 6}
+
+
+def test_retired_code_4_frame_is_skipped_as_damage():
+    """A spool written when vantages still shipped ``sketch`` frames:
+    the code-4 frame costs one ``corrupt_frames`` tick, the rest of the
+    stream — its ``final-state`` included — decodes."""
+    hello, state, final, bye = sample_frames()
+    payload = b"a pickled tier"
+    retired = struct.pack(
+        ">4sBBIQI", MAGIC, PROTOCOL_VERSION, 4, 3, len(payload), zlib.crc32(payload)
+    ) + payload
+    frames, corrupt = decode_frames(hello + state + final + retired + bye)
+    assert corrupt == 1
+    assert [f.kind for f in frames] == [HELLO, STATE, FINAL_STATE, BYE]
+    assert frames[2].unpickle() == {"total": 123}
 
 
 def test_byte_at_a_time_chunking():

@@ -7,7 +7,8 @@ mirroring ``tests/test_lane_equivalence.py`` for the analysis lane:
 - the wire bytes stamped from mutable templates
   (``write_records(wire_items(scenario.records()))``) produce a pcap
   byte-identical to the rich per-packet object path
-  (``capture_to_pcap(scenario.rich_packets())``);
+  (``capture_to_pcap(rich_packets(scenario))``,
+  ``tests/reference/generator.py``);
 - sharded parallel generation (``records(workers=1..4)``, worker
   processes merged by timestamp) is bit-identical to serial;
 - the fused generate→analyze path
@@ -24,6 +25,7 @@ from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.genlane import wire_items
 from repro.util.timeutil import HOUR
 from tests.oracle import assert_identical, make_pipeline, rich_result
+from tests.reference.generator import rich_packets
 
 SCENARIO_KW = dict(seed=11, duration=HOUR, research_sample=1 / 2048)
 
@@ -37,7 +39,7 @@ def scenario():
 def rich_pcap_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("genlane") / "rich.pcap"
     s = scenario()
-    count = s.telescope.capture_to_pcap(s.rich_packets(), path)
+    count = s.telescope.capture_to_pcap(rich_packets(s), path)
     assert count > 0
     return path.read_bytes()
 
@@ -73,7 +75,7 @@ def test_fused_record_path_matches_rich_pipeline():
     """generate→analyze without packets or wire bytes: lane_batches into
     process_record_batches equals the full dissection pipeline."""
     s_rich = scenario()
-    reference = rich_result(s_rich, s_rich.rich_packets())
+    reference = rich_result(s_rich, rich_packets(s_rich))
 
     s_fused = scenario()
     pipeline = make_pipeline(s_fused)

@@ -128,7 +128,7 @@ def test_misconfig_records_stream_with_a_bounded_reorder_heap(monkeypatch):
         t += model.rng.expovariate(rate)
         if t >= end:
             break
-        sessions.append(model._session_items(t, records=True))
+        sessions.append(model._session_items(t))
     expected = [
         r for r in sorted(chain.from_iterable(sessions), key=itemgetter(0)) if start <= r[0] < end
     ]

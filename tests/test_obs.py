@@ -66,7 +66,7 @@ def test_gauge_set_inc_dec(reg):
     g = reg.gauge("repro_g", "help")
     g.set(10)
     g.inc(5)
-    g.dec(2)
+    g.inc(-2)
     assert g.value() == 13
 
 

@@ -35,6 +35,7 @@ from repro.net.udp import UdpHeader
 from repro.stream import StreamAnalyzer, StreamConfig
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.timeutil import HOUR
+from tests.reference.generator import rich_packets
 
 SRC, DST = 0xC6336407, 0x2C0C2238
 SCALARS = [slot for slot in CapturedPacket.__slots__ if not slot.startswith("_")]
@@ -213,7 +214,7 @@ def scenario():
 def packets(scenario):
     # constructor-built packets: the reference generator, not the
     # from_bytes view production gets from Scenario.packets()
-    return list(scenario.rich_packets())
+    return list(rich_packets(scenario))
 
 
 @pytest.fixture(scope="module")

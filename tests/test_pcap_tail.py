@@ -80,7 +80,6 @@ def test_tail_mode_defers_incomplete_global_header():
     data = pcap_bytes([make_packet(3.5)])
     stream = io.BytesIO(data[:10])
     reader = PcapReader(stream, tail=True)
-    assert not reader.header_read
     assert list(reader) == []
     assert reader.linktype is None
 
@@ -90,7 +89,6 @@ def test_tail_mode_defers_incomplete_global_header():
     stream.write(data[10:])
     stream.seek(pos)
     packets = list(reader)
-    assert reader.header_read
     assert reader.linktype == 101
     assert [p.timestamp for p in packets] == [3.5]
 

@@ -66,7 +66,7 @@ def test_short_header_parse():
     view = parse_header(wire)
     assert isinstance(view, ShortHeader)
     assert view.packet_type is PacketType.ONE_RTT
-    assert view.dcid_assuming_length(8) == b"\x01" * 8
+    assert view.raw[:8] == b"\x01" * 8
 
 
 def test_short_header_spin_bit():

@@ -11,6 +11,7 @@ from repro.net.udp import UdpHeader
 from repro.telescope.scanners import BotScannerModel, ResearchScannerModel
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY, HOUR
+from tests.reference import generator as reference
 
 TELESCOPE = IPv4Network.from_cidr("44.0.0.0/24")  # tiny, for direct tests
 
@@ -83,7 +84,7 @@ def test_against_generated_research_traffic():
         sample=1.0 / 1024,
     )
     profiler = ScanProfiler([scanner.address], internet.telescope_net, sweep_gap=2 * HOUR)
-    for packet in model.packets(APRIL_1_2021, APRIL_1_2021 + DAY):
+    for packet in reference.packets(model, APRIL_1_2021, APRIL_1_2021 + DAY):
         profiler.observe(packet)
     profile = profiler.profile(scanner.address)
     assert profile.sweep_count == 2
@@ -102,7 +103,7 @@ def test_against_generated_bot_traffic():
     model = BotScannerModel(internet=internet, rng=SeededRng(11), sessions_per_day=800)
     bots = {b.address for b in internet.bot_hosts}
     profiler = ScanProfiler(bots, internet.telescope_net)
-    for packet in model.packets(APRIL_1_2021, APRIL_1_2021 + DAY / 2):
+    for packet in reference.packets(model, APRIL_1_2021, APRIL_1_2021 + DAY / 2):
         profiler.observe(packet)
     for profile in profiler.profiles():
         verdict = profiler.classify(profile.source)

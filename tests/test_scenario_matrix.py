@@ -9,7 +9,8 @@ for each one:
 - gen-lane synthesis == rich synthesis (fused
   ``process_record_batches`` feed, plus sharded ``records(workers=2)``
   against serial records), and ``packets()`` — the production packet
-  view of the records — == ``rich_packets()`` packet by packet;
+  view of the records — == ``rich_packets(scenario)``
+  (``tests/reference/generator.py``) packet by packet;
 - serial == workers 2–4 (shared-memory ring transport);
 - batch == streaming-exact ``PipelineResult``s, bit for bit.
 
@@ -26,6 +27,7 @@ import pytest
 from repro.telescope import Scenario
 from repro.telescope.presets import SCENARIOS, get_scenario, scenario_names
 from tests.oracle import assert_identical, make_pipeline, rich_result, run
+from tests.reference.generator import rich_packets
 
 @pytest.fixture(scope="module", params=scenario_names())
 def case(request):
@@ -38,7 +40,7 @@ def case(request):
     preset = get_scenario(name)
     config = preset.config()
     scenario = Scenario(config)
-    packets = list(scenario.rich_packets())
+    packets = list(rich_packets(scenario))
     reference = run(scenario, packets)
     return SimpleNamespace(
         name=name,

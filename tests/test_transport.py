@@ -4,7 +4,7 @@ import pytest
 
 from repro.util.rng import SeededRng
 from repro.quic.connection import ClientConnection, ServerConnection
-from repro.quic.transport import (
+from tests.reference.transport import (
     INITIAL_PTO,
     MAX_PTO_COUNT,
     ConnectionRunner,
