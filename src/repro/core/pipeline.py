@@ -30,7 +30,10 @@ and merging the partials reproduces the serial state exactly.  See
 from __future__ import annotations
 
 import pickle
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro import obs
@@ -46,7 +49,7 @@ from repro.core.dos import DosDetector, DosThresholds
 from repro.core.multivector import MultiVectorAnalysis, correlate_attacks
 from repro.core.retry_audit import RetryAudit, audit_retry
 from repro.core.scid import fingerprint_attacks, provider_profiles
-from repro.core.sessions import DEFAULT_TIMEOUT, Sessionizer, TimeoutSweep
+from repro.core.sessions import DEFAULT_TIMEOUT, Sessionizer, TimeoutSweep, per_bucket
 from repro.core.victims import VictimAnalysis, analyze_victims, session_network_types
 
 # -- observability ----------------------------------------------------------
@@ -378,57 +381,62 @@ class PartialState:
         tallies, sweep and sessions from one batch's observations (see
         :class:`BatchLane`'s adapters for the tuple).
 
-        Sessions absorb the entry's precomputed delta
-        (:meth:`~repro.core.sessions.Sessionizer.add_entry`) — no
-        ``ClassifiedPacket``/``Dissection`` construction per packet.
+        Every update is per source or additive, so the batch is
+        bucketed by source (first-appearance order) and a bucket — some
+        50 of a batch's 512 observations — lands as one
+        :meth:`_apply_run`, whatever the batching.  Only a sessionizer
+        with a per-packet ``on_update`` hook (the monitor's detector:
+        alerts fire in stream order *across* sources) goes entry by entry.
         """
-        request_cls = PacketClass.QUIC_REQUEST
-        response_cls = PacketClass.QUIC_RESPONSE
-        tcp_cls = PacketClass.TCP_BACKSCATTER
+        by_source = defaultdict(list)
+        for row in observations:
+            by_source[row[1]].append(row)
+        for source, rows in by_source.items():
+            # nearly always one stretch: an address rarely is in two classes
+            for kind, run in groupby(rows, key=itemgetter(0)):
+                self._apply_run(kind, source, *tuple(zip(*run))[2:])
         sessionizers = self.sessionizers
-        request_add = sessionizers[request_cls].add_entry
-        response_add = sessionizers[response_cls].add_entry
-        tcp_add = sessionizers[tcp_cls].add_entry
-        icmp_add = sessionizers[PacketClass.ICMP_BACKSCATTER].add_entry
-        sweep_observe = self.sweep.observe
-        quic_source_packets = self.quic_source_packets
-        per_source_hourly = self.per_source_hourly
-        hourly_requests = self.hourly_requests
-        hourly_responses = self.hourly_responses
-        response_long = 0
-        response_empty_dcid = 0
-        retry_packets = 0
-        for kind, source, timestamp, dst, dst_port, wire_length, entry in observations:
-            if kind is request_cls or kind is response_cls:
-                delta = None if entry is None else entry[2]
-                hour = int(timestamp // HOUR)
-                quic_source_packets[source] = (
-                    quic_source_packets.get(source, 0) + 1
-                )
-                if kind is request_cls:
-                    hours = per_source_hourly.setdefault(source, {})
-                    hours[hour] = hours.get(hour, 0) + 1
-                    hourly_requests[hour] = hourly_requests.get(hour, 0) + 1
-                    add = request_add
-                else:
-                    hourly_responses[hour] = hourly_responses.get(hour, 0) + 1
-                    if entry is not None:
-                        if entry[3]:
-                            retry_packets += 1
-                        if entry[4]:
-                            response_long += 1
-                            if entry[5]:
-                                response_empty_dcid += 1
-                    add = response_add
-                sweep_observe(source, timestamp)
-                add(source, timestamp, dst, dst_port, wire_length, delta)
-            elif kind is tcp_cls:
-                tcp_add(source, timestamp, dst, dst_port, wire_length, None)
+        hooked = tuple(k for k, s in sessionizers.items() if s.on_update is not None)
+        if hooked:
+            for kind, source, timestamp, dst, port, length, entry in observations:
+                if kind in hooked:
+                    sessionizers[kind].add_entry(
+                        source, timestamp, dst, port, length, entry and entry[2]
+                    )
+
+    def _apply_run(self, kind, source, stamps, dsts, ports, lengths, entries) -> None:
+        """One source's observations of one class, columns in stream
+        order: a tally add, an hourly add per hour touched, a sweep run
+        and a :meth:`Sessionizer.add_run`.  Timestamps that step back
+        (a mis-ordered capture) go one by one — the definition the
+        grouped update equals."""
+        if sorted(stamps) != list(stamps):
+            for row in zip(stamps, dsts, ports, lengths, entries):
+                self._apply_run(kind, source, *zip(row))  # one-element columns
+            return
+        if kind is PacketClass.QUIC_REQUEST or kind is PacketClass.QUIC_RESPONSE:
+            self.quic_source_packets[source] = (
+                self.quic_source_packets.get(source, 0) + len(stamps)
+            )
+            hours = per_bucket(stamps, HOUR)
+            if kind is PacketClass.QUIC_REQUEST:
+                series = self.hourly_requests
+                mine = self.per_source_hourly.setdefault(source, {})
+                for hour, count in hours:
+                    mine[hour] = mine.get(hour, 0) + count
             else:
-                icmp_add(source, timestamp, dst, dst_port, wire_length, None)
-        self.response_long_header_packets += response_long
-        self.response_empty_dcid_packets += response_empty_dcid
-        self.passive_retry_packets += retry_packets
+                series = self.hourly_responses
+                for entry in filter(None, entries):  # flood responses rarely repeat
+                    self.passive_retry_packets += entry[3]
+                    self.response_long_header_packets += entry[4]
+                    self.response_empty_dcid_packets += entry[4] and entry[5]
+            for hour, count in hours:
+                series[hour] = series.get(hour, 0) + count
+            self.sweep.observe_run(source, stamps)
+        sessionizer = self.sessionizers[kind]
+        if sessionizer.on_update is None:
+            deltas = [entry and entry[2] for entry in entries]
+            sessionizer.add_run(source, stamps, dsts, ports, lengths, deltas)
 
     def record_classifier(self, classifier: TrafficClassifier) -> None:
         """Fold the classifier's counters into the partial state.

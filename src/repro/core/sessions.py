@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Callable, Iterable, Optional
 
 from repro.quic.header import PacketType
@@ -105,35 +106,66 @@ class Session:
         slot = int(timestamp // MINUTE)
         self.minute_slots[slot] = self.minute_slots.get(slot, 0) + 1
         if delta is not None:
-            type_counts, scids, version_counts, retries = delta
-            message_types = self.message_types
-            for name, count in type_counts:
-                message_types[name] = message_types.get(name, 0) + count
-            self.retry_packets += retries
-            if scids:
-                self.scids.update(scids)
-            version_names = self.version_names
-            for name, count in version_counts:
-                version_names[name] = version_names.get(name, 0) + count
+            self._fold(delta, 1)
+
+    def apply_run(self, stamps, dsts, ports, lengths, deltas) -> None:
+        """:meth:`apply_entry` over a run of entries (columns in stream
+        order, ``stamps`` non-decreasing), one update per field: an add
+        per minute slot touched, a fold per distinct delta object —
+        same dicts, same insertion order."""
+        self.last_ts = stamps[-1]
+        self.packet_count += len(stamps)
+        self.byte_count += sum(lengths)
+        self.dst_ips.update(dsts)
+        self.dst_ports.update(ports)
+        self.dst_ports.discard(None)
+        slots = self.minute_slots
+        for slot, count in per_bucket(stamps, MINUTE):
+            slots[slot] = slots.get(slot, 0) + count
+        for delta, count in distinct(deltas):
+            if delta is not None:
+                self._fold(delta, count)
+
+    def _fold(self, delta: tuple, count: int) -> None:
+        type_counts, scids, version_counts, retries = delta
+        message_types = self.message_types
+        for name, n in type_counts:
+            message_types[name] = message_types.get(name, 0) + n * count
+        self.retry_packets += retries * count
+        if scids:
+            self.scids.update(scids)
+        version_names = self.version_names
+        for name, n in version_counts:
+            version_names[name] = version_names.get(name, 0) + n * count
+
+
+def per_bucket(stamps, width: float) -> list:
+    """``(bucket, count)`` for every ``width``-second bucket (a whole
+    number of seconds) the non-decreasing ``stamps`` touch, ascending:
+    one bisection per bucket instead of one division per stamp."""
+    out = []
+    start, end = 0, len(stamps)
+    while start < end:
+        bucket = int(stamps[start] // width)
+        stop = bisect.bisect_left(stamps, (bucket + 1) * width, start)
+        out.append((bucket, stop - start))
+        start = stop
+    return out
+
+
+def distinct(items):
+    """``[item, count]`` per distinct *object* in ``items``, in
+    first-occurrence order.  By identity, not equality: lane entries
+    are memoized per payload, so a repeated payload is a repeated
+    object and nothing needs to hash its contents."""
+    counts: dict = {}
+    for item in items:
+        counts.setdefault(id(item), [item, 0])[1] += 1
+    return counts.values()
 
 
 def _type_name(packet_type: PacketType) -> str:
     return packet_type.name.lower().replace("_", "-")
-
-
-def _sorted_difference(values: list, removals: list) -> list:
-    """Multiset difference of two sorted lists in one linear pass.
-
-    Every element of ``removals`` must be present in ``values``.
-    """
-    out: list = []
-    start = 0
-    for item in removals:
-        stop = bisect.bisect_left(values, item, start)
-        out.extend(values[start:stop])
-        start = stop + 1
-    out.extend(values[start:])
-    return out
 
 
 class Sessionizer:
@@ -149,7 +181,6 @@ class Sessionizer:
         traffic_class: str,
         timeout: float = DEFAULT_TIMEOUT,
         on_close: Optional[Callable[[Session], None]] = None,
-        record_gaps: bool = False,
         on_update: Optional[Callable[[Session], None]] = None,
     ) -> None:
         if timeout <= 0:
@@ -163,8 +194,6 @@ class Sessionizer:
         self.on_update = on_update
         self.closed: list = []
         self._open: dict[int, Session] = {}
-        self.record_gaps = record_gaps
-        self.gaps: list = []
         self.source_count = 0
         self._seen_sources: set = set()
 
@@ -172,24 +201,11 @@ class Sessionizer:
         packet = classified.packet
         source = packet.src
         session = self._open.get(source)
-        if session is not None:
-            gap = packet.timestamp - session.last_ts
-            if self.record_gaps:
-                self.gaps.append(gap)
-            if gap > self.timeout:
-                self._close(session)
-                session = None
+        if session is not None and packet.timestamp - session.last_ts > self.timeout:
+            self._close(session)
+            session = None
         if session is None:
-            if source not in self._seen_sources:
-                self._seen_sources.add(source)
-                self.source_count += 1
-            session = Session(
-                source=source,
-                traffic_class=self.traffic_class,
-                first_ts=packet.timestamp,
-                last_ts=packet.timestamp,
-            )
-            self._open[source] = session
+            session = self._begin(source, packet.timestamp)
         session.add(classified)
         if self.on_update is not None:
             self.on_update(session)
@@ -209,27 +225,51 @@ class Sessionizer:
         :meth:`Session.apply_entry` instead of a ``ClassifiedPacket``.
         """
         session = self._open.get(source)
-        if session is not None:
-            gap = timestamp - session.last_ts
-            if self.record_gaps:
-                self.gaps.append(gap)
-            if gap > self.timeout:
-                self._close(session)
-                session = None
+        if session is not None and timestamp - session.last_ts > self.timeout:
+            self._close(session)
+            session = None
         if session is None:
-            if source not in self._seen_sources:
-                self._seen_sources.add(source)
-                self.source_count += 1
-            session = Session(
-                source=source,
-                traffic_class=self.traffic_class,
-                first_ts=timestamp,
-                last_ts=timestamp,
-            )
-            self._open[source] = session
+            session = self._begin(source, timestamp)
         session.apply_entry(timestamp, dst, dst_port, wire_length, delta)
         if self.on_update is not None:
             self.on_update(session)
+
+    def add_run(self, source: int, stamps, dsts, ports, lengths, deltas) -> None:
+        """One source's entries of one batch — columns in stream order,
+        ``stamps`` non-decreasing — equal to one :meth:`add_entry` per
+        entry.  A run with no gap above the timeout at its head or
+        inside it lands in one session as one :meth:`Session.apply_run`;
+        any other goes entry by entry, as does every run while a
+        per-packet ``on_update`` hook listens.
+        """
+        session = self._open.get(source)
+        timeout = self.timeout
+        if (
+            self.on_update is None
+            and (session is None or 0 <= stamps[0] - session.last_ts <= timeout)
+            and (
+                stamps[-1] - stamps[0] <= timeout
+                or max(map(sub, stamps[1:], stamps)) <= timeout
+            )
+        ):
+            if session is None:
+                session = self._begin(source, stamps[0])
+            session.apply_run(stamps, dsts, ports, lengths, deltas)
+        else:
+            for entry in zip(stamps, dsts, ports, lengths, deltas):
+                self.add_entry(source, *entry)
+
+    def _begin(self, source: int, timestamp: float) -> Session:
+        if source not in self._seen_sources:
+            self._seen_sources.add(source)
+            self.source_count += 1
+        session = self._open[source] = Session(
+            source=source,
+            traffic_class=self.traffic_class,
+            first_ts=timestamp,
+            last_ts=timestamp,
+        )
+        return session
 
     def _close(self, session: Session) -> None:
         del self._open[session.source]
@@ -305,7 +345,6 @@ class Sessionizer:
             raise ValueError(f"shards overlap on {len(overlap)} sources")
         self.closed.extend(other.closed)
         self._open.update(other._open)
-        self.gaps.extend(other.gaps)
         self._seen_sources |= other._seen_sources
         self.source_count = len(self._seen_sources)
 
@@ -399,74 +438,88 @@ def chain_merge_sessions(sessions: Iterable[Session], timeout: float) -> list:
 class TimeoutSweep:
     """Figure 4: number of sessions as a function of the timeout.
 
-    Record every per-source inter-packet gap once; the session count for
-    timeout T is ``sources + |{gaps > T}|``, and ``sources`` is the
-    lower bound reached at timeout = infinity.  Gaps are kept per source
-    so sources identified later (research scanners) can be excluded
-    without a second pass over the packets.
+    The session count for timeout T is ``sources + |{gaps > T}|``, and
+    ``sources`` is the lower bound reached at timeout = infinity.  Every
+    consumer sweeps whole minutes, so a per-source inter-packet gap of
+    at most :attr:`RESOLUTION` is only *counted* (as packets per
+    source) and longer ones are kept: O(sources + long gaps), not
+    O(packets).  All of it is per source, so sources identified later
+    (research scanners) can be excluded without a second pass.
     """
+
+    #: the smallest timeout :meth:`sessions_at` answers for.
+    RESOLUTION = MINUTE
 
     def __init__(self) -> None:
         self._last_seen: dict[int, float] = {}
-        self._gaps: dict[int, list] = {}
+        self._packets: dict[int, int] = {}
+        self._long: dict[int, list] = {}
         self._excluded: set = set()
         self._sorted: Optional[list] = None
-        self._gap_count = 0
+        self.packet_count = 0
 
     def observe(self, source: int, timestamp: float) -> None:
-        last = self._last_seen.get(source)
-        if last is not None:
-            self._gaps.setdefault(source, []).append(timestamp - last)
-            if source not in self._excluded:
-                self._gap_count += 1
-            self._sorted = None
-        self._last_seen[source] = timestamp
+        self.observe_run(source, (timestamp,))
+
+    def observe_run(self, source: int, stamps: tuple) -> None:
+        """One source's next timestamps, in stream order and
+        non-decreasing among themselves (the step from the source's
+        previous observation may go either way)."""
+        if source in self._excluded:
+            return
+        last = self._last_seen.get(source, stamps[0])
+        self._last_seen[source] = stamps[-1]
+        self._packets[source] = self._packets.get(source, 0) + len(stamps)
+        self.packet_count += len(stamps)
+        resolution = self.RESOLUTION
+        if stamps[0] - last > resolution or stamps[-1] - stamps[0] > resolution:
+            long = [
+                gap
+                for gap in map(sub, stamps, (last,) + stamps)
+                if gap > resolution
+            ]
+            if long:
+                self._long.setdefault(source, []).extend(long)
+                self._sorted = None
 
     def exclude_sources(self, sources) -> None:
-        """Drop sources (e.g. research scanners) from the sweep.
-
-        Keeps the sorted gap list alive: the excluded sources' gaps are
-        subtracted with one merge pass instead of re-sorting every
-        remaining gap from scratch.
-        """
-        new = set(sources) - self._excluded
-        if not new:
-            return
-        self._excluded |= new
-        removed = [gap for source in new for gap in self._gaps.get(source, ())]
-        self._gap_count -= len(removed)
-        if self._sorted is not None and removed:
-            removed.sort()
-            self._sorted = _sorted_difference(self._sorted, removed)
+        """Drop sources (e.g. research scanners) from the sweep, with
+        everything kept for them; their later observations never count."""
+        self._excluded.update(sources)
+        for source in self._excluded & self._last_seen.keys():
+            del self._last_seen[source]
+            self.packet_count -= self._packets.pop(source)
+            self._long.pop(source, None)
+        self._sorted = None
 
     def merge(self, other: "TimeoutSweep") -> None:
         """Fold a shard's sweep into this one (disjoint source sets)."""
         overlap = set(self._last_seen) & set(other._last_seen)
         if overlap:
             raise ValueError(f"shards overlap on {len(overlap)} sources")
-        if other._excluded:
+        if self._excluded or other._excluded:
             raise ValueError("merge partial sweeps before excluding sources")
         self._last_seen.update(other._last_seen)
-        self._gaps.update(other._gaps)
-        self._gap_count += other._gap_count
+        self._packets.update(other._packets)
+        self._long.update(other._long)
+        self.packet_count += other.packet_count
         self._sorted = None
 
     @property
     def source_count(self) -> int:
-        return len(set(self._last_seen) - self._excluded)
-
-    @property
-    def packet_count(self) -> int:
-        return self._gap_count + self.source_count
+        return len(self._last_seen)
 
     def sessions_at(self, timeout: float) -> int:
-        """Session count under the given timeout (seconds)."""
+        """Session count under the given timeout (seconds, at least
+        :attr:`RESOLUTION`)."""
+        if timeout < self.RESOLUTION:
+            raise ValueError(
+                f"the sweep counts gaps up to {self.RESOLUTION:.0f} s without "
+                f"keeping them; it cannot answer for a {timeout} s timeout"
+            )
         if self._sorted is None:
             self._sorted = sorted(
-                gap
-                for source, gaps in self._gaps.items()
-                if source not in self._excluded
-                for gap in gaps
+                gap for gaps in self._long.values() for gap in gaps
             )
         index = bisect.bisect_right(self._sorted, timeout)
         return self.source_count + len(self._sorted) - index
@@ -503,7 +556,7 @@ class RecordingSweep(TimeoutSweep):
     differences of interleaved timestamps from several partitions, and
     floats don't let us reconstruct timestamps from gaps
     (``t1 + (t2 - t1) != t2`` in general).  Keeping the observed
-    timestamps — the same asymptotic cost as the gap lists — lets
+    timestamps — O(packets), unlike the sweep itself — lets
     :func:`merge_recorded_sweeps` rebuild the union sweep exactly.
     """
 
@@ -511,9 +564,9 @@ class RecordingSweep(TimeoutSweep):
         super().__init__()
         self._timestamps: dict[int, list] = {}
 
-    def observe(self, source: int, timestamp: float) -> None:
-        self._timestamps.setdefault(source, []).append(timestamp)
-        super().observe(source, timestamp)
+    def observe_run(self, source: int, stamps: tuple) -> None:
+        self._timestamps.setdefault(source, []).extend(stamps)
+        super().observe_run(source, stamps)
 
 
 def merge_recorded_sweeps(sweeps: Iterable["RecordingSweep"]) -> TimeoutSweep:
@@ -522,8 +575,8 @@ def merge_recorded_sweeps(sweeps: Iterable["RecordingSweep"]) -> TimeoutSweep:
     Per source, the union of the vantages' timestamp lists (a sorted
     multiset merge, duplicates kept) is exactly the timestamp sequence
     a serial sweep over the union stream observes, so replaying it
-    through :meth:`TimeoutSweep.observe` reproduces the serial gap
-    multiset bit for bit — the same float subtractions on the same
+    through :meth:`TimeoutSweep.observe_run` reproduces the serial gaps
+    bit for bit — the same float subtractions on the same
     values.  Returns a plain :class:`TimeoutSweep` ready for
     ``exclude_sources`` / ``sessions_at``.
     """
@@ -537,8 +590,5 @@ def merge_recorded_sweeps(sweeps: Iterable["RecordingSweep"]) -> TimeoutSweep:
             per_source.setdefault(source, []).extend(stamps)
     merged = TimeoutSweep()
     for source, stamps in per_source.items():
-        stamps.sort()
-        observe = merged.observe
-        for timestamp in stamps:
-            observe(source, timestamp)
+        merged.observe_run(source, tuple(sorted(stamps)))
     return merged

@@ -47,7 +47,8 @@ from repro import obs
 #: frame container format version (the header above).
 PROTOCOL_VERSION = 1
 #: pickled payload schema version (the handshake value in ``hello``).
-SCHEMA_VERSION = 1
+#: 2: ``TimeoutSweep`` counts sub-minute gaps, ``Sessionizer.gaps`` is gone.
+SCHEMA_VERSION = 2
 
 MAGIC = b"QSFD"
 

@@ -233,14 +233,14 @@ class StreamTelemetry:
 
 
 class _NullSweep:
-    """Timeout-sweep stand-in for bounded mode: recording every
-    inter-packet gap is inherently capture-sized, so the sweep is
-    disabled rather than evicted."""
+    """Timeout-sweep stand-in for bounded mode: the sweep keeps an
+    entry per source ever seen, which is what this mode evicts, so it
+    is disabled rather than evicted."""
 
     source_count = 0
     packet_count = 0
 
-    def observe(self, source: int, timestamp: float) -> None:
+    def observe_run(self, source: int, stamps: tuple) -> None:
         pass
 
 

@@ -22,6 +22,40 @@ from repro.util.batching import batched
 _IDENTITY_FIELDS = {"config", "timeout_sweep", "quic_detector", "common_detector"}
 
 
+def state_facts(state: PartialState) -> dict:
+    """Everything ``state`` holds once closed and canonicalized, as
+    plain values ``==`` compares: the fields themselves, the
+    canonicalized dicts as item lists (order is part of the contract),
+    and the sessionizers and sweep — objects without value equality —
+    opened up."""
+    state.close()
+    state.canonicalize()
+    facts = {
+        field.name: getattr(state, field.name)
+        for field in dataclasses.fields(state)
+        if field.name not in ("sessionizers", "sweep")
+    }
+    for name in (
+        "malformed_counts", "quic_source_packets", "hourly_requests",
+        "hourly_responses",
+    ):
+        facts[name] = list(facts[name].items())
+    facts["per_source_hourly"] = [
+        (source, list(hours.items()))
+        for source, hours in state.per_source_hourly.items()
+    ]
+    facts["sessions"] = {
+        kind: (s.closed, s.source_count, s._seen_sources)
+        for kind, s in state.sessionizers.items()
+    }
+    facts["sweep"] = {
+        name: value
+        for name, value in vars(state.sweep).items()
+        if name != "_sorted"  # a cache of the kept gaps
+    }
+    return facts
+
+
 def make_pipeline(scenario, **config_kw):
     return QuicsandPipeline(
         registry=scenario.internet.registry,

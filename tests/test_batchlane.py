@@ -47,6 +47,7 @@ from repro.telescope.presets import get_scenario, scenario_names
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 
+from tests.oracle import state_facts
 from tests.test_fuzz_dissect import valid_datagrams
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
@@ -398,13 +399,16 @@ def test_sinks_ignore_batch_boundaries(seam_capture):
     whole_state, whole_tier = fresh_sinks()
     whole_state.apply(observations)
     whole_tier.apply(observations)
-    want = pickle.dumps(whole_state), pickle.dumps(whole_tier)
+    # the exact sink groups each batch by source, so sessions close in
+    # another order under another split: its state is compared closed
+    # and canonicalized; the sketch sink stays in stream order
+    want = state_facts(whole_state), pickle.dumps(whole_tier)
     for k in (0, 1, len(observations) // 3, len(observations) - 1, len(observations)):
         state, tier = fresh_sinks()
         for part in (observations[:k], observations[k:]):
             state.apply(part)
             tier.apply(part)
-        assert (pickle.dumps(state), pickle.dumps(tier)) == want, k
+        assert (state_facts(state), pickle.dumps(tier)) == want, k
 
 
 def test_one_observation_list_feeds_both_sinks(seam_capture):
@@ -430,7 +434,7 @@ def test_one_observation_list_feeds_both_sinks(seam_capture):
     shared_state.apply(observations)
     shared_tier.apply(observations)
     shared_state.record_classifier(shared_lane)
-    assert pickle.dumps(shared_state) == pickle.dumps(state)
+    assert state_facts(shared_state) == state_facts(state)
     assert pickle.dumps(shared_tier) == pickle.dumps(tier)
     assert (shared_lane.cache_hits, shared_lane.cache_misses) == (
         lane.cache_hits,

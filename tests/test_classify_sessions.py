@@ -207,18 +207,21 @@ def test_on_close_callback():
 
 def test_timeout_sweep_monotone():
     sweep = TimeoutSweep()
-    # source 1: gaps of 30, 120, 600 seconds
+    # source 1: gaps of 30, 90, 120, 600 seconds; the sweep resolves
+    # whole minutes, so the 30 s gap is counted and never a boundary
     t = 0.0
-    for gap in (0, 30, 120, 600):
+    for gap in (0, 30, 90, 120, 600):
         t += gap
         sweep.observe(1, t)
     sweep.observe(2, 5.0)
     assert sweep.source_count == 2
-    assert sweep.packet_count == 5
-    assert sweep.sessions_at(10) == 5
-    assert sweep.sessions_at(60) == 4
+    assert sweep.packet_count == 6
+    assert sweep.sessions_at(60) == 5
+    assert sweep.sessions_at(90) == 4
     assert sweep.sessions_at(300) == 3
     assert sweep.sessions_at(10000) == 2  # the infinity floor
+    with pytest.raises(ValueError, match="60 s"):
+        sweep.sessions_at(10)
 
 
 def test_timeout_sweep_exclude_sources():
@@ -234,7 +237,7 @@ def test_timeout_sweep_exclude_sources():
 
 def test_timeout_sweep_packet_count_cached_through_exclusion():
     sweep = TimeoutSweep()
-    for ts in (0.0, 10.0, 20.0):
+    for ts in (0.0, 10.0, 200.0):  # one counted gap, one kept gap
         sweep.observe(1, ts)
     for ts in (0.0, 5.0):
         sweep.observe(2, ts)
@@ -254,7 +257,7 @@ def test_timeout_sweep_exclude_keeps_sorted_incremental():
     """Excluding sources subtracts their gaps from the sorted list
     in place (including duplicates) instead of forcing a re-sort."""
     sweep = TimeoutSweep()
-    for source, gaps in ((1, (30.0, 120.0)), (2, (30.0, 600.0)), (3, (45.0,))):
+    for source, gaps in ((1, (90.0, 120.0)), (2, (90.0, 600.0)), (3, (105.0,))):
         t = 0.0
         sweep.observe(source, t)
         for gap in gaps:
@@ -262,15 +265,15 @@ def test_timeout_sweep_exclude_keeps_sorted_incremental():
             sweep.observe(source, t)
 
     def sorted_gaps():
-        sweep.sessions_at(0.0)  # any query folds pending gaps in
+        sweep.sessions_at(60.0)  # any query folds pending gaps in
         return list(sweep._sorted)
 
-    assert sorted_gaps() == [30.0, 30.0, 45.0, 120.0, 600.0]
+    assert sorted_gaps() == [90.0, 90.0, 105.0, 120.0, 600.0]
     sweep.exclude_sources({2})
-    assert sorted_gaps() == [30.0, 45.0, 120.0]
-    assert sweep.sessions_at(60) == 3  # sources 1,3 + the 120 s gap
+    assert sorted_gaps() == [90.0, 105.0, 120.0]
+    assert sweep.sessions_at(110) == 3  # sources 1,3 + the 120 s gap
     sweep.exclude_sources({2})  # no-op repeat
-    assert sorted_gaps() == [30.0, 45.0, 120.0]
+    assert sorted_gaps() == [90.0, 105.0, 120.0]
 
 
 def test_timeout_sweep_merge_disjoint_sources():
@@ -278,12 +281,12 @@ def test_timeout_sweep_merge_disjoint_sources():
     for ts in (0.0, 30.0):
         a.observe(1, ts)
     b = TimeoutSweep()
-    for ts in (10.0, 70.0):
+    for ts in (10.0, 100.0):
         b.observe(2, ts)
     a.merge(b)
     assert a.source_count == 2
     assert a.packet_count == 4
-    assert a.sessions_at(45) == 3
+    assert a.sessions_at(75) == 3
     c = TimeoutSweep()
     c.observe(1, 99.0)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ magic resyncs, bad checksums skip, truncation counts — and every
 recoverable corruption costs exactly one ``corrupt_frames`` tick.
 """
 
+import json
 import socket
 import struct
 import threading
@@ -14,7 +15,9 @@ import zlib
 
 import pytest
 
+from repro.core import QuicsandPipeline
 from repro.faults import corrupt_frame_bytes
+from repro.federate.aggregate import Aggregator
 from repro.federate.protocol import (
     BYE,
     FINAL_STATE,
@@ -83,6 +86,24 @@ def test_roundtrip_stream_and_json_payloads():
     }
     assert frames[2].unpickle() == {"total": 123}
     assert frames[3].json() == {"frames": 3, "packets": 123}
+
+
+def test_schema_1_hello_is_refused():
+    """A spool written before the sweep counted sub-minute gaps holds
+    ``TimeoutSweep`` pickles of another shape: its ``hello`` says
+    schema 1 and the aggregator stops there, before any unpickling."""
+    assert SCHEMA_VERSION == 2
+    hello = encode_frame(
+        HELLO,
+        json.dumps({"schema": 1, "vantage": "v0", "prefix": "44.0.0.0/10"}).encode(),
+        0,
+    )
+    poison = encode_frame(FINAL_STATE, b"not a pickle: never loaded", 1)
+    frames, _corrupt = decode_frames(hello + poison)
+    aggregator = Aggregator(QuicsandPipeline())
+    with pytest.raises(ProtocolError, match="'v0' speaks payload schema 1, expected 2"):
+        aggregator.ingest_frames("spool-0", frames)
+    assert aggregator.streams == []
 
 
 def test_encode_rejects_unknown_kind():

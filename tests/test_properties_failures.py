@@ -91,7 +91,7 @@ def test_every_packet_gets_exactly_one_class():
         min_size=1,
         max_size=60,
     ),
-    st.floats(min_value=10.0, max_value=600.0),
+    st.floats(min_value=60.0, max_value=600.0),  # the sweep resolves minutes
 )
 def test_sessionizer_matches_gap_rule(events, timeout):
     # build a global timeline: per-source monotone timestamps

@@ -9,7 +9,9 @@ only compare walkers that exist — this guard keeps a new one from being
 written, by pinning *where* the three calls that make a walker may
 appear under ``src/repro``:
 
-- ``.add_entry`` (sessions from lane entries) — ``PartialState.apply``;
+- ``.add_entry`` (sessions from lane entries, one at a time) —
+  ``PartialState.apply`` for hooked sessionizers and
+  ``Sessionizer.add_run``'s fallback;
 - ``.entry_for`` (the dissection memo) — the two adapters;
 - ``Sessionizer.add`` (sessions from rich objects, recognised by a
   receiver spelled ``…sessionizer….add``) — ``PartialState.consume``,
@@ -99,7 +101,8 @@ def calls(node: ast.AST) -> list:
 
 
 def test_one_fast_lane_state_update():
-    assert sites("add_entry") == {"PartialState.apply"}
+    assert sites("add_entry") == {"PartialState.apply", "Sessionizer.add_run"}
+    assert sites("add_run") == {"PartialState._apply_run"}
 
 
 def test_one_classification_ladder_per_input_representation():
