@@ -1,13 +1,13 @@
 """Federation: merge throughput and vantage lag vs fleet size.
 
 Engineering benchmark for :mod:`repro.federate` (not a paper figure).
-One capture is generated once and fanned out to K in-process vantages
-(K in {1, 2, 4}) tiling the /9 by destination prefix; each spools its
-frame stream to disk and the aggregator consumes and merges them.  We
-report, per K,
+K in-process vantages (K in {1, 2, 4}) tile the /9 by destination
+prefix; each generates and analyzes its own tile with ``Vantage.run``
+— the loop ``repro federate`` runs — and spools its frame stream to
+disk, and the aggregator consumes and merges them.  We report, per K,
 
-- vantage wall time (the K per-tile analysis passes, run serially
-  here so the number is comparable across K);
+- vantage wall time (the K per-tile generation + analysis passes, run
+  serially here so the number is comparable across K);
 - spool decode rate (frames and MiB through ``SpoolReader``);
 - merge throughput: global packets through
   ``merge_federated_states`` + finalization per second;
@@ -53,7 +53,6 @@ TRAJECTORY_KEYS = (
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 SEED = 11
 SCENARIO_HOURS = 1.0 if QUICK else 2.0
-SNAPSHOT_EVERY = 900.0
 FLEETS = (1, 2, 4)
 
 SCENARIO_KW = dict(
@@ -93,9 +92,6 @@ def _append_trajectory(record):
 
 
 def test_federation_merge_throughput(emit, tmp_path):
-    # one capture, fanned out: every fleet size sees identical packets
-    shared_packets = list(Scenario(ScenarioConfig(**SCENARIO_KW)).packets())
-
     fleets = []
     reports = {}
     for vantages in FLEETS:
@@ -109,13 +105,12 @@ def test_federation_merge_throughput(emit, tmp_path):
                 VantageConfig(
                     name=f"v{index}",
                     prefix=str(tile),
-                    snapshot_every=SNAPSHOT_EVERY,
                     scenario=ScenarioConfig(**SCENARIO_KW),
                     analysis=AnalysisConfig(),
                 )
             )
             with SpoolWriter(str(spool), f"v{index}") as writer:
-                vantage.run(writer, packets=shared_packets)
+                vantage.run(writer)
         vantage_seconds = time.perf_counter() - t0
 
         scenario = Scenario(ScenarioConfig(**SCENARIO_KW))
@@ -127,6 +122,7 @@ def test_federation_merge_throughput(emit, tmp_path):
         spool_bytes = sum(p.stat().st_size for p in spool.glob("*.qsf"))
 
         fed = aggregator.federate()
+        packets = fed.global_result.total_packets
         reports[vantages] = build_report(
             fed.global_result, research_weight=scenario.truth.research_weight
         )
@@ -159,13 +155,12 @@ def test_federation_merge_throughput(emit, tmp_path):
     by_k = {row["vantages"]: row for row in fleets}
     assert by_k[1]["dedup_hits"] == 0, "a lone vantage has nothing to dedup"
     assert all(row["merge_pps"] > 0 for row in fleets)
-    # more tiles -> more interim snapshots on the wire
-    assert by_k[4]["spool_frames"] > by_k[1]["spool_frames"]
+    # hello, final-state and bye per vantage: nothing periodic on the wire
+    assert all(row["spool_frames"] == 3 * row["vantages"] for row in fleets)
 
-    packets = len(shared_packets)
     lines = [
         f"seed: {SEED}  window: {SCENARIO_HOURS:g} h  "
-        f"generated packets: {packets:,}  snapshot every {SNAPSHOT_EVERY:g}s",
+        f"generated packets: {packets:,}",
         f"{'K':>3}  {'vantage s':>9}  {'decode s':>8}  {'frames':>6}  "
         f"{'MiB':>6}  {'merge s':>8}  {'merge pps':>9}  {'dedup':>5}  "
         f"{'lag s':>6}",

@@ -224,13 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "scenario's full telescope prefix)",
     )
     federate.add_argument(
-        "--snapshot-every",
-        type=float,
-        default=3600.0,
-        help="event-seconds between interim cumulative state frames "
-        "(0 ships only the final state)",
-    )
-    federate.add_argument(
         "--report-out", help="also write the federation report to a file"
     )
     _metrics_arg(federate)
@@ -672,7 +665,6 @@ def cmd_federate(args, stream) -> int:
             VantageConfig(
                 name=args.vantage_name,
                 prefix=args.prefix,
-                snapshot_every=args.snapshot_every,
                 scenario=scenario_config,
                 analysis=analysis,
             )
@@ -728,8 +720,7 @@ def cmd_federate(args, stream) -> int:
                 VantageConfig(
                     name=name,
                     prefix=str(tile),
-                    snapshot_every=args.snapshot_every,
-                    scenario=scenario_config,
+                        scenario=scenario_config,
                     analysis=analysis,
                 )
             )

@@ -531,11 +531,12 @@ class PartialState:
     def merge(self, other: "PartialState") -> None:
         """Fold another source-disjoint shard's state into this one.
 
-        The additive fields ride :meth:`merge_counts`; sessionizers and
-        the sweep use their disjoint-source merges (which raise if the
-        shards overlap — destination-partitioned vantage states go
-        through :func:`repro.federate.merge.merge_federated_states`
-        instead).
+        The additive fields ride :meth:`merge_counts` and the sweep its
+        one merge, which joins any partition; the sessionizers use
+        their disjoint-source merge, which raises if the shards overlap
+        — destination-partitioned vantage states go through
+        :func:`repro.federate.merge.merge_federated_states` instead,
+        which rejoins session fragments.
         """
         self.merge_counts(other)
         for packet_class, sessionizer in other.sessionizers.items():

@@ -3,8 +3,8 @@
 Packets from one source belong to the same session while the gap
 between consecutive packets stays below an inactivity *timeout*.
 Figure 4 sweeps the timeout from 1 to 60 minutes and picks the 5-minute
-knee; :class:`TimeoutSweep` reproduces that analysis from recorded
-inter-packet gaps without re-running the sessionizer per timeout.
+knee; :class:`TimeoutSweep` reproduces that analysis from per-source
+runs of packets without re-running the sessionizer per timeout.
 
 Sessions accumulate exactly the summary statistics the downstream
 stages need (Moore-threshold fields, SCID/port/address sets for
@@ -440,20 +440,22 @@ class TimeoutSweep:
 
     The session count for timeout T is ``sources + |{gaps > T}|``, and
     ``sources`` is the lower bound reached at timeout = infinity.  Every
-    consumer sweeps whole minutes, so a per-source inter-packet gap of
-    at most :attr:`RESOLUTION` is only *counted* (as packets per
-    source) and longer ones are kept: O(sources + long gaps), not
-    O(packets).  All of it is per source, so sources identified later
-    (research scanners) can be excluded without a second pass.
+    consumer sweeps whole minutes, so per source the sweep keeps a packet
+    count and its *runs* — ``[first, last]`` of each chain of gaps of at
+    most :attr:`RESOLUTION` — and a long gap is ``next.first -
+    previous.last``, the same subtraction a per-gap walk takes:
+    O(sources + long gaps), not O(packets).  Runs are timestamps, so
+    partial sweeps of any partition of one stream merge exactly
+    (:meth:`merge`); and all of it is per source, so sources identified
+    later (research scanners) can be excluded without a second pass.
     """
 
     #: the smallest timeout :meth:`sessions_at` answers for.
     RESOLUTION = MINUTE
 
     def __init__(self) -> None:
-        self._last_seen: dict[int, float] = {}
+        self._runs: dict[int, list] = {}
         self._packets: dict[int, int] = {}
-        self._long: dict[int, list] = {}
         self._excluded: set = set()
         self._sorted: Optional[list] = None
         self.packet_count = 0
@@ -467,47 +469,66 @@ class TimeoutSweep:
         previous observation may go either way)."""
         if source in self._excluded:
             return
-        last = self._last_seen.get(source, stamps[0])
-        self._last_seen[source] = stamps[-1]
+        runs = self._runs.get(source)
+        if runs is None:
+            runs = self._runs[source] = [[stamps[0], stamps[0]]]
         self._packets[source] = self._packets.get(source, 0) + len(stamps)
         self.packet_count += len(stamps)
+        current = runs[-1]
         resolution = self.RESOLUTION
-        if stamps[0] - last > resolution or stamps[-1] - stamps[0] > resolution:
-            long = [
-                gap
-                for gap in map(sub, stamps, (last,) + stamps)
-                if gap > resolution
-            ]
-            if long:
-                self._long.setdefault(source, []).extend(long)
-                self._sorted = None
+        if stamps[0] - current[1] > resolution or stamps[-1] - stamps[0] > resolution:
+            previous = (current[1],) + stamps
+            for index, gap in enumerate(map(sub, stamps, previous)):
+                if gap > resolution:
+                    current[1] = previous[index]
+                    current = [stamps[index], stamps[index]]
+                    runs.append(current)
+                    self._sorted = None
+        current[1] = stamps[-1]
 
     def exclude_sources(self, sources) -> None:
         """Drop sources (e.g. research scanners) from the sweep, with
         everything kept for them; their later observations never count."""
         self._excluded.update(sources)
-        for source in self._excluded & self._last_seen.keys():
-            del self._last_seen[source]
+        for source in self._excluded & self._runs.keys():
+            del self._runs[source]
             self.packet_count -= self._packets.pop(source)
-            self._long.pop(source, None)
         self._sorted = None
 
     def merge(self, other: "TimeoutSweep") -> None:
-        """Fold a shard's sweep into this one (disjoint source sets)."""
-        overlap = set(self._last_seen) & set(other._last_seen)
-        if overlap:
-            raise ValueError(f"shards overlap on {len(overlap)} sources")
+        """Fold the sweep of another part of the same stream into this
+        one: a source shard (``--workers``) or a destination tile
+        (federation) alike.  A source only ``other`` saw takes copies of
+        its runs as they are (in stream order, which sorting would
+        change for an unordered capture); for a source both saw, the
+        runs of both sides are sorted by ``first`` and neighbours joined
+        while ``next.first - current.last <= RESOLUTION`` — the rule and
+        the exactness argument of :func:`chain_merge_sessions`: a gap
+        above the resolution in the whole time-ordered stream is at
+        least as wide in every part, so no part's run straddles it.
+        ``other`` is left untouched and shares nothing with the result."""
         if self._excluded or other._excluded:
             raise ValueError("merge partial sweeps before excluding sources")
-        self._last_seen.update(other._last_seen)
-        self._packets.update(other._packets)
-        self._long.update(other._long)
+        resolution = self.RESOLUTION
+        for source, theirs in other._runs.items():
+            runs = [list(run) for run in theirs]
+            mine = self._runs.get(source)
+            if mine is not None:
+                joined = []
+                for run in sorted(mine + runs):
+                    if joined and run[0] - joined[-1][1] <= resolution:
+                        joined[-1][1] = max(joined[-1][1], run[1])
+                    else:
+                        joined.append(run)
+                runs = joined
+            self._runs[source] = runs
+            self._packets[source] = self._packets.get(source, 0) + other._packets[source]
         self.packet_count += other.packet_count
         self._sorted = None
 
     @property
     def source_count(self) -> int:
-        return len(self._last_seen)
+        return len(self._runs)
 
     def sessions_at(self, timeout: float) -> int:
         """Session count under the given timeout (seconds, at least
@@ -519,7 +540,9 @@ class TimeoutSweep:
             )
         if self._sorted is None:
             self._sorted = sorted(
-                gap for gaps in self._long.values() for gap in gaps
+                following[0] - run[1]
+                for runs in self._runs.values()
+                for run, following in zip(runs, runs[1:])
             )
         index = bisect.bisect_right(self._sorted, timeout)
         return self.source_count + len(self._sorted) - index
@@ -546,49 +569,3 @@ class TimeoutSweep:
             if (s1 - s2) / excess < threshold:
                 return m1
         return series[-1][0]
-
-
-class RecordingSweep(TimeoutSweep):
-    """A :class:`TimeoutSweep` that also retains per-source timestamps.
-
-    Gap *values* are enough to merge source-disjoint shards, but not
-    destination-partitioned vantages: the union stream's gaps are
-    differences of interleaved timestamps from several partitions, and
-    floats don't let us reconstruct timestamps from gaps
-    (``t1 + (t2 - t1) != t2`` in general).  Keeping the observed
-    timestamps — O(packets), unlike the sweep itself — lets
-    :func:`merge_recorded_sweeps` rebuild the union sweep exactly.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._timestamps: dict[int, list] = {}
-
-    def observe_run(self, source: int, stamps: tuple) -> None:
-        self._timestamps.setdefault(source, []).extend(stamps)
-        super().observe_run(source, stamps)
-
-
-def merge_recorded_sweeps(sweeps: Iterable["RecordingSweep"]) -> TimeoutSweep:
-    """Rebuild the single-stream sweep from per-vantage recorded sweeps.
-
-    Per source, the union of the vantages' timestamp lists (a sorted
-    multiset merge, duplicates kept) is exactly the timestamp sequence
-    a serial sweep over the union stream observes, so replaying it
-    through :meth:`TimeoutSweep.observe_run` reproduces the serial gaps
-    bit for bit — the same float subtractions on the same
-    values.  Returns a plain :class:`TimeoutSweep` ready for
-    ``exclude_sources`` / ``sessions_at``.
-    """
-    per_source: dict[int, list] = {}
-    for sweep in sweeps:
-        if not isinstance(sweep, RecordingSweep):
-            raise TypeError("federated sweep merge needs RecordingSweep inputs")
-        if sweep._excluded:
-            raise ValueError("merge recorded sweeps before excluding sources")
-        for source, stamps in sweep._timestamps.items():
-            per_source.setdefault(source, []).extend(stamps)
-    merged = TimeoutSweep()
-    for source, stamps in per_source.items():
-        merged.observe_run(source, tuple(sorted(stamps)))
-    return merged

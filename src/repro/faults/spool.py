@@ -37,8 +37,8 @@ def corrupt_frame_bytes(
     frame per damaged frame, even for adjacent damage, so ``n`` is the
     exact expected ``corrupt_frames``.  Frames whose kind name is in
     ``spare_kinds`` are never touched — equivalence tests spare the
-    ``hello``/``final-state`` frames and damage only interim traffic,
-    keeping the merged result intact while the skip path still fires.
+    ``final-state``/``bye`` frames and damage the ``hello``, keeping
+    the merged result intact while the skip path still fires.
     """
     if not kinds:
         raise ValueError("kinds must name at least one corruption")

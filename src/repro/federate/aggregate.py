@@ -1,9 +1,9 @@
 """The federation aggregator: K vantage streams → one global result.
 
-The aggregator ingests per-vantage frame streams (from a file spool
-or a socket listener — :mod:`repro.federate.transport`), rehydrates
-each vantage's final :class:`~repro.core.pipeline.PartialState`, and
-produces three things:
+The aggregator ingests per-vantage frame streams — ``hello /
+final-state / [obs] / bye``, from a file spool or a socket listener
+(:mod:`repro.federate.transport`) — rehydrates each vantage's one
+:class:`~repro.core.pipeline.PartialState`, and produces three things:
 
 - the **global result** — the vantage states merged with
   :func:`repro.federate.merge.merge_federated_states` and finalized
@@ -43,7 +43,6 @@ from repro.federate.protocol import (
     HELLO,
     OBS,
     SCHEMA_VERSION,
-    STATE,
     Frame,
     ProtocolError,
 )
@@ -79,7 +78,6 @@ class VantageStream:
     obs_snapshot: Optional[dict] = None
     bye: Optional[dict] = None
     frames: int = 0
-    interim_states: int = 0
 
     def state(self) -> PartialState:
         """A fresh rehydration of the final state."""
@@ -165,8 +163,6 @@ class Aggregator:
                     )
                 stream.name = meta.get("vantage", fallback_name)
                 stream.prefix = meta.get("prefix")
-            elif frame.kind == STATE:
-                stream.interim_states += 1
             elif frame.kind == FINAL_STATE:
                 stream.state_bytes = frame.payload
             elif frame.kind == OBS:

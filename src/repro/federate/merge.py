@@ -2,8 +2,8 @@
 
 Federated vantages tile the telescope prefix by *destination*, so —
 unlike the source-sharded ``--workers`` path — the same source shows
-up at several vantages and the disjoint-source merges raise.  This
-module provides the overlap-aware alternative:
+up at several vantages and the sessionizers' disjoint-source merge
+raises.  This module provides the overlap-aware alternative:
 
 - :func:`tile_prefixes` splits the telescope net into K tiles (K need
   not be a power of two — the largest tile is halved repeatedly, so
@@ -14,8 +14,9 @@ module provides the overlap-aware alternative:
   :meth:`~repro.core.pipeline.PartialState.merge_counts`, session
   fragments are rejoined by
   :func:`~repro.core.sessions.chain_merge_sessions` (exactness proof
-  in its docstring), and the timeout sweep is replayed from recorded
-  timestamps via :func:`~repro.core.sessions.merge_recorded_sweeps`.
+  in its docstring), and the timeout sweeps join per-source runs by
+  the same rule in :meth:`~repro.core.sessions.TimeoutSweep.merge`,
+  the one merge ``--workers`` uses too.
 
 Bit-exactness against the serial pipeline is pinned by
 ``tests/test_federation_equivalence.py``.
@@ -26,11 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.pipeline import AnalysisConfig, PartialState
-from repro.core.sessions import (
-    RecordingSweep,
-    chain_merge_sessions,
-    merge_recorded_sweeps,
-)
+from repro.core.sessions import chain_merge_sessions
 from repro.net.addresses import IPv4Network
 
 
@@ -84,11 +81,10 @@ def merge_federated_states(
 ) -> PartialState:
     """The global state of K destination-partitioned vantage states.
 
-    Every input must carry a :class:`~repro.core.sessions.RecordingSweep`
-    (vantages install one; see :mod:`repro.federate.vantage`) and must
-    already be closed — open sessions are treated as fragments, so an
-    unflushed state still merges, but the bit-exactness pin assumes
-    end-of-window flushes.  The inputs are not mutated.
+    Any :class:`~repro.core.pipeline.PartialState` merges; the inputs
+    should already be closed — open sessions are treated as fragments,
+    so an unflushed state still merges, but the bit-exactness pin
+    assumes end-of-window flushes.  The inputs are not mutated.
     """
     states = list(states)
     if not states:
@@ -96,13 +92,6 @@ def merge_federated_states(
     merged = PartialState.initial(config)
     for state in states:
         merged.merge_counts(state)
+        merged.sweep.merge(state.sweep)
     _merge_sessionizers(merged, states, config.session_timeout)
-    sweeps = [state.sweep for state in states]
-    for sweep in sweeps:
-        if not isinstance(sweep, RecordingSweep):
-            raise ValueError(
-                "federated merge needs RecordingSweep vantage states "
-                "(plain TimeoutSweep gaps cannot be re-unioned exactly)"
-            )
-    merged.sweep = merge_recorded_sweeps(sweeps)
     return merged

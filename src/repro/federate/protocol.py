@@ -18,9 +18,9 @@ Frame layout (all integers big-endian)::
     22      ...   payload
 
 Payloads are either JSON (``hello``/``bye`` — the schema-version
-handshake and the closing manifest) or pickles (``state``/
-``final-state`` carry :class:`~repro.core.pipeline.PartialState`
-snapshots, ``obs`` a registry snapshot dict).
+handshake and the closing manifest) or pickles (``final-state``
+carries the vantage's closed :class:`~repro.core.pipeline.PartialState`,
+``obs`` a registry snapshot dict).
 ``SCHEMA_VERSION`` governs the pickled payload schema and travels in
 the ``hello`` frame; the aggregator rejects a vantage whose schema
 does not match instead of unpickling blind.
@@ -48,20 +48,21 @@ from repro import obs
 PROTOCOL_VERSION = 1
 #: pickled payload schema version (the handshake value in ``hello``).
 #: 2: ``TimeoutSweep`` counts sub-minute gaps, ``Sessionizer.gaps`` is gone.
-SCHEMA_VERSION = 2
+#: 3: ``TimeoutSweep`` keeps per-source runs, not last-seen + long gaps.
+SCHEMA_VERSION = 3
 
 MAGIC = b"QSFD"
 
 HELLO = "hello"
-STATE = "state"
 FINAL_STATE = "final-state"
 OBS = "obs"
 BYE = "bye"
 
-#: the code byte of each kind is part of the spool format: 4 (the
-#: retired ``sketch`` frame) is never reassigned, so kept spools stay
-#: readable and a stream that carries one decodes it as damage.
-_KIND_CODES = {HELLO: 1, STATE: 2, FINAL_STATE: 3, OBS: 5, BYE: 6}
+#: the code byte of each kind is part of the spool format: 2 and 4 (the
+#: retired interim ``state`` and ``sketch`` frames) are never reassigned,
+#: so kept spools stay readable and a stream that carries one decodes it
+#: as damage.
+_KIND_CODES = {HELLO: 1, FINAL_STATE: 3, OBS: 5, BYE: 6}
 FRAME_KINDS = tuple(_KIND_CODES)
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 

@@ -5,7 +5,7 @@ the substrates and the analysis core:
 
 - :mod:`repro.util.varint` — QUIC variable-length integers (RFC 9000 §16).
 - :mod:`repro.util.rng` — deterministic, stream-splittable random sources.
-- :mod:`repro.util.timeutil` — epoch/bucket helpers for time-series work.
+- :mod:`repro.util.timeutil` — epoch constants and interval helpers.
 - :mod:`repro.util.stats` — empirical CDFs, percentiles and summaries.
 - :mod:`repro.util.render` — plain-text tables and charts for benches.
 - :mod:`repro.util.batching` — chunked iteration over packet streams.
@@ -20,13 +20,7 @@ from repro.util.varint import (
 )
 from repro.util.rng import SeededRng, derive_seed
 from repro.util.stats import EmpiricalCdf, Summary, percentile, summarize
-from repro.util.timeutil import (
-    HOUR,
-    MINUTE,
-    bucket_of,
-    hour_of_day,
-    iter_buckets,
-)
+from repro.util.timeutil import HOUR, MINUTE
 
 __all__ = [
     "batched",
@@ -42,7 +36,4 @@ __all__ = [
     "summarize",
     "HOUR",
     "MINUTE",
-    "bucket_of",
-    "hour_of_day",
-    "iter_buckets",
 ]

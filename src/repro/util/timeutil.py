@@ -1,4 +1,4 @@
-"""Time helpers for telescope time series.
+"""Time constants and interval helpers for telescope time series.
 
 All timestamps in the reproduction are Unix epoch seconds (floats).  The
 measurement window in the paper is April 1-30, 2021; scenarios default
@@ -7,8 +7,6 @@ to windows inside that month so that correlated data sources
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 MINUTE = 60.0
 HOUR = 3600.0
@@ -20,37 +18,6 @@ APRIL_1_2021 = 1617235200.0
 MAY_1_2021 = 1619827200.0
 
 
-def bucket_of(timestamp: float, start: float, width: float) -> int:
-    """Return the index of the bucket of ``width`` seconds holding ``timestamp``."""
-    if width <= 0:
-        raise ValueError("bucket width must be positive")
-    return int((timestamp - start) // width)
-
-
-def hour_of_day(timestamp: float) -> int:
-    """UTC hour-of-day (0-23) for an epoch timestamp."""
-    return int(timestamp // HOUR) % 24
-
-
-def iter_buckets(start: float, end: float, width: float) -> Iterator[float]:
-    """Yield the left edge of every bucket covering ``[start, end)``."""
-    if width <= 0:
-        raise ValueError("bucket width must be positive")
-    edge = start
-    while edge < end:
-        yield edge
-        edge += width
-
-
 def overlap_seconds(start_a: float, end_a: float, start_b: float, end_b: float) -> float:
     """Length of the intersection of two closed intervals, >= 0."""
     return max(0.0, min(end_a, end_b) - max(start_a, start_b))
-
-
-def gap_seconds(start_a: float, end_a: float, start_b: float, end_b: float) -> float:
-    """Gap between two non-overlapping intervals (0 when they touch/overlap)."""
-    if overlap_seconds(start_a, end_a, start_b, end_b) > 0:
-        return 0.0
-    if end_a <= start_b:
-        return start_b - end_a
-    return start_a - end_b

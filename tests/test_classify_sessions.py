@@ -254,8 +254,9 @@ def test_timeout_sweep_packet_count_cached_through_exclusion():
 
 
 def test_timeout_sweep_exclude_keeps_sorted_incremental():
-    """Excluding sources subtracts their gaps from the sorted list
-    in place (including duplicates) instead of forcing a re-sort."""
+    """Excluding a source drops its runs; the next query rebuilds the
+    sorted long gaps from the sources left, so another source's gap of
+    the same length (90 s here) survives, and a repeat is a no-op."""
     sweep = TimeoutSweep()
     for source, gaps in ((1, (90.0, 120.0)), (2, (90.0, 600.0)), (3, (105.0,))):
         t = 0.0
@@ -287,10 +288,21 @@ def test_timeout_sweep_merge_disjoint_sources():
     assert a.source_count == 2
     assert a.packet_count == 4
     assert a.sessions_at(75) == 3
+    # source 1 again: the runs are joined, not refused as an overlap
     c = TimeoutSweep()
     c.observe(1, 99.0)
-    with pytest.raises(ValueError):
-        a.merge(c)
+    a.merge(c)
+    assert (a.source_count, a.packet_count) == (2, 5)
+    assert [a.sessions_at(t) for t in (60, 75, 100)] == [4, 3, 2]  # gaps 69, 90
+    d = TimeoutSweep()
+    d.observe(1, 50.0)  # bridges 30 -> 99: one run for source 1
+    a.merge(d)
+    assert (a.source_count, a.packet_count) == (2, 6)
+    assert [a.sessions_at(t) for t in (60, 75, 100)] == [3, 3, 2]
+    assert a._runs[1] == [[0.0, 99.0]]
+    # the merged runs are copies: extending source 2 leaves ``b`` as it was
+    a.observe(2, 130.0)
+    assert b._runs == {2: [[10.0, 10.0], [100.0, 100.0]]}
 
 
 def test_sessionizer_merge_disjoint_sources():

@@ -4,12 +4,15 @@ The acceptance pin of :mod:`repro.federate`: K vantages tiling the /9
 by destination prefix, each running the full per-packet phase locally
 and shipping state over the file-spool transport, must merge into a
 :class:`PipelineResult` — and a rendered report — **byte-identical**
-to a single telescope analyzing the whole prefix.  Damage to interim
-spool frames must be counted, skipped, reported against each vantage's
-``bye`` manifest, and must not perturb the merged result.
+to a single telescope analyzing the whole prefix.  Every vantage runs
+``Vantage.run`` — the loop ``federate`` runs — over its own tile.
+Damage to a stream's ``hello`` must be counted, skipped, reported
+against each vantage's ``bye`` manifest, and must not perturb the
+merged result.
 """
 
 import dataclasses
+import shutil
 from unittest import mock
 
 import pytest
@@ -17,7 +20,6 @@ import pytest
 from repro.core import QuicsandPipeline
 from repro.core.pipeline import AnalysisConfig
 from repro.core.report import build_report
-from repro.core.sessions import TimeoutSweep
 from repro.faults import corrupt_frame_bytes
 from repro.federate import (
     Aggregator,
@@ -27,7 +29,7 @@ from repro.federate import (
     merge_federated_states,
     tile_prefixes,
 )
-from repro.federate.protocol import BYE, FINAL_STATE, HELLO, MAGIC, FrameDecoder
+from repro.federate.protocol import BYE, FINAL_STATE, MAGIC, FrameDecoder
 from repro.net.addresses import IPv4Network
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.rng import SeededRng
@@ -54,34 +56,44 @@ def make_pipeline(s):
 
 
 @pytest.fixture(scope="module")
-def shared_packets():
-    """The full-prefix capture, generated once and fanned out."""
-    return list(scenario().packets())
-
-
-@pytest.fixture(scope="module")
-def baseline(shared_packets):
+def baseline():
     s = scenario()
-    result = make_pipeline(s).process(iter(shared_packets))
+    result = make_pipeline(s).process(s.packets())
     report = build_report(result, research_weight=s.truth.research_weight)
     return result, report
 
 
-def run_federation(spool_dir, shared_packets, vantages):
-    """Spool K vantage streams and aggregate them."""
-    tiles = tile_prefixes("44.0.0.0/9", vantages)
-    for index, tile in enumerate(tiles):
-        vantage = Vantage(
-            VantageConfig(
-                name=f"v{index}",
-                prefix=str(tile),
-                snapshot_every=1800.0,
-                scenario=ScenarioConfig(**SCENARIO_KW),
-                analysis=AnalysisConfig(),
-            )
-        )
-        with SpoolWriter(str(spool_dir), f"v{index}") as writer:
-            vantage.run(writer, packets=shared_packets)
+@pytest.fixture(scope="module")
+def spools(tmp_path_factory):
+    """``K -> spool directory`` of K vantages tiling the /9, each run
+    once through ``Vantage.run``; tests aggregate (or damage) copies."""
+    made = {}
+
+    def spool(vantages):
+        if vantages not in made:
+            directory = tmp_path_factory.mktemp(f"k{vantages}")
+            tiles = tile_prefixes("44.0.0.0/9", vantages)
+            for index, tile in enumerate(tiles):
+                vantage = Vantage(
+                    VantageConfig(
+                        name=f"v{index}",
+                        prefix=str(tile),
+                        scenario=ScenarioConfig(**SCENARIO_KW),
+                        analysis=AnalysisConfig(),
+                    )
+                )
+                with SpoolWriter(str(directory), f"v{index}") as writer:
+                    vantage.run(writer)
+                assert vantage.frames_sent == 3  # hello, final-state, bye
+            made[vantages] = directory
+        return made[vantages]
+
+    return spool
+
+
+def run_federation(spool_dir, spools, vantages):
+    """Copy K spooled vantage streams into ``spool_dir`` and aggregate them."""
+    shutil.copytree(spools(vantages), spool_dir, dirs_exist_ok=True)
     s = scenario()
     aggregator = Aggregator(
         make_pipeline(s), research_weight=s.truth.research_weight
@@ -111,10 +123,10 @@ def assert_identical(reference, other, weight, label):
 
 
 @pytest.mark.parametrize("vantages", [1, 2, 3, 4])
-def test_partition_equivalence_exact(tmp_path, shared_packets, baseline, vantages):
+def test_partition_equivalence_exact(tmp_path, spools, baseline, vantages):
     """K exact vantages over the spool reproduce the single telescope."""
     reference, reference_report = baseline
-    _agg, fed, s = run_federation(tmp_path, shared_packets, vantages)
+    _agg, fed, s = run_federation(tmp_path, spools, vantages)
     assert_identical(
         reference, fed.global_result, s.truth.research_weight, f"exact-k{vantages}"
     )
@@ -124,9 +136,9 @@ def test_partition_equivalence_exact(tmp_path, shared_packets, baseline, vantage
     )
 
 
-def test_cross_telescope_dedup(tmp_path, shared_packets, baseline):
+def test_cross_telescope_dedup(tmp_path, spools, baseline):
     """The same flood seen from several tiles collapses to one."""
-    _agg, fed, _s = run_federation(tmp_path, shared_packets, 2)
+    _agg, fed, _s = run_federation(tmp_path, spools, 2)
     assert fed.dedup_hits > 0
     sightings = sum(len(flood.vantages) for flood in fed.global_floods)
     assert sightings == len(fed.global_floods) + fed.dedup_hits
@@ -137,29 +149,17 @@ def test_cross_telescope_dedup(tmp_path, shared_packets, baseline):
         assert set(flood.vantages) <= {"v0", "v1"}
 
 
-def test_corrupt_spool_frames_skipped_not_raised(tmp_path, shared_packets, baseline):
+def test_corrupt_spool_frames_skipped_not_raised(tmp_path, spools, baseline):
     """Fault-injected spool damage: counted, skipped, result unchanged.
 
-    Interim ``state`` frames absorb all the damage (the load-bearing
-    hello/final-state/bye frames are spared), so the federation must
-    still produce the bit-exact global report while reporting a nonzero
-    corrupt count — and, per vantage, how many of the frames its ``bye``
-    manifest announced never decoded.
+    Each stream's ``hello`` absorbs the damage (the load-bearing
+    final-state and bye frames are spared), so every stream keeps its
+    spool-file name and the federation must still produce the bit-exact
+    global report while reporting the corrupt count — and, per vantage,
+    the one frame its ``bye`` manifest announced that never decoded.
     """
     reference, reference_report = baseline
-    tiles = tile_prefixes("44.0.0.0/9", 2)
-    for index, tile in enumerate(tiles):
-        vantage = Vantage(
-            VantageConfig(
-                name=f"v{index}",
-                prefix=str(tile),
-                snapshot_every=600.0,  # many interim frames to damage
-                scenario=ScenarioConfig(**SCENARIO_KW),
-                analysis=AnalysisConfig(),
-            )
-        )
-        with SpoolWriter(str(tmp_path), f"v{index}") as writer:
-            vantage.run(writer, packets=shared_packets)
+    shutil.copytree(spools(2), tmp_path, dirs_exist_ok=True)
     damaged_total = 0
     lost = {}
     for path in tmp_path.glob("*.qsf"):
@@ -168,19 +168,20 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, shared_packets, basel
             path.read_bytes(),
             SeededRng(5, path.name),
             rate=1.0,
-            spare_kinds=(HELLO, FINAL_STATE, BYE),
+            spare_kinds=(FINAL_STATE, BYE),
         )
         path.write_bytes(damaged)
         damaged_total += n
         lost[path.stem] = undamaged - decoded_frames(damaged)
-    assert damaged_total > 0, "need interim frames to damage"
+    assert lost == {"v0": 1, "v1": 1}
     s = scenario()
     aggregator = Aggregator(
         make_pipeline(s), research_weight=s.truth.research_weight
     )
     aggregator.consume_spool(str(tmp_path))
     fed = aggregator.federate()
-    assert fed.corrupt_frames == damaged_total
+    assert fed.corrupt_frames == damaged_total == 2
+    assert [stream.name for stream in fed.streams] == ["v0", "v1"]
     assert_identical(
         reference, fed.global_result, s.truth.research_weight, "corrupt-spool"
     )
@@ -188,23 +189,21 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, shared_packets, basel
         build_report(fed.global_result, research_weight=s.truth.research_weight)
         == reference_report
     )
-    assert all(lost.values()) and sum(lost.values()) == damaged_total
     assert {
         name: check["frames_lost"] for name, check in fed.manifests.items()
     } == lost
     assert not any(check["packets_missing"] for check in fed.manifests.values())
     report = aggregator.report(fed)
     assert f"corrupt frames skipped  {damaged_total}" in report
-    row = ", ".join(f"{name}: {count}" for name, count in sorted(lost.items()))
-    assert f"frames lost             {row}" in report
+    assert "frames lost             v0: 1, v1: 1" in report
     assert "no manifest" not in report
 
 
-def test_stream_without_bye_reports_no_manifest(tmp_path, shared_packets):
+def test_stream_without_bye_reports_no_manifest(tmp_path, spools):
     """A stream that ends before its ``bye`` (a vantage killed after the
     final state went out) still federates, flagged ``no manifest``; the
     complete stream beside it shows no manifest row at all."""
-    run_federation(tmp_path, shared_packets, 2)
+    run_federation(tmp_path, spools, 2)
     path = tmp_path / "v1.qsf"
     whole = path.read_bytes()
     path.write_bytes(whole[: whole.rindex(MAGIC)])  # the bye is the last frame
@@ -220,12 +219,12 @@ def test_stream_without_bye_reports_no_manifest(tmp_path, shared_packets):
     assert "frames lost" not in report
 
 
-def test_federate_rehydrates_each_state_twice(tmp_path, shared_packets):
+def test_federate_rehydrates_each_state_twice(tmp_path, spools):
     """One copy of each vantage state for the global merge, one for its
     own finalization — the extrapolation check reads the results."""
     from repro.core.pipeline import PartialState
 
-    aggregator, _fed, _s = run_federation(tmp_path, shared_packets, 3)
+    aggregator, _fed, _s = run_federation(tmp_path, spools, 3)
     with mock.patch.object(
         PartialState, "from_snapshot_bytes", wraps=PartialState.from_snapshot_bytes
     ) as rehydrate:
@@ -233,9 +232,9 @@ def test_federate_rehydrates_each_state_twice(tmp_path, shared_packets):
     assert rehydrate.call_count == 2 * 3
 
 
-def test_extrapolation_check_rows(tmp_path, shared_packets, baseline):
+def test_extrapolation_check_rows(tmp_path, spools, baseline):
     reference, _ = baseline
-    _agg, fed, _s = run_federation(tmp_path, shared_packets, 2)
+    _agg, fed, _s = run_federation(tmp_path, spools, 2)
     assert set(fed.extrapolation) == {"v0", "v1"}
     for check in fed.extrapolation.values():
         assert check["share"] == 0.5
@@ -266,16 +265,6 @@ def test_tile_prefixes_rejects_bad_counts():
         tile_prefixes("44.0.0.0/9", 0)
     with pytest.raises(ValueError):
         tile_prefixes("44.0.0.0/31", 3)
-
-
-def test_merge_rejects_plain_sweep_states():
-    from repro.core.pipeline import PartialState
-
-    config = AnalysisConfig()
-    state = PartialState.initial(config)
-    assert isinstance(state.sweep, TimeoutSweep)
-    with pytest.raises(ValueError, match="RecordingSweep"):
-        merge_federated_states([state], config)
 
 
 def test_merge_rejects_empty_input():

@@ -25,9 +25,9 @@ from repro.federate.protocol import (
     HEADER_SIZE,
     HELLO,
     MAGIC,
+    OBS,
     PROTOCOL_VERSION,
     SCHEMA_VERSION,
-    STATE,
     Frame,
     FrameDecoder,
     ProtocolError,
@@ -58,7 +58,7 @@ def decode_frames(data: bytes) -> tuple:
 def sample_frames():
     return [
         hello_frame("v0", "44.0.0.0/10", 0),
-        encode_frame(STATE, b"interim" * 40, 1),
+        pickle_frame(OBS, {"metrics": "snapshot" * 40}, 1),
         pickle_frame(FINAL_STATE, {"total": 123}, 2),
         bye_frame(3, 123, 3),
     ]
@@ -77,7 +77,7 @@ def test_roundtrip_all_kinds():
 def test_roundtrip_stream_and_json_payloads():
     frames, corrupt = decode_frames(b"".join(sample_frames()))
     assert corrupt == 0
-    assert [f.kind for f in frames] == [HELLO, STATE, FINAL_STATE, BYE]
+    assert [f.kind for f in frames] == [HELLO, OBS, FINAL_STATE, BYE]
     hello = frames[0].json()
     assert hello == {
         "schema": SCHEMA_VERSION,
@@ -89,50 +89,61 @@ def test_roundtrip_stream_and_json_payloads():
 
 
 def test_schema_1_hello_is_refused():
-    """A spool written before the sweep counted sub-minute gaps holds
-    ``TimeoutSweep`` pickles of another shape: its ``hello`` says
-    schema 1 and the aggregator stops there, before any unpickling."""
-    assert SCHEMA_VERSION == 2
-    hello = encode_frame(
-        HELLO,
-        json.dumps({"schema": 1, "vantage": "v0", "prefix": "44.0.0.0/10"}).encode(),
-        0,
-    )
-    poison = encode_frame(FINAL_STATE, b"not a pickle: never loaded", 1)
-    frames, _corrupt = decode_frames(hello + poison)
-    aggregator = Aggregator(QuicsandPipeline())
-    with pytest.raises(ProtocolError, match="'v0' speaks payload schema 1, expected 2"):
-        aggregator.ingest_frames("spool-0", frames)
-    assert aggregator.streams == []
+    """A spool written before the sweep counted sub-minute gaps (schema
+    1) or before it kept per-source runs (schema 2) holds
+    ``TimeoutSweep`` pickles of another shape: its ``hello`` says so and
+    the aggregator stops there, before any unpickling."""
+    assert SCHEMA_VERSION == 3
+    for schema in (1, 2):
+        hello = encode_frame(
+            HELLO,
+            json.dumps(
+                {"schema": schema, "vantage": "v0", "prefix": "44.0.0.0/10"}
+            ).encode(),
+            0,
+        )
+        poison = encode_frame(FINAL_STATE, b"not a pickle: never loaded", 1)
+        frames, _corrupt = decode_frames(hello + poison)
+        aggregator = Aggregator(QuicsandPipeline())
+        with pytest.raises(
+            ProtocolError, match=f"'v0' speaks payload schema {schema}, expected 3"
+        ):
+            aggregator.ingest_frames("spool-0", frames)
+        assert aggregator.streams == []
 
 
 def test_encode_rejects_unknown_kind():
     with pytest.raises(ProtocolError):
         encode_frame("no-such-kind", b"")
-    with pytest.raises(ProtocolError):
-        encode_frame("sketch", b"")  # retired with its code
+    for retired in ("sketch", "state"):  # retired with their codes
+        with pytest.raises(ProtocolError):
+            encode_frame(retired, b"")
 
 
 def test_kind_codes_are_the_spool_format():
     """The code byte of a kind never changes — kept spools stay readable
-    — and 4, the retired ``sketch`` frame, is not reassigned."""
+    — and 2 and 4, the retired interim ``state`` and ``sketch`` frames,
+    are not reassigned."""
     codes = {kind: encode_frame(kind, b"")[5] for kind in FRAME_KINDS}
-    assert codes == {"hello": 1, "state": 2, "final-state": 3, "obs": 5, "bye": 6}
+    assert codes == {"hello": 1, "final-state": 3, "obs": 5, "bye": 6}
 
 
 def test_retired_code_4_frame_is_skipped_as_damage():
-    """A spool written when vantages still shipped ``sketch`` frames:
-    the code-4 frame costs one ``corrupt_frames`` tick, the rest of the
-    stream — its ``final-state`` included — decodes."""
-    hello, state, final, bye = sample_frames()
-    payload = b"a pickled tier"
-    retired = struct.pack(
-        ">4sBBIQI", MAGIC, PROTOCOL_VERSION, 4, 3, len(payload), zlib.crc32(payload)
-    ) + payload
-    frames, corrupt = decode_frames(hello + state + final + retired + bye)
-    assert corrupt == 1
-    assert [f.kind for f in frames] == [HELLO, STATE, FINAL_STATE, BYE]
-    assert frames[2].unpickle() == {"total": 123}
+    """A spool written when vantages still shipped ``sketch`` (code 4)
+    or interim ``state`` (code 2) frames: the retired frame costs one
+    ``corrupt_frames`` tick, the rest of the stream — its
+    ``final-state`` included — decodes."""
+    hello, metrics, final, bye = sample_frames()
+    payload = b"a pickled tier or snapshot"
+    for code in (4, 2):
+        retired = struct.pack(
+            ">4sBBIQI", MAGIC, PROTOCOL_VERSION, code, 3, len(payload),
+            zlib.crc32(payload),
+        ) + payload
+        frames, corrupt = decode_frames(hello + metrics + final + retired + bye)
+        assert corrupt == 1, code
+        assert [f.kind for f in frames] == [HELLO, OBS, FINAL_STATE, BYE]
+        assert frames[2].unpickle() == {"total": 123}
 
 
 def test_byte_at_a_time_chunking():
@@ -142,7 +153,7 @@ def test_byte_at_a_time_chunking():
         for i in range(len(blob)):
             out.extend(decoder.feed(blob[i : i + 1]))
     decoder.finish()
-    assert [f.kind for f in out] == [HELLO, STATE, FINAL_STATE, BYE]
+    assert [f.kind for f in out] == [HELLO, OBS, FINAL_STATE, BYE]
     assert decoder.corrupt_frames == 0
 
 
@@ -169,7 +180,7 @@ def test_bad_version_skips_frame():
     blob = bytearray(b"".join(sample_frames()))
     blob[4] = 0xFF  # protocol version of the hello frame
     frames, corrupt = decode_frames(bytes(blob))
-    assert [f.kind for f in frames] == [STATE, FINAL_STATE, BYE]
+    assert [f.kind for f in frames] == [OBS, FINAL_STATE, BYE]
     assert corrupt == 1
 
 
@@ -178,14 +189,14 @@ def test_bad_checksum_skips_declared_frame():
     blob = bytearray(first + rest)
     blob[HEADER_SIZE] ^= 0xFF  # first payload byte of hello
     frames, corrupt = decode_frames(bytes(blob))
-    assert [f.kind for f in frames] == [STATE, FINAL_STATE, BYE]
+    assert [f.kind for f in frames] == [OBS, FINAL_STATE, BYE]
     assert corrupt == 1
 
 
 def test_truncated_tail_counts_one():
     blob = b"".join(sample_frames())
     frames, corrupt = decode_frames(blob[:-5])
-    assert [f.kind for f in frames] == [HELLO, STATE, FINAL_STATE]
+    assert [f.kind for f in frames] == [HELLO, OBS, FINAL_STATE]
     assert corrupt == 1
 
 
@@ -213,7 +224,7 @@ def test_corrupt_frame_bytes_spares_kinds():
         rate=1.0,
         spare_kinds=(HELLO, FINAL_STATE, BYE),
     )
-    assert n == 3  # only the three state frames were eligible
+    assert n == 3  # only the three obs frames were eligible
     frames, corrupt = decode_frames(damaged)
     assert corrupt == 3
     assert [f.kind for f in frames] == [HELLO, FINAL_STATE, BYE] * 3
@@ -246,7 +257,7 @@ def test_spool_roundtrip(tmp_path):
     streams = dict(reader.streams())
     assert set(streams) == {"v0", "v1"}
     for frames in streams.values():
-        assert [f.kind for f in frames] == [HELLO, STATE, FINAL_STATE, BYE]
+        assert [f.kind for f in frames] == [HELLO, OBS, FINAL_STATE, BYE]
     assert reader.corrupt_frames == 0
 
 
@@ -260,7 +271,7 @@ def test_spool_reader_skips_damage(tmp_path):
     path.write_bytes(bytes(blob))
     reader = SpoolReader(str(tmp_path))
     frames = reader.read_stream("damaged")
-    assert [f.kind for f in frames] == [STATE, FINAL_STATE, BYE]
+    assert [f.kind for f in frames] == [OBS, FINAL_STATE, BYE]
     assert reader.corrupt_frames == 1
 
 
@@ -294,7 +305,7 @@ def test_socket_pair_roundtrip():
             for blob in sample_frames():
                 sender.send(blob)
         thread.join(timeout=10)
-    assert [f.kind for f in received] == [HELLO, STATE, FINAL_STATE, BYE]
+    assert [f.kind for f in received] == [HELLO, OBS, FINAL_STATE, BYE]
     assert listener.corrupt_frames == 0
 
 

@@ -11,7 +11,8 @@ with no wall clock:
     the reference), on arbitrary observation lists — timeouts, minute
     and hour edges, equal and *backwards* timestamps included;
 (b) the counted sweep equals a keep-every-gap reference for every
-    timeout it answers for, through ``exclude_sources`` and ``merge``;
+    timeout it answers for, through ``exclude_sources`` and ``merge`` —
+    of source shards and of destination partitions alike;
 (c) on real traffic the per-entry fallback is the exception for
     un-hooked sessionizers and the rule for the monitor's hooked ones.
 """
@@ -189,19 +190,37 @@ def event_lists(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(event_lists(), st.booleans())
-def test_counted_sweep_equals_keep_every_gap(events, by_run):
-    naive, sweep, shard = KeepEveryGap(), TimeoutSweep(), TimeoutSweep()
+@given(event_lists(), st.booleans(), st.data())
+def test_counted_sweep_equals_keep_every_gap(events, by_run, data):
+    parts = data.draw(st.integers(min_value=1, max_value=3))
+    if parts > 1:
+        # a destination partition splits a time-ordered capture
+        events.sort(key=lambda event: event[1])
+    # a drawn part per event, blind to the source, and a merge order
+    assignment = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=parts - 1),
+            min_size=len(events),
+            max_size=len(events),
+        )
+    )
+    order = data.draw(st.permutations(range(parts)))
+    naive = KeepEveryGap()
     for source, timestamp in events:
         naive.observe(source, timestamp)
-    # sources 1 and 2 into one sweep, 3 into a shard merged in afterwards
-    if by_run:
-        for source, stamps in runs_of(events):
+    sweeps = []
+    for part in range(parts):
+        # sources 1 and 2 into one sweep, 3 into a shard merged in afterwards
+        sweep, shard = TimeoutSweep(), TimeoutSweep()
+        mine = [event for event, drawn in zip(events, assignment) if drawn == part]
+        feed = runs_of(mine) if by_run else [(s, (t,)) for s, t in mine]
+        for source, stamps in feed:
             (shard if source == 3 else sweep).observe_run(source, stamps)
-    else:
-        for source, timestamp in events:
-            (shard if source == 3 else sweep).observe(source, timestamp)
-    sweep.merge(shard)
+        sweep.merge(shard)
+        sweeps.append(sweep)
+    sweep = sweeps[order[0]]
+    for part in order[1:]:
+        sweep.merge(sweeps[part])
     for excluded in ((), (1,), (1, 3)):
         naive.excluded.update(excluded)
         sweep.exclude_sources(excluded)
@@ -210,7 +229,7 @@ def test_counted_sweep_equals_keep_every_gap(events, by_run):
         for timeout in TIMEOUTS:
             assert sweep.sessions_at(timeout) == naive.sessions_at(timeout), timeout
     # nothing is kept for an excluded source, and nothing new counts
-    assert not {1, 3} & (set(sweep._last_seen) | set(sweep._packets) | set(sweep._long))
+    assert not {1, 3} & (set(sweep._runs) | set(sweep._packets))
     before = sweep.packet_count
     sweep.observe_run(1, (1e6, 1e6 + 90.0))
     assert sweep.packet_count == before
@@ -219,9 +238,16 @@ def test_counted_sweep_equals_keep_every_gap(events, by_run):
 def test_sweep_counts_a_gap_of_exactly_one_minute():
     sweep = TimeoutSweep()
     sweep.observe_run(1, (0.0, 60.0, 120.0 + 2**-40))
-    assert (sweep._packets, sweep._long) == ({1: 3}, {1: [60.0 + 2**-40]})
+    assert sweep._packets == {1: 3}
+    assert sweep._runs == {1: [[0.0, 60.0], [120.0 + 2**-40, 120.0 + 2**-40]]}
     assert sweep.sessions_at(60.0) == 2
     assert sweep.sessions_at(60.0 + 2**-40) == 1
+    # split across two parts, the same stamps join the same way
+    merged, part = TimeoutSweep(), TimeoutSweep()
+    merged.observe_run(1, (0.0, 120.0 + 2**-40))
+    part.observe(1, 60.0)
+    merged.merge(part)
+    assert merged._runs == sweep._runs
 
 
 def test_sweep_refuses_timeouts_below_its_resolution():

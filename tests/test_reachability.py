@@ -56,10 +56,6 @@ UNIT_TESTED_ONLY = {
     "repro.util.stats.EmpiricalCdf.fraction_at_most",
     "repro.util.stats.Summary",
     "repro.util.stats.summarize",
-    "repro.util.timeutil.bucket_of",
-    "repro.util.timeutil.gap_seconds",
-    "repro.util.timeutil.hour_of_day",
-    "repro.util.timeutil.iter_buckets",
 }
 
 

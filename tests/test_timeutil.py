@@ -1,40 +1,6 @@
-"""Tests for time bucketing and interval arithmetic."""
+"""Tests for interval arithmetic."""
 
-import pytest
-
-from repro.util.timeutil import (
-    APRIL_1_2021,
-    HOUR,
-    bucket_of,
-    gap_seconds,
-    hour_of_day,
-    iter_buckets,
-    overlap_seconds,
-)
-
-
-def test_bucket_of():
-    assert bucket_of(100.0, 0.0, 60.0) == 1
-    assert bucket_of(59.999, 0.0, 60.0) == 0
-    assert bucket_of(60.0, 0.0, 60.0) == 1
-
-
-def test_bucket_of_rejects_zero_width():
-    with pytest.raises(ValueError):
-        bucket_of(1.0, 0.0, 0.0)
-
-
-def test_hour_of_day_april_1():
-    # April 1, 2021 starts at midnight UTC.
-    assert hour_of_day(APRIL_1_2021) == 0
-    assert hour_of_day(APRIL_1_2021 + 6 * HOUR) == 6
-    assert hour_of_day(APRIL_1_2021 + 18 * HOUR) == 18
-    assert hour_of_day(APRIL_1_2021 + 25 * HOUR) == 1
-
-
-def test_iter_buckets():
-    edges = list(iter_buckets(0.0, 300.0, 100.0))
-    assert edges == [0.0, 100.0, 200.0]
+from repro.util.timeutil import overlap_seconds
 
 
 def test_overlap_full_partial_none():
@@ -42,10 +8,3 @@ def test_overlap_full_partial_none():
     assert overlap_seconds(0, 10, 5, 20) == 5
     assert overlap_seconds(0, 10, 10, 20) == 0
     assert overlap_seconds(0, 10, 15, 20) == 0
-
-
-def test_gap_seconds():
-    assert gap_seconds(0, 10, 15, 20) == 5
-    assert gap_seconds(15, 20, 0, 10) == 5
-    assert gap_seconds(0, 10, 5, 20) == 0
-    assert gap_seconds(0, 10, 10, 20) == 0
