@@ -10,7 +10,7 @@ disk, and the aggregator consumes and merges them.  We report, per K,
   serially here so the number is comparable across K);
 - spool decode rate (frames and MiB through ``SpoolReader``);
 - merge throughput: global packets through
-  ``merge_federated_states`` + finalization per second;
+  ``merge_states`` + finalization per second;
 - cross-telescope dedup hits and the worst per-vantage event-time lag
   behind the federation horizon.
 

@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="generate a telescope capture pcap")
     _scenario_args(simulate)
     simulate.add_argument("--out", required=True, help="output pcap path")
-    _gen_workers_arg(simulate)
 
     analyze = sub.add_parser("analyze", help="analyze a pcap capture")
     analyze.add_argument("pcap", help="input pcap path")
@@ -106,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(count is printed and exported as "
         "repro_pcap_corrupt_records_total)",
     )
-    _workers_arg(analyze)
     _metrics_arg(analyze)
     _faults_args(analyze)
 
@@ -114,8 +112,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _scenario_args(report)
     report.add_argument("--report-out", help="also write the report to a file")
     report.add_argument("--export", help="write per-figure CSV/JSON data here")
-    _workers_arg(report)
-    _gen_workers_arg(report)
+    report.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes: split the scenario's traffic sources into "
+        "N parts, analyze each part in its own process and merge the "
+        "results (the report is identical to --workers 1; not with "
+        "--faults)",
+    )
     _metrics_arg(report)
     _faults_args(report)
 
@@ -304,27 +309,6 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the per-packet phase (sharded by "
-        "source IP; results are identical to --workers 1)",
-    )
-
-
-def _gen_workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--gen-workers",
-        type=int,
-        default=1,
-        help="worker processes for scenario generation (sharded by "
-        "traffic source; the merged stream is bit-identical to "
-        "--gen-workers 1)",
-    )
-
-
 def _faults_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--faults",
@@ -406,7 +390,7 @@ def _scenario(args: argparse.Namespace) -> Scenario:
 def _pipeline(scenario: Optional[Scenario], workers: int = 1) -> QuicsandPipeline:
     if scenario is None:
         return QuicsandPipeline(
-            config=AnalysisConfig(retry_probe_count=0, workers=workers)
+            config=AnalysisConfig(retry_probe_count=0)
         )
     return QuicsandPipeline(
         registry=scenario.internet.registry,
@@ -431,7 +415,7 @@ def cmd_simulate(args, stream) -> int:
     hours = scenario.config.duration / HOUR
     print(f"simulating {hours:.1f} h at telescope {scenario.telescope.prefix} ...", file=stream)
     count = write_records(
-        args.out, wire_items(scenario.records(workers=args.gen_workers))
+        args.out, wire_items(scenario.records())
     )
     print(
         f"wrote {count:,} packets to {args.out} "
@@ -447,7 +431,7 @@ def cmd_analyze(args, stream) -> int:
     if injector == 2:
         return 2
     scenario = None if args.no_correlation else _scenario(args)
-    pipeline = _pipeline(scenario, workers=args.workers)
+    pipeline = _pipeline(scenario)
     with open(args.pcap, "rb") as pcap_stream:
         reader = PcapReader(pcap_stream, lenient=args.lenient)
         packets = iter(reader)
@@ -471,27 +455,30 @@ def cmd_analyze(args, stream) -> int:
 
 
 def cmd_report(args, stream) -> int:
+    if args.workers < 1:
+        print("--workers must be at least 1", file=stream)
+        return 2
     _maybe_enable_metrics(args)
     injector = _fault_injector(args, stream)
     if injector == 2:
         return 2
+    if injector is not None and args.workers > 1:
+        print(
+            "--faults needs --workers 1: faults are defined over one "
+            "packet stream, and --workers splits it",
+            file=stream,
+        )
+        return 2
     scenario = _scenario(args)
     pipeline = _pipeline(scenario, workers=args.workers)
-    if args.workers == 1 and injector is None:
+    if injector is None:
         # fused fast path: gen records feed the batch lane directly —
         # no CapturedPacket objects, no wire bytes, no dissection
-        result = pipeline.process_record_batches(
-            scenario.lane_batches(
-                pipeline.config.batch_size, workers=args.gen_workers
-            )
-        )
+        result = pipeline.process_scenario(scenario)
     else:
-        # the shard feed and the injector take packets: the same
-        # records, viewed as the packets a capture of them would hold
-        packets = scenario.packets(workers=args.gen_workers)
-        if injector is not None:
-            packets = injector.wrap(packets)
-        result = pipeline.process(packets)
+        # the injector takes packets: the same records, viewed as the
+        # packets a capture of them would hold
+        result = pipeline.process(injector.wrap(scenario.packets()))
     if injector is not None:
         print(injector.summary(), file=stream)
     _emit_report(result, scenario, args.report_out, stream)

@@ -23,22 +23,24 @@ Pipeline stages, mirroring Section 4 of the paper:
 8. :mod:`repro.core.pipeline` — single-pass streaming orchestration
    over a packet stream, producing a :class:`~repro.core.pipeline.
    PipelineResult` that every bench renders from.
-9. :mod:`repro.core.parallel` — source-sharded execution of the
-   streaming phase across worker processes; shard partials merge
-   deterministically before finalization, so serial and parallel runs
-   produce identical results.
+9. :mod:`repro.core.parallel` — partitioned parallel runs: each worker
+   runs the serial loop over one part of a scenario's generation units
+   and the parent merges the closed states once
+   (:func:`~repro.core.pipeline.merge_states`), so serial and parallel
+   runs produce identical results.
 """
 
 from repro.core.classify import PacketClass, TrafficClassifier
 from repro.core.dissect import DissectedPacket, QuicDissector
 from repro.core.dos import DosDetector, DosThresholds, FloodAttack
 from repro.core.multivector import MultiVectorAnalysis, correlate_attacks
-from repro.core.parallel import run_sharded, shard_of
+from repro.core.parallel import run_parts
 from repro.core.pipeline import (
     AnalysisConfig,
     PartialState,
     PipelineResult,
     QuicsandPipeline,
+    merge_states,
 )
 from repro.core.sessions import Session, Sessionizer, TimeoutSweep
 from repro.core.export import export_results
@@ -61,8 +63,8 @@ __all__ = [
     "PartialState",
     "PipelineResult",
     "QuicsandPipeline",
-    "run_sharded",
-    "shard_of",
+    "merge_states",
+    "run_parts",
     "Session",
     "Sessionizer",
     "TimeoutSweep",

@@ -351,7 +351,7 @@ class BatchLane:
     consumes from :class:`TrafficClassifier` — ``counters`` keyed by
     :class:`PacketClass`, ``cache_hits``/``cache_misses`` — so the lane
     slots into the serial, parallel-worker and streaming paths without
-    any pipeline-side special cases.  One instance per stream/shard,
+    any pipeline-side special cases.  One instance per stream/part,
     folded exactly once at stream end.
     """
 
@@ -509,8 +509,7 @@ class BatchLane:
         """Observations of a batch of scalar *lane records*.
 
         Defines the 11-field lane record that the generation lane
-        (:mod:`repro.telescope.genlane`) emits and the shared-memory
-        shard transport (:mod:`repro.core.parallel`) ships:
+        (:mod:`repro.telescope.genlane`) emits:
         ``(timestamp, src, dst, total_length, proto, kind, f1, f2, f3,
         payload_length, payload)``.  ``kind`` is
         :attr:`CapturedPacket.kind` (0 no transport header parsed,

@@ -18,13 +18,13 @@ The pipeline never stores raw packets — memory is bounded by the
 number of distinct sources and sessions.
 
 The per-packet phase (steps 1–3) accumulates into a picklable
-:class:`PartialState` with a deterministic ``merge()``: every counter
-it keeps is either keyed per source (sessionizers, timeout sweep,
-research candidates) or a plain sum (hourly series, class counters),
-so hash-partitioning the stream by source IP across N worker processes
-and merging the partials reproduces the serial state exactly.  See
-:mod:`repro.core.parallel` for the sharded runner; ``workers`` on
-:class:`AnalysisConfig` selects it.
+:class:`PartialState`.  Every counter it keeps is a plain sum (hourly
+series, class counters) or per source (sessionizers, timeout sweep,
+research candidates) and rejoinable by time, so :func:`merge_states`
+rebuilds the serial state exactly from the states of *any* partition
+of the time-ordered stream into sub-sequences — a scenario's
+generation units (``--workers``, :mod:`repro.core.parallel`) and
+destination tiles (:mod:`repro.federate`) alike.
 """
 
 from __future__ import annotations
@@ -49,7 +49,13 @@ from repro.core.dos import DosDetector, DosThresholds
 from repro.core.multivector import MultiVectorAnalysis, correlate_attacks
 from repro.core.retry_audit import RetryAudit, audit_retry
 from repro.core.scid import fingerprint_attacks, provider_profiles
-from repro.core.sessions import DEFAULT_TIMEOUT, Sessionizer, TimeoutSweep, per_bucket
+from repro.core.sessions import (
+    DEFAULT_TIMEOUT,
+    Sessionizer,
+    TimeoutSweep,
+    chain_merge_sessions,
+    per_bucket,
+)
 from repro.core.victims import VictimAnalysis, analyze_victims, session_network_types
 
 # -- observability ----------------------------------------------------------
@@ -122,10 +128,11 @@ class AnalysisConfig:
     #: probe this many top victims in the active RETRY audit.
     retry_probe_count: int = 10
     audit_seed: int = 424242
-    #: worker processes for the per-packet phase; 1 runs in-process.
+    #: worker processes for a scenario's per-packet phase (one part of
+    #: its generation units each, see ``process_scenario``); 1 runs
+    #: in-process.
     workers: int = 1
-    #: packets per dispatch batch (in-process classify batches and the
-    #: per-shard IPC messages of the parallel runner).
+    #: packets per dispatch batch of the per-packet phase.
     batch_size: int = 512
 
 
@@ -234,12 +241,12 @@ class PipelineResult:
 class PartialState:
     """Mergeable accumulator for the per-packet streaming phase.
 
-    One instance holds everything steps 1–3 produce for one shard of
-    the stream.  All state is keyed per source or additive, so merging
-    shard partials (sources hash-partitioned, time order preserved
-    within each source's substream) reconstructs the serial state
-    exactly.  Instances are picklable: worker processes ship them back
-    to the parent for merging.
+    One instance holds everything steps 1–3 produce for one part of
+    the stream.  All state is additive or per source and rejoinable by
+    time, so :func:`merge_states` over the parts of any partition into
+    time-ordered sub-sequences reconstructs the serial state exactly.
+    Instances are picklable: worker processes and federated vantages
+    ship them for merging.
     """
 
     window_start: Optional[float] = None
@@ -252,7 +259,7 @@ class PartialState:
     response_empty_dcid_packets: int = 0
     passive_retry_packets: int = 0
     #: NON_QUIC_UDP443 rejects keyed by MalformedReason slug — additive,
-    #: so sharded merges reproduce the serial tally exactly.
+    #: so merged parts reproduce the serial tally exactly.
     malformed_counts: dict = field(default_factory=dict)
     quic_source_packets: dict = field(default_factory=dict)
     per_source_hourly: dict = field(default_factory=dict)
@@ -359,8 +366,7 @@ class PartialState:
 
     def consume_lane_records(self, records: list, lane: BatchLane) -> None:
         """:meth:`consume_lane` over 11-field lane records (layout on
-        :meth:`BatchLane.observe_records`): the generation lane's and
-        the shared-memory shard transport's feed."""
+        :meth:`BatchLane.observe_records`): the generation lane's feed."""
         if not records:
             return
         self.note_batch(records[0][0], records[-1][0], len(records))
@@ -442,7 +448,7 @@ class PartialState:
         """Fold the classifier's counters into the partial state.
 
         Called exactly once per classifier lifetime (serial stream end,
-        worker shard end, monitor ``finish()``), which also makes it the
+        part end, monitor ``finish()``), which also makes it the
         exactly-once publication point for the classifier-owned metrics:
         per-class packet counts and the dissector-memo hit/miss split.
         """
@@ -463,10 +469,10 @@ class PartialState:
             publish()
 
     def close(self) -> None:
-        """End of shard stream: close every open session.
+        """End of stream: close every open session.
 
         Also the exactly-once publication point for the malformed-reason
-        counters — called once per shard in the serial, worker, and
+        counters — called once per part in the serial, worker, and
         streaming paths, so the metric rides the existing
         snapshot/merge machinery without double counting.
         """
@@ -482,12 +488,8 @@ class PartialState:
 
         Everything except the sessionizers and the timeout sweep:
         window bounds (min/max), packet/class/cache tallies, malformed
-        reasons, per-source and hourly counters.  These fields are
-        partition-agnostic — they merge correctly whether the stream
-        was split by source IP (``--workers``) or by destination
-        prefix (telescope federation, :mod:`repro.federate`), which is
-        why :meth:`merge` and the federation's overlap-aware merge
-        share this step.
+        reasons, per-source and hourly counters — the partition-agnostic
+        step of :func:`merge_states`.
         """
         if other.window_start is not None:
             self.window_start = (
@@ -528,25 +530,6 @@ class PartialState:
         for hour, count in other.hourly_responses.items():
             self.hourly_responses[hour] = self.hourly_responses.get(hour, 0) + count
 
-    def merge(self, other: "PartialState") -> None:
-        """Fold another source-disjoint shard's state into this one.
-
-        The additive fields ride :meth:`merge_counts` and the sweep its
-        one merge, which joins any partition; the sessionizers use
-        their disjoint-source merge, which raises if the shards overlap
-        — destination-partitioned vantage states go through
-        :func:`repro.federate.merge.merge_federated_states` instead,
-        which rejoins session fragments.
-        """
-        self.merge_counts(other)
-        for packet_class, sessionizer in other.sessionizers.items():
-            mine = self.sessionizers.get(packet_class)
-            if mine is None:
-                self.sessionizers[packet_class] = sessionizer
-            else:
-                mine.merge(sessionizer)
-        self.sweep.merge(other.sweep)
-
     # -- snapshot/export hooks (telescope federation) --------------------
 
     def snapshot_bytes(self) -> bytes:
@@ -575,7 +558,7 @@ class PartialState:
 
         Closed sessions sort by (first_ts, source) and every keyed dict
         is rebuilt key-sorted, so finalization — and everything it
-        renders — is identical no matter how the stream was sharded.
+        renders — is identical no matter how the stream was partitioned.
         """
         for sessionizer in self.sessionizers.values():
             sessionizer.sort_closed()
@@ -601,6 +584,62 @@ def run_serial(stream: Iterable, config: AnalysisConfig) -> PartialState:
     return state
 
 
+def run_record_batches(batches: Iterable[list], config: AnalysisConfig) -> PartialState:
+    """The fused per-packet phase: batches of 11-field lane records
+    (:meth:`BatchLane.observe_records`) through one :class:`BatchLane`
+    into one closed :class:`PartialState` — the loop of the fused
+    report, of every ``--workers`` part and of a federated vantage."""
+    state = PartialState.initial(config)
+    lane = BatchLane(dissect_payloads=config.dissect_payloads)
+    for batch in batches:
+        state.consume_lane_records(batch, lane)
+    state.record_classifier(lane)
+    state.close()
+    return state
+
+
+def _merge_sessionizers(merged: PartialState, states: list, timeout: float) -> None:
+    for packet_class, target in merged.sessionizers.items():
+        fragments: list = []
+        seen: set = set()
+        for state in states:
+            source = state.sessionizers.get(packet_class)
+            if source is None:
+                continue
+            if source.timeout != timeout:
+                raise ValueError("cannot merge sessionizers with different timeouts")
+            fragments.extend(source.closed)
+            fragments.extend(source.open_sessions())
+            seen |= source._seen_sources
+        target.closed = chain_merge_sessions(fragments, timeout)
+        target._seen_sources = seen
+        target.source_count = len(seen)
+
+
+def merge_states(states: Iterable[PartialState], config: AnalysisConfig) -> PartialState:
+    """The serial state of a stream from the states of its parts.
+
+    The parts may split the time-ordered stream any way at all — by
+    generation unit (``--workers``), by destination tile (federation)
+    — as long as each is a sub-sequence of it.  Additive counters ride
+    :meth:`PartialState.merge_counts`, session fragments are rejoined by
+    :func:`~repro.core.sessions.chain_merge_sessions` (exactness proof
+    in its docstring) and the timeout sweeps by the same rule in
+    :meth:`~repro.core.sessions.TimeoutSweep.merge`.  The inputs should
+    be closed — open sessions are treated as fragments — and are not
+    mutated.
+    """
+    states = list(states)
+    if not states:
+        raise ValueError("nothing to merge: no partial states")
+    merged = PartialState.initial(config)
+    for state in states:
+        merged.merge_counts(state)
+        merged.sweep.merge(state.sweep)
+    _merge_sessionizers(merged, states, config.session_timeout)
+    return merged
+
+
 class QuicsandPipeline:
     """Single-pass streaming analysis of a telescope capture."""
 
@@ -619,22 +658,14 @@ class QuicsandPipeline:
     def process(self, stream: Iterable) -> PipelineResult:
         """Consume a time-ordered packet stream and analyze it.
 
-        With ``config.workers > 1`` the per-packet phase runs sharded
-        across worker processes (see :mod:`repro.core.parallel`);
-        results are identical to a serial run by construction.
+        Always in this process, whatever ``config.workers`` says: a
+        packet stream (a pcap, a fault-injected feed) can only be
+        partitioned by a parent that reads every packet, and no such
+        transport ever beat this loop.  Parallel runs partition a
+        scenario instead (:meth:`process_scenario`).
         """
-        cfg = self.config
-        workers = max(1, int(cfg.workers or 1))
-        if workers > 1:
-            from repro.core.parallel import run_sharded
-
-            with obs.span(_M_STAGE, stage="per-packet-parallel"):
-                state = run_sharded(
-                    stream, cfg, workers=workers, batch_size=cfg.batch_size
-                )
-        else:
-            with obs.span(_M_STAGE, stage="per-packet-serial"):
-                state = run_serial(stream, cfg)
+        with obs.span(_M_STAGE, stage="per-packet-serial"):
+            state = run_serial(stream, self.config)
         return self._finalize(state)
 
     def process_record_batches(self, batches: Iterable[list]) -> PipelineResult:
@@ -648,14 +679,27 @@ class QuicsandPipeline:
         :meth:`process` over the equivalent packet stream
         (``tests/test_genlane_equivalence.py``).
         """
-        cfg = self.config
         with obs.span(_M_STAGE, stage="per-packet-serial"):
-            state = PartialState.initial(cfg)
-            lane = BatchLane(dissect_payloads=cfg.dissect_payloads)
-            for batch in batches:
-                state.consume_lane_records(batch, lane)
-            state.record_classifier(lane)
-            state.close()
+            state = run_record_batches(batches, self.config)
+        return self._finalize(state)
+
+    def process_scenario(self, scenario) -> PipelineResult:
+        """Generate and analyze a scenario on ``config.workers`` cpus.
+
+        One worker is :meth:`process_record_batches` over the
+        scenario's ``lane_batches``.  More split the scenario's
+        generation units into that many parts (``Scenario.parts``), run
+        the same fused loop on each part in its own process and merge
+        the closed states once (:func:`repro.core.parallel.run_parts`)
+        — the serial result by construction, see :func:`merge_states`.
+        """
+        cfg = self.config
+        if cfg.workers <= 1:
+            return self.process_record_batches(scenario.lane_batches(cfg.batch_size))
+        from repro.core.parallel import run_parts
+
+        with obs.span(_M_STAGE, stage="per-packet-parallel"):
+            state = run_parts(scenario.parts(cfg.workers, cfg.batch_size), cfg)
         return self._finalize(state)
 
     def finalize_state(self, state: PartialState) -> PipelineResult:

@@ -325,37 +325,15 @@ class Sessionizer:
         self._seen_sources.intersection_update(self._open)
         return dropped
 
-    def merge(self, other: "Sessionizer") -> None:
-        """Fold a shard's sessionizer into this one.
-
-        Shards partition packets by source, so the two sessionizers
-        never saw the same source: open sessions and per-source state
-        are disjoint and the merge is a plain union.  Callers that need
-        a canonical session order sort ``closed`` afterwards (see
-        :meth:`sort_closed`).
-        """
-        if other.traffic_class != self.traffic_class:
-            raise ValueError(
-                f"cannot merge {other.traffic_class!r} into {self.traffic_class!r}"
-            )
-        if other.timeout != self.timeout:
-            raise ValueError("cannot merge sessionizers with different timeouts")
-        overlap = self._seen_sources & other._seen_sources
-        if overlap:
-            raise ValueError(f"shards overlap on {len(overlap)} sources")
-        self.closed.extend(other.closed)
-        self._open.update(other._open)
-        self._seen_sources |= other._seen_sources
-        self.source_count = len(self._seen_sources)
-
     def sort_closed(self) -> None:
         """Put closed sessions into canonical (first_ts, source) order.
 
         Within one source session starts strictly increase, so the key
         is total and the order is independent of how the stream was
-        sharded — serial and merged parallel runs agree bit for bit.
+        partitioned — serial and merged runs agree bit for bit.
         """
         self.closed.sort(key=lambda s: (s.first_ts, s.source))
+
 
 def _clone_session(session: Session) -> Session:
     """A deep-enough copy for federated joining (fresh sets/dicts)."""
@@ -395,12 +373,12 @@ def _absorb_session(target: Session, other: Session) -> None:
 
 
 def chain_merge_sessions(sessions: Iterable[Session], timeout: float) -> list:
-    """Re-join session fragments from destination-partitioned captures.
+    """Re-join session fragments from the parts of a partitioned capture.
 
-    Telescope *federation* partitions the stream by destination prefix,
-    so — unlike source-IP sharding — the same source appears in several
-    partitions and each vantage sees only a sub-sequence of its
-    packets.  Every fragment still has internal gaps <= ``timeout``,
+    A part — a federated vantage's destination tile, a ``--workers``
+    worker's generation units — sees only a sub-sequence of a source's
+    packets, and the same source appears in several parts.  Every
+    fragment still has internal gaps <= ``timeout``,
     which means no union-stream session boundary can fall strictly
     inside a fragment's ``[first_ts, last_ts]`` span: a boundary is a
     gap > ``timeout`` in the union, and any such gap is at least as
@@ -497,8 +475,8 @@ class TimeoutSweep:
 
     def merge(self, other: "TimeoutSweep") -> None:
         """Fold the sweep of another part of the same stream into this
-        one: a source shard (``--workers``) or a destination tile
-        (federation) alike.  A source only ``other`` saw takes copies of
+        one: a ``--workers`` part or a destination tile (federation)
+        alike.  A source only ``other`` saw takes copies of
         its runs as they are (in stream order, which sorting would
         change for an unordered capture); for a source both saw, the
         runs of both sides are sorted by ``first`` and neighbours joined

@@ -10,9 +10,9 @@ exactly the single-telescope analysis?
 - :mod:`repro.federate.transport` — file-spool and TCP transports with
   the lenient skip-and-count damage contract;
 - :mod:`repro.federate.vantage` — one tile's local analysis run;
-- :mod:`repro.federate.merge` — the overlap-aware distributed state
-  merge (destination partitioning means the same source appears at
-  several vantages);
+- :mod:`repro.federate.merge` — the destination tiles; vantage states
+  merge through the pipeline's one merge
+  (:func:`repro.core.pipeline.merge_states`);
 - :mod:`repro.federate.aggregate` — the aggregator: global result,
   cross-telescope flood dedup, per-vantage differential, and the
   extrapolation check.
@@ -28,7 +28,7 @@ from repro.federate.aggregate import (
     GlobalFlood,
     VantageStream,
 )
-from repro.federate.merge import merge_federated_states, tile_prefixes
+from repro.federate.merge import tile_prefixes
 from repro.federate.protocol import (
     FRAME_KINDS,
     Frame,
@@ -68,6 +68,5 @@ __all__ = [
     "VantageStream",
     "connect_with_retry",
     "encode_frame",
-    "merge_federated_states",
     "tile_prefixes",
 ]

@@ -6,7 +6,7 @@ final-state / [obs] / bye``, from a file spool or a socket listener
 :class:`~repro.core.pipeline.PartialState`, and produces three things:
 
 - the **global result** — the vantage states merged with
-  :func:`repro.federate.merge.merge_federated_states` and finalized
+  :func:`repro.core.pipeline.merge_states` and finalized
   through the ordinary pipeline, bit-identical to a single telescope
   over the whole prefix (pinned by
   ``tests/test_federation_equivalence.py``);
@@ -34,9 +34,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro import obs
-from repro.core.pipeline import PartialState, PipelineResult, QuicsandPipeline
+from repro.core.pipeline import (
+    PartialState,
+    PipelineResult,
+    QuicsandPipeline,
+    merge_states,
+)
 from repro.core.report import build_report
-from repro.federate.merge import merge_federated_states
 from repro.federate.protocol import (
     BYE,
     FINAL_STATE,
@@ -202,7 +206,7 @@ class Aggregator:
         started = time.perf_counter()
         config = self.pipeline.config
         states = [stream.state() for stream in self.streams]
-        merged = merge_federated_states(states, config)
+        merged = merge_states(states, config)
         global_result = self.pipeline.finalize_state(merged)
         vantage_results = {}
         for stream in self.streams:

@@ -5,8 +5,9 @@ A :class:`Vantage` owns one tile of the telescope prefix (see
 scenario under the **same seed** — the simulated Internet is identical
 at every vantage, only the capture tap differs — and runs the
 per-packet analysis phase locally: the serial fused loop
-(``lane_batches`` → ``observe_records`` → ``PartialState.apply``) over
-its own tile, with an ordinary :class:`~repro.core.pipeline.PartialState`.
+(:func:`~repro.core.pipeline.run_record_batches` over ``lane_batches``)
+on its own tile, into an ordinary
+:class:`~repro.core.pipeline.PartialState`.
 Its product is a frame stream (:mod:`repro.federate.protocol`): a
 ``hello`` handshake, the closed ``final-state``, an optional ``obs``
 metrics snapshot, and a ``bye`` manifest the aggregator checks the
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.batchlane import BatchLane
-from repro.core.pipeline import AnalysisConfig, PartialState
+from repro.core.pipeline import AnalysisConfig, PartialState, run_record_batches
 from repro.federate.protocol import (
     FINAL_STATE,
     OBS,
@@ -71,9 +71,6 @@ class Vantage:
         """
         config = self.config
         analysis = config.analysis
-        state = PartialState.initial(analysis)
-        lane = BatchLane(dissect_payloads=analysis.dissect_payloads)
-
         self._emit(
             sink,
             hello_frame(
@@ -82,13 +79,9 @@ class Vantage:
                 self._seq,
             ),
         )
-        for batch in self.scenario.lane_batches(analysis.batch_size):
-            observations = lane.observe_records(batch, state.malformed_counts)
-            state.note_batch(batch[0][0], batch[-1][0], len(batch))
-            state.apply(observations)
-
-        state.record_classifier(lane)
-        state.close()
+        state = run_record_batches(
+            self.scenario.lane_batches(analysis.batch_size), analysis
+        )
         self._emit(sink, pickle_frame(FINAL_STATE, state, self._seq))
         if obs.enabled():
             self._emit(

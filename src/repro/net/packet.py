@@ -3,8 +3,8 @@
 A :class:`CapturedPacket` is a timestamped IPv4 packet with its
 transport header and opaque transport payload.  It is the pipeline's
 hottest object — one instance per packet — so it is slotted and
-everything the per-packet paths (``BatchLane.observe_packets``, the
-shard transports) read is a plain
+everything the per-packet path (``BatchLane.observe_packets``) reads
+is a plain
 scalar slot: ``timestamp``, ``src``, ``dst``, ``proto``, ``is_udp`` /
 ``is_tcp`` / ``is_icmp``, ``src_port`` / ``dst_port`` (``None`` without
 a parsed UDP/TCP header), ``payload``, ``kind`` (``KIND_*``: which

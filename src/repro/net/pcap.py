@@ -306,9 +306,7 @@ def read_pcap(
 def read_pcap_batches(
     path: Union[str, Path], batch_size: int = 512
 ) -> Iterator[list]:
-    """Yield packets from a pcap file in time-ordered batches.
-
-    Shard-aware feed for the parallel pipeline: the parent reads, the
-    workers analyze (see :mod:`repro.core.parallel`).
-    """
+    """Yield packets from a pcap file in time-ordered batches: the
+    batch feed of the online monitor and the benchmark's capture
+    workloads."""
     return batched(read_pcap(path), batch_size)

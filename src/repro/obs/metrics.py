@@ -27,7 +27,7 @@ paths honest about overhead:
   time only.
 - **Mergeable snapshots.** :meth:`Registry.snapshot` produces a
   picklable value and :meth:`Registry.merge_snapshot` folds it in:
-  counters and histograms add, gauges overwrite.  The source-sharded
+  counters and histograms add, gauges overwrite.  The partitioned
   parallel runner resets the child registry after fork and ships one
   snapshot back, so per-worker metrics merge into the parent exactly
   once (``tests/test_obs_parallel.py``).
@@ -318,7 +318,7 @@ class Registry:
     def snapshot(self, run_collectors: bool = True) -> dict:
         """Picklable value state, for cross-process merging.
 
-        Shard workers pass ``run_collectors=False``: collector-sourced
+        Part workers pass ``run_collectors=False``: collector-sourced
         totals are pull-style views of process-local caches, and a
         forked worker's caches start as copies of the parent's — adding
         them back on merge would double-count the parent's own work.

@@ -272,15 +272,6 @@ _M_WIRE_TEMPLATES = _obs.gauge(
     "repro_genlane_wire_templates",
     "distinct wire templates currently held by the shared stamper",
 )
-M_SHARD_RECORDS = _obs.counter(
-    "repro_genlane_shard_records_total",
-    "records shipped by each sharded-generation worker",
-    labels=("worker",),
-)
-M_GEN_WORKERS = _obs.gauge(
-    "repro_genlane_workers",
-    "worker count of the most recent sharded generation run",
-)
 
 
 def _collect_stamper_metrics() -> None:

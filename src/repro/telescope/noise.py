@@ -111,8 +111,8 @@ class StrayUdpModel:
         DTLS 1.2 ClientHello-ish or plain garbage — either way it must
         fail QUIC dissection.  Note the ``random_unrouted_address()`` call draws from the
         *shared* topology RNG — this stream must therefore stay a single
-        generation unit (see ``telescope/parallel.py``), which keeps
-        sharded generation bit-identical.
+        generation unit (see ``Scenario.parts``), which keeps
+        partitioned runs exact.
         """
         rate = self.packets_per_day / 86400.0
         t = start

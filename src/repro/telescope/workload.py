@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -178,7 +179,7 @@ class Scenario:
             raise ValueError(f"{prefix} is not inside telescope prefix {net}")
         self.telescope = Telescope(prefix)
 
-    def packets(self, workers: int = 1) -> Iterator[CapturedPacket]:
+    def packets(self) -> Iterator[CapturedPacket]:
         """The telescope's merged capture for the whole window.
 
         A packet view of :meth:`records`, the in-process ``simulate |
@@ -190,7 +191,7 @@ class Scenario:
         from_bytes = CapturedPacket.from_bytes
         return (
             from_bytes(timestamp, bytes(wire))
-            for timestamp, wire in wire_items(self.records(workers))
+            for timestamp, wire in wire_items(self.records())
         )
 
     def record_units(self) -> list:
@@ -206,10 +207,8 @@ class Scenario:
         adversarial source in spec order — preserves the
         lexicographic tie-break exactly, so ``records()`` (whose
         per-window stable sort fills each window in this order, see
-        :func:`~repro.telescope.telescope.merge_chunks`) and the
-        sharded ``telescope/parallel.py`` path (which merges by
-        ``(timestamp, unit index)``) reproduce the reference's order bit
-        for bit.
+        :func:`~repro.telescope.telescope.merge_chunks`) reproduces the
+        reference's order bit for bit.
         """
         return [unit for _start, unit in self._timed_units()]
 
@@ -237,37 +236,25 @@ class Scenario:
         units.extend((start, model.records(start, end)) for model in self.adversarial)
         return units
 
-    def _captured_chunks(self, workers: int) -> Iterator[list]:
-        """The capture as time-sorted lists of gen records.
-
-        Serially, :func:`merge_chunks` sorts one window of every active
-        unit at a time; ``workers > 1`` shards the units across
-        processes (see :mod:`repro.telescope.parallel`) and slices their
-        merged stream.  The telescope filter always runs here in the
-        parent, so counters and metrics match on both paths.
-        """
-        if workers > 1:
-            from repro.telescope.parallel import generate_records
-
-            chunks = batched(generate_records(self, workers), 4096)
-        else:
-            chunks = merge_chunks(self._timed_units(), _MERGE_WINDOW)
-        return self.telescope.capture_records(chunks)
+    def _captured_chunks(self, units: list) -> Iterator[list]:
+        """The capture of ``units`` (``(start, iterator)`` pairs, a
+        sub-list of :meth:`_timed_units`) as time-sorted lists of gen
+        records: :func:`merge_chunks` sorts one window of every active
+        unit at a time, the telescope keeps what its tap sees."""
+        return self.telescope.capture_records(merge_chunks(units, _MERGE_WINDOW))
 
     def records(self, workers: int = 1) -> Iterator[tuple]:
         """The capture as flat gen records — the generation fast lane.
 
         Same packets as the tests' reference generator (same seeds, same
         draws, same order), emitted as ``genlane`` record tuples instead
-        of :class:`CapturedPacket` objects: the flat view over
-        :meth:`_captured_chunks`, whose ``workers > 1`` form reproduces
-        the identical serial order.
+        of :class:`CapturedPacket` objects.  ``workers`` is accepted and
+        unused: the benchmark harness still passes it; parallel runs
+        partition the units instead (:meth:`parts`).
         """
-        return chain.from_iterable(self._captured_chunks(workers))
+        return chain.from_iterable(self._captured_chunks(self._timed_units()))
 
-    def lane_batches(
-        self, batch_size: int = 512, workers: int = 1
-    ) -> Iterator[list]:
+    def lane_batches(self, batch_size: int = 512) -> Iterator[list]:
         """Batched 11-field lane records for the analysis batch lane.
 
         The fused generate→analyze feed:
@@ -275,20 +262,30 @@ class Scenario:
         directly, skipping wire serialization *and* dissection-side
         parsing entirely.
         """
-        stripped = (
-            [record[:LANE_FIELDS] for record in chunk]
-            for chunk in self._captured_chunks(workers)
-        )
-        return batched(chain.from_iterable(stripped), batch_size)
+        return _lane_batches(self._captured_chunks(self._timed_units()), batch_size)
+
+    def parts(self, count: int, batch_size: int = 512) -> list:
+        """The capture split into up to ``count`` parts, for
+        ``QuicsandPipeline.process_scenario`` on ``count`` workers.
+
+        Part *i* is a picklable zero-argument feed of the
+        :meth:`lane_batches` of units ``i::count``, which rebuilds this
+        scenario (config and tap prefix) in whatever process calls it.
+        Every unit draws from its own seeded stream, so a part's records
+        are exactly the serial capture's records of its units, in serial
+        order — a sub-sequence of the capture, which is all
+        :func:`~repro.core.pipeline.merge_states` needs.
+        """
+        count = max(1, min(count, len(self.record_units())))
+        prefix = str(self.telescope.prefix)
+        return [
+            partial(_part_batches, self.config, prefix, index, count, batch_size)
+            for index in range(count)
+        ]
 
     def packet_batches(self, batch_size: int = 512) -> Iterator[list]:
-        """The capture as time-ordered batches.
-
-        Shard-aware feed for the parallel pipeline: the parent process
-        iterates batches and routes each packet to its source shard, so
-        each source's substream stays time-ordered (see
-        :mod:`repro.core.parallel`).
-        """
+        """The capture's packet view (:meth:`packets`) as time-ordered
+        batches: the live feed of the online monitor."""
         return batched(self.packets(), batch_size)
 
     def live_batches(
@@ -319,3 +316,18 @@ class Scenario:
             if delay > 0:
                 sleep(delay)
             yield batch
+
+
+def _lane_batches(chunks: Iterator[list], batch_size: int) -> Iterator[list]:
+    """Captured record chunks as batches of 11-field lane records."""
+    stripped = ([record[:LANE_FIELDS] for record in chunk] for chunk in chunks)
+    return batched(chain.from_iterable(stripped), batch_size)
+
+
+def _part_batches(config, prefix: str, index: int, count: int, batch_size: int):
+    """Part ``index`` of :meth:`Scenario.parts`, drawn from a rebuilt
+    scenario."""
+    scenario = Scenario(config)
+    scenario.retarget(prefix)
+    units = scenario._timed_units()[index::count]
+    return _lane_batches(scenario._captured_chunks(units), batch_size)

@@ -1,9 +1,8 @@
 """Chunked iteration over packet streams.
 
-The pipeline's per-packet phase dispatches work in batches — both the
-in-process fast path (one classifier call per batch instead of per
-packet) and the sharded parallel runner (one IPC message per batch)
-consume streams through :func:`batched`.
+The pipeline's per-packet phase dispatches work in batches — one lane
+call per batch instead of per packet — and every feed (packets, lane
+records, pcap reads) is cut into them with :func:`batched`.
 """
 
 from __future__ import annotations

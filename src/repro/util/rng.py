@@ -66,9 +66,10 @@ class SeededRng:
         how many draws the parent (or any sibling) has made.  The extra
         contract over ``child`` is that splitting the *same* label twice
         from one parent raises, which catches the one way two components
-        can accidentally end up sharing a stream.  Sharded generation
-        leans on this: every worker re-splits the same labels from the
-        same scenario seed and provably gets the same streams.
+        can accidentally end up sharing a stream.  Partitioned runs
+        (``Scenario.parts``) lean on this: every worker re-splits the
+        same labels from the same scenario seed and provably gets the
+        same streams.
         """
         if label in self._split_labels:
             raise ValueError(

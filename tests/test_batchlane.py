@@ -252,8 +252,9 @@ def test_publish_lane_metrics_exports_families():
 
 
 def lane_record(packet, dissect=True):
-    """A packet as the 11-field lane record — the fields
-    ``_run_sharded_shm`` packs, written out independently of it."""
+    """A packet as the 11-field lane record (the layout on
+    ``BatchLane.observe_records``), written out independently of the
+    generation lane that emits them."""
     kind = packet.kind
     f1 = f2 = 0
     ship = False

@@ -10,6 +10,7 @@ from repro.net.udp import UdpHeader
 from repro.util.rng import SeededRng
 from repro.quic.connection import ClientConnection, ServerConnection
 from repro.core.classify import PacketClass, TrafficClassifier
+from repro.core.pipeline import AnalysisConfig, PartialState, merge_states
 from repro.core.sessions import Session, Sessionizer, TimeoutSweep
 
 RNG = SeededRng(4242)
@@ -305,53 +306,31 @@ def test_timeout_sweep_merge_disjoint_sources():
     assert b._runs == {2: [[10.0, 10.0], [100.0, 100.0]]}
 
 
+def _request_state(src, ts, timeout=60.0):
+    state = PartialState.initial(AnalysisConfig(session_timeout=timeout))
+    classifier = TrafficClassifier()
+    state.consume([udp_packet(ts=ts, src=src, payload=QUIC_REQUEST_PAYLOAD)], classifier)
+    state.record_classifier(classifier)
+    state.close()
+    return state
+
+
 def test_sessionizer_merge_disjoint_sources():
-    first = Sessionizer("quic-request", timeout=60.0)
-    second = Sessionizer("quic-request", timeout=60.0)
-    classifier = TrafficClassifier()
-    first.add(classifier.classify(udp_packet(ts=0.0, src=1, payload=QUIC_REQUEST_PAYLOAD)))
-    second.add(classifier.classify(udp_packet(ts=5.0, src=2, payload=QUIC_REQUEST_PAYLOAD)))
-    first.flush()
-    second.flush()
-    first.merge(second)
-    first.sort_closed()
-    assert [s.source for s in first.closed] == [1, 2]
-    assert first.source_count == 2
-    with pytest.raises(ValueError):
-        first.merge(Sessionizer("tcp-backscatter", timeout=60.0))
-
-
-def test_sessionizer_merge_rejects_overlapping_sources():
-    first = Sessionizer("quic-request", timeout=60.0)
-    second = Sessionizer("quic-request", timeout=60.0)
-    classifier = TrafficClassifier()
-    first.add(classifier.classify(udp_packet(ts=0.0, src=1, payload=QUIC_REQUEST_PAYLOAD)))
-    second.add(classifier.classify(udp_packet(ts=5.0, src=1, payload=QUIC_REQUEST_PAYLOAD)))
-    with pytest.raises(ValueError, match="overlap"):
-        first.merge(second)
-    # the rejected merge must leave the target untouched
-    first.flush()
-    assert len(first.closed) == 1
-    assert first.source_count == 1
-
-
-def test_sessionizer_merge_overlap_detected_after_close():
-    # overlap detection covers *seen* sources, not just open sessions
-    first = Sessionizer("quic-request", timeout=60.0)
-    second = Sessionizer("quic-request", timeout=60.0)
-    classifier = TrafficClassifier()
-    first.add(classifier.classify(udp_packet(ts=0.0, src=3, payload=QUIC_REQUEST_PAYLOAD)))
-    second.add(classifier.classify(udp_packet(ts=0.0, src=3, payload=QUIC_REQUEST_PAYLOAD)))
-    first.flush()
-    second.flush()
-    with pytest.raises(ValueError, match="overlap"):
-        first.merge(second)
+    merged = merge_states(
+        [_request_state(1, 0.0), _request_state(2, 5.0)],
+        AnalysisConfig(session_timeout=60.0),
+    )
+    requests = merged.sessionizers[PacketClass.QUIC_REQUEST]
+    assert [s.source for s in requests.closed] == [1, 2]
+    assert requests.source_count == 2
+    assert merged.sessionizers[PacketClass.TCP_BACKSCATTER].closed == []
 
 
 def test_sessionizer_merge_rejects_mismatched_timeout():
     with pytest.raises(ValueError, match="timeout"):
-        Sessionizer("quic-request", timeout=60.0).merge(
-            Sessionizer("quic-request", timeout=300.0)
+        merge_states(
+            [_request_state(1, 0.0, timeout=60.0)],
+            AnalysisConfig(session_timeout=300.0),
         )
 
 

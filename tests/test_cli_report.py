@@ -90,24 +90,48 @@ def test_cli_report_writes_file(tmp_path):
     [["--faults", "garbage=0.02", "--fault-seed", "7"], ["--workers", "2"]],
     ids=["faults", "workers"],
 )
-def test_cli_report_gen_workers_reach_the_packet_arm(monkeypatch, needs_packets):
-    """``--gen-workers`` shards generation on the arm that needs packet
-    objects too, and the report does not change."""
-    from repro.telescope import parallel
+def test_cli_report_gen_workers_reach_the_packet_arm(needs_packets):
+    """``--gen-workers`` is gone from both arms of ``report`` — the
+    generator is split by ``--workers`` alone: an unknown option (exit
+    2) where each arm runs without it."""
+    argv = ["report"] + FAST + needs_packets
+    assert run_cli(argv + ["--gen-workers", "2"])[0] == 2
+    code, out = run_cli(argv)
+    assert code == 0 and "Overview (Figure 2)" in out
 
-    entered = []
 
-    def spy(scenario, workers, _generate=parallel.generate_records):
-        entered.append(workers)
-        return _generate(scenario, workers)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--out", "unused.pcap", "--gen-workers", "2"],
+        ["analyze", "unused.pcap", "--workers", "2"],
+    ],
+    ids=["simulate-gen-workers", "analyze-workers"],
+)
+def test_cli_retired_worker_options_are_unknown(argv):
+    assert run_cli(argv)[0] == 2
 
-    monkeypatch.setattr(parallel, "generate_records", spy)
-    argv = ["report", "--hours", "0.5", "--research-sample", "0.0005"] + needs_packets
-    code, serial = run_cli(argv + ["--gen-workers", "1"])
-    assert code == 0 and not entered
-    code, sharded = run_cli(argv + ["--gen-workers", "2"])
-    assert code == 0 and entered == [2]
-    assert sharded == serial
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_report_workers_below_one_is_usage_error(workers):
+    code, out = run_cli(["report"] + FAST + ["--workers", workers])
+    assert code == 2
+    assert "--workers must be at least 1" in out
+
+
+def test_cli_report_workers_refuse_faults():
+    code, out = run_cli(
+        ["report"] + FAST + ["--workers", "2", "--faults", "bitflip=0.01"]
+    )
+    assert code == 2
+    assert "one packet stream" in out
+
+
+def test_cli_report_workers_match_serial():
+    code, serial = run_cli(["report"] + FAST)
+    assert code == 0
+    for workers in ("2", "3"):
+        assert run_cli(["report"] + FAST + ["--workers", workers]) == (0, serial)
 
 
 def test_cli_simulate_then_analyze(tmp_path):

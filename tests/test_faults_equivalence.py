@@ -8,11 +8,11 @@ Three contracts:
 2. **Determinism** — a given ``(FaultSpec, seed)`` pair always yields
    the same faulted stream, and a different seed yields a different
    one.
-3. **Path equivalence** — under a fixed fault seed, serial,
-   ``workers=2..4`` and streaming-exact runs produce identical
-   ``PipelineResult`` contents, including identical malformed-input
-   tallies (the ``malformed:*`` class counts); and a faulted packet is
-   the same whether its input was constructor-built or capture-parsed.
+3. **Path equivalence** — under a fixed fault seed, batch and
+   streaming-exact runs produce identical ``PipelineResult`` contents,
+   including identical malformed-input tallies (the ``malformed:*``
+   class counts); and a faulted packet is the same whether its input
+   was constructor-built or capture-parsed.
 """
 
 import pytest
@@ -71,10 +71,8 @@ def packets():
     return faulted
 
 
-def run_pipeline(scenario, packets, workers):
-    pipeline = QuicsandPipeline(
-        **correlation(scenario), config=AnalysisConfig(workers=workers)
-    )
+def run_pipeline(scenario, packets):
+    pipeline = QuicsandPipeline(**correlation(scenario), config=AnalysisConfig())
     return pipeline.process(iter(packets))
 
 
@@ -145,13 +143,8 @@ def test_stats_track_applied_faults():
 
 
 def test_serial_parallel_streaming_identical_under_faults(scenario, packets):
-    serial = run_pipeline(scenario, packets, workers=1)
-    results = {
-        "workers=2": run_pipeline(scenario, packets, workers=2),
-        "workers=3": run_pipeline(scenario, packets, workers=3),
-        "workers=4": run_pipeline(scenario, packets, workers=4),
-        "streaming": run_stream(scenario, packets),
-    }
+    serial = run_pipeline(scenario, packets)
+    results = {"streaming": run_stream(scenario, packets)}
     assert serial.malformed_counts, "fault scenario produced no malformed input"
     weight = scenario.truth.research_weight
     golden_report = build_report(serial, research_weight=weight)
@@ -214,7 +207,7 @@ def test_faulted_length_does_not_depend_on_packet_source():
 
 
 def test_malformed_tally_matches_rejected_class(scenario, packets):
-    result = run_pipeline(scenario, packets, workers=1)
+    result = run_pipeline(scenario, packets)
     assert (
         sum(result.malformed_counts.values())
         == result.class_counts["non-quic-udp443"]

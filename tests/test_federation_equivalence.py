@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 
 from repro.core import QuicsandPipeline
-from repro.core.pipeline import AnalysisConfig
+from repro.core.pipeline import AnalysisConfig, merge_states
 from repro.core.report import build_report
 from repro.faults import corrupt_frame_bytes
 from repro.federate import (
@@ -26,7 +26,6 @@ from repro.federate import (
     SpoolWriter,
     Vantage,
     VantageConfig,
-    merge_federated_states,
     tile_prefixes,
 )
 from repro.federate.protocol import BYE, FINAL_STATE, MAGIC, FrameDecoder
@@ -268,5 +267,5 @@ def test_tile_prefixes_rejects_bad_counts():
 
 
 def test_merge_rejects_empty_input():
-    with pytest.raises(ValueError, match="no vantage states"):
-        merge_federated_states([], AnalysisConfig())
+    with pytest.raises(ValueError, match="nothing to merge"):
+        merge_states([], AnalysisConfig())

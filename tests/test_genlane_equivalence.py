@@ -1,21 +1,21 @@
 """Gen-lane equivalence: the generation fast lane is invisible too.
 
 The acceptance contract of the columnar generation lane
-(:mod:`repro.telescope.genlane` + :mod:`repro.telescope.parallel`),
-mirroring ``tests/test_lane_equivalence.py`` for the analysis lane:
+(:mod:`repro.telescope.genlane`), mirroring
+``tests/test_lane_equivalence.py`` for the analysis lane:
 
 - the wire bytes stamped from mutable templates
   (``write_records(wire_items(scenario.records()))``) produce a pcap
   byte-identical to the rich per-packet object path
   (``capture_to_pcap(rich_packets(scenario))``,
   ``tests/reference/generator.py``);
-- sharded parallel generation (``records(workers=1..4)``, worker
-  processes merged by timestamp) is bit-identical to serial;
+- the record stream does not depend on the ``workers`` argument
+  ``records()`` still accepts (generation runs in one process; parallel
+  runs partition the units, ``Scenario.parts``);
 - the fused generate→analyze path
   (``process_record_batches(scenario.lane_batches())``) produces a
   :class:`PipelineResult` identical to the rich reference walker
-  (``tests/oracle.py``) over the rich packet stream, with and without
-  generation workers.
+  (``tests/oracle.py``) over the rich packet stream.
 """
 
 import pytest
@@ -54,7 +54,7 @@ def test_gen_lane_pcap_bytes_identical_to_rich(tmp_path, rich_pcap_bytes):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_parallel_generation_bit_identical(tmp_path, rich_pcap_bytes, workers):
-    """Sharded worker generation merges back to the exact serial bytes."""
+    """``records(workers=N)`` writes the exact serial bytes."""
     path = tmp_path / f"workers{workers}.pcap"
     s = scenario()
     write_records(path, wire_items(s.records(workers=workers)))
@@ -62,9 +62,8 @@ def test_parallel_generation_bit_identical(tmp_path, rich_pcap_bytes, workers):
 
 
 def test_parallel_record_stream_identical():
-    """Not just the bytes: the flat gen records themselves match, so
-    the fused analyze path sees an identical stream from any shard
-    count."""
+    """Not just the bytes: the flat gen records themselves match
+    whatever ``workers`` is passed."""
     serial = list(scenario().records())
     assert serial
     parallel = list(scenario().records(workers=2))
@@ -83,10 +82,3 @@ def test_fused_record_path_matches_rich_pipeline():
         s_fused.lane_batches(pipeline.config.batch_size)
     )
     assert_identical(reference, fused, s_rich, "fused")
-
-    s_workers = scenario()
-    pipeline = make_pipeline(s_workers)
-    fused_workers = pipeline.process_record_batches(
-        s_workers.lane_batches(pipeline.config.batch_size, workers=2)
-    )
-    assert_identical(reference, fused_workers, s_rich, "fused-workers=2")

@@ -2,12 +2,13 @@
 
 Two contracts:
 
-1. **Exactly-once merge.** In a ``workers=N`` run every worker resets
-   its (fork-inherited) registry, publishes only its own shard's
-   deltas, and the parent merges each snapshot once — so the merged
-   pipeline counters equal the serial run's counters exactly.  Double
-   counting (merging a snapshot twice, or a worker shipping the
-   parent's pre-fork totals) would show up as inflated packet counts.
+1. **Exactly-once merge.** In a ``workers=N`` ``process_scenario`` run
+   every worker resets its (fork-inherited) registry, publishes only
+   its own part's deltas, and the parent merges each snapshot once — so
+   the merged pipeline counters equal the serial run's counters
+   exactly.  Double counting (merging a snapshot twice, or a worker
+   shipping the parent's pre-fork totals) would show up as inflated
+   packet counts.
 
 2. **Cache gating.** ``REPRO_DISABLE_TEMPLATE_CACHE=1`` bypasses the
    wire-template and keystream memos, so the collector-backed
@@ -24,14 +25,12 @@ from repro.telescope import Scenario, ScenarioConfig
 from repro.util.timeutil import HOUR
 
 
+CONFIG = ScenarioConfig(duration=1 * HOUR, research_sample=1.0 / 512)
+
+
 @pytest.fixture(scope="module")
 def scenario():
-    return Scenario(ScenarioConfig(duration=1 * HOUR, research_sample=1.0 / 512))
-
-
-@pytest.fixture(scope="module")
-def packets(scenario):
-    return list(scenario.packets())
+    return Scenario(CONFIG)
 
 
 @pytest.fixture
@@ -45,14 +44,14 @@ def metrics_on():
     obs.set_enabled(was)
 
 
-def run_pipeline(scenario, packets, workers):
+def run_pipeline(scenario, workers):
     pipeline = QuicsandPipeline(
         registry=scenario.internet.registry,
         census=scenario.internet.census,
         greynoise=scenario.internet.greynoise,
         config=AnalysisConfig(workers=workers),
     )
-    return pipeline.process(iter(packets))
+    return pipeline.process_scenario(Scenario(CONFIG))
 
 
 def pipeline_totals(registry):
@@ -74,35 +73,44 @@ def pipeline_totals(registry):
     }
 
 
-def test_parallel_metrics_merge_exactly_once(scenario, packets, metrics_on):
-    serial_result = run_pipeline(scenario, packets, workers=1)
+def test_parallel_metrics_merge_exactly_once(scenario, metrics_on):
+    serial_result = run_pipeline(scenario, workers=1)
     serial = pipeline_totals(metrics_on)
+    total = serial_result.total_packets
 
     metrics_on.reset()
-    parallel_result = run_pipeline(scenario, packets, workers=2)
+    parallel_result = run_pipeline(scenario, workers=2)
     parallel = pipeline_totals(metrics_on)
 
     # ground truth: the analysis itself agrees
-    assert serial_result.total_packets == parallel_result.total_packets
+    assert parallel_result.total_packets == total > 0
 
     # counters merged exactly once: equal to the serial totals, which
     # equal the stream length
-    assert parallel["packets"] == serial["packets"] == len(packets)
+    assert parallel["packets"] == serial["packets"] == total
     assert parallel["classified"] == serial["classified"]
     assert parallel["sessions"] == serial["sessions"]
     assert parallel["attacks"] == serial["attacks"]
+    # so does generation, drawn inside the workers
+    assert metrics_on.get("repro_genlane_records_total").value() == total
 
-    # worker-side shard counters cover the stream exactly once too
-    shard = metrics_on.get("repro_parallel_shard_packets_total")
-    assert sum(v for _, v in shard.samples()) == len(packets)
+    # the part counters cover the stream exactly once too, and every
+    # part reports how long it ran
+    parts = metrics_on.get("repro_parallel_shard_packets_total").samples()
+    assert [labels["worker"] for labels, _ in parts] == ["0", "1"]
+    assert sum(v for _, v in parts) == total
+    seconds = metrics_on.get("repro_parallel_part_seconds").samples()
+    assert [labels["worker"] for labels, _ in seconds] == ["0", "1"]
+    assert all(v > 0 for _, v in seconds)
     assert metrics_on.get("repro_parallel_workers").value() == 2
+    assert metrics_on.get("repro_parallel_merge_seconds").count() == 1
 
 
-def test_parallel_merge_is_deterministic(scenario, packets, metrics_on):
-    run_pipeline(scenario, packets, workers=2)
+def test_parallel_merge_is_deterministic(scenario, metrics_on):
+    run_pipeline(scenario, workers=2)
     first = pipeline_totals(metrics_on)
     metrics_on.reset()
-    run_pipeline(scenario, packets, workers=2)
+    run_pipeline(scenario, workers=2)
     assert pipeline_totals(metrics_on) == first
 
 

@@ -24,7 +24,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import QuicsandPipeline
-from repro.core.parallel import run_sharded
 from repro.core.pipeline import AnalysisConfig
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
@@ -313,7 +312,15 @@ def test_monitor_over_a_capture_builds_no_headers(scenario, packets, capture, pa
 
 
 @pytest.mark.parametrize("workers", [2], ids=["shm-ring"])
-def test_shard_feed_builds_no_headers_in_the_parent(packets, capture, parse_calls, workers):
-    state = run_sharded(read_pcap(capture), AnalysisConfig(), workers=workers)
-    assert state.total_packets == len(packets)
+def test_shard_feed_builds_no_headers_in_the_parent(
+    scenario, packets, capture, parse_calls, workers
+):
+    """A packet feed is never partitioned — a ``workers`` setting leaves
+    it to the in-process lane, which builds no headers either.  (The id
+    names the shared-memory transport this once pinned.)"""
+    pipeline = QuicsandPipeline(
+        **correlation(scenario), config=AnalysisConfig(workers=workers)
+    )
+    result = pipeline.process(read_pcap(capture))
+    assert result.total_packets == len(packets)
     assert not parse_calls

@@ -1,15 +1,20 @@
-"""Tests for the source-sharded parallel pipeline.
+"""Tests for the partitioned parallel pipeline and the one state merge.
 
-The contract under test: source-hash sharding is *exact*.  A serial
-run and a parallel run over the same stream must produce identical
-``PipelineResult`` contents (session lists, attack lists, hourly
-series, report text).  Dissector-cache hit/miss telemetry is the one
-documented exception — each worker warms its own cache, so the
-hit/miss split depends on the sharding while the sum does not.
+The contract under test: a partitioned run is *exact*.  Each worker
+runs the serial fused loop over one part of a scenario's generation
+units, and ``merge_states`` rejoins the closed states into the serial
+state, so a serial and a parallel run of the same scenario produce
+identical ``PipelineResult`` contents (session lists, attack lists,
+hourly series, report text).  Dissector-cache hit/miss telemetry is the
+one documented exception — each worker warms its own cache, so the
+hit/miss split depends on the partition while the sum does not.
 """
 
 import multiprocessing
-import pickle
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import pytest
 
@@ -21,14 +26,14 @@ from repro.util.timeutil import HOUR
 from repro.quic.connection import ClientConnection
 from repro.core import AnalysisConfig, PartialState, QuicsandPipeline
 from repro.core.classify import PacketClass, TrafficClassifier
-from repro.core import parallel
-from repro.core.parallel import run_sharded, shard_of
-from repro.core.pipeline import run_serial
+from repro.core.parallel import run_parts
+from repro.core.pipeline import merge_states
 from repro.core.report import build_report
 from repro.telescope import Scenario, ScenarioConfig
 
 RNG = SeededRng(777)
 REQUEST_PAYLOAD = ClientConnection(RNG.child("c")).initial_datagram()
+CONFIG = ScenarioConfig(duration=2 * HOUR, research_sample=1.0 / 512)
 
 
 def quic_request(ts, src, dst=2):
@@ -45,34 +50,37 @@ def consume_all(state, packets):
     return state
 
 
+def requests(*stamps, src):
+    return consume_all(
+        PartialState.initial(AnalysisConfig()),
+        [quic_request(ts, src=src) for ts in stamps],
+    )
+
+
 # -- serial vs parallel equivalence -----------------------------------------
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return Scenario(ScenarioConfig(duration=2 * HOUR, research_sample=1.0 / 512))
+    return Scenario(CONFIG)
 
 
-@pytest.fixture(scope="module")
-def packets(scenario):
-    return list(scenario.packets())
-
-
-def run_pipeline(scenario, packets, workers):
+def run_pipeline(scenario, workers):
     pipeline = QuicsandPipeline(
         registry=scenario.internet.registry,
         census=scenario.internet.census,
         greynoise=scenario.internet.greynoise,
         config=AnalysisConfig(workers=workers),
     )
-    return pipeline.process(iter(packets))
+    # a fresh scenario per run: generation consumes its random streams
+    return pipeline.process_scenario(Scenario(CONFIG))
 
 
-def test_serial_and_parallel_results_identical(scenario, packets):
-    serial = run_pipeline(scenario, packets, workers=1)
-    parallel = run_pipeline(scenario, packets, workers=4)
+def test_serial_and_parallel_results_identical(scenario):
+    serial = run_pipeline(scenario, workers=1)
+    parallel = run_pipeline(scenario, workers=4)
 
-    assert serial.total_packets == parallel.total_packets == len(packets)
+    assert serial.total_packets == parallel.total_packets > 0
     assert serial.window_start == parallel.window_start
     assert serial.window_end == parallel.window_end
 
@@ -118,254 +126,137 @@ def test_serial_and_parallel_results_identical(scenario, packets):
     )
 
 
-def test_worker_counts_two_and_three_agree(scenario, packets):
-    """Shard-count independence beyond the 1-vs-4 case."""
-    two = run_pipeline(scenario, packets, workers=2)
-    three = run_pipeline(scenario, packets, workers=3)
+def test_worker_counts_two_and_three_agree(scenario):
+    """Part-count independence beyond the 1-vs-4 case."""
+    two = run_pipeline(scenario, workers=2)
+    three = run_pipeline(scenario, workers=3)
     assert two.request_sessions == three.request_sessions
     assert two.quic_attacks == three.quic_attacks
     assert two.hourly_requests == three.hourly_requests
 
 
+def no_batches():
+    return iter(())
+
+
 def test_run_sharded_empty_stream():
-    state = run_sharded(iter(()), AnalysisConfig(), workers=2)
+    state = run_parts([no_batches, no_batches], AnalysisConfig())
     assert state.total_packets == 0
     assert state.window_start is None
     assert all(not s.closed for s in state.sessionizers.values())
 
 
-# -- PartialState.merge ------------------------------------------------------
+# -- merge_states: the one merge ---------------------------------------------
 
 
 def test_merge_empty_shard_is_identity():
-    full = consume_all(
-        PartialState.initial(AnalysisConfig()),
-        [quic_request(float(i), src=9) for i in range(5)],
-    )
+    full = requests(*map(float, range(5)), src=9)
     empty = PartialState.initial(AnalysisConfig())
     empty.close()
-    before_sessions = [
-        s for sz in full.sessionizers.values() for s in sz.closed
-    ]
-    full.merge(empty)
-    after_sessions = [s for sz in full.sessionizers.values() for s in sz.closed]
-    assert full.total_packets == 5
-    assert before_sessions == after_sessions
-    assert full.hourly_requests == {0: 5}
-
-    # and the symmetric direction: empty absorbing a full shard
-    other = consume_all(
-        PartialState.initial(AnalysisConfig()),
-        [quic_request(float(i), src=9) for i in range(5)],
-    )
-    base = PartialState.initial(AnalysisConfig())
-    base.close()
-    base.merge(other)
-    assert base.total_packets == 5
-    assert base.quic_source_packets == {9: 5}
+    before_sessions = [s for sz in full.sessionizers.values() for s in sz.closed]
+    for parts in ([full, empty], [empty, full]):
+        merged = merge_states(parts, AnalysisConfig())
+        after_sessions = [s for sz in merged.sessionizers.values() for s in sz.closed]
+        assert merged.total_packets == 5
+        assert before_sessions == after_sessions
+        assert merged.hourly_requests == {0: 5}
+        assert merged.quic_source_packets == {9: 5}
+    # the inputs are not mutated
+    assert full.total_packets == 5 and empty.total_packets == 0
 
 
 def test_merge_single_source_shards():
-    a = consume_all(
-        PartialState.initial(AnalysisConfig()),
-        [quic_request(0.0, src=10), quic_request(30.0, src=10)],
+    merged = merge_states(
+        [requests(0.0, 30.0, src=10), requests(10.0, src=20)], AnalysisConfig()
     )
-    b = consume_all(
-        PartialState.initial(AnalysisConfig()),
-        [quic_request(10.0, src=20)],
-    )
-    a.merge(b)
-    assert a.total_packets == 3
-    assert a.quic_source_packets == {10: 2, 20: 1}
-    sessions = a.sessionizers[PacketClass.QUIC_REQUEST].closed
+    assert merged.total_packets == 3
+    assert merged.quic_source_packets == {10: 2, 20: 1}
+    sessions = merged.sessionizers[PacketClass.QUIC_REQUEST].closed
     assert {s.source for s in sessions} == {10, 20}
-    assert a.sweep.packet_count == 3
-    assert a.sweep.source_count == 2
+    assert merged.sweep.packet_count == 3
+    assert merged.sweep.source_count == 2
 
 
 def test_merge_overlapping_hours_adds():
     hour1 = HOUR + 1.0
-    a = consume_all(
-        PartialState.initial(AnalysisConfig()),
-        [quic_request(0.0, src=10), quic_request(hour1, src=10)],
+    merged = merge_states(
+        [requests(0.0, hour1, src=10), requests(1.0, hour1 + 1.0, src=20)],
+        AnalysisConfig(),
     )
-    b = consume_all(
-        PartialState.initial(AnalysisConfig()),
-        [quic_request(1.0, src=20), quic_request(hour1 + 1.0, src=20)],
-    )
-    a.merge(b)
-    assert a.hourly_requests == {0: 2, 1: 2}
-    assert a.per_source_hourly == {10: {0: 1, 1: 1}, 20: {0: 1, 1: 1}}
-
-
-def test_merge_rejects_overlapping_sources():
-    a = consume_all(PartialState.initial(AnalysisConfig()), [quic_request(0.0, src=10)])
-    b = consume_all(PartialState.initial(AnalysisConfig()), [quic_request(1.0, src=10)])
-    with pytest.raises(ValueError):
-        a.merge(b)
+    assert merged.hourly_requests == {0: 2, 1: 2}
+    assert merged.per_source_hourly == {10: {0: 1, 1: 1}, 20: {0: 1, 1: 1}}
 
 
 def test_merge_window_bounds():
-    a = consume_all(PartialState.initial(AnalysisConfig()), [quic_request(5.0, src=1)])
-    b = consume_all(
-        PartialState.initial(AnalysisConfig()),
-        [quic_request(1.0, src=2), quic_request(9.0, src=2)],
+    merged = merge_states(
+        [requests(5.0, src=1), requests(1.0, 9.0, src=2)], AnalysisConfig()
     )
-    a.merge(b)
-    assert a.window_start == 1.0
-    assert a.window_end == 9.0
+    assert merged.window_start == 1.0
+    assert merged.window_end == 9.0
 
 
-# -- sharding ----------------------------------------------------------------
+def test_merge_joins_a_session_split_across_parts():
+    """Two parts share a source whose session spans the cut: each part
+    closes a fragment, the merge joins them into the serial session."""
+    stamps = (0.0, 50.0, 100.0, 200.0, 900.0)
+    serial = requests(*stamps, src=10)
+    parts = [requests(0.0, 100.0, src=10), requests(50.0, 200.0, 900.0, src=10)]
+    merged = merge_states(parts, AnalysisConfig())
+    (joined, last) = merged.sessionizers[PacketClass.QUIC_REQUEST].closed
+    assert (joined.first_ts, joined.last_ts, joined.packet_count) == (0.0, 200.0, 4)
+    assert (last.first_ts, last.packet_count) == (900.0, 1)
+    assert (
+        merged.sessionizers[PacketClass.QUIC_REQUEST].closed
+        == serial.sessionizers[PacketClass.QUIC_REQUEST].closed
+    )
+    assert merged.sweep.sweep(range(1, 61)) == serial.sweep.sweep(range(1, 61))
+    assert merged.sessionizers[PacketClass.QUIC_REQUEST].source_count == 1
 
 
-def test_shard_of_is_stable_and_in_range():
-    for source in (0, 1, 0xFFFFFFFF, 0x0A000001, 12345678):
-        for workers in (1, 2, 4, 7):
-            shard = shard_of(source, workers)
-            assert 0 <= shard < workers
-            assert shard == shard_of(source, workers)
+# -- failure and worker death -------------------------------------------------
 
 
-# -- resource exhaustion and interruption ------------------------------------
+def part_batches(scenario_config, fail_after=None, die_after=None):
+    """Part 0 of 2 of ``scenario_config``, optionally failing or
+    killing its own process after that many batches."""
+    feed = Scenario(scenario_config).parts(2)[0]
+    for index, batch in enumerate(feed()):
+        if index == fail_after:
+            raise ValueError("capture went away")
+        if index == die_after:
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield batch
 
 
-class SegmentSpy:
-    """Stands in for ``SharedMemory``: the ``fail_at``-th ``create``
-    raises ``OSError``; every other call goes to the real class, and
-    each created segment's ``unlink`` is recorded."""
-
-    def __init__(self, monkeypatch, fail_at=None):
-        self.real = parallel._shared_memory.SharedMemory
-        self.fail_at = fail_at
-        self.created = []
-        self.unlinked = []
-        monkeypatch.setattr(parallel._shared_memory, "SharedMemory", self)
-
-    def __call__(self, *args, create=False, **kwargs):
-        if not create:
-            return self.real(*args, **kwargs)
-        if len(self.created) + 1 == self.fail_at:
-            raise OSError(28, "No space left on device")
-        segment = self.real(*args, create=True, **kwargs)
-        self.created.append(segment.name)
-        unlink = segment.unlink
-
-        def recording_unlink():
-            unlink()
-            self.unlinked.append(segment.name)
-
-        segment.unlink = recording_unlink
-        return segment
+def quarter_hour():
+    return ScenarioConfig(duration=HOUR / 4, research_sample=1.0 / 512)
 
 
-def forbid_processes(monkeypatch):
-    def start(process):
-        raise AssertionError(f"started {process.name}")
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
-
-
-def shard_workers():
-    return [
-        child
-        for child in multiprocessing.active_children()
-        if child.name.startswith("quicsand-shard-")
+def test_stream_error_stops_workers_and_frees_segments():
+    """A part whose feed raises fails the run with an error that names
+    the part and carries the worker's traceback; no worker outlives it."""
+    config = quarter_hour()
+    feeds = [
+        partial(part_batches, config, fail_after=1),
+        Scenario(config).parts(2)[1],
     ]
+    with pytest.raises(RuntimeError, match="part 0 of 2") as raised:
+        run_parts(feeds, AnalysisConfig())
+    remote = raised.value.__cause__
+    assert isinstance(remote, ValueError)
+    traceback_text = str(remote.__cause__)
+    assert "capture went away" in traceback_text
+    assert "part_batches" in traceback_text
+    assert not multiprocessing.active_children()
 
 
-def comparable(state):
-    state.canonicalize()
-    return pickle.dumps(state)
-
-
-@pytest.fixture(scope="module")
-def serial_state(packets):
-    return comparable(run_serial(iter(packets), AnalysisConfig()))
-
-
-def test_no_shared_memory_falls_back_to_the_in_process_loop(
-    packets, serial_state, monkeypatch
-):
-    spy = SegmentSpy(monkeypatch, fail_at=1)
-    forbid_processes(monkeypatch)
-    state = run_sharded(iter(packets), AnalysisConfig(), workers=2)
-    assert comparable(state) == serial_state
-    assert spy.created == []
-
-
-def test_failed_ring_allocation_unlinks_what_it_created(
-    packets, serial_state, monkeypatch
-):
-    spy = SegmentSpy(monkeypatch, fail_at=2)
-    forbid_processes(monkeypatch)
-    state = run_sharded(iter(packets), AnalysisConfig(), workers=2)
-    assert comparable(state) == serial_state
-    assert len(spy.created) == 1
-    assert spy.unlinked == spy.created
-
-
-def test_failed_generation_ring_allocation_unlinks_what_it_created(monkeypatch):
-    config = ScenarioConfig(duration=HOUR / 4, research_sample=1.0 / 512)
-    serial = list(Scenario(config).records())
-    spy = SegmentSpy(monkeypatch, fail_at=2)
-    forbid_processes(monkeypatch)
-    assert list(Scenario(config).records(workers=2)) == serial
-    assert len(spy.created) == 1
-    assert spy.unlinked == spy.created
-
-
-def test_stream_error_stops_workers_and_frees_segments(packets, monkeypatch):
-    spy = SegmentSpy(monkeypatch)
-
-    def failing_stream():
-        yield from packets[:2000]
-        raise ValueError("capture went away")
-
-    with pytest.raises(ValueError, match="capture went away"):
-        run_sharded(failing_stream(), AnalysisConfig(), workers=2)
-    assert not shard_workers()
-    assert len(spy.created) == 2
-    assert sorted(spy.unlinked) == sorted(spy.created)
-
-
-def test_interrupted_sharded_generator_stops_workers_before_joining(
-    scenario, packets, monkeypatch
-):
-    """``report --faults interrupt=p --gen-workers 2``: the injector
-    abandons the sharded generator mid-stream while its workers sit on
-    a full ring, so they are terminated first — a join that precedes
-    the terminate would wait out its timeout on each of them."""
-    from repro.faults import FaultInjector, FaultSpec
-
-    spec = FaultSpec.parse("interrupt=0.001")
-    serial = list(FaultInjector(spec, 7).wrap(iter(packets)))
-    # cut short enough that neither worker's ring (8 x 512 records) has
-    # room for the rest of its share
-    assert 0 < len(serial) < 4096 < len(packets) // 4
-
-    spy = SegmentSpy(monkeypatch)
-    teardown = []
-    for step in ("terminate", "join"):
-        real = getattr(multiprocessing.process.BaseProcess, step)
-
-        def recorded(process, *args, _real=real, _step=step, **kwargs):
-            if process.name.startswith("quicsand-gen-"):
-                teardown.append((process.name, _step))
-            return _real(process, *args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, step, recorded)
-
-    sharded = list(FaultInjector(spec, 7).wrap(scenario.packets(workers=2)))
-    assert [p.to_bytes() for p in sharded] == [p.to_bytes() for p in serial]
-    first_step = {}
-    for name, step in teardown:
-        first_step.setdefault(name, step)
-    assert first_step == {"quicsand-gen-0": "terminate", "quicsand-gen-1": "terminate"}
-    assert not [
-        child
-        for child in multiprocessing.active_children()
-        if child.name.startswith("quicsand-gen-")
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_killed_part_fails_the_run_instead_of_hanging():
+    config = quarter_hour()
+    feeds = [
+        partial(part_batches, config, die_after=1),
+        Scenario(config).parts(2)[1],
     ]
-    assert len(spy.created) == 2
-    assert sorted(spy.unlinked) == sorted(spy.created)
+    with pytest.raises((BrokenProcessPool, RuntimeError)):
+        run_parts(feeds, AnalysisConfig())
+    assert not multiprocessing.active_children()

@@ -41,7 +41,6 @@ KEPT = {
 UNIT_TESTED_ONLY = {
     "repro.core.extrapolate.TelescopeExtrapolator.detection_probability",
     "repro.core.extrapolate.TelescopeExtrapolator.min_rate_for_threshold",
-    "repro.core.parallel.shard_of",
     "repro.internet.asn.AsRegistry.systems_of_type",
     "repro.quic.h3.parse_settings",
     "repro.quic.h3.settings_frame",

@@ -7,17 +7,18 @@ for each one:
 
 - fast lane == the rich reference walker (``tests/oracle.py``);
 - gen-lane synthesis == rich synthesis (fused
-  ``process_record_batches`` feed, plus sharded ``records(workers=2)``
-  against serial records), and ``packets()`` — the production packet
-  view of the records — == ``rich_packets(scenario)``
+  ``process_record_batches`` feed), and ``packets()`` — the production
+  packet view of the records — == ``rich_packets(scenario)``
   (``tests/reference/generator.py``) packet by packet;
-- serial == workers 2–4 (shared-memory ring transport);
+- serial == ``process_scenario`` at workers 2–4 (the units split into
+  parts, each run in its own process, the states merged once);
 - batch == streaming-exact ``PipelineResult``s, bit for bit.
 
 Any future scenario registered in the presets module gets this battery
 for free; a scenario whose generators drift between their rich and
-record twins, or whose record units mis-order under the parallel
-merge, fails here before it ever reaches a golden report.
+record twins, or whose record units do not partition cleanly (a unit
+drawing from another's random stream), fails here before it ever
+reaches a golden report.
 """
 
 from types import SimpleNamespace
@@ -77,16 +78,11 @@ def test_fast_lane_vs_rich_lane(case):
 
 def test_gen_lane_vs_rich_synthesis(case):
     """The generation fast lane reproduces the rich capture: the fused
-    record-batch feed analyzes identically, and sharded generation
-    yields the serial record stream bit for bit."""
+    record-batch feed analyzes identically."""
     fused = make_pipeline(case.scenario).process_record_batches(
         Scenario(case.config).lane_batches()
     )
     assert_identical(case.reference, fused, case.scenario, f"{case.name}:fused")
-
-    serial = list(Scenario(case.config).records())
-    sharded = list(Scenario(case.config).records(workers=2))
-    assert serial == sharded, f"{case.name}: gen-workers=2 diverged"
 
 
 #: what a consumer can read off a packet, however it was built
@@ -108,18 +104,17 @@ def _observable(packet) -> tuple:
 def test_packet_view_vs_rich_synthesis(case):
     """``Scenario.packets()`` — the packets every production consumer
     gets, a view of ``records()`` — is the rich capture packet by
-    packet, and sharded generation does not change it."""
+    packet."""
     view = list(Scenario(case.config).packets())
     assert len(view) == len(case.packets), case.name
     for index, (got, rich) in enumerate(zip(view, case.packets)):
         assert _observable(got) == _observable(rich), f"{case.name}: packet {index}"
-    sharded = list(Scenario(case.config).packets(workers=2))
-    assert sharded == view, f"{case.name}: packets(workers=2) diverged"
 
 
 def test_serial_vs_workers(case):
     for workers in (2, 3, 4):
-        parallel = run(case.scenario, case.packets, workers=workers)
+        pipeline = make_pipeline(case.scenario, workers=workers)
+        parallel = pipeline.process_scenario(Scenario(case.config))
         assert_identical(
             case.reference,
             parallel,

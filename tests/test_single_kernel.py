@@ -21,7 +21,8 @@ The lane is not a knob either: ``PartialState.consume`` is the only
 ``classify_batch`` caller and itself has no caller under ``src/repro``
 (the suites drive it through ``tests/oracle.py``), nothing is named
 ``fast_lane``/``gen_lane``, and ``core/parallel.py`` has one worker
-function.
+function.  That worker, the fused report and a federated vantage run one
+loop, ``run_record_batches``.
 
 Generation has the same shape: ``Scenario.records()`` is the one
 generator production runs and ``Scenario.packets()`` a view of it.  The
@@ -147,14 +148,13 @@ def test_no_lane_selection_is_left():
 
 def test_one_shard_worker_function():
     tree = ast.parse((SRC / "core" / "parallel.py").read_text())
-    targets = [
-        ast.unparse(keyword.value)
+    submitted = [
+        ast.unparse(node.args[0])
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Process")
-        for keyword in node.keywords
-        if keyword.arg == "target"
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".submit")
     ]
-    assert targets == ["_shard_worker"]
+    assert submitted == ["_run_part"]
+    assert "run_record_batches" in calls(function("core/parallel.py", "_run_part"))
 
 
 def test_scenario_packets_is_a_view_of_records():
@@ -165,16 +165,24 @@ def test_scenario_packets_is_a_view_of_records():
 
 
 def test_both_report_arms_draw_from_the_sharded_generator():
+    """The fused arm hands the scenario to ``process_scenario`` (which
+    partitions its units for ``--workers``), the fault arm takes its
+    packet view; neither has a generation knob of its own."""
     (fork,) = [
         node
         for node in function("cli.py", "cmd_report").body
         if isinstance(node, ast.If) and node.orelse
     ]
+    assert "process_scenario" in set().union(*map(names_in, fork.body))
+    assert "packets" in set().union(*map(names_in, fork.orelse))
     for arm in (fork.body, fork.orelse):
-        assert any("gen_workers" in names_in(statement) for statement in arm)
+        assert not any("gen_workers" in names_in(statement) for statement in arm)
 
 
 def test_vantage_has_one_loop_body():
     called = calls(function("federate/vantage.py", "Vantage.run"))
-    assert [callee for callee in called if callee.endswith(".apply")] == ["state.apply"]
+    assert "run_record_batches" in called
+    assert not [callee for callee in called if callee.endswith((".apply", ".observe_records"))]
     assert not [callee for callee in called if callee.startswith("state.consume")]
+    fused = calls(function("core/pipeline.py", "QuicsandPipeline.process_record_batches"))
+    assert "run_record_batches" in fused
