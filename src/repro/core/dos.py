@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.sessions import Session
+from repro.util.timeutil import MINUTE
 
 
 @dataclass(frozen=True)
@@ -79,22 +80,25 @@ _CLASS_TO_VECTOR = {
 }
 
 
+def _vector_of(session: Session) -> str:
+    vector = _CLASS_TO_VECTOR.get(session.traffic_class)
+    if vector is None:
+        raise ValueError(f"session class {session.traffic_class!r} is not backscatter")
+    return vector
+
+
 class DosDetector:
-    """Applies thresholds to closed backscatter sessions."""
+    """Applies thresholds to backscatter sessions: closed ones, and
+    the monitor's open ones a piece of a run at a time."""
 
     def __init__(self, thresholds: Optional[DosThresholds] = None) -> None:
         self.thresholds = thresholds or DosThresholds()
         self.attacks: list = []
         self.rejected_sessions: list = []
-        self._live: set = set()
 
     def consider(self, session: Session) -> Optional[FloodAttack]:
         """Classify one closed session; returns the attack if detected."""
-        vector = _CLASS_TO_VECTOR.get(session.traffic_class)
-        if vector is None:
-            raise ValueError(
-                f"session class {session.traffic_class!r} is not backscatter"
-            )
+        vector = _vector_of(session)
         if not self.thresholds.matches(session):
             self.rejected_sessions.append(session)
             return None
@@ -110,49 +114,49 @@ class DosDetector:
         self.attacks.append(attack)
         return attack
 
-    def observe_update(self, session: Session) -> Optional[FloodAttack]:
-        """Streaming entry point: threshold-check a still-open session.
+    def crossing(self, session: Session, stamps) -> Optional[FloodAttack]:
+        """Streaming entry point: the attack snapshot as of the packet
+        among ``stamps`` — the open ``session``'s next timestamps,
+        non-decreasing, not landed yet — at which the session crosses
+        the thresholds, or ``None``.
 
         All three Moore conditions are monotone over a session's life,
-        so the first packet that makes ``thresholds.matches`` true is
-        the exact event-time threshold crossing.  Returns an attack
-        snapshot (end/packet stats as of the crossing packet) the first
-        time this session crosses; ``None`` on every other call.  The
-        closed session remains the authoritative record — hand it to
-        :meth:`consider` (or :meth:`release`) when it ends.
+        so a session crosses in exactly one piece: the one before which
+        ``thresholds.matches`` is false and after which it is true.
+        Replaying that piece's stamps from the session's count and
+        minute slots finds the crossing packet (``end`` is its
+        timestamp); the cheap tests come first, so no other piece pays
+        for a replay.  The closed session remains the authoritative
+        record — hand it to :meth:`consider` when it ends.
         """
-        key = (session.traffic_class, session.source, session.first_ts)
-        if key in self._live:
+        vector = _vector_of(session)
+        thresholds = self.thresholds
+        count, first_ts = session.packet_count, session.first_ts
+        if (
+            count + len(stamps) <= thresholds.min_packets
+            or stamps[-1] - first_ts <= thresholds.min_duration
+            or thresholds.matches(session)
+        ):
             return None
-        if not self.thresholds.matches(session):
-            return None
-        vector = _CLASS_TO_VECTOR.get(session.traffic_class)
-        if vector is None:
-            raise ValueError(
-                f"session class {session.traffic_class!r} is not backscatter"
-            )
-        self._live.add(key)
-        return FloodAttack(
-            victim_ip=session.source,
-            vector=vector,
-            start=session.first_ts,
-            end=session.last_ts,
-            packet_count=session.packet_count,
-            max_pps=session.max_pps,
-            session=session,
-        )
-
-    def release(self, session: Session) -> bool:
-        """Forget a closed session's live-crossing record.
-
-        Returns whether the session had crossed the thresholds while
-        open (i.e. whether :meth:`observe_update` alerted for it).
-        """
-        key = (session.traffic_class, session.source, session.first_ts)
-        if key in self._live:
-            self._live.discard(key)
-            return True
-        return False
+        slots = session.minute_slots
+        peak = max(slots.values(), default=0)
+        slot = in_slot = None
+        for stamp in stamps:
+            count += 1
+            this = int(stamp // MINUTE)
+            if this != slot:
+                slot, in_slot = this, slots.get(this, 0)
+            in_slot += 1
+            peak = max(peak, in_slot)
+            if (
+                count > thresholds.min_packets
+                and stamp - first_ts > thresholds.min_duration
+                and peak / MINUTE > thresholds.min_max_pps
+            ):
+                return FloodAttack(
+                    session.source, vector, first_ts, stamp, count, peak / MINUTE, session
+                )
+        return None
 
     def detect_all(self, sessions: Iterable[Session]) -> list:
         for session in sessions:

@@ -390,9 +390,9 @@ class PartialState:
         Every update is per source or additive, so the batch is
         bucketed by source (first-appearance order) and a bucket — some
         50 of a batch's 512 observations — lands as one
-        :meth:`_apply_run`, whatever the batching.  Only a sessionizer
-        with a per-packet ``on_update`` hook (the monitor's detector:
-        alerts fire in stream order *across* sources) goes entry by entry.
+        :meth:`_apply_run`, whatever the batching — so the monitor's
+        flood detector (``Sessionizer.on_run``) sees a batch source by
+        source and orders its alerts by crossing time, victim, vector.
         """
         by_source = defaultdict(list)
         for row in observations:
@@ -401,21 +401,12 @@ class PartialState:
             # nearly always one stretch: an address rarely is in two classes
             for kind, run in groupby(rows, key=itemgetter(0)):
                 self._apply_run(kind, source, *tuple(zip(*run))[2:])
-        sessionizers = self.sessionizers
-        hooked = tuple(k for k, s in sessionizers.items() if s.on_update is not None)
-        if hooked:
-            for kind, source, timestamp, dst, port, length, entry in observations:
-                if kind in hooked:
-                    sessionizers[kind].add_entry(
-                        source, timestamp, dst, port, length, entry and entry[2]
-                    )
 
     def _apply_run(self, kind, source, stamps, dsts, ports, lengths, entries) -> None:
         """One source's observations of one class, columns in stream
         order: a tally add, an hourly add per hour touched, a sweep run
         and a :meth:`Sessionizer.add_run`.  Timestamps that step back
-        (a mis-ordered capture) go one by one — the definition the
-        grouped update equals."""
+        (a mis-ordered capture) go one by one."""
         if sorted(stamps) != list(stamps):
             for row in zip(stamps, dsts, ports, lengths, entries):
                 self._apply_run(kind, source, *zip(row))  # one-element columns
@@ -439,10 +430,8 @@ class PartialState:
             for hour, count in hours:
                 series[hour] = series.get(hour, 0) + count
             self.sweep.observe_run(source, stamps)
-        sessionizer = self.sessionizers[kind]
-        if sessionizer.on_update is None:
-            deltas = [entry and entry[2] for entry in entries]
-            sessionizer.add_run(source, stamps, dsts, ports, lengths, deltas)
+        deltas = [entry and entry[2] for entry in entries]
+        self.sessionizers[kind].add_run(source, stamps, dsts, ports, lengths, deltas)
 
     def record_classifier(self, classifier: TrafficClassifier) -> None:
         """Fold the classifier's counters into the partial state.

@@ -80,39 +80,18 @@ class Session:
                         self.version_names.get(summary.version_name, 0) + 1
                     )
 
-    def apply_entry(
-        self,
-        timestamp: float,
-        dst: int,
-        dst_port: Optional[int],
-        wire_length: int,
-        delta: Optional[tuple],
-    ) -> None:
-        """Scalar-field twin of :meth:`add` for the batch fast lane.
+    def apply_run(self, stamps, dsts, ports, lengths, deltas) -> None:
+        """Scalar-field twin of :meth:`add` for the batch fast lane,
+        over a run of lane entries (columns in stream order, ``stamps``
+        non-decreasing), one update per field: an add per minute slot
+        touched, a fold per distinct delta object.
 
-        ``delta`` is a precomputed per-datagram dissection summary —
+        A delta is a precomputed per-datagram dissection summary —
         ``(message_type_counts, scids, version_name_counts,
         retry_packets)`` with counts as ``((name, n), ...)`` in
         first-occurrence order — so the resulting dicts and sets are
         identical (insertion order included) to feeding the packets
-        through :meth:`add` one by one.
-        """
-        self.last_ts = timestamp
-        self.packet_count += 1
-        self.byte_count += wire_length
-        self.dst_ips.add(dst)
-        if dst_port is not None:
-            self.dst_ports.add(dst_port)
-        slot = int(timestamp // MINUTE)
-        self.minute_slots[slot] = self.minute_slots.get(slot, 0) + 1
-        if delta is not None:
-            self._fold(delta, 1)
-
-    def apply_run(self, stamps, dsts, ports, lengths, deltas) -> None:
-        """:meth:`apply_entry` over a run of entries (columns in stream
-        order, ``stamps`` non-decreasing), one update per field: an add
-        per minute slot touched, a fold per distinct delta object —
-        same dicts, same insertion order."""
+        through :meth:`add` one by one."""
         self.last_ts = stamps[-1]
         self.packet_count += len(stamps)
         self.byte_count += sum(lengths)
@@ -171,9 +150,12 @@ def _type_name(packet_type: PacketType) -> str:
 class Sessionizer:
     """Streaming per-source sessionizer for one traffic class.
 
-    Feed time-ordered packets with :meth:`add`; closed sessions are
-    handed to ``on_close`` (or collected in :attr:`closed`).  Call
-    :meth:`flush` at end of stream.
+    Feed time-ordered packets with :meth:`add` (the rich reference
+    walker) or one source's lane entries at a time with :meth:`add_run`
+    (the fast lane); closed sessions are handed to ``on_close`` (or
+    collected in :attr:`closed`).  Call :meth:`flush` at end of stream.
+    An ``on_run`` listener sees a batch source by source, so the monitor
+    orders its alerts by crossing time, then victim, then vector.
     """
 
     def __init__(
@@ -181,17 +163,16 @@ class Sessionizer:
         traffic_class: str,
         timeout: float = DEFAULT_TIMEOUT,
         on_close: Optional[Callable[[Session], None]] = None,
-        on_update: Optional[Callable[[Session], None]] = None,
+        on_run: Optional[Callable[[Session, tuple], None]] = None,
     ) -> None:
         if timeout <= 0:
             raise ValueError("session timeout must be positive")
         self.traffic_class = traffic_class
         self.timeout = timeout
         self.on_close = on_close
-        #: invoked after every packet lands in a (still-open) session;
-        #: the streaming monitor hooks its incremental flood detector
-        #: here.  Must not mutate the session.
-        self.on_update = on_update
+        #: called with the session and a piece's stamps just before the
+        #: piece lands (the monitor's flood detector).  Must not mutate.
+        self.on_run = on_run
         self.closed: list = []
         self._open: dict[int, Session] = {}
         self.source_count = 0
@@ -207,57 +188,36 @@ class Sessionizer:
         if session is None:
             session = self._begin(source, packet.timestamp)
         session.add(classified)
-        if self.on_update is not None:
-            self.on_update(session)
-
-    def add_entry(
-        self,
-        source: int,
-        timestamp: float,
-        dst: int,
-        dst_port: Optional[int],
-        wire_length: int,
-        delta: Optional[tuple],
-    ) -> None:
-        """Scalar-field twin of :meth:`add` (batch fast lane).
-
-        Same gap/timeout/new-session logic; the packet lands via
-        :meth:`Session.apply_entry` instead of a ``ClassifiedPacket``.
-        """
-        session = self._open.get(source)
-        if session is not None and timestamp - session.last_ts > self.timeout:
-            self._close(session)
-            session = None
-        if session is None:
-            session = self._begin(source, timestamp)
-        session.apply_entry(timestamp, dst, dst_port, wire_length, delta)
-        if self.on_update is not None:
-            self.on_update(session)
 
     def add_run(self, source: int, stamps, dsts, ports, lengths, deltas) -> None:
-        """One source's entries of one batch — columns in stream order,
-        ``stamps`` non-decreasing — equal to one :meth:`add_entry` per
-        entry.  A run with no gap above the timeout at its head or
-        inside it lands in one session as one :meth:`Session.apply_run`;
-        any other goes entry by entry, as does every run while a
-        per-packet ``on_update`` hook listens.
+        """One source's lane entries of one batch — columns in stream
+        order, ``stamps`` non-decreasing — with :meth:`add`'s rule: the
+        run is cut at every gap above the timeout, the gap from the open
+        session's ``last_ts`` included, and each piece lands in its
+        session as one :meth:`Session.apply_run`, ``on_run`` called just
+        before (hence the monitor's alert order: crossing time, victim,
+        vector).
         """
-        session = self._open.get(source)
         timeout = self.timeout
-        if (
-            self.on_update is None
-            and (session is None or 0 <= stamps[0] - session.last_ts <= timeout)
-            and (
-                stamps[-1] - stamps[0] <= timeout
-                or max(map(sub, stamps[1:], stamps)) <= timeout
-            )
-        ):
+        bounds = [0, len(stamps)]
+        if stamps[-1] - stamps[0] > timeout:
+            bounds[1:1] = [
+                index
+                for index, gap in enumerate(map(sub, stamps[1:], stamps), 1)
+                if gap > timeout
+            ]
+        columns = (stamps, dsts, ports, lengths, deltas)
+        for start, stop in zip(bounds, bounds[1:]):
+            piece = columns if len(bounds) == 2 else [c[start:stop] for c in columns]
+            session = self._open.get(source)
+            if session is not None and stamps[start] - session.last_ts > timeout:
+                self._close(session)
+                session = None
             if session is None:
-                session = self._begin(source, stamps[0])
-            session.apply_run(stamps, dsts, ports, lengths, deltas)
-        else:
-            for entry in zip(stamps, dsts, ports, lengths, deltas):
-                self.add_entry(source, *entry)
+                session = self._begin(source, stamps[start])
+            if self.on_run is not None:
+                self.on_run(session, piece[0])
+            session.apply_run(*piece)
 
     def _begin(self, source: int, timestamp: float) -> Session:
         if source not in self._seen_sources:

@@ -13,14 +13,15 @@ additions:
    sessionizer would close, with identical contents (see
    :meth:`repro.core.sessions.Sessionizer.expire`), which is why the
    exact mode reproduces batch results bit for bit.
-2. **Incremental flood detection** — a per-packet hook on the
-   backscatter sessionizers threshold-checks each updated session, so
-   a :class:`~repro.stream.events.FloodAlert` fires the moment a
-   session crosses the Moore thresholds (monotone conditions make the
-   crossing packet exact), and an
-   :class:`~repro.stream.events.AttackEnded` follows when the session
-   expires — with an online multi-vector category from the sliding
-   common-flood window.
+2. **Incremental flood detection** — an ``on_run`` hook on the
+   backscatter sessionizers checks each piece of a run before it lands
+   (:meth:`~repro.core.dos.DosDetector.crossing`), so a
+   :class:`~repro.stream.events.FloodAlert` names the exact packet at
+   which a session crosses the Moore thresholds.  Runs land source by
+   source; a batch's alerts are ordered by crossing time, ties broken
+   by victim and then vector.  An :class:`~repro.stream.events.AttackEnded`
+   follows when the session expires — with an online multi-vector
+   category from the sliding common-flood window.
 3. **Bounded memory** (``StreamConfig(mode="bounded")``) — closed
    sessions are folded into running summaries and evicted, the
    per-packet timeout sweep is disabled, and per-source tallies are
@@ -269,6 +270,7 @@ class StreamAnalyzer:
         #: this stays small even on long runs).
         self.alerts: list = []
         self._pending: list = []
+        self._crossings: list = []
         self._active: dict = {}
         self._cursor = {cls: 0 for cls in self.state.sessionizers}
         self._current_hour: Optional[int] = None
@@ -292,9 +294,7 @@ class StreamAnalyzer:
             )
         else:
             for cls in _BACKSCATTER_CLASSES:
-                self.state.sessionizers[cls].on_update = (
-                    self._on_backscatter_update
-                )
+                self.state.sessionizers[cls].on_run = self._on_backscatter_run
         if self.stream_config.mode != "exact":
             self.state.sweep = _NullSweep()
 
@@ -321,6 +321,7 @@ class StreamAnalyzer:
                 )
             else:
                 self.state.consume_lane(batch, self.classifier)
+                self._alert_crossings()
             telemetry = self.telemetry
             telemetry.packets += len(batch)
             telemetry.batches += 1
@@ -402,21 +403,23 @@ class StreamAnalyzer:
     # An active flood is keyed (label, victim, start); the label is the
     # session's traffic class or, from the tier, the vector.
 
-    def _on_backscatter_update(self, session: Session) -> None:
-        attack = self.detector.observe_update(session)
+    def _on_backscatter_run(self, session: Session, stamps) -> None:
+        attack = self.detector.crossing(session, stamps)
         if attack is not None:
-            self._on_alert(
-                attack.vector,
-                attack.victim_ip,
-                attack.start,
-                session.last_ts,
-                attack.packet_count,
-                attack.max_pps,
-                session,
-            )
+            self._crossings.append(attack)
+
+    def _alert_crossings(self) -> None:
+        """Alert the batch's crossings by crossing time, then victim,
+        then vector — once per session, even where a mis-ordered
+        capture walks an alerted session back below a threshold."""
+        crossings, self._crossings = self._crossings, []
+        for a in sorted(crossings, key=lambda a: (a.end, a.victim_ip, a.vector)):
+            if (a.session.traffic_class, a.victim_ip, a.start) not in self._active:
+                self._on_alert(
+                    a.vector, a.victim_ip, a.start, a.end, a.packet_count, a.max_pps, a.session
+                )
 
     def _on_session_closed(self, session: Session) -> None:
-        self.detector.release(session)
         self._on_ended(
             session.traffic_class,
             session.source,

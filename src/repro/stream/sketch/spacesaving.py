@@ -99,14 +99,6 @@ class SpaceSaving:
         )
         return [(key, entry[0], entry[1]) for key, entry in ranked[:n]]
 
-    def guaranteed(self, threshold: int):
-        """Keys whose *true* count provably exceeds ``threshold``."""
-        return [
-            key
-            for key, entry in self._entries.items()
-            if entry[0] - entry[1] > threshold
-        ]
-
     #: amortized dict-slot cost per entry; the live allocation wobbles
     #: with CPython resize history under eviction churn, so the report
     #: uses a fixed per-slot figure to stay deterministic.

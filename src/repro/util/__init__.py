@@ -6,7 +6,7 @@ the substrates and the analysis core:
 - :mod:`repro.util.varint` — QUIC variable-length integers (RFC 9000 §16).
 - :mod:`repro.util.rng` — deterministic, stream-splittable random sources.
 - :mod:`repro.util.timeutil` — epoch constants and interval helpers.
-- :mod:`repro.util.stats` — empirical CDFs, percentiles and summaries.
+- :mod:`repro.util.stats` — empirical CDFs and percentiles.
 - :mod:`repro.util.render` — plain-text tables and charts for benches.
 - :mod:`repro.util.batching` — chunked iteration over packet streams.
 """
@@ -19,7 +19,7 @@ from repro.util.varint import (
     varint_length,
 )
 from repro.util.rng import SeededRng, derive_seed
-from repro.util.stats import EmpiricalCdf, Summary, percentile, summarize
+from repro.util.stats import EmpiricalCdf, percentile
 from repro.util.timeutil import HOUR, MINUTE
 
 __all__ = [
@@ -31,9 +31,7 @@ __all__ = [
     "SeededRng",
     "derive_seed",
     "EmpiricalCdf",
-    "Summary",
     "percentile",
-    "summarize",
     "HOUR",
     "MINUTE",
 ]

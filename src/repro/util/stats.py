@@ -1,4 +1,4 @@
-"""Small statistics helpers: percentiles, empirical CDFs, summaries.
+"""Small statistics helpers: percentiles and empirical CDFs.
 
 The paper reports most results as CDFs (Figures 6, 7, 12, 13) and
 medians.  :class:`EmpiricalCdf` is the shared representation the bench
@@ -7,7 +7,6 @@ harness prints and the tests assert against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -33,42 +32,6 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 def median(values: Sequence[float]) -> float:
     return percentile(values, 50)
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-style summary of a sample."""
-
-    count: int
-    mean: float
-    minimum: float
-    p25: float
-    median: float
-    p75: float
-    maximum: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.count} mean={self.mean:.2f} min={self.minimum:.2f} "
-            f"p25={self.p25:.2f} med={self.median:.2f} p75={self.p75:.2f} "
-            f"max={self.maximum:.2f}"
-        )
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Build a :class:`Summary` from any iterable of numbers."""
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("summarize of empty sequence")
-    return Summary(
-        count=len(data),
-        mean=sum(data) / len(data),
-        minimum=data[0],
-        p25=percentile(data, 25),
-        median=percentile(data, 50),
-        p75=percentile(data, 75),
-        maximum=data[-1],
-    )
 
 
 class EmpiricalCdf:

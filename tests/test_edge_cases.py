@@ -1,7 +1,5 @@
 """Edge-case coverage across substrates."""
 
-import pytest
-
 from repro.net.addresses import parse_ipv4
 from repro.net.ipv4 import IPv4Header
 from repro.net.udp import UdpHeader
@@ -14,7 +12,6 @@ from repro.quic.packet import (
 )
 from repro.telescope.scanners import TcpScannerModel
 from repro.util.rng import SeededRng
-from repro.util.stats import Summary, summarize
 from repro.util.varint import encode_varint
 from tests.reference import generator as reference
 
@@ -102,21 +99,6 @@ def test_short_packet_key_phase_bit_roundtrip():
 def test_coalesced_datagram_len():
     datagram = CoalescedDatagram(raw=b"\x00" * 120, packets=[])
     assert len(datagram) == 120
-
-
-# -- stats ------------------------------------------------------------
-
-
-def test_summary_str():
-    text = str(summarize([1, 2, 3]))
-    assert "med=2.00" in text
-    assert "n=3" in text
-
-
-def test_summary_is_frozen():
-    summary = summarize([1.0])
-    with pytest.raises(Exception):
-        summary.count = 5
 
 
 # -- tcp scanner model ---------------------------------------------------

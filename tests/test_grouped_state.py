@@ -2,19 +2,22 @@
 sources, not packets — and nothing observable may tell.
 
 ``PartialState.apply`` buckets a batch by source and lands each bucket
-as one ``Sessionizer.add_run`` / ``TimeoutSweep.observe_run``; the sweep
-counts gaps of up to a minute instead of keeping them.  Pinned here,
-with no wall clock:
+as one ``Sessionizer.add_run`` / ``TimeoutSweep.observe_run``; a run is
+cut only at gaps above the session timeout, and the sweep counts gaps
+of up to a minute instead of keeping them.  Pinned here, with no wall
+clock:
 
-(a) ``apply`` is batch-boundary independent, and equal to the
-    one-observation-at-a-time chain it replaced (written out below as
-    the reference), on arbitrary observation lists — timeouts, minute
-    and hour edges, equal and *backwards* timestamps included;
+(a) ``apply`` is batch-boundary independent, and equal to a
+    one-observation-at-a-time chain written out below from the
+    definitions (calling nothing under ``src/``), on arbitrary
+    observation lists — timeouts, minute and hour edges, equal and
+    *backwards* timestamps included; the monitor, which sees runs
+    source by source, still alerts in crossing order;
 (b) the counted sweep equals a keep-every-gap reference for every
     timeout it answers for, through ``exclude_sources`` and ``merge`` —
     of source shards and of destination partitions alike;
-(c) on real traffic the per-entry fallback is the exception for
-    un-hooked sessionizers and the rule for the monitor's hooked ones.
+(c) on real traffic a session takes far fewer updates than packets, on
+    the fused path and in both session modes of the monitor.
 """
 
 import pytest
@@ -24,16 +27,21 @@ from hypothesis import strategies as st
 from repro.core import AnalysisConfig, QuicsandPipeline
 from repro.core.classify import PacketClass
 from repro.core.pipeline import PartialState
-from repro.core.sessions import Sessionizer, TimeoutSweep
-from repro.stream import StreamAnalyzer, StreamConfig
+from repro.core.sessions import Session, TimeoutSweep
+from repro.net.ipv4 import IPProto, IPv4Header
+from repro.net.packet import CapturedPacket
+from repro.net.tcp import TcpFlags, TcpHeader
+from repro.stream import FloodAlert, StreamAnalyzer, StreamConfig
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.presets import get_scenario
-from repro.util.timeutil import HOUR
+from repro.util.timeutil import HOUR, MINUTE
 
 from tests.oracle import state_facts
 
 REQUEST, RESPONSE = PacketClass.QUIC_REQUEST, PacketClass.QUIC_RESPONSE
 TCP, ICMP = PacketClass.TCP_BACKSCATTER, PacketClass.ICMP_BACKSCATTER
+KINDS = (REQUEST, RESPONSE, TCP, ICMP)
+TIMEOUT = 5 * MINUTE  # the paper's session timeout, AnalysisConfig's default
 
 #: lane entries as the adapters hand them out: a small pool of shared
 #: objects (the memo), among them two *equal but distinct* ones, a
@@ -77,36 +85,108 @@ def observation_lists(draw):
     return observations
 
 
-def reference_apply(state: PartialState, observations: list) -> None:
-    """The state update as a per-observation chain: what ``apply`` was
-    before it grouped, and so what it has to equal."""
+def reference_facts(observations: list) -> dict:
+    """What ``apply`` has to leave behind, one observation at a time
+    and calling nothing under ``src/``: tallies and hourly series per
+    observation, the sweep as every gap kept, and sessions as a chain
+    per (class, source) — a new session whenever the gap from the
+    source's last packet exceeds the timeout, the gap itself as
+    ``a - b`` however the clock stepped."""
+    tally, per_source, requests, responses = {}, {}, {}, {}
+    retry = long_header = empty_dcid = 0
+    sweep = KeepEveryGap()
+    live = {kind: {} for kind in KINDS}
+    closed = {kind: [] for kind in KINDS}
+    seen = {kind: set() for kind in KINDS}
     for kind, source, timestamp, dst, port, length, entry in observations:
         if kind in (REQUEST, RESPONSE):
             hour = int(timestamp // HOUR)
-            tally = state.quic_source_packets
             tally[source] = tally.get(source, 0) + 1
             if kind is REQUEST:
-                hours = state.per_source_hourly.setdefault(source, {})
+                hours = per_source.setdefault(source, {})
                 hours[hour] = hours.get(hour, 0) + 1
-                series = state.hourly_requests
+                series = requests
             else:
-                series = state.hourly_responses
+                series = responses
                 if entry is not None:
-                    state.passive_retry_packets += bool(entry[3])
-                    state.response_long_header_packets += bool(entry[4])
-                    state.response_empty_dcid_packets += bool(entry[4] and entry[5])
+                    retry += bool(entry[3])
+                    long_header += bool(entry[4])
+                    empty_dcid += bool(entry[4] and entry[5])
             series[hour] = series.get(hour, 0) + 1
-            state.sweep.observe(source, timestamp)
-        state.sessionizers[kind].add_entry(
-            source, timestamp, dst, port, length, None if entry is None else entry[2]
-        )
+            sweep.observe(source, timestamp)
+        session = live[kind].get(source)
+        if session is not None and timestamp - session["last_ts"] > TIMEOUT:
+            closed[kind].append(live[kind].pop(source))
+            session = None
+        if session is None:
+            seen[kind].add(source)
+            session = live[kind][source] = {
+                "source": source, "traffic_class": kind.value,
+                "first_ts": timestamp, "last_ts": timestamp,
+                "packet_count": 0, "byte_count": 0,
+                "dst_ips": set(), "dst_ports": set(), "scids": set(),
+                "message_types": {}, "minute_slots": {},
+                "retry_packets": 0, "version_names": {},
+            }
+        session["last_ts"] = timestamp
+        session["packet_count"] += 1
+        session["byte_count"] += length
+        session["dst_ips"].add(dst)
+        if port is not None:
+            session["dst_ports"].add(port)
+        slots = session["minute_slots"]
+        slots[int(timestamp // MINUTE)] = slots.get(int(timestamp // MINUTE), 0) + 1
+        if entry is not None:
+            types, scids, versions, retries = entry[2]
+            for field, counts in (("message_types", types), ("version_names", versions)):
+                for name, n in counts:
+                    session[field][name] = session[field].get(name, 0) + n
+            session["scids"].update(scids)
+            session["retry_packets"] += retries
+    for kind in KINDS:
+        closed[kind] += live[kind].values()
+        closed[kind].sort(key=lambda s: (s["first_ts"], s["source"]))  # stable
+    return {
+        "quic_source_packets": sorted(tally.items()),
+        "per_source_hourly": [
+            (source, sorted(hours.items())) for source, hours in sorted(per_source.items())
+        ],
+        "hourly_requests": sorted(requests.items()),
+        "hourly_responses": sorted(responses.items()),
+        "passive_retry_packets": retry,
+        "response_long_header_packets": long_header,
+        "response_empty_dcid_packets": empty_dcid,
+        "sessions": {kind: (closed[kind], len(seen[kind]), seen[kind]) for kind in KINDS},
+        "sweep": (
+            sweep.packet_count(),
+            len(sweep.last),
+            [sweep.sessions_at(timeout) for timeout in TIMEOUTS],
+        ),
+    }
 
 
-def applied(parts, update=PartialState.apply) -> dict:
+def applied(parts) -> PartialState:
     state = PartialState.initial(AnalysisConfig())
     for part in parts:
-        update(state, part)
-    return state_facts(state)
+        state.apply(part)
+    return state
+
+
+def observed(state: PartialState) -> dict:
+    """:func:`~tests.oracle.state_facts` with the sessions and the sweep
+    in :func:`reference_facts`' terms."""
+    facts = state_facts(state)
+    sweep = state.sweep
+    facts["sweep"] = (
+        sweep.packet_count,
+        sweep.source_count,
+        [sweep.sessions_at(timeout) for timeout in TIMEOUTS],
+    )
+    facts["sessions"] = {
+        kind: ([vars(session) for session in closed], count, seen)
+        for kind, (closed, count, seen) in facts["sessions"].items()
+    }
+    return facts
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,22 +202,39 @@ def test_apply_is_batch_boundary_independent(observations, data):
         for start, stop in zip([0] + cuts, cuts + [len(observations)])
     ]
     whole = applied([observations])
-    assert applied(parts) == whole, cuts
-    assert applied([[observation] for observation in observations]) == whole
-    assert applied([observations], update=reference_apply) == whole
+    assert state_facts(applied(parts)) == state_facts(whole), cuts
+    assert state_facts(applied([[o] for o in observations])) == state_facts(whole)
+    facts, expected = observed(whole), reference_facts(observations)
+    assert {name: facts[name] for name in expected} == expected
 
 
-def test_apply_keeps_hooked_sessionizers_in_stream_order():
-    """Two victims cross a threshold in one batch, the later-starting
-    one first: the hook sees entries in stream order across sources."""
-    seen = []
-    state = PartialState.initial(AnalysisConfig())
-    state.sessionizers[TCP].on_update = lambda s: seen.append((s.source, s.last_ts))
-    rows = [(TCP, 1 + i % 2, float(i), 100, 80, 40, None) for i in range(6)]
-    state.apply(rows + [(REQUEST, 1, 6.0, 100, 443, 1228, ENTRIES[1])])
-    assert seen == [(1 + i % 2, float(i)) for i in range(6)]
-    assert state.sessionizers[TCP].open_count == 2
-    assert state.sessionizers[REQUEST].open_sessions()[0].packet_count == 1
+def test_monitor_alerts_in_crossing_order():
+    """Two victims cross the thresholds in one batch, the later-starting
+    one first.  The batch lands source by source — victim 1, seen first,
+    before victim 2 — and the alerts still come out in crossing order."""
+
+    def rst(ts, src):
+        return CapturedPacket(
+            ts, IPv4Header(src, 2, IPProto.TCP), TcpHeader(443, 999, flags=TcpFlags.RST)
+        )
+
+    # victim 1: one packet at 0, then 2 pps from 100 s — crosses at 115 s
+    # (32 packets, 31 of them in minute 1); victim 2: 1 pps from 5 s —
+    # crosses at 66 s (62 packets, duration 61 s)
+    packets = sorted(
+        [rst(0.0, 1)]
+        + [rst(100.0 + i / 2, 1) for i in range(40)]
+        + [rst(5.0 + i, 2) for i in range(80)],
+        key=lambda p: p.timestamp,
+    )
+    analyzer = StreamAnalyzer()
+    events = analyzer.process_batch(packets)
+    alerts = [event for event in events if isinstance(event, FloodAlert)]
+    expected = [(2, 5.0, 66.0, 62), (1, 0.0, 115.0, 32)]
+    for emitted in (alerts, analyzer.alerts):
+        assert [
+            (a.victim_ip, a.start, a.crossed_at, a.packet_count) for a in emitted
+        ] == expected
 
 
 # -- (b) the counted sweep ------------------------------------------------------
@@ -272,51 +369,52 @@ def test_sweep_merge_refuses_an_excluded_target():
         target.merge(shard)
 
 
-# -- (c) who still goes entry by entry ----------------------------------------
+# -- (c) how often a session is updated ---------------------------------------
 
 
-@pytest.fixture
-def entry_calls(monkeypatch):
-    """``traffic class -> add_entry calls`` for the test's duration."""
-    calls: dict = {}
-    add_entry = Sessionizer.add_entry
-
-    def counting(self, *entry):
-        calls[self.traffic_class] = calls.get(self.traffic_class, 0) + 1
-        add_entry(self, *entry)
-
-    monkeypatch.setattr(Sessionizer, "add_entry", counting)
-    return calls
+IBR = get_scenario("ibr-backscatter").config(duration=HOUR)
+# every class at once, research bulk included
+MIXED = ScenarioConfig(seed=29, duration=HOUR, research_sample=1 / 64)
 
 
-SCENARIO_HOURS = [
-    pytest.param(get_scenario("ibr-backscatter").config(duration=HOUR), id="ibr-backscatter"),
-    # every class at once, research bulk included
-    pytest.param(ScenarioConfig(seed=29, duration=HOUR, research_sample=1 / 64), id="mixed"),
-]
-
-
-@pytest.mark.parametrize("config", SCENARIO_HOURS)
-def test_fallback_is_the_exception_on_the_fused_path(config, entry_calls):
+def fused_counts(config) -> dict:
     result = QuicsandPipeline(config=AnalysisConfig()).process_record_batches(
         Scenario(config).lane_batches(512)
     )
-    observations = sum(
-        result.class_counts.get(kind.value, 0) for kind in (REQUEST, RESPONSE, TCP, ICMP)
-    )
-    assert observations > 5000
-    assert sum(entry_calls.values()) < 0.05 * observations, entry_calls
+    return result.class_counts
 
 
-def test_monitor_feeds_hooked_classes_entry_by_entry(entry_calls):
-    config = ScenarioConfig(seed=29, duration=HOUR, research_sample=1 / 64)
-    analyzer = StreamAnalyzer(stream_config=StreamConfig(mode="bounded"))
-    packets = list(Scenario(config).packets())
-    for start in range(0, len(packets), 512):
-        analyzer.process_batch(packets[start : start + 512])
+def monitor_counts(config, mode) -> dict:
+    analyzer = StreamAnalyzer(stream_config=StreamConfig(mode=mode))
+    for batch in Scenario(config).packet_batches(512):
+        analyzer.process_batch(batch)
     analyzer.finish()
-    counts = analyzer.state.class_counts
-    for kind in (RESPONSE, TCP, ICMP):
-        assert counts[kind] > 0
-        assert entry_calls.get(kind.value, 0) == counts[kind], kind
-    assert entry_calls.get(REQUEST.value, 0) < 0.05 * counts[REQUEST]
+    return {kind.value: count for kind, count in analyzer.state.class_counts.items()}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: fused_counts(IBR), id="fused-ibr-backscatter"),
+        pytest.param(lambda: fused_counts(MIXED), id="fused-mixed"),
+        pytest.param(lambda: monitor_counts(MIXED, "exact"), id="exact-mixed"),
+        pytest.param(lambda: monitor_counts(MIXED, "bounded"), id="bounded-mixed"),
+    ],
+)
+def test_sessions_update_once_per_run(run, monkeypatch):
+    """``Session.apply_run`` calls per observation, per class, are far
+    below one: a run lands whole unless a gap above the timeout cuts
+    it, the monitor's flood detector listening or not."""
+    calls: dict = {}
+    apply_run = Session.apply_run
+
+    def counting(self, *columns):
+        calls[self.traffic_class] = calls.get(self.traffic_class, 0) + 1
+        apply_run(self, *columns)
+
+    monkeypatch.setattr(Session, "apply_run", counting)
+    counts = run()
+    assert sum(counts.get(kind.value, 0) for kind in KINDS) > 5000
+    for kind in KINDS:
+        if counts.get(kind.value):
+            assert calls[kind.value] < 0.25 * counts[kind.value], (kind, calls, counts)

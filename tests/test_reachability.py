@@ -48,13 +48,10 @@ UNIT_TESTED_ONLY = {
     "repro.quic.packet.CoalescedDatagram",
     "repro.quic.versions.is_known",
     "repro.server.nginx.NginxQuicServer.would_serve",
-    "repro.stream.sketch.spacesaving.SpaceSaving.guaranteed",
     "repro.telescope.diurnal.DiurnalModel.thin_probability",
     "repro.telescope.presets.bench_day",
     "repro.util.rng.SeededRng.pareto",
     "repro.util.stats.EmpiricalCdf.fraction_at_most",
-    "repro.util.stats.Summary",
-    "repro.util.stats.summarize",
 }
 
 

@@ -6,12 +6,16 @@ measured −12 % keeps them apart, see docs/ARCHITECTURE.md), and
 ``PartialState.apply`` is the only fast-lane state update; the sketch
 tier is a second sink of the same observations.  Equivalence suites can
 only compare walkers that exist — this guard keeps a new one from being
-written, by pinning *where* the three calls that make a walker may
-appear under ``src/repro``:
+written, by pinning *where* the calls that make a walker may appear
+under ``src/repro``:
 
-- ``.add_entry`` (sessions from lane entries, one at a time) —
-  ``PartialState.apply`` for hooked sessionizers and
-  ``Sessionizer.add_run``'s fallback;
+- ``.add_run`` (sessions from lane entries) — ``PartialState._apply_run``,
+  and ``.apply_run`` (a piece landing in a session) —
+  ``Sessionizer.add_run``: the one route from a lane observation to a
+  session, the monitor's flood detector included (it listens on
+  ``on_run``).  No per-entry walk is left to come back: no name under
+  ``src/repro`` is ``add_entry``, ``apply_entry``, ``on_update``,
+  ``observe_update``, or the detector's ``release`` / ``_live``;
 - ``.entry_for`` (the dissection memo) — the two adapters;
 - ``Sessionizer.add`` (sessions from rich objects, recognised by a
   receiver spelled ``…sessionizer….add``) — ``PartialState.consume``,
@@ -102,8 +106,16 @@ def calls(node: ast.AST) -> list:
 
 
 def test_one_fast_lane_state_update():
-    assert sites("add_entry") == {"PartialState.apply", "Sessionizer.add_run"}
     assert sites("add_run") == {"PartialState._apply_run"}
+    assert sites("apply_run") == {"Sessionizer.add_run"}
+
+
+def test_no_per_entry_session_walk_is_left():
+    walk = {"add_entry", "apply_entry", "on_update", "observe_update", "release", "_live"}
+    for path, tree in trees():
+        for node in ast.walk(tree):
+            named = {getattr(node, f, None) for f in ("attr", "arg", "id", "name")}
+            assert not walk & named, (path, getattr(node, "lineno", None))
 
 
 def test_one_classification_ladder_per_input_representation():

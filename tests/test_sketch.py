@@ -222,17 +222,6 @@ def test_spacesaving_bounds_bracket_truth(seed):
         assert count - error <= true <= count
 
 
-def test_spacesaving_guaranteed_uses_lower_bound():
-    summary = SpaceSaving(capacity=2)
-    for _ in range(10):
-        summary.update(1)
-    for key in (2, 3, 4):  # churn the second slot: inherited error grows
-        summary.update(key)
-    assert 1 in summary.guaranteed(5)
-    # the churned key's count includes inherited error — not guaranteed
-    assert summary.guaranteed(2) == [1]
-
-
 def test_spacesaving_eviction_is_deterministic():
     """Count ties break on the smaller key, so replays are identical."""
     runs = []

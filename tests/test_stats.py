@@ -1,10 +1,10 @@
-"""Tests for percentiles, summaries and empirical CDFs."""
+"""Tests for percentiles and empirical CDFs."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.stats import EmpiricalCdf, median, percentile, summarize
+from repro.util.stats import EmpiricalCdf, median, percentile
 
 
 def test_percentile_interpolates():
@@ -26,20 +26,6 @@ def test_percentile_rejects_bad_input():
 
 def test_median_odd():
     assert median([5, 1, 9]) == 5
-
-
-def test_summarize_fields():
-    s = summarize([4, 1, 3, 2])
-    assert s.count == 4
-    assert s.minimum == 1
-    assert s.maximum == 4
-    assert s.mean == 2.5
-    assert s.median == 2.5
-
-
-def test_summarize_empty_rejected():
-    with pytest.raises(ValueError):
-        summarize([])
 
 
 def test_cdf_fraction_at_most():

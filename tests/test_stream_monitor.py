@@ -3,12 +3,15 @@ detection, online correlation, bounded memory, and the feeds."""
 
 import threading
 import time
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AnalysisConfig
 from repro.core.classify import TrafficClassifier
-from repro.core.dos import DosDetector
+from repro.core.dos import DosDetector, DosThresholds
 from repro.core.multivector import CONCURRENT, ISOLATED, SEQUENTIAL
 from repro.core.sessions import Sessionizer
 from repro.net.ipv4 import IPProto, IPv4Header
@@ -90,58 +93,121 @@ def test_evict_closed_recounts_returning_sources():
 # -- incremental detection ---------------------------------------------------
 
 
-def crossing_packets(src=1):
-    """70 RSTs at 1 pps: crosses all three Moore thresholds at t=61."""
-    return [backscatter(float(ts), src=src) for ts in range(70)]
+def land(stamps, pieces, thresholds=None):
+    """Feed ``stamps`` (one source's backscatter, non-decreasing) to a
+    hooked sessionizer as runs cut at ``pieces``; returns every
+    crossing the detector reports and the closed sessions."""
+    detector = DosDetector(thresholds)
+    crossings = []
 
-
-def test_observe_update_fires_exactly_once():
-    detector = DosDetector()
-    alerts = []
-
-    def on_update(session):
-        attack = detector.observe_update(session)
+    def on_run(session, piece):
+        attack = detector.crossing(session, piece)
         if attack is not None:
-            alerts.append((attack, session.last_ts))
+            crossings.append(attack)
 
-    sessionizer = Sessionizer("tcp-backscatter", timeout=300.0, on_update=on_update)
-    feed(sessionizer, crossing_packets())
-    assert len(alerts) == 1
-    attack, crossed_at = alerts[0]
+    sessionizer = Sessionizer("tcp-backscatter", timeout=300.0, on_run=on_run)
+    cuts = sorted(cut for cut in set(pieces) if 0 < cut < len(stamps))
+    for start, stop in zip([0] + cuts, cuts + [len(stamps)]):
+        run = tuple(stamps[start:stop])
+        n = len(run)
+        sessionizer.add_run(1, run, (2,) * n, (443,) * n, (40,) * n, [None] * n)
+    sessionizer.flush()
+    return crossings, sessionizer.closed
+
+
+def crossing_stamps():
+    """70 RSTs at 1 pps: crosses all three Moore thresholds at t=61."""
+    return [float(ts) for ts in range(70)]
+
+
+@pytest.mark.parametrize(
+    "pieces", [(), (10, 20, 30, 40, 50, 60), range(1, 70)], ids=["one-run", "cut", "per-packet"]
+)
+def test_crossing_fires_exactly_once(pieces):
+    crossings, _closed = land(crossing_stamps(), pieces)
+    (attack,) = crossings
     # duration > 60 s is the last condition to come true at 1 pps
-    assert crossed_at == 61.0
+    assert attack.end == 61.0
     assert attack.vector == "tcp"
     assert attack.victim_ip == 1
+    assert attack.start == 0.0
     assert attack.packet_count == 62  # snapshot as of the crossing packet
-    sessionizer.flush()
-    assert detector.release(sessionizer.closed[0]) is True
-    assert detector.release(sessionizer.closed[0]) is False
+    assert attack.max_pps == 60 / 60.0
 
 
-def test_observe_update_ignores_sub_threshold_sessions():
-    detector = DosDetector()
-    sessionizer = Sessionizer(
-        "tcp-backscatter", timeout=300.0, on_update=detector.observe_update
-    )
-    feed(sessionizer, [backscatter(float(ts)) for ts in range(20)])
-    sessionizer.flush()
-    assert detector.release(sessionizer.closed[0]) is False
+@pytest.mark.parametrize("pieces", [(40, 61), (40, 62)], ids=["first", "last"])
+def test_crossing_packet_at_either_end_of_a_piece(pieces):
+    """The crossing packet (t=61, index 61) is the first stamp of the
+    piece [61:70] or the last of the piece [40:62]; the replay finds it
+    either way."""
+    crossings, _closed = land(crossing_stamps(), pieces)
+    assert [(a.end, a.packet_count) for a in crossings] == [(61.0, 62)]
 
 
-def test_observe_update_rejects_non_backscatter():
+def test_crossing_ignores_sub_threshold_sessions():
+    crossings, closed = land([float(ts) for ts in range(20)], (5, 10))
+    assert crossings == []
+    assert not DosDetector().thresholds.matches(closed[0])
+
+
+def test_crossing_rejects_non_backscatter():
     from repro.core.sessions import Session
 
     detector = DosDetector()
-    crossing = Session(
-        source=1,
-        traffic_class="quic-request",  # request traffic is never a flood
-        first_ts=0.0,
-        last_ts=70.0,
-        packet_count=40,
-        minute_slots={0: 40},
-    )
-    with pytest.raises(ValueError):
-        detector.observe_update(crossing)
+    session = Session(source=1, traffic_class="quic-request", first_ts=0.0)
+    with pytest.raises(ValueError):  # request traffic is never a flood
+        detector.crossing(session, (70.0,) * 40)
+
+
+#: steps of a backscatter clock: equal stamps, sub-minute, the minute
+#: and the session timeout from both sides, an hour
+CROSSING_STEPS = (0.0, 0.25, 59.5, 60.0, 60.5, 299.5, 300.0, 300.5, 3600.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # (step, repeats): bursts dense enough for weighted(10)'s 300 packets a minute
+    st.lists(
+        st.tuples(st.sampled_from(CROSSING_STEPS), st.integers(min_value=1, max_value=320)),
+        min_size=1,
+        max_size=10,
+    ),
+    st.lists(st.integers(min_value=1, max_value=3200), max_size=12),
+    st.sampled_from([DosThresholds(), DosThresholds().weighted(0.5), DosThresholds().weighted(10)]),
+)
+def test_run_crossings_equal_a_per_packet_walk(bursts, pieces, thresholds):
+    """The run-level check against a per-packet prefix walk: after each
+    packet, does the session so far match?  The first packet after which
+    it does is the crossing, once per session."""
+    stamps = list(accumulate(step for step, repeats in bursts for _ in range(repeats)))
+    expected = []
+    for i, stamp in enumerate(stamps):
+        if i == 0 or stamp - stamps[i - 1] > 300.0:
+            first, count, slots, crossed = stamp, 0, {}, False
+        count += 1
+        slots[int(stamp // 60)] = slots.get(int(stamp // 60), 0) + 1
+        peak = max(slots.values()) / 60
+        if not crossed and (
+            count > thresholds.min_packets
+            and stamp - first > thresholds.min_duration
+            and peak > thresholds.min_max_pps
+        ):
+            expected.append((first, stamp, count, peak))
+            crossed = True
+    crossings, _closed = land(stamps, pieces, thresholds)
+    assert [(a.start, a.end, a.packet_count, a.max_pps) for a in crossings] == expected
+
+
+def test_monitor_alerts_a_session_once_when_the_clock_steps_back():
+    """A mis-ordered capture can walk an alerted session's duration back
+    below the threshold; coming back above it is not a second flood."""
+    late = [backscatter(30.0)]  # lands in the open session: last_ts 70 -> 30
+    packets = [backscatter(float(ts)) for ts in range(71)] + late + [backscatter(71.0)]
+    analyzer = StreamAnalyzer()
+    events = analyzer.process_batch(packets) + analyzer.finish()
+    alerts = [event for event in events if isinstance(event, FloodAlert)]
+    assert [(a.crossed_at, a.packet_count) for a in alerts] == [(61.0, 62)]
+    assert len([event for event in events if isinstance(event, AttackEnded)]) == 1
 
 
 # -- online correlation ------------------------------------------------------
