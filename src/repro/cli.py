@@ -42,10 +42,12 @@ reference).
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import sys
 from dataclasses import replace
 from typing import Optional
 
+import repro
 from repro import obs
 from repro.core import AnalysisConfig, QuicsandPipeline
 from repro.core.export import export_results
@@ -65,12 +67,8 @@ from repro.util.timeutil import HOUR
 
 def _package_version() -> str:
     try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        import repro
-
+        return importlib.metadata.version("repro")
+    except importlib.metadata.PackageNotFoundError:  # run from a source tree
         return repro.__version__
 
 

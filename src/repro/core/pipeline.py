@@ -54,6 +54,7 @@ from repro.core.sessions import (
     Sessionizer,
     TimeoutSweep,
     chain_merge_sessions,
+    keeps_detail,
     per_bucket,
 )
 from repro.core.victims import VictimAnalysis, analyze_victims, session_network_types
@@ -430,8 +431,9 @@ class PartialState:
             for hour, count in hours:
                 series[hour] = series.get(hour, 0) + count
             self.sweep.observe_run(source, stamps)
-        deltas = [entry and entry[2] for entry in entries]
-        self.sessionizers[kind].add_run(source, stamps, dsts, ports, lengths, deltas)
+        if keeps_detail(kind.value):  # no other class reads the deltas
+            entries = [entry and entry[2] for entry in entries]
+        self.sessionizers[kind].add_run(source, stamps, dsts, ports, lengths, entries)
 
     def record_classifier(self, classifier: TrafficClassifier) -> None:
         """Fold the classifier's counters into the partial state.

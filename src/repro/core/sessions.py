@@ -7,9 +7,9 @@ knee; :class:`TimeoutSweep` reproduces that analysis from per-source
 runs of packets without re-running the sessionizer per timeout.
 
 Sessions accumulate exactly the summary statistics the downstream
-stages need (Moore-threshold fields, SCID/port/address sets for
-Figure 9, message-type tallies for Section 6) so the pipeline never
-stores raw packets.
+stages need (Moore-threshold fields; for QUIC backscatter only, the
+SCID/port/address sets of Figure 9 and the message-type tallies of
+Section 6) so the pipeline never stores raw packets.
 """
 
 from __future__ import annotations
@@ -27,9 +27,16 @@ from repro.core.classify import ClassifiedPacket
 DEFAULT_TIMEOUT = 5 * MINUTE
 
 
+def keeps_detail(traffic_class: str) -> bool:
+    """Whether the class's sessions keep destinations and dissection
+    tallies — read only for QUIC backscatter (Figure 9, message types)."""
+    return traffic_class == "quic-response"
+
+
 @dataclass
 class Session:
-    """One per-source traffic session."""
+    """One per-source traffic session; the destination and dissection
+    fields stay empty unless its class :func:`keeps_detail`."""
 
     source: int
     traffic_class: str
@@ -61,11 +68,13 @@ class Session:
         self.last_ts = packet.timestamp
         self.packet_count += 1
         self.byte_count += packet.wire_length
+        slot = int(packet.timestamp // MINUTE)
+        self.minute_slots[slot] = self.minute_slots.get(slot, 0) + 1
+        if not keeps_detail(self.traffic_class):
+            return
         self.dst_ips.add(packet.dst)
         if packet.dst_port is not None:
             self.dst_ports.add(packet.dst_port)
-        slot = int(packet.timestamp // MINUTE)
-        self.minute_slots[slot] = self.minute_slots.get(slot, 0) + 1
         dissection = classified.dissection
         if dissection is not None and dissection.valid:
             for summary in dissection.packets:
@@ -91,16 +100,19 @@ class Session:
         retry_packets)`` with counts as ``((name, n), ...)`` in
         first-occurrence order — so the resulting dicts and sets are
         identical (insertion order included) to feeding the packets
-        through :meth:`add` one by one."""
+        through :meth:`add` one by one.  Only a class that
+        :func:`keeps_detail` reads ``dsts``, ``ports`` and ``deltas``."""
         self.last_ts = stamps[-1]
         self.packet_count += len(stamps)
         self.byte_count += sum(lengths)
-        self.dst_ips.update(dsts)
-        self.dst_ports.update(ports)
-        self.dst_ports.discard(None)
         slots = self.minute_slots
         for slot, count in per_bucket(stamps, MINUTE):
             slots[slot] = slots.get(slot, 0) + count
+        if not keeps_detail(self.traffic_class):
+            return
+        self.dst_ips.update(dsts)
+        self.dst_ports.update(ports)
+        self.dst_ports.discard(None)
         for delta, count in distinct(deltas):
             if delta is not None:
                 self._fold(delta, count)

@@ -88,7 +88,3 @@ def is_greased(value: int) -> bool:
     """RFC 9000 §15: versions of the form 0x?a?a?a?a are reserved to
     exercise version negotiation ("greasing")."""
     return (value & 0x0F0F0F0F) == 0x0A0A0A0A
-
-
-def is_known(value: int) -> bool:
-    return value in _BY_VALUE

@@ -54,11 +54,6 @@ class DiurnalModel:
         hour = (timestamp % 86400.0) / HOUR
         return self._raw(hour) / self._daily_mean
 
-    def thin_probability(self, timestamp: float) -> float:
-        """Acceptance probability for thinning a homogeneous Poisson
-        process at the peak rate into this profile."""
-        return self.factor(timestamp) / self.peak_rate_factor()
-
     def peak_rate_factor(self) -> float:
         """Largest multiplier over the day (used to set thinning rates)."""
         return self._peak_raw / self._daily_mean

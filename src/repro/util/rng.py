@@ -84,10 +84,6 @@ class SeededRng:
     def randbytes(self, n: int) -> bytes:
         return self._random.getrandbits(8 * n).to_bytes(n, "big") if n else b""
 
-    def pareto(self, alpha: float, minimum: float = 1.0) -> float:
-        """Pareto-distributed value with the given minimum (scale)."""
-        return minimum * self._random.paretovariate(alpha)
-
     def weighted_index(self, weights: Iterable[float]) -> int:
         """Pick an index proportionally to ``weights``."""
         weights = list(weights)

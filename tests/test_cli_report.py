@@ -215,6 +215,29 @@ def test_cli_version(capsys):
     assert captured.out.strip() == f"repro {repro.__version__}"
 
 
+def test_cli_version_falls_back_without_a_distribution(monkeypatch):
+    """A source tree with no installed ``repro`` distribution reports the
+    package's own version; any other lookup error is not swallowed."""
+    import importlib.metadata
+
+    import repro
+    from repro.cli import _package_version
+
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(repro, "__version__", "0.0.0-source")
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    assert _package_version() == "0.0.0-source"
+
+    def broken(name):
+        raise OSError("metadata unreadable")
+
+    monkeypatch.setattr(importlib.metadata, "version", broken)
+    with pytest.raises(OSError):
+        _package_version()
+
+
 def test_cli_report_named_scenario_matches_golden():
     """``report --scenario`` renders the registry preset — byte-equal
     to the golden snapshot the test suite pins for that scenario."""

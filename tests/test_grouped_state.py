@@ -17,7 +17,10 @@ clock:
     timeout it answers for, through ``exclude_sources`` and ``merge`` —
     of source shards and of destination partitions alike;
 (c) on real traffic a session takes far fewer updates than packets, on
-    the fused path and in both session modes of the monitor.
+    the fused path and in both session modes of the monitor;
+(d) only QUIC-response sessions keep destination and dissection detail
+    — on the fused path, across ``--workers`` parts and in the rich
+    walker — which holds a 6 h state's snapshot to a pinned size.
 """
 
 import pytest
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core import AnalysisConfig, QuicsandPipeline
 from repro.core.classify import PacketClass
-from repro.core.pipeline import PartialState
+from repro.core.pipeline import PartialState, run_record_batches
 from repro.core.sessions import Session, TimeoutSweep
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
@@ -36,7 +39,7 @@ from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.presets import get_scenario
 from repro.util.timeutil import HOUR, MINUTE
 
-from tests.oracle import state_facts
+from tests.oracle import make_pipeline, rich_result, state_facts
 
 REQUEST, RESPONSE = PacketClass.QUIC_REQUEST, PacketClass.QUIC_RESPONSE
 TCP, ICMP = PacketClass.TCP_BACKSCATTER, PacketClass.ICMP_BACKSCATTER
@@ -91,7 +94,9 @@ def reference_facts(observations: list) -> dict:
     observation, the sweep as every gap kept, and sessions as a chain
     per (class, source) — a new session whenever the gap from the
     source's last packet exceeds the timeout, the gap itself as
-    ``a - b`` however the clock stepped."""
+    ``a - b`` however the clock stepped.  Every session counts packets,
+    bytes and minute slots; only a QUIC-response session also keeps
+    destinations and the dissection tallies."""
     tally, per_source, requests, responses = {}, {}, {}, {}
     retry = long_header = empty_dcid = 0
     sweep = KeepEveryGap()
@@ -131,11 +136,13 @@ def reference_facts(observations: list) -> dict:
         session["last_ts"] = timestamp
         session["packet_count"] += 1
         session["byte_count"] += length
+        slots = session["minute_slots"]
+        slots[int(timestamp // MINUTE)] = slots.get(int(timestamp // MINUTE), 0) + 1
+        if kind is not RESPONSE:
+            continue
         session["dst_ips"].add(dst)
         if port is not None:
             session["dst_ports"].add(port)
-        slots = session["minute_slots"]
-        slots[int(timestamp // MINUTE)] = slots.get(int(timestamp // MINUTE), 0) + 1
         if entry is not None:
             types, scids, versions, retries = entry[2]
             for field, counts in (("message_types", types), ("version_names", versions)):
@@ -418,3 +425,38 @@ def test_sessions_update_once_per_run(run, monkeypatch):
     for kind in KINDS:
         if counts.get(kind.value):
             assert calls[kind.value] < 0.25 * counts[kind.value], (kind, calls, counts)
+
+
+# -- (d) which sessions keep detail -------------------------------------------
+
+
+DETAIL = ("dst_ips", "dst_ports", "scids", "message_types", "retry_packets", "version_names")
+
+
+@pytest.mark.parametrize("walk", ["fused", "workers-2", "rich"])
+def test_only_response_sessions_keep_detail(walk):
+    """Figure 9 and the message-type shares read QUIC-response sessions
+    only, so no request, TCP or ICMP session holds a destination or a
+    dissection tally, whichever walker built it."""
+    scenario = Scenario(MIXED)
+    if walk == "rich":
+        result = rich_result(scenario, scenario.packets())
+    else:
+        pipeline = make_pipeline(scenario, workers=1 if walk == "fused" else 2)
+        result = pipeline.process_scenario(scenario)
+    for sessions in (result.request_sessions, result.tcp_sessions, result.icmp_sessions):
+        assert sessions
+        assert not any(getattr(s, name) for s in sessions for name in DETAIL)
+    assert any(
+        all(getattr(s, name) for name in DETAIL if name != "retry_packets")
+        for s in result.response_sessions
+    )
+
+
+def test_six_hour_snapshot_size():
+    """Bytes, not seconds: a 6 h fused state with the research sweeps
+    pickles to under 300 kB (1.1 MB while every session kept its
+    destinations)."""
+    config = ScenarioConfig(seed=20210401, duration=6 * HOUR, research_sample=1 / 64)
+    state = run_record_batches(Scenario(config).lane_batches(512), AnalysisConfig())
+    assert len(state.snapshot_bytes()) <= 300_000

@@ -46,11 +46,8 @@ UNIT_TESTED_ONLY = {
     "repro.quic.h3.settings_frame",
     "repro.quic.header.ShortHeader.spin_bit",
     "repro.quic.packet.CoalescedDatagram",
-    "repro.quic.versions.is_known",
     "repro.server.nginx.NginxQuicServer.would_serve",
-    "repro.telescope.diurnal.DiurnalModel.thin_probability",
     "repro.telescope.presets.bench_day",
-    "repro.util.rng.SeededRng.pareto",
     "repro.util.stats.EmpiricalCdf.fraction_at_most",
 }
 

@@ -94,9 +94,3 @@ def test_weighted_index_rejects_nonpositive_total():
     rng = SeededRng(11)
     with pytest.raises(ValueError):
         rng.weighted_index([0, 0])
-
-
-def test_pareto_respects_minimum():
-    rng = SeededRng(3)
-    values = [rng.pareto(1.5, minimum=10.0) for _ in range(200)]
-    assert min(values) >= 10.0

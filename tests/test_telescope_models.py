@@ -68,13 +68,6 @@ def test_diurnal_daily_mean_is_one():
     assert abs(sum(samples) / len(samples) - 1.0) < 0.01
 
 
-def test_diurnal_thinning_bounded():
-    model = DiurnalModel()
-    for i in range(96):
-        p = model.thin_probability(START + i * 900)
-        assert 0 < p <= 1.0 + 1e-9
-
-
 # -- probe pool / research scanners ------------------------------------------
 
 

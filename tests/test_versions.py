@@ -11,7 +11,6 @@ from repro.quic.versions import (
     QUIC_V1,
     VERSION_NEGOTIATION,
     is_greased,
-    is_known,
     version_by_value,
 )
 
@@ -45,12 +44,6 @@ def test_lookup_by_value():
     assert version_by_value(0xFACEB002) is MVFST_27
     assert version_by_value(0xDEADBEEF) is None
     assert version_by_value(VERSION_NEGOTIATION) is None
-
-
-def test_is_known():
-    for version in KNOWN_VERSIONS:
-        assert is_known(version.value)
-    assert not is_known(0x12345678)
 
 
 @pytest.mark.parametrize("value", [0x0A0A0A0A, 0x1A2A3A4A, 0xFAFAFAFA])
