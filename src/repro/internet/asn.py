@@ -96,6 +96,3 @@ class AsRegistry:
         """Network type for an address; UNKNOWN when unrouted."""
         system = self.lookup(address)
         return system.network_type if system else NetworkType.UNKNOWN
-
-    def systems_of_type(self, network_type: NetworkType) -> list:
-        return [s for s in self._by_asn.values() if s.network_type is network_type]

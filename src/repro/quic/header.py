@@ -111,9 +111,6 @@ class ShortHeader:
 
     packet_type: PacketType = field(default=PacketType.ONE_RTT, init=False)
 
-    @property
-    def spin_bit(self) -> bool:
-        return bool(self.first_byte & 0x20)
 
 @dataclass
 class RetryPacket:

@@ -170,13 +170,3 @@ class NginxQuicServer:
         worker = self._worker_for(flow_hash)
         if worker.slots:
             worker.slots.popleft()
-
-    def would_serve(self, now: float, flow_hash: int) -> bool:
-        """Non-mutating availability probe for legitimate clients."""
-        self._run_cleanups(now)
-        worker = self._worker_for(flow_hash)
-        if worker.busy_until - now > self.config.max_cpu_backlog:
-            return False
-        if self.config.retry_enabled:
-            return True  # retry path is stateless; the client retries
-        return not worker.table_full

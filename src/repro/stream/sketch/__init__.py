@@ -15,7 +15,7 @@ with one-sided, quantified error:
 - :class:`~repro.stream.sketch.hll.HyperLogLog` — distinct-source and
   distinct-victim cardinality at ``1.04 / sqrt(m)`` relative error;
 - :class:`~repro.stream.sketch.tier.SketchTier` — wires all three into
-  the per-packet update path behind ``StreamConfig(mode="sketch")``,
+  the monitor's update path behind ``StreamConfig(mode="sketch")``,
   firing Moore-threshold flood alerts off the space-saving lower bound.
 
 Every structure is seeded (deterministic across runs and processes)

@@ -9,6 +9,15 @@ telescope never exceeds).  The small-range linear-counting correction
 is applied below ``2.5 * m``; the 32-bit large-range correction is
 unnecessary because ranks come from a 64-bit hash.
 
+:meth:`~HyperLogLog.estimate` is O(1): :meth:`~HyperLogLog.add` keeps
+the harmonic sum ``Σ 2**-r`` as the exact integer ``Σ 2**(64 - r)``
+and the zero-register count up to date whenever a register rises, so
+no call walks the registers (only construction and unpickling do).
+Python's int/int division is correctly rounded, so the estimate equals
+the float walk ``sum(2.0 ** -r for r in registers)`` whenever that walk
+is exact — every register at most ``53 - precision`` (41 at the
+default precision; a rank above 41 has probability ``2**-40`` per key).
+
 A ``bytearray`` register file keeps instances picklable and exactly
 ``m`` bytes big regardless of how many keys were added.
 """
@@ -36,7 +45,7 @@ class HyperLogLog:
     """Seeded HLL cardinality estimator over integer keys."""
 
     _PICKLED = ("precision", "seed", "updates", "_salt", "_registers")
-    __slots__ = _PICKLED + ("_estimate",)
+    __slots__ = _PICKLED + ("_sum", "_zeros")
 
     def __init__(self, precision: int = 12, seed: int = 0) -> None:
         if not 4 <= precision <= 18:
@@ -46,9 +55,14 @@ class HyperLogLog:
         self.updates = 0
         self._salt = derive_seed(seed, "hll")
         self._registers = bytearray(1 << precision)
-        #: :meth:`estimate` memo, ``None`` whenever a register changed
-        #: since it was computed; derived, so never pickled.
-        self._estimate = None
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Derive ``_sum`` (``Σ 2**(64 - r)``) and ``_zeros`` from the
+        registers: the one register walk, never pickled."""
+        registers = self._registers
+        self._sum = sum(1 << (64 - value) for value in registers)
+        self._zeros = registers.count(0)
 
     def add(self, key: int, count: int = 1) -> None:
         """Observe ``key``, ``count`` times over (registers are idempotent)."""
@@ -58,19 +72,19 @@ class HyperLogLog:
         tail_bits = 64 - precision
         tail = hashed & ((1 << tail_bits) - 1)
         rank = tail_bits - tail.bit_length() + 1
-        if rank > self._registers[index]:
+        old = self._registers[index]
+        if rank > old:
             self._registers[index] = rank
-            self._estimate = None
+            self._sum -= (1 << (64 - old)) - (1 << (64 - rank))
+            if not old:
+                self._zeros -= 1
         self.updates += count
 
     def estimate(self) -> float:
-        if self._estimate is None:
-            registers = self._registers
-            m = len(registers)
-            raw = _alpha(m) * m * m / sum(2.0 ** -value for value in registers)
-            zeros = registers.count(0) if raw <= 2.5 * m else 0
-            self._estimate = m * math.log(m / zeros) if zeros else raw
-        return self._estimate
+        m = len(self._registers)
+        raw = _alpha(m) * m * m / (self._sum / 2**64)
+        zeros = self._zeros if raw <= 2.5 * m else 0
+        return m * math.log(m / zeros) if zeros else raw
 
     def memory_bytes(self) -> int:
         """Bytes held by the register file — constant in key count."""
@@ -82,7 +96,7 @@ class HyperLogLog:
     def __setstate__(self, state):
         for slot, value in state.items():
             setattr(self, slot, value)
-        self._estimate = None
+        self._rebuild()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

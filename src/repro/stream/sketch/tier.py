@@ -5,7 +5,7 @@ StreamAnalyzer` mode's engine: a sink of the same observations the
 exact/bounded modes' :class:`~repro.core.pipeline.PartialState`
 applies (classified once, by :class:`~repro.core.batchlane.BatchLane`'s
 adapters — the tier itself contains no classification).  It keeps **no
-sessions and no per-source dicts** — every per-packet update lands in
+sessions and no per-source dicts** — every update lands in
 a fixed-size probabilistic structure:
 
 - :class:`~repro.stream.sketch.countmin.CountMinSketch` ×2 — per-source
@@ -26,6 +26,14 @@ maximum, and gap splits match the exact sessionizer packet for packet,
 which is why sketch-mode alerts reproduce exact-mode alerts on
 telescope workloads (``benchmarks/bench_sketch_accuracy.py`` measures
 the precision/recall of exactly that).
+
+The results are the per-packet ones, the work is not: a batch's
+backscatter lands once per (stretch, vector, victim) — one space-saving
+update, then the episode rule over the bucket's timestamps — and an
+HLL estimate costs O(1) (:mod:`~repro.stream.sketch.hll`).  A
+**stretch** closes before an *evicting* packet (which lands alone) and
+before a *gap-splitting* one, so every flood end falls on a stretch's
+first packet, when every other flood's ``end`` is current.
 
 Total memory is ``O(width * depth + 2**precision + capacity)`` —
 independent of source cardinality; ``memory_bytes()`` reports the real
@@ -161,16 +169,23 @@ class SketchTier:
 
     def apply(self, observations) -> None:
         """Apply time-ordered observations exactly as per-packet updates
-        would, paying per distinct source and per run instead.  The
-        tuple is the one :class:`~repro.core.batchlane.BatchLane`'s
-        adapters emit; the tier reads kind, source, timestamp and (QUIC
-        only) wire length.  Three reductions, all in locals of this
-        call: each source's count-min cells are hashed once; consecutive QUIC observations of one
-        source fold into one conservative update by their sum (nothing
-        touched the cells in between); an HLL key already seen cannot
-        raise a register again, so it only counts.  Updates to
-        *different* keys may share a cell and do not commute: runs keep
-        stream order, so the state is independent of batch boundaries."""
+        would, paying per distinct source, per run and per (stretch,
+        victim) instead.  The tuple is the one
+        :class:`~repro.core.batchlane.BatchLane`'s adapters emit; the
+        tier reads kind, source, timestamp and (QUIC only) wire length.
+        Reductions, all in locals of this call: each source's count-min
+        cells are hashed once; consecutive QUIC observations of one
+        source fold into one conservative update by their sum (updates
+        to *different* keys may share a cell and do not commute, so
+        runs keep stream order); an HLL key already seen only counts;
+        backscatter buffers per (vector, victim) in first-appearance
+        order and lands per stretch (:meth:`_land`).  Space-saving
+        updates to monitored keys commute, so a stretch closes only
+        before (a) an *evicting* packet — unmonitored victim, table full
+        counting this stretch's joiners — which lands alone, and (b) a
+        *gap-splitting* packet, whose flood end the correlator checks
+        against every partner's current end.  State, callbacks and
+        their arguments are independent of batch boundaries."""
         request_cls = PacketClass.QUIC_REQUEST
         response_cls = PacketClass.QUIC_RESPONSE
         tcp_cls = PacketClass.TCP_BACKSCATTER
@@ -178,10 +193,24 @@ class SketchTier:
         byte_counts = self.byte_counts
         sources = self.sources
         victims = self.victims
+        heavy = self.heavy
+        episodes = self._episodes
+        timeout = self.timeout
         hourly_requests = self.hourly_requests
         hourly_responses = self.hourly_responses
         cells: dict = {}
         seen_victims: set = set()
+        #: vector -> victim -> ([timestamps], [observation indices])
+        stretch: dict = {vector: {} for vector in VECTORS}
+        #: per vector, victims that can still join without an eviction
+        room: dict = {}
+
+        def land() -> None:
+            self._land(stretch)
+            for vector, summary in heavy.items():
+                room[vector] = summary.capacity - len(summary)
+
+        land()  # nothing buffered yet: sizes the room
 
         def fold(source: int, packets: int, wire_bytes: int) -> None:
             if source not in cells:
@@ -195,7 +224,9 @@ class SketchTier:
 
         run_source = None
         run_packets = run_bytes = 0
-        for kind, source, timestamp, _, _, wire_length, _ in observations:
+        for index, (kind, source, timestamp, _, _, wire_length, _) in enumerate(
+            observations
+        ):
             if kind is request_cls or kind is response_cls:
                 if source != run_source:
                     if run_packets:
@@ -217,76 +248,110 @@ class SketchTier:
             else:
                 seen_victims.add(source)
                 victims.add(source)
-            self._backscatter(vector, source, timestamp)
+            buckets = stretch[vector]
+            bucket = buckets.get(source)
+            if bucket is not None:
+                if timestamp - bucket[0][-1] <= timeout:
+                    bucket[0].append(timestamp)
+                    bucket[1].append(index)
+                    continue
+                land()  # (b), against a packet of this stretch
+            elif source in heavy[vector]:
+                episode = episodes[vector].get(source)
+                if episode is not None and timestamp - episode.last_ts > timeout:
+                    land()  # (b), against a landed episode
+            elif room[vector] > 0:
+                room[vector] -= 1
+            else:
+                land()  # (a): the evicting packet lands alone
+                buckets[source] = ([timestamp], [index])
+                land()
+                continue
+            buckets[source] = ([timestamp], [index])
         if run_packets:
             fold(run_source, run_packets, run_bytes)
+        self._land(stretch)
 
-    def _backscatter(self, vector: str, source: int, timestamp: float) -> None:
-        """One backscatter packet's heavy-hitter + episode update (per
-        packet by nature: the episode needs every timestamp)."""
-        count, error, displaced = self.heavy[vector].update(source)
-        episodes = self._episodes[vector]
-        if displaced is not None:
-            dead = episodes.pop(displaced, None)
-            if dead is not None and dead.alerted:
-                self._end_episode(vector, displaced, dead)
-        lower = count - error
-        episode = episodes.get(source)
-        if episode is None or timestamp - episode.last_ts > self.timeout:
-            # the sessionizer's gap-split rule: same victim, new flood
-            if episode is not None and episode.alerted:
-                self._end_episode(vector, source, episode)
-            episodes[source] = FloodEpisode(
-                first_ts=timestamp,
-                last_ts=timestamp,
-                base=lower - 1,
-                minute=int(timestamp // MINUTE),
-            )
-            return
-        episode.last_ts = timestamp
-        minute = int(timestamp // MINUTE)
-        if minute == episode.minute:
-            episode.minute_count += 1
-            if episode.minute_count > episode.max_minute:
-                episode.max_minute = episode.minute_count
-        else:
-            episode.minute = minute
-            episode.minute_count = 1
-        if episode.alerted:
-            if episode.flood is not None:
-                episode.flood.end = timestamp
-            return
-        packets = lower - episode.base
+    def _land(self, stretch: dict) -> None:
+        """Apply one stretch's buckets and empty them: per (vector,
+        victim) one space-saving update, then the sessionizer's episode
+        rule (gap split, minute-slot max, Moore thresholds on the lower
+        bound) over the bucket's timestamps, the lower bound stepping one
+        per packet as the per-packet updates would have left it.  Alerts
+        and ends replay in packet order; each alerted flood's ``end`` is
+        then set once, to its last packet."""
         thresholds = self.thresholds
-        if (
-            packets > thresholds.min_packets
-            and timestamp - episode.first_ts > thresholds.min_duration
-            and episode.max_minute / MINUTE > thresholds.min_max_pps
-        ):
-            episode.alerted = True
-            if self.on_alert is not None:
-                episode.flood = self.on_alert(
-                    vector,
-                    source,
-                    episode.first_ts,
-                    timestamp,
-                    packets,
-                    episode.max_minute / MINUTE,
-                )
+        timeout = self.timeout
+        fired: list = []  # (index, episode or None for an end, arguments)
+        live: list = []
+        for vector, buckets in stretch.items():
+            summary = self.heavy[vector]
+            episodes = self._episodes[vector]
+            for source, (stamps, indices) in buckets.items():
+                count, error, displaced = summary.update(source, len(stamps))
+                if displaced is not None:
+                    dead = episodes.pop(displaced, None)
+                    if dead is not None and dead.alerted:
+                        lower = summary.lower_bound(displaced)
+                        ended = self._close(vector, displaced, dead, lower)
+                        fired.append((indices[0], None, ended))
+                lower = count - error - len(stamps)
+                episode = episodes.get(source)
+                for timestamp, index in zip(stamps, indices):
+                    lower += 1
+                    if episode is None or timestamp - episode.last_ts > timeout:
+                        # the sessionizer's gap-split rule: same victim, new flood
+                        if episode is not None and episode.alerted:
+                            ended = self._close(vector, source, episode, lower)
+                            fired.append((index, None, ended))
+                        episode = episodes[source] = FloodEpisode(
+                            timestamp, timestamp, lower - 1, int(timestamp // MINUTE)
+                        )
+                        continue
+                    episode.last_ts = timestamp
+                    minute = int(timestamp // MINUTE)
+                    if minute == episode.minute:
+                        episode.minute_count += 1
+                        if episode.minute_count > episode.max_minute:
+                            episode.max_minute = episode.minute_count
+                    else:
+                        episode.minute = minute
+                        episode.minute_count = 1
+                    if episode.alerted:
+                        continue
+                    packets = lower - episode.base
+                    if (
+                        packets > thresholds.min_packets
+                        and timestamp - episode.first_ts > thresholds.min_duration
+                        and episode.max_minute / MINUTE > thresholds.min_max_pps
+                    ):
+                        episode.alerted = True
+                        alert = (vector, source, episode.first_ts, timestamp)
+                        alert += (packets, episode.max_minute / MINUTE)
+                        fired.append((index, episode, alert))
+                if episode.alerted:
+                    live.append(episode)
+            buckets.clear()
+        fired.sort(key=lambda event: event[0])
+        for _, episode, arguments in fired:
+            if episode is None:
+                if self.on_ended is not None:
+                    self.on_ended(*arguments)
+            elif self.on_alert is not None:
+                episode.flood = self.on_alert(*arguments)
+        for episode in live:
+            if episode.flood is not None:
+                episode.flood.end = episode.last_ts
 
-    def _end_episode(self, vector: str, source: int, episode) -> None:
+    @staticmethod
+    def _close(vector: str, source: int, episode, lower: int) -> tuple:
+        """Finalize an alerted episode's flood ``end``; returns the
+        ``on_ended`` arguments, its packets counted off ``lower``."""
+        first, last = episode.first_ts, episode.last_ts
         if episode.flood is not None:
-            episode.flood.end = episode.last_ts
-        if self.on_ended is not None:
-            lower = self.heavy[vector].lower_bound(source)
-            self.on_ended(
-                vector,
-                source,
-                episode.first_ts,
-                episode.last_ts,
-                max(0, lower - episode.base),
-                episode.max_minute / MINUTE,
-            )
+            episode.flood.end = last
+        packets = max(0, lower - episode.base)
+        return vector, source, first, last, packets, episode.max_minute / MINUTE
 
     # -- watermark-driven lifecycle ----------------------------------------
 
@@ -304,7 +369,10 @@ class SketchTier:
             for source in expired:
                 episode = episodes.pop(source)
                 if episode.alerted:
-                    self._end_episode(vector, source, episode)
+                    lower = self.heavy[vector].lower_bound(source)
+                    ended = self._close(vector, source, episode, lower)
+                    if self.on_ended is not None:
+                        self.on_ended(*ended)
 
     def flush(self) -> None:
         """End of stream: close every remaining episode."""

@@ -59,7 +59,7 @@ def merge_hll(self, other: HyperLogLog) -> None:
     for index, value in enumerate(other._registers):
         if value > mine[index]:
             mine[index] = value
-    self._estimate = None
+    self._rebuild()
     self.updates += other.updates
 
 

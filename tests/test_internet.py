@@ -55,14 +55,6 @@ def test_registry_duplicate_prefix_rejected():
         registry.announce(65002, net)
 
 
-def test_registry_systems_of_type():
-    registry = AsRegistry()
-    registry.register(1, "a", NetworkType.CONTENT)
-    registry.register(2, "b", NetworkType.EYEBALL)
-    registry.register(3, "c", NetworkType.CONTENT)
-    assert {s.asn for s in registry.systems_of_type(NetworkType.CONTENT)} == {1, 3}
-
-
 # -- census ------------------------------------------------------------
 
 

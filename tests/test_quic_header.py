@@ -69,11 +69,6 @@ def test_short_header_parse():
     assert view.raw[:8] == b"\x01" * 8
 
 
-def test_short_header_spin_bit():
-    assert parse_header(bytes([0x60]) + b"\x00" * 20).spin_bit
-    assert not parse_header(bytes([0x40]) + b"\x00" * 20).spin_bit
-
-
 def test_short_header_without_fixed_bit_rejected():
     with pytest.raises(HeaderParseError):
         parse_header(bytes([0x00]) + b"\x00" * 20)

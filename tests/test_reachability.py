@@ -41,12 +41,9 @@ KEPT = {
 UNIT_TESTED_ONLY = {
     "repro.core.extrapolate.TelescopeExtrapolator.detection_probability",
     "repro.core.extrapolate.TelescopeExtrapolator.min_rate_for_threshold",
-    "repro.internet.asn.AsRegistry.systems_of_type",
     "repro.quic.h3.parse_settings",
     "repro.quic.h3.settings_frame",
-    "repro.quic.header.ShortHeader.spin_bit",
     "repro.quic.packet.CoalescedDatagram",
-    "repro.server.nginx.NginxQuicServer.would_serve",
     "repro.telescope.presets.bench_day",
     "repro.util.stats.EmpiricalCdf.fraction_at_most",
 }

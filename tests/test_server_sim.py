@@ -127,14 +127,6 @@ def test_cpu_backlog_drops():
     assert server.stats.dropped_cpu > 0
 
 
-def test_would_serve_probe():
-    config = NginxConfig(workers=1, connections_per_worker=1)
-    server = NginxQuicServer(config)
-    assert server.would_serve(0.0, 0)
-    server.handle_initial(0.0, 0)
-    assert not server.would_serve(0.1, 0)
-
-
 def test_auto_config():
     config = NginxConfig.auto()
     assert config.workers == AUTO_WORKERS

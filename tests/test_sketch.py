@@ -11,6 +11,7 @@ source-sharded splits (the merges: ``tests/reference/sketch_merge.py``).
 
 import dataclasses
 import math
+import os
 import pickle
 import random
 
@@ -483,11 +484,19 @@ def test_tier_pickle_drops_callbacks():
 
 # -- the batch kernel vs a naive per-packet oracle ---------------------------
 #
-# SketchTier.apply hashes each source once per call and folds same-source
-# runs into one count-min update.  The oracle below does neither: one
-# public per-key call per packet, in stream order.  On a width-8 sketch
-# with a dozen sources, cells are shared, so any reordering of updates to
-# different keys (or a fold across an interleaved key) shows up in _rows.
+# SketchTier.apply hashes each source once per call, folds same-source
+# runs into one count-min update and lands backscatter once per (stretch,
+# vector, victim).  The oracle below does none of that: one public per-key
+# call per packet, in stream order.  On a width-8 sketch with a dozen
+# sources, cells are shared, so any reordering of updates to different
+# keys (or a fold across an interleaved key) shows up in _rows; with a
+# 4-entry space-saving table, evictions land mid-batch; and every ended
+# flood records the end of every other live flood at that moment, so an
+# end replayed before its partners caught up (or after) shows up too.
+
+#: raised by the fuzz-smoke CI job, like the dissector fuzz suites
+ITERS = int(os.environ.get("REPRO_FUZZ_ITERS", "300"))
+ORACLE_SEEDS = [1, 2, 3, 5, 8, 13] + list(range(100, 100 + ITERS // 50 - 6))
 
 ORACLE_SIZING = dict(
     width=8,
@@ -529,9 +538,40 @@ def observation_stream(seed, length=1500):
     return stream
 
 
+def flood_stream(seed, length=1500):
+    """Concurrent floods — four (vector, victim) pairs, one victim hit on
+    two vectors, all within capacity — each falling silent past the
+    timeout now and then while the others go on.  Other sources come
+    from two spare ones (calm: they fit the tables) or, every other 300
+    observations, from thirty (storm: the tables evict).  So a flood
+    splits both against a packet of the same stretch (calm) and against
+    one landed before an eviction (storm), inside one batch."""
+    rng = random.Random(seed)
+    victims = [mix64(1000 + index) & 0xFFFFFFFF for index in range(3)]
+    floods = [("quic", victims[0]), ("tcp", victims[0])]
+    floods += [("tcp", victims[1]), ("icmp", victims[2])]
+    spray = [mix64(2000 + index) & 0xFFFFFFFF for index in range(30)]
+    silent_until = dict.fromkeys(floods, 0.0)
+    timestamp = 3000.0
+    stream = []
+    for step in range(length):
+        timestamp += rng.choice((0.01, 0.2, 0.5))
+        if rng.random() < 0.006:
+            silent_until[rng.choice(floods)] = timestamp + rng.uniform(35.0, 50.0)
+        awake = [flood for flood in floods if silent_until[flood] <= timestamp]
+        if awake and rng.random() < 0.8:
+            kind, source = rng.choice(awake)
+        else:
+            kind = rng.choice(("request", "quic", "tcp", "icmp"))
+            source = rng.choice(spray if step // 300 % 2 else spray[:2])
+        stream.append((kind, source, timestamp, rng.randrange(40, 1400)))
+    return stream
+
+
 def packets_of(stream, seed):
     """The stream as captured packets, salted with packets that must
-    yield no observation on either consume path."""
+    yield no observation on either consume path; and each observation's
+    position among the packets."""
     rng = random.Random(seed)
 
     def captured(timestamp, source, proto, transport, payload=b"", length=0):
@@ -539,7 +579,9 @@ def packets_of(stream, seed):
         return CapturedPacket(timestamp, header, transport, payload)
 
     packets = []
+    positions = []
     for kind, source, timestamp, length in stream:
+        positions.append(len(packets))
         if kind == "request":
             transport, payload = UdpHeader(50000, 443), REQUEST_PAYLOAD
         elif kind == "quic":
@@ -562,27 +604,61 @@ def packets_of(stream, seed):
                 )
             )
             packets.append(captured(timestamp, source, *noise))
-    return packets
+    return packets, positions
+
+
+@dataclasses.dataclass
+class Live:
+    """What the analyzer's LiveFlood is to the tier: an ``end`` to keep
+    fresh while the flood is alerted."""
+
+    end: float
 
 
 def recording_tier(events):
-    def on_alert(*alert):
-        events.append(("alert",) + alert)
+    """A tier whose callbacks record every alert and end.  An alert's
+    :class:`Live` flood stays registered until its end, and each end
+    records the ``end`` of every other registered flood at that moment
+    (what the analyzer's correlator reads)."""
+    live = {}
 
-    def on_ended(*ended):
-        events.append(("ended",) + ended)
+    def on_alert(vector, victim, start, crossed_at, *rest):
+        events.append(("alert", vector, victim, start, crossed_at) + rest)
+        flood = live[vector, victim, start] = Live(crossed_at)
+        return flood
+
+    def on_ended(vector, victim, start, *rest):
+        del live[vector, victim, start]
+        others = tuple(sorted((key, flood.end) for key, flood in live.items()))
+        events.append(("ended", vector, victim, start) + rest + (others,))
 
     return SketchTier(**ORACLE_SIZING, on_alert=on_alert, on_ended=on_ended)
 
 
+def mid_batch(positions, size, earlier, index):
+    """Observations ``earlier`` < ``index`` arrive in one batch of ``size``."""
+    return (
+        earlier is not None
+        and 0 <= earlier < index
+        and positions[earlier] // size == positions[index] // size
+    )
+
+
 def oracle(stream):
-    """Naive reference: per packet, per key, public API only.  The
-    tier object only holds the identically seeded structures; none of
-    its consume/apply methods run here."""
+    """Naive reference: per packet, per key, public API only, each live
+    flood's ``end`` refreshed per packet.  The tier object only holds
+    the identically seeded structures and the recording callbacks; none
+    of its consume/apply methods run here.  Also returns the incidents
+    the stretch rule exists for: ``("evict", i, i - 1)`` for an
+    eviction at observation ``i``, and ``("split", i, j)`` for a gap
+    split ending an alerted flood at ``i`` while another live flood's
+    ``end`` last changed at ``j``."""
     events = []
     tier = recording_tier(events)
     thresholds = tier.thresholds
-    for kind, source, timestamp, length in stream:
+    changed = {}  # live flood -> observation index its end last changed at
+    incidents = []
+    for index, (kind, source, timestamp, length) in enumerate(stream):
         if kind in ("request", "quic"):
             tier.packet_counts.update(source)
             tier.byte_counts.update(source, length)
@@ -599,19 +675,28 @@ def oracle(stream):
 
         def end(victim, episode):
             if episode.alerted:
+                del changed[kind, victim, episode.first_ts]
+                episode.flood.end = episode.last_ts
                 packets = max(0, heavy.lower_bound(victim) - episode.base)
-                events.append(
-                    ("ended", kind, victim, episode.first_ts, episode.last_ts)
-                    + (packets, episode.max_minute / 60)
+                tier.on_ended(
+                    kind,
+                    victim,
+                    episode.first_ts,
+                    episode.last_ts,
+                    packets,
+                    episode.max_minute / 60,
                 )
+                return True
 
         count, error, displaced = heavy.update(source)
+        if displaced is not None:
+            incidents.append(("evict", index, index - 1))
         if displaced in episodes:
             end(displaced, episodes.pop(displaced))
         episode = episodes.get(source)
         if episode is None or timestamp - episode.last_ts > tier.timeout:
-            if episode is not None:
-                end(source, episode)
+            if episode is not None and end(source, episode):
+                incidents.append(("split", index, max(changed.values(), default=None)))
             episodes[source] = FloodEpisode(
                 timestamp, timestamp, count - error - 1, int(timestamp // 60)
             )
@@ -622,19 +707,27 @@ def oracle(stream):
             episode.max_minute = max(episode.max_minute, episode.minute_count)
         else:
             episode.minute, episode.minute_count = int(timestamp // 60), 1
+        if episode.alerted:
+            episode.flood.end = timestamp
+            changed[kind, source, episode.first_ts] = index
+            continue
         packets = count - error - episode.base
         if (
-            not episode.alerted
-            and packets > thresholds.min_packets
+            packets > thresholds.min_packets
             and timestamp - episode.first_ts > thresholds.min_duration
             and episode.max_minute / 60 > thresholds.min_max_pps
         ):
             episode.alerted = True
-            events.append(
-                ("alert", kind, source, episode.first_ts, timestamp)
-                + (packets, episode.max_minute / 60)
+            episode.flood = tier.on_alert(
+                kind,
+                source,
+                episode.first_ts,
+                timestamp,
+                packets,
+                episode.max_minute / 60,
             )
-    return tier, events
+            changed[kind, source, episode.first_ts] = index
+    return tier, events, incidents
 
 
 def tier_fields(tier):
@@ -672,15 +765,22 @@ def consume_split(packets, size):
     return tier, events
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 5, 8, 13])
-def test_batch_kernel_equals_naive_oracle_at_every_split(seed):
-    stream = observation_stream(seed)
-    packets = packets_of(stream, seed)
-    reference, reference_events = oracle(stream)
+def check_against_oracle(stream, seed, mid_batch_sizes=()):
+    """Every split of the packets lands the oracle's state and events.
+    At each of ``mid_batch_sizes`` (0: one batch) the stretch rule is
+    exercised inside a batch: an eviction after another observation,
+    and a gap split ending a flood after another live flood's end
+    moved."""
+    packets, positions = packets_of(stream, seed)
+    reference, reference_events, incidents = oracle(stream)
     want = tier_fields(reference)
     assert any(event[0] == "alert" for event in reference_events)
     assert any(event[0] == "ended" for event in reference_events)
     assert sum(s.evictions for s in reference.heavy.values()) > 0
+    for size in mid_batch_sizes:
+        size = size or len(packets)
+        inside = {kind for kind, i, j in incidents if mid_batch(positions, size, j, i)}
+        assert inside == {"evict", "split"}, size
     pickles = set()
     for size in (1, 7, 512, len(packets)):
         tier, events = consume_split(packets, size)
@@ -691,6 +791,18 @@ def test_batch_kernel_equals_naive_oracle_at_every_split(seed):
         pickles.add(pickle.dumps(tier))
     assert len(pickles) == 1
     assert set(vars(tier)) == set(vars(reference))  # no attribute survives a call
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_batch_kernel_equals_naive_oracle_at_every_split(seed):
+    check_against_oracle(observation_stream(seed), seed)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_stretch_breaks_inside_a_batch_equal_the_oracle(seed):
+    """Floods that split past the timeout while others stay live, and
+    evictions, inside 512-packet batches and inside one batch."""
+    check_against_oracle(flood_stream(seed), seed, mid_batch_sizes=(512, 0))
 
 
 def test_grouping_a_batch_by_source_would_change_cells():
@@ -727,13 +839,23 @@ def test_countmin_cell_updates_compose_to_update():
         composed.update_cells(cells, 0)
 
 
-# -- HLL estimate cache ------------------------------------------------------
+# -- HLL running sums ----------------------------------------------------------
+
+
+def walk_estimate(registers):
+    """The register-walk formula, written out: a float harmonic sum over
+    every register, linear counting below 2.5 m."""
+    m = len(registers)
+    alpha = {16: 0.673, 32: 0.697, 64: 0.709}.get(m, 0.7213 / (1.0 + 1.079 / m))
+    raw = alpha * m * m / sum(2.0**-value for value in registers)
+    zeros = registers.count(0) if raw <= 2.5 * m else 0
+    return m * math.log(m / zeros) if zeros else raw
 
 
 def fresh_estimate(hll):
-    """What an instance that never cached anything says."""
+    """What an instance built from these registers alone says."""
     fresh = HyperLogLog(hll.precision, hll.seed)
-    fresh._registers[:] = hll._registers
+    fresh.__setstate__({"_registers": bytearray(hll._registers)})
     return fresh.estimate()
 
 
@@ -743,8 +865,8 @@ def test_hll_estimate_cache_follows_the_registers():
     before = bytes(hll._registers)
     hll.add(1)  # raises a register of an empty sketch
     assert bytes(hll._registers) != before
-    assert hll.estimate() == fresh_estimate(hll) > 0.0
-    hll.add(1)  # raises nothing: cached value stays right
+    assert hll.estimate() == fresh_estimate(hll) == walk_estimate(hll._registers) > 0.0
+    hll.add(1)  # raises nothing: the running sums stay right
     assert hll.estimate() == fresh_estimate(hll)
     other = HyperLogLog(precision=6, seed=3)
     for key in range(100, 160):
@@ -766,12 +888,35 @@ def test_hll_pickled_state_has_no_cache():
     assert pickle.dumps(hll) == cold
 
 
+@pytest.mark.parametrize("precision", [4, 6, 12, 14])
+def test_hll_running_estimate_equals_the_register_walk(precision):
+    """The O(1) estimate is the walk's float, bit for bit: after every
+    97th add, after a pickle round trip and after a merge."""
+    rng = random.Random(precision)
+    hll = HyperLogLog(precision=precision, seed=41)
+    for step in range(20_000):
+        hll.add(rng.getrandbits(48))
+        if step % 97 == 0:
+            assert hll.estimate() == walk_estimate(hll._registers), step
+    assert max(hll._registers) <= 53 - precision  # the walk itself is exact
+    clone = pickle.loads(pickle.dumps(hll))
+    assert clone.estimate() == walk_estimate(clone._registers) == hll.estimate()
+    other = HyperLogLog(precision=precision, seed=41)
+    for _ in range(5_000):
+        other.add(rng.getrandbits(48))
+    merge(hll, other)
+    assert hll.estimate() == walk_estimate(hll._registers)
+    for _ in range(97):
+        hll.add(rng.getrandbits(48))
+    assert hll.estimate() == walk_estimate(hll._registers)
+
+
 # -- metrics contract --------------------------------------------------------
 
 
 def test_updates_metric_counts_packets_not_folded_runs():
     stream = observation_stream(21)
-    packets = packets_of(stream, 21)
+    packets, _ = packets_of(stream, 21)
     quic = sum(1 for obs in stream if obs[0] in ("request", "quic"))
     backscatter = sum(1 for obs in stream if obs[0] != "request")
     was = metrics.enabled()

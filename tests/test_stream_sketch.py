@@ -227,6 +227,44 @@ def test_tier_merge_deterministic_across_worker_counts(
             )
 
 
+def test_tier_work_is_per_bucket_and_per_changed_register(monkeypatch):
+    """Counts, not seconds: on the 1 h mixed scenario the space-saving
+    tables take far fewer updates than backscatter observations (one
+    per stretch and victim), and the HLL registers are walked only when
+    an instance is built or unpickled, never by a per-batch estimate."""
+    from repro.stream.sketch import HyperLogLog, SpaceSaving
+
+    updates = []
+    walks = []
+    update = SpaceSaving.update
+    rebuild = HyperLogLog._rebuild
+
+    def counting_update(self, key, count=1):
+        updates.append(count)
+        return update(self, key, count)
+
+    def counting_rebuild(self):
+        walks.append(self)
+        rebuild(self)
+
+    monkeypatch.setattr(SpaceSaving, "update", counting_update)
+    monkeypatch.setattr(HyperLogLog, "_rebuild", counting_rebuild)
+    analyzer = StreamAnalyzer(stream_config=StreamConfig(mode="sketch"))
+    tier = analyzer.sketch
+    assert walks == [tier.sources, tier.victims]
+    mixed = ScenarioConfig(seed=29, duration=HOUR, research_sample=1 / 64)
+    for batch in Scenario(mixed).packet_batches(512):
+        analyzer.process_batch(batch)
+    analyzer.finish()
+    observations = sum(summary.total for summary in tier.heavy.values())
+    assert observations == sum(updates) > 5000
+    assert len(updates) < 0.1 * observations, (len(updates), observations)
+    assert analyzer.telemetry.distinct_victims_est > 0
+    assert len(walks) == 2
+    clone = pickle.loads(pickle.dumps(tier))
+    assert walks[2:] == [clone.sources, clone.victims]
+
+
 def test_analyzer_sketch_state_pickles(monitor_scenario):
     analyzer, _ = run_monitor(monitor_scenario, StreamConfig(mode="sketch"))
     clone = pickle.loads(pickle.dumps(analyzer.sketch))
