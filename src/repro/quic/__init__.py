@@ -58,7 +58,6 @@ from repro.quic.frames import (
     serialize_frames,
 )
 from repro.quic.packet import (
-    CoalescedDatagram,
     PlainPacket,
     build_datagram,
     protect_packet,
@@ -102,7 +101,6 @@ __all__ = [
     "StreamFrame",
     "parse_frames",
     "serialize_frames",
-    "CoalescedDatagram",
     "PlainPacket",
     "build_datagram",
     "protect_packet",

@@ -23,6 +23,11 @@ Two layers live here:
    detected, and anyone who knows the version salt and the wire DCID can
    decrypt a client Initial — which is precisely how Wireshark dissects
    Initials.  See DESIGN.md §2.
+
+Every memo is bounded by :data:`MEMO_ENTRIES`: sized to what hits while
+a flood is live, not to what a long window derives.  The fast paths are
+byte-identical to the textbook loops ``tests/test_quic_crypto.py``
+writes out beside them.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ AEAD_TAG_LEN = 16
 AEAD_KEY_LEN = 16
 AEAD_IV_LEN = 12
 HP_SAMPLE_LEN = 16
+#: the bound of every memo here: keys are nearly all first sights, and
+#: keystream hits come from a live flood's responder (backscatter.py)
+MEMO_ENTRIES = 256
 
 
 class DecryptError(ValueError):
@@ -57,7 +65,10 @@ def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
 
 
 def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
-    """HKDF-Expand with SHA-256."""
+    """HKDF-Expand with SHA-256; up to one hash length (every QUIC key,
+    IV and secret) that is the first block, ``HMAC(prk, info ‖ 0x01)``."""
+    if 0 < length <= HASH_LEN:
+        return hmac.digest(prk, info + b"\x01", "sha256")[:length]
     if length > 255 * HASH_LEN:
         raise ValueError("HKDF-Expand length too large")
     out = previous = b""
@@ -71,15 +82,20 @@ def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
 
 def hkdf_expand_label(secret: bytes, label: str, context: bytes, length: int) -> bytes:
     """TLS 1.3 HKDF-Expand-Label ("tls13 " prefix per RFC 8446 §7.1)."""
+    return hkdf_expand(secret, _label_info(label, context, length), length)
+
+
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _label_info(label: str, context: bytes, length: int) -> bytes:
+    """The serialized ``HkdfLabel`` of RFC 8446 §7.1 (a handful recur)."""
     full_label = b"tls13 " + label.encode("ascii")
-    info = (
+    return (
         length.to_bytes(2, "big")
         + bytes([len(full_label)])
         + full_label
         + bytes([len(context)])
         + context
     )
-    return hkdf_expand(secret, info, length)
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +112,7 @@ class PacketKeys:
     hp: bytes
 
 
-@functools.lru_cache(maxsize=8192)
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def derive_initial_keys(version: QuicVersion, client_dcid: bytes) -> tuple[PacketKeys, PacketKeys]:
     """Derive ``(client_keys, server_keys)`` for the Initial level.
 
@@ -120,7 +136,7 @@ def keys_from_secret(secret: bytes) -> PacketKeys:
     )
 
 
-@functools.lru_cache(maxsize=8192)
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def derive_handshake_secret(version: QuicVersion, client_dcid: bytes, label: str) -> PacketKeys:
     """Handshake-level keys for the simulation.
 
@@ -139,17 +155,20 @@ def derive_handshake_secret(version: QuicVersion, client_dcid: bytes, label: str
 # --------------------------------------------------------------------------
 
 
+_counter = functools.partial(int.to_bytes, length=4, byteorder="big")
+#: big-endian block counters for keystreams up to 64 KiB (a datagram needs 47)
+_COUNTERS = tuple(map(_counter, range(2048)))
+
+
 def _compute_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    prefix = key + nonce
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(prefix + counter.to_bytes(4, "big")).digest()
-        counter += 1
-    return bytes(out[:length])
+    """``SHA-256(key ‖ nonce ‖ counter)`` blocks, joined and truncated."""
+    prefix, sha256 = key + nonce, hashlib.sha256
+    blocks = -(-length // HASH_LEN)
+    counters = _COUNTERS[:blocks] if blocks <= 2048 else map(_counter, range(blocks))
+    return b"".join([sha256(prefix + counter).digest() for counter in counters])[:length]
 
 
-_cached_keystream = functools.lru_cache(maxsize=8192)(_compute_keystream)
+_cached_keystream = functools.lru_cache(maxsize=MEMO_ENTRIES)(_compute_keystream)
 
 # Pull-style cache metrics: the memo keeps its own tallies (lru_cache's
 # CacheInfo); a registry collector publishes them at export time so the
@@ -187,18 +206,18 @@ _obs.REGISTRY.add_collector(_collect_keystream_metrics)
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """Keystream for ``(key, nonce, length)``, memoized.
 
-    The stream is a pure function of its arguments, and the generators
-    seal near-identical payloads under repeating keys (template pools,
-    per-victim handshake flights), so the same triple recurs thousands
-    of times per flood.  ``REPRO_DISABLE_TEMPLATE_CACHE=1`` bypasses the
-    memo for the equivalence suite.
+    A pure function of its arguments: a responder's flight recurs when
+    it compiles a DCID's flight on its second sight, while the flood is
+    live (``telescope/backscatter.py``), so :data:`MEMO_ENTRIES` keep it.
+    ``REPRO_DISABLE_TEMPLATE_CACHE=1`` bypasses the memo for the
+    equivalence suite.
     """
     if template_cache_enabled():
         return _cached_keystream(key, nonce, length)
     return _compute_keystream(key, nonce, length)
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _hmac_base(key: bytes) -> "hmac.HMAC":
     """A keyed HMAC-SHA-256 object, processed up to (but not including)
     the message.  ``.copy()`` of the base skips re-hashing the key blocks
@@ -221,8 +240,8 @@ def _xor_bytes(a: bytes, b: bytes) -> bytes:
 
 
 def _nonce(iv: bytes, packet_number: int) -> bytes:
-    pn = packet_number.to_bytes(AEAD_IV_LEN, "big")
-    return bytes(a ^ b for a, b in zip(iv, pn))
+    """The IV XOR the left-padded packet number (RFC 9001 §5.3)."""
+    return (int.from_bytes(iv, "big") ^ packet_number).to_bytes(AEAD_IV_LEN, "big")
 
 
 def aead_seal(keys: PacketKeys, packet_number: int, aad: bytes, plaintext: bytes) -> bytes:

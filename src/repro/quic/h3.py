@@ -4,7 +4,7 @@ QUIC's deployment driver is HTTP/3 — the scans the paper observes
 advertise ``h3`` ALPN, and the NGINX testbed terminates HTTP/3.  This
 module implements the slice of the protocol the reproduction exercises:
 
-- HTTP/3 frames (DATA, HEADERS, SETTINGS, GOAWAY) with varint framing;
+- HTTP/3 frames (DATA, HEADERS, GOAWAY) with varint framing;
 - QPACK field-line encoding restricted to the *static* table plus
   literal field lines (no dynamic table, no Huffman) — which is exactly
   what minimal clients such as scan probes emit;
@@ -17,17 +17,12 @@ module implements the slice of the protocol the reproduction exercises:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.util.varint import VarintError, decode_varint, encode_varint
 
 FRAME_DATA = 0x0
 FRAME_HEADERS = 0x1
-FRAME_SETTINGS = 0x4
 FRAME_GOAWAY = 0x7
-
-SETTINGS_QPACK_MAX_TABLE_CAPACITY = 0x1
-SETTINGS_MAX_FIELD_SECTION_SIZE = 0x6
 
 #: The rows of the QPACK static table (RFC 9204 Appendix A) used here.
 STATIC_TABLE: tuple = (
@@ -217,31 +212,6 @@ def parse_frames(data: bytes) -> list:
     except VarintError as exc:
         raise H3ParseError(str(exc)) from exc
     return frames
-
-
-def settings_frame(settings: Optional[dict] = None) -> H3Frame:
-    """A SETTINGS frame (first frame on the control stream)."""
-    settings = settings or {
-        SETTINGS_QPACK_MAX_TABLE_CAPACITY: 0,
-        SETTINGS_MAX_FIELD_SECTION_SIZE: 16384,
-    }
-    payload = b"".join(
-        encode_varint(key) + encode_varint(value)
-        for key, value in sorted(settings.items())
-    )
-    return H3Frame(FRAME_SETTINGS, payload)
-
-
-def parse_settings(frame: H3Frame) -> dict:
-    if frame.frame_type != FRAME_SETTINGS:
-        raise H3ParseError("not a SETTINGS frame")
-    settings = {}
-    offset = 0
-    while offset < len(frame.payload):
-        key, offset = decode_varint(frame.payload, offset)
-        value, offset = decode_varint(frame.payload, offset)
-        settings[key] = value
-    return settings
 
 
 # --------------------------------------------------------------------------

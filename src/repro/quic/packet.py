@@ -164,17 +164,6 @@ def unprotect_short_packet(
     return packet_number, parse_frames(payload)
 
 
-@dataclass
-class CoalescedDatagram:
-    """A UDP datagram holding one or more QUIC packets."""
-
-    raw: bytes
-    packets: list
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-
 def build_datagram(
     parts: Sequence[tuple[PlainPacket, PacketKeys]],
     pad_to: Optional[int] = None,

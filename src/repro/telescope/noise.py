@@ -10,12 +10,12 @@ attacks.  Modeling it matters because the detector must *reject* it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterator
 
 from repro.util.rng import SeededRng
 from repro.internet.topology import InternetModel
 from repro.telescope.backscatter import QuicVictimResponder, ResponderPolicy
+from repro.telescope.telescope import in_time_order
 
 
 @dataclass
@@ -64,30 +64,18 @@ class MisconfigurationModel:
         return records
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """All misconfiguration records in [start, end), time-sorted.
+        """All misconfiguration records in [start, end), time-sorted,
+        streamed session by session (:func:`in_time_order`)."""
+        return in_time_order(self._sessions(start, end), start, end)
 
-        Streams instead of sorting the whole window: session starts only
-        increase and no record precedes its session's start, so whatever
-        the ``(timestamp, sequence)`` reorder heap holds at or before the
-        next start is final — the stable sort's order, with memory
-        bounded by the sessions still open.
-        """
+    def _sessions(self, start: float, end: float) -> Iterator[tuple]:
         rate = self.sessions_per_day / 86400.0
-        pending: list = []
-        sequence = 0
         t = start
         while True:
             t += self.rng.expovariate(rate)
-            last = t >= end
-            while pending and (last or pending[0][0] <= t):
-                record = heappop(pending)[2]
-                if start <= record[0] < end:
-                    yield record
-            if last:
+            if t >= end:
                 return
-            for record in self._session_items(t):
-                heappush(pending, (record[0], sequence, record))
-                sequence += 1
+            yield t, self._session_items(t)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from repro.quic.packet import MIN_INITIAL_DATAGRAM, PlainPacket, build_datagram
 from repro.quic.versions import QUIC_V1, QuicVersion
 from repro.telescope.backscatter import DatagramTemplateCache
 from repro.telescope.diurnal import DiurnalModel
+from repro.telescope.telescope import in_time_order
 from repro.internet.topology import BotHost, InternetModel, ResearchScanner
 
 #: Protected client Initials keyed by every byte-determining input.
@@ -280,16 +281,17 @@ class BotScannerModel:
         return records
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """All bot scan records in [start, end), time-sorted."""
-        sessions = []
+        """All bot scan records in [start, end), time-sorted.
+
+        Every session start is drawn first (two floats per session); the
+        sessions' records are drawn as the stream reaches them
+        (:func:`in_time_order`).
+        """
+        return in_time_order(self._sessions(start, end), start, end)
+
+    def _sessions(self, start: float, end: float) -> Iterator[tuple]:
         for session_start, bot in self.session_starts(start, end):
-            sessions.append(self.session_records(session_start, bot))
-        merged = sorted(
-            (r for session in sessions for r in session), key=lambda r: r[0]
-        )
-        for record in merged:
-            if start <= record[0] < end:
-                yield record
+            yield session_start, self.session_records(session_start, bot)
 
 
 @dataclass
@@ -315,11 +317,15 @@ class TcpScannerModel:
             self.diurnal = DiurnalModel()
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
-        """All TCP scan records in [start, end), time-sorted.
+        """All TCP scan records in [start, end), time-sorted, streamed
+        session by session (:func:`in_time_order`).
 
         TCP gen records are 13-tuples: the lane's 11 fields (f3 carries
         the flags) plus the wire-only seq/ack numbers.
         """
+        return in_time_order(self._sessions(start, end), start, end)
+
+    def _sessions(self, start: float, end: float) -> Iterator[tuple]:
         from repro.net.tcp import TcpFlags
 
         syn = int(TcpFlags.SYN)
@@ -328,12 +334,11 @@ class TcpScannerModel:
         bots = self.internet.bot_hosts
         if not bots:
             return
-        sessions = []
         t = start
         while True:
             t += self.rng.expovariate(rate)
             if t >= end:
-                break
+                return
             if self.rng.random() >= self.diurnal.factor(t) / peak:
                 continue
             bot = self.rng.choice(bots)
@@ -350,8 +355,4 @@ class TcpScannerModel:
                     (ts, src, dst, 40, 6, 2, src_port, port, syn, 0, b"", seq, 0)
                 )
                 ts += self.rng.expovariate(0.8)
-            sessions.append(session)
-        merged = sorted((r for s in sessions for r in s), key=lambda r: r[0])
-        for record in merged:
-            if start <= record[0] < end:
-                yield record
+            yield t, session

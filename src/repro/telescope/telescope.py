@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import time
 from bisect import bisect_left, insort
+from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -168,3 +169,30 @@ def merge_chunks(units: Sequence[tuple], window: float) -> Iterator[list]:
         if chunk:
             chunk.sort(key=first)
             yield chunk
+
+
+def in_time_order(sessions: Iterable[tuple], start: float, end: float) -> Iterator[tuple]:
+    """A unit's sessions as one time-sorted stream of its records in [start, end).
+
+    ``sessions`` yields ``(session_start, records)`` pairs with
+    non-decreasing starts, no record earlier than its session's start.
+    Records wait in a ``(timestamp, sequence)`` reorder heap and leave it
+    once no later session can precede them — at or before the next
+    session's start — so the output is the stable sort of every session
+    concatenated, and memory is bounded by the sessions still open, not
+    by the window.
+    """
+    pending: list = []
+    sequence = 0
+    for session_start, records in sessions:
+        while pending and pending[0][0] <= session_start:
+            record = heappop(pending)[2]
+            if start <= record[0] < end:
+                yield record
+        for record in records:
+            heappush(pending, (record[0], sequence, record))
+            sequence += 1
+    while pending:
+        record = heappop(pending)[2]
+        if start <= record[0] < end:
+            yield record

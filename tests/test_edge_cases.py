@@ -5,11 +5,7 @@ from repro.net.ipv4 import IPv4Header
 from repro.net.udp import UdpHeader
 from repro.quic.crypto import keys_from_secret
 from repro.quic.frames import AckFrame, FrameType, PingFrame, parse_frames
-from repro.quic.packet import (
-    CoalescedDatagram,
-    protect_short_packet,
-    unprotect_short_packet,
-)
+from repro.quic.packet import protect_short_packet, unprotect_short_packet
 from repro.telescope.scanners import TcpScannerModel
 from repro.util.rng import SeededRng
 from repro.util.varint import encode_varint
@@ -91,14 +87,6 @@ def test_short_packet_key_phase_bit_roundtrip():
     pn, frames = unprotect_short_packet(wire, 8, keys)
     assert pn == 3
     assert any(isinstance(f, PingFrame) for f in frames)
-
-
-# -- coalesced datagram holder ---------------------------------------------
-
-
-def test_coalesced_datagram_len():
-    datagram = CoalescedDatagram(raw=b"\x00" * 120, packets=[])
-    assert len(datagram) == 120
 
 
 # -- tcp scanner model ---------------------------------------------------

@@ -97,13 +97,6 @@ def test_frame_truncated_rejected():
         h3.parse_frames(wire[:-4])
 
 
-def test_settings_roundtrip():
-    frame = h3.settings_frame({h3.SETTINGS_MAX_FIELD_SECTION_SIZE: 1234})
-    assert h3.parse_settings(frame) == {h3.SETTINGS_MAX_FIELD_SECTION_SIZE: 1234}
-    with pytest.raises(h3.H3ParseError):
-        h3.parse_settings(h3.H3Frame(h3.FRAME_DATA, b""))
-
-
 # -- requests / responses -----------------------------------------------------
 
 

@@ -3,8 +3,9 @@
 ``merge_chunks`` must be ``heapq.merge`` — same records, same order,
 ties broken toward the earlier unit and, inside a unit, toward the
 earlier record — while never touching a unit before its start bound is
-due, and the misconfiguration unit it feeds from must stream rather
-than materialise its window.
+due.  The session-shaped units it feeds from (misconfiguration, bots,
+TCP scans) must stream through ``in_time_order`` rather than
+materialise their window.
 """
 
 import heapq
@@ -12,12 +13,15 @@ import os
 from itertools import chain
 from operator import itemgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telescope import Scenario, ScenarioConfig, attacks, noise
+from repro.net.tcp import TcpFlags
+from repro.telescope import Scenario, ScenarioConfig, attacks, telescope
 from repro.telescope.noise import MisconfigurationModel
-from repro.telescope.telescope import merge_chunks
+from repro.telescope.scanners import BotScannerModel, TcpScannerModel
+from repro.telescope.telescope import in_time_order, merge_chunks
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY, HOUR
 
@@ -107,31 +111,97 @@ def test_first_record_does_not_set_up_later_floods(monkeypatch):
     assert len(created) <= len(due)
 
 
-# -- misconfiguration streams its window ---------------------------------
+# -- session-shaped units stream their window ----------------------------
 
 
-def _misconfig(scenario_seed=5):
-    scenario = Scenario(ScenarioConfig(seed=scenario_seed, duration=HOUR, research_sample=1 / 2048))
-    return MisconfigurationModel(
-        internet=scenario.internet, rng=SeededRng(99), sessions_per_day=150.0
-    )
+@st.composite
+def timed_sessions(draw):
+    """Sessions on a half-unit grid: non-decreasing starts, records at or
+    after their start in any order, equal timestamps across sessions."""
+    sessions = []
+    for n, first in enumerate(sorted(draw(st.lists(st.integers(0, 40), max_size=8)))):
+        offsets = draw(st.lists(st.integers(0, 12), max_size=6))
+        sessions.append((first / 2, [((first + d) / 2, n, k) for k, d in enumerate(offsets)]))
+    return sessions
 
 
-def test_misconfig_records_stream_with_a_bounded_reorder_heap(monkeypatch):
-    start, end = APRIL_1_2021, APRIL_1_2021 + 7 * DAY
+@settings(max_examples=ITERS, deadline=None)
+@given(sessions=timed_sessions(), edges=st.lists(st.integers(0, 54), min_size=2, max_size=2))
+def test_in_time_order_is_the_stable_sort_cut_to_the_window(sessions, edges):
+    # the window's edges fall anywhere, through sessions included
+    start, end = sorted(edge / 2 for edge in edges)
+    merged = sorted(chain.from_iterable(records for _, records in sessions), key=itemgetter(0))
+    expected = [r for r in merged if start <= r[0] < end]
+    assert list(in_time_order(iter(sessions), start, end)) == expected
 
-    # the reference: every session of the window drawn up front, one stable sort
-    model = _misconfig()
+
+START, END = APRIL_1_2021, APRIL_1_2021 + 7 * DAY
+
+
+def _internet():
+    return Scenario(ScenarioConfig(seed=5, duration=HOUR, research_sample=1 / 2048)).internet
+
+
+def _misconfig_sessions(model):
     rate = model.sessions_per_day / 86400.0
-    sessions, t = [], start
+    sessions, t = [], START
     while True:
         t += model.rng.expovariate(rate)
-        if t >= end:
-            break
+        if t >= END:
+            return sessions
         sessions.append(model._session_items(t))
-    expected = [
-        r for r in sorted(chain.from_iterable(sessions), key=itemgetter(0)) if start <= r[0] < end
-    ]
+
+
+def _bot_sessions(model):
+    return [model.session_records(t, bot) for t, bot in model.session_starts(START, END)]
+
+
+def _tcp_sessions(model):
+    """The TCP scan loop as it was before it streamed: every session of
+    the window drawn up front."""
+    syn = int(TcpFlags.SYN)
+    peak = model.diurnal.peak_rate_factor()
+    rate = model.sessions_per_day / 86400.0 * peak
+    rng, bots = model.rng, model.internet.bot_hosts
+    sessions, t = [], START
+    while True:
+        t += rng.expovariate(rate)
+        if t >= END:
+            return sessions
+        if rng.random() >= model.diurnal.factor(t) / peak:
+            continue
+        bot = rng.choice(bots)
+        port = rng.choice(model.target_ports)
+        count = max(1, int(rng.expovariate(1.0 / model.mean_packets_per_session)) + 1)
+        src_port = rng.randint(1024, 65535)
+        session, ts = [], t
+        for _ in range(count):
+            dst = model.internet.random_telescope_address(rng)
+            seq = rng.randint(0, 2**32 - 1)
+            session.append((ts, bot.address, dst, 40, 6, 2, src_port, port, syn, 0, b"", seq, 0))
+            ts += rng.expovariate(0.8)
+        sessions.append(session)
+
+
+#: model, sessions per day, the reference drawing every session up front
+UNITS = {
+    "misconfig": (MisconfigurationModel, 150.0, _misconfig_sessions),
+    "bots": (BotScannerModel, 250.0, _bot_sessions),
+    "tcp-scans": (TcpScannerModel, 250.0, _tcp_sessions),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+def test_session_records_stream_with_a_bounded_reorder_heap(kind, monkeypatch):
+    model_class, per_day, reference = UNITS[kind]
+
+    def build():
+        return model_class(internet=_internet(), rng=SeededRng(99), sessions_per_day=per_day)
+
+    # the reference: every session of the window drawn up front, one stable sort
+    sessions = reference(build())
+    merged = sorted(chain.from_iterable(sessions), key=itemgetter(0))
+    expected = [r for r in merged if START <= r[0] < END]
 
     high_water = 0
 
@@ -140,8 +210,8 @@ def test_misconfig_records_stream_with_a_bounded_reorder_heap(monkeypatch):
         heapq.heappush(heap, item)
         high_water = max(high_water, len(heap))
 
-    monkeypatch.setattr(noise, "heappush", spying_push)
-    streamed = list(_misconfig().records(start, end))
+    monkeypatch.setattr(telescope, "heappush", spying_push)
+    streamed = list(build().records(START, END))
     assert streamed == expected
     assert len(sessions) > 500
     # pending records belong to sessions still open, not to the window

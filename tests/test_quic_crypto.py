@@ -1,5 +1,11 @@
 """Tests for HKDF, initial secrets, the AEAD substitution and PN coding."""
 
+import functools
+import hashlib
+import hmac
+import struct
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +26,9 @@ from repro.quic.crypto import (
     keys_from_secret,
 )
 from repro.quic.versions import DRAFT_29, QUIC_V1
+from repro.telescope import Scenario, ScenarioConfig, scanners
+from repro.telescope.backscatter import DatagramTemplateCache
+from repro.util.timeutil import HOUR
 
 
 def test_hkdf_rfc5869_test_case_1():
@@ -155,3 +164,92 @@ def test_pn_roundtrip_with_recent_ack(full_pn):
         int.from_bytes(wire, "big"), len(wire) * 8, full_pn - 1
     )
     assert decoded == full_pn
+
+
+# -- fast paths against the textbook constructions --------------------------
+
+
+def _rfc5869_expand(prk, info, length):
+    """RFC 5869 §2.3 block by block: T(i) = HMAC(PRK, T(i-1) | info | i)."""
+    okm = block = b""
+    for i in range(1, -(-length // 32) + 1):
+        block = hmac.new(prk, block + info + bytes([i]), hashlib.sha256).digest()
+        okm += block
+    return okm[:length]
+
+
+def test_hkdf_expand_is_the_rfc5869_block_loop():
+    prk, info = bytes(range(32)), b"info bytes"
+    for length in [*range(97), 255 * 32]:
+        assert hkdf_expand(prk, info, length) == _rfc5869_expand(prk, info, length), length
+
+
+def test_hkdf_expand_label_is_the_rfc8446_hkdf_label():
+    secret = bytes(range(100, 132))
+    cases = [("quic key", b"", 16), ("quic iv", b"", 12), ("client in", b"", 32), ("c e traffic", b"\x5a" * 32, 48)]
+    for label, context, length in cases:
+        full_label = b"tls13 " + label.encode("ascii")
+        # struct { uint16 length; opaque label<7..255>; opaque context<0..255>; }
+        info = (
+            struct.pack("!HB", length, len(full_label))
+            + full_label
+            + struct.pack("!B", len(context))
+            + context
+        )
+        assert hkdf_expand_label(secret, label, context, length) == _rfc5869_expand(secret, info, length)
+
+
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1200, 65_536, 65_537])
+def test_keystream_is_the_per_block_loop(length):
+    key, nonce = b"\x07" * 16, b"\x09" * 12
+    out, counter = b"", 0
+    while len(out) < length:
+        out += hashlib.sha256(key + nonce + counter.to_bytes(4, "big")).digest()
+        counter += 1
+    assert crypto._compute_keystream(key, nonce, length) == out[:length]
+
+
+@pytest.mark.parametrize("packet_number", [0, 1, 2**32, 2**62 - 1])
+def test_nonce_is_the_bytewise_xor(packet_number):
+    iv = bytes.fromhex("fa044b2f42a3fd3b46fb255c")
+    padded = packet_number.to_bytes(crypto.AEAD_IV_LEN, "big")
+    assert crypto._nonce(iv, packet_number) == bytes(a ^ b for a, b in zip(iv, padded))
+
+
+# -- the memos are sized to what hits ---------------------------------------
+
+MEMOS = ("derive_initial_keys", "derive_handshake_secret", "_cached_keystream", "_hmac_base", "_label_info")
+
+
+def _drain_with_fresh_memos(maxsize):
+    """Drain a 6 h scenario's lane batches with fresh memos of ``maxsize``
+    bound wherever the module's own are; returns them, tallies and all."""
+    fresh = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in MEMOS:
+            memo = getattr(crypto, name)
+            fresh[name] = functools.lru_cache(maxsize=maxsize)(memo.__wrapped__)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("repro") and getattr(module, name, None) is memo:
+                    patch.setattr(module, name, fresh[name])
+        # probe datagrams replayed from an earlier run would skip their sealing
+        patch.setattr(scanners, "_INITIAL_TEMPLATES", DatagramTemplateCache(max_entries=1024))
+        scenario = Scenario(ScenarioConfig(duration=6 * HOUR, research_sample=1 / 2048))
+        for _ in scenario.lane_batches():
+            pass
+    return fresh
+
+
+def test_bounded_memos_keep_the_keystream_hits():
+    for name in MEMOS:
+        assert getattr(crypto, name).cache_parameters()["maxsize"] == crypto.MEMO_ENTRIES
+    bounded = _drain_with_fresh_memos(crypto.MEMO_ENTRIES)
+    unbounded = _drain_with_fresh_memos(None)
+    for name, memo in bounded.items():
+        assert memo.cache_info().currsize <= crypto.MEMO_ENTRIES, name
+    # the bound binds: a window derives far more than the memos keep ...
+    assert unbounded["_cached_keystream"].cache_info().currsize > 4 * crypto.MEMO_ENTRIES
+    # ... but the hits come from live floods, and those stay
+    kept, possible = (memo["_cached_keystream"].cache_info().hits for memo in (bounded, unbounded))
+    assert possible > 1000
+    assert kept >= 0.99 * possible
