@@ -235,11 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "stats",
         help="render a human summary of a --metrics-out JSON file",
         description="Renders the JSON metric export written by "
-        "--metrics-out. Unrelated to the benchmark trajectory files: "
-        "benchmarks/out/BENCH_stream.json rows are trajectory schema 2 "
-        "(schema 1 plus tracemalloc peak columns) and "
-        "BENCH_pipeline.json rows are trajectory schema 3 — see "
-        "docs/METRICS.md for both schemas.",
+        "--metrics-out (schema in docs/METRICS.md).",
     )
     stats.add_argument(
         "metrics",

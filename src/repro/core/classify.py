@@ -142,8 +142,3 @@ class TrafficClassifier:
         if icmp.is_backscatter:
             return PacketClass.ICMP_BACKSCATTER
         return PacketClass.ICMP_OTHER
-
-    @property
-    def false_positive_count(self) -> int:
-        """UDP/443 packets the dissector rejected (Section 4.1's point)."""
-        return self.counters[PacketClass.NON_QUIC_UDP443]

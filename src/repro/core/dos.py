@@ -19,20 +19,11 @@ from repro.util.timeutil import MINUTE
 
 @dataclass(frozen=True)
 class DosThresholds:
-    """The Moore et al. thresholds; ``weighted(w)`` scales all three."""
+    """The Moore et al. thresholds."""
 
     min_packets: int = 25
     min_duration: float = 60.0
     min_max_pps: float = 0.5
-
-    def weighted(self, weight: float) -> "DosThresholds":
-        if weight <= 0:
-            raise ValueError("threshold weight must be positive")
-        return DosThresholds(
-            min_packets=self.min_packets * weight,
-            min_duration=self.min_duration * weight,
-            min_max_pps=self.min_max_pps * weight,
-        )
 
     def matches(self, session: Session) -> bool:
         return (
@@ -170,21 +161,3 @@ class DosDetector:
         total = len(self.attacks) + len(self.rejected_sessions)
         return len(self.attacks) / total if total else 0.0
 
-
-def weight_sweep(
-    sessions: list,
-    weights: Iterable[float],
-    base: Optional[DosThresholds] = None,
-) -> list:
-    """Appendix B / Figure 10: re-detect attacks under scaled thresholds.
-
-    Returns ``[(weight, detector)]`` so callers can extract both counts
-    and per-weight victim compositions.
-    """
-    base = base or DosThresholds()
-    out = []
-    for weight in weights:
-        detector = DosDetector(base.weighted(weight))
-        detector.detect_all(sessions)
-        out.append((weight, detector))
-    return out

@@ -52,9 +52,6 @@ class ActiveScanCensus:
     def get(self, address: int) -> Optional[QuicServerRecord]:
         return self._by_address.get(address)
 
-    def is_known_quic_server(self, address: int) -> bool:
-        return address in self._by_address
-
     def by_provider(self, provider: str) -> list:
         return [r for r in self._by_address.values() if r.provider == provider]
 

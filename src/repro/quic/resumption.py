@@ -3,7 +3,7 @@
 Section 6 of the paper argues the RETRY performance penalty "could be
 alleviated by the session resumption feature in QUIC" for frequently
 used services.  This module provides the client-side machinery to test
-that claim (benchmarked in ``benchmarks/bench_a3_resumption.py``):
+that claim (rows ``A3.*`` of ``tests/test_paper_claims.py``):
 
 - after a completed handshake the server issues a **NEW_TOKEN** address
   token (RFC 9000 §8.1.3) and a TLS **NewSessionTicket** over 1-RTT;

@@ -38,8 +38,8 @@ additions:
    cardinalities), and alerts fire when the
    space-saving *lower bound* crosses the Moore thresholds.  Memory is
    constant in source cardinality;
-   ``benchmarks/bench_sketch_accuracy.py`` measures alert
-   precision/recall against the exact mode and enforces the ceiling.
+   ``tests/test_stream_sketch.py`` checks the alerts against the exact
+   mode and pins the ceiling.
 
 Exact mode (the default) retains the full state: after ``finish()``,
 ``result()`` runs the batch finalization and returns a

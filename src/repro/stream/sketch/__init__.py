@@ -20,8 +20,8 @@ with one-sided, quantified error:
 
 Every structure is seeded (deterministic across runs and processes)
 and picklable.  The exact mode is the ground truth:
-``benchmarks/bench_sketch_accuracy.py`` measures alert precision/
-recall and count error against it across scenario seeds.
+``tests/test_stream_sketch.py`` checks alerts and count error against
+it across scenario seeds.
 """
 
 from repro.stream.sketch.countmin import CountMinSketch

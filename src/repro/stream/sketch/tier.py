@@ -24,8 +24,8 @@ While a flood victim stays monitored (capacity permitting — floods are
 by construction the heavy hitters), its episode count, minute-slot
 maximum, and gap splits match the exact sessionizer packet for packet,
 which is why sketch-mode alerts reproduce exact-mode alerts on
-telescope workloads (``benchmarks/bench_sketch_accuracy.py`` measures
-the precision/recall of exactly that).
+telescope workloads (``tests/test_stream_sketch.py`` checks exactly
+that on five scenario seeds).
 
 The results are the per-packet ones, the work is not: a batch's
 backscatter lands once per (stretch, vector, victim) — one space-saving

@@ -3,7 +3,6 @@
 Sizing presets (window/scale knobs for the default workload):
 
 - :func:`demo` — minutes-scale, for examples and interactive use;
-- :func:`bench_day` — the benchmark suite's default (one day);
 - :func:`paper_month` — the full April 2021 window at the paper's event
   rates.  At the default 1/64 sweep sampling this is ≈ 29M packets; it
   exists so the full-scale numbers are *reproducible* (ROADMAP item 1
@@ -27,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from repro.telescope.adversarial import AdversarialSpec
 from repro.telescope.workload import ScenarioConfig
-from repro.util.timeutil import APRIL_1_2021, DAY, HOUR, MAY_1_2021
+from repro.util.timeutil import APRIL_1_2021, HOUR, MAY_1_2021
 
 
 def demo(**overrides) -> ScenarioConfig:
@@ -35,15 +34,6 @@ def demo(**overrides) -> ScenarioConfig:
     config = ScenarioConfig(
         duration=3 * HOUR,
         research_sample=1.0 / 512,
-    )
-    return replace(config, **overrides)
-
-
-def bench_day(**overrides) -> ScenarioConfig:
-    """The default benchmark window: 24 hours, 1/64 sweep sampling."""
-    config = ScenarioConfig(
-        duration=1 * DAY,
-        research_sample=1.0 / 64.0,
     )
     return replace(config, **overrides)
 
@@ -261,11 +251,6 @@ _register(
 def scenario_names() -> tuple:
     """Every registered scenario name, in registration order."""
     return tuple(SCENARIOS)
-
-
-def adversarial_scenario_names() -> tuple:
-    """Registered adversarial scenarios only."""
-    return tuple(n for n, p in SCENARIOS.items() if p.adversarial)
 
 
 def get_scenario(name: str) -> ScenarioPreset:

@@ -45,24 +45,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 50,
-    title: str | None = None,
-) -> str:
-    """Horizontal ASCII bar chart."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    peak = max(values) if values else 0.0
-    label_width = max((len(l) for l in labels), default=0)
-    out = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = "#" * (int(round(width * value / peak)) if peak > 0 else 0)
-        out.append(f"{label.ljust(label_width)} | {bar} {value:,.2f}")
-    return "\n".join(out)
-
-
 def sparkline(values: Sequence[float]) -> str:
     """Single-line unicode sparkline, used for hourly rate series."""
     glyphs = " .:-=+*#%@"

@@ -1,8 +1,8 @@
 """Small statistics helpers: percentiles and empirical CDFs.
 
 The paper reports most results as CDFs (Figures 6, 7, 12, 13) and
-medians.  :class:`EmpiricalCdf` is the shared representation the bench
-harness prints and the tests assert against.
+medians.  :class:`EmpiricalCdf` is the shared representation the report
+prints its CDFs from.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ class EmpiricalCdf:
     >>> cdf = EmpiricalCdf([1, 1, 2, 4])
     >>> cdf.fraction_at_most(1)
     0.5
-    >>> cdf.quantile(0.75)
-    2
     """
 
     def __init__(self, values: Iterable[float]) -> None:
@@ -66,13 +64,6 @@ class EmpiricalCdf:
             else:
                 high = mid
         return low / len(self._values)
-
-    def quantile(self, q: float) -> float:
-        """Smallest sample value v with P(X <= v) >= q, for q in (0, 1]."""
-        if not 0 < q <= 1:
-            raise ValueError(f"quantile q={q} outside (0, 1]")
-        index = max(0, int(q * len(self._values) + 0.999999) - 1)
-        return self._values[min(index, len(self._values) - 1)]
 
     @property
     def median_value(self) -> float:

@@ -61,7 +61,7 @@ def test_non_quic_udp443_excluded():
     classifier = TrafficClassifier()
     result = classifier.classify(udp_packet(dport=443, payload=b"\x01\x02\x03"))
     assert result.packet_class is PacketClass.NON_QUIC_UDP443
-    assert classifier.false_positive_count == 1
+    assert classifier.counters[PacketClass.NON_QUIC_UDP443] == 1
 
 
 def test_both_ports_443_excluded():

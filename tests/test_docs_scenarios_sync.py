@@ -11,7 +11,7 @@ exist.
 import pathlib
 import re
 
-from repro.telescope.presets import SCENARIOS, adversarial_scenario_names
+from repro.telescope.presets import SCENARIOS
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "SCENARIOS.md"
 
@@ -71,7 +71,8 @@ def test_ibr_table_matches_registry():
 
 
 def test_adversarial_table_matches_registry():
-    _check_section("Adversarial scenario matrix", adversarial_scenario_names())
+    adversarial = tuple(n for n, p in SCENARIOS.items() if p.adversarial)
+    _check_section("Adversarial scenario matrix", adversarial)
 
 
 def test_cross_references_hold():
@@ -83,7 +84,6 @@ def test_cross_references_hold():
         "tests/test_scenario_golden.py",
         "tests/test_adversarial_detectors.py",
         "tests/test_docs_scenarios_sync.py",
-        "benchmarks/bench_scenarios.py",
         "src/repro/telescope/adversarial.py",
         "src/repro/telescope/presets.py",
     ):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dos import DosDetector, DosThresholds, FloodAttack, weight_sweep
+from repro.core.dos import DosDetector, DosThresholds, FloodAttack
 from repro.core.multivector import (
     CONCURRENT,
     ISOLATED,
@@ -76,16 +76,6 @@ def test_thresholds_are_strict_inequalities():
     assert not DosThresholds().matches(session)
 
 
-def test_weighted_thresholds():
-    relaxed = DosThresholds().weighted(0.5)
-    assert relaxed.min_packets == 12.5
-    assert relaxed.min_duration == 30.0
-    strict = DosThresholds().weighted(10)
-    assert strict.min_max_pps == 5.0
-    with pytest.raises(ValueError):
-        DosThresholds().weighted(0)
-
-
 def test_detector_classifies_and_counts():
     detector = DosDetector()
     attack_session = make_session(source=10)
@@ -109,8 +99,10 @@ def test_weight_sweep_monotone_counts():
         make_session(source=i, packets=30 + 10 * i, duration=100 + 30 * i, peak_per_minute=35 + 5 * i)
         for i in range(20)
     ]
-    results = weight_sweep(sessions, [0.3, 1.0, 2.0, 5.0])
-    counts = [len(det.attacks) for _w, det in results]
+    counts = [
+        len(DosDetector(DosThresholds(25 * w, 60.0 * w, 0.5 * w)).detect_all(sessions))
+        for w in (0.3, 1.0, 2.0, 5.0)
+    ]
     assert counts == sorted(counts, reverse=True)
     assert counts[0] >= counts[1]
 

@@ -133,6 +133,8 @@ def test_partition_equivalence_exact(tmp_path, spools, baseline, vantages):
         build_report(fed.global_result, research_weight=s.truth.research_weight)
         == reference_report
     )
+    if vantages == 1:
+        assert fed.dedup_hits == 0  # a lone vantage has nothing to dedup
 
 
 def test_cross_telescope_dedup(tmp_path, spools, baseline):

@@ -66,9 +66,8 @@ def _record(ip="9.9.9.9", provider="Google"):
 
 def test_census_membership():
     census = ActiveScanCensus([_record()])
-    assert census.is_known_quic_server(parse_ipv4("9.9.9.9"))
-    assert not census.is_known_quic_server(parse_ipv4("9.9.9.8"))
     assert parse_ipv4("9.9.9.9") in census
+    assert parse_ipv4("9.9.9.8") not in census
 
 
 def test_census_by_provider_and_counts():

@@ -12,7 +12,7 @@ import pytest
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.attacks import AttackPlanConfig
 from repro.core import AnalysisConfig, QuicsandPipeline
-from repro.core.dos import weight_sweep
+from repro.core.dos import DosDetector, DosThresholds
 from repro.internet.asn import NetworkType
 from repro.util.timeutil import HOUR
 
@@ -153,17 +153,18 @@ def test_dissection_excludes_stray_udp(result):
 
 
 def test_weight_sweep_keeps_content_dominance(result, scenario):
-    results = weight_sweep(result.response_sessions, [0.3, 1.0, 3.0])
-    counts = [len(det.attacks) for _w, det in results]
+    detected = [
+        DosDetector(DosThresholds(25 * w, 60.0 * w, 0.5 * w)).detect_all(result.response_sessions)
+        for w in (0.3, 1.0, 3.0)
+    ]
+    counts = [len(attacks) for attacks in detected]
     assert counts == sorted(counts, reverse=True)
     census = scenario.internet.census
-    for weight, detector in results:
-        if not detector.attacks:
+    for attacks in detected:
+        if not attacks:
             continue
-        known = sum(
-            1 for a in detector.attacks if census.is_known_quic_server(a.victim_ip)
-        )
-        assert known / len(detector.attacks) > 0.8
+        known = sum(1 for a in attacks if a.victim_ip in census)
+        assert known / len(attacks) > 0.8
 
 
 def test_multivector_categories_present(result):

@@ -8,7 +8,7 @@ import pytest
 from repro.core import AnalysisConfig, QuicsandPipeline
 from repro.core.export import export_results
 from repro.telescope import Scenario, ScenarioConfig
-from repro.telescope.presets import bench_day, demo, paper_month
+from repro.telescope.presets import demo, paper_month
 from repro.util.timeutil import APRIL_1_2021, DAY, HOUR, MAY_1_2021
 
 
@@ -19,12 +19,6 @@ def test_demo_preset():
     config = demo()
     assert config.duration == 3 * HOUR
     assert isinstance(config, ScenarioConfig)
-
-
-def test_bench_day_preset():
-    config = bench_day()
-    assert config.duration == DAY
-    assert config.research_sample == pytest.approx(1 / 64)
 
 
 def test_paper_month_preset_window():

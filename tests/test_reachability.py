@@ -41,7 +41,6 @@ KEPT = {
 UNIT_TESTED_ONLY = {
     "repro.core.extrapolate.TelescopeExtrapolator.detection_probability",
     "repro.core.extrapolate.TelescopeExtrapolator.min_rate_for_threshold",
-    "repro.telescope.presets.bench_day",
     "repro.util.stats.EmpiricalCdf.fraction_at_most",
 }
 

@@ -1,8 +1,6 @@
 """Tests for the plain-text rendering helpers."""
 
-import pytest
-
-from repro.util.render import bar_chart, cdf_points, format_table, sparkline
+from repro.util.render import cdf_points, format_table, sparkline
 
 
 def test_format_table_alignment():
@@ -18,23 +16,6 @@ def test_format_table_title_and_floats():
     assert out.splitlines()[0] == "T"
     assert "1.50" in out
     assert "0.0010" in out
-
-
-def test_bar_chart_scales():
-    out = bar_chart(["a", "b"], [1.0, 2.0], width=10)
-    lines = out.splitlines()
-    assert lines[1].count("#") == 10
-    assert lines[0].count("#") == 5
-
-
-def test_bar_chart_zero_values():
-    out = bar_chart(["a"], [0.0])
-    assert "#" not in out
-
-
-def test_bar_chart_length_mismatch():
-    with pytest.raises(ValueError):
-        bar_chart(["a"], [1.0, 2.0])
 
 
 def test_sparkline():

@@ -27,7 +27,7 @@ import pytest
 from repro.core import QuicsandPipeline
 from repro.core.report import build_report
 from repro.telescope import Scenario
-from repro.telescope.presets import adversarial_scenario_names, scenario_config
+from repro.telescope.presets import SCENARIOS, scenario_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,7 +70,7 @@ def _assert_matches_golden(name, text):
         )
 
 
-@pytest.mark.parametrize("name", adversarial_scenario_names())
+@pytest.mark.parametrize("name", [n for n, p in SCENARIOS.items() if p.adversarial])
 def test_adversarial_report_matches_golden(name):
     text = render_report(name)
     if os.environ.get("REPRO_REGEN_GOLDEN"):

@@ -37,21 +37,6 @@ def test_cdf_fraction_at_most():
     assert cdf.fraction_at_most(100) == 1.0
 
 
-def test_cdf_quantile():
-    cdf = EmpiricalCdf([1, 1, 2, 4])
-    assert cdf.quantile(0.5) == 1
-    assert cdf.quantile(0.75) == 2
-    assert cdf.quantile(1.0) == 4
-
-
-def test_cdf_quantile_bounds():
-    cdf = EmpiricalCdf([1])
-    with pytest.raises(ValueError):
-        cdf.quantile(0.0)
-    with pytest.raises(ValueError):
-        cdf.quantile(1.5)
-
-
 def test_cdf_steps_thinning():
     cdf = EmpiricalCdf(range(1000))
     steps = cdf.steps(max_points=50)
@@ -66,12 +51,3 @@ def test_cdf_is_monotone_and_ends_at_one(values):
     assert all(b >= a for a, b in zip(fractions, fractions[1:]))
     assert fractions[-1] == 1.0
 
-
-@given(
-    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=100),
-    st.floats(min_value=0.01, max_value=1.0),
-)
-def test_quantile_consistent_with_fraction(values, q):
-    cdf = EmpiricalCdf(values)
-    v = cdf.quantile(q)
-    assert cdf.fraction_at_most(v) >= q - 1e-9

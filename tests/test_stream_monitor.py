@@ -166,14 +166,14 @@ CROSSING_STEPS = (0.0, 0.25, 59.5, 60.0, 60.5, 299.5, 300.0, 300.5, 3600.0)
 
 @settings(max_examples=200, deadline=None)
 @given(
-    # (step, repeats): bursts dense enough for weighted(10)'s 300 packets a minute
+    # (step, repeats): bursts dense enough for ten-fold thresholds' 300 packets a minute
     st.lists(
         st.tuples(st.sampled_from(CROSSING_STEPS), st.integers(min_value=1, max_value=320)),
         min_size=1,
         max_size=10,
     ),
     st.lists(st.integers(min_value=1, max_value=3200), max_size=12),
-    st.sampled_from([DosThresholds(), DosThresholds().weighted(0.5), DosThresholds().weighted(10)]),
+    st.sampled_from([DosThresholds(), DosThresholds(12.5, 30.0, 0.25), DosThresholds(250, 600.0, 5.0)]),
 )
 def test_run_crossings_equal_a_per_packet_walk(bursts, pieces, thresholds):
     """The run-level check against a per-packet prefix walk: after each

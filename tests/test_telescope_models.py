@@ -271,7 +271,7 @@ def test_planner_mostly_known_victims(internet):
     planner = AttackPlanner(internet, SeededRng(17), config)
     plan = planner.plan(START, START + DAY)
     known = sum(
-        1 for f in plan.quic_floods if internet.census.is_known_quic_server(f.victim_ip)
+        1 for f in plan.quic_floods if f.victim_ip in internet.census
     )
     assert known / len(plan.quic_floods) > 0.9
 
