@@ -60,6 +60,7 @@ from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.genlane import wire_items
 from repro.telescope.presets import scenario_names
 from repro.telescope.presets import scenario_config as _named_scenario_config
+from repro.util.batching import BATCH_SIZE
 from repro.util.render import format_table
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
@@ -145,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(0 = unpaced)",
     )
     watch.add_argument(
-        "--batch-size", type=int, default=512, help="packets per analysis batch"
+        "--batch-size", type=int, default=BATCH_SIZE, help="packets per analysis batch"
     )
     watch_mode = watch.add_mutually_exclusive_group()
     watch_mode.add_argument(
@@ -581,7 +582,7 @@ def cmd_profile(args, stream) -> int:
         return out, time.perf_counter() - start
 
     batches, generate_elapsed = timed(
-        "generate", lambda: list(scenario.lane_batches(pipeline.config.batch_size))
+        "generate", lambda: list(scenario.lane_batches())
     )
     result, analyze_elapsed = timed(
         "analyze", lambda: pipeline.process_record_batches(batches)

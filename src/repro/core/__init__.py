@@ -22,7 +22,7 @@ Pipeline stages, mirroring Section 4 of the paper:
    probing of top victims (Section 6).
 8. :mod:`repro.core.pipeline` — single-pass streaming orchestration
    over a packet stream, producing a :class:`~repro.core.pipeline.
-   PipelineResult` that every bench renders from.
+   PipelineResult` that the report renders from.
 9. :mod:`repro.core.parallel` — partitioned parallel runs: each worker
    runs the serial loop over one part of a scenario's generation units
    and the parent merges the closed states once

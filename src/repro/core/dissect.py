@@ -167,7 +167,7 @@ class QuicDissector:
     demoted to the old generation instead of dropped, so long-lived
     templates survive eviction epochs and only truly cold entries fall
     out.  ``cache_hits``/``cache_misses`` expose the hit rate to the
-    pipeline and the throughput bench.
+    pipeline's metrics.
     """
 
     def __init__(

@@ -40,7 +40,7 @@ from repro import obs
 from repro.internet.activescan import ActiveScanCensus
 from repro.internet.asn import AsRegistry, NetworkType
 from repro.internet.greynoise import GreyNoisePlatform
-from repro.util.batching import batched
+from repro.util.batching import BATCH_SIZE, batched
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 from repro.core.batchlane import BatchLane
@@ -64,8 +64,8 @@ from repro.core.victims import VictimAnalysis, analyze_victims, session_network_
 # Publication happens at *boundaries* (per batch, per classifier fold,
 # per finalization step), never per packet: the hot loop keeps plain
 # ints and the metrics layer sees them in bulk, so a metrics-on run
-# stays within noise of a metrics-off run (asserted by the throughput
-# bench).  The full catalog lives in docs/METRICS.md.
+# stays within noise of a metrics-off run.  The full catalog lives in
+# docs/METRICS.md.
 
 _M_PACKETS = obs.counter(
     "repro_pipeline_packets_total",
@@ -128,18 +128,15 @@ class AnalysisConfig:
     dissect_payloads: bool = True
     #: probe this many top victims in the active RETRY audit.
     retry_probe_count: int = 10
-    audit_seed: int = 424242
     #: worker processes for a scenario's per-packet phase (one part of
     #: its generation units each, see ``process_scenario``); 1 runs
     #: in-process.
     workers: int = 1
-    #: packets per dispatch batch of the per-packet phase.
-    batch_size: int = 512
 
 
 @dataclass
 class PipelineResult:
-    """Everything the benches and examples render."""
+    """Everything the report, the CSV export and the examples render."""
 
     window_start: float
     window_end: float
@@ -568,7 +565,7 @@ def run_serial(stream: Iterable, config: AnalysisConfig) -> PartialState:
     :class:`BatchLane` into one closed :class:`PartialState`."""
     state = PartialState.initial(config)
     lane = BatchLane(dissect_payloads=config.dissect_payloads)
-    for batch in batched(stream, config.batch_size):
+    for batch in batched(stream, BATCH_SIZE):
         state.consume_lane(batch, lane)
     state.record_classifier(lane)
     state.close()
@@ -686,11 +683,11 @@ class QuicsandPipeline:
         """
         cfg = self.config
         if cfg.workers <= 1:
-            return self.process_record_batches(scenario.lane_batches(cfg.batch_size))
+            return self.process_record_batches(scenario.lane_batches())
         from repro.core.parallel import run_parts
 
         with obs.span(_M_STAGE, stage="per-packet-parallel"):
-            state = run_parts(scenario.parts(cfg.workers, cfg.batch_size), cfg)
+            state = run_parts(scenario.parts(cfg.workers), cfg)
         return self._finalize(state)
 
     def finalize_state(self, state: PartialState) -> PipelineResult:
@@ -840,7 +837,7 @@ class QuicsandPipeline:
         if self.census is not None:
             result.retry_audit = audit_retry(
                 census=self.census,
-                rng=SeededRng(self.config.audit_seed),
+                rng=SeededRng(424242),
                 passive_retry_packets=result.passive_retry_packets,
                 passive_quic_packets=result.sanitized_quic_packets,
                 top_victims=result.victim_analysis.top_victims(

@@ -2,8 +2,7 @@
 
 ``build_report`` renders a :class:`~repro.core.pipeline.PipelineResult`
 into the complete set of tables and ASCII figures the paper's
-evaluation contains — the same computations the per-figure benches run,
-assembled for humans.  Used by ``python -m repro analyze`` and the
+evaluation contains, assembled for humans.  Used by ``python -m repro analyze`` and the
 ``examples`` scripts.
 """
 

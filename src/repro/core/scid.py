@@ -49,9 +49,6 @@ class ProviderProfile:
     def median(self, attribute: str) -> float:
         return self._cdf(attribute).median_value
 
-    def cdf(self, attribute: str) -> EmpiricalCdf:
-        return self._cdf(attribute)
-
     def dominant_version(self) -> tuple:
         """(version_name, share) across all the provider's attacks."""
         totals: dict[str, int] = {}

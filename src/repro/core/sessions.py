@@ -164,8 +164,8 @@ class Sessionizer:
 
     Feed time-ordered packets with :meth:`add` (the rich reference
     walker) or one source's lane entries at a time with :meth:`add_run`
-    (the fast lane); closed sessions are handed to ``on_close`` (or
-    collected in :attr:`closed`).  Call :meth:`flush` at end of stream.
+    (the fast lane); closed sessions are collected in :attr:`closed`.
+    Call :meth:`flush` at end of stream.
     An ``on_run`` listener sees a batch source by source, so the monitor
     orders its alerts by crossing time, then victim, then vector.
     """
@@ -174,14 +174,12 @@ class Sessionizer:
         self,
         traffic_class: str,
         timeout: float = DEFAULT_TIMEOUT,
-        on_close: Optional[Callable[[Session], None]] = None,
         on_run: Optional[Callable[[Session, tuple], None]] = None,
     ) -> None:
         if timeout <= 0:
             raise ValueError("session timeout must be positive")
         self.traffic_class = traffic_class
         self.timeout = timeout
-        self.on_close = on_close
         #: called with the session and a piece's stamps just before the
         #: piece lands (the monitor's flood detector).  Must not mutate.
         self.on_run = on_run
@@ -245,10 +243,7 @@ class Sessionizer:
 
     def _close(self, session: Session) -> None:
         del self._open[session.source]
-        if self.on_close is not None:
-            self.on_close(session)
-        else:
-            self.closed.append(session)
+        self.closed.append(session)
 
     def flush(self) -> None:
         """Close every open session (end of measurement window)."""

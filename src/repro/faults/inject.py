@@ -31,7 +31,7 @@ from repro.faults.spec import FAULT_KINDS, FaultSpec
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
 from repro.net.udp import UdpHeader
-from repro.util.batching import batched
+from repro.util.batching import BATCH_SIZE, batched
 from repro.util.rng import SeededRng
 
 #: default injector seed (distinct from scenario seeds so a faulted
@@ -83,7 +83,7 @@ class FaultInjector:
             self._publish()
 
     def wrap_batches(
-        self, feed: Iterable[list], batch_size: int = 512
+        self, feed: Iterable[list], batch_size: int = BATCH_SIZE
     ) -> Iterator[list]:
         """Faulted view of a batch feed (flattens, faults, rebatches).
 

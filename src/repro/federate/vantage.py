@@ -66,8 +66,9 @@ class Vantage:
     def run(self, sink) -> PartialState:
         """Analyze the tile and stream the frame sequence into ``sink``.
 
-        Returns the final (closed) state, which the in-process CLI
-        path reuses directly instead of re-decoding its own spool.
+        Returns the final (closed) state; ``repro federate --connect``
+        prints its packet count (the in-process path re-reads its spool
+        like any aggregator).
         """
         config = self.config
         analysis = config.analysis
@@ -79,9 +80,7 @@ class Vantage:
                 self._seq,
             ),
         )
-        state = run_record_batches(
-            self.scenario.lane_batches(analysis.batch_size), analysis
-        )
+        state = run_record_batches(self.scenario.lane_batches(), analysis)
         self._emit(sink, pickle_frame(FINAL_STATE, state, self._seq))
         if obs.enabled():
             self._emit(

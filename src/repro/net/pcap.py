@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from repro.net.packet import CapturedPacket
-from repro.util.batching import batched
+from repro.util.batching import BATCH_SIZE, batched
 
 MAGIC_MICROS = 0xA1B2C3D4
 MAGIC_NANOS = 0xA1B23C4D
@@ -304,7 +304,7 @@ def read_pcap(
 
 
 def read_pcap_batches(
-    path: Union[str, Path], batch_size: int = 512
+    path: Union[str, Path], batch_size: int = BATCH_SIZE
 ) -> Iterator[list]:
     """Yield packets from a pcap file in time-ordered batches: the
     batch feed of the online monitor and the benchmark's capture

@@ -12,8 +12,7 @@ Layout:
 - :mod:`repro.obs.metrics` — ``Counter``/``Gauge``/``Histogram`` with
   labels, the ``Registry`` (snapshot/merge for multiprocessing), the
   enabled/disabled fast path;
-- :mod:`repro.obs.timers`  — ``span()`` blocks and the ``@timed``
-  decorator for stage timings;
+- :mod:`repro.obs.timers`  — ``span()`` blocks for stage timings;
 - :mod:`repro.obs.export`  — Prometheus text exposition, JSON, and the
   human summary behind ``repro stats``.
 
@@ -41,7 +40,7 @@ from repro.obs.metrics import (
     enabled,
     set_enabled,
 )
-from repro.obs.timers import span, timed
+from repro.obs.timers import span
 from repro.obs.export import (
     metrics_dict,
     render_json,
@@ -90,6 +89,5 @@ __all__ = [
     "render_summary",
     "set_enabled",
     "span",
-    "timed",
     "write_metrics",
 ]

@@ -17,9 +17,7 @@ paths honest about overhead:
   process-wide :data:`REGISTRY` follows the ``REPRO_METRICS``
   environment variable (the CLI's ``--metrics-out`` enables it
   explicitly).  Every mutating call checks one attribute and returns —
-  instrumented code stays within noise of uninstrumented code (the
-  throughput bench asserts < 5% end-to-end regression even with
-  metrics *on*).
+  instrumented code stays within noise of uninstrumented code.
 - **Boundary publication.** Per-packet loops never call into this
   module; they keep plain ints and publish at batch/stage boundaries
   (see :mod:`repro.core.pipeline`).  Collector callbacks pull
@@ -376,7 +374,7 @@ class Registry:
 
 #: The process-wide registry every instrumented module publishes to.
 #: Disabled unless ``REPRO_METRICS`` is set (the CLI's ``--metrics-out``
-#: and the bench enable it explicitly) so uninstrumented runs pay one
+#: and the benchmark's traced pass enable it explicitly) so uninstrumented runs pay one
 #: attribute check per publication point.
 REGISTRY = Registry(enabled=bool(os.environ.get(METRICS_ENV)))
 

@@ -1,8 +1,8 @@
-"""Cheap stage timers: ``span()`` blocks and the ``@timed`` decorator.
+"""Cheap stage timers: ``span()`` blocks.
 
-Both observe elapsed wall seconds into a :class:`~repro.obs.metrics.Histogram`
-and both short-circuit to a shared no-op when the histogram's registry
-is disabled, so an instrumented stage costs one attribute check when
+A span observes elapsed wall seconds into a :class:`~repro.obs.metrics.Histogram`
+and short-circuits to a shared no-op when the histogram's registry is
+disabled, so an instrumented stage costs one attribute check when
 metrics are off.
 
 >>> from repro.obs import Registry
@@ -13,20 +13,11 @@ metrics are off.
 ...     pass
 >>> seconds.count(stage="finalize")
 1
->>> @timed(seconds, stage="merge")
-... def merge():
-...     return 42
->>> merge()
-42
->>> seconds.count(stage="merge")
-1
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Callable
 
 from repro.obs.metrics import Histogram
 
@@ -70,21 +61,3 @@ def span(histogram: Histogram, **labels):
         return _NULL_SPAN
     return _Span(histogram, labels)
 
-
-def timed(histogram: Histogram, **labels) -> Callable:
-    """Decorator form of :func:`span` (same disabled fast path)."""
-
-    def decorate(func):
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            if not histogram.registry.enabled:
-                return func(*args, **kwargs)
-            start = time.perf_counter()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                histogram.observe(time.perf_counter() - start, **labels)
-
-        return wrapper
-
-    return decorate

@@ -7,10 +7,10 @@ machinery as the batch :class:`~repro.core.pipeline.QuicsandPipeline`
 additions:
 
 1. **Watermark-driven session expiry** — after every batch the
-   event-time watermark (newest timestamp minus an allowed lateness)
-   advances and sessions idle past the timeout are closed.  On a
-   time-ordered stream this closes exactly the sessions the batch
-   sessionizer would close, with identical contents (see
+   event-time watermark (the newest timestamp) advances and sessions
+   idle past the timeout are closed.  On a time-ordered stream this
+   closes exactly the sessions the batch sessionizer would close, with
+   identical contents (see
    :meth:`repro.core.sessions.Sessionizer.expire`), which is why the
    exact mode reproduces batch results bit for bit.
 2. **Incremental flood detection** — an ``on_run`` hook on the
@@ -52,8 +52,8 @@ for their memory ceilings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro import obs
 from repro.core.batchlane import BatchLane
@@ -70,6 +70,9 @@ from repro.util.timeutil import HOUR
 #: the monitor's state-retention modes, least to most compressed.
 STREAM_MODES = ("exact", "bounded", "sketch")
 
+#: hour buckets kept in the rolling hourly series (bounded/sketch).
+RETAIN_HOURS = 48
+
 _BACKSCATTER_CLASSES = (
     PacketClass.QUIC_RESPONSE,
     PacketClass.TCP_BACKSCATTER,
@@ -84,11 +87,6 @@ _BACKSCATTER_CLASSES = (
 _M_BATCH = obs.histogram(
     "repro_stream_batch_seconds",
     "wall seconds per monitor batch (consume + expiry + drain)",
-)
-_M_LAG = obs.histogram(
-    "repro_stream_watermark_lag_seconds",
-    "event-time lag from newest packet to the watermark, per batch",
-    buckets=obs.LATENCY_BUCKETS,
 )
 _M_ALERT_LATENCY = obs.histogram(
     "repro_stream_alert_latency_seconds",
@@ -154,30 +152,14 @@ class StreamResultUnavailable(RuntimeError):
 
 @dataclass
 class StreamConfig:
-    """Knobs of the online monitor."""
+    """The online monitor's one option, its mode."""
 
-    #: watermark = newest event time − allowed lateness; 0 is exact for
-    #: time-ordered feeds, raise it for mildly out-of-order captures.
-    allowed_lateness: float = 0.0
-    #: sliding window for online multi-vector correlation.
-    correlation_horizon: float = 24 * HOUR
-    #: hour buckets kept in the rolling hourly series (bounded/sketch).
-    retain_hours: int = 48
     #: state retention: "exact" (full state, batch-identical result),
     #: "bounded" (evict closed sessions and idle sources, no per-packet
     #: timeout sweep: memory follows *active* sources, ``result()`` is
     #: surrendered) or "sketch" (constant memory —
     #: repro.stream.sketch structures).
     mode: str = "exact"
-    #: count-min geometry for sketch mode (cells per hash row / rows).
-    sketch_width: int = 2048
-    sketch_depth: int = 4
-    #: space-saving heavy-hitter capacity per backscatter vector.
-    sketch_capacity: int = 512
-    #: HyperLogLog precision (2**p one-byte registers).
-    sketch_precision: int = 12
-    #: hash-family seed for every sketch structure.
-    sketch_seed: int = 20210401
 
     def __post_init__(self) -> None:
         if self.mode not in STREAM_MODES:
@@ -201,7 +183,6 @@ class StreamTelemetry:
     packets: int = 0
     batches: int = 0
     watermark: float = float("-inf")
-    newest_ts: float = float("-inf")
     alerts: int = 0
     attacks_ended: int = 0
     evicted_sessions: int = 0
@@ -223,14 +204,6 @@ class StreamTelemetry:
     #: sketch mode: HLL estimates of distinct QUIC sources / victims.
     distinct_sources_est: int = 0
     distinct_victims_est: int = 0
-
-    @property
-    def watermark_lag(self) -> float:
-        """Event-time distance from the newest packet to the watermark
-        (equals the allowed lateness once the stream is flowing)."""
-        if self.newest_ts == float("-inf"):
-            return 0.0
-        return self.newest_ts - self.watermark
 
 
 class _NullSweep:
@@ -262,9 +235,7 @@ class StreamAnalyzer:
         self.state = PartialState.initial(self.config)
         self.classifier = BatchLane(dissect_payloads=self.config.dissect_payloads)
         self.detector = DosDetector(self.config.thresholds)
-        self.correlator = OnlineCorrelator(
-            horizon=self.stream_config.correlation_horizon
-        )
+        self.correlator = OnlineCorrelator()
         self.telemetry = StreamTelemetry()
         #: alert history (floods are rare — ~4/hour Internet-wide — so
         #: this stays small even on long runs).
@@ -282,11 +253,6 @@ class StreamAnalyzer:
         self.sketch: Optional[SketchTier] = None
         if self.stream_config.mode == "sketch":
             self.sketch = SketchTier(
-                width=self.stream_config.sketch_width,
-                depth=self.stream_config.sketch_depth,
-                capacity=self.stream_config.sketch_capacity,
-                precision=self.stream_config.sketch_precision,
-                seed=self.stream_config.sketch_seed,
                 thresholds=self.config.thresholds,
                 timeout=self.config.session_timeout,
                 on_alert=self._on_alert,
@@ -325,12 +291,8 @@ class StreamAnalyzer:
             telemetry = self.telemetry
             telemetry.packets += len(batch)
             telemetry.batches += 1
-            newest = batch[-1].timestamp
-            if newest > telemetry.newest_ts:
-                telemetry.newest_ts = newest
-            watermark = telemetry.newest_ts - self.stream_config.allowed_lateness
-            if watermark > telemetry.watermark:
-                telemetry.watermark = watermark
+            if batch[-1].timestamp > telemetry.watermark:
+                telemetry.watermark = batch[-1].timestamp
             if self.sketch is not None:
                 self.sketch.sweep(telemetry.watermark)
             else:
@@ -339,15 +301,7 @@ class StreamAnalyzer:
             events = self._drain(telemetry.watermark)
             self._hour_rollover(telemetry.watermark)
             self._update_gauges()
-            _M_LAG.observe(telemetry.watermark_lag)
         return events
-
-    def events(self, feed: Iterable[list]) -> Iterator:
-        """Run the monitor over a batch feed, yielding events as they
-        fire; finishes the stream when the feed ends."""
-        for batch in feed:
-            yield from self.process_batch(batch)
-        yield from self.finish()
 
     def finish(self) -> list:
         """End of stream (EOF / SIGINT): flush every open session and
@@ -418,16 +372,6 @@ class StreamAnalyzer:
                 self._on_alert(
                     a.vector, a.victim_ip, a.start, a.end, a.packet_count, a.max_pps, a.session
                 )
-
-    def _on_session_closed(self, session: Session) -> None:
-        self._on_ended(
-            session.traffic_class,
-            session.source,
-            session.first_ts,
-            session.last_ts,
-            session.packet_count,
-            session.max_pps,
-        )
 
     def _on_alert(
         self,
@@ -517,7 +461,14 @@ class StreamAnalyzer:
             cursor = self._cursor[cls]
             if len(closed) > cursor:
                 for session in closed[cursor:]:
-                    self._on_session_closed(session)
+                    self._on_ended(
+                        session.traffic_class,
+                        session.source,
+                        session.first_ts,
+                        session.last_ts,
+                        session.packet_count,
+                        session.max_pps,
+                    )
                 self._cursor[cls] = len(closed)
         if self.stream_config.mode == "bounded":
             for cls, sessionizer in self.state.sessionizers.items():
@@ -546,7 +497,7 @@ class StreamAnalyzer:
         self.correlator.prune(watermark)
         if self.stream_config.mode == "exact":
             return
-        floor = hour - self.stream_config.retain_hours
+        floor = hour - RETAIN_HOURS
         if self.sketch is None:
             self._evict_idle(floor)
         # roll hour buckets older than the retain window out of the
@@ -653,16 +604,15 @@ class StreamAnalyzer:
             f"evicted={telemetry.evicted_sessions:,} "
             f"pruned_sources={telemetry.pruned_sources:,} "
             f"pruned_hours={telemetry.pruned_hours:,} "
-            f"hour_req/resp={requests}/{responses} "
-            f"lag={telemetry.watermark_lag:.1f}s"
+            f"hour_req/resp={requests}/{responses}"
         )
-        if self.sketch is not None:
-            config = self.stream_config
-            exact_kib = self.sketch.exact_memory_estimate() / 1024
+        sketch = self.sketch
+        if sketch is not None:
+            exact_kib = sketch.exact_memory_estimate() / 1024
             line += (
-                f" sketch[cms={config.sketch_width}x{config.sketch_depth}"
-                f" topk={config.sketch_capacity}"
-                f" hll=2^{config.sketch_precision}]"
+                f" sketch[cms={sketch.width}x{sketch.depth}"
+                f" topk={sketch.capacity}"
+                f" hll=2^{sketch.precision}]"
                 f" mem={telemetry.sketch_memory_bytes / 1024:.0f}KiB"
                 f" (exact~{exact_kib:.0f}KiB)"
                 f" distinct~{telemetry.distinct_sources_est:,}"

@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from repro import obs
 from repro.net.pcap import PcapReader
+from repro.util.batching import BATCH_SIZE
 
 _M_CORRUPT = obs.counter(
     "repro_pcap_corrupt_records_total",
@@ -40,7 +41,7 @@ def note_corrupt_records(count: int) -> None:
 def follow_pcap(
     path: Union[str, Path],
     *,
-    batch_size: int = 512,
+    batch_size: int = BATCH_SIZE,
     poll_interval: float = 0.2,
     idle_timeout: Optional[float] = 0.0,
     sleep=time.sleep,

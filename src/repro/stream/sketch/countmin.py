@@ -19,7 +19,6 @@ Plain attributes keep instances picklable.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 
@@ -83,11 +82,6 @@ class CountMinSketch:
         return min(row[index] for row, index in self.cells(key))
 
     # -- bounds and sizing -------------------------------------------------
-
-    @property
-    def delta(self) -> float:
-        """Probability the epsilon bound fails for a given key."""
-        return math.exp(-self.depth)
 
     def memory_bytes(self) -> int:
         """Actual bytes held by the tally rows — constant in key count."""

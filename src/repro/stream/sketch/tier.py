@@ -37,7 +37,8 @@ first packet, when every other flood's ``end`` is current.
 
 Total memory is ``O(width * depth + 2**precision + capacity)`` —
 independent of source cardinality; ``memory_bytes()`` reports the real
-figure and the accuracy bench asserts it constant in source count.
+figure and ``tests/test_stream_sketch.py`` asserts it constant in
+source count.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class SketchTier:
         #: on_alert(vector, victim, start, crossed_at, packets, max_pps)
         #: -> optional LiveFlood to keep fresh; on_ended(vector, victim,
         #: start, end, packets, max_pps).  Wired by the analyzer; both
-        #: optional so the tier runs standalone in tests and benches.
+        #: optional so the tier runs standalone in tests.
         self.on_alert = on_alert
         self.on_ended = on_ended
         self.packet_counts = CountMinSketch(
@@ -154,16 +155,6 @@ class SketchTier:
         self.hourly_requests: dict = {}
         self.hourly_responses: dict = {}
         self._published: dict = {}
-
-    # -- feeds: classified elsewhere, applied here ---------------------------
-
-    def consume_lane(self, batch: list, lane) -> None:
-        """Fast lane, standalone: the lane classifies the batch, the
-        tier applies it.  (A caller that also wants the malformed
-        tallies or feeds a second sink calls
-        :meth:`BatchLane.observe_packets` itself — the analyzer and the
-        federation vantage do.)"""
-        self.apply(lane.observe_packets(batch, {}))
 
     # -- the batch kernel: every state update ------------------------------
 

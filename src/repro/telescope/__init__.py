@@ -16,7 +16,7 @@ Beyond the paper, :mod:`repro.telescope.adversarial` generates attack
 shapes the 2021 telescope never saw (optimistic-ACK amplification,
 HTTP/3 request floods, pulse waves, carpet bombing, VN/RETRY
 deflection); :data:`repro.telescope.presets.SCENARIOS` is the named
-registry the test matrix and benchmarks enumerate.
+registry the test matrix and ``report --scenario`` enumerate.
 
 :mod:`repro.telescope.workload` composes them into a full scenario and
 :mod:`repro.telescope.telescope` merges the sorted per-source streams

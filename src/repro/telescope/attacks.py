@@ -18,8 +18,8 @@ and the appendices:
   which drives the SCID counts of Figure 9.
 
 Planning (event-level) is separated from traffic generation
-(packet-level) so the ground truth is available to tests and benches
-independent of the packet stream.
+(packet-level) so the ground truth is available to tests independent
+of the packet stream.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ Sizing presets (window/scale knobs for the default workload):
 All presets accept keyword overrides that are applied on top.
 
 Named scenarios (:data:`SCENARIOS`) are the discoverable registry the
-test matrix, the benchmarks, docs/SCENARIOS.md, and ``report
---scenario`` all enumerate: the paper's four IBR traffic classes in
+test matrix, docs/SCENARIOS.md, and ``report --scenario`` all
+enumerate: the paper's four IBR traffic classes in
 isolation plus the adversarial workloads from
 :mod:`repro.telescope.adversarial`.  Every entry is deliberately small
 (sub-hour windows) so the full equivalence battery stays cheap; rates

@@ -41,7 +41,7 @@ from repro.internet.topology import BotHost, InternetModel, ResearchScanner
 
 #: Protected client Initials keyed by every byte-determining input.
 #: Probe pools are rebuilt whenever a scenario is re-instantiated (the
-#: equivalence suite, the golden test, repeated bench rounds); the same
+#: equivalence suite, the golden test, the benchmark's repetitions); the same
 #: seed yields the same (dcid, scid, hello) triples, so rebuilds replay
 #: cached bytes instead of re-running packet protection.
 _INITIAL_TEMPLATES = DatagramTemplateCache(max_entries=1024)

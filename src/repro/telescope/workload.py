@@ -2,8 +2,8 @@
 
 A :class:`Scenario` wires the Internet model and every traffic source
 into one time-sorted packet stream, together with the *ground truth*
-(planned floods, research sources, bot sessions) that tests and benches
-compare detector output against.  The default configuration is a
+(planned floods, research sources, bot sessions) that tests compare
+detector output against.  The default configuration is a
 laptop-scale version of the paper's April 2021 month: per-event
 statistics (durations, rates, session sizes) are at paper scale, event
 *counts* are scaled by window length, and research sweeps are sampled
@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 from repro.net.packet import CapturedPacket
 from repro.telescope.genlane import LANE_FIELDS, wire_items
-from repro.util.batching import batched
+from repro.util.batching import BATCH_SIZE, batched
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY
 from repro.internet.topology import InternetModel, TopologyConfig
@@ -81,10 +81,6 @@ class ScenarioTruth:
     research_sources: frozenset
     research_weight: float
     bot_sources: frozenset
-
-    @property
-    def quic_victims(self) -> frozenset:
-        return frozenset(f.victim_ip for f in self.plan.quic_floods)
 
 
 class Scenario:
@@ -254,7 +250,7 @@ class Scenario:
         """
         return chain.from_iterable(self._captured_chunks(self._timed_units()))
 
-    def lane_batches(self, batch_size: int = 512) -> Iterator[list]:
+    def lane_batches(self, batch_size: int = BATCH_SIZE) -> Iterator[list]:
         """Batched 11-field lane records for the analysis batch lane.
 
         The fused generate→analyze feed:
@@ -264,7 +260,7 @@ class Scenario:
         """
         return _lane_batches(self._captured_chunks(self._timed_units()), batch_size)
 
-    def parts(self, count: int, batch_size: int = 512) -> list:
+    def parts(self, count: int, batch_size: int = BATCH_SIZE) -> list:
         """The capture split into up to ``count`` parts, for
         ``QuicsandPipeline.process_scenario`` on ``count`` workers.
 
@@ -283,14 +279,14 @@ class Scenario:
             for index in range(count)
         ]
 
-    def packet_batches(self, batch_size: int = 512) -> Iterator[list]:
+    def packet_batches(self, batch_size: int = BATCH_SIZE) -> Iterator[list]:
         """The capture's packet view (:meth:`packets`) as time-ordered
         batches: the live feed of the online monitor."""
         return batched(self.packets(), batch_size)
 
     def live_batches(
         self,
-        batch_size: int = 512,
+        batch_size: int = BATCH_SIZE,
         speed: Optional[float] = None,
         clock=time.monotonic,
         sleep=time.sleep,
@@ -301,7 +297,7 @@ class Scenario:
         is released only once its newest packet's event time has
         "happened" under the speed-up — the telescope tap replayed in
         accelerated real time.  ``None``/``0`` releases batches as fast
-        as they generate (the common test/bench mode).
+        as they generate (``repro watch``'s default).
         """
         if not speed:
             yield from self.packet_batches(batch_size)

@@ -7,7 +7,7 @@ the substrates and the analysis core:
 - :mod:`repro.util.rng` — deterministic, stream-splittable random sources.
 - :mod:`repro.util.timeutil` — epoch constants and interval helpers.
 - :mod:`repro.util.stats` — empirical CDFs and percentiles.
-- :mod:`repro.util.render` — plain-text tables and charts for benches.
+- :mod:`repro.util.render` — plain-text tables and charts for the report.
 - :mod:`repro.util.batching` — chunked iteration over packet streams.
 """
 

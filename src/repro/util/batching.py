@@ -2,13 +2,18 @@
 
 The pipeline's per-packet phase dispatches work in batches — one lane
 call per batch instead of per packet — and every feed (packets, lane
-records, pcap reads) is cut into them with :func:`batched`.
+records, pcap reads) is cut into them with :func:`batched`, by default
+into :data:`BATCH_SIZE` items.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from typing import Iterable, Iterator
+
+#: packets (or lane records) per dispatch batch, wherever a caller does
+#: not choose: every feed's default and ``watch --batch-size``'s.
+BATCH_SIZE = 512
 
 
 def batched(iterable: Iterable, size: int) -> Iterator[list]:

@@ -1,9 +1,9 @@
 """Plain-text rendering of tables and charts.
 
-The benchmark harness regenerates every table and figure of the paper as
-terminal output: tables as aligned text, figures as ASCII line/bar
-charts or printed CDF points.  Keeping rendering here means benches stay
-focused on *what* to compute.
+The report (:mod:`repro.core.report`) prints every table and figure of
+the paper as terminal output: tables as aligned text, figures as ASCII
+line/bar charts or printed CDF points.  Keeping rendering here keeps the
+report focused on *what* to compute.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ attack arrivals, spoofed address choices, server jitter) draws from a
 :class:`SeededRng`.  Components never share a generator: each derives a
 child seed from its parent seed plus a label, so adding a new traffic
 source does not perturb the random stream of existing sources.  This is
-what makes bench output reproducible across runs and machines.
+what makes reports reproducible across runs and machines.
 """
 
 from __future__ import annotations

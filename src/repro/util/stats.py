@@ -35,12 +35,7 @@ def median(values: Sequence[float]) -> float:
 
 
 class EmpiricalCdf:
-    """Empirical cumulative distribution over a finite sample.
-
-    >>> cdf = EmpiricalCdf([1, 1, 2, 4])
-    >>> cdf.fraction_at_most(1)
-    0.5
-    """
+    """Empirical cumulative distribution over a finite sample."""
 
     def __init__(self, values: Iterable[float]) -> None:
         self._values = sorted(float(v) for v in values)
@@ -53,17 +48,6 @@ class EmpiricalCdf:
     @property
     def values(self) -> list[float]:
         return list(self._values)
-
-    def fraction_at_most(self, x: float) -> float:
-        """P(X <= x) under the empirical distribution."""
-        low, high = 0, len(self._values)
-        while low < high:
-            mid = (low + high) // 2
-            if self._values[mid] <= x:
-                low = mid + 1
-            else:
-                high = mid
-        return low / len(self._values)
 
     @property
     def median_value(self) -> float:

@@ -5,7 +5,8 @@
 is the implementation the fast lane is checked against.  Nothing under
 ``src/repro`` calls it — there is no flag that ships it — so the lane,
 generation and matrix suites reach it through :func:`rich_result`, and
-compare with :func:`assert_identical`.
+compare with :func:`assert_identical`.  :func:`monitor_events` drives
+the online monitor over a whole feed the same way.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from repro.core import QuicsandPipeline
 from repro.core.classify import TrafficClassifier
 from repro.core.pipeline import AnalysisConfig, PartialState
 from repro.core.report import build_report
-from repro.util.batching import batched
+from repro.util.batching import BATCH_SIZE, batched
 
 #: result fields holding helper objects without value equality;
 #: everything they influence is covered by the compared fields, the
@@ -76,7 +77,7 @@ def rich_result(scenario, packets, **config_kw):
     config = pipeline.config
     state = PartialState.initial(config)
     classifier = TrafficClassifier(dissect_payloads=config.dissect_payloads)
-    for batch in batched(iter(packets), config.batch_size):
+    for batch in batched(iter(packets), BATCH_SIZE):
         state.consume(batch, classifier)
     state.record_classifier(classifier)
     state.close()
@@ -97,3 +98,12 @@ def assert_identical(reference, other, scenario, label):
     assert build_report(reference, research_weight=weight) == build_report(
         other, research_weight=weight
     ), label
+
+
+def monitor_events(analyzer, feed) -> list:
+    """Every event of ``analyzer`` over a batch feed, in firing order,
+    the stream finished when the feed ends."""
+    events = []
+    for batch in feed:
+        events.extend(analyzer.process_batch(batch))
+    return events + analyzer.finish()

@@ -413,7 +413,7 @@ def test_sinks_ignore_batch_boundaries(seam_capture):
 
 
 def test_one_observation_list_feeds_both_sinks(seam_capture):
-    """Classify once, apply twice == each sink's own ``consume_lane``."""
+    """Classify once, apply twice == each sink classifying for itself."""
     lane = BatchLane()
     state, tier = fresh_sinks()
     for start in range(0, len(seam_capture), 512):
@@ -422,7 +422,7 @@ def test_one_observation_list_feeds_both_sinks(seam_capture):
     state.record_classifier(lane)
     tier_lane = BatchLane()
     for start in range(0, len(seam_capture), 512):
-        tier.consume_lane(seam_capture[start : start + 512], tier_lane)
+        tier.apply(tier_lane.observe_packets(seam_capture[start : start + 512], {}))
 
     shared_lane = BatchLane()
     shared_state, shared_tier = fresh_sinks()

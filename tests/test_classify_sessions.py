@@ -193,16 +193,6 @@ def test_session_max_pps_on_minute_slots():
     assert sessionizer.closed[0].max_pps == pytest.approx(10 / 60.0)
 
 
-def test_on_close_callback():
-    closed = []
-    sessionizer = Sessionizer("quic-request", timeout=10.0, on_close=closed.append)
-    sessionizer.add(_classified(udp_packet(ts=0.0, src=1, payload=QUIC_REQUEST_PAYLOAD)))
-    sessionizer.add(_classified(udp_packet(ts=100.0, src=1, payload=QUIC_REQUEST_PAYLOAD)))
-    sessionizer.flush()
-    assert len(closed) == 2
-    assert sessionizer.closed == []
-
-
 # -- timeout sweep -----------------------------------------------------------
 
 

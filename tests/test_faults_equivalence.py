@@ -24,6 +24,7 @@ from repro.stream import StreamAnalyzer
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.batching import batched
 from repro.util.timeutil import HOUR
+from tests.oracle import monitor_events
 from tests.reference.generator import rich_packets
 
 FAULT_SPEC = FaultSpec(
@@ -78,8 +79,7 @@ def run_pipeline(scenario, packets):
 
 def run_stream(scenario, packets, batch_size=256):
     analyzer = StreamAnalyzer(**correlation(scenario), config=AnalysisConfig())
-    for _ in analyzer.events(batched(iter(packets), batch_size)):
-        pass
+    monitor_events(analyzer, batched(iter(packets), batch_size))
     return analyzer.result()
 
 

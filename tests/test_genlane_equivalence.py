@@ -78,7 +78,5 @@ def test_fused_record_path_matches_rich_pipeline():
 
     s_fused = scenario()
     pipeline = make_pipeline(s_fused)
-    fused = pipeline.process_record_batches(
-        s_fused.lane_batches(pipeline.config.batch_size)
-    )
+    fused = pipeline.process_record_batches(s_fused.lane_batches())
     assert_identical(reference, fused, s_rich, "fused")

@@ -16,7 +16,7 @@ import pytest
 from repro.faults import FaultInjector, FaultSpec
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.timeutil import HOUR
-from tests.oracle import assert_identical, make_pipeline, rich_result, run
+from tests.oracle import assert_identical, make_pipeline, monitor_events, rich_result, run
 
 SCENARIO_KW = dict(seed=11, duration=HOUR, research_sample=1 / 2048)
 FAULT_SPEC = "bitflip=0.03,byteflip=0.02,truncate=0.02,zero=0.01,garbage=0.04,duplicate=0.02,drop=0.02,reorder=0.02"
@@ -68,8 +68,7 @@ def test_fast_vs_rich_streaming_exact(scenario, packets):
         census=scenario.internet.census,
         greynoise=scenario.internet.greynoise,
     )
-    for _ in analyzer.events(batched(iter(packets), 512)):
-        pass
+    monitor_events(analyzer, batched(iter(packets), 512))
     assert_identical(
         rich_result(scenario, packets), analyzer.result(), scenario, "streaming"
     )

@@ -20,7 +20,7 @@ from repro.obs.export import (
     write_metrics,
 )
 from repro.obs.metrics import Registry
-from repro.obs.timers import span, timed
+from repro.obs.timers import span
 from repro.stream import StreamAnalyzer, StreamConfig
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.batching import batched
@@ -209,17 +209,6 @@ def test_span_disabled_is_null(reg):
     with span(h):
         pass
     assert h.count() == 0
-
-
-def test_timed_decorator(reg):
-    h = reg.histogram("repro_h_seconds", "help", buckets=obs.TIME_BUCKETS)
-
-    @timed(h)
-    def work(x):
-        return x * 2
-
-    assert work(21) == 42
-    assert h.count() == 1
 
 
 # --------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_detection_rate_near_paper(result):
 
 
 def test_detected_attacks_hit_true_victims(result, scenario):
-    truth_victims = scenario.truth.quic_victims
+    truth_victims = {f.victim_ip for f in scenario.plan.quic_floods}
     for attack in result.quic_attacks:
         assert attack.victim_ip in truth_victims
 

@@ -5,7 +5,9 @@ its ``cmd_*`` functions), every file under ``examples/`` and
 ``benchmarks/``, and module-level code of the package itself.  A
 top-level function, class or method under ``src/repro`` is *reached*
 when a root, or the body of a reached definition, mentions its name —
-name-level, so ``x.packets`` reaches every ``packets``; dunder methods
+name-level, so ``x.packets`` reaches every ``packets``, but a bare name
+the mentioning definition binds itself (a parameter, an assignment or
+comprehension target, a nested ``def``) reaches nothing; dunder methods
 follow their class.  Imports and ``__all__`` strings inside the package
 are not mentions: re-exporting a name does not make it live.
 
@@ -41,17 +43,40 @@ KEPT = {
 UNIT_TESTED_ONLY = {
     "repro.core.extrapolate.TelescopeExtrapolator.detection_probability",
     "repro.core.extrapolate.TelescopeExtrapolator.min_rate_for_threshold",
-    "repro.util.stats.EmpiricalCdf.fraction_at_most",
 }
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
+
+
+def local_names(function) -> set:
+    """Names ``function`` binds itself: parameters, assignment and
+    comprehension targets, nested definitions (minus ``global`` and
+    ``nonlocal`` declarations, which bind outside)."""
+    bound, declared = set(), set()
+    for child in ast.walk(function):
+        if isinstance(child, ast.arg):
+            bound.add(child.arg)
+        elif isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Load):
+            bound.add(child.id)
+        elif isinstance(child, DEFINITIONS) and child is not function:
+            bound.add(child.name)
+        elif isinstance(child, (ast.Global, ast.Nonlocal)):
+            declared.update(child.names)
+    return bound - declared
+
+
 def mentions(nodes, imports: bool = False) -> set:
-    """Every name or attribute loaded under ``nodes``."""
+    """Every name or attribute loaded under ``nodes``; a bare name a
+    definition binds itself is its own, not a mention."""
     found = set()
     for node in nodes:
+        local = local_names(node) if isinstance(node, FUNCTIONS) else set()
         for child in ast.walk(node):
             if isinstance(child, ast.Name):
-                found.add(child.id)
+                if child.id not in local:
+                    found.add(child.id)
             elif isinstance(child, ast.Attribute):
                 found.add(child.attr)
             elif isinstance(child, ast.Call) and ast.unparse(child.func) == "getattr":
@@ -63,7 +88,6 @@ def mentions(nodes, imports: bool = False) -> set:
 
 def survey():
     """(names the roots mention, {qualname: (name, names its body mentions)})."""
-    DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     rooted = set()
     for path in ROOT_FILES:
         rooted |= mentions([ast.parse(path.read_text())], imports=True)
@@ -72,11 +96,11 @@ def survey():
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         body = ast.parse(path.read_text()).body
         rooted |= mentions(
-            n for n in body if not isinstance(n, DEF + (ast.Import, ast.ImportFrom))
+            n for n in body if not isinstance(n, DEFINITIONS + (ast.Import, ast.ImportFrom))
         )
         for node in body:
             if isinstance(node, ast.ClassDef):
-                methods = [n for n in node.body if isinstance(n, DEF)]
+                methods = [n for n in node.body if isinstance(n, DEFINITIONS)]
                 own = [n for n in ast.iter_child_nodes(node) if n not in methods]
                 for method in methods:
                     if method.name.startswith("__") and method.name.endswith("__"):
@@ -87,7 +111,7 @@ def survey():
                             mentions([method]),
                         )
                 definitions[f"{module}.{node.name}"] = (node.name, mentions(own))
-            elif isinstance(node, DEF):
+            elif isinstance(node, DEFINITIONS):
                 definitions[f"{module}.{node.name}"] = (node.name, mentions([node]))
     return rooted, definitions
 

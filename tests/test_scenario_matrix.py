@@ -27,7 +27,7 @@ import pytest
 
 from repro.telescope import Scenario
 from repro.telescope.presets import SCENARIOS, get_scenario, scenario_names
-from tests.oracle import assert_identical, make_pipeline, rich_result, run
+from tests.oracle import assert_identical, make_pipeline, monitor_events, rich_result, run
 from tests.reference.generator import rich_packets
 
 @pytest.fixture(scope="module", params=scenario_names())
@@ -132,8 +132,7 @@ def test_batch_vs_streaming_exact(case):
         census=case.scenario.internet.census,
         greynoise=case.scenario.internet.greynoise,
     )
-    for _ in analyzer.events(batched(iter(case.packets), 512)):
-        pass
+    monitor_events(analyzer, batched(iter(case.packets), 512))
     streamed = analyzer.result()
     assert_identical(
         case.reference, streamed, case.scenario, f"{case.name}:stream"

@@ -101,7 +101,7 @@ def test_countmin_error_bound_holds(seed):
         for key, count in truth.items()
         if sketch.estimate(key) - count > budget
     )
-    allowed = max(1, int(2 * sketch.delta * len(truth)))
+    allowed = max(1, int(2 * math.exp(-sketch.depth) * len(truth)))
     assert violations <= allowed, (
         f"{violations} of {len(truth)} keys exceeded eps*N={budget:.0f} "
         f"(allowed {allowed})"
@@ -761,7 +761,7 @@ def consume_split(packets, size):
     tier = recording_tier(events)
     lane = BatchLane()
     for start in range(0, len(packets), size):
-        tier.consume_lane(packets[start : start + size], lane)
+        tier.apply(lane.observe_packets(packets[start : start + size], {}))
     return tier, events
 
 
@@ -926,7 +926,7 @@ def test_updates_metric_counts_packets_not_folded_runs():
         tier = SketchTier(**ORACLE_SIZING)
         lane = BatchLane()
         for start in range(0, len(packets), 64):
-            tier.consume_lane(packets[start : start + 64], lane)
+            tier.apply(lane.observe_packets(packets[start : start + 64], {}))
             tier.publish_metrics()
         updates = metrics.REGISTRY.get("repro_sketch_updates_total")
         published = {

@@ -15,6 +15,7 @@ from repro.stream import StreamAnalyzer, StreamConfig
 from repro.telescope import Scenario
 from repro.telescope.presets import scenario_config
 from repro.util.batching import batched
+from tests.oracle import monitor_events
 
 SKETCH_SCENARIOS = ("adv-pulse-wave", "adv-carpet-bomb")
 
@@ -40,8 +41,7 @@ def run_monitor(monitor, stream_config):
         config=AnalysisConfig(),
         stream_config=stream_config,
     )
-    for _ in analyzer.events(iter(batches)):
-        pass
+    monitor_events(analyzer, iter(batches))
     return analyzer
 
 

@@ -28,15 +28,6 @@ def test_median_odd():
     assert median([5, 1, 9]) == 5
 
 
-def test_cdf_fraction_at_most():
-    cdf = EmpiricalCdf([1, 1, 2, 4])
-    assert cdf.fraction_at_most(0) == 0.0
-    assert cdf.fraction_at_most(1) == 0.5
-    assert cdf.fraction_at_most(2) == 0.75
-    assert cdf.fraction_at_most(4) == 1.0
-    assert cdf.fraction_at_most(100) == 1.0
-
-
 def test_cdf_steps_thinning():
     cdf = EmpiricalCdf(range(1000))
     steps = cdf.steps(max_points=50)

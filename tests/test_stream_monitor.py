@@ -27,9 +27,11 @@ from repro.stream import (
     StreamResultUnavailable,
     follow_pcap,
 )
+from repro.stream import analyzer as analyzer_module
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.batching import batched
 from repro.util.timeutil import HOUR
+from tests.oracle import monitor_events
 
 
 def backscatter(ts, src=1):
@@ -288,14 +290,13 @@ def run_monitor(scenario, stream_config):
         config=AnalysisConfig(),
         stream_config=stream_config,
     )
-    events = list(analyzer.events(batched(scenario.packets(), 512)))
+    events = monitor_events(analyzer, batched(scenario.packets(), 512))
     return analyzer, events
 
 
-def test_bounded_mode_evicts_and_still_alerts(monitor_scenario):
-    analyzer, events = run_monitor(
-        monitor_scenario, StreamConfig(mode="bounded", retain_hours=1)
-    )
+def test_bounded_mode_evicts_and_still_alerts(monitor_scenario, monkeypatch):
+    monkeypatch.setattr(analyzer_module, "RETAIN_HOURS", 1)
+    analyzer, events = run_monitor(monitor_scenario, StreamConfig(mode="bounded"))
     alerts = [e for e in events if isinstance(e, FloodAlert)]
     ended = [e for e in events if isinstance(e, AttackEnded)]
     assert alerts and len(alerts) == len(ended)
@@ -306,7 +307,7 @@ def test_bounded_mode_evicts_and_still_alerts(monitor_scenario):
     assert telemetry.pruned_hours > 0
     # closed sessions never accumulate
     assert all(s.closed == [] for s in analyzer.state.sessionizers.values())
-    # the rolling window keeps at most retain_hours + the current hour
+    # the rolling window keeps at most RETAIN_HOURS + the current hour
     assert len(analyzer.state.hourly_requests) <= 2
     # ... but the totals in the report still cover the whole stream
     assert str(telemetry.packets) in analyzer.stream_report().replace(",", "")
@@ -345,7 +346,6 @@ def test_status_line_and_telemetry(monitor_scenario):
     assert f"evicted={analyzer.telemetry.evicted_sessions:,}" in line
     assert f"pruned_sources={analyzer.telemetry.pruned_sources:,}" in line
     assert f"pruned_hours={analyzer.telemetry.pruned_hours:,}" in line
-    assert analyzer.telemetry.watermark_lag == 0.0  # no allowed lateness
     assert analyzer.telemetry.peak_live_sources >= analyzer.telemetry.live_sources
 
 

@@ -21,6 +21,7 @@ from repro.stream import (
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.batching import batched
 from repro.util.timeutil import HOUR
+from tests.oracle import monitor_events
 from tests.reference.sketch_merge import merge
 
 
@@ -44,7 +45,7 @@ def run_monitor(monitor, stream_config):
         config=AnalysisConfig(),
         stream_config=stream_config,
     )
-    events = list(analyzer.events(iter(batches)))
+    events = monitor_events(analyzer, iter(batches))
     return analyzer, events
 
 
@@ -218,7 +219,7 @@ def test_tier_merge_deterministic_across_worker_counts(
             lanes[mix64(packet.ip.src) % workers].append(packet)
         for tier, lane in zip(shards, lanes):
             if lane:
-                tier.consume_lane(lane, classifier)
+                tier.apply(classifier.observe_packets(lane, {}))
 
     merged = fresh()
     for tier in shards:
