@@ -619,23 +619,22 @@ def _parse_endpoint(text: str):
 
 
 def cmd_federate(args, stream) -> int:
+    import socket
+
+    from repro.core.pipeline import run_record_batches
     from repro.federate import (
         Aggregator,
         FederationListener,
-        SocketSender,
-        SpoolWriter,
         TransportError,
-        Vantage,
-        VantageConfig,
         connect_with_retry,
-        tile_prefixes,
+        encode_vantage,
+        spool_vantages,
     )
 
     _maybe_enable_metrics(args)
     if args.vantages < 1:
         print("--vantages must be at least 1", file=stream)
         return 2
-    scenario_config = _scenario_config(args)
     analysis = AnalysisConfig()
 
     if args.connect:
@@ -643,25 +642,26 @@ def cmd_federate(args, stream) -> int:
         if endpoint is None:
             print(f"bad --connect endpoint {args.connect!r}", file=stream)
             return 2
-        vantage = Vantage(
-            VantageConfig(
-                name=args.vantage_name,
-                prefix=args.prefix,
-                scenario=scenario_config,
-                analysis=analysis,
-            )
-        )
+        scenario = _scenario(args)
+        if args.prefix is not None:
+            scenario.retarget(args.prefix)
         try:
             sock = connect_with_retry(*endpoint)
         except TransportError as exc:
             print(str(exc), file=stream)
             return 2
-        with SocketSender(sock) as sender:
-            state = vantage.run(sender)
+        state = run_record_batches(scenario.lane_batches(), analysis)
+        snapshot = None
+        if obs.enabled():
+            snapshot = obs.REGISTRY.snapshot(run_collectors=False)
+        prefix = str(scenario.telescope.prefix)
+        frames = encode_vantage(args.vantage_name, prefix, state, snapshot)
+        with sock:
+            sock.sendall(b"".join(frames))
+            sock.shutdown(socket.SHUT_WR)
         print(
-            f"vantage {args.vantage_name} "
-            f"[{vantage.scenario.telescope.prefix}]: shipped "
-            f"{vantage.frames_sent} frames ({state.total_packets:,} packets)",
+            f"vantage {args.vantage_name} [{prefix}]: shipped "
+            f"{len(frames)} frames ({state.total_packets:,} packets)",
             file=stream,
         )
         _maybe_write_metrics(args, stream)
@@ -695,23 +695,10 @@ def cmd_federate(args, stream) -> int:
 
             cleanup = tempfile.TemporaryDirectory(prefix="repro-federate-")
             spool = cleanup.name
-        tiles = tile_prefixes(str(scenario.telescope.prefix), args.vantages)
-        for index, tile in enumerate(tiles):
-            name = f"vantage-{index}"
-            vantage = Vantage(
-                VantageConfig(
-                    name=name,
-                    prefix=str(tile),
-                        scenario=scenario_config,
-                    analysis=analysis,
-                )
-            )
-            with SpoolWriter(spool, name) as writer:
-                vantage.run(writer)
-            print(
-                f"{name} [{tile}]: {vantage.frames_sent} frames spooled",
-                file=stream,
-            )
+        for name, tile, frames in spool_vantages(
+            scenario, analysis, args.vantages, spool
+        ):
+            print(f"{name} [{tile}]: {frames} frames spooled", file=stream)
         aggregator.consume_spool(spool)
         if cleanup is None:
             print(f"spool kept at {spool}", file=stream)

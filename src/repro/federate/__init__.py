@@ -5,14 +5,19 @@ question: what would K *smaller* telescopes, each watching one tile of
 the prefix, see — and can their observations be merged back into
 exactly the single-telescope analysis?
 
+A vantage is a ``--workers`` part whose tap is retargeted to one tile:
+the serial fused loop over the tile's capture, one closed
+:class:`~repro.core.pipeline.PartialState` and metrics snapshot out.
+
 - :mod:`repro.federate.protocol` — the checksummed, versioned frame
-  format vantages ship snapshots in;
-- :mod:`repro.federate.transport` — file-spool and TCP transports with
-  the lenient skip-and-count damage contract;
-- :mod:`repro.federate.vantage` — one tile's local analysis run;
-- :mod:`repro.federate.merge` — the destination tiles; vantage states
-  merge through the pipeline's one merge
-  (:func:`repro.core.pipeline.merge_states`);
+  format, and :func:`encode_vantage`, the one encoding of a vantage's
+  state and snapshot;
+- :mod:`repro.federate.transport` — the receivers of the file spool and
+  of TCP, with the lenient skip-and-count damage contract;
+- :mod:`repro.federate.merge` — the destination tiles, and
+  :func:`spool_vantages`, which runs K local vantages through the
+  ``--workers`` process pool; vantage states merge through the
+  pipeline's one merge (:func:`repro.core.pipeline.merge_states`);
 - :mod:`repro.federate.aggregate` — the aggregator: global result,
   cross-telescope flood dedup, per-vantage differential, and the
   extrapolation check.
@@ -28,7 +33,7 @@ from repro.federate.aggregate import (
     GlobalFlood,
     VantageStream,
 )
-from repro.federate.merge import tile_prefixes
+from repro.federate.merge import spool_vantages, tile_prefixes
 from repro.federate.protocol import (
     FRAME_KINDS,
     Frame,
@@ -37,16 +42,14 @@ from repro.federate.protocol import (
     ProtocolError,
     SCHEMA_VERSION,
     encode_frame,
+    encode_vantage,
 )
 from repro.federate.transport import (
     FederationListener,
-    SocketSender,
     SpoolReader,
-    SpoolWriter,
     TransportError,
     connect_with_retry,
 )
-from repro.federate.vantage import Vantage, VantageConfig
 
 __all__ = [
     "Aggregator",
@@ -59,14 +62,12 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "SCHEMA_VERSION",
-    "SocketSender",
     "SpoolReader",
-    "SpoolWriter",
     "TransportError",
-    "Vantage",
-    "VantageConfig",
     "VantageStream",
     "connect_with_retry",
     "encode_frame",
+    "encode_vantage",
+    "spool_vantages",
     "tile_prefixes",
 ]

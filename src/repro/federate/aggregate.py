@@ -3,7 +3,7 @@
 The aggregator ingests per-vantage frame streams — ``hello /
 final-state / [obs] / bye``, from a file spool or a socket listener
 (:mod:`repro.federate.transport`) — rehydrates each vantage's one
-:class:`~repro.core.pipeline.PartialState`, and produces three things:
+:class:`~repro.core.pipeline.PartialState` once, and produces three things:
 
 - the **global result** — the vantage states merged with
   :func:`repro.core.pipeline.merge_states` and finalized
@@ -75,21 +75,20 @@ class VantageStream:
 
     name: str
     prefix: Optional[str] = None
-    #: the final-state payload is kept as bytes and rehydrated on
-    #: demand — the aggregator needs two *independent* copies (the
-    #: global merge and the per-vantage finalization both mutate).
-    state_bytes: Optional[bytes] = None
+    #: the final state, rehydrated once at ingest: the global merge
+    #: leaves it untouched, its own finalization then consumes it.
+    final_state: Optional[PartialState] = None
     obs_snapshot: Optional[dict] = None
     bye: Optional[dict] = None
     frames: int = 0
 
     def state(self) -> PartialState:
-        """A fresh rehydration of the final state."""
-        if self.state_bytes is None:
+        """The final state; a stream without one is a protocol error."""
+        if self.final_state is None:
             raise ProtocolError(
                 f"vantage {self.name!r} shipped no final-state frame"
             )
-        return PartialState.from_snapshot_bytes(self.state_bytes)
+        return self.final_state
 
 
 @dataclass
@@ -168,7 +167,7 @@ class Aggregator:
                 stream.name = meta.get("vantage", fallback_name)
                 stream.prefix = meta.get("prefix")
             elif frame.kind == FINAL_STATE:
-                stream.state_bytes = frame.payload
+                stream.final_state = PartialState.from_snapshot_bytes(frame.payload)
             elif frame.kind == OBS:
                 stream.obs_snapshot = frame.unpickle()
                 if obs.enabled():
@@ -200,7 +199,11 @@ class Aggregator:
     # -- federation --------------------------------------------------------
 
     def federate(self) -> FederationResult:
-        """Merge every ingested stream into the federation result."""
+        """Merge every ingested stream into the federation result.
+
+        Call it once: finalizing a vantage's own result consumes the
+        state the global merge read first.
+        """
         if not self.streams:
             raise ValueError("no vantage streams ingested")
         started = time.perf_counter()
@@ -209,10 +212,8 @@ class Aggregator:
         merged = merge_states(states, config)
         global_result = self.pipeline.finalize_state(merged)
         vantage_results = {}
-        for stream in self.streams:
-            vantage_results[stream.name] = self.pipeline.finalize_state(
-                stream.state()
-            )
+        for stream, state in zip(self.streams, states):
+            vantage_results[stream.name] = self.pipeline.finalize_state(state)
         global_floods, dedup_hits = self._dedup(
             vantage_results, config.session_timeout
         )

@@ -1,10 +1,11 @@
 """The federation wire protocol: checksummed, versioned snapshot frames.
 
-A vantage ships its accumulated analysis state to the aggregator as a
-sequence of *frames*.  Each frame is self-delimiting and individually
-checksummed, so a receiver can skip damage without losing the rest of
-the stream — the same lenient skip-and-count contract the pcap reader
-honors for corrupt capture records.
+A vantage ships its closed analysis state to the aggregator as a
+sequence of *frames* (:func:`encode_vantage`).  Each frame is
+self-delimiting and individually checksummed, so a receiver can skip
+damage without losing the rest of the stream — the same lenient
+skip-and-count contract the pcap reader honors for corrupt capture
+records.
 
 Frame layout (all integers big-endian)::
 
@@ -146,6 +147,17 @@ def pickle_frame(kind: str, obj, seq: int) -> bytes:
     )
 
 
+def encode_vantage(name: str, prefix: str, state, snapshot) -> list:
+    """One vantage's whole stream: ``hello``, its closed ``state`` in a
+    ``final-state``, the metrics ``snapshot`` in an ``obs`` frame unless
+    it is ``None``, and the ``bye`` manifest last."""
+    frames = [hello_frame(name, prefix, 0), pickle_frame(FINAL_STATE, state, 1)]
+    if snapshot is not None:
+        frames.append(pickle_frame(OBS, snapshot, 2))
+    frames.append(bye_frame(len(frames) + 1, state.total_packets, len(frames)))
+    return frames
+
+
 class FrameDecoder:
     """Incremental, damage-tolerant frame decoder.
 
@@ -168,8 +180,6 @@ class FrameDecoder:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self.frames_decoded = 0
-        self.bytes_received = 0
         self.corrupt_frames = 0
         #: inside a damage run already counted — suppresses recounting
         #: the same run across feed() calls and rescans.
@@ -183,7 +193,6 @@ class FrameDecoder:
     def feed(self, data: bytes) -> Iterator[Frame]:
         """Buffer ``data`` and yield every frame it completes."""
         self._buffer.extend(data)
-        self.bytes_received += len(data)
         buffer = self._buffer
         metrics = obs.enabled()
         while True:
@@ -217,7 +226,6 @@ class FrameDecoder:
             if zlib.crc32(payload) & 0xFFFFFFFF != crc:
                 self._count_corrupt()
                 continue
-            self.frames_decoded += 1
             if metrics:
                 M_FRAMES.inc(kind=kind)
                 M_BYTES.inc(HEADER_SIZE + length)

@@ -3,13 +3,13 @@
 Two ways to move :mod:`repro.federate.protocol` frames from vantages
 to the aggregator:
 
-- **File spool** — each vantage appends its frames to
+- **File spool** — each vantage's frames are written to
   ``<spool>/<name>.qsf``; the aggregator globs ``*.qsf`` and decodes
   each file as one stream.  No sockets, no ordering assumptions, works
   offline and in CI, and a half-written file just shows up as one
   truncated frame (counted, not raised).
 - **TCP sockets** — the aggregator binds a listener (port ``0`` picks
-  a free port), each vantage connects and streams its frames.
+  a free port), each vantage connects and sends its frames.
   Connection setup retries with seeded jittered backoff so a vantage
   started before the aggregator converges instead of dying.
 
@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import os
 import socket
+from functools import partial
 from typing import Callable, Iterator, Optional
 
-from repro.federate.protocol import Frame, FrameDecoder
+from repro.federate.protocol import FrameDecoder
 from repro.util.rng import SeededRng
 
 #: spool file suffix — one file per vantage stream.
 SPOOL_SUFFIX = ".qsf"
+#: bytes per read of a spool file or socket.
+_CHUNK = 1 << 16
 
 
 class TransportError(OSError):
@@ -36,31 +39,15 @@ class TransportError(OSError):
     exhausted, spool path unusable) — never for in-stream damage."""
 
 
-class SpoolWriter:
-    """Append-only frame spool for one vantage stream."""
-
-    def __init__(self, directory: str, name: str) -> None:
-        os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, name + SPOOL_SUFFIX)
-        self.frames_written = 0
-        self.bytes_written = 0
-        self._file = open(self.path, "ab")
-
-    def send(self, frame_bytes: bytes) -> None:
-        self._file.write(frame_bytes)
-        self.frames_written += 1
-        self.bytes_written += len(frame_bytes)
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
-
-    def __enter__(self) -> "SpoolWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+def _decode_stream(read) -> tuple:
+    """Every valid frame of one stream, read by ``read(size)`` until it
+    returns no bytes, and how many corrupt frames were skipped."""
+    decoder = FrameDecoder()
+    frames: list = []
+    for chunk in iter(partial(read, _CHUNK), b""):
+        frames.extend(decoder.feed(chunk))
+    decoder.finish()
+    return frames, decoder.corrupt_frames
 
 
 class SpoolReader:
@@ -71,13 +58,9 @@ class SpoolReader:
     skip count across all files.
     """
 
-    CHUNK = 1 << 16
-
     def __init__(self, directory: str) -> None:
         self.directory = directory
         self.corrupt_frames = 0
-        self.frames_decoded = 0
-        self.bytes_received = 0
 
     def stream_names(self) -> list:
         if not os.path.isdir(self.directory):
@@ -90,18 +73,9 @@ class SpoolReader:
 
     def read_stream(self, name: str) -> list:
         """All valid frames of one spooled stream, damage skipped."""
-        decoder = FrameDecoder()
-        frames: list = []
         with open(os.path.join(self.directory, name + SPOOL_SUFFIX), "rb") as fh:
-            while True:
-                chunk = fh.read(self.CHUNK)
-                if not chunk:
-                    break
-                frames.extend(decoder.feed(chunk))
-        decoder.finish()
-        self.corrupt_frames += decoder.corrupt_frames
-        self.frames_decoded += decoder.frames_decoded
-        self.bytes_received += decoder.bytes_received
+            frames, corrupt = _decode_stream(fh.read)
+        self.corrupt_frames += corrupt
         return frames
 
     def streams(self) -> Iterator[tuple]:
@@ -143,33 +117,6 @@ def connect_with_retry(
     ) from last_error
 
 
-class SocketSender:
-    """Stream frames to the aggregator over one TCP connection."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self.frames_written = 0
-        self.bytes_written = 0
-
-    def send(self, frame_bytes: bytes) -> None:
-        self._sock.sendall(frame_bytes)
-        self.frames_written += 1
-        self.bytes_written += len(frame_bytes)
-
-    def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
-        self._sock.close()
-
-    def __enter__(self) -> "SocketSender":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class FederationListener:
     """Aggregator-side listener accepting K vantage connections.
 
@@ -180,8 +127,6 @@ class FederationListener:
     stream self-identifies with its ``hello`` frame rather than
     relying on connection order.
     """
-
-    CHUNK = 1 << 16
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -194,24 +139,13 @@ class FederationListener:
         self._server.listen()
         self.host, self.port = self._server.getsockname()[:2]
         self.corrupt_frames = 0
-        self.frames_decoded = 0
-        self.bytes_received = 0
 
     def accept_stream(self) -> list:
         """Accept one connection and decode it to completion."""
         conn, _addr = self._server.accept()
-        decoder = FrameDecoder()
-        frames: list = []
         with conn:
-            while True:
-                chunk = conn.recv(self.CHUNK)
-                if not chunk:
-                    break
-                frames.extend(decoder.feed(chunk))
-        decoder.finish()
-        self.corrupt_frames += decoder.corrupt_frames
-        self.frames_decoded += decoder.frames_decoded
-        self.bytes_received += decoder.bytes_received
+            frames, corrupt = _decode_stream(conn.recv)
+        self.corrupt_frames += corrupt
         return frames
 
     def accept_streams(self, count: int) -> Iterator[list]:

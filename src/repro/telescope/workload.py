@@ -275,7 +275,7 @@ class Scenario:
         count = max(1, min(count, len(self.record_units())))
         prefix = str(self.telescope.prefix)
         return [
-            partial(_part_batches, self.config, prefix, index, count, batch_size)
+            partial(part_batches, self.config, prefix, index, count, batch_size)
             for index in range(count)
         ]
 
@@ -320,9 +320,12 @@ def _lane_batches(chunks: Iterator[list], batch_size: int) -> Iterator[list]:
     return batched(chain.from_iterable(stripped), batch_size)
 
 
-def _part_batches(config, prefix: str, index: int, count: int, batch_size: int):
+def part_batches(
+    config, prefix: str, index: int, count: int, batch_size: int = BATCH_SIZE
+):
     """Part ``index`` of :meth:`Scenario.parts`, drawn from a rebuilt
-    scenario."""
+    scenario.  Units ``0`` of ``1`` on a tile's prefix is a federated
+    vantage's capture (:func:`repro.federate.merge.spool_vantages`)."""
     scenario = Scenario(config)
     scenario.retarget(prefix)
     units = scenario._timed_units()[index::count]

@@ -1,6 +1,8 @@
 """CLI coverage for ``python -m repro federate``."""
 
 import io
+import json
+import re
 import threading
 
 import pytest
@@ -151,6 +153,9 @@ def obs_restored():
 
 
 def test_federate_metrics_out(tmp_path, obs_restored):
+    """Each vantage is a part with its own registry: the packet counters
+    count each captured packet once, and every vantage has its own
+    ``repro_parallel_part_seconds`` row."""
     metrics = tmp_path / "fed"
     code, out = run_cli(
         ["federate", *FAST, "--vantages", "2", "--metrics-out", str(metrics)]
@@ -165,3 +170,15 @@ def test_federate_metrics_out(tmp_path, obs_restored):
         "repro_federate_vantage_lag_seconds",
     ):
         assert family in prom, family
+    captured = int(re.search(r"packets captured\s+([\d,]+)", out)[1].replace(",", ""))
+    families = {
+        family["name"]: family["samples"]
+        for family in json.loads((tmp_path / "fed.json").read_text())["metrics"]
+    }
+    for name in ("repro_pipeline_packets_total", "repro_telescope_packets_total"):
+        assert [sample["value"] for sample in families[name]] == [captured], name
+    workers = [
+        sample["labels"]["worker"]
+        for sample in families["repro_parallel_part_seconds"]
+    ]
+    assert sorted(workers) == ["0", "1"]

@@ -4,8 +4,9 @@ The acceptance pin of :mod:`repro.federate`: K vantages tiling the /9
 by destination prefix, each running the full per-packet phase locally
 and shipping state over the file-spool transport, must merge into a
 :class:`PipelineResult` — and a rendered report — **byte-identical**
-to a single telescope analyzing the whole prefix.  Every vantage runs
-``Vantage.run`` — the loop ``federate`` runs — over its own tile.
+to a single telescope analyzing the whole prefix.  The spools are
+written by ``spool_vantages``, the call ``repro federate`` makes: every
+vantage is a ``--workers`` part over its own tile.
 Damage to a stream's ``hello`` must be counted, skipped, reported
 against each vantage's ``bye`` manifest, and must not perturb the
 merged result.
@@ -21,14 +22,8 @@ from repro.core import QuicsandPipeline
 from repro.core.pipeline import AnalysisConfig, merge_states
 from repro.core.report import build_report
 from repro.faults import corrupt_frame_bytes
-from repro.federate import (
-    Aggregator,
-    SpoolWriter,
-    Vantage,
-    VantageConfig,
-    tile_prefixes,
-)
-from repro.federate.protocol import BYE, FINAL_STATE, MAGIC, FrameDecoder
+from repro.federate import Aggregator, spool_vantages, tile_prefixes
+from repro.federate.protocol import BYE, FINAL_STATE, HELLO, MAGIC, FrameDecoder
 from repro.net.addresses import IPv4Network
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.rng import SeededRng
@@ -64,26 +59,21 @@ def baseline():
 
 @pytest.fixture(scope="module")
 def spools(tmp_path_factory):
-    """``K -> spool directory`` of K vantages tiling the /9, each run
-    once through ``Vantage.run``; tests aggregate (or damage) copies."""
+    """``K -> spool directory`` of K vantages tiling the /9, written
+    once by ``spool_vantages``; tests aggregate (or damage) copies."""
     made = {}
 
     def spool(vantages):
         if vantages not in made:
             directory = tmp_path_factory.mktemp(f"k{vantages}")
-            tiles = tile_prefixes("44.0.0.0/9", vantages)
-            for index, tile in enumerate(tiles):
-                vantage = Vantage(
-                    VantageConfig(
-                        name=f"v{index}",
-                        prefix=str(tile),
-                        scenario=ScenarioConfig(**SCENARIO_KW),
-                        analysis=AnalysisConfig(),
-                    )
-                )
-                with SpoolWriter(str(directory), f"v{index}") as writer:
-                    vantage.run(writer)
-                assert vantage.frames_sent == 3  # hello, final-state, bye
+            spooled = spool_vantages(
+                scenario(), AnalysisConfig(), vantages, str(directory)
+            )
+            for name, _tile, frames in spooled:
+                data = (directory / f"{name}.qsf").read_bytes()
+                kinds = [frame.kind for frame in FrameDecoder().feed(data)]
+                assert kinds == [HELLO, FINAL_STATE, BYE]
+                assert frames == 3
             made[vantages] = directory
         return made[vantages]
 
@@ -147,7 +137,7 @@ def test_cross_telescope_dedup(tmp_path, spools, baseline):
     assert multi, "at least one flood must be visible from both tiles"
     for flood in fed.global_floods:
         assert flood.start <= flood.end
-        assert set(flood.vantages) <= {"v0", "v1"}
+        assert set(flood.vantages) <= {"vantage-0", "vantage-1"}
 
 
 def test_corrupt_spool_frames_skipped_not_raised(tmp_path, spools, baseline):
@@ -174,7 +164,7 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, spools, baseline):
         path.write_bytes(damaged)
         damaged_total += n
         lost[path.stem] = undamaged - decoded_frames(damaged)
-    assert lost == {"v0": 1, "v1": 1}
+    assert lost == {"vantage-0": 1, "vantage-1": 1}
     s = scenario()
     aggregator = Aggregator(
         make_pipeline(s), research_weight=s.truth.research_weight
@@ -182,7 +172,7 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, spools, baseline):
     aggregator.consume_spool(str(tmp_path))
     fed = aggregator.federate()
     assert fed.corrupt_frames == damaged_total == 2
-    assert [stream.name for stream in fed.streams] == ["v0", "v1"]
+    assert [stream.name for stream in fed.streams] == ["vantage-0", "vantage-1"]
     assert_identical(
         reference, fed.global_result, s.truth.research_weight, "corrupt-spool"
     )
@@ -196,7 +186,7 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, spools, baseline):
     assert not any(check["packets_missing"] for check in fed.manifests.values())
     report = aggregator.report(fed)
     assert f"corrupt frames skipped  {damaged_total}" in report
-    assert "frames lost             v0: 1, v1: 1" in report
+    assert "frames lost             vantage-0: 1, vantage-1: 1" in report
     assert "no manifest" not in report
 
 
@@ -205,7 +195,7 @@ def test_stream_without_bye_reports_no_manifest(tmp_path, spools):
     final state went out) still federates, flagged ``no manifest``; the
     complete stream beside it shows no manifest row at all."""
     run_federation(tmp_path, spools, 2)
-    path = tmp_path / "v1.qsf"
+    path = tmp_path / "vantage-1.qsf"
     whole = path.read_bytes()
     path.write_bytes(whole[: whole.rindex(MAGIC)])  # the bye is the last frame
     s = scenario()
@@ -213,30 +203,36 @@ def test_stream_without_bye_reports_no_manifest(tmp_path, spools):
     aggregator.consume_spool(str(tmp_path))
     fed = aggregator.federate()
     assert fed.corrupt_frames == 0
-    assert fed.manifests["v1"] is None
-    assert fed.manifests["v0"] == {"frames_lost": 0, "packets_missing": 0}
+    assert fed.manifests["vantage-1"] is None
+    assert fed.manifests["vantage-0"] == {"frames_lost": 0, "packets_missing": 0}
     report = aggregator.report(fed)
-    assert "no manifest             v1" in report
+    assert "no manifest             vantage-1" in report
     assert "frames lost" not in report
 
 
-def test_federate_rehydrates_each_state_twice(tmp_path, spools):
-    """One copy of each vantage state for the global merge, one for its
-    own finalization — the extrapolation check reads the results."""
+def test_federate_rehydrates_each_state_once(tmp_path, spools):
+    """Each vantage state is unpickled once, at ingest: the global merge
+    leaves it as it was, so its own finalization can read it after."""
     from repro.core.pipeline import PartialState
 
-    aggregator, _fed, _s = run_federation(tmp_path, spools, 3)
+    shutil.copytree(spools(3), tmp_path, dirs_exist_ok=True)
+    s = scenario()
+    aggregator = Aggregator(make_pipeline(s), research_weight=s.truth.research_weight)
     with mock.patch.object(
         PartialState, "from_snapshot_bytes", wraps=PartialState.from_snapshot_bytes
     ) as rehydrate:
-        aggregator.federate()
-    assert rehydrate.call_count == 2 * 3
+        aggregator.consume_spool(str(tmp_path))
+        fed = aggregator.federate()
+    assert rehydrate.call_count == 3
+    assert sum(r.total_packets for r in fed.vantage_results.values()) == (
+        fed.global_result.total_packets
+    )
 
 
 def test_extrapolation_check_rows(tmp_path, spools, baseline):
     reference, _ = baseline
     _agg, fed, _s = run_federation(tmp_path, spools, 2)
-    assert set(fed.extrapolation) == {"v0", "v1"}
+    assert set(fed.extrapolation) == {"vantage-0", "vantage-1"}
     for check in fed.extrapolation.values():
         assert check["share"] == 0.5
         assert check["estimate"] == check["packets"] * 2
@@ -266,6 +262,18 @@ def test_tile_prefixes_rejects_bad_counts():
         tile_prefixes("44.0.0.0/9", 0)
     with pytest.raises(ValueError):
         tile_prefixes("44.0.0.0/31", 3)
+
+
+def test_merge_states_leaves_its_inputs_unchanged(tmp_path, spools):
+    """``--workers`` and the aggregator both merge states they read
+    again: every input pickles to the same bytes after the merge."""
+    shutil.copytree(spools(3), tmp_path, dirs_exist_ok=True)
+    aggregator = Aggregator(QuicsandPipeline())
+    states = [stream.state() for stream in aggregator.consume_spool(str(tmp_path))]
+    before = [state.snapshot_bytes() for state in states]
+    merged = merge_states(states, AnalysisConfig())
+    assert merged.total_packets == sum(state.total_packets for state in states)
+    assert [state.snapshot_bytes() for state in states] == before
 
 
 def test_merge_rejects_empty_input():

@@ -15,7 +15,7 @@ import zlib
 
 import pytest
 
-from repro.core import QuicsandPipeline
+from repro.core import AnalysisConfig, PartialState, QuicsandPipeline
 from repro.faults import corrupt_frame_bytes
 from repro.federate.aggregate import Aggregator
 from repro.federate.protocol import (
@@ -33,14 +33,13 @@ from repro.federate.protocol import (
     ProtocolError,
     bye_frame,
     encode_frame,
+    encode_vantage,
     hello_frame,
     pickle_frame,
 )
 from repro.federate.transport import (
     FederationListener,
-    SocketSender,
     SpoolReader,
-    SpoolWriter,
     TransportError,
     connect_with_retry,
 )
@@ -86,6 +85,25 @@ def test_roundtrip_stream_and_json_payloads():
     }
     assert frames[2].unpickle() == {"total": 123}
     assert frames[3].json() == {"frames": 3, "packets": 123}
+
+
+def test_encode_vantage_numbers_its_frames():
+    """``hello`` 0, ``final-state`` 1, ``obs`` 2 only with a snapshot,
+    ``bye`` last, announcing the frame count and the state's packets."""
+    state = PartialState.initial(AnalysisConfig())
+    state.total_packets = 123
+    for snapshot, kinds in (
+        (None, [HELLO, FINAL_STATE, BYE]),
+        ({"metrics": 1}, [HELLO, FINAL_STATE, OBS, BYE]),
+    ):
+        blob = b"".join(encode_vantage("v0", "44.0.0.0/10", state, snapshot))
+        frames, corrupt = decode_frames(blob)
+        assert corrupt == 0
+        assert [(f.kind, f.seq) for f in frames] == list(zip(kinds, range(4)))
+        assert frames[0].payload == hello_frame("v0", "44.0.0.0/10")[HEADER_SIZE:]
+        assert frames[1].unpickle().total_packets == 123
+        assert frames[-1].json() == {"frames": len(kinds), "packets": 123}
+    assert frames[2].unpickle() == {"metrics": 1}
 
 
 def test_schema_1_hello_is_refused():
@@ -248,10 +266,7 @@ def test_magic_never_raises_fuzz():
 
 def test_spool_roundtrip(tmp_path):
     for name in ("v1", "v0"):
-        with SpoolWriter(str(tmp_path), name) as writer:
-            for blob in sample_frames():
-                writer.send(blob)
-        assert writer.frames_written == 4
+        (tmp_path / f"{name}.qsf").write_bytes(b"".join(sample_frames()))
     reader = SpoolReader(str(tmp_path))
     assert reader.stream_names() == ["v0", "v1"]
     streams = dict(reader.streams())
@@ -262,11 +277,8 @@ def test_spool_roundtrip(tmp_path):
 
 
 def test_spool_reader_skips_damage(tmp_path):
-    with SpoolWriter(str(tmp_path), "damaged") as writer:
-        for blob in sample_frames():
-            writer.send(blob)
     path = tmp_path / "damaged.qsf"
-    blob = bytearray(path.read_bytes())
+    blob = bytearray(b"".join(sample_frames()))
     blob[4] = 0xFF
     path.write_bytes(bytes(blob))
     reader = SpoolReader(str(tmp_path))
@@ -300,10 +312,10 @@ def test_socket_pair_roundtrip():
 
         thread = threading.Thread(target=serve)
         thread.start()
-        sock = connect_with_retry("127.0.0.1", listener.port, attempts=3)
-        with SocketSender(sock) as sender:
+        with connect_with_retry("127.0.0.1", listener.port, attempts=3) as sock:
             for blob in sample_frames():
-                sender.send(blob)
+                sock.sendall(blob)
+            sock.shutdown(socket.SHUT_WR)
         thread.join(timeout=10)
     assert [f.kind for f in received] == [HELLO, OBS, FINAL_STATE, BYE]
     assert listener.corrupt_frames == 0
