@@ -14,10 +14,13 @@ The unit of work is a :data:`LaneEntry` — a flat tuple holding exactly
 the dissection facts the per-packet phase consumes downstream
 (validity, malformed-reason slug, the per-session delta, the response
 backscatter flags, and the first packet's version/DCID).  Entries are
-pure in the payload bytes, so :class:`BatchLane` memoizes them in the
-same two-generation payload-keyed cache the rich dissector uses; scan
-templates repeat thousands of times, and a memo hit costs one dict
-lookup instead of any parsing at all.
+pure in the payload bytes, so :class:`BatchLane` memoizes them in a
+payload-keyed ``functools.lru_cache`` of
+:data:`~repro.quic.crypto.MEMO_ENTRIES`, like the rich dissector; scan
+templates repeat thousands of times, and a memo hit costs one C call
+instead of any parsing at all.  Backscatter carries a fresh server SCID
+per connection and never recurs, so the bound keeps the templates and
+lets the flood datagrams fall out.
 
 On a memo miss :func:`fast_entry` walks the datagram with the exact
 validation order of :func:`repro.quic.header.parse_header` /
@@ -40,6 +43,7 @@ fast-vs-rich entry equality per payload and
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro import obs
@@ -54,6 +58,7 @@ from repro.core.dissect import (
 from repro.net.icmp import BACKSCATTER_TYPES as _ICMP_BACKSCATTER_TYPES
 from repro.net.packet import KIND_ICMP, KIND_TCP
 from repro.net.tcp import TcpFlags
+from repro.quic.crypto import MEMO_ENTRIES
 from repro.quic.header import PacketType
 from repro.quic.versions import version_by_value
 
@@ -344,6 +349,22 @@ def entry_from_dissection(dissection: Dissection) -> tuple:
     )
 
 
+def _settle(dissect_once, fallbacks: dict, payload: bytes) -> tuple:
+    """One memo miss: the fast parser, else the rich dissector, with the
+    fallback tallied per reason (so ``fast + fallback = misses``)."""
+    try:
+        entry = fast_entry(payload)
+    except Exception:  # noqa: BLE001 - mirror the never-raise contract
+        entry = None
+        reason = "error"
+    else:
+        reason = "parse"
+    if entry is not None:
+        return entry
+    fallbacks[reason] = fallbacks.get(reason, 0) + 1
+    return entry_from_dissection(dissect_once(payload))
+
+
 class BatchLane:
     """The analyze phase's columnar classifier/dissector.
 
@@ -355,55 +376,34 @@ class BatchLane:
     folded exactly once at stream end.
     """
 
-    def __init__(
-        self, dissect_payloads: bool = True, cache_size: int = 4096
-    ) -> None:
+    def __init__(self, dissect_payloads: bool = True) -> None:
         self.dissect_payloads = dissect_payloads
-        self._dissector = QuicDissector()
-        self._cache: dict[bytes, tuple] = {}
-        self._old_cache: dict[bytes, tuple] = {}
-        self._cache_size = cache_size
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: memo misses the fast parser settled without the dissector.
-        self.fast_parses = 0
         #: memo misses per fallback reason (see :data:`FALLBACK_REASONS`).
         self.fallbacks: dict[str, int] = {}
+        # a partial over the dissector and the tallies, not a bound
+        # method: the memo holds no reference to the lane, so a finished
+        # lane frees its entries at once instead of at the next collection
+        self._entry_uncached = functools.partial(
+            _settle, QuicDissector().dissect_once, self.fallbacks
+        )
+        #: the :data:`LaneEntry` for one payload, memoized.
+        self.entry_for = functools.lru_cache(maxsize=MEMO_ENTRIES)(
+            self._entry_uncached
+        )
         self.counters = {packet_class: 0 for packet_class in PacketClass}
 
-    def entry_for(self, payload: bytes) -> tuple:
-        """The :data:`LaneEntry` for one payload (memoized)."""
-        entry = self._cache.get(payload)
-        if entry is None:
-            entry = self._old_cache.get(payload)
-            if entry is None:
-                self.cache_misses += 1
-                entry = self._entry_uncached(payload)
-            else:
-                self.cache_hits += 1
-            # two-generation insert/promote, same policy as the rich
-            # dissector's memo: demote the young generation when full.
-            if len(self._cache) >= self._cache_size:
-                self._old_cache = self._cache
-                self._cache = {}
-            self._cache[payload] = entry
-        else:
-            self.cache_hits += 1
-        return entry
+    @property
+    def cache_hits(self) -> int:
+        return self.entry_for.cache_info().hits
 
-    def _entry_uncached(self, payload: bytes) -> tuple:
-        try:
-            entry = fast_entry(payload)
-        except Exception:  # noqa: BLE001 - mirror the never-raise contract
-            entry = None
-            reason = "error"
-        else:
-            reason = "parse"
-        if entry is not None:
-            self.fast_parses += 1
-            return entry
-        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
-        return entry_from_dissection(self._dissector.dissect_once(payload))
+    @property
+    def cache_misses(self) -> int:
+        return self.entry_for.cache_info().misses
+
+    @property
+    def fast_parses(self) -> int:
+        """Memo misses the fast parser settled without the dissector."""
+        return self.cache_misses - sum(self.fallbacks.values())
 
     # -- adapters: one batch -> observations --------------------------------
     #

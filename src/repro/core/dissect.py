@@ -20,11 +20,12 @@ that dissector, built from scratch on the :mod:`repro.quic` substrate:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.quic import tls
-from repro.quic.crypto import DecryptError, derive_initial_keys
+from repro.quic.crypto import MEMO_ENTRIES, DecryptError, derive_initial_keys
 from repro.quic.frames import CryptoFrame, FrameParseError, crypto_payload
 from repro.quic.header import (
     HeaderParseError,
@@ -160,53 +161,34 @@ _LONG_HEADER_TYPES = frozenset(
 class QuicDissector:
     """Stateless dissector over UDP payloads.
 
-    Dissection is pure in the payload bytes, so results are memoized:
-    scan tools replay a bounded set of handshake templates, and a
-    telescope sees each template many thousands of times.  The memo is
-    a two-generation cache: when the young generation fills up it is
-    demoted to the old generation instead of dropped, so long-lived
-    templates survive eviction epochs and only truly cold entries fall
-    out.  ``cache_hits``/``cache_misses`` expose the hit rate to the
-    pipeline's metrics.
+    Dissection is pure in the payload bytes, so :meth:`dissect` is a
+    ``functools.lru_cache`` of :data:`~repro.quic.crypto.MEMO_ENTRIES`
+    over :meth:`dissect_once`: scan tools replay a bounded set of
+    handshake templates, and a telescope sees each template many
+    thousands of times, while backscatter carries a fresh server SCID
+    per connection and never recurs.  ``cache_hits``/``cache_misses``
+    read the memo's own tallies for the pipeline's metrics.  The memo
+    wraps a bound method, so a dropped dissector's entries wait for the
+    next garbage collection.
     """
 
-    def __init__(
-        self, try_decrypt_initials: bool = True, cache_size: int = 4096
-    ) -> None:
+    def __init__(self, try_decrypt_initials: bool = True) -> None:
         self.try_decrypt_initials = try_decrypt_initials
-        self._cache: dict[bytes, Dissection] = {}
-        self._old_cache: dict[bytes, Dissection] = {}
-        self._cache_size = cache_size
-        self.cache_hits = 0
-        self.cache_misses = 0
+        #: :meth:`dissect_once`, memoized by payload.  ``valid=False``
+        #: means the payload is not QUIC (the classifier then excludes
+        #: the packet, as the paper excludes Wireshark failures).
+        self.dissect = functools.lru_cache(maxsize=MEMO_ENTRIES)(self.dissect_once)
 
-    def dissect(self, payload: bytes) -> Dissection:
-        """Dissect one UDP payload into QUIC packet summaries.
+    @property
+    def cache_hits(self) -> int:
+        return self.dissect.cache_info().hits
 
-        ``valid=False`` means the payload is not QUIC (the classifier
-        then excludes the packet, as the paper excludes Wireshark
-        failures).
-        """
-        result = self._cache.get(payload)
-        if result is None:
-            result = self._old_cache.get(payload)
-            if result is None:
-                self.cache_misses += 1
-                result = self._dissect_uncached(payload)
-            else:
-                self.cache_hits += 1
-            # insert (miss) or promote (old-generation hit) into the
-            # young generation, demoting it first if it is full
-            if len(self._cache) >= self._cache_size:
-                self._old_cache = self._cache
-                self._cache = {}
-            self._cache[payload] = result
-        else:
-            self.cache_hits += 1
-        return result
+    @property
+    def cache_misses(self) -> int:
+        return self.dissect.cache_info().misses
 
     def dissect_once(self, payload: bytes) -> Dissection:
-        """One uncached dissection (same never-raise contract).
+        """Dissect one UDP payload into QUIC packet summaries, uncached.
 
         Entry point for callers that memoize at a higher level — the
         batch lane's fallback path caches :data:`LaneEntry` tuples
@@ -214,9 +196,6 @@ class QuicDissector:
         double-store every fallback payload and double-count the
         hit/miss telemetry.
         """
-        return self._dissect_uncached(payload)
-
-    def _dissect_uncached(self, payload: bytes) -> Dissection:
         # The never-raise contract: telescope input is arbitrary
         # Internet bytes, so a parser bug must degrade to a tallied
         # malformed classification, never to a crashed pipeline.

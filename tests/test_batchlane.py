@@ -18,6 +18,7 @@ the two sinks (``PartialState.apply`` / ``SketchTier.apply``) must not
 care where a batch boundary falls.
 """
 
+import functools
 import pathlib
 import pickle
 
@@ -36,18 +37,20 @@ from repro.core.batchlane import (
 )
 from repro.core.dissect import MalformedReason, QuicDissector
 from repro.core.pipeline import AnalysisConfig, PartialState
+from repro.core.report import build_report
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import KIND_ICMP, KIND_UDP, CapturedPacket
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
+from repro.quic.crypto import MEMO_ENTRIES
 from repro.stream.sketch import SketchTier
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.presets import get_scenario, scenario_names
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 
-from tests.oracle import state_facts
+from tests.oracle import make_pipeline, state_facts
 from tests.test_fuzz_dissect import valid_datagrams
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
@@ -183,16 +186,47 @@ def test_memo_counts_hits_and_misses():
     assert lane.cache_hits == 2
 
 
-def test_memo_two_generation_demotion():
-    lane = BatchLane(cache_size=4)
-    payloads = [bytes([i]) * 8 for i in range(10)]
-    for payload in payloads:
-        lane.entry_for(payload)
-    assert lane.cache_misses == 10
-    # survivors of the demotions still hit
-    lane.entry_for(payloads[-1])
-    assert lane.cache_hits == 1
-    assert len(lane._cache) <= 4
+def test_memo_is_an_lru_of_memo_entries():
+    """A payload touched between cold inserts stays; one left untouched
+    falls out, misses again and settles to an equal entry."""
+    lane = BatchLane()
+    hot, cold = b"\x00hot", valid_datagrams()[0]
+    lane.entry_for(hot)
+    first = lane.entry_for(cold)
+    for i in range(MEMO_ENTRIES):
+        lane.entry_for(b"\x00cold%d" % i)
+        lane.entry_for(hot)
+        assert lane.entry_for.cache_info().currsize <= MEMO_ENTRIES
+    assert (lane.cache_hits, lane.cache_misses) == (MEMO_ENTRIES, MEMO_ENTRIES + 2)
+    again = lane.entry_for(cold)  # evicted: parsed afresh
+    assert lane.cache_misses == MEMO_ENTRIES + 3
+    assert again == first and again is not first
+
+
+def test_lane_memo_keeps_the_hits():
+    """The bound binds, and keeps what hits: a 2 h window holds far more
+    distinct payloads than the memo keeps, but the hits come from
+    recurring scan templates, and an unbounded memo adds almost none.
+    Counts only, no clock."""
+    scenario = Scenario(ScenarioConfig(duration=2 * HOUR, research_sample=1 / 64))
+    bounded, unbounded = BatchLane(), BatchLane()
+    unbounded.entry_for = functools.lru_cache(maxsize=None)(unbounded._entry_uncached)
+    pipeline = make_pipeline(scenario)
+    states = {lane: PartialState.initial(pipeline.config) for lane in (bounded, unbounded)}
+    for batch in scenario.lane_batches():
+        for lane, state in states.items():
+            state.consume_lane_records(batch, lane)
+    reports = []
+    for lane, state in states.items():
+        state.record_classifier(lane)
+        state.close()
+        result = pipeline.finalize_state(state)
+        reports.append(build_report(result, research_weight=scenario.truth.research_weight))
+    kept, possible = (lane.entry_for.cache_info() for lane in (bounded, unbounded))
+    assert possible.currsize > 4 * MEMO_ENTRIES
+    assert kept.currsize <= MEMO_ENTRIES
+    assert kept.hits >= 0.99 * possible.hits
+    assert reports[0] == reports[1]
 
 
 def test_fast_plus_fallback_equals_misses(dissector):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.util.rng import SeededRng
 from repro.quic.connection import ClientConnection, ServerConnection
+from repro.quic.crypto import MEMO_ENTRIES
 from repro.quic.header import PacketType, VersionNegotiationPacket
 from repro.quic.retry import build_retry_packet
 from repro.quic.versions import DRAFT_29, QUIC_V1
@@ -149,21 +150,22 @@ def test_cache_returns_equal_results(rng):
     assert dissector.cache_hits == 1
 
 
-def test_cache_two_generations_demote_not_drop():
-    """Filling the young generation demotes it; hot entries stay
-    reachable (and are promoted back) instead of being cleared."""
-    dissector = QuicDissector(cache_size=4)
+def test_cache_is_an_lru_of_memo_entries(rng):
+    """A payload touched between cold inserts stays; one left untouched
+    falls out, misses again and dissects to an equal result."""
+    dissector = QuicDissector()
     hot = b"\x00hot"  # invalid payloads still memoize their Dissection
-    first = dissector.dissect(hot)
-    for i in range(4):  # fill and roll the young generation
+    cold = ClientConnection(rng.child("c")).initial_datagram()
+    dissector.dissect(hot)
+    first = dissector.dissect(cold)
+    for i in range(MEMO_ENTRIES):
         dissector.dissect(b"\x00cold%d" % i)
-    assert dissector.cache_misses == 5
-    again = dissector.dissect(hot)  # old-generation hit, promoted
-    assert again is first
-    assert dissector.cache_hits == 1
-    assert dissector.cache_misses == 5
-    assert dissector.dissect(hot) is first  # now a young-generation hit
-    assert dissector.cache_hits == 2
+        dissector.dissect(hot)
+        assert dissector.dissect.cache_info().currsize <= MEMO_ENTRIES
+    assert (dissector.cache_hits, dissector.cache_misses) == (MEMO_ENTRIES, MEMO_ENTRIES + 2)
+    again = dissector.dissect(cold)  # evicted: dissected afresh
+    assert dissector.cache_misses == MEMO_ENTRIES + 3
+    assert again == first and again is not first
 
 
 def test_scids_property(dissector, rng):

@@ -30,7 +30,7 @@ from repro.util.timeutil import HOUR
 @settings(max_examples=300)
 @given(st.binary(max_size=1400))
 def test_dissector_never_raises(payload):
-    dissector = QuicDissector(cache_size=1)
+    dissector = QuicDissector()
     dissection = dissector.dissect(payload)
     assert isinstance(dissection.valid, bool)
 
@@ -43,7 +43,7 @@ def test_dissector_survives_bit_flips_in_real_packets(noise, index, value):
 
     wire = bytearray(ClientConnection(SeededRng(1)).initial_datagram())
     wire[index % len(wire)] = value
-    dissector = QuicDissector(cache_size=1)
+    dissector = QuicDissector()
     dissector.dissect(bytes(wire))  # must not raise
     dissector.dissect(bytes(noise))
 

@@ -16,7 +16,7 @@ under ``src/repro``:
   ``on_run``).  No per-entry walk is left to come back: no name under
   ``src/repro`` is ``add_entry``, ``apply_entry``, ``on_update``,
   ``observe_update``, or the detector's ``release`` / ``_live``;
-- ``.entry_for`` (the dissection memo) — the two adapters;
+- calls of ``entry_for`` (the dissection memo) — the two adapters;
 - ``Sessionizer.add`` (sessions from rich objects, recognised by a
   receiver spelled ``…sessionizer….add``) — ``PartialState.consume``,
   the reference implementation the lane suites compare against.
@@ -64,15 +64,27 @@ class _Sites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+class _Calls(_Sites):
+    """``Class.function`` of every *call* of ``<attr>`` or ``<any>.<attr>``."""
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if self.attr in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
 def trees():
     for path in sorted(SRC.rglob("*.py")):
         yield path, ast.parse(path.read_text())
 
 
-def sites(attr: str, receiver: str = "") -> set:
+def sites(attr: str, receiver: str = "", kind=_Sites) -> set:
     found = set()
     for _path, tree in trees():
-        visitor = _Sites(attr, receiver)
+        visitor = kind(attr, receiver)
         visitor.visit(tree)
         found |= visitor.found
     return found
@@ -120,7 +132,9 @@ def test_no_per_entry_session_walk_is_left():
 
 
 def test_one_classification_ladder_per_input_representation():
-    assert sites("entry_for") == {
+    # ``BatchLane.__init__`` binds the memo and its tally properties
+    # read it; only the two adapters call it
+    assert sites("entry_for", kind=_Calls) == {
         "BatchLane.observe_packets",
         "BatchLane.observe_records",
     }
