@@ -12,10 +12,9 @@ Commands mirror the workflow of the paper's toolchain:
   tail-followed pcap through the incremental analyzer, printing flood
   alerts as they fire (see :mod:`repro.stream`);
 - ``federate`` — multi-telescope federation: run K vantages over tiles
-  of the telescope prefix (in-process over a file spool, or
-  distributed via ``--listen``/``--connect`` sockets) and merge their
-  states into one global report with cross-telescope flood dedup (see
-  :mod:`repro.federate` and ``docs/FEDERATION.md``);
+  of the telescope prefix, one process each over a file spool, and
+  merge their states into one global report with cross-telescope
+  flood dedup (see :mod:`repro.federate` and ``docs/FEDERATION.md``);
 - ``table1``   — run the NGINX DoS-resiliency benchmark (Table 1);
 - ``probe``    — actively probe census servers for RETRY (Section 6);
 - ``profile``  — cProfile the generation and analysis hot paths and
@@ -186,46 +185,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "prefix into tiles, run one vantage per tile under the shared "
         "scenario seed, and merge the vantage states into a global "
         "result that is bit-identical to a single telescope over the "
-        "whole prefix. Default runs everything in-process over a file "
-        "spool; --listen/--connect distribute the roles over TCP. See "
-        "docs/FEDERATION.md.",
+        "whole prefix. The vantages run as local processes and hand "
+        "their states over a file spool. See docs/FEDERATION.md.",
     )
     _scenario_args(federate)
     federate.add_argument(
         "--vantages",
         type=int,
         default=2,
-        help="number of vantage tiles (in-process and --listen modes)",
-    )
-    federate_role = federate.add_mutually_exclusive_group()
-    federate_role.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        help="aggregator role: accept --vantages socket streams here "
-        "(port 0 picks a free port) instead of running in-process",
-    )
-    federate_role.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        help="vantage role: run one vantage and stream its frames to "
-        "the aggregator at this endpoint (retries with backoff)",
+        help="number of vantage tiles",
     )
     federate.add_argument(
         "--spool",
         metavar="DIR",
-        help="spool frames into this directory for the in-process run "
-        "(default: a temporary directory; kept for inspection when "
-        "given explicitly)",
-    )
-    federate.add_argument(
-        "--vantage-name",
-        default="vantage-0",
-        help="stream name for the --connect vantage role",
-    )
-    federate.add_argument(
-        "--prefix",
-        help="CIDR tile for the --connect vantage role (default: the "
-        "scenario's full telescope prefix)",
+        help="spool the vantage streams into this directory (default: a "
+        "temporary directory; kept for inspection when given "
+        "explicitly; other files in it are not read)",
     )
     federate.add_argument(
         "--report-out", help="also write the federation report to a file"
@@ -610,100 +585,33 @@ def cmd_profile(args, stream) -> int:
     return 0
 
 
-def _parse_endpoint(text: str):
-    """``HOST:PORT`` → ``(host, port)``, or ``None`` on a bad value."""
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        return None
-    return host, int(port)
-
-
 def cmd_federate(args, stream) -> int:
-    import socket
-
-    from repro.core.pipeline import run_record_batches
-    from repro.federate import (
-        Aggregator,
-        FederationListener,
-        TransportError,
-        connect_with_retry,
-        encode_vantage,
-        spool_vantages,
-    )
+    from repro.federate import Aggregator, spool_vantages
 
     _maybe_enable_metrics(args)
     if args.vantages < 1:
         print("--vantages must be at least 1", file=stream)
         return 2
-    analysis = AnalysisConfig()
-
-    if args.connect:
-        endpoint = _parse_endpoint(args.connect)
-        if endpoint is None:
-            print(f"bad --connect endpoint {args.connect!r}", file=stream)
-            return 2
-        scenario = _scenario(args)
-        if args.prefix is not None:
-            scenario.retarget(args.prefix)
-        try:
-            sock = connect_with_retry(*endpoint)
-        except TransportError as exc:
-            print(str(exc), file=stream)
-            return 2
-        state = run_record_batches(scenario.lane_batches(), analysis)
-        snapshot = None
-        if obs.enabled():
-            snapshot = obs.REGISTRY.snapshot(run_collectors=False)
-        prefix = str(scenario.telescope.prefix)
-        frames = encode_vantage(args.vantage_name, prefix, state, snapshot)
-        with sock:
-            sock.sendall(b"".join(frames))
-            sock.shutdown(socket.SHUT_WR)
-        print(
-            f"vantage {args.vantage_name} [{prefix}]: shipped "
-            f"{len(frames)} frames ({state.total_packets:,} packets)",
-            file=stream,
-        )
-        _maybe_write_metrics(args, stream)
-        return 0
 
     scenario = _scenario(args)
     aggregator = Aggregator(
         _pipeline(scenario), research_weight=scenario.truth.research_weight
     )
-    if args.listen:
-        endpoint = _parse_endpoint(args.listen)
-        if endpoint is None:
-            print(f"bad --listen endpoint {args.listen!r}", file=stream)
-            return 2
-        try:
-            with FederationListener(*endpoint) as listener:
-                print(
-                    f"aggregator listening on {listener.host}:{listener.port} "
-                    f"for {args.vantages} vantage stream(s)",
-                    file=stream,
-                )
-                aggregator.consume_listener(listener, args.vantages)
-        except TransportError as exc:
-            print(str(exc), file=stream)
-            return 2
-    else:
-        cleanup = None
-        spool = args.spool
-        if spool is None:
-            import tempfile
+    cleanup = None
+    spool = args.spool
+    if spool is None:
+        import tempfile
 
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-federate-")
-            spool = cleanup.name
-        for name, tile, frames in spool_vantages(
-            scenario, analysis, args.vantages, spool
-        ):
-            print(f"{name} [{tile}]: {frames} frames spooled", file=stream)
-        aggregator.consume_spool(spool)
-        if cleanup is None:
-            print(f"spool kept at {spool}", file=stream)
-        else:
-            cleanup.cleanup()
+        cleanup = tempfile.TemporaryDirectory(prefix="repro-federate-")
+        spool = cleanup.name
+    spooled = spool_vantages(scenario, AnalysisConfig(), args.vantages, spool)
+    for name, tile, frames in spooled:
+        print(f"{name} [{tile}]: {frames} frames spooled", file=stream)
+    aggregator.consume_spool(spool, [name for name, _tile, _frames in spooled])
+    if cleanup is None:
+        print(f"spool kept at {spool}", file=stream)
+    else:
+        cleanup.cleanup()
     fed = aggregator.federate()
     if fed.corrupt_frames:
         print(

@@ -12,8 +12,9 @@ the serial fused loop over the tile's capture, one closed
 - :mod:`repro.federate.protocol` — the checksummed, versioned frame
   format, and :func:`encode_vantage`, the one encoding of a vantage's
   state and snapshot;
-- :mod:`repro.federate.transport` — the receivers of the file spool and
-  of TCP, with the lenient skip-and-count damage contract;
+- :mod:`repro.federate.transport` — the file spool's reader, which
+  reads back the streams a run wrote by name, with the lenient
+  skip-and-count damage contract;
 - :mod:`repro.federate.merge` — the destination tiles, and
   :func:`spool_vantages`, which runs K local vantages through the
   ``--workers`` process pool; vantage states merge through the
@@ -44,17 +45,11 @@ from repro.federate.protocol import (
     encode_frame,
     encode_vantage,
 )
-from repro.federate.transport import (
-    FederationListener,
-    SpoolReader,
-    TransportError,
-    connect_with_retry,
-)
+from repro.federate.transport import SpoolReader
 
 __all__ = [
     "Aggregator",
     "FederationResult",
-    "FederationListener",
     "FRAME_KINDS",
     "Frame",
     "FrameDecoder",
@@ -63,9 +58,7 @@ __all__ = [
     "ProtocolError",
     "SCHEMA_VERSION",
     "SpoolReader",
-    "TransportError",
     "VantageStream",
-    "connect_with_retry",
     "encode_frame",
     "encode_vantage",
     "spool_vantages",

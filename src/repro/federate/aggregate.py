@@ -1,7 +1,7 @@
 """The federation aggregator: K vantage streams → one global result.
 
 The aggregator ingests per-vantage frame streams — ``hello /
-final-state / [obs] / bye``, from a file spool or a socket listener
+final-state / [obs] / bye``, read back from the file spool
 (:mod:`repro.federate.transport`) — rehydrates each vantage's one
 :class:`~repro.core.pipeline.PartialState` once, and produces three things:
 
@@ -50,7 +50,7 @@ from repro.federate.protocol import (
     Frame,
     ProtocolError,
 )
-from repro.federate.transport import FederationListener, SpoolReader
+from repro.federate.transport import SpoolReader
 from repro.net.addresses import IPv4Network, format_ipv4
 from repro.util.render import format_table
 
@@ -177,23 +177,16 @@ class Aggregator:
         self.streams.append(stream)
         return stream
 
-    def consume_spool(self, directory: str) -> List[VantageStream]:
-        """Ingest every ``*.qsf`` stream spooled into ``directory``."""
-        reader = SpoolReader(directory)
-        ingested = []
-        for name, frames in reader.streams():
-            ingested.append(self.ingest_frames(name, frames))
-        self.corrupt_frames += reader.corrupt_frames
-        return ingested
-
-    def consume_listener(
-        self, listener: FederationListener, count: int
+    def consume_spool(
+        self, directory: str, names: Iterable[str]
     ) -> List[VantageStream]:
-        """Accept ``count`` socket connections and ingest each stream."""
-        ingested = []
-        for index, frames in enumerate(listener.accept_streams(count)):
-            ingested.append(self.ingest_frames(f"vantage-{index}", frames))
-        self.corrupt_frames += listener.corrupt_frames
+        """Ingest the streams ``names`` spooled into ``directory``, in
+        that order; no other file in the directory is read."""
+        reader = SpoolReader(directory)
+        ingested = [
+            self.ingest_frames(name, reader.read_stream(name)) for name in names
+        ]
+        self.corrupt_frames += reader.corrupt_frames
         return ingested
 
     # -- federation --------------------------------------------------------

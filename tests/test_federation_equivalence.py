@@ -59,8 +59,9 @@ def baseline():
 
 @pytest.fixture(scope="module")
 def spools(tmp_path_factory):
-    """``K -> spool directory`` of K vantages tiling the /9, written
-    once by ``spool_vantages``; tests aggregate (or damage) copies."""
+    """``K -> (spool directory, stream names)`` of K vantages tiling the
+    /9, written once by ``spool_vantages``; tests aggregate (or damage)
+    copies."""
     made = {}
 
     def spool(vantages):
@@ -74,20 +75,27 @@ def spools(tmp_path_factory):
                 kinds = [frame.kind for frame in FrameDecoder().feed(data)]
                 assert kinds == [HELLO, FINAL_STATE, BYE]
                 assert frames == 3
-            made[vantages] = directory
+            made[vantages] = directory, [name for name, _tile, _n in spooled]
         return made[vantages]
 
     return spool
 
 
+def copy_spool(spools, vantages, spool_dir):
+    """Copy K spooled vantage streams into ``spool_dir``; their names."""
+    directory, names = spools(vantages)
+    shutil.copytree(directory, spool_dir, dirs_exist_ok=True)
+    return names
+
+
 def run_federation(spool_dir, spools, vantages):
     """Copy K spooled vantage streams into ``spool_dir`` and aggregate them."""
-    shutil.copytree(spools(vantages), spool_dir, dirs_exist_ok=True)
+    names = copy_spool(spools, vantages, spool_dir)
     s = scenario()
     aggregator = Aggregator(
         make_pipeline(s), research_weight=s.truth.research_weight
     )
-    aggregator.consume_spool(str(spool_dir))
+    aggregator.consume_spool(str(spool_dir), names)
     return aggregator, aggregator.federate(), s
 
 
@@ -150,7 +158,7 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, spools, baseline):
     the one frame its ``bye`` manifest announced that never decoded.
     """
     reference, reference_report = baseline
-    shutil.copytree(spools(2), tmp_path, dirs_exist_ok=True)
+    names = copy_spool(spools, 2, tmp_path)
     damaged_total = 0
     lost = {}
     for path in tmp_path.glob("*.qsf"):
@@ -169,7 +177,7 @@ def test_corrupt_spool_frames_skipped_not_raised(tmp_path, spools, baseline):
     aggregator = Aggregator(
         make_pipeline(s), research_weight=s.truth.research_weight
     )
-    aggregator.consume_spool(str(tmp_path))
+    aggregator.consume_spool(str(tmp_path), names)
     fed = aggregator.federate()
     assert fed.corrupt_frames == damaged_total == 2
     assert [stream.name for stream in fed.streams] == ["vantage-0", "vantage-1"]
@@ -194,13 +202,13 @@ def test_stream_without_bye_reports_no_manifest(tmp_path, spools):
     """A stream that ends before its ``bye`` (a vantage killed after the
     final state went out) still federates, flagged ``no manifest``; the
     complete stream beside it shows no manifest row at all."""
-    run_federation(tmp_path, spools, 2)
+    names = copy_spool(spools, 2, tmp_path)
     path = tmp_path / "vantage-1.qsf"
     whole = path.read_bytes()
     path.write_bytes(whole[: whole.rindex(MAGIC)])  # the bye is the last frame
     s = scenario()
     aggregator = Aggregator(make_pipeline(s), research_weight=s.truth.research_weight)
-    aggregator.consume_spool(str(tmp_path))
+    aggregator.consume_spool(str(tmp_path), names)
     fed = aggregator.federate()
     assert fed.corrupt_frames == 0
     assert fed.manifests["vantage-1"] is None
@@ -215,13 +223,13 @@ def test_federate_rehydrates_each_state_once(tmp_path, spools):
     leaves it as it was, so its own finalization can read it after."""
     from repro.core.pipeline import PartialState
 
-    shutil.copytree(spools(3), tmp_path, dirs_exist_ok=True)
+    names = copy_spool(spools, 3, tmp_path)
     s = scenario()
     aggregator = Aggregator(make_pipeline(s), research_weight=s.truth.research_weight)
     with mock.patch.object(
         PartialState, "from_snapshot_bytes", wraps=PartialState.from_snapshot_bytes
     ) as rehydrate:
-        aggregator.consume_spool(str(tmp_path))
+        aggregator.consume_spool(str(tmp_path), names)
         fed = aggregator.federate()
     assert rehydrate.call_count == 3
     assert sum(r.total_packets for r in fed.vantage_results.values()) == (
@@ -267,9 +275,11 @@ def test_tile_prefixes_rejects_bad_counts():
 def test_merge_states_leaves_its_inputs_unchanged(tmp_path, spools):
     """``--workers`` and the aggregator both merge states they read
     again: every input pickles to the same bytes after the merge."""
-    shutil.copytree(spools(3), tmp_path, dirs_exist_ok=True)
+    names = copy_spool(spools, 3, tmp_path)
     aggregator = Aggregator(QuicsandPipeline())
-    states = [stream.state() for stream in aggregator.consume_spool(str(tmp_path))]
+    states = [
+        stream.state() for stream in aggregator.consume_spool(str(tmp_path), names)
+    ]
     before = [state.snapshot_bytes() for state in states]
     merged = merge_states(states, AnalysisConfig())
     assert merged.total_packets == sum(state.total_packets for state in states)

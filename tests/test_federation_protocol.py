@@ -1,5 +1,5 @@
-"""Federation wire protocol and transports: framing, damage, spool,
-sockets.
+"""Federation wire protocol and spool transport: framing, damage,
+spool.
 
 The contract under test is the lenient skip-and-count one the pcap
 reader established: a receiver **never raises** on wire damage — bad
@@ -8,9 +8,7 @@ recoverable corruption costs exactly one ``corrupt_frames`` tick.
 """
 
 import json
-import socket
 import struct
-import threading
 import zlib
 
 import pytest
@@ -37,12 +35,7 @@ from repro.federate.protocol import (
     hello_frame,
     pickle_frame,
 )
-from repro.federate.transport import (
-    FederationListener,
-    SpoolReader,
-    TransportError,
-    connect_with_retry,
-)
+from repro.federate.transport import SpoolReader
 from repro.util.rng import SeededRng
 
 
@@ -267,11 +260,13 @@ def test_magic_never_raises_fuzz():
 def test_spool_roundtrip(tmp_path):
     for name in ("v1", "v0"):
         (tmp_path / f"{name}.qsf").write_bytes(b"".join(sample_frames()))
+    # a damaged stream beside them is never read: nothing is counted
+    stale = bytearray(b"".join(sample_frames()))
+    stale[4] = 0xFF
+    (tmp_path / "stale.qsf").write_bytes(bytes(stale))
     reader = SpoolReader(str(tmp_path))
-    assert reader.stream_names() == ["v0", "v1"]
-    streams = dict(reader.streams())
-    assert set(streams) == {"v0", "v1"}
-    for frames in streams.values():
+    for name in ("v0", "v1"):
+        frames = reader.read_stream(name)
         assert [f.kind for f in frames] == [HELLO, OBS, FINAL_STATE, BYE]
     assert reader.corrupt_frames == 0
 
@@ -288,69 +283,5 @@ def test_spool_reader_skips_damage(tmp_path):
 
 
 def test_spool_reader_missing_directory():
-    with pytest.raises(TransportError):
-        SpoolReader("/nonexistent/spool/dir").stream_names()
-
-
-# -- socket transport ------------------------------------------------------
-
-
-def _listener_or_skip():
-    try:
-        return FederationListener("127.0.0.1", 0)
-    except TransportError as exc:  # pragma: no cover - sandboxed CI
-        pytest.skip(f"cannot bind a localhost socket: {exc}")
-
-
-def test_socket_pair_roundtrip():
-    listener = _listener_or_skip()
-    with listener:
-        received = []
-
-        def serve():
-            received.extend(listener.accept_stream())
-
-        thread = threading.Thread(target=serve)
-        thread.start()
-        with connect_with_retry("127.0.0.1", listener.port, attempts=3) as sock:
-            for blob in sample_frames():
-                sock.sendall(blob)
-            sock.shutdown(socket.SHUT_WR)
-        thread.join(timeout=10)
-    assert [f.kind for f in received] == [HELLO, OBS, FINAL_STATE, BYE]
-    assert listener.corrupt_frames == 0
-
-
-def test_connect_retry_backoff_then_error():
-    # a port nothing listens on: grab one, then close it
-    probe = socket.socket()
-    try:
-        probe.bind(("127.0.0.1", 0))
-    except OSError as exc:  # pragma: no cover - sandboxed CI
-        pytest.skip(f"cannot bind a localhost socket: {exc}")
-    port = probe.getsockname()[1]
-    probe.close()
-    delays = []
-    with pytest.raises(TransportError):
-        connect_with_retry(
-            "127.0.0.1", port, attempts=4, base_delay=0.01, sleep=delays.append
-        )
-    # three sleeps between four attempts, exponentially growing jittered
-    assert len(delays) == 3
-    assert all(d > 0 for d in delays)
-    assert delays[1] > delays[0] * 0.9  # growth despite jitter in [0.5, 1)
-
-
-def test_connect_retry_is_seeded():
-    delays_a, delays_b = [], []
-    for sink in (delays_a, delays_b):
-        with pytest.raises(TransportError):
-            connect_with_retry(
-                "127.0.0.1",
-                1,  # port 1: never connectable, stable across runs
-                attempts=3,
-                base_delay=0.01,
-                sleep=sink.append,
-            )
-    assert delays_a == delays_b
-    assert len(delays_a) == 2
+    with pytest.raises(FileNotFoundError):
+        SpoolReader("/nonexistent/spool/dir").read_stream("vantage-0")

@@ -25,9 +25,8 @@ The lane is not a knob either: ``PartialState.consume`` is the only
 ``classify_batch`` caller and itself has no caller under ``src/repro``
 (the suites drive it through ``tests/oracle.py``), nothing is named
 ``fast_lane``/``gen_lane``, and ``core/parallel.py`` has one worker
-function.  That worker (a ``--workers`` part or a local federated
-vantage), the fused report and a ``--connect`` vantage run one loop,
-``run_record_batches``.
+function.  That worker (a ``--workers`` part or a federated vantage)
+and the fused report run one loop, ``run_record_batches``.
 
 Generation has the same shape: ``Scenario.records()`` is the one
 generator production runs and ``Scenario.packets()`` a view of it.  The
@@ -207,11 +206,12 @@ def test_both_report_arms_draw_from_the_sharded_generator():
 
 
 def test_vantage_has_one_loop_body():
-    """A spooled vantage is a ``--workers`` part (``run_pool`` submits
-    only ``_run_part``); a ``--connect`` vantage runs the same loop."""
+    """A vantage is a ``--workers`` part (``run_pool`` submits only
+    ``_run_part``); ``federate`` itself runs no loop."""
     assert "run_pool" in calls(function("federate/merge.py", "spool_vantages"))
     called = calls(function("cli.py", "cmd_federate"))
-    assert "run_record_batches" in called
+    assert "spool_vantages" in called
+    assert "run_record_batches" not in called
     assert not [callee for callee in called if callee.endswith((".apply", ".observe_records"))]
     assert not [callee for callee in called if callee.startswith("state.consume")]
     fused = calls(function("core/pipeline.py", "QuicsandPipeline.process_record_batches"))
