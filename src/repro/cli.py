@@ -12,9 +12,9 @@ Commands mirror the workflow of the paper's toolchain:
   tail-followed pcap through the incremental analyzer, printing flood
   alerts as they fire (see :mod:`repro.stream`);
 - ``federate`` — multi-telescope federation: run K vantages over tiles
-  of the telescope prefix, one process each over a file spool, and
-  merge their states into one global report with cross-telescope
-  flood dedup (see :mod:`repro.federate` and ``docs/FEDERATION.md``);
+  of the telescope prefix, one process each, and merge their states
+  into one global report with cross-telescope flood dedup (see
+  :mod:`repro.federate` and ``docs/FEDERATION.md``);
 - ``table1``   — run the NGINX DoS-resiliency benchmark (Table 1);
 - ``probe``    — actively probe census servers for RETRY (Section 6);
 - ``profile``  — cProfile the generation and analysis hot paths and
@@ -186,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "scenario seed, and merge the vantage states into a global "
         "result that is bit-identical to a single telescope over the "
         "whole prefix. The vantages run as local processes and hand "
-        "their states over a file spool. See docs/FEDERATION.md.",
+        "their states back in memory. See docs/FEDERATION.md.",
     )
     _scenario_args(federate)
     federate.add_argument(
@@ -194,13 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="number of vantage tiles",
-    )
-    federate.add_argument(
-        "--spool",
-        metavar="DIR",
-        help="spool the vantage streams into this directory (default: a "
-        "temporary directory; kept for inspection when given "
-        "explicitly; other files in it are not read)",
     )
     federate.add_argument(
         "--report-out", help="also write the federation report to a file"
@@ -586,7 +579,7 @@ def cmd_profile(args, stream) -> int:
 
 
 def cmd_federate(args, stream) -> int:
-    from repro.federate import Aggregator, spool_vantages
+    from repro.federate import Aggregator, run_vantages
 
     _maybe_enable_metrics(args)
     if args.vantages < 1:
@@ -597,27 +590,9 @@ def cmd_federate(args, stream) -> int:
     aggregator = Aggregator(
         _pipeline(scenario), research_weight=scenario.truth.research_weight
     )
-    cleanup = None
-    spool = args.spool
-    if spool is None:
-        import tempfile
-
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-federate-")
-        spool = cleanup.name
-    spooled = spool_vantages(scenario, AnalysisConfig(), args.vantages, spool)
-    for name, tile, frames in spooled:
-        print(f"{name} [{tile}]: {frames} frames spooled", file=stream)
-    aggregator.consume_spool(spool, [name for name, _tile, _frames in spooled])
-    if cleanup is None:
-        print(f"spool kept at {spool}", file=stream)
-    else:
-        cleanup.cleanup()
-    fed = aggregator.federate()
-    if fed.corrupt_frames:
-        print(
-            f"skipped {fed.corrupt_frames} corrupt federation frame(s)",
-            file=stream,
-        )
+    fed = aggregator.federate(
+        run_vantages(scenario, AnalysisConfig(), args.vantages)
+    )
     text = aggregator.report(fed)
     print(text, file=stream)
     if args.report_out:

@@ -518,22 +518,22 @@ class PartialState:
         for hour, count in other.hourly_responses.items():
             self.hourly_responses[hour] = self.hourly_responses.get(hour, 0) + count
 
-    # -- snapshot/export hooks (telescope federation) --------------------
+    # -- snapshot/restore -------------------------------------------------
 
     def snapshot_bytes(self) -> bytes:
-        """The state as a self-contained pickle for wire shipment.
+        """The state as a self-contained pickle.
 
-        Open sessions, the sweep, and every counter travel; callbacks
-        are ``None`` by construction on pipeline-owned sessionizers, so
-        the pickle is always loadable on the aggregator side.  The
-        federation protocol wraps these bytes in checksummed frames
-        (:mod:`repro.federate.protocol`).
+        Open sessions, the sweep, and every counter are included;
+        callbacks are ``None`` by construction on pipeline-owned
+        sessionizers, so the pickle always loads.  A ``--workers`` part's
+        state goes back to the parent as a pickle too, so its size and
+        timing approximate what handing a part over costs.
         """
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_snapshot_bytes(cls, payload: bytes) -> "PartialState":
-        """Rehydrate a state shipped by :meth:`snapshot_bytes`."""
+        """Load a state pickled by :meth:`snapshot_bytes`."""
         state = pickle.loads(payload)
         if not isinstance(state, cls):
             raise TypeError(

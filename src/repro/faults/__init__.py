@@ -21,13 +21,11 @@ on ``analyze``/``report``/``watch`` (see ``docs/ROBUSTNESS.md``).
 from repro.faults.inject import FaultInjector
 from repro.faults.pcap import corrupt_pcap_bytes
 from repro.faults.spec import FAULT_KINDS, FaultSpec, FaultSpecError
-from repro.faults.spool import corrupt_frame_bytes
 
 __all__ = [
     "FAULT_KINDS",
     "FaultInjector",
     "FaultSpec",
     "FaultSpecError",
-    "corrupt_frame_bytes",
     "corrupt_pcap_bytes",
 ]

@@ -1,9 +1,9 @@
-"""The federation aggregator: K vantage streams → one global result.
+"""The federation aggregator: K vantage states → one global result.
 
-The aggregator ingests per-vantage frame streams — ``hello /
-final-state / [obs] / bye``, read back from the file spool
-(:mod:`repro.federate.transport`) — rehydrates each vantage's one
-:class:`~repro.core.pipeline.PartialState` once, and produces three things:
+The aggregator takes each vantage's closed
+:class:`~repro.core.pipeline.PartialState` and metrics snapshot in
+memory, as :func:`~repro.federate.merge.run_vantages` returns them, and
+produces three things:
 
 - the **global result** — the vantage states merged with
   :func:`repro.core.pipeline.merge_states` and finalized
@@ -41,16 +41,6 @@ from repro.core.pipeline import (
     merge_states,
 )
 from repro.core.report import build_report
-from repro.federate.protocol import (
-    BYE,
-    FINAL_STATE,
-    HELLO,
-    OBS,
-    SCHEMA_VERSION,
-    Frame,
-    ProtocolError,
-)
-from repro.federate.transport import SpoolReader
 from repro.net.addresses import IPv4Network, format_ipv4
 from repro.util.render import format_table
 
@@ -71,24 +61,13 @@ M_LAG = obs.gauge(
 
 @dataclass
 class VantageStream:
-    """One ingested vantage frame stream."""
+    """One vantage: its name, its tile and its closed state."""
 
     name: str
-    prefix: Optional[str] = None
-    #: the final state, rehydrated once at ingest: the global merge
-    #: leaves it untouched, its own finalization then consumes it.
-    final_state: Optional[PartialState] = None
-    obs_snapshot: Optional[dict] = None
-    bye: Optional[dict] = None
-    frames: int = 0
-
-    def state(self) -> PartialState:
-        """The final state; a stream without one is a protocol error."""
-        if self.final_state is None:
-            raise ProtocolError(
-                f"vantage {self.name!r} shipped no final-state frame"
-            )
-        return self.final_state
+    prefix: IPv4Network
+    #: the global merge leaves it untouched, the vantage's own
+    #: finalization then consumes it.
+    final_state: PartialState
 
 
 @dataclass
@@ -119,105 +98,59 @@ class FederationResult:
     streams: List[VantageStream]
     global_floods: List[GlobalFlood]
     dedup_hits: int
-    corrupt_frames: int
     merge_seconds: float
     #: vantage name → extrapolation check row (tile share, scaled
     #: estimate, estimate / federation observation).
     extrapolation: Dict[str, dict] = field(default_factory=dict)
-    #: vantage name → the stream checked against its own ``bye``
-    #: manifest (:meth:`Aggregator._manifest_checks`); ``None`` for a
-    #: stream that ended without one.
-    manifests: Dict[str, Optional[dict]] = field(default_factory=dict)
 
 
 class Aggregator:
-    """Merge K vantage frame streams into a federation result."""
+    """Merge K vantage states into a federation result."""
 
     def __init__(
         self, pipeline: QuicsandPipeline, research_weight: float = 1.0
     ) -> None:
         self.pipeline = pipeline
         self.research_weight = research_weight
-        self.streams: List[VantageStream] = []
-        self.corrupt_frames = 0
 
-    # -- ingestion ---------------------------------------------------------
+    def federate(self, vantages: Iterable[tuple]) -> FederationResult:
+        """Merge the ``(name, tile, state, snapshot)`` of each vantage
+        (:func:`~repro.federate.merge.run_vantages`) into the federation
+        result.
 
-    def ingest_frames(self, fallback_name: str, frames: Iterable[Frame]) -> VantageStream:
-        """Fold one decoded frame stream into a :class:`VantageStream`.
-
-        The ``hello`` handshake names the stream and carries the
-        payload schema version — a mismatch raises
-        :class:`~repro.federate.protocol.ProtocolError` instead of
-        unpickling blind.  A stream whose ``hello`` was lost to damage
-        keeps ``fallback_name`` and default metadata; only a missing
-        final state makes the stream unusable (surfaced later by
-        :meth:`VantageStream.state`).
+        Each metrics snapshot that is not ``None`` is merged into the
+        registry once, in vantage order, as ``--workers`` merges its
+        parts'.  The states are consumed: finalizing a vantage's own
+        result reuses the state the global merge read first.
         """
-        stream = VantageStream(name=fallback_name)
-        for frame in frames:
-            stream.frames += 1
-            if frame.kind == HELLO:
-                meta = frame.json()
-                if meta.get("schema") != SCHEMA_VERSION:
-                    raise ProtocolError(
-                        f"vantage {meta.get('vantage')!r} speaks payload "
-                        f"schema {meta.get('schema')!r}, expected {SCHEMA_VERSION}"
-                    )
-                stream.name = meta.get("vantage", fallback_name)
-                stream.prefix = meta.get("prefix")
-            elif frame.kind == FINAL_STATE:
-                stream.final_state = PartialState.from_snapshot_bytes(frame.payload)
-            elif frame.kind == OBS:
-                stream.obs_snapshot = frame.unpickle()
-                if obs.enabled():
-                    obs.REGISTRY.merge_snapshot(stream.obs_snapshot)
-            elif frame.kind == BYE:
-                stream.bye = frame.json()
-        self.streams.append(stream)
-        return stream
-
-    def consume_spool(
-        self, directory: str, names: Iterable[str]
-    ) -> List[VantageStream]:
-        """Ingest the streams ``names`` spooled into ``directory``, in
-        that order; no other file in the directory is read."""
-        reader = SpoolReader(directory)
-        ingested = [
-            self.ingest_frames(name, reader.read_stream(name)) for name in names
-        ]
-        self.corrupt_frames += reader.corrupt_frames
-        return ingested
-
-    # -- federation --------------------------------------------------------
-
-    def federate(self) -> FederationResult:
-        """Merge every ingested stream into the federation result.
-
-        Call it once: finalizing a vantage's own result consumes the
-        state the global merge read first.
-        """
-        if not self.streams:
-            raise ValueError("no vantage streams ingested")
+        streams = []
+        for name, tile, state, snapshot in vantages:
+            if snapshot is not None:
+                obs.REGISTRY.merge_snapshot(snapshot)
+            streams.append(VantageStream(name, tile, state))
+        if not streams:
+            raise ValueError("no vantages to federate")
         started = time.perf_counter()
         config = self.pipeline.config
-        states = [stream.state() for stream in self.streams]
-        merged = merge_states(states, config)
+        merged = merge_states([stream.final_state for stream in streams], config)
         global_result = self.pipeline.finalize_state(merged)
-        vantage_results = {}
-        for stream, state in zip(self.streams, states):
-            vantage_results[stream.name] = self.pipeline.finalize_state(state)
+        vantage_results = {
+            stream.name: self.pipeline.finalize_state(stream.final_state)
+            for stream in streams
+        }
         global_floods, dedup_hits = self._dedup(
             vantage_results, config.session_timeout
         )
         merge_seconds = time.perf_counter() - started
-        extrapolation = self._extrapolation(global_result, vantage_results)
+        extrapolation = self._extrapolation(
+            streams, global_result, vantage_results
+        )
         if obs.enabled():
             M_MERGE.observe(merge_seconds)
             if dedup_hits:
                 M_DEDUP.inc(dedup_hits)
             horizon = global_result.window_end
-            for stream in self.streams:
+            for stream in streams:
                 result = vantage_results[stream.name]
                 M_LAG.set(
                     max(0.0, horizon - result.window_end), vantage=stream.name
@@ -225,13 +158,11 @@ class Aggregator:
         return FederationResult(
             global_result=global_result,
             vantage_results=vantage_results,
-            streams=list(self.streams),
+            streams=streams,
             global_floods=global_floods,
             dedup_hits=dedup_hits,
-            corrupt_frames=self.corrupt_frames,
             merge_seconds=merge_seconds,
             extrapolation=extrapolation,
-            manifests=self._manifest_checks(vantage_results),
         )
 
     def _dedup(
@@ -277,35 +208,9 @@ class Aggregator:
         floods.sort(key=lambda f: (f.start, f.victim_ip, f.vector))
         return floods, dedup_hits
 
-    def _manifest_checks(
-        self, vantage_results: Dict[str, PipelineResult]
-    ) -> Dict[str, Optional[dict]]:
-        """Each stream against what its vantage says it shipped.
-
-        The closing ``bye`` announces the stream's frame count and the
-        final state's packet count.  ``frames_lost`` is how many of the
-        announced frames never decoded (damage is also counted in
-        ``corrupt_frames``, but only the manifest can tell it from a
-        stream that simply stopped); ``packets_missing`` is non-zero
-        when the final state ingested is not the one the vantage closed
-        with.  A stream with no (well-formed) ``bye`` maps to ``None``.
-        """
-        checks: Dict[str, Optional[dict]] = {}
-        for stream in self.streams:
-            bye = stream.bye or {}
-            frames, packets = bye.get("frames"), bye.get("packets")
-            if not (isinstance(frames, int) and isinstance(packets, int)):
-                checks[stream.name] = None
-                continue
-            checks[stream.name] = {
-                "frames_lost": frames - stream.frames,
-                "packets_missing": packets
-                - vantage_results[stream.name].total_packets,
-            }
-        return checks
-
     def _extrapolation(
         self,
+        streams: List[VantageStream],
         global_result: PipelineResult,
         vantage_results: Dict[str, PipelineResult],
     ) -> Dict[str, dict]:
@@ -318,24 +223,14 @@ class Aggregator:
         federation actually captured.
         """
         checks: Dict[str, dict] = {}
-        tiles = []
-        for stream in self.streams:
-            if stream.prefix:
-                try:
-                    tiles.append(IPv4Network.from_cidr(stream.prefix))
-                except ValueError:
-                    tiles.append(None)
-            else:
-                tiles.append(None)
-        known = [net for net in tiles if net is not None]
-        federation_size = sum(net.size for net in known) or 1
+        federation_size = sum(stream.prefix.size for stream in streams)
         global_packets = global_result.total_packets
-        for stream, net in zip(self.streams, tiles):
+        for stream in streams:
             packets = vantage_results[stream.name].total_packets
-            share = (net.size / federation_size) if net is not None else 1.0
-            estimate = packets / share if share else 0.0
+            share = stream.prefix.size / federation_size
+            estimate = packets / share
             checks[stream.name] = {
-                "prefix": stream.prefix,
+                "prefix": str(stream.prefix),
                 "share": share,
                 "packets": packets,
                 "estimate": estimate,
@@ -362,27 +257,10 @@ class Aggregator:
         names = ", ".join(stream.name for stream in fed.streams)
         rows = [
             ["vantages", f"{len(fed.streams)}: {names}"],
-            ["frames ingested", str(sum(s.frames for s in fed.streams))],
-            ["corrupt frames skipped", str(fed.corrupt_frames)],
             ["global floods", str(len(fed.global_floods))],
             ["dedup hits", str(fed.dedup_hits)],
             ["merge + finalize", f"{fed.merge_seconds:.3f}s"],
         ]
-        # manifest rows appear only for streams that fail their check
-        for key, label in (
-            ("frames_lost", "frames lost"),
-            ("packets_missing", "manifest packets missing"),
-        ):
-            failed = [
-                f"{name}: {check[key]}"
-                for name, check in fed.manifests.items()
-                if check and check[key]
-            ]
-            if failed:
-                rows.append([label, ", ".join(failed)])
-        unsigned = [name for name, check in fed.manifests.items() if check is None]
-        if unsigned:
-            rows.append(["no manifest", ", ".join(unsigned)])
         return format_table(
             ["metric", "value"], rows, title="Federation overview"
         )
@@ -422,7 +300,7 @@ class Aggregator:
             rows.append(
                 [
                     stream.name,
-                    stream.prefix or "(full)",
+                    str(stream.prefix),
                     f"{result.total_packets:,}",
                     str(local),
                     str(exclusive),
@@ -441,7 +319,7 @@ class Aggregator:
             rows.append(
                 [
                     name,
-                    check["prefix"] or "(full)",
+                    check["prefix"],
                     f"{check['share'] * 100:.1f}%",
                     f"{check['packets']:,}",
                     f"{check['estimate']:,.0f}",

@@ -10,19 +10,17 @@ partition of the single-telescope capture into sub-sequences, which
 uses too — rejoins exactly.  Bit-exactness against the serial pipeline
 is pinned by ``tests/test_federation_equivalence.py``.
 
-:func:`spool_vantages` runs the K vantages of a local federation as K
+:func:`run_vantages` runs the K vantages of a local federation as K
 ``--workers`` parts (:func:`repro.core.parallel.run_pool`), one tile
-each, and spools each part's encoded stream.
+each, and hands each part's closed state and metrics snapshot back in
+memory.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 
 from repro.core.parallel import run_pool
-from repro.federate.protocol import encode_vantage
-from repro.federate.transport import SPOOL_SUFFIX
 from repro.net.addresses import IPv4Network
 from repro.telescope.workload import part_batches
 
@@ -50,29 +48,24 @@ def tile_prefixes(base, count: int) -> list:
     return tiles
 
 
-def spool_vantages(scenario, config, count: int, directory: str) -> list:
+def run_vantages(scenario, config, count: int) -> list:
     """Capture ``count`` tiles of ``scenario``'s telescope prefix on
-    ``count`` cores and write vantage *i*'s frame stream to
-    ``<directory>/vantage-i.qsf``.
+    ``count`` cores.
 
     A tile's feed is :func:`~repro.telescope.workload.part_batches` with
     every generation unit on the tile's prefix — the ``lane_batches`` of
     a retargeted scenario, rebuilt in the worker.  Each worker starts
-    from an empty metrics registry, so the snapshot a stream carries
-    counts that tile's packets only.  Returns ``(name, tile, frames)``
-    per vantage.
+    from an empty metrics registry, so a vantage's snapshot counts that
+    tile's packets only.  Returns ``(name, tile, state, snapshot)`` per
+    vantage, in tile order: what :meth:`Aggregator.federate
+    <repro.federate.aggregate.Aggregator.federate>` takes.
     """
     tiles = tile_prefixes(scenario.telescope.prefix, count)
     parts = run_pool(
         [partial(part_batches, scenario.config, str(tile), 0, 1) for tile in tiles],
         config,
     )
-    os.makedirs(directory, exist_ok=True)
-    spooled = []
-    for index, (tile, (state, snapshot)) in enumerate(zip(tiles, parts)):
-        name = f"vantage-{index}"
-        frames = encode_vantage(name, str(tile), state, snapshot)
-        with open(os.path.join(directory, name + SPOOL_SUFFIX), "wb") as fh:
-            fh.write(b"".join(frames))
-        spooled.append((name, tile, len(frames)))
-    return spooled
+    return [
+        (f"vantage-{index}", tile, state, snapshot)
+        for index, (tile, (state, snapshot)) in enumerate(zip(tiles, parts))
+    ]

@@ -325,7 +325,7 @@ def part_batches(
 ):
     """Part ``index`` of :meth:`Scenario.parts`, drawn from a rebuilt
     scenario.  Units ``0`` of ``1`` on a tile's prefix is a federated
-    vantage's capture (:func:`repro.federate.merge.spool_vantages`)."""
+    vantage's capture (:func:`repro.federate.merge.run_vantages`)."""
     scenario = Scenario(config)
     scenario.retarget(prefix)
     units = scenario._timed_units()[index::count]

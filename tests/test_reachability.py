@@ -31,8 +31,6 @@ ROOT_FILES = [SRC / "repro" / "__main__.py"] + sorted(
 KEPT = {
     "repro.faults.pcap.corrupt_pcap_bytes": "documented fault-injection API "
     "(docs/ROBUSTNESS.md): the in-memory form of corrupt_pcap",
-    "repro.faults.spool.corrupt_frame_bytes": "documented fault-injection API "
-    "(docs/FEDERATION.md, docs/ROBUSTNESS.md): damages one frame stream",
     "repro.telescope.presets.paper_month": "the input of ROADMAP item 1 "
     "(the paper's month as a benchmark workload)",
 }

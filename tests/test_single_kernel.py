@@ -208,11 +208,26 @@ def test_both_report_arms_draw_from_the_sharded_generator():
 def test_vantage_has_one_loop_body():
     """A vantage is a ``--workers`` part (``run_pool`` submits only
     ``_run_part``); ``federate`` itself runs no loop."""
-    assert "run_pool" in calls(function("federate/merge.py", "spool_vantages"))
+    assert "run_pool" in calls(function("federate/merge.py", "run_vantages"))
     called = calls(function("cli.py", "cmd_federate"))
-    assert "spool_vantages" in called
+    assert "run_vantages" in called
     assert "run_record_batches" not in called
     assert not [callee for callee in called if callee.endswith((".apply", ".observe_records"))]
     assert not [callee for callee in called if callee.startswith("state.consume")]
     fused = calls(function("core/pipeline.py", "QuicsandPipeline.process_record_batches"))
     assert "run_record_batches" in fused
+
+
+def test_vantage_states_stay_in_memory():
+    """A vantage hands its state back through the pool and nowhere else:
+    nothing under ``federate/`` serializes, touches files or checksums."""
+    banned = {"pickle", "os", "tempfile", "zlib"}
+    for path in sorted((SRC / "federate").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            assert not imported & banned, (path.name, node.lineno)
