@@ -20,9 +20,10 @@ from pathlib import Path
 
 from repro.core import QuicsandPipeline
 from repro.net.addresses import format_ipv4
-from repro.net.pcap import read_pcap
+from repro.net.pcap import read_pcap, write_records
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.attacks import AttackPlanConfig
+from repro.telescope.genlane import wire_items
 from repro.util.render import format_table
 from repro.util.timeutil import HOUR
 
@@ -43,7 +44,7 @@ def main() -> None:
     scenario = Scenario(config)
 
     print(f"recording capture to {pcap_path} ...")
-    count = scenario.telescope.capture_to_pcap(scenario.packets(), pcap_path)
+    count = write_records(pcap_path, wire_items(scenario.records()))
     size_mb = pcap_path.stat().st_size / 1e6
     print(f"wrote {count:,} packets ({size_mb:.1f} MB)")
 

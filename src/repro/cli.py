@@ -244,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: the _scenario_args defaults — a named --scenario keeps its preset
-#: knobs unless the flag was moved off its default explicitly.
+#: the _scenario_args defaults, filled in for a flag left off the
+#: command line — a named --scenario keeps its preset knob instead.
 _SCENARIO_ARG_DEFAULTS = dict(seed=20210401, hours=6.0, research_sample=1 / 256)
 
 
@@ -258,16 +258,11 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
         f"adversarial workloads, see docs/SCENARIOS.md): "
         f"{', '.join(scenario_names())}",
     )
-    parser.add_argument(
-        "--seed", type=int, default=_SCENARIO_ARG_DEFAULTS["seed"]
-    )
-    parser.add_argument(
-        "--hours", type=float, default=_SCENARIO_ARG_DEFAULTS["hours"]
-    )
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--hours", type=float)
     parser.add_argument(
         "--research-sample",
         type=float,
-        default=_SCENARIO_ARG_DEFAULTS["research_sample"],
         help="fraction of each research sweep materialized (see DESIGN.md)",
     )
 
@@ -329,20 +324,26 @@ def _maybe_write_metrics(args, stream) -> None:
         print(f"\nmetrics written to {' and '.join(files)}", file=stream)
 
 
+def _flag(args: argparse.Namespace, name: str):
+    """A scenario flag as given, else its CLI default."""
+    value = getattr(args, name)
+    return _SCENARIO_ARG_DEFAULTS[name] if value is None else value
+
+
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     if getattr(args, "scenario", None):
         config = _named_scenario_config(args.scenario)
-        if args.seed != _SCENARIO_ARG_DEFAULTS["seed"]:
+        if args.seed is not None:
             config = replace(config, seed=args.seed)
-        if args.hours != _SCENARIO_ARG_DEFAULTS["hours"]:
+        if args.hours is not None:
             config = replace(config, duration=args.hours * HOUR)
-        if args.research_sample != _SCENARIO_ARG_DEFAULTS["research_sample"]:
+        if args.research_sample is not None:
             config = replace(config, research_sample=args.research_sample)
         return config
     return ScenarioConfig(
-        seed=args.seed,
-        duration=args.hours * HOUR,
-        research_sample=args.research_sample,
+        seed=_flag(args, "seed"),
+        duration=_flag(args, "hours") * HOUR,
+        research_sample=_flag(args, "research_sample"),
     )
 
 
@@ -611,7 +612,7 @@ def cmd_table1(_args, stream) -> int:
 
 def cmd_probe(args, stream) -> int:
     scenario = _scenario(args)
-    prober = ActiveProber(scenario.internet.census, SeededRng(args.seed, "probe"))
+    prober = ActiveProber(scenario.internet.census, SeededRng(_flag(args, "seed"), "probe"))
     records = scenario.internet.census.all_records()[: args.count]
     rows = []
     for record in records:

@@ -172,8 +172,7 @@ class QuicDissector:
     next garbage collection.
     """
 
-    def __init__(self, try_decrypt_initials: bool = True) -> None:
-        self.try_decrypt_initials = try_decrypt_initials
+    def __init__(self) -> None:
         #: :meth:`dissect_once`, memoized by payload.  ``valid=False``
         #: means the payload is not QUIC (the classifier then excludes
         #: the packet, as the paper excludes Wireshark failures).
@@ -317,7 +316,6 @@ class QuicDissector:
         # keyed on the wire DCID: decryptable.
         should_try = (
             not unknown_version
-            and self.try_decrypt_initials
             and known is not None
             and known.ietf_layout
             and view.packet_type is PacketType.INITIAL

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.core.multivector import overlap_and_gap
 from repro.core.sessions import Session
 from repro.util.timeutil import MINUTE
 
@@ -50,18 +51,14 @@ class FloodAttack:
         return self.end - self.start
 
     def overlap_seconds(self, other: "FloodAttack") -> float:
-        return max(0.0, min(self.end, other.end) - max(self.start, other.start))
+        return overlap_and_gap(self.start, self.end, other.start, other.end)[0]
 
     def overlaps(self, other: "FloodAttack", min_overlap: float = 1.0) -> bool:
         """The paper's concurrency test: ≥ 1 mutual second."""
         return self.overlap_seconds(other) >= min_overlap
 
     def gap_to(self, other: "FloodAttack") -> float:
-        if self.overlap_seconds(other) > 0:
-            return 0.0
-        if self.end <= other.start:
-            return other.start - self.end
-        return self.start - other.end
+        return overlap_and_gap(self.start, self.end, other.start, other.end)[1]
 
 
 _CLASS_TO_VECTOR = {

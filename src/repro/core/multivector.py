@@ -13,13 +13,28 @@ the *same victim*:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.dos import FloodAttack
+if TYPE_CHECKING:
+    from repro.core.dos import FloodAttack
 
 CONCURRENT = "concurrent"
 SEQUENTIAL = "sequential"
 ISOLATED = "isolated"
+
+
+def overlap_and_gap(
+    start: float, end: float, other_start: float, other_end: float
+) -> tuple:
+    """Two intervals' mutual seconds (≥ 0) and the gap between them
+    (0.0 when they overlap): the one rule behind the batch and the
+    online multi-vector categories."""
+    overlap = max(0.0, min(end, other_end) - max(start, other_start))
+    if overlap > 0:
+        return overlap, 0.0
+    if end <= other_start:
+        return overlap, other_start - end
+    return overlap, start - other_end
 
 
 @dataclass

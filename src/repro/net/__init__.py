@@ -18,10 +18,8 @@ from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
 from repro.net.pcap import (
     PcapReader,
-    PcapWriter,
     read_pcap,
     read_pcap_batches,
-    write_pcap,
 )
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
@@ -37,10 +35,8 @@ __all__ = [
     "IPv4Header",
     "CapturedPacket",
     "PcapReader",
-    "PcapWriter",
     "read_pcap",
     "read_pcap_batches",
-    "write_pcap",
     "TcpFlags",
     "TcpHeader",
     "UdpHeader",

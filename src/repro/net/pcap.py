@@ -1,4 +1,4 @@
-"""Classic libpcap file format reader/writer.
+"""Classic libpcap file format: one reader, one bulk writer.
 
 The format (the pre-pcapng ``.pcap``) is a 24-byte global header and a
 16-byte per-record header; we write linktype 101 (``LINKTYPE_RAW``,
@@ -37,26 +37,6 @@ _SWAPPED_MAGICS = {
 
 class PcapFormatError(ValueError):
     """Raised for malformed pcap files."""
-
-
-class PcapWriter:
-    """Streams :class:`CapturedPacket` records into a pcap file."""
-
-    def __init__(self, stream: BinaryIO, linktype: int = LINKTYPE_RAW) -> None:
-        self._stream = stream
-        self._stream.write(
-            _GLOBAL.pack(MAGIC_MICROS, 2, 4, 0, 0, SNAPLEN, linktype)
-        )
-
-    def write(self, packet: CapturedPacket) -> None:
-        data = packet.to_bytes()
-        seconds = int(packet.timestamp)
-        micros = int(round((packet.timestamp - seconds) * 1e6))
-        if micros >= 1_000_000:
-            seconds += 1
-            micros -= 1_000_000
-        self._stream.write(_RECORD.pack(seconds, micros, len(data), len(data)))
-        self._stream.write(data)
 
 
 class PcapReader:
@@ -242,17 +222,6 @@ class PcapReader:
         return self._plausible(fraction, next_caplen, next_origlen)
 
 
-def write_pcap(path: Union[str, Path], packets: Iterable[CapturedPacket]) -> int:
-    """Write ``packets`` to ``path``; returns the record count."""
-    count = 0
-    with open(path, "wb") as stream:
-        writer = PcapWriter(stream)
-        for packet in packets:
-            writer.write(packet)
-            count += 1
-    return count
-
-
 #: chunked-write threshold for :func:`write_records` — large enough to
 #: amortize syscalls, small enough to keep the buffer cache-resident.
 _WRITE_CHUNK = 1 << 20
@@ -261,16 +230,17 @@ _WRITE_CHUNK = 1 << 20
 def write_records(
     path: Union[str, Path], items: Iterable[tuple]
 ) -> int:
-    """Bulk-write ``(timestamp, wire_bytes)`` pairs to ``path``.
+    """Write ``(timestamp, wire_bytes)`` pairs to ``path`` as a pcap;
+    returns the record count.
 
-    The generation fast lane's writer: one reused bytearray accumulates
-    record headers and packet bytes and is flushed in ~1 MiB chunks, so
-    the per-packet cost is two appends instead of two ``write`` calls.
-    Timestamp rounding and header layout replicate :class:`PcapWriter`
-    exactly — the output is byte-identical to writing the same packets
-    one at a time (``tests/test_pcap_bulk.py``).  ``wire_bytes`` may be
-    a borrowed/mutable buffer (e.g. ``genlane.wire_items``): it is
-    copied into the chunk buffer before the next item is drawn.
+    The one pcap writer: one reused bytearray accumulates record headers
+    and packet bytes and is flushed in ~1 MiB chunks, so the per-packet
+    cost is two appends instead of two ``write`` calls.  Timestamps are
+    rounded to microseconds, a rounding that reaches 1e6 carrying into
+    the seconds field (``tests/test_pcap_bulk.py`` pins the layout).
+    ``wire_bytes`` may be a borrowed/mutable buffer (e.g.
+    ``genlane.wire_items``): it is copied into the chunk buffer before
+    the next item is drawn.
     """
     count = 0
     pack = _RECORD.pack

@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     GAUGE,
     HISTOGRAM,
     LATENCY_BUCKETS,
-    METRICS_ENV,
     REGISTRY,
     TIME_BUCKETS,
     Counter,
@@ -70,7 +69,6 @@ __all__ = [
     "GAUGE",
     "HISTOGRAM",
     "LATENCY_BUCKETS",
-    "METRICS_ENV",
     "REGISTRY",
     "TIME_BUCKETS",
     "Counter",

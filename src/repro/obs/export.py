@@ -209,7 +209,7 @@ def render_summary(source) -> str:
             document = json.load(handle)
     rows = _summary_rows(document)
     if not rows:
-        return "no metrics recorded (is REPRO_METRICS/--metrics-out set?)"
+        return "no metrics recorded (is --metrics-out set?)"
     return format_table(
         ["subsystem", "metric", "labels", "value"],
         rows,

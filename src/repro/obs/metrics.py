@@ -14,10 +14,10 @@ All three support Prometheus-style labels.  The design keeps the hot
 paths honest about overhead:
 
 - **Disabled by default.** A registry starts enabled, but the
-  process-wide :data:`REGISTRY` follows the ``REPRO_METRICS``
-  environment variable (the CLI's ``--metrics-out`` enables it
-  explicitly).  Every mutating call checks one attribute and returns —
-  instrumented code stays within noise of uninstrumented code.
+  process-wide :data:`REGISTRY` starts disabled (the CLI's
+  ``--metrics-out`` and :func:`enable` turn it on).  Every mutating
+  call checks one attribute and returns — instrumented code stays
+  within noise of uninstrumented code.
 - **Boundary publication.** Per-packet loops never call into this
   module; they keep plain ints and publish at batch/stage boundaries
   (see :mod:`repro.core.pipeline`).  Collector callbacks pull
@@ -48,15 +48,11 @@ Example (a standalone registry is enabled by default):
 
 from __future__ import annotations
 
-import os
 import re
 from typing import Callable, Iterable, Optional
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: environment variable that pre-enables the process-wide registry.
-METRICS_ENV = "REPRO_METRICS"
 
 #: default histogram buckets for stage/operation timings, in seconds.
 TIME_BUCKETS = (
@@ -373,10 +369,10 @@ class Registry:
 
 
 #: The process-wide registry every instrumented module publishes to.
-#: Disabled unless ``REPRO_METRICS`` is set (the CLI's ``--metrics-out``
-#: and the benchmark's traced pass enable it explicitly) so uninstrumented runs pay one
+#: Disabled until enabled (the CLI's ``--metrics-out`` and the
+#: benchmark's traced pass do) so uninstrumented runs pay one
 #: attribute check per publication point.
-REGISTRY = Registry(enabled=bool(os.environ.get(METRICS_ENV)))
+REGISTRY = Registry(enabled=False)
 
 
 def enabled() -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.multivector import CONCURRENT, ISOLATED, SEQUENTIAL
+from repro.core.multivector import CONCURRENT, ISOLATED, SEQUENTIAL, overlap_and_gap
 from repro.core.sessions import Session
 from repro.util.timeutil import HOUR
 
@@ -71,18 +71,10 @@ class OnlineCorrelator:
         overlapping = []
         nearest: Optional[float] = None
         for partner in partners:
-            p_start, p_end = partner.start, partner.current_end
-            overlap = min(end, p_end) - max(start, p_start)
+            overlap, gap = overlap_and_gap(start, end, partner.start, partner.current_end)
             if overlap >= self.min_overlap:
                 overlapping.append(partner)
-                continue
-            if overlap > 0:
-                gap = 0.0
-            elif end <= p_start:
-                gap = p_start - end
-            else:
-                gap = start - p_end
-            if nearest is None or gap < nearest:
+            elif nearest is None or gap < nearest:
                 nearest = gap
         if overlapping:
             vectors = tuple(sorted({p.vector for p in overlapping}))

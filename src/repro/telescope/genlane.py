@@ -260,10 +260,6 @@ def lane_records(records: Iterable[tuple]) -> Iterator[tuple]:
 # boundaries, never per packet).
 from repro import obs as _obs  # noqa: E402  (after the stamper it observes)
 
-M_RECORDS = _obs.counter(
-    "repro_genlane_records_total",
-    "telescope-accepted records emitted by the generation fast lane",
-)
 _M_WIRE_STAMPED = _obs.counter(
     "repro_genlane_wire_stamped_total",
     "wire datagrams stamped from preallocated templates",

@@ -1,10 +1,11 @@
 """The network telescope itself: a darknet packet tap.
 
 A telescope is a routed but unused prefix whose every incoming packet
-is unsolicited by construction.  :class:`Telescope` filters an incoming
-stream down to packets destined to its prefix, keeps arrival counters,
-and can persist captures to pcap for offline analysis — the same
-pipeline shape as the UCSD telescope feeding the paper's toolchain.
+is unsolicited by construction.  :class:`Telescope` filters the merged
+generation stream down to the records destined to its prefix and counts
+what it kept and dropped; ``repro simulate`` writes what it keeps to a
+pcap (:func:`repro.net.pcap.write_records`) — the same pipeline shape as
+the UCSD telescope feeding the paper's toolchain.
 """
 
 from __future__ import annotations
@@ -18,14 +19,9 @@ from typing import Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.net.addresses import IPv4Network
-from repro.net.packet import CapturedPacket
-from repro.net.pcap import write_pcap
-from repro.telescope.genlane import M_RECORDS as _M_LANE_RECORDS
 
-# Generation-rate metrics.  The capture generator is the single funnel
-# every scenario stream passes through, so it is the one place to count
-# generated packets — flushed every _FLUSH_EVERY packets (and at
-# generator close) to keep the per-packet loop free of metric calls.
+# Generation-rate metrics, published once per chunk at the tap every
+# scenario stream passes through.
 _M_GENERATED = obs.counter(
     "repro_telescope_packets_total",
     "packets captured by the telescope tap (destined to its prefix)",
@@ -38,7 +34,6 @@ _M_GENERATE = obs.histogram(
     "repro_telescope_generate_seconds",
     "wall seconds per full capture-stream generation",
 )
-_FLUSH_EVERY = 4096
 #: records pulled from a unit per generator resumption in merge_chunks
 _PULL = 256
 
@@ -48,8 +43,6 @@ class Telescope:
 
     def __init__(self, prefix: IPv4Network) -> None:
         self.prefix = prefix
-        self.packets_seen = 0
-        self.packets_dropped = 0
 
     @property
     def extrapolation_factor(self) -> float:
@@ -60,45 +53,13 @@ class Telescope:
         """
         return 2.0 ** self.prefix.prefix_len
 
-    def capture(self, stream: Iterable[CapturedPacket]) -> Iterator[CapturedPacket]:
-        """Yield only packets destined to the telescope prefix."""
-        if not obs.enabled():
-            for packet in stream:
-                if packet.dst in self.prefix:
-                    self.packets_seen += 1
-                    yield packet
-                else:
-                    self.packets_dropped += 1
-            return
-        # metrics-on path: identical filtering, counters flushed in bulk
-        seen_base = self.packets_seen
-        dropped_base = self.packets_dropped
-        flushed = 0
-        start = time.perf_counter()
-        try:
-            for packet in stream:
-                if packet.dst in self.prefix:
-                    self.packets_seen += 1
-                    yield packet
-                    pending = self.packets_seen - seen_base - flushed
-                    if pending >= _FLUSH_EVERY:
-                        _M_GENERATED.inc(pending)
-                        flushed += pending
-                else:
-                    self.packets_dropped += 1
-        finally:
-            _M_GENERATED.inc(self.packets_seen - seen_base - flushed)
-            _M_DROPPED.inc(self.packets_dropped - dropped_base)
-            _M_GENERATE.observe(time.perf_counter() - start)
-
     def capture_records(self, chunks: Iterable[list]) -> Iterator[list]:
-        """The generation fast lane's twin of :meth:`capture`.
+        """The tap: keep the records destined to the telescope prefix.
 
         Filters time-sorted chunks (lists) of flat gen records (see
         :mod:`repro.telescope.genlane`) on their destination field, one
-        list comprehension per chunk, with the same counters and
-        metrics — flushed per chunk — plus the lane's own
-        ``repro_genlane_records_total``.
+        list comprehension per chunk, and publishes the kept and dropped
+        counts once per chunk.
         """
         network = self.prefix.network
         netmask = self.prefix.netmask
@@ -107,20 +68,12 @@ class Telescope:
             for chunk in chunks:
                 kept = [record for record in chunk if record[2] & netmask == network]
                 seen = len(kept)
-                dropped = len(chunk) - seen
-                self.packets_seen += seen
-                self.packets_dropped += dropped
                 _M_GENERATED.inc(seen)
-                _M_LANE_RECORDS.inc(seen)
-                _M_DROPPED.inc(dropped)
+                _M_DROPPED.inc(len(chunk) - seen)
                 if kept:
                     yield kept
         finally:
             _M_GENERATE.observe(time.perf_counter() - start)
-
-    def capture_to_pcap(self, stream: Iterable[CapturedPacket], path) -> int:
-        """Capture a stream to a pcap file; returns the packet count."""
-        return write_pcap(path, self.capture(stream))
 
 
 def merge_chunks(units: Sequence[tuple], window: float) -> Iterator[list]:

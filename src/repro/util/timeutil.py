@@ -1,4 +1,4 @@
-"""Time constants and interval helpers for telescope time series.
+"""Time constants for telescope time series.
 
 All timestamps in the reproduction are Unix epoch seconds (floats).  The
 measurement window in the paper is April 1-30, 2021; scenarios default
@@ -16,8 +16,3 @@ DAY = 86400.0
 APRIL_1_2021 = 1617235200.0
 #: 2021-05-01 00:00:00 UTC — end (exclusive) of the measurement window.
 MAY_1_2021 = 1619827200.0
-
-
-def overlap_seconds(start_a: float, end_a: float, start_b: float, end_b: float) -> float:
-    """Length of the intersection of two closed intervals, >= 0."""
-    return max(0.0, min(end_a, end_b) - max(start_a, start_b))

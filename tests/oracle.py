@@ -6,10 +6,13 @@ is the implementation the fast lane is checked against.  Nothing under
 ``src/repro`` calls it — there is no flag that ships it — so the lane,
 generation and matrix suites reach it through :func:`rich_result`, and
 compare with :func:`assert_identical`.  :func:`monitor_events` drives
-the online monitor over a whole feed the same way.
+the online monitor over a whole feed the same way, and
+:func:`pcap_bytes` spells out the libpcap layout that
+``repro.net.pcap.write_records`` is checked against.
 """
 
 import dataclasses
+import struct
 
 from repro.core import QuicsandPipeline
 from repro.core.classify import TrafficClassifier
@@ -107,3 +110,21 @@ def monitor_events(analyzer, feed) -> list:
     for batch in feed:
         events.extend(analyzer.process_batch(batch))
     return events + analyzer.finish()
+
+
+def pcap_bytes(packets) -> bytes:
+    """``packets`` in the classic libpcap layout, packed field by field:
+    the global header (microsecond magic, version 2.4, LINKTYPE_RAW),
+    then per packet a record header and its wire bytes.  A timestamp
+    whose fraction rounds to 1e6 µs carries into the seconds field."""
+    out = [struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)]
+    for packet in packets:
+        data = packet.to_bytes()
+        seconds = int(packet.timestamp)
+        micros = round((packet.timestamp - seconds) * 1e6)
+        if micros >= 1_000_000:
+            seconds += 1
+            micros -= 1_000_000
+        out.append(struct.pack("<IIII", seconds, micros, len(data), len(data)))
+        out.append(data)
+    return b"".join(out)

@@ -82,7 +82,8 @@ def rich_packets(self: Scenario) -> Iterator[CapturedPacket]:
     if self.config.include_stray:
         streams.append(packets(self._stray, start, end))
     streams.extend(packets(model, start, end) for model in self.adversarial)
-    return self.telescope.capture(merge_streams(*streams))
+    prefix = self.telescope.prefix
+    return (packet for packet in merge_streams(*streams) if packet.dst in prefix)
 
 
 @singledispatch

@@ -268,17 +268,31 @@ def test_cli_scenario_accepts_explicit_overrides():
     preset = scenario_config("adv-h3-flood")
     args = argparse.Namespace(
         scenario="adv-h3-flood",
-        seed=20210401,
-        hours=6.0,
-        research_sample=1 / 256,
+        seed=None,
+        hours=None,
+        research_sample=None,
     )
-    assert _scenario_config(args) == preset  # defaults leave the preset alone
+    assert _scenario_config(args) == preset  # absent flags leave the preset alone
     args.hours = 0.1
     args.seed = 7
     overridden = _scenario_config(args)
     assert overridden.seed == 7
     assert overridden.duration == pytest.approx(0.1 * HOUR)
     assert overridden.include_attacks == preset.include_attacks
+
+
+def test_cli_scenario_explicit_flag_at_its_default_still_overrides():
+    """A flag given on the command line wins over the preset even when
+    its value equals the CLI default (``ibr-scanners`` is 1 h at 1/2048)."""
+    from repro.cli import _build_parser, _scenario_config
+
+    args = _build_parser().parse_args(
+        ["report", "--scenario", "ibr-scanners", "--hours", "6",
+         "--research-sample", "0.00390625"]
+    )
+    config = _scenario_config(args)
+    assert config.duration == 6 * HOUR
+    assert config.research_sample == 1 / 256
 
 
 def test_cli_unknown_scenario_is_usage_error():

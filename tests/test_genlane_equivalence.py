@@ -7,8 +7,8 @@ The acceptance contract of the columnar generation lane
 - the wire bytes stamped from mutable templates
   (``write_records(wire_items(scenario.records()))``) produce a pcap
   byte-identical to the rich per-packet object path
-  (``capture_to_pcap(rich_packets(scenario))``,
-  ``tests/reference/generator.py``);
+  (``pcap_bytes(rich_packets(scenario))``: ``tests/oracle.py`` packs
+  the packets ``tests/reference/generator.py`` builds);
 - the record stream does not depend on the ``workers`` argument
   ``records()`` still accepts (generation runs in one process; parallel
   runs partition the units, ``Scenario.parts``);
@@ -24,7 +24,7 @@ from repro.net.pcap import write_records
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.genlane import wire_items
 from repro.util.timeutil import HOUR
-from tests.oracle import assert_identical, make_pipeline, rich_result
+from tests.oracle import assert_identical, make_pipeline, pcap_bytes, rich_result
 from tests.reference.generator import rich_packets
 
 SCENARIO_KW = dict(seed=11, duration=HOUR, research_sample=1 / 2048)
@@ -36,12 +36,10 @@ def scenario():
 
 
 @pytest.fixture(scope="module")
-def rich_pcap_bytes(tmp_path_factory):
-    path = tmp_path_factory.mktemp("genlane") / "rich.pcap"
-    s = scenario()
-    count = s.telescope.capture_to_pcap(rich_packets(s), path)
-    assert count > 0
-    return path.read_bytes()
+def rich_pcap_bytes():
+    data = pcap_bytes(rich_packets(scenario()))
+    assert len(data) > 24
+    return data
 
 
 def test_gen_lane_pcap_bytes_identical_to_rich(tmp_path, rich_pcap_bytes):

@@ -92,7 +92,7 @@ def test_parallel_metrics_merge_exactly_once(scenario, metrics_on):
     assert parallel["sessions"] == serial["sessions"]
     assert parallel["attacks"] == serial["attacks"]
     # so does generation, drawn inside the workers
-    assert metrics_on.get("repro_genlane_records_total").value() == total
+    assert metrics_on.get("repro_telescope_packets_total").value() == total
 
     # the part counters cover the stream exactly once too, and every
     # part reports how long it ran

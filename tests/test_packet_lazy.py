@@ -28,12 +28,13 @@ from repro.core.pipeline import AnalysisConfig
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
-from repro.net.pcap import PcapReader, read_pcap, read_pcap_batches, write_pcap
+from repro.net.pcap import PcapReader, read_pcap, read_pcap_batches
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
 from repro.stream import StreamAnalyzer, StreamConfig
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.timeutil import HOUR
+from tests.oracle import pcap_bytes
 from tests.reference.generator import rich_packets
 
 SRC, DST = 0xC6336407, 0x2C0C2238
@@ -219,7 +220,7 @@ def packets(scenario):
 @pytest.fixture(scope="module")
 def capture(tmp_path_factory, packets):
     path = tmp_path_factory.mktemp("lazy") / "capture.pcap"
-    write_pcap(path, iter(packets))
+    path.write_bytes(pcap_bytes(packets))
     return path
 
 

@@ -14,12 +14,12 @@ from repro.net.pcap import (
     LINKTYPE_RAW,
     PcapFormatError,
     PcapReader,
-    PcapWriter,
     read_pcap,
-    write_pcap,
+    write_records,
 )
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
+from tests.oracle import pcap_bytes
 
 SRC = parse_ipv4("203.0.113.9")
 DST = parse_ipv4("44.99.1.2")
@@ -146,7 +146,7 @@ def test_pcap_roundtrip(tmp_path):
         ),
     ]
     path = tmp_path / "capture.pcap"
-    assert write_pcap(path, packets) == 3
+    assert write_records(path, ((p.timestamp, p.to_bytes()) for p in packets)) == 3
     loaded = list(read_pcap(path))
     assert len(loaded) == 3
     assert loaded[0].src_port == 443
@@ -158,7 +158,7 @@ def test_pcap_roundtrip(tmp_path):
 
 def test_pcap_linktype_recorded(tmp_path):
     path = tmp_path / "raw.pcap"
-    write_pcap(path, [_udp_packet()])
+    write_records(path, [(1.0, _udp_packet().to_bytes())])
     with open(path, "rb") as stream:
         reader = PcapReader(stream)
         assert reader.linktype == LINKTYPE_RAW
@@ -175,10 +175,7 @@ def test_pcap_rejects_truncated_header():
 
 
 def test_pcap_rejects_truncated_record():
-    buf = io.BytesIO()
-    writer = PcapWriter(buf)
-    writer.write(_udp_packet())
-    data = buf.getvalue()[:-5]  # cut into the last record body
+    data = pcap_bytes([_udp_packet()])[:-5]  # cut into the last record body
     reader = PcapReader(io.BytesIO(data))
     with pytest.raises(PcapFormatError):
         list(reader)
@@ -201,6 +198,6 @@ def test_pcap_timestamp_microsecond_carry(tmp_path):
     # A timestamp whose fractional part rounds to 1e6 µs must carry over.
     p = _udp_packet(ts=99.9999999)
     path = tmp_path / "carry.pcap"
-    write_pcap(path, [p])
+    write_records(path, [(p.timestamp, p.to_bytes())])
     loaded = list(read_pcap(path))
     assert abs(loaded[0].timestamp - 100.0) < 1e-5

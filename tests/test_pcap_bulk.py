@@ -1,13 +1,12 @@
-"""Tests for the bulk pcap writer behind the generation fast lane.
+"""Tests for the one pcap writer, :func:`repro.net.pcap.write_records`.
 
-:func:`repro.net.pcap.write_records` is ``simulate --gen-lane``'s
-writer: it takes ``(timestamp, wire_bytes)`` pairs and flushes them in
-~1 MiB chunks.  Its contract is byte-identity — the file it produces is
-indistinguishable from :class:`PcapWriter` writing the same packets one
-at a time, including the microsecond rounding carry, across chunk
-boundaries, and for borrowed/mutable wire buffers.  The lenient reader
-must also treat a bulk-written capture exactly like a per-packet one,
-corruption and all.
+It takes ``(timestamp, wire_bytes)`` pairs (``simulate`` feeds it
+``genlane.wire_items``) and flushes them in ~1 MiB chunks.  Its contract
+is the classic libpcap layout, byte for byte: the file equals
+:func:`tests.oracle.pcap_bytes`, which packs the same packets field by
+field with ``struct`` — including the microsecond rounding carry,
+across chunk boundaries, and for borrowed/mutable wire buffers.  The
+lenient reader must also survive corruption of a written capture.
 """
 
 import io
@@ -17,9 +16,10 @@ from repro.faults import corrupt_pcap_bytes
 from repro.net import pcap
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
-from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_records
+from repro.net.pcap import PcapReader, read_pcap, write_records
 from repro.net.udp import UdpHeader
 from repro.util.rng import SeededRng
+from tests.oracle import pcap_bytes
 
 #: timestamps chosen to exercise the micros-rounding paths: exact
 #: seconds, plain fractions, a fraction that rounds up within the
@@ -43,20 +43,12 @@ def make_packets(count: int = 50):
     return packets
 
 
-def per_packet_bytes(packets) -> bytes:
-    buffer = io.BytesIO()
-    writer = PcapWriter(buffer)
-    for packet in packets:
-        writer.write(packet)
-    return buffer.getvalue()
-
-
 def test_write_records_matches_per_packet_writer(tmp_path):
     packets = make_packets()
     path = tmp_path / "bulk.pcap"
     count = write_records(path, ((p.timestamp, p.to_bytes()) for p in packets))
     assert count == len(packets)
-    assert path.read_bytes() == per_packet_bytes(packets)
+    assert path.read_bytes() == pcap_bytes(packets)
 
 
 def test_write_records_across_chunk_flushes(tmp_path, monkeypatch):
@@ -65,7 +57,7 @@ def test_write_records_across_chunk_flushes(tmp_path, monkeypatch):
     packets = make_packets(200)
     path = tmp_path / "chunked.pcap"
     write_records(path, ((p.timestamp, p.to_bytes()) for p in packets))
-    assert path.read_bytes() == per_packet_bytes(packets)
+    assert path.read_bytes() == pcap_bytes(packets)
 
 
 def test_write_records_copies_borrowed_buffers(tmp_path):
@@ -81,7 +73,7 @@ def test_write_records_copies_borrowed_buffers(tmp_path):
 
     path = tmp_path / "borrowed.pcap"
     write_records(path, borrowed())
-    assert path.read_bytes() == per_packet_bytes(packets)
+    assert path.read_bytes() == pcap_bytes(packets)
 
 
 def test_bulk_written_pcap_round_trips(tmp_path):
@@ -96,14 +88,13 @@ def test_bulk_written_pcap_round_trips(tmp_path):
 
 
 def test_lenient_reader_treats_bulk_output_like_per_packet(tmp_path):
-    """The lenient-corruption corpus behaves identically on a
-    bulk-written capture: exact skip counts for body damage, resync
-    for header damage."""
+    """The lenient reader on a written capture: exact skip counts for
+    body damage, resync for header damage."""
     packets = make_packets(200)
     path = tmp_path / "lenient.pcap"
     write_records(path, ((p.timestamp, p.to_bytes()) for p in packets))
     clean = path.read_bytes()
-    assert clean == per_packet_bytes(packets)
+    assert clean == pcap_bytes(packets)
 
     rng = SeededRng(77, "pcap-bulk-corrupt")
     damaged, corrupted = corrupt_pcap_bytes(

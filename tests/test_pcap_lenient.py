@@ -21,10 +21,11 @@ import pytest
 from repro.faults import corrupt_pcap_bytes
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
-from repro.net.pcap import PcapFormatError, PcapReader, PcapWriter, read_pcap
+from repro.net.pcap import PcapFormatError, PcapReader, read_pcap
 from repro.net.udp import UdpHeader
 from repro.stream.feeds import follow_pcap
 from repro.util.rng import SeededRng
+from tests.oracle import pcap_bytes
 
 
 def make_packet(ts: float, src: int = 1, dst: int = 2) -> CapturedPacket:
@@ -33,12 +34,8 @@ def make_packet(ts: float, src: int = 1, dst: int = 2) -> CapturedPacket:
     )
 
 
-def pcap_bytes(count: int = 10) -> bytes:
-    buffer = io.BytesIO()
-    writer = PcapWriter(buffer)
-    for i in range(count):
-        writer.write(make_packet(float(i), src=i + 1))
-    return buffer.getvalue()
+def capture_bytes(count: int = 10) -> bytes:
+    return pcap_bytes(make_packet(float(i), src=i + 1) for i in range(count))
 
 
 def corrupt_one(data: bytes, index: int, kind: str) -> bytes:
@@ -59,13 +56,13 @@ def corrupt_one(data: bytes, index: int, kind: str) -> bytes:
 
 
 def test_strict_mode_raises_on_corrupt_record_header():
-    data = corrupt_one(pcap_bytes(), 3, "header")
+    data = corrupt_one(capture_bytes(), 3, "header")
     with pytest.raises(PcapFormatError):
         list(PcapReader(io.BytesIO(data)))
 
 
 def test_strict_mode_raises_on_corrupt_record_body():
-    data = corrupt_one(pcap_bytes(), 3, "body")
+    data = corrupt_one(capture_bytes(), 3, "body")
     with pytest.raises(ValueError):
         list(PcapReader(io.BytesIO(data)))
 
@@ -74,7 +71,7 @@ def test_strict_mode_raises_on_corrupt_record_body():
 
 
 def test_lenient_skips_corrupt_body_and_counts_it():
-    data = corrupt_one(pcap_bytes(), 3, "body")
+    data = corrupt_one(capture_bytes(), 3, "body")
     reader = PcapReader(io.BytesIO(data), lenient=True)
     packets = list(reader)
     # exactly the damaged record is lost; framing is intact
@@ -85,7 +82,7 @@ def test_lenient_skips_corrupt_body_and_counts_it():
 
 
 def test_lenient_resyncs_after_corrupt_record_header():
-    data = corrupt_one(pcap_bytes(), 3, "header")
+    data = corrupt_one(capture_bytes(), 3, "header")
     reader = PcapReader(io.BytesIO(data), lenient=True)
     packets = list(reader)
     # the absurd caplen destroys record 3's framing; the resync scan
@@ -96,7 +93,7 @@ def test_lenient_resyncs_after_corrupt_record_header():
 
 
 def test_lenient_counts_truncated_final_record():
-    data = pcap_bytes(4)
+    data = capture_bytes(4)
     reader = PcapReader(io.BytesIO(data[:-3]), lenient=True)
     packets = list(reader)
     assert [p.timestamp for p in packets] == [0.0, 1.0, 2.0]
@@ -108,7 +105,7 @@ def test_lenient_body_corruption_count_is_exact():
     number of corrupted records exactly."""
     rng = SeededRng(77, "pcap-corrupt")
     data, corrupted = corrupt_pcap_bytes(
-        pcap_bytes(200), rng, rate=0.25, kinds=("body",)
+        capture_bytes(200), rng, rate=0.25, kinds=("body",)
     )
     assert corrupted > 0
     reader = PcapReader(io.BytesIO(data), lenient=True)
@@ -120,7 +117,7 @@ def test_lenient_body_corruption_count_is_exact():
 def test_lenient_header_corruption_recovers_most_of_the_stream(tmp_path):
     rng = SeededRng(78, "pcap-corrupt")
     data, corrupted = corrupt_pcap_bytes(
-        pcap_bytes(200), rng, rate=0.05, kinds=("header", "body")
+        capture_bytes(200), rng, rate=0.05, kinds=("header", "body")
     )
     assert corrupted > 0
     path = tmp_path / "damaged.pcap"
@@ -138,7 +135,7 @@ def test_lenient_header_corruption_recovers_most_of_the_stream(tmp_path):
 
 def test_read_pcap_strict_by_default(tmp_path):
     path = tmp_path / "damaged.pcap"
-    path.write_bytes(corrupt_one(pcap_bytes(), 2, "body"))
+    path.write_bytes(corrupt_one(capture_bytes(), 2, "body"))
     with pytest.raises(ValueError):
         list(read_pcap(path))
 
@@ -147,7 +144,7 @@ def test_read_pcap_strict_by_default(tmp_path):
 
 
 def test_follow_pcap_lenient_reports_corrupt_deltas(tmp_path):
-    data = corrupt_one(corrupt_one(pcap_bytes(), 2, "body"), 6, "body")
+    data = corrupt_one(corrupt_one(capture_bytes(), 2, "body"), 6, "body")
     path = tmp_path / "damaged.pcap"
     path.write_bytes(data)
     deltas = []
@@ -168,7 +165,7 @@ def test_follow_pcap_lenient_reports_corrupt_deltas(tmp_path):
 
 def test_follow_pcap_strict_raises_on_corruption(tmp_path):
     path = tmp_path / "damaged.pcap"
-    path.write_bytes(corrupt_one(pcap_bytes(), 2, "body"))
+    path.write_bytes(corrupt_one(capture_bytes(), 2, "body"))
     with pytest.raises(ValueError):
         for _ in follow_pcap(path, batch_size=3, idle_timeout=0.0):
             pass

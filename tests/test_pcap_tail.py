@@ -13,22 +13,15 @@ import pytest
 
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
-from repro.net.pcap import PcapFormatError, PcapReader, PcapWriter
+from repro.net.pcap import PcapFormatError, PcapReader
 from repro.net.udp import UdpHeader
+from tests.oracle import pcap_bytes
 
 
 def make_packet(ts: float, src: int = 1, dst: int = 2) -> CapturedPacket:
     return CapturedPacket(
         ts, IPv4Header(src, dst, IPProto.UDP), UdpHeader(50000, 443), b"payload"
     )
-
-
-def pcap_bytes(packets) -> bytes:
-    buffer = io.BytesIO()
-    writer = PcapWriter(buffer)
-    for packet in packets:
-        writer.write(packet)
-    return buffer.getvalue()
 
 
 def test_strict_mode_still_raises_on_truncated_record():

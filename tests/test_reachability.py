@@ -7,8 +7,10 @@ top-level function, class or method under ``src/repro`` is *reached*
 when a root, or the body of a reached definition, mentions its name —
 name-level, so ``x.packets`` reaches every ``packets``, but a bare name
 the mentioning definition binds itself (a parameter, an assignment or
-comprehension target, a nested ``def``) reaches nothing; dunder methods
-follow their class.  Imports and ``__all__`` strings inside the package
+comprehension target, a nested ``def``) reaches nothing, and
+``self.<name>`` / ``cls.<name>`` inside a class that defines ``<name>``
+reaches only that class's own method; dunder methods follow their
+class.  Imports and ``__all__`` strings inside the package
 are not mentions: re-exporting a name does not make it live.
 
 Anything unreached fails the test — code only tests call belongs under
@@ -65,9 +67,13 @@ def local_names(function) -> set:
     return bound - declared
 
 
-def mentions(nodes, imports: bool = False) -> set:
+def mentions(nodes, imports: bool = False, owner: tuple = ("", set())) -> set:
     """Every name or attribute loaded under ``nodes``; a bare name a
-    definition binds itself is its own, not a mention."""
+    definition binds itself is its own, not a mention.  ``owner`` is
+    ``(qualname, method names)`` of the class ``nodes`` belong to: its
+    ``self.<method>`` and ``cls.<method>`` mention the method's
+    qualname, not its bare name."""
+    qualname, methods = owner
     found = set()
     for node in nodes:
         local = local_names(node) if isinstance(node, FUNCTIONS) else set()
@@ -76,7 +82,11 @@ def mentions(nodes, imports: bool = False) -> set:
                 if child.id not in local:
                     found.add(child.id)
             elif isinstance(child, ast.Attribute):
-                found.add(child.attr)
+                receiver = getattr(child.value, "id", None)
+                if receiver in ("self", "cls") and child.attr in methods:
+                    found.add(f"{qualname}.{child.attr}")
+                else:
+                    found.add(child.attr)
             elif isinstance(child, ast.Call) and ast.unparse(child.func) == "getattr":
                 found.add(getattr(child.args[1], "value", None))  # getattr(x, "name")
             elif imports and isinstance(child, (ast.Import, ast.ImportFrom)):
@@ -100,15 +110,19 @@ def survey():
             if isinstance(node, ast.ClassDef):
                 methods = [n for n in node.body if isinstance(n, DEFINITIONS)]
                 own = [n for n in ast.iter_child_nodes(node) if n not in methods]
+                owner = (f"{module}.{node.name}", {method.name for method in methods})
                 for method in methods:
                     if method.name.startswith("__") and method.name.endswith("__"):
                         own.append(method)
                     else:
                         definitions[f"{module}.{node.name}.{method.name}"] = (
                             method.name,
-                            mentions([method]),
+                            mentions([method], owner=owner),
                         )
-                definitions[f"{module}.{node.name}"] = (node.name, mentions(own))
+                definitions[f"{module}.{node.name}"] = (
+                    node.name,
+                    mentions(own, owner=owner),
+                )
             elif isinstance(node, DEFINITIONS):
                 definitions[f"{module}.{node.name}"] = (node.name, mentions([node]))
     return rooted, definitions
@@ -118,7 +132,11 @@ def unreached() -> set:
     reached_names, definitions = survey()
     pending = dict(definitions)
     while True:
-        newly = [q for q, (name, _) in pending.items() if name in reached_names]
+        newly = [
+            q
+            for q, (name, _) in pending.items()
+            if name in reached_names or q in reached_names
+        ]
         if not newly:
             return set(pending)
         for qualname in newly:

@@ -29,8 +29,9 @@ function.  That worker (a ``--workers`` part or a federated vantage)
 and the fused report run one loop, ``run_record_batches``.
 
 Generation has the same shape: ``Scenario.records()`` is the one
-generator production runs and ``Scenario.packets()`` a view of it.  The
-reference generator is not in the package at all
+generator production runs and ``Scenario.packets()`` a view of it; it
+passes one tap (``Telescope.capture_records``) and a capture is written
+by one function (``write_records``).  The reference generator is not in the package at all
 (``tests/reference/generator.py``); ``tests/test_reachability.py`` keeps
 code only tests call from coming back.
 """
@@ -231,3 +232,31 @@ def test_vantage_states_stay_in_memory():
             else:
                 continue
             assert not imported & banned, (path.name, node.lineno)
+
+
+def test_one_pcap_writer_and_one_tap():
+    """A capture is written one way (``write_records``, what ``simulate``
+    runs) and tapped one way (``Telescope.capture_records``): no
+    per-packet writer or second tap is left to hold equal to them."""
+    for path, tree in trees():
+        assert not {"PcapWriter", "write_pcap", "capture_to_pcap"} & names_in(tree), path
+    telescope = function("telescope/telescope.py", "Telescope")
+    methods = [node.name for node in telescope.body if isinstance(node, ast.FunctionDef)]
+    assert [name for name in methods if name.startswith("capture")] == ["capture_records"]
+    pcap = ast.parse((SRC / "net" / "pcap.py").read_text())
+    writers = {
+        definition.name
+        for definition in ast.walk(pcap)
+        if isinstance(definition, ast.FunctionDef)
+        for call in ast.walk(definition)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "open"
+        and set(open_mode(call)) & set("wax+")
+    }
+    assert writers == {"write_records"}
+
+
+def open_mode(call: ast.Call) -> str:
+    """The mode string of an ``open(...)`` call (``"r"`` when omitted)."""
+    mode = call.args[1] if len(call.args) > 1 else None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    return "r" if mode is None else ast.literal_eval(mode)

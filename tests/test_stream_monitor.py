@@ -16,6 +16,7 @@ from repro.core.multivector import CONCURRENT, ISOLATED, SEQUENTIAL
 from repro.core.sessions import Sessionizer
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
+from repro.net.pcap import write_records
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.stream import (
     AttackEnded,
@@ -29,6 +30,7 @@ from repro.stream import (
 )
 from repro.stream import analyzer as analyzer_module
 from repro.telescope import Scenario, ScenarioConfig
+from repro.telescope.genlane import wire_items
 from repro.util.batching import batched
 from repro.util.timeutil import HOUR
 from tests.oracle import monitor_events
@@ -357,7 +359,7 @@ def small_capture(tmp_path, hours=0.25):
         ScenarioConfig(seed=11, duration=hours * HOUR, research_sample=1 / 4096)
     )
     path = tmp_path / "capture.pcap"
-    count = scenario.telescope.capture_to_pcap(scenario.packets(), str(path))
+    count = write_records(path, wire_items(scenario.records()))
     return scenario, path, count
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.net.addresses import IPv4Network
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
@@ -330,19 +331,24 @@ def test_stray_udp_fails_dissection(internet):
 
 
 def test_telescope_filters_by_prefix():
-    telescope = Telescope(IPv4Network.from_cidr("44.0.0.0/9"))
-
-    def pkt(dst):
-        return CapturedPacket(
-            0.0, IPv4Header(1, dst, IPProto.UDP), UdpHeader(1, 2), b""
-        )
-
-    inside = pkt(IPv4Network.from_cidr("44.0.0.0/9").address_at(5))
-    outside = pkt(0x08080808)
-    captured = list(telescope.capture([inside, outside]))
-    assert captured == [inside]
-    assert telescope.packets_seen == 1
-    assert telescope.packets_dropped == 1
+    """The tap keeps a chunk's records destined to the prefix (a gen
+    record's third field), yields no empty chunk, and counts what it
+    kept and dropped in the registry."""
+    prefix = IPv4Network.from_cidr("44.0.0.0/9")
+    telescope = Telescope(prefix)
+    inside = (0.0, 1, prefix.address_at(5))
+    outside = (0.5, 1, 0x08080808)
+    was = obs.enabled()
+    obs.REGISTRY.reset()
+    obs.enable()
+    try:
+        captured = list(telescope.capture_records([[inside, outside], [outside]]))
+        assert captured == [[inside]]
+        assert obs.REGISTRY.get("repro_telescope_packets_total").value() == 1
+        assert obs.REGISTRY.get("repro_telescope_dropped_total").value() == 2
+    finally:
+        obs.REGISTRY.reset()
+        obs.set_enabled(was)
 
 
 def test_telescope_extrapolation_factor():
