@@ -25,9 +25,11 @@ Two layers live here:
    Initials.  See DESIGN.md §2.
 
 Every memo is bounded by :data:`MEMO_ENTRIES`: sized to what hits while
-a flood is live, not to what a long window derives.  The fast paths are
-byte-identical to the textbook loops ``tests/test_quic_crypto.py``
-writes out beside them.
+a flood is live, not to what a long window derives.  The generation
+memos elsewhere (scanner probes, wire templates) share that bound, and
+the metric family of the keystream, probe and flight memos is declared
+beside it.  The fast paths are byte-identical to the textbook loops
+``tests/test_quic_crypto.py`` writes out beside them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from repro.util.caching import template_cache_enabled
+from repro import obs
 from repro.quic.versions import QuicVersion
 
 HASH_LEN = 32  # SHA-256
@@ -48,6 +50,27 @@ HP_SAMPLE_LEN = 16
 #: the bound of every memo here: keys are nearly all first sights, and
 #: keystream hits come from a live flood's responder (backscatter.py)
 MEMO_ENTRIES = 256
+
+# The generation memos' metric family, one label per cache: the
+# ``keystream`` memo below, the scanners' ``initial`` probe datagrams
+# and the responders' compiled ``flight``s.  Pull-style: one collector
+# (``telescope/scanners.py``) reads the memos' own tallies at export
+# time, so no seal/open or stamping path touches the metrics layer.
+M_CACHE_HITS = obs.counter(
+    "repro_template_cache_hits_total",
+    "wire-template / keystream cache hits, per cache",
+    labels=("cache",),
+)
+M_CACHE_MISSES = obs.counter(
+    "repro_template_cache_misses_total",
+    "wire-template / keystream cache misses (fresh builds), per cache",
+    labels=("cache",),
+)
+M_CACHE_SIZE = obs.gauge(
+    "repro_template_cache_size",
+    "entries currently held, per cache",
+    labels=("cache",),
+)
 
 
 class DecryptError(ValueError):
@@ -168,53 +191,11 @@ def _compute_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return b"".join([sha256(prefix + counter).digest() for counter in counters])[:length]
 
 
-_cached_keystream = functools.lru_cache(maxsize=MEMO_ENTRIES)(_compute_keystream)
-
-# Pull-style cache metrics: the memo keeps its own tallies (lru_cache's
-# CacheInfo); a registry collector publishes them at export time so the
-# seal/open hot path never touches the metrics layer.  Shared family
-# with the datagram template caches (labelled per cache).
-from repro import obs as _obs  # noqa: E402  (after the cache it observes)
-
-_M_CACHE_HITS = _obs.counter(
-    "repro_template_cache_hits_total",
-    "wire-template / keystream cache hits, per cache",
-    labels=("cache",),
-)
-_M_CACHE_MISSES = _obs.counter(
-    "repro_template_cache_misses_total",
-    "wire-template / keystream cache misses (fresh builds), per cache",
-    labels=("cache",),
-)
-_M_CACHE_SIZE = _obs.gauge(
-    "repro_template_cache_size",
-    "entries currently held, per cache",
-    labels=("cache",),
-)
-
-
-def _collect_keystream_metrics() -> None:
-    info = _cached_keystream.cache_info()
-    _M_CACHE_HITS.set_total(info.hits, cache="keystream")
-    _M_CACHE_MISSES.set_total(info.misses, cache="keystream")
-    _M_CACHE_SIZE.set(info.currsize, cache="keystream")
-
-
-_obs.REGISTRY.add_collector(_collect_keystream_metrics)
-
-
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Keystream for ``(key, nonce, length)``, memoized.
-
-    A pure function of its arguments: a responder's flight recurs when
-    it compiles a DCID's flight on its second sight, while the flood is
-    live (``telescope/backscatter.py``), so :data:`MEMO_ENTRIES` keep it.
-    ``REPRO_DISABLE_TEMPLATE_CACHE=1`` bypasses the memo for the
-    equivalence suite.
-    """
-    if template_cache_enabled():
-        return _cached_keystream(key, nonce, length)
-    return _compute_keystream(key, nonce, length)
+#: keystream for ``(key, nonce, length)``: a pure function, memoized.  A
+#: responder's flight recurs when it compiles a DCID's flight on its
+#: second sight, while the flood is live (``telescope/backscatter.py``),
+#: so :data:`MEMO_ENTRIES` keep it.
+_keystream = functools.lru_cache(maxsize=MEMO_ENTRIES)(_compute_keystream)
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)

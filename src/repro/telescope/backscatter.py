@@ -23,7 +23,6 @@ import weakref
 from dataclasses import dataclass
 
 from repro.net.tcp import TcpFlags
-from repro.util.caching import template_cache_enabled
 from repro.util.rng import SeededRng
 from repro.quic import crypto, tls
 from repro.quic.crypto import derive_handshake_secret, derive_initial_keys
@@ -35,86 +34,12 @@ from repro.quic.versions import KNOWN_VERSIONS, QUIC_V1, QuicVersion
 _VERSIONS_BY_NAME = {v.name: v for v in KNOWN_VERSIONS}
 
 
-class DatagramTemplateCache:
-    """Memoizes protected wire bytes keyed by template identity.
-
-    Scanner probe builders emit the same few datagrams thousands of
-    times: the plaintext, keys, and packet numbers repeat, only the
-    destination varies.  Serializing and encrypting each distinct
-    template once and replaying the bytes turns per-packet crypto into
-    per-template crypto.  (Flood responders cannot replay bytes — SCID
-    and ServerHello random change per response — and compile sealers
-    instead, see :func:`_compile_sealer`.)
-
-    A *key* must capture every input that determines the bytes (keys
-    follow from the attacker DCID; header fields from version, SCID and
-    packet number; payload from the frame shape), which makes caching
-    transparent: hit or miss, the caller gets identical bytes, so a
-    seeded scenario is byte-identical with the cache on or off.  The
-    ``REPRO_DISABLE_TEMPLATE_CACHE=1`` escape hatch (checked per lookup)
-    turns every lookup into a rebuild for the equivalence suite.
-    """
-
-    __slots__ = ("max_entries", "hits", "misses", "_cache")
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._cache: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def get(self, key, build) -> bytes:
-        """Return the bytes for ``key``, calling ``build()`` on a miss."""
-        if not template_cache_enabled():
-            self.misses += 1
-            return build()
-        cached = self._cache.get(key)
-        if cached is None:
-            self.misses += 1
-            if len(self._cache) >= self.max_entries:
-                self._cache.clear()
-            cached = self._cache[key] = build()
-        else:
-            self.hits += 1
-        return cached
-
-
-# Publish the compiled-flight tallies through the shared template-cache
-# metric family (see docs/METRICS.md); pulled by a collector at export
-# time so the responder hot path stays metric-free.  The flights
-# themselves live on each responder and die with it — only these three
-# integers are process-wide.
+# The compiled-flight tallies, published as ``cache="flight"`` of the
+# template-cache family (``quic.crypto.M_CACHE_*``) by the collector in
+# ``telescope/scanners.py``, so the responder hot path stays
+# metric-free.  The flights themselves live on each responder and die
+# with it — only these three integers are process-wide.
 _FLIGHT_TALLY = {"hits": 0, "misses": 0, "size": 0}
-
-from repro import obs as _obs  # noqa: E402  (after the tallies it observes)
-
-_M_CACHE_HITS = _obs.counter(
-    "repro_template_cache_hits_total",
-    "wire-template / keystream cache hits, per cache",
-    labels=("cache",),
-)
-_M_CACHE_MISSES = _obs.counter(
-    "repro_template_cache_misses_total",
-    "wire-template / keystream cache misses (fresh builds), per cache",
-    labels=("cache",),
-)
-_M_CACHE_SIZE = _obs.gauge(
-    "repro_template_cache_size",
-    "entries currently held, per cache",
-    labels=("cache",),
-)
-
-
-def _collect_flight_metrics() -> None:
-    _M_CACHE_HITS.set_total(_FLIGHT_TALLY["hits"], cache="flight")
-    _M_CACHE_MISSES.set_total(_FLIGHT_TALLY["misses"], cache="flight")
-    _M_CACHE_SIZE.set(_FLIGHT_TALLY["size"], cache="flight")
-
-
-_obs.REGISTRY.add_collector(_collect_flight_metrics)
 
 
 def _release_flights(flights: dict) -> None:
@@ -329,8 +254,7 @@ class QuicVictimResponder:
         attacker_dcid = self.rng.choice(self._dcid_pool)
         sh_random = self.rng.randbytes(32)
 
-        # the gate is read once per response, not once per packet
-        flight = self._flights.get(attacker_dcid) if template_cache_enabled() else False
+        flight = self._flights.get(attacker_dcid)
         if flight is None and attacker_dcid in self._seen_once:
             # the DCID recurred: compile, checked against its first response
             flight = self._flights[attacker_dcid] = _compile_flight(

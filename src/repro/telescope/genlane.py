@@ -13,6 +13,10 @@ preallocated template buffers: bytearray copies of each distinct
 datagram with the mutable fields (addresses, ports, checksums, TCP
 sequence numbers, ICMP identifiers) patched in place per packet,
 DPDK-style, instead of re-serializing four header objects per packet.
+The UDP and ICMP templates live in two ``functools.lru_cache`` memos of
+:data:`~repro.quic.crypto.MEMO_ENTRIES` per stamper: scan probes recur
+and keep their templates, backscatter payloads never recur and pass
+through.
 
 Record format
 -------------
@@ -55,8 +59,11 @@ immediately, which is exactly that copy.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Iterable, Iterator, Tuple
+
+from repro.quic.crypto import MEMO_ENTRIES
 
 #: index aliases into a gen record (the first 11 match the lane record)
 GEN_TS, GEN_SRC, GEN_DST = 0, 1, 2
@@ -80,11 +87,6 @@ _ICMP_STAMP = struct.Struct(">HII")
 _ICMP_TAIL = struct.Struct(">HHH")
 _CK = struct.Struct(">H")
 
-#: wholesale-clear bound for the per-payload template table (responder
-#: Initials carry a fresh ServerHello random, so their payloads never
-#: repeat; without a cap the table would grow with scenario length)
-MAX_TEMPLATES = 8192
-
 
 def _payload_mod(payload: bytes) -> int:
     """The payload's one's-complement word sum, reduced mod 0xFFFF."""
@@ -93,6 +95,32 @@ def _payload_mod(payload: bytes) -> int:
     if len(payload) & 1:
         payload = payload + b"\x00"
     return int.from_bytes(payload, "big") % 0xFFFF
+
+
+def _udp_template(payload: bytes) -> tuple:
+    """The UDP template for one payload: buffer and checksum constants."""
+    plen = len(payload)
+    total = 28 + plen
+    buf = bytearray(total)
+    _IP_BASE.pack_into(buf, 0, 0x45, 0, total, 0, 0x4000, 64, 17, 0)
+    _UDP_BASE.pack_into(buf, 20, 0, 0, 8 + plen, 0)
+    buf[28:] = payload
+    ip_const = 0x4500 + total + 0x4000 + 0x4011
+    udp_const = 17 + 2 * (8 + plen) + _payload_mod(payload)
+    return buf, ip_const, udp_const
+
+
+def _icmp_template(icmp_type: int, code: int, payload: bytes) -> tuple:
+    """The ICMP template for one ``(type, code, payload)``."""
+    plen = len(payload)
+    total = 28 + plen
+    buf = bytearray(total)
+    _IP_BASE.pack_into(buf, 0, 0x45, 0, total, 0, 0x4000, 64, 1, 0)
+    _ICMP_BASE.pack_into(buf, 20, icmp_type, code, 0, 0, 0)
+    buf[28:] = payload
+    ip_const = 0x4500 + total + 0x4000 + 0x4001
+    head_const = ((icmp_type << 8) | code) + _payload_mod(payload)
+    return buf, ip_const, head_const
 
 
 class WireStamper:
@@ -104,11 +132,18 @@ class WireStamper:
     headers the generators produce (TTL 64, no IP options, TCP window
     65535) — ``tests/test_genlane_equivalence.py`` pins whole-pcap
     equality against the reference generator.
+
+    The UDP and ICMP templates are ``functools.lru_cache`` memos of
+    :data:`~repro.quic.crypto.MEMO_ENTRIES` each: the hits come from
+    recurring scan probes, while backscatter payloads (fresh SCID and
+    ServerHello random per response) never recur.  The memos wrap the
+    module-level builders, not bound methods, so a dropped stamper
+    frees its templates at once.
     """
 
     def __init__(self) -> None:
-        self._udp: dict[bytes, tuple] = {}
-        self._icmp: dict[tuple, tuple] = {}
+        self._udp = functools.lru_cache(maxsize=MEMO_ENTRIES)(_udp_template)
+        self._icmp = functools.lru_cache(maxsize=MEMO_ENTRIES)(_icmp_template)
         self._tcp_buf = bytearray(40)
         _IP_BASE.pack_into(self._tcp_buf, 0, 0x45, 0, 40, 0, 0x4000, 64, 6, 0)
         _TCP_BASE.pack_into(self._tcp_buf, 20, 0, 0, 0, 0, 5 << 4, 0, 65535, 0, 0)
@@ -116,45 +151,10 @@ class WireStamper:
         # pseudo-header proto + length words, data-offset base, window
         self._tcp_const = 6 + 20 + 0x5000 + 0xFFFF
         self.stamped = 0
-        self.templates_built = 0
 
     def __len__(self) -> int:
-        return len(self._udp) + len(self._icmp) + 1  # + the TCP template
-
-    # -- template builders -------------------------------------------------
-
-    def _build_udp(self, payload: bytes) -> tuple:
-        if len(self._udp) >= MAX_TEMPLATES:
-            self._udp.clear()
-        plen = len(payload)
-        total = 28 + plen
-        buf = bytearray(total)
-        _IP_BASE.pack_into(buf, 0, 0x45, 0, total, 0, 0x4000, 64, 17, 0)
-        _UDP_BASE.pack_into(buf, 20, 0, 0, 8 + plen, 0)
-        buf[28:] = payload
-        ip_const = 0x4500 + total + 0x4000 + 0x4011
-        udp_const = 17 + 2 * (8 + plen) + _payload_mod(payload)
-        entry = (buf, ip_const, udp_const)
-        self._udp[payload] = entry
-        self.templates_built += 1
-        return entry
-
-    def _build_icmp(self, key: tuple) -> tuple:
-        if len(self._icmp) >= MAX_TEMPLATES:
-            self._icmp.clear()
-        icmp_type, code, payload = key
-        plen = len(payload)
-        total = 28 + plen
-        buf = bytearray(total)
-        _IP_BASE.pack_into(buf, 0, 0x45, 0, total, 0, 0x4000, 64, 1, 0)
-        _ICMP_BASE.pack_into(buf, 20, icmp_type, code, 0, 0, 0)
-        buf[28:] = payload
-        ip_const = 0x4500 + total + 0x4000 + 0x4001
-        head_const = ((icmp_type << 8) | code) + _payload_mod(payload)
-        entry = (buf, ip_const, head_const)
-        self._icmp[key] = entry
-        self.templates_built += 1
-        return entry
+        held = self._udp.cache_info().currsize + self._icmp.cache_info().currsize
+        return held + 1  # + the TCP template
 
     # -- stamping ----------------------------------------------------------
 
@@ -166,11 +166,7 @@ class WireStamper:
         addr = (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
         self.stamped += 1
         if kind == 1:
-            payload = record[10]
-            entry = self._udp.get(payload)
-            if entry is None:
-                entry = self._build_udp(payload)
-            buf, ip_const, udp_const = entry
+            buf, ip_const, udp_const = self._udp(record[10])
             total = ip_const + addr
             total = (total & 0xFFFF) + (total >> 16)
             total = (total & 0xFFFF) + (total >> 16)
@@ -208,11 +204,7 @@ class WireStamper:
             _CK.pack_into(buf, 36, ~check & 0xFFFF)
             return buf
         if kind == 3:
-            key = (record[6], record[7], record[10])
-            entry = self._icmp.get(key)
-            if entry is None:
-                entry = self._build_icmp(key)
-            buf, ip_const, head_const = entry
+            buf, ip_const, head_const = self._icmp(record[6], record[7], record[10])
             total = ip_const + addr
             total = (total & 0xFFFF) + (total >> 16)
             total = (total & 0xFFFF) + (total >> 16)

@@ -19,61 +19,80 @@ Two very different scanner populations reach a telescope on UDP/443:
 
 Both send syntactically valid QUIC Initials (real ClientHellos under
 real Initial protection) so the pipeline's dissector accepts them the
-way Wireshark accepted the paper's captures.
+way Wireshark accepted the paper's captures.  Each distinct probe is
+sealed once (``_probe_datagram``, an lru memo of ``MEMO_ENTRIES``), and
+this module's collector publishes the generation memos — probes,
+keystreams, compiled backscatter flights — as the template-cache
+metric family.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro import obs
 from repro.util.rng import SeededRng
-from repro.quic import tls
-from repro.quic.crypto import derive_initial_keys
+from repro.quic import crypto, tls
+from repro.quic.crypto import (
+    M_CACHE_HITS,
+    M_CACHE_MISSES,
+    M_CACHE_SIZE,
+    MEMO_ENTRIES,
+    derive_initial_keys,
+)
 from repro.quic.frames import CryptoFrame
 from repro.quic.header import LongHeader, PacketType
 from repro.quic.packet import MIN_INITIAL_DATAGRAM, PlainPacket, build_datagram
 from repro.quic.versions import QUIC_V1, QuicVersion
-from repro.telescope.backscatter import DatagramTemplateCache
+from repro.telescope.backscatter import _FLIGHT_TALLY
 from repro.telescope.diurnal import DiurnalModel
 from repro.telescope.telescope import in_time_order
 from repro.internet.topology import BotHost, InternetModel, ResearchScanner
 
-#: Protected client Initials keyed by every byte-determining input.
-#: Probe pools are rebuilt whenever a scenario is re-instantiated (the
-#: equivalence suite, the golden test, the benchmark's repetitions); the same
-#: seed yields the same (dcid, scid, hello) triples, so rebuilds replay
-#: cached bytes instead of re-running packet protection.
-_INITIAL_TEMPLATES = DatagramTemplateCache(max_entries=1024)
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _probe_datagram(
+    version: QuicVersion, dcid: bytes, scid: bytes, hello_bytes: bytes
+) -> bytes:
+    """A protected client Initial, padded to the minimum datagram size.
 
-# Same pull-style publication as the responder cache (backscatter.py):
-# one shared metric family, one label per cache.
-from repro import obs as _obs  # noqa: E402  (after the cache it observes)
-
-_M_CACHE_HITS = _obs.counter(
-    "repro_template_cache_hits_total",
-    "wire-template / keystream cache hits, per cache",
-    labels=("cache",),
-)
-_M_CACHE_MISSES = _obs.counter(
-    "repro_template_cache_misses_total",
-    "wire-template / keystream cache misses (fresh builds), per cache",
-    labels=("cache",),
-)
-_M_CACHE_SIZE = _obs.gauge(
-    "repro_template_cache_size",
-    "entries currently held, per cache",
-    labels=("cache",),
-)
-
-
-def _collect_initial_template_metrics() -> None:
-    _M_CACHE_HITS.set_total(_INITIAL_TEMPLATES.hits, cache="initial")
-    _M_CACHE_MISSES.set_total(_INITIAL_TEMPLATES.misses, cache="initial")
-    _M_CACHE_SIZE.set(len(_INITIAL_TEMPLATES), cache="initial")
+    Memoized on every byte-determining input: probe pools are rebuilt
+    whenever a scenario is re-instantiated (the equivalence suite, the
+    golden tests, the benchmark's repetitions), and the same seed yields
+    the same ``(dcid, scid, hello)`` triples, so rebuilds replay the
+    bytes instead of re-running packet protection.  The default scenario
+    and every preset build 80 distinct probes, well inside the bound.
+    """
+    client_keys, _ = derive_initial_keys(version, dcid)
+    packet = PlainPacket(
+        header=LongHeader(
+            packet_type=PacketType.INITIAL,
+            version=version.value,
+            dcid=dcid,
+            scid=scid,
+        ),
+        packet_number=0,
+        frames=[CryptoFrame(0, hello_bytes)],
+    )
+    return build_datagram([(packet, client_keys)], pad_to=MIN_INITIAL_DATAGRAM)
 
 
-_obs.REGISTRY.add_collector(_collect_initial_template_metrics)
+def _collect_template_cache_metrics() -> None:
+    """Publish the generation memos as the template-cache family."""
+    for cache, info in (
+        ("keystream", crypto._keystream.cache_info()),
+        ("initial", _probe_datagram.cache_info()),
+    ):
+        M_CACHE_HITS.set_total(info.hits, cache=cache)
+        M_CACHE_MISSES.set_total(info.misses, cache=cache)
+        M_CACHE_SIZE.set(info.currsize, cache=cache)
+    M_CACHE_HITS.set_total(_FLIGHT_TALLY["hits"], cache="flight")
+    M_CACHE_MISSES.set_total(_FLIGHT_TALLY["misses"], cache="flight")
+    M_CACHE_SIZE.set(_FLIGHT_TALLY["size"], cache="flight")
+
+
+obs.REGISTRY.add_collector(_collect_template_cache_metrics)
 
 
 def gquic_probe(rng: SeededRng, version_tag: bytes = b"Q043") -> bytes:
@@ -118,28 +137,8 @@ class ProbePool:
                 server_name=server_name,
                 transport_parameters=rng.randbytes(48),
             )
-            hello_bytes = hello.serialize()
-
-            def build(dcid=dcid, scid=scid, hello_bytes=hello_bytes):
-                client_keys, _ = derive_initial_keys(version, dcid)
-                packet = PlainPacket(
-                    header=LongHeader(
-                        packet_type=PacketType.INITIAL,
-                        version=version.value,
-                        dcid=dcid,
-                        scid=scid,
-                    ),
-                    packet_number=0,
-                    frames=[CryptoFrame(0, hello_bytes)],
-                )
-                return build_datagram(
-                    [(packet, client_keys)], pad_to=MIN_INITIAL_DATAGRAM
-                )
-
             self._probes.append(
-                _INITIAL_TEMPLATES.get(
-                    ("initial", version.value, dcid, scid, hello_bytes), build
-                )
+                _probe_datagram(version, dcid, scid, hello.serialize())
             )
         self._index = 0
 

@@ -12,17 +12,22 @@ The acceptance contract of the columnar generation lane
 - the record stream does not depend on the ``workers`` argument
   ``records()`` still accepts (generation runs in one process; parallel
   runs partition the units, ``Scenario.parts``);
+- the stamper's template memos are bounded lru caches that keep what
+  hits, and bytes stamped through them equal an unbounded memo's;
 - the fused generate→analyze path
   (``process_record_batches(scenario.lane_batches())``) produces a
   :class:`PipelineResult` identical to the rich reference walker
   (``tests/oracle.py``) over the rich packet stream.
 """
 
+import functools
+
 import pytest
 
 from repro.net.pcap import write_records
-from repro.telescope import Scenario, ScenarioConfig
-from repro.telescope.genlane import wire_items
+from repro.quic.crypto import MEMO_ENTRIES
+from repro.telescope import Scenario, ScenarioConfig, genlane
+from repro.telescope.genlane import WireStamper, wire_items
 from repro.util.timeutil import HOUR
 from tests.oracle import assert_identical, make_pipeline, pcap_bytes, rich_result
 from tests.reference.generator import rich_packets
@@ -66,6 +71,28 @@ def test_parallel_record_stream_identical():
     assert serial
     parallel = list(scenario().records(workers=2))
     assert parallel == serial
+
+
+def test_stamper_memos_keep_the_hits(tmp_path):
+    """The bound binds, and keeps what hits: a 2 h capture holds far
+    more distinct UDP payloads than the memo keeps (backscatter never
+    recurs), but the hits come from recurring scan probes, and an
+    unbounded memo adds almost none.  Counts and bytes only, no clock."""
+    bounded, unbounded = WireStamper(), WireStamper()
+    unbounded._udp = functools.lru_cache(maxsize=None)(genlane._udp_template)
+    captures = []
+    for name, stamper in (("bounded", bounded), ("unbounded", unbounded)):
+        records = Scenario(ScenarioConfig(duration=2 * HOUR, research_sample=1 / 64)).records()
+        path = tmp_path / f"{name}.pcap"
+        write_records(path, ((record[0], stamper.wire(record)) for record in records))
+        captures.append(path.read_bytes())
+    kept, possible = (stamper._udp.cache_info() for stamper in (bounded, unbounded))
+    assert possible.currsize > 4 * MEMO_ENTRIES
+    assert kept.currsize <= MEMO_ENTRIES
+    assert bounded._icmp.cache_info().currsize <= MEMO_ENTRIES
+    assert len(bounded) <= 2 * MEMO_ENTRIES + 1
+    assert kept.hits >= 0.99 * possible.hits
+    assert captures[0] == captures[1]
 
 
 def test_fused_record_path_matches_rich_pipeline():

@@ -1,4 +1,4 @@
-"""Metrics under multiprocessing and cache gating.
+"""Metrics under multiprocessing, and the generation memos' metrics.
 
 Two contracts:
 
@@ -10,18 +10,20 @@ Two contracts:
    shipping the parent's pre-fork totals) would show up as inflated
    packet counts.
 
-2. **Cache gating.** ``REPRO_DISABLE_TEMPLATE_CACHE=1`` bypasses the
-   wire-template and keystream memos, so the collector-backed
-   hit counters must report zero hits.
+2. **Memo metrics.** One collector publishes the generation memos as
+   the ``repro_template_cache_*`` family, straight from their own
+   tallies, so the exported values equal each memo's ``cache_info()``.
 """
 
-import gc
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.core import AnalysisConfig, QuicsandPipeline
-from repro.telescope import Scenario, ScenarioConfig
+from repro.quic import crypto
+from repro.telescope import Scenario, ScenarioConfig, scanners
 from repro.util.timeutil import HOUR
 
 
@@ -114,32 +116,28 @@ def test_parallel_merge_is_deterministic(scenario, metrics_on):
     assert pipeline_totals(metrics_on) == first
 
 
-def test_disabled_template_cache_reports_zero_hits(metrics_on, monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_TEMPLATE_CACHE", "1")
-
-    # fresh caches: the keystream memo is process-global, so clear it
-    # (its CacheInfo would otherwise carry hits from earlier tests)
-    from repro.quic import crypto
-    from repro.telescope import backscatter, scanners
-
-    crypto._cached_keystream.cache_clear()
-    cache = scanners._INITIAL_TEMPLATES
-    cache.hits = cache.misses = 0
-    cache._cache.clear()
-    # compiled flights live on responders: collect the dead ones first so
-    # none gives its entries back while this test is counting
-    gc.collect()
-    backscatter._FLIGHT_TALLY.update(hits=0, misses=0, size=0)
-
+def test_template_cache_family_reads_the_memos(metrics_on):
+    """The exported ``keystream`` and ``initial`` values are the memos'
+    own ``cache_info()``, and one module declares the family."""
     scenario = Scenario(
         ScenarioConfig(duration=0.5 * HOUR, research_sample=1.0 / 2048)
     )
     for _ in scenario.packets():
         pass
 
-    snap = metrics_on.snapshot()  # runs the cache collectors
-    hits = snap["repro_template_cache_hits_total"][4]
-    assert all(v == 0 for v in hits.values()), hits
-    # and the caches genuinely held nothing
-    sizes = snap["repro_template_cache_size"][4]
-    assert all(v == 0 for v in sizes.values()), sizes
+    snap = metrics_on.snapshot()  # runs the cache collector
+    exported = {
+        field: snap[f"repro_template_cache_{name}"][4]
+        for field, name in (("hits", "hits_total"), ("misses", "misses_total"), ("currsize", "size"))
+    }
+    for cache, memo in (("keystream", crypto._keystream), ("initial", scanners._probe_datagram)):
+        info = memo.cache_info()
+        for field, values in exported.items():
+            assert values[(cache,)] == getattr(info, field), (cache, field)
+    assert exported["misses"][("initial",)] > 0
+
+    src = Path(repro.__file__).parent
+    for name in ("hits_total", "misses_total", "size"):
+        family = f"repro_template_cache_{name}"
+        declaring = [p for p in src.rglob("*.py") if family in p.read_text()]
+        assert declaring == [src / "quic" / "crypto.py"], family

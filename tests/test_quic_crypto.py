@@ -27,7 +27,6 @@ from repro.quic.crypto import (
 )
 from repro.quic.versions import DRAFT_29, QUIC_V1
 from repro.telescope import Scenario, ScenarioConfig, scanners
-from repro.telescope.backscatter import DatagramTemplateCache
 from repro.util.timeutil import HOUR
 
 
@@ -218,7 +217,7 @@ def test_nonce_is_the_bytewise_xor(packet_number):
 
 # -- the memos are sized to what hits ---------------------------------------
 
-MEMOS = ("derive_initial_keys", "derive_handshake_secret", "_cached_keystream", "_hmac_base", "_label_info")
+MEMOS = ("derive_initial_keys", "derive_handshake_secret", "_keystream", "_hmac_base", "_label_info")
 
 
 def _drain_with_fresh_memos(maxsize):
@@ -233,7 +232,8 @@ def _drain_with_fresh_memos(maxsize):
                 if module_name.startswith("repro") and getattr(module, name, None) is memo:
                     patch.setattr(module, name, fresh[name])
         # probe datagrams replayed from an earlier run would skip their sealing
-        patch.setattr(scanners, "_INITIAL_TEMPLATES", DatagramTemplateCache(max_entries=1024))
+        probe = scanners._probe_datagram.__wrapped__
+        patch.setattr(scanners, "_probe_datagram", functools.lru_cache(maxsize=maxsize)(probe))
         scenario = Scenario(ScenarioConfig(duration=6 * HOUR, research_sample=1 / 2048))
         for _ in scenario.lane_batches():
             pass
@@ -248,8 +248,8 @@ def test_bounded_memos_keep_the_keystream_hits():
     for name, memo in bounded.items():
         assert memo.cache_info().currsize <= crypto.MEMO_ENTRIES, name
     # the bound binds: a window derives far more than the memos keep ...
-    assert unbounded["_cached_keystream"].cache_info().currsize > 4 * crypto.MEMO_ENTRIES
+    assert unbounded["_keystream"].cache_info().currsize > 4 * crypto.MEMO_ENTRIES
     # ... but the hits come from live floods, and those stay
-    kept, possible = (memo["_cached_keystream"].cache_info().hits for memo in (bounded, unbounded))
+    kept, possible = (memo["_keystream"].cache_info().hits for memo in (bounded, unbounded))
     assert possible > 1000
     assert kept >= 0.99 * possible

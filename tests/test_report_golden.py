@@ -18,6 +18,7 @@ from repro.core import QuicsandPipeline
 from repro.core.report import build_report
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.timeutil import HOUR
+from tests.test_template_cache import bypass_template_caches
 
 GOLDEN = Path(__file__).parent / "data" / "report_seed11_2h.txt"
 
@@ -43,10 +44,10 @@ def test_report_matches_golden():
 
 
 def test_report_matches_golden_with_template_cache_disabled(monkeypatch):
-    """The wire-template caches must not leak into the output: the same
-    scenario rendered with every cache bypassed still matches the same
+    """The generation memos must not leak into the output: the same
+    scenario rendered with every memo bypassed still matches the same
     golden snapshot byte for byte."""
-    monkeypatch.setenv("REPRO_DISABLE_TEMPLATE_CACHE", "1")
+    bypass_template_caches(monkeypatch)
     _assert_matches_golden(render_report())
 
 

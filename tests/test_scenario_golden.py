@@ -28,6 +28,7 @@ from repro.core import QuicsandPipeline
 from repro.core.report import build_report
 from repro.telescope import Scenario
 from repro.telescope.presets import SCENARIOS, scenario_config
+from tests.test_template_cache import bypass_template_caches
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,10 +80,10 @@ def test_adversarial_report_matches_golden(name):
 
 
 def test_report_matches_golden_with_template_cache_disabled(monkeypatch):
-    """The wire-template caches must not leak into adversarial output:
-    the VN/Retry scenario rendered with every cache bypassed still
+    """The generation memos must not leak into adversarial output:
+    the VN/Retry scenario rendered with every memo bypassed still
     matches the same golden snapshot byte for byte."""
-    monkeypatch.setenv("REPRO_DISABLE_TEMPLATE_CACHE", "1")
+    bypass_template_caches(monkeypatch)
     _assert_matches_golden(HASHSEED_SCENARIO, render_report(HASHSEED_SCENARIO))
 
 

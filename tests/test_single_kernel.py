@@ -34,6 +34,10 @@ passes one tap (``Telescope.capture_records``) and a capture is written
 by one function (``write_records``).  The reference generator is not in the package at all
 (``tests/reference/generator.py``); ``tests/test_reachability.py`` keeps
 code only tests call from coming back.
+
+No environment variable is a hidden knob either: options and config
+fields set every behaviour, and nothing under ``src/repro`` reads the
+environment.
 """
 
 import ast
@@ -171,6 +175,19 @@ def test_no_lane_selection_is_left():
                 getattr(node, "id", None),  # a name: variable, dataclass field
             }
             assert not knobs & named, (path, node.lineno)
+
+
+def test_no_environment_variable_is_read():
+    banned = {"environ", "getenv"}
+    for path, tree in trees():
+        for node in ast.walk(tree):
+            named = {
+                getattr(node, "attr", None),  # os.environ.get(…), os.getenv(…)
+                getattr(node, "id", None),  # environ / getenv imported by name
+            }
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                named |= {alias.name for alias in node.names}
+            assert not banned & named, (path, node.lineno)
 
 
 def test_one_shard_worker_function():

@@ -1,18 +1,17 @@
-"""Equivalence contract of the wire-template synthesis caches.
+"""Equivalence contract of the generation memos.
 
-The template caches (:class:`DatagramTemplateCache`, the keystream
-memo) only replay bytes whose inputs are fully captured by the cache
-key, so a seeded scenario must produce *byte-identical* packet streams
-— and bit-identical analysis results — with the caches enabled or
-disabled via ``REPRO_DISABLE_TEMPLATE_CACHE=1``.  These tests pin that
-contract; any cache key that misses a byte-determining input shows up
-here as a diff.
+The memos (the scanners' probe datagrams, the keystream memo, the
+responders' compiled flights) only replay bytes whose inputs are fully
+captured by their keys, so a seeded scenario must produce
+*byte-identical* packet streams — and bit-identical analysis results —
+with the memos in place or bypassed by :func:`bypass_template_caches`.
+These tests pin that contract; any memo key that misses a
+byte-determining input shows up here as a diff.
 """
 
 import gc
 import os
 import weakref
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,20 +19,31 @@ from hypothesis import strategies as st
 
 from repro.core import QuicsandPipeline
 from repro.core.report import build_report
+from repro.quic import crypto
+from repro.quic.crypto import MEMO_ENTRIES
 from repro.quic.packet import protect_packet
 from repro.quic.versions import KNOWN_VERSIONS
-from repro.telescope import Scenario, ScenarioConfig, attacks, backscatter
+from repro.telescope import Scenario, ScenarioConfig, attacks, backscatter, scanners
 from repro.telescope.backscatter import (
     _FLIGHT_TALLY,
-    DatagramTemplateCache,
     QuicVictimResponder,
     ResponderPolicy,
     _compile_flight,
 )
-from repro.util.caching import DISABLE_TEMPLATE_CACHE_ENV, template_cache_enabled
+from repro.telescope.scanners import ProbePool
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 from tests.reference.generator import respond, rich_packets
+
+
+def bypass_template_caches(patch):
+    """Route every generation memo through a fresh build for as long as
+    ``patch`` (a ``MonkeyPatch``) holds: no flight compiles, every
+    keystream is recomputed, and the probe memo starts empty (a
+    scenario's probes are all distinct, so each one is rebuilt)."""
+    patch.setattr(backscatter, "_compile_flight", lambda parts, packets: False)
+    patch.setattr(crypto, "_keystream", crypto._compute_keystream)
+    scanners._probe_datagram.cache_clear()
 
 
 def _scenario():
@@ -55,58 +65,23 @@ def _analyze(scenario):
     return pipeline.process(scenario.packets())
 
 
-# -- cache gate --------------------------------------------------------
+# -- the probe memo ------------------------------------------------------
 
 
-def test_cache_enabled_by_default(monkeypatch):
-    monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
-    assert template_cache_enabled()
-    monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
-    assert not template_cache_enabled()
-
-
-# -- DatagramTemplateCache unit behaviour ------------------------------
-
-
-def test_template_cache_hit_miss_accounting():
-    cache = DatagramTemplateCache()
-    calls = []
-
-    def build():
-        calls.append(1)
-        return b"wire-bytes"
-
-    assert cache.get(("k",), build) == b"wire-bytes"
-    assert cache.get(("k",), build) == b"wire-bytes"
-    assert len(calls) == 1
-    assert cache.misses == 1
-    assert cache.hits == 1
-    assert len(cache) == 1
-
-
-def test_template_cache_disabled_always_rebuilds(monkeypatch):
-    monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
-    cache = DatagramTemplateCache()
-    calls = []
-
-    def build():
-        calls.append(1)
-        return b"wire-bytes"
-
-    assert cache.get(("k",), build) == b"wire-bytes"
-    assert cache.get(("k",), build) == b"wire-bytes"
-    assert len(calls) == 2
-    assert cache.hits == 0
-    assert len(cache) == 0
-
-
-def test_template_cache_bounded():
-    cache = DatagramTemplateCache(max_entries=4)
-    for i in range(10):
-        cache.get(("k", i), lambda i=i: bytes([i]))
-    assert len(cache) <= 4
-    # evicted entries rebuild with identical bytes
-    assert cache.get(("k", 0), lambda: bytes([0])) == b"\x00"
+def test_probe_memo_is_an_lru_of_memo_entries():
+    """Pools rebuilt from the same seed replay the memo's bytes; after a
+    ``cache_clear()`` they are sealed afresh, to equal bytes."""
+    memo = scanners._probe_datagram
+    assert memo.cache_parameters()["maxsize"] == MEMO_ENTRIES
+    memo.cache_clear()
+    first = ProbePool(SeededRng(5), size=4)._probes
+    replayed = ProbePool(SeededRng(5), size=4)._probes
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (4, 4)
+    assert all(a is b for a, b in zip(first, replayed))
+    memo.cache_clear()
+    rebuilt = ProbePool(SeededRng(5), size=4)._probes
+    assert memo.cache_info().misses == 4
+    assert rebuilt == first and rebuilt[0] is not first[0]
 
 
 # -- responder equivalence ---------------------------------------------
@@ -114,9 +89,7 @@ def test_template_cache_bounded():
 
 def _respond_train(monkeypatch, disabled: bool):
     if disabled:
-        monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
-    else:
-        monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
+        bypass_template_caches(monkeypatch)
     hits_before = _FLIGHT_TALLY["hits"]
     responder = QuicVictimResponder(
         victim_ip=0x08080808,
@@ -140,7 +113,7 @@ def test_responder_bytes_identical_cache_on_vs_off(monkeypatch):
     assert hits_on > 0
     assert all(responder_on._flights.values())
     assert hits_off == 0
-    assert not responder_off._flights
+    assert not any(responder_off._flights.values())
 
 
 # -- scenario-level equivalence ----------------------------------------
@@ -150,22 +123,21 @@ def test_scenario_stream_bytes_identical_cache_on_vs_off(monkeypatch):
     # the reference generator runs the responders' respond(), the
     # production one their respond_records(): each has its own cache use
     for generator in (rich_packets, Scenario.packets):
-        monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
         enabled = _capture(_scenario(), generator)
-        monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
-        disabled = _capture(_scenario(), generator)
+        with monkeypatch.context() as patch:
+            bypass_template_caches(patch)
+            disabled = _capture(_scenario(), generator)
         assert len(enabled) == len(disabled), generator.__name__
         assert enabled == disabled, generator.__name__
 
 
 def test_pipeline_result_identical_cache_on_vs_off(monkeypatch):
-    monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
     scenario = _scenario()
     result_on = _analyze(scenario)
     report_on = build_report(
         result_on, research_weight=scenario.truth.research_weight
     )
-    monkeypatch.setenv(DISABLE_TEMPLATE_CACHE_ENV, "1")
+    bypass_template_caches(monkeypatch)
     scenario = _scenario()
     result_off = _analyze(scenario)
     report_off = build_report(
@@ -233,11 +205,9 @@ def test_compiled_packets_equal_protect_packet(
 )
 def test_responder_trains_identical_cache_on_vs_off(version, pings, scid_policy, seed):
     def train(disabled):
-        with mock.patch.dict(os.environ):
+        with pytest.MonkeyPatch.context() as patch:
             if disabled:
-                os.environ[DISABLE_TEMPLATE_CACHE_ENV] = "1"
-            else:
-                os.environ.pop(DISABLE_TEMPLATE_CACHE_ENV, None)
+                bypass_template_caches(patch)
             responder = QuicVictimResponder(
                 0x08080808,
                 SeededRng(seed),
@@ -271,7 +241,6 @@ class _SpyPool(list):
 
 
 def test_flights_compile_once_per_recurring_dcid_and_die_with_the_flood(monkeypatch):
-    monkeypatch.delenv(DISABLE_TEMPLATE_CACHE_ENV, raising=False)
     draws, responders, compiles = [], [], []
 
     class SpyResponder(QuicVictimResponder):
