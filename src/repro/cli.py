@@ -11,10 +11,6 @@ Commands mirror the workflow of the paper's toolchain:
 - ``watch``    — online monitor: stream a live simulator feed or a
   tail-followed pcap through the incremental analyzer, printing flood
   alerts as they fire (see :mod:`repro.stream`);
-- ``federate`` — multi-telescope federation: run K vantages over tiles
-  of the telescope prefix, one process each, and merge their states
-  into one global report with cross-telescope flood dedup (see
-  :mod:`repro.federate` and ``docs/FEDERATION.md``);
 - ``table1``   — run the NGINX DoS-resiliency benchmark (Table 1);
 - ``probe``    — actively probe census servers for RETRY (Section 6);
 - ``profile``  — cProfile the generation and analysis hot paths and
@@ -53,7 +49,7 @@ from repro.core.export import export_results
 from repro.core.report import build_report
 from repro.core.retry_audit import ActiveProber
 from repro.net.addresses import format_ipv4
-from repro.net.pcap import PcapReader, write_records
+from repro.net.pcap import PcapFormatError, PcapReader, write_records
 from repro.server import run_table1, table1_rows
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.genlane import wire_items
@@ -177,28 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _metrics_arg(watch)
     _faults_args(watch)
-
-    federate = sub.add_parser(
-        "federate",
-        help="run K telescope vantages and merge them into a global report",
-        description="Multi-telescope federation: split the telescope "
-        "prefix into tiles, run one vantage per tile under the shared "
-        "scenario seed, and merge the vantage states into a global "
-        "result that is bit-identical to a single telescope over the "
-        "whole prefix. The vantages run as local processes and hand "
-        "their states back in memory. See docs/FEDERATION.md.",
-    )
-    _scenario_args(federate)
-    federate.add_argument(
-        "--vantages",
-        type=int,
-        default=2,
-        help="number of vantage tiles",
-    )
-    federate.add_argument(
-        "--report-out", help="also write the federation report to a file"
-    )
-    _metrics_arg(federate)
 
     stats = sub.add_parser(
         "stats",
@@ -396,12 +370,15 @@ def cmd_analyze(args, stream) -> int:
         return 2
     scenario = None if args.no_correlation else _scenario(args)
     pipeline = _pipeline(scenario)
-    with open(args.pcap, "rb") as pcap_stream:
-        reader = PcapReader(pcap_stream, lenient=args.lenient)
-        packets = iter(reader)
-        if injector is not None:
-            packets = injector.wrap(packets)
-        result = pipeline.process(packets)
+    try:
+        with open(args.pcap, "rb") as pcap_stream:
+            reader = PcapReader(pcap_stream, lenient=args.lenient)
+            packets = iter(reader)
+            if injector is not None:
+                packets = injector.wrap(packets)
+            result = pipeline.process(packets)
+    except (OSError, PcapFormatError) as exc:
+        return _unreadable(args.pcap, exc, stream)
     if args.lenient and reader.corrupt_records:
         from repro.stream.feeds import note_corrupt_records
 
@@ -458,6 +435,12 @@ def cmd_stats(args, stream) -> int:
         print(f"cannot render {args.metrics}: {exc}", file=stream)
         return 2
     return 0
+
+
+def _unreadable(path, exc, stream) -> int:
+    """A capture that is missing or damaged: one line, exit 2."""
+    print(f"cannot read {path}: {exc}; --lenient skips damaged records", file=stream)
+    return 2
 
 
 def _maybe_export(result, args, stream) -> None:
@@ -520,6 +503,10 @@ def cmd_watch(args, stream) -> int:
                     next_status = watermark + args.status_every
     except KeyboardInterrupt:
         print("interrupted — finalizing", file=stream)
+    except (OSError, PcapFormatError) as exc:
+        if not args.pcap:
+            raise
+        return _unreadable(args.pcap, exc, stream)
     for event in analyzer.finish():
         print(event.render(), file=stream)
     print(analyzer.status_line(), file=stream)
@@ -579,31 +566,6 @@ def cmd_profile(args, stream) -> int:
     return 0
 
 
-def cmd_federate(args, stream) -> int:
-    from repro.federate import Aggregator, run_vantages
-
-    _maybe_enable_metrics(args)
-    if args.vantages < 1:
-        print("--vantages must be at least 1", file=stream)
-        return 2
-
-    scenario = _scenario(args)
-    aggregator = Aggregator(
-        _pipeline(scenario), research_weight=scenario.truth.research_weight
-    )
-    fed = aggregator.federate(
-        run_vantages(scenario, AnalysisConfig(), args.vantages)
-    )
-    text = aggregator.report(fed)
-    print(text, file=stream)
-    if args.report_out:
-        with open(args.report_out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"\nreport written to {args.report_out}", file=stream)
-    _maybe_write_metrics(args, stream)
-    return 0
-
-
 def cmd_table1(_args, stream) -> int:
     headers, rows = table1_rows(run_table1())
     print(format_table(headers, rows, title="Table 1 — NGINX DoS resiliency"), file=stream)
@@ -642,7 +604,6 @@ _COMMANDS = {
     "analyze": cmd_analyze,
     "report": cmd_report,
     "watch": cmd_watch,
-    "federate": cmd_federate,
     "table1": cmd_table1,
     "probe": cmd_probe,
     "profile": cmd_profile,

@@ -9,8 +9,7 @@ generation units — runs the serial fused loop over it
 (:func:`~repro.core.pipeline.run_record_batches`) and returns the
 closed :class:`~repro.core.pipeline.PartialState`.  The parent only
 merges, once, and finalizes.  Nothing per packet crosses a process
-boundary; each part's closed state does, once.  Local federation runs
-its tiles through the same pool (:func:`run_pool`); its aggregator merges.
+boundary; each part's closed state does, once.
 """
 
 from __future__ import annotations
@@ -68,11 +67,11 @@ def _run_part(index: int, feed: Callable, config: AnalysisConfig, metrics: bool)
     return state, obs.REGISTRY.snapshot(run_collectors=False)
 
 
-def run_pool(feeds: Iterable[Callable], config: AnalysisConfig) -> list:
+def run_parts(feeds: Iterable[Callable], config: AnalysisConfig) -> PartialState:
     """Run each picklable zero-argument ``feed`` (an iterable of lane
     record batches) through the fused loop in a worker process of its
-    own and return each part's ``(closed state, metrics snapshot or
-    None)``, in part order.
+    own, then merge: the parts' closed states merged once and their
+    metrics snapshots merged once each, in part order.
 
     A feed that raises fails the run with an error naming its part,
     chained to the worker's traceback; a worker that dies fails it with
@@ -101,13 +100,6 @@ def run_pool(feeds: Iterable[Callable], config: AnalysisConfig) -> list:
                     f"part {index} of {len(feeds)} failed: {exc!r}"
                 ) from exc
     _M_WORKERS.set(len(feeds))
-    return results
-
-
-def run_parts(feeds: Iterable[Callable], config: AnalysisConfig) -> PartialState:
-    """:func:`run_pool`, then the merge: the parts' states merged once
-    and their metrics snapshots merged once each, in part order."""
-    results = run_pool(feeds, config)
     with obs.span(_M_MERGE):
         merged = merge_states([state for state, _ in results], config)
     for _, snapshot in results:

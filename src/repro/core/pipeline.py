@@ -24,7 +24,7 @@ research candidates) and rejoinable by time, so :func:`merge_states`
 rebuilds the serial state exactly from the states of *any* partition
 of the time-ordered stream into sub-sequences — a scenario's
 generation units (``--workers``, :mod:`repro.core.parallel`) and
-destination tiles (:mod:`repro.federate`) alike.
+destination tiles (``tests/test_parallel.py``) alike.
 """
 
 from __future__ import annotations
@@ -243,8 +243,8 @@ class PartialState:
     the stream.  All state is additive or per source and rejoinable by
     time, so :func:`merge_states` over the parts of any partition into
     time-ordered sub-sequences reconstructs the serial state exactly.
-    Instances are picklable: worker processes and federated vantages
-    ship them for merging.
+    Instances are picklable: ``--workers`` processes ship them for
+    merging.
     """
 
     window_start: Optional[float] = None
@@ -576,7 +576,7 @@ def run_record_batches(batches: Iterable[list], config: AnalysisConfig) -> Parti
     """The fused per-packet phase: batches of 11-field lane records
     (:meth:`BatchLane.observe_records`) through one :class:`BatchLane`
     into one closed :class:`PartialState` — the loop of the fused
-    report, of every ``--workers`` part and of a federated vantage."""
+    report and of every ``--workers`` part."""
     state = PartialState.initial(config)
     lane = BatchLane(dissect_payloads=config.dissect_payloads)
     for batch in batches:
@@ -608,8 +608,9 @@ def merge_states(states: Iterable[PartialState], config: AnalysisConfig) -> Part
     """The serial state of a stream from the states of its parts.
 
     The parts may split the time-ordered stream any way at all — by
-    generation unit (``--workers``), by destination tile (federation)
-    — as long as each is a sub-sequence of it.  Additive counters ride
+    generation unit (``--workers``), by destination tile
+    (``tests/test_parallel.py``) — as long as each is a sub-sequence
+    of it.  Additive counters ride
     :meth:`PartialState.merge_counts`, session fragments are rejoined by
     :func:`~repro.core.sessions.chain_merge_sessions` (exactness proof
     in its docstring) and the timeout sweeps by the same rule in

@@ -303,7 +303,7 @@ class Sessionizer:
 
 
 def _clone_session(session: Session) -> Session:
-    """A deep-enough copy for federated joining (fresh sets/dicts)."""
+    """A deep-enough copy for joining fragments (fresh sets/dicts)."""
     return Session(
         source=session.source,
         traffic_class=session.traffic_class,
@@ -342,8 +342,8 @@ def _absorb_session(target: Session, other: Session) -> None:
 def chain_merge_sessions(sessions: Iterable[Session], timeout: float) -> list:
     """Re-join session fragments from the parts of a partitioned capture.
 
-    A part — a federated vantage's destination tile, a ``--workers``
-    worker's generation units — sees only a sub-sequence of a source's
+    A part — a ``--workers`` worker's generation units, or any other
+    split such as by destination — sees only a sub-sequence of a source's
     packets, and the same source appears in several parts.  Every
     fragment still has internal gaps <= ``timeout``,
     which means no union-stream session boundary can fall strictly
@@ -355,7 +355,7 @@ def chain_merge_sessions(sessions: Iterable[Session], timeout: float) -> list:
     exactly the sessions a serial run over the union stream produces;
     the per-session statistics are sums/unions, so the rebuilt
     :class:`Session` objects compare equal to the serial ones
-    (``tests/test_federation_equivalence.py`` pins this bit for bit).
+    (``tests/test_parallel.py`` pins this bit for bit).
 
     Returns new sessions in canonical ``(first_ts, source)`` order;
     the inputs are not mutated.
@@ -442,8 +442,8 @@ class TimeoutSweep:
 
     def merge(self, other: "TimeoutSweep") -> None:
         """Fold the sweep of another part of the same stream into this
-        one: a ``--workers`` part or a destination tile (federation)
-        alike.  A source only ``other`` saw takes copies of
+        one: a ``--workers`` part or any other sub-sequence, such as a
+        destination tile.  A source only ``other`` saw takes copies of
         its runs as they are (in stream order, which sorting would
         change for an unordered capture); for a source both saw, the
         runs of both sides are sorted by ``first`` and neighbours joined

@@ -84,18 +84,6 @@ class IPv4Network:
     def __contains__(self, address: int) -> bool:
         return (address & self.netmask) == self.network
 
-    def subnets(self, new_prefix_len: int) -> list["IPv4Network"]:
-        """Split into equal-size subnets of ``new_prefix_len``."""
-        if new_prefix_len < self.prefix_len or new_prefix_len > 32:
-            raise ValueError(
-                f"cannot split /{self.prefix_len} into /{new_prefix_len}"
-            )
-        step = 1 << (32 - new_prefix_len)
-        return [
-            IPv4Network(self.network + i * step, new_prefix_len)
-            for i in range(1 << (new_prefix_len - self.prefix_len))
-        ]
-
     def address_at(self, offset: int) -> int:
         """The ``offset``-th address inside the prefix."""
         if not 0 <= offset < self.size:

@@ -147,7 +147,14 @@ class PcapReader:
                     continue
                 yield packet
             else:
-                yield parse(timestamp, data)
+                try:
+                    packet = parse(timestamp, data)
+                except ValueError as exc:
+                    offset = stream.tell() - record.size - caplen
+                    raise PcapFormatError(
+                        f"corrupt pcap record at byte {offset}: {exc}"
+                    ) from exc
+                yield packet
 
     def _plausible(self, fraction: int, caplen: int, origlen: int) -> bool:
         """A record header is plausible when its lengths fit the

@@ -155,26 +155,6 @@ class Scenario:
             bot_sources=frozenset(b.address for b in self.internet.bot_hosts),
         )
 
-    def retarget(self, prefix) -> None:
-        """Narrow the capture tap to a sub-prefix of the telescope net.
-
-        Telescope federation (:mod:`repro.federate`) runs K vantages
-        over the *same* scenario seed, each capturing one tile of the
-        /9: the generated Internet traffic is identical, only the tap
-        filter differs, so the vantage captures partition the
-        single-telescope capture exactly.  ``prefix`` is an
-        :class:`~repro.net.addresses.IPv4Network` or CIDR string and
-        must lie inside the scenario's telescope prefix.
-        """
-        from repro.net.addresses import IPv4Network
-
-        if isinstance(prefix, str):
-            prefix = IPv4Network.from_cidr(prefix)
-        net = self.internet.telescope_net
-        if prefix.network & net.netmask != net.network or prefix.prefix_len < net.prefix_len:
-            raise ValueError(f"{prefix} is not inside telescope prefix {net}")
-        self.telescope = Telescope(prefix)
-
     def packets(self) -> Iterator[CapturedPacket]:
         """The telescope's merged capture for the whole window.
 
@@ -266,16 +246,15 @@ class Scenario:
 
         Part *i* is a picklable zero-argument feed of the
         :meth:`lane_batches` of units ``i::count``, which rebuilds this
-        scenario (config and tap prefix) in whatever process calls it.
+        scenario from its config in whatever process calls it.
         Every unit draws from its own seeded stream, so a part's records
         are exactly the serial capture's records of its units, in serial
         order — a sub-sequence of the capture, which is all
         :func:`~repro.core.pipeline.merge_states` needs.
         """
         count = max(1, min(count, len(self.record_units())))
-        prefix = str(self.telescope.prefix)
         return [
-            partial(part_batches, self.config, prefix, index, count, batch_size)
+            partial(part_batches, self.config, index, count, batch_size)
             for index in range(count)
         ]
 
@@ -320,13 +299,9 @@ def _lane_batches(chunks: Iterator[list], batch_size: int) -> Iterator[list]:
     return batched(chain.from_iterable(stripped), batch_size)
 
 
-def part_batches(
-    config, prefix: str, index: int, count: int, batch_size: int = BATCH_SIZE
-):
+def part_batches(config, index: int, count: int, batch_size: int = BATCH_SIZE):
     """Part ``index`` of :meth:`Scenario.parts`, drawn from a rebuilt
-    scenario.  Units ``0`` of ``1`` on a tile's prefix is a federated
-    vantage's capture (:func:`repro.federate.merge.run_vantages`)."""
+    scenario."""
     scenario = Scenario(config)
-    scenario.retarget(prefix)
     units = scenario._timed_units()[index::count]
     return _lane_batches(scenario._captured_chunks(units), batch_size)

@@ -13,8 +13,8 @@ package textually unchanged once nothing a user can run reached it
 Parked, with the unit tests that are their only callers — delete each
 with its tests, or move it back when a command needs it:
 
-- :mod:`tests.reference.sketch_merge` — the sketch merges (wanted by
-  sketch-only federation, ROADMAP *Parked*);
+- :mod:`tests.reference.sketch_merge` — the sketch merges (no command
+  merges sketches);
 - :mod:`tests.reference.bursts` — the EWMA burst pre-screen;
 - :mod:`tests.reference.simulation` — the discrete-event loop.
 

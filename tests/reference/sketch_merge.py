@@ -1,14 +1,12 @@
-"""Sketch composition: the merges ``federate --sketch`` was going to need.
+"""Sketch composition: the merges a split sketch-mode monitor would need.
 
 Count-min rows add, HLL registers max, space-saving summaries
 union-and-truncate, and :class:`~repro.stream.sketch.tier.SketchTier`
 composes the three under source-IP sharding.  No command, example or
-bench ever merged a sketch (the federation aggregator stored the tiers
-it received and read none), so the methods left ``repro.stream.sketch``;
+bench ever merged a sketch, so the methods left ``repro.stream.sketch``;
 their law tests (``tests/test_sketch.py``, ``tests/test_stream_sketch.py``)
-keep them honest here until sketch-only federation (ROADMAP, *Parked*)
-brings an aggregator that calls them.  Bodies are the methods', unchanged
-but for ``a.merge(b)`` → ``merge(a, b)``.
+keep them honest here until a command merges sketches, or go with them.
+Bodies are the methods', unchanged but for ``a.merge(b)`` → ``merge(a, b)``.
 """
 
 from functools import singledispatch

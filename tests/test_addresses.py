@@ -56,15 +56,6 @@ def test_first_last():
     assert net.last == parse_ipv4("10.0.0.3")
 
 
-def test_subnets():
-    net = IPv4Network.from_cidr("10.0.0.0/8")
-    subs = net.subnets(10)
-    assert len(subs) == 4
-    assert subs[1].network == parse_ipv4("10.64.0.0")
-    with pytest.raises(ValueError):
-        net.subnets(7)
-
-
 def test_address_at():
     net = IPv4Network.from_cidr("10.0.0.0/24")
     assert net.address_at(0) == parse_ipv4("10.0.0.0")

@@ -26,7 +26,6 @@ INSTRUMENTED_MODULES = (
     "repro.telescope.scanners",
     "repro.quic.crypto",
     "repro.faults.inject",
-    "repro.federate.aggregate",
 )
 
 ROW = re.compile(

@@ -34,6 +34,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import statistics
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -43,9 +45,11 @@ import pytest
 from repro.core import AnalysisConfig, QuicsandPipeline
 from repro.core.classify import PacketClass, TrafficClassifier
 from repro.core.dos import DosDetector, DosThresholds
+from repro.core.extrapolate import TelescopeExtrapolator
 from repro.core.multivector import correlate_attacks
 from repro.internet.asn import NetworkType
 from repro.internet.topology import TopologyConfig
+from repro.net.addresses import IPv4Network
 from repro.quic import tls
 from repro.quic.connection import ClientConnection, ServerConnection
 from repro.quic.crypto import derive_initial_keys
@@ -294,9 +298,30 @@ def _a1(seed: int) -> dict:
     }
 
 
+def _tile_estimates(batches: list, net: IPv4Network, prefix_len: int) -> list:
+    """Each ``/prefix_len`` tile of ``net`` as a telescope of its own:
+    its packets scaled to ``net`` by the two extrapolation factors, over
+    the packets ``net`` captured (1 = the tile extrapolates exactly)."""
+    shift = 32 - prefix_len
+    counts = Counter(record[2] >> shift for batch in batches for record in batch)
+    total = sum(counts.values())
+    estimates = []
+    for index in range(1 << (prefix_len - net.prefix_len)):
+        tile = IPv4Network(net.network + (index << shift), prefix_len)
+        scale = TelescopeExtrapolator(tile).factor / TelescopeExtrapolator(net).factor
+        estimates.append(counts[tile.network >> shift] * scale / total)
+    return estimates
+
+
+def _iqr(values: list) -> float:
+    low, _median, high = statistics.quantiles(values, n=4)
+    return high - low
+
+
 def _a4_a5(seed: int) -> dict:
     """One Internet-wide attack population seen by a /9, a /12 and a /16
-    (A5); the /9 capture re-sessionized under five timeouts (A4)."""
+    (A5); the /9 capture re-sessionized under five timeouts (A4); the /9
+    capture's /12 and /16 tiles extrapolated to the /9 (A5)."""
     recall, values = {}, {}
     for prefix in (9, 12, 16):
         scale = 2.0 ** (9 - prefix)  # plan rates are calibrated for a /9
@@ -333,10 +358,14 @@ def _a4_a5(seed: int) -> dict:
             sessions.append(len(result.response_sessions))
             detected[minutes] = len(result.quic_attacks)
         recall[9] = _ratio(detected[5.0], planned)  # 5 min is the default timeout
+        tiles_12 = _tile_estimates(batches, scenario.telescope.prefix, 12)
+        tiles_16 = _tile_estimates(batches, scenario.telescope.prefix, 16)
         values = {
             "A4.session_rise": _max_rise(sessions),
             "A4.recall_at_5min": recall[9],
             "A4.detected_15_over_5": _ratio(detected[15.0], detected[5.0]),
+            "A5.tile_estimate_12": _median(tiles_12),
+            "A5.tile_spread_16_minus_12": _iqr(tiles_16) - _iqr(tiles_12),
         }
     return {
         **values,
@@ -588,6 +617,8 @@ CLAIMS = (
     Claim("A5.recall_9_minus_12", "—", "recall /9 minus /12", above(0)),
     Claim("A5.recall_12_minus_16", "—", "recall /12 minus /16", above(0)),
     Claim("A5.recall_16", "—", "recall of planned QUIC floods, /16", below(0.25)),
+    Claim("A5.tile_estimate_12", "a /9 sees 1/512", "median over the /9's eight /12 tiles of tile packets × 8 / /9 packets", Band(0.9, 1.1)),
+    Claim("A5.tile_spread_16_minus_12", "—", "IQR of the 128 /16 tile estimates minus IQR of the eight /12", above(0)),
 )
 
 

@@ -10,6 +10,7 @@ one documented exception — each worker warms its own cache, so the
 hit/miss split depends on the partition while the sum does not.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -18,6 +19,7 @@ from functools import partial
 
 import pytest
 
+from repro.net.addresses import IPv4Network
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
 from repro.net.udp import UdpHeader
@@ -27,7 +29,7 @@ from repro.quic.connection import ClientConnection
 from repro.core import AnalysisConfig, PartialState, QuicsandPipeline
 from repro.core.classify import PacketClass, TrafficClassifier
 from repro.core.parallel import run_parts
-from repro.core.pipeline import merge_states
+from repro.core.pipeline import merge_states, run_record_batches
 from repro.core.report import build_report
 from repro.telescope import Scenario, ScenarioConfig
 
@@ -211,6 +213,107 @@ def test_merge_joins_a_session_split_across_parts():
     )
     assert merged.sweep.sweep(range(1, 61)) == serial.sweep.sweep(range(1, 61))
     assert merged.sessionizers[PacketClass.QUIC_REQUEST].source_count == 1
+
+
+#: an hour of the /9, split by destination below
+LAW_CONFIG = ScenarioConfig(seed=11, duration=HOUR, research_sample=1 / 2048)
+#: prefix lengths of K contiguous destination tiles of the /9, in
+#: address order (K = 3 halves the first /10 only)
+TILINGS = {1: (9,), 2: (10, 10), 3: (10, 11, 11), 4: (11, 11, 11, 11)}
+#: helper objects compared by identity in PipelineResult (same set as
+#: tests/test_lane_equivalence.py)
+_IDENTITY_FIELDS = {"config", "timeout_sweep", "quic_detector", "common_detector"}
+
+
+def law_pipeline(scenario):
+    return QuicsandPipeline(
+        registry=scenario.internet.registry,
+        census=scenario.internet.census,
+        greynoise=scenario.internet.greynoise,
+        config=AnalysisConfig(),
+    )
+
+
+@pytest.fixture(scope="module")
+def law():
+    """``(scenario, lane batches, serial result)`` of ``LAW_CONFIG``."""
+    scenario = Scenario(LAW_CONFIG)
+    batches = list(scenario.lane_batches())
+    serial = law_pipeline(scenario).process_record_batches(iter(batches))
+    return scenario, batches, serial
+
+
+def tile_of(net, count):
+    """``dst -> part``: the part of the K contiguous tiles of ``net``
+    (``TILINGS[count]``) that holds ``dst``."""
+    tiles, cursor = [], net.network
+    for prefix_len in TILINGS[count]:
+        tiles.append(IPv4Network(cursor, prefix_len))
+        cursor += tiles[-1].size
+    assert cursor == net.network + net.size
+    return lambda dst: next(i for i, tile in enumerate(tiles) if dst in tile)
+
+
+def destination_parts(batches, part_of, count):
+    """``batches`` split by destination (lane field 2) into ``count``
+    parts, each a sub-sequence of the stream in the stream's batches."""
+    parts = [[] for _ in range(count)]
+    for batch in batches:
+        split = [[] for _ in range(count)]
+        for record in batch:
+            split[part_of(record[2])].append(record)
+        for part, records in zip(parts, split):
+            if records:
+                part.append(records)
+    return parts
+
+
+def destination_states(law, count, part_of=None):
+    scenario, batches, _serial = law
+    part_of = part_of or tile_of(scenario.telescope.prefix, count)
+    return [
+        run_record_batches(part, AnalysisConfig())
+        for part in destination_parts(batches, part_of, count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "count, part_of",
+    [(1, None), (2, None), (3, None), (4, None), (3, lambda dst: dst % 3)],
+    ids=["tiles-1", "tiles-2", "tiles-3", "tiles-4", "dst-mod-3"],
+)
+def test_destination_partition_merges_to_the_serial_result(law, count, part_of):
+    """K destination tiles of the /9 — or any other split by destination
+    — each run alone and merged, are the serial run: every result field,
+    the whole timeout sweep and the report bytes."""
+    scenario, _batches, serial = law
+    states = destination_states(law, count, part_of)
+    assert len(states) == count
+    merged = law_pipeline(scenario).finalize_state(merge_states(states, AnalysisConfig()))
+    assert serial.total_packets > 0
+    for field in dataclasses.fields(serial):
+        if field.name not in _IDENTITY_FIELDS:
+            assert getattr(merged, field.name) == getattr(serial, field.name), field.name
+    assert merged.timeout_sweep.sweep(range(1, 61)) == serial.timeout_sweep.sweep(range(1, 61))
+    weight = scenario.truth.research_weight
+    assert build_report(merged, research_weight=weight) == build_report(
+        serial, research_weight=weight
+    )
+
+
+def test_merge_states_leaves_its_inputs_unchanged(law):
+    """Callers merge states they read again: every input pickles to the
+    same bytes after the merge."""
+    states = destination_states(law, 3)
+    before = [state.snapshot_bytes() for state in states]
+    merged = merge_states(states, AnalysisConfig())
+    assert merged.total_packets == sum(state.total_packets for state in states)
+    assert [state.snapshot_bytes() for state in states] == before
+
+
+def test_merge_rejects_empty_input():
+    with pytest.raises(ValueError, match="nothing to merge"):
+        merge_states([], AnalysisConfig())
 
 
 # -- failure and worker death -------------------------------------------------

@@ -10,14 +10,18 @@ surfaces the same count as deltas to the streaming monitor and the
 
 Fixtures are built with :func:`repro.faults.corrupt_pcap_bytes`, the
 seeded pcap-level corruptor that `repro.faults` exposes for exactly
-this kind of test.
+this kind of test.  The last section runs ``analyze`` and ``watch
+--pcap`` over a damaged capture: lenient reads count every damaged
+record, strict reads and missing files exit 2 with one line.
 """
 
 import io
+import re
 import struct
 
 import pytest
 
+from repro.cli import main
 from repro.faults import corrupt_pcap_bytes
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
@@ -169,3 +173,62 @@ def test_follow_pcap_strict_raises_on_corruption(tmp_path):
     with pytest.raises(ValueError):
         for _ in follow_pcap(path, batch_size=3, idle_timeout=0.0):
             pass
+
+
+# -- damaged captures at command level ---------------------------------------
+
+HALF_HOUR = ["--hours", "0.5", "--research-sample", "0.0005"]
+
+
+def run_cli(argv):
+    stream = io.StringIO()
+    code = main(argv, stream=stream)
+    return code, stream.getvalue()
+
+
+@pytest.fixture(scope="module")
+def damaged_capture(tmp_path_factory):
+    """``(path, damaged records)`` of a simulated half hour with about
+    one record in a hundred corrupted, header or body."""
+    directory = tmp_path_factory.mktemp("damaged")
+    clean = directory / "clean.pcap"
+    assert run_cli(["simulate", *HALF_HOUR, "--out", str(clean)])[0] == 0
+    data, damaged = corrupt_pcap_bytes(clean.read_bytes(), SeededRng(7), rate=0.01)
+    path = directory / "damaged.pcap"
+    path.write_bytes(data)
+    return path, damaged
+
+
+def test_cli_lenient_analyze_counts_every_damaged_record(damaged_capture):
+    path, damaged = damaged_capture
+    assert damaged == 30
+    code, out = run_cli(["analyze", *HALF_HOUR, "--lenient", str(path)])
+    assert code == 0
+    assert out.splitlines()[0] == f"skipped {damaged} corrupt pcap record(s)"
+    assert "Overview (Figure 2)" in out
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["watch", "--pcap"]], ids=["analyze", "watch"])
+def test_cli_strict_read_of_a_damaged_capture_exits_2(damaged_capture, command):
+    """One line naming the damaged record's offset and the way round it."""
+    path, _damaged = damaged_capture
+    code, out = run_cli([command[0], *HALF_HOUR, *command[1:], str(path)])
+    assert code == 2
+    line = out.splitlines()[-1]
+    match = re.fullmatch(
+        rf"cannot read {re.escape(str(path))}: corrupt pcap record at byte (\d+): "
+        r".+; --lenient skips damaged records",
+        line,
+    )
+    assert match, line
+    offset = int(match.group(1))
+    # the offset is a record header whose body is not an IPv4 packet
+    assert path.read_bytes()[offset + 16] >> 4 != 4
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["watch", "--pcap"]], ids=["analyze", "watch"])
+def test_cli_missing_capture_exits_2(tmp_path, command):
+    missing = tmp_path / "missing.pcap"
+    code, out = run_cli([command[0], *HALF_HOUR, *command[1:], str(missing)])
+    assert code == 2
+    assert out.splitlines()[-1].startswith(f"cannot read {missing}: ")

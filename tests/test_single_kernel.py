@@ -25,8 +25,10 @@ The lane is not a knob either: ``PartialState.consume`` is the only
 ``classify_batch`` caller and itself has no caller under ``src/repro``
 (the suites drive it through ``tests/oracle.py``), nothing is named
 ``fast_lane``/``gen_lane``, and ``core/parallel.py`` has one worker
-function.  That worker (a ``--workers`` part or a federated vantage)
-and the fused report run one loop, ``run_record_batches``.
+function.  That worker (a ``--workers`` part) and the fused report run
+one loop, ``run_record_batches``, and ``run_parts`` is the one way into
+the process pool: no second partitioned runner (the deleted
+``repro.federate``) is left to hold equal to it.
 
 Generation has the same shape: ``Scenario.records()`` is the one
 generator production runs and ``Scenario.packets()`` a view of it; it
@@ -42,6 +44,9 @@ environment.
 
 import ast
 import pathlib
+from importlib.util import find_spec
+
+from repro import cli
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -223,32 +228,52 @@ def test_both_report_arms_draw_from_the_sharded_generator():
         assert not any("gen_workers" in names_in(statement) for statement in arm)
 
 
+def test_one_partitioned_runner():
+    """``process_scenario`` reaches the pool only through ``run_parts``,
+    which is the one place a pool is made; no federation package or
+    command is left beside it."""
+    assert find_spec("repro.federate") is None
+    assert "federate" not in cli._COMMANDS
+    assert "run_parts" in calls(function("core/pipeline.py", "QuicsandPipeline.process_scenario"))
+    assert sites("ProcessPoolExecutor", kind=_Calls) == {"run_parts"}
+    parallel = ast.parse((SRC / "core" / "parallel.py").read_text())
+    defined = {node.name for node in parallel.body if isinstance(node, ast.FunctionDef)}
+    assert defined == {"_run_part", "run_parts"}
+
+
 def test_vantage_has_one_loop_body():
-    """A vantage is a ``--workers`` part (``run_pool`` submits only
-    ``_run_part``); ``federate`` itself runs no loop."""
-    assert "run_pool" in calls(function("federate/merge.py", "run_vantages"))
-    called = calls(function("cli.py", "cmd_federate"))
-    assert "run_vantages" in called
-    assert "run_record_batches" not in called
-    assert not [callee for callee in called if callee.endswith((".apply", ".observe_records"))]
-    assert not [callee for callee in called if callee.startswith("state.consume")]
+    """A vantage is a ``--workers`` part (``run_parts`` submits only
+    ``_run_part``); the part and the fused report run the one loop,
+    ``run_record_batches``, and the pool runs none of its own."""
+    submitted = [
+        node.args[0]
+        for node in ast.walk(function("core/parallel.py", "run_parts"))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "pool.submit"
+    ]
+    assert [ast.unparse(arg) for arg in submitted] == ["_run_part"]
+    part = calls(function("core/parallel.py", "_run_part"))
+    assert "run_record_batches" in part
+    for called in (part, calls(function("core/parallel.py", "run_parts"))):
+        assert not [callee for callee in called if callee.endswith((".apply", ".observe_records"))]
+        assert not [callee for callee in called if callee.startswith("state.consume")]
     fused = calls(function("core/pipeline.py", "QuicsandPipeline.process_record_batches"))
     assert "run_record_batches" in fused
 
 
 def test_vantage_states_stay_in_memory():
-    """A vantage hands its state back through the pool and nowhere else:
-    nothing under ``federate/`` serializes, touches files or checksums."""
+    """A part hands its closed state back through the pool and nowhere
+    else: ``core/parallel.py`` serializes nothing itself, touches no
+    files and checksums nothing."""
     banned = {"pickle", "os", "tempfile", "zlib"}
-    for path in sorted((SRC / "federate").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported = {alias.name.split(".")[0] for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                imported = {(node.module or "").split(".")[0]}
-            else:
-                continue
-            assert not imported & banned, (path.name, node.lineno)
+    path = SRC / "core" / "parallel.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported = {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported = {(node.module or "").split(".")[0]}
+        else:
+            continue
+        assert not imported & banned, (path.name, node.lineno)
 
 
 def test_one_pcap_writer_and_one_tap():
