@@ -16,9 +16,12 @@ the dissection facts the per-packet phase consumes downstream
 backscatter flags, and the first packet's version/DCID).  Entries are
 pure in the payload bytes, so :class:`BatchLane` memoizes them in a
 payload-keyed ``functools.lru_cache`` of
-:data:`~repro.quic.crypto.MEMO_ENTRIES`, like the rich dissector; scan
+:data:`~repro.util.batching.MEMO_ENTRIES`, like the rich dissector; scan
 templates repeat thousands of times, and a memo hit costs one C call
-instead of any parsing at all.  Backscatter carries a fresh server SCID
+instead of any parsing at all.  Packets parsed from the wire
+(``CapturedPacket.from_bytes``) already share a recurring payload
+object, whose hash is cached, so their hits here are identity hits: no
+rehash and no byte compare.  Backscatter carries a fresh server SCID
 per connection and never recurs, so the bound keeps the templates and
 lets the flood datagrams fall out.
 
@@ -58,9 +61,9 @@ from repro.core.dissect import (
 from repro.net.icmp import BACKSCATTER_TYPES as _ICMP_BACKSCATTER_TYPES
 from repro.net.packet import KIND_ICMP, KIND_TCP
 from repro.net.tcp import TcpFlags
-from repro.quic.crypto import MEMO_ENTRIES
 from repro.quic.header import PacketType
 from repro.quic.versions import version_by_value
+from repro.util.batching import MEMO_ENTRIES
 
 # Lane-owned metric families (docs/METRICS.md).  Registered on import —
 # repro.core.pipeline imports this module, which keeps the registry and

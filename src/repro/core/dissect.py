@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.quic import tls
-from repro.quic.crypto import MEMO_ENTRIES, DecryptError, derive_initial_keys
+from repro.quic.crypto import DecryptError, derive_initial_keys
 from repro.quic.frames import CryptoFrame, FrameParseError, crypto_payload
 from repro.quic.header import (
     HeaderParseError,
@@ -37,6 +37,7 @@ from repro.quic.header import (
 )
 from repro.quic.packet import split_datagram, unprotect_initial
 from repro.quic.versions import is_greased, version_by_value
+from repro.util.batching import MEMO_ENTRIES
 
 #: Minimum short-header datagram the dissector accepts: first byte +
 #: 8-byte CID + 1-byte packet number + 16-byte sample.
@@ -162,7 +163,7 @@ class QuicDissector:
     """Stateless dissector over UDP payloads.
 
     Dissection is pure in the payload bytes, so :meth:`dissect` is a
-    ``functools.lru_cache`` of :data:`~repro.quic.crypto.MEMO_ENTRIES`
+    ``functools.lru_cache`` of :data:`~repro.util.batching.MEMO_ENTRIES`
     over :meth:`dissect_once`: scan tools replay a bounded set of
     handshake templates, and a telescope sees each template many
     thousands of times, while backscatter carries a fresh server SCID

@@ -20,10 +20,19 @@ fills the scalars and keeps only the header bytes; ``packet.ip`` and
 access, with every field the wire carried (checksums, TTL, seq/ack).
 Equality, pickling, ``to_bytes`` and ``repr`` do not depend on which
 way a packet came in or whether its headers were materialised yet.
+
+Parsed payloads are shared: :meth:`~CapturedPacket.from_bytes` passes
+each payload through one module-level ``functools.lru_cache`` of
+:data:`~repro.util.batching.MEMO_ENTRIES` (:data:`_shared_payload`), so
+a payload equal to one parsed recently is that same immutable object.
+Scanners replay a few probe templates, so a capture held as packets
+keeps one copy of each template instead of one per packet; payloads
+that never recur (backscatter) pass through and fall out of the bound.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Optional, Union
 
@@ -33,6 +42,7 @@ from repro.net.icmp import IcmpHeader
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.tcp import TcpHeader
 from repro.net.udp import UdpHeader
+from repro.util.batching import MEMO_ENTRIES
 
 TransportHeader = Union[UdpHeader, TcpHeader, IcmpHeader]
 
@@ -53,6 +63,10 @@ _KIND_OF_HEADER = {header: kind for kind, header in enumerate(_TRANSPORT_HEADER)
 _IP_SCALARS = struct.Struct("!BxH5xB2xII")  # ver/ihl, total, proto, src, dst
 _UDP_SCALARS = struct.Struct("!HHH")  # ports, length
 _TCP_SCALARS = struct.Struct("!HH8xBB")  # ports, data offset, flags
+
+#: the earlier equal payload if one is in the memo, else this one
+#: (``bytes(payload)`` of a ``bytes`` is the object itself)
+_shared_payload = functools.lru_cache(maxsize=MEMO_ENTRIES)(bytes)
 
 
 class CapturedPacket:
@@ -167,7 +181,7 @@ class CapturedPacket:
                 self.icmp_code = data[offset + 1]
                 offset += icmp.HEADER_LEN
         self._head = data[:offset]
-        self.payload = data[offset:end]
+        self.payload = _shared_payload(data[offset:end])
         return self
 
     @property

@@ -49,7 +49,9 @@ class PcapReader:
     cleanly.  Iterating again after the file has grown resumes exactly
     where the reader left off, so a writer-in-progress capture can be
     tail-followed (see :func:`repro.stream.feeds.follow_pcap`).
-    A genuinely bad magic number still raises in both modes.
+    A genuinely bad magic number still raises in both modes, and so,
+    without ``lenient``, does a record header with an implausible
+    caplen/origlen/fraction (the error names its byte offset).
 
     With ``lenient=True`` (also requires a seekable stream) *interior*
     corruption is survived instead of fatal: a record header with an
@@ -110,6 +112,7 @@ class PcapReader:
         stream = self._stream
         tail = self._tail
         lenient = self._lenient
+        frac_limit = self._frac_limit
         while True:
             pos = stream.tell() if (tail or lenient) else None
             head = stream.read(record.size)
@@ -124,11 +127,18 @@ class PcapReader:
                     return
                 raise PcapFormatError("truncated pcap record header")
             seconds, fraction, caplen, origlen = record.unpack(head)
-            if lenient and not self._plausible(fraction, caplen, origlen):
-                self.corrupt_records += 1
-                if not self._resync(pos + 1):
-                    return
-                continue
+            # inline :meth:`_plausible`: no extra call per record
+            if not (0 < caplen <= origlen <= SNAPLEN and fraction < frac_limit):
+                if lenient:
+                    self.corrupt_records += 1
+                    if not self._resync(pos + 1):
+                        return
+                    continue
+                offset = stream.tell() - record.size
+                raise PcapFormatError(
+                    f"implausible pcap record header at byte {offset}: "
+                    f"caplen={caplen}, origlen={origlen}"
+                )
             data = stream.read(caplen)
             if len(data) < caplen:
                 if tail:
@@ -159,11 +169,7 @@ class PcapReader:
     def _plausible(self, fraction: int, caplen: int, origlen: int) -> bool:
         """A record header is plausible when its lengths fit the
         snaplen contract and its sub-second fraction is in range."""
-        if not 0 < caplen <= SNAPLEN:
-            return False
-        if not caplen <= origlen <= SNAPLEN:
-            return False
-        return fraction < self._frac_limit
+        return 0 < caplen <= origlen <= SNAPLEN and fraction < self._frac_limit
 
     def _resync(self, search_from: int) -> bool:
         """Scan forward for the next verifiable record boundary.

@@ -24,11 +24,12 @@ Two layers live here:
    decrypt a client Initial — which is precisely how Wireshark dissects
    Initials.  See DESIGN.md §2.
 
-Every memo is bounded by :data:`MEMO_ENTRIES`: sized to what hits while
-a flood is live, not to what a long window derives.  The generation
-memos elsewhere (scanner probes, wire templates) share that bound, and
-the metric family of the keystream, probe and flight memos is declared
-beside it.  The fast paths are byte-identical to the textbook loops
+Every memo is bounded by :data:`~repro.util.batching.MEMO_ENTRIES`:
+sized to what hits while a flood is live, not to what a long window
+derives (keys are nearly all first sights).  The generation memos
+elsewhere (scanner probes, wire templates) share that bound, and the
+metric family of the keystream, probe and flight memos is declared
+here.  The fast paths are byte-identical to the textbook loops
 ``tests/test_quic_crypto.py`` writes out beside them.
 """
 
@@ -41,15 +42,13 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.quic.versions import QuicVersion
+from repro.util.batching import MEMO_ENTRIES
 
 HASH_LEN = 32  # SHA-256
 AEAD_TAG_LEN = 16
 AEAD_KEY_LEN = 16
 AEAD_IV_LEN = 12
 HP_SAMPLE_LEN = 16
-#: the bound of every memo here: keys are nearly all first sights, and
-#: keystream hits come from a live flood's responder (backscatter.py)
-MEMO_ENTRIES = 256
 
 # The generation memos' metric family, one label per cache: the
 # ``keystream`` memo below, the scanners' ``initial`` probe datagrams

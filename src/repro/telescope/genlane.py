@@ -14,7 +14,7 @@ datagram with the mutable fields (addresses, ports, checksums, TCP
 sequence numbers, ICMP identifiers) patched in place per packet,
 DPDK-style, instead of re-serializing four header objects per packet.
 The UDP and ICMP templates live in two ``functools.lru_cache`` memos of
-:data:`~repro.quic.crypto.MEMO_ENTRIES` per stamper: scan probes recur
+:data:`~repro.util.batching.MEMO_ENTRIES` per stamper: scan probes recur
 and keep their templates, backscatter payloads never recur and pass
 through.
 
@@ -63,7 +63,7 @@ import functools
 import struct
 from typing import Iterable, Iterator, Tuple
 
-from repro.quic.crypto import MEMO_ENTRIES
+from repro.util.batching import MEMO_ENTRIES
 
 #: index aliases into a gen record (the first 11 match the lane record)
 GEN_TS, GEN_SRC, GEN_DST = 0, 1, 2
@@ -134,7 +134,7 @@ class WireStamper:
     equality against the reference generator.
 
     The UDP and ICMP templates are ``functools.lru_cache`` memos of
-    :data:`~repro.quic.crypto.MEMO_ENTRIES` each: the hits come from
+    :data:`~repro.util.batching.MEMO_ENTRIES` each: the hits come from
     recurring scan probes, while backscatter payloads (fresh SCID and
     ServerHello random per response) never recur.  The memos wrap the
     module-level builders, not bound methods, so a dropped stamper

@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro import obs
+from repro.util.batching import MEMO_ENTRIES
 from repro.util.rng import SeededRng
 from repro.quic import crypto, tls
 from repro.quic.crypto import (
     M_CACHE_HITS,
     M_CACHE_MISSES,
     M_CACHE_SIZE,
-    MEMO_ENTRIES,
     derive_initial_keys,
 )
 from repro.quic.frames import CryptoFrame

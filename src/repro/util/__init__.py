@@ -8,7 +8,8 @@ the substrates and the analysis core:
 - :mod:`repro.util.timeutil` — epoch constants and interval helpers.
 - :mod:`repro.util.stats` — empirical CDFs and percentiles.
 - :mod:`repro.util.render` — plain-text tables and charts for the report.
-- :mod:`repro.util.batching` — chunked iteration over packet streams.
+- :mod:`repro.util.batching` — chunked iteration over packet streams and
+  the bound every memo shares.
 """
 
 from repro.util.batching import batched

@@ -43,10 +43,10 @@ from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import KIND_ICMP, KIND_UDP, CapturedPacket
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
-from repro.quic.crypto import MEMO_ENTRIES
 from repro.stream.sketch import SketchTier
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.presets import get_scenario, scenario_names
+from repro.util.batching import MEMO_ENTRIES
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 

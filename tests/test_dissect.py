@@ -3,8 +3,8 @@
 import pytest
 
 from repro.util.rng import SeededRng
+from repro.util.batching import MEMO_ENTRIES
 from repro.quic.connection import ClientConnection, ServerConnection
-from repro.quic.crypto import MEMO_ENTRIES
 from repro.quic.header import PacketType, VersionNegotiationPacket
 from repro.quic.retry import build_retry_packet
 from repro.quic.versions import DRAFT_29, QUIC_V1

@@ -25,9 +25,9 @@ import functools
 import pytest
 
 from repro.net.pcap import write_records
-from repro.quic.crypto import MEMO_ENTRIES
 from repro.telescope import Scenario, ScenarioConfig, genlane
 from repro.telescope.genlane import WireStamper, wire_items
+from repro.util.batching import MEMO_ENTRIES
 from repro.util.timeutil import HOUR
 from tests.oracle import assert_identical, make_pipeline, pcap_bytes, rich_result
 from tests.reference.generator import rich_packets

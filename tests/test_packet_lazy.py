@@ -12,27 +12,32 @@
     whether the headers were materialised yet;
 (c) the hot paths never materialise: with the four ``parse`` methods
     patched to count, a capture runs through the pipeline, the monitor
-    and both shard transports with zero calls.
+    and both shard transports with zero calls;
+(d) parsed payloads are shared: equal payloads parsed recently are one
+    object, through one bounded memo, and nothing in (b) changes.
 """
 
 import collections
 import dataclasses
+import io
 import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import QuicsandPipeline
 from repro.core.pipeline import AnalysisConfig
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
+from repro.net.packet import CapturedPacket, _shared_payload
 from repro.net.pcap import PcapReader, read_pcap, read_pcap_batches
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
 from repro.stream import StreamAnalyzer, StreamConfig
 from repro.telescope import Scenario, ScenarioConfig
+from repro.util.batching import MEMO_ENTRIES
 from repro.util.timeutil import HOUR
 from tests.oracle import pcap_bytes
 from tests.reference.generator import rich_packets
@@ -325,3 +330,49 @@ def test_shard_feed_builds_no_headers_in_the_parent(
     result = pipeline.process(read_pcap(capture))
     assert result.total_packets == len(packets)
     assert not parse_calls
+
+
+# -- (d) parsed payloads are shared -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "wire",
+    # a one-byte payload would prove nothing: CPython caches those
+    [udp_wire(), tcp_wire(b"tcp data"), icmp_wire(), PINNED["udp length<8"]],
+    ids=["udp", "tcp", "icmp", "udp-length-below-8"],
+)
+def test_equal_wire_bytes_share_one_payload(wire):
+    a = CapturedPacket.from_bytes(3.0, wire)
+    b = CapturedPacket.from_bytes(3.0, bytes(bytearray(wire)))  # equal, not the same
+    assert a.payload is b.payload
+    assert a == b and a.to_bytes() == wire and b.to_bytes() == wire
+    assert pickle.loads(pickle.dumps(b)) == a
+    assert repr(a) == repr(b)
+    other = CapturedPacket.from_bytes(3.0, wire[:-1] + bytes([wire[-1] ^ 1]))
+    assert other.payload is not a.payload and other != a
+
+
+def test_payload_memo_is_one_bounded_lru():
+    assert _shared_payload.cache_parameters() == {"maxsize": MEMO_ENTRIES, "typed": False}
+    _shared_payload.cache_clear()
+    for i in range(MEMO_ENTRIES + 8):
+        CapturedPacket.from_bytes(0.0, udp_wire(i.to_bytes(4, "big")))
+    info = _shared_payload.cache_info()
+    assert (info.misses, info.currsize) == (MEMO_ENTRIES + 8, MEMO_ENTRIES)
+
+
+@pytest.fixture(scope="module")
+def simulated_hour(tmp_path_factory):
+    """What ``simulate --hours 1`` writes: scanners replay templates."""
+    path = tmp_path_factory.mktemp("shared") / "hour.pcap"
+    argv = ["simulate", "--hours", "1", "--research-sample", "0.0005", "--out", str(path)]
+    assert main(argv, stream=io.StringIO()) == 0
+    return path
+
+
+def test_a_capture_held_as_packets_keeps_one_object_per_memo_miss(simulated_hour):
+    _shared_payload.cache_clear()
+    held = [packet for packet in read_pcap(simulated_hour) if packet.payload]
+    misses = _shared_payload.cache_info().misses
+    distinct = len({id(packet.payload) for packet in held})
+    assert distinct <= misses < len(held)

@@ -56,12 +56,13 @@ def corrupt_one(data: bytes, index: int, kind: str) -> bytes:
     return bytes(out)
 
 
-# -- strict mode is unchanged ------------------------------------------------
+# -- strict mode -------------------------------------------------------------
 
 
 def test_strict_mode_raises_on_corrupt_record_header():
     data = corrupt_one(capture_bytes(), 3, "header")
-    with pytest.raises(PcapFormatError):
+    header = r"^implausible pcap record header at byte \d+: caplen=2147483647"
+    with pytest.raises(PcapFormatError, match=header):
         list(PcapReader(io.BytesIO(data)))
 
 
@@ -187,14 +188,21 @@ def run_cli(argv):
 
 
 @pytest.fixture(scope="module")
-def damaged_capture(tmp_path_factory):
+def clean_capture(tmp_path_factory):
+    """A simulated half hour, undamaged."""
+    path = tmp_path_factory.mktemp("clean") / "clean.pcap"
+    assert run_cli(["simulate", *HALF_HOUR, "--out", str(path)])[0] == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def damaged_capture(tmp_path_factory, clean_capture):
     """``(path, damaged records)`` of a simulated half hour with about
     one record in a hundred corrupted, header or body."""
-    directory = tmp_path_factory.mktemp("damaged")
-    clean = directory / "clean.pcap"
-    assert run_cli(["simulate", *HALF_HOUR, "--out", str(clean)])[0] == 0
-    data, damaged = corrupt_pcap_bytes(clean.read_bytes(), SeededRng(7), rate=0.01)
-    path = directory / "damaged.pcap"
+    data, damaged = corrupt_pcap_bytes(
+        clean_capture.read_bytes(), SeededRng(7), rate=0.01
+    )
+    path = tmp_path_factory.mktemp("damaged") / "damaged.pcap"
     path.write_bytes(data)
     return path, damaged
 
@@ -224,6 +232,25 @@ def test_cli_strict_read_of_a_damaged_capture_exits_2(damaged_capture, command):
     offset = int(match.group(1))
     # the offset is a record header whose body is not an IPv4 packet
     assert path.read_bytes()[offset + 16] >> 4 != 4
+
+
+def test_cli_strict_read_names_an_implausible_record_header(clean_capture, tmp_path):
+    """Record 0 claims a 2 GiB body: a strict read stops at its header,
+    byte 24 (after the global header), instead of reading to the end of
+    the file; ``--lenient`` skips that one record."""
+    clean = clean_capture.read_bytes()
+    origlen = struct.unpack_from("<I", clean, 24 + 12)[0]
+    path = tmp_path / "header.pcap"
+    path.write_bytes(corrupt_one(clean, 0, "header"))
+    code, out = run_cli(["analyze", *HALF_HOUR, str(path)])
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        f"cannot read {path}: implausible pcap record header at byte 24: "
+        f"caplen=2147483647, origlen={origlen}; --lenient skips damaged records"
+    )
+    code, out = run_cli(["analyze", *HALF_HOUR, "--lenient", str(path)])
+    assert code == 0
+    assert out.splitlines()[0] == "skipped 1 corrupt pcap record(s)"
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["watch", "--pcap"]], ids=["analyze", "watch"])

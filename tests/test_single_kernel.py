@@ -37,6 +37,9 @@ by one function (``write_records``).  The reference generator is not in the pack
 (``tests/reference/generator.py``); ``tests/test_reachability.py`` keeps
 code only tests call from coming back.
 
+The packet layer sits below QUIC: nothing under ``src/repro/net``
+imports ``repro.quic``.
+
 No environment variable is a hidden knob either: options and config
 fields set every behaviour, and nothing under ``src/repro`` reads the
 environment.
@@ -163,6 +166,22 @@ def test_sinks_know_nothing_of_packet_layout():
             if isinstance(node, ast.ImportFrom) and node.module
         }
         assert not {name for name in imported if name.startswith("repro.net")}, module
+
+
+def test_packet_layer_knows_nothing_of_quic():
+    """``repro.net`` sits below ``repro.quic``: the bound the parsed-payload
+    memo shares with the QUIC memos (``MEMO_ENTRIES``) lives in
+    ``repro.util``, and no module under ``src/repro/net`` imports QUIC."""
+    for path in sorted((SRC / "net").rglob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        quic = {name for name in imported if (name + ".").startswith("repro.quic.")}
+        assert not quic, (path.name, quic)
 
 
 def test_rich_walker_is_an_oracle_not_a_path():

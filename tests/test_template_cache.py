@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core import QuicsandPipeline
 from repro.core.report import build_report
 from repro.quic import crypto
-from repro.quic.crypto import MEMO_ENTRIES
 from repro.quic.packet import protect_packet
 from repro.quic.versions import KNOWN_VERSIONS
 from repro.telescope import Scenario, ScenarioConfig, attacks, backscatter, scanners
@@ -31,6 +30,7 @@ from repro.telescope.backscatter import (
     _compile_flight,
 )
 from repro.telescope.scanners import ProbePool
+from repro.util.batching import MEMO_ENTRIES
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 from tests.reference.generator import respond, rich_packets
