@@ -68,6 +68,25 @@ def _package_version() -> str:
         return repro.__version__
 
 
+def _checked(kind, holds, requirement: str):
+    """An argparse ``type=``: parse with ``kind``, refuse what fails ``holds``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" wording
+    return parse
+
+
+_positive_hours = _checked(float, lambda v: 0 < v < float("inf"), "finite and > 0")
+_share = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_at_least_one = _checked(int, lambda v: v >= 1, ">= 1")
+_non_negative = _checked(float, lambda v: v >= 0, ">= 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -135,13 +154,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--speed",
-        type=float,
+        type=_non_negative,
         default=0.0,
         help="simulator pacing in event-seconds per wall-second "
         "(0 = unpaced)",
     )
     watch.add_argument(
-        "--batch-size", type=int, default=BATCH_SIZE, help="packets per analysis batch"
+        "--batch-size",
+        type=_at_least_one,
+        default=BATCH_SIZE,
+        help="packets per analysis batch",
     )
     watch_mode = watch.add_mutually_exclusive_group()
     watch_mode.add_argument(
@@ -213,7 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     probe = sub.add_parser("probe", help="actively probe servers for RETRY")
     _scenario_args(probe)
-    probe.add_argument("--count", type=int, default=10, help="servers to probe")
+    probe.add_argument(
+        "--count", type=_at_least_one, default=10, help="servers to probe"
+    )
 
     return parser
 
@@ -233,10 +257,10 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
         f"{', '.join(scenario_names())}",
     )
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--hours", type=float)
+    parser.add_argument("--hours", type=_positive_hours)
     parser.add_argument(
         "--research-sample",
-        type=float,
+        type=_share,
         help="fraction of each research sweep materialized (see DESIGN.md)",
     )
 

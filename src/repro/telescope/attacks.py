@@ -29,18 +29,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.net.tcp import TcpFlags
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 from repro.internet.activescan import QuicServerRecord
 from repro.internet.topology import InternetModel
 from repro.telescope.backscatter import (
-    _ICMP_PAYLOAD as _ICMP_RECORD_PAYLOAD,
-    _RST_ACK as _RST_ACK_FLAGS,
-    _SYN_ACK as _SYN_ACK_FLAGS,
-    IcmpVictimResponder,
     QuicVictimResponder,
     ResponderPolicy,
-    TcpVictimResponder,
     version_named,
 )
 
@@ -51,6 +47,15 @@ ICMP = "icmp"
 CONCURRENT = "concurrent"
 SEQUENTIAL = "sequential"
 ISOLATED = "isolated"
+
+#: TCP/ICMP backscatter, one record per request: a SYN-ACK from the
+#: service port (a RST-ACK for the share its accept queue gives up on),
+#: or an echo reply with 32 zero bytes (one shared object).
+TCP_SERVICE_PORT = 443
+TCP_RST_SHARE = 0.15
+_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
+_RST_ACK = int(TcpFlags.RST | TcpFlags.ACK)
+ICMP_ECHO_PAYLOAD = b"\x00" * 32
 
 
 @dataclass
@@ -394,34 +399,35 @@ class AttackTrafficModel:
     def flood_records(self, flood: FloodEvent) -> Iterator:
         """One flood's telescope records, lazily, in time order.
 
-        Draw for draw the stream the tests' reference builds as packet
-        objects (``tests/reference/generator.py``): the responder's
-        ``respond_records`` shares its draw path with the reference
-        ``respond``, and the reorder buffer keys on the identical
-        ``(timestamp, sequence)`` pairs, so the record stream is the
-        packet stream minus the dataclasses.
+        One request loop draws every flood's arrivals, pulses and spoofed
+        (address, port) pairs.  A QUIC victim answers with a train that
+        outlasts the request, so trains pass a bounded reorder buffer
+        keyed on ``(timestamp, sequence)``; a TCP or ICMP victim answers
+        with one record at the request time, drawn from its own child
+        stream, so that record is yielded at once.
 
-        The request loop inlines its per-packet draws —
-        ``expovariate`` is ``-log(1 - random()) / rate`` and ``choice``
-        / ``randint`` bottom out in ``_randbelow``'s rejection loop
-        over ``getrandbits`` — consuming the generator identically to
-        the :class:`random.Random` methods the reference loop calls, while
-        skipping two or three interpreter frames per draw.  TCP and
-        ICMP floods additionally skip the reorder buffer entirely:
-        their responders answer with exactly one record at the request
-        timestamp, so the request order *is* the emit order.
+        The loop inlines its draws — ``expovariate`` is
+        ``-log(1 - random()) / rate``, and ``choice`` / ``randint`` bottom
+        out in ``_randbelow``'s rejection loop over ``getrandbits`` —
+        consuming the generator exactly as those :class:`random.Random`
+        methods do while skipping two or three frames per draw.  The
+        tests' reference (``tests/reference/generator.py``) draws the
+        same streams with the textbook methods and builds packet objects.
         """
         rng = self.rng.child(
             f"flood:{flood.vector}:{flood.victim_ip}:{flood.start:.3f}"
         )
-        if flood.vector == QUIC:
-            responder = QuicVictimResponder(
-                flood.victim_ip, rng, self._policy_for(flood)
-            )
-        elif flood.vector == TCP:
-            responder = TcpVictimResponder(flood.victim_ip, rng)
+        victim = flood.victim_ip
+        tcp = flood.vector == TCP
+        icmp = flood.vector == ICMP
+        if tcp or icmp:
+            responder_rng = rng.child(f"{flood.vector}-responder:{victim}")
+            rrandom = responder_rng.random
+            rbits = responder_rng.getrandbits
         else:
-            responder = IcmpVictimResponder(flood.victim_ip, rng)
+            respond = QuicVictimResponder(
+                victim, rng, self._policy_for(flood)
+            ).respond_records
         pool = [
             self.internet.random_telescope_address(rng)
             for _ in range(flood.spoofed_pool_size)
@@ -440,74 +446,9 @@ class AttackTrafficModel:
         lognormvariate = rng.lognormvariate
         pool_size = len(pool)
         pool_bits = pool_size.bit_length()
-        victim = flood.victim_ip
-        # randint(1024, 65535) == 1024 + _randbelow(64512); 64512 needs
-        # 16 bits, so the rejection threshold is fixed at 64512.
-        if flood.vector == TCP:
-            # inlined TcpVictimResponder._respond_fields on the
-            # responder's own child stream (identical draws)
-            rrandom = responder.rng.random
-            rbits = responder.rng.getrandbits
-            rst_fraction = responder.rst_fraction
-            service_port = responder.service_port
-            rst_ack, syn_ack = int(_RST_ACK_FLAGS), int(_SYN_ACK_FLAGS)
-            while True:
-                t += -log(1.0 - random()) / rate
-                if random() < pulse_probability:
-                    t += min(lognormvariate(pulse_mu, pulse_sigma), pulse_max)
-                if t >= end:
-                    break
-                r = getrandbits(pool_bits)
-                while r >= pool_size:
-                    r = getrandbits(pool_bits)
-                spoofed_ip = pool[r]
-                port = getrandbits(16)
-                while port >= 64512:
-                    port = getrandbits(16)
-                flags = rst_ack if rrandom() < rst_fraction else syn_ack
-                seq = rbits(33)
-                while seq >= 4294967296:
-                    seq = rbits(33)
-                ack = rbits(33)
-                while ack >= 4294967296:
-                    ack = rbits(33)
-                yield (
-                    t, victim, spoofed_ip, 40, 6, 2,
-                    service_port, 1024 + port, flags, 0, b"", seq, ack,
-                )
-            return
-        if flood.vector == ICMP:
-            # inlined IcmpVictimResponder.respond_records; the
-            # identifier draw is randint(0, 0xFFFF) == _randbelow(65536)
-            rbits = responder.rng.getrandbits
-            sequence = 0
-            while True:
-                t += -log(1.0 - random()) / rate
-                if random() < pulse_probability:
-                    t += min(lognormvariate(pulse_mu, pulse_sigma), pulse_max)
-                if t >= end:
-                    break
-                r = getrandbits(pool_bits)
-                while r >= pool_size:
-                    r = getrandbits(pool_bits)
-                spoofed_ip = pool[r]
-                port = getrandbits(16)
-                while port >= 64512:
-                    port = getrandbits(16)
-                sequence = (sequence + 1) & 0xFFFF
-                identifier = rbits(17)
-                while identifier >= 65536:
-                    identifier = rbits(17)
-                yield (
-                    t, victim, spoofed_ip, 60, 1, 3,
-                    0, 0, 0, 32, _ICMP_RECORD_PAYLOAD, identifier, sequence,
-                )
-            return
-        # QUIC: response trains extend past the request, so a bounded
-        # reorder buffer is required.
+        echo_sequence = 0
         buffer: list = []
         sequence = 0
-        respond = responder.respond_records
         heappush, heappop = heapq.heappush, heapq.heappop
         span = self._TRAIN_SPAN
         while True:
@@ -521,13 +462,42 @@ class AttackTrafficModel:
             while r >= pool_size:
                 r = getrandbits(pool_bits)
             spoofed_ip = pool[r]
+            # randint(1024, 65535) == 1024 + _randbelow(64512); 64512
+            # needs 16 bits, so the rejection threshold is fixed
             port = getrandbits(16)
             while port >= 64512:
                 port = getrandbits(16)
-            for record in respond(t, spoofed_ip, 1024 + port):
-                heappush(buffer, (record[0], sequence, record))
-                sequence += 1
-            while buffer and buffer[0][0] <= t - span:
-                yield heappop(buffer)[2]
+            if tcp:
+                flags = _RST_ACK if rrandom() < TCP_RST_SHARE else _SYN_ACK
+                # randint(0, 2**32 - 1) == _randbelow(2**32): 33-bit
+                # words, the top half rejected
+                seq = rbits(33)
+                while seq >= 4294967296:
+                    seq = rbits(33)
+                ack = rbits(33)
+                while ack >= 4294967296:
+                    ack = rbits(33)
+                yield (
+                    t, victim, spoofed_ip, 40, 6, 2,
+                    TCP_SERVICE_PORT, 1024 + port, flags, 0, b"", seq, ack,
+                )
+            elif icmp:
+                # f1/f2 carry the echo reply's type/code (0/0), x1/x2
+                # its identifier and sequence; randint(0, 0xFFFF) ==
+                # _randbelow(65536)
+                echo_sequence = (echo_sequence + 1) & 0xFFFF
+                identifier = rbits(17)
+                while identifier >= 65536:
+                    identifier = rbits(17)
+                yield (
+                    t, victim, spoofed_ip, 60, 1, 3,
+                    0, 0, 0, 32, ICMP_ECHO_PAYLOAD, identifier, echo_sequence,
+                )
+            else:
+                for record in respond(t, spoofed_ip, 1024 + port):
+                    heappush(buffer, (record[0], sequence, record))
+                    sequence += 1
+                while buffer and buffer[0][0] <= t - span:
+                    yield heappop(buffer)[2]
         while buffer:
             yield heappop(buffer)[2]

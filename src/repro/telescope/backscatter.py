@@ -1,20 +1,17 @@
-"""Victim response models: what floods look like from a telescope.
+"""QUIC victim responses: what a QUIC flood looks like from a telescope.
 
 A randomly spoofed flood against a victim makes the victim answer
 addresses it never talked to; the slice of those answers landing in the
-telescope prefix is *backscatter*.  This module turns "victim V is
-flooded at rate R" into the concrete packets:
+telescope prefix is *backscatter*.  :class:`QuicVictimResponder` emits
+the QUIC response train per spoofed Initial — Initial(ServerHello) +
+Handshake coalesced, then a Handshake datagram, optionally keep-alive
+PINGs and timeout retransmissions — with zero-length DCIDs and fresh or
+cached SCIDs depending on the provider's connection-ID policy (the
+Figure 9 Google/Facebook difference).
 
-- :class:`QuicVictimResponder` emits the QUIC response train per spoofed
-  Initial — Initial(ServerHello)+Handshake coalesced, then a Handshake
-  datagram, optionally keep-alive PINGs and timeout retransmissions —
-  with zero-length DCIDs and fresh or cached SCIDs depending on the
-  provider's connection-ID policy (the Figure 9 Google/Facebook
-  difference).
-- :class:`TcpVictimResponder` emits SYN-ACKs (and RSTs after the
-  victim's accept queue gives up) for spoofed SYN floods.
-- :class:`IcmpVictimResponder` emits echo replies for spoofed echo
-  floods.
+A TCP SYN or ICMP echo flood's victim answers each request with one
+fixed-shape record, which ``AttackTrafficModel.flood_records``
+(``telescope/attacks.py``) writes itself.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from repro.net.tcp import TcpFlags
 from repro.util.rng import SeededRng
 from repro.quic import crypto, tls
 from repro.quic.crypto import derive_handshake_secret, derive_initial_keys
@@ -135,12 +131,6 @@ def _compile_flight(parts: list, packets: list):
     if None in sealers:
         return False
     return sealers[0], tuple(sealers[1:])
-
-
-# Hoisted flag combinations: ``IntFlag.__or__`` costs an enum lookup per
-# call, and the TCP responder builds one of these per backscatter packet.
-_SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
-_RST_ACK = TcpFlags.RST | TcpFlags.ACK
 
 
 def version_named(name: str) -> QuicVersion:
@@ -338,95 +328,3 @@ class QuicVictimResponder:
             supported_versions=(self.policy.version.value, QUIC_V1.value),
         )
         return packet.serialize()
-
-class TcpVictimResponder:
-    """SYN-ACK / RST backscatter from a spoofed TCP SYN flood."""
-
-    def __init__(
-        self, victim_ip: int, rng: SeededRng, service_port: int = 443, rst_fraction: float = 0.15
-    ) -> None:
-        self.victim_ip = victim_ip
-        self.rng = rng.child(f"tcp-responder:{victim_ip}")
-        self.service_port = service_port
-        self.rst_fraction = rst_fraction
-
-    def _respond_fields(self) -> tuple:
-        flags = (
-            _RST_ACK if self.rng.random() < self.rst_fraction else _SYN_ACK
-        )
-        # randint(0, 2**32 - 1) == _randbelow(2**32), which draws
-        # 33-bit words and rejects the top half — inlined here because
-        # both the rich and record response paths pay it per packet.
-        getrandbits = self.rng.getrandbits
-        seq = getrandbits(33)
-        while seq >= 4294967296:
-            seq = getrandbits(33)
-        ack = getrandbits(33)
-        while ack >= 4294967296:
-            ack = getrandbits(33)
-        return flags, seq, ack
-
-    def respond_records(
-        self, timestamp: float, spoofed_ip: int, spoofed_port: int
-    ) -> list:
-        """The response to one request as a flat 13-field gen record."""
-        flags, seq, ack = self._respond_fields()
-        return [
-            (
-                timestamp,
-                self.victim_ip,
-                spoofed_ip,
-                40,
-                6,
-                2,
-                self.service_port,
-                spoofed_port,
-                int(flags),
-                0,
-                b"",
-                seq,
-                ack,
-            )
-        ]
-
-
-#: every echo reply carries the same 32 zero bytes — one shared object
-#: keeps record tuples and template-cache keys cheap.
-_ICMP_PAYLOAD = b"\x00" * 32
-
-
-class IcmpVictimResponder:
-    """Echo-reply backscatter from a spoofed ICMP echo flood."""
-
-    def __init__(self, victim_ip: int, rng: SeededRng) -> None:
-        self.victim_ip = victim_ip
-        self.rng = rng.child(f"icmp-responder:{victim_ip}")
-        self._sequence = 0
-
-    def respond_records(
-        self, timestamp: float, spoofed_ip: int, _spoofed_port: int
-    ) -> list:
-        """The response to one request as a flat 13-field gen record.
-
-        f1/f2 carry the ICMP type/code (echo reply: 0/0), x1/x2 the
-        identifier and sequence the wire needs.
-        """
-        self._sequence = (self._sequence + 1) & 0xFFFF
-        identifier = self.rng.randint(0, 0xFFFF)
-        return [
-            (
-                timestamp,
-                self.victim_ip,
-                spoofed_ip,
-                60,
-                1,
-                3,
-                0,
-                0,
-                0,
-                32,
-                _ICMP_PAYLOAD,
-                identifier,
-                self._sequence,
-            )
-        ]

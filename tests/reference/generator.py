@@ -9,11 +9,14 @@ Every function here was a method of the traffic model it takes as its
 first argument — still spelled ``self`` so each body is the method's,
 unchanged but for calls to other moved methods (``self.session_packets(…)``
 → ``session_packets(self, …)``).  The per-model ``packets`` twins and the
-three responders' ``respond`` are :func:`functools.singledispatch`
+responders' ``respond`` are :func:`functools.singledispatch`
 functions, which is what ``model.packets(…)`` / ``responder.respond(…)``
 were.  What the twins always shared with the record path —
-``_pool``, ``_response_schedule``, ``_respond_fields``,
-``session_starts``, ``_policy_for`` — they still read from the models.
+``_pool``, ``_response_schedule``, ``session_starts``, ``_policy_for`` —
+they still read from the models.  The TCP and ICMP victims have no
+class under ``src/`` (``flood_records`` writes their records inline):
+:class:`TcpResponder` and :class:`IcmpResponder` here derive the same
+child streams and draw from them with the textbook ``random`` methods.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Iterator
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpHeader
+from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
 from repro.internet.topology import BotHost
 from repro.telescope.adversarial import _AdversarialModel
@@ -38,13 +41,7 @@ from repro.telescope.attacks import (
     AttackTrafficModel,
     FloodEvent,
 )
-from repro.telescope.backscatter import (
-    _ICMP_PAYLOAD,
-    IcmpVictimResponder,
-    QuicVictimResponder,
-    ResponderPolicy,
-    TcpVictimResponder,
-)
+from repro.telescope.backscatter import QuicVictimResponder, ResponderPolicy
 from repro.telescope.noise import MisconfigurationModel, StrayUdpModel
 from repro.telescope.scanners import (
     BotScannerModel,
@@ -165,8 +162,6 @@ def bot_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
 
 @packets.register(TcpScannerModel)
 def tcp_scan_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
-    from repro.net.tcp import TcpFlags, TcpHeader
-
     peak = self.diurnal.peak_rate_factor()
     rate = self.sessions_per_day / 86400.0 * peak
     bots = self.internet.bot_hosts
@@ -247,35 +242,56 @@ def _packet(
     )
 
 
-@respond.register(TcpVictimResponder)
+class TcpResponder:
+    """A SYN flood's victim: a SYN-ACK per spoofed SYN, or a RST-ACK
+    once its accept queue gives up (15 % of requests)."""
+
+    def __init__(self, victim_ip: int, rng) -> None:
+        self.victim_ip = victim_ip
+        self.rng = rng.child(f"tcp-responder:{victim_ip}")
+
+
+class IcmpResponder:
+    """An echo flood's victim: an echo reply per spoofed request."""
+
+    def __init__(self, victim_ip: int, rng) -> None:
+        self.victim_ip = victim_ip
+        self.rng = rng.child(f"icmp-responder:{victim_ip}")
+        self.sequence = 0
+
+
+@respond.register(TcpResponder)
 def tcp_respond(self, timestamp: float, spoofed_ip: int, spoofed_port: int) -> list:
-    flags, seq, ack = self._respond_fields()
+    if self.rng.random() < 0.15:
+        flags = TcpFlags.RST | TcpFlags.ACK
+    else:
+        flags = TcpFlags.SYN | TcpFlags.ACK
     packet = CapturedPacket(
         timestamp=timestamp,
         ip=IPv4Header(src=self.victim_ip, dst=spoofed_ip, proto=IPProto.TCP),
         transport=TcpHeader(
-            src_port=self.service_port,
+            src_port=443,
             dst_port=spoofed_port,
-            seq=seq,
-            ack=ack,
+            seq=self.rng.randint(0, 2**32 - 1),
+            ack=self.rng.randint(0, 2**32 - 1),
             flags=flags,
         ),
     )
     return [packet]
 
 
-@respond.register(IcmpVictimResponder)
+@respond.register(IcmpResponder)
 def icmp_respond(self, timestamp: float, spoofed_ip: int, _spoofed_port: int) -> list:
-    self._sequence = (self._sequence + 1) & 0xFFFF
+    self.sequence = (self.sequence + 1) & 0xFFFF
     packet = CapturedPacket(
         timestamp=timestamp,
         ip=IPv4Header(src=self.victim_ip, dst=spoofed_ip, proto=IPProto.ICMP),
         transport=IcmpHeader(
             IcmpType.ECHO_REPLY,
             identifier=self.rng.randint(0, 0xFFFF),
-            sequence=self._sequence,
+            sequence=self.sequence,
         ),
-        payload=_ICMP_PAYLOAD,
+        payload=bytes(32),
     )
     return [packet]
 
@@ -298,9 +314,9 @@ def flood_packets(self: AttackTrafficModel, flood: FloodEvent) -> Iterator:
             flood.victim_ip, rng, self._policy_for(flood)
         )
     elif flood.vector == TCP:
-        responder = TcpVictimResponder(flood.victim_ip, rng)
+        responder = TcpResponder(flood.victim_ip, rng)
     else:
-        responder = IcmpVictimResponder(flood.victim_ip, rng)
+        responder = IcmpResponder(flood.victim_ip, rng)
     pool = [
         self.internet.random_telescope_address(rng)
         for _ in range(flood.spoofed_pool_size)

@@ -206,6 +206,36 @@ def test_cli_bad_flag_value():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["watch", "--hours", "0.1", "--batch-size", "0"], "--batch-size"),
+        (["watch", "--hours", "0.1", "--speed", "-1"], "--speed"),
+        (["report", "--hours", "0.1", "--research-sample", "0"], "--research-sample"),
+        (["report", "--hours", "0.1", "--research-sample", "-0.5"], "--research-sample"),
+        (["report", "--hours", "-1"], "--hours"),
+        (["report", "--hours", "inf"], "--hours"),
+        (["probe", "--hours", "0.1", "--count", "-1"], "--count"),
+    ],
+    ids=[
+        "batch-size-0",
+        "speed-negative",
+        "sample-0",
+        "sample-negative",
+        "hours-negative",
+        "hours-infinite",
+        "count-negative",
+    ],
+)
+def test_cli_out_of_range_flag_is_usage_error(argv, flag, capsys):
+    # argparse refuses the value before any work starts: exit 2, the flag
+    # named on stderr, no traceback and no run over a nonsense window
+    code, out = run_cli(argv)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert out == ""
+
+
 def test_cli_version(capsys):
     import repro
 

@@ -33,7 +33,10 @@ the process pool: no second partitioned runner (the deleted
 Generation has the same shape: ``Scenario.records()`` is the one
 generator production runs and ``Scenario.packets()`` a view of it; it
 passes one tap (``Telescope.capture_records``) and a capture is written
-by one function (``write_records``).  The reference generator is not in the package at all
+by one function (``write_records``).  Backscatter has one writer per
+vector: ``QuicVictimResponder`` is the only responder class, and
+``AttackTrafficModel.flood_records`` writes the TCP/ICMP answers itself.
+The reference generator is not in the package at all
 (``tests/reference/generator.py``); ``tests/test_reachability.py`` keeps
 code only tests call from coming back.
 
@@ -314,6 +317,23 @@ def test_one_pcap_writer_and_one_tap():
         and set(open_mode(call)) & set("wax+")
     }
     assert writers == {"write_records"}
+
+
+def test_one_backscatter_writer():
+    """Only the QUIC victim has a responder class; the one-record TCP and
+    ICMP answers are written by ``flood_records`` alone, so no second copy
+    of them is left to hold equal to it."""
+    writers = [
+        node.name
+        for path in sorted((SRC / "telescope").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(method, ast.FunctionDef) and method.name == "respond_records"
+            for method in node.body
+        )
+    ]
+    assert writers == ["QuicVictimResponder"]
 
 
 def open_mode(call: ast.Call) -> str:

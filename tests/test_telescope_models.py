@@ -6,24 +6,26 @@ from repro import obs
 from repro.net.addresses import IPv4Network
 from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.packet import CapturedPacket
+from repro.net.tcp import TcpFlags
 from repro.net.udp import UdpHeader
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY, HOUR
 from repro.internet.topology import InternetModel
 from repro.telescope.attacks import (
     CONCURRENT,
+    ICMP,
     ISOLATED,
     QUIC,
     SEQUENTIAL,
+    TCP,
     AttackPlanConfig,
     AttackPlanner,
     AttackTrafficModel,
+    FloodEvent,
 )
 from repro.telescope.backscatter import (
-    IcmpVictimResponder,
     QuicVictimResponder,
     ResponderPolicy,
-    TcpVictimResponder,
     version_named,
 )
 from repro.telescope.diurnal import DiurnalModel
@@ -191,19 +193,38 @@ def test_version_named_unknown_raises():
         version_named("quic-v99")
 
 
-def test_tcp_responder_flags():
-    responder = TcpVictimResponder(VICTIM, SeededRng(9), rst_fraction=0.0)
-    packet = packet_view(responder.respond_records(0.0, 111, 2222))[0]
-    assert packet.transport.is_syn_ack
-    responder_rst = TcpVictimResponder(VICTIM, SeededRng(9), rst_fraction=1.0)
-    assert packet_view(responder_rst.respond_records(0.0, 111, 2222))[0].transport.is_rst
+def flood_backscatter(internet, vector, seed):
+    """The backscatter of one planned flood on ``VICTIM``, as packets."""
+    flood = FloodEvent(
+        victim_ip=VICTIM,
+        vector=vector,
+        start=START,
+        duration=3000.0,
+        telescope_request_rate=5.0,
+    )
+    return packet_view(AttackTrafficModel(internet, SeededRng(seed)).flood_records(flood))
 
 
-def test_icmp_responder_echo_reply():
-    responder = IcmpVictimResponder(VICTIM, SeededRng(10))
-    packet = packet_view(responder.respond_records(0.0, 111, 0))[0]
-    assert packet.is_icmp
-    assert packet.transport.is_backscatter
+def test_tcp_responder_flags(internet):
+    packets = flood_backscatter(internet, TCP, 9)
+    n = len(packets)
+    assert n >= 2000
+    assert all(p.is_tcp and p.src == VICTIM and p.src_port == 443 for p in packets)
+    syn_ack, rst_ack = TcpFlags.SYN | TcpFlags.ACK, TcpFlags.RST | TcpFlags.ACK
+    assert {p.transport.flags for p in packets} <= {syn_ack, rst_ack}
+    # the RST-ACK share is binomial(n, 0.15): inside 4 standard deviations
+    share = sum(p.transport.flags == rst_ack for p in packets) / n
+    assert abs(share - 0.15) <= 4 * (0.15 * 0.85 / n) ** 0.5
+
+
+def test_icmp_responder_echo_reply(internet):
+    packets = flood_backscatter(internet, ICMP, 10)
+    assert len(packets) >= 2000
+    assert all(p.is_icmp and p.src == VICTIM for p in packets)
+    assert {(p.transport.icmp_type, p.transport.code) for p in packets} == {(0, 0)}
+    assert {p.payload for p in packets} == {bytes(32)}
+    assert [p.transport.sequence for p in packets] == list(range(1, len(packets) + 1))
+    assert all(p.transport.identifier < 65536 for p in packets)
 
 
 # -- attack planner ------------------------------------------------------------
