@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "generation, the fused record-batch analysis, or both (default)",
     )
     profile.add_argument(
-        "--top", type=int, default=25, help="print this many functions"
+        "--top", type=_at_least_one, default=25, help="print this many functions"
     )
     profile.add_argument(
         "--sort",

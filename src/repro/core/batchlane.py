@@ -438,7 +438,8 @@ class BatchLane:
         n_tcp_request = n_tcp_back = n_tcp_other = 0
         n_icmp_back = n_icmp_other = n_other = 0
         for packet in packets:
-            if packet.is_udp:
+            proto = packet.proto
+            if proto == 17:
                 src443 = packet.src_port == 443
                 dst443 = packet.dst_port == 443
                 if src443:
@@ -473,7 +474,7 @@ class BatchLane:
                     quic_cls, packet.src, packet.timestamp, packet.dst,
                     packet.dst_port, packet.wire_length, entry,
                 ))
-            elif packet.is_tcp:
+            elif proto == 6:
                 if packet.kind != KIND_TCP:
                     n_tcp_other += 1
                     continue
@@ -488,7 +489,7 @@ class BatchLane:
                     n_tcp_request += 1
                 else:
                     n_tcp_other += 1
-            elif packet.is_icmp:
+            elif proto == 1:
                 if (
                     packet.kind == KIND_ICMP
                     and packet.icmp_type in _ICMP_BACKSCATTER_TYPES

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.icmp import IcmpHeader
+from repro.net.ipv4 import IPProto
 from repro.net.packet import CapturedPacket
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.core.dissect import Dissection, QuicDissector
@@ -95,11 +96,12 @@ class TrafficClassifier:
         return self.dissector.cache_misses
 
     def _classify(self, packet: CapturedPacket) -> ClassifiedPacket:
-        if packet.is_udp:
+        proto = packet.proto
+        if proto == IPProto.UDP:
             return self._classify_udp(packet)
-        if packet.is_tcp:
+        if proto == IPProto.TCP:
             return ClassifiedPacket(packet, self._classify_tcp(packet.transport))
-        if packet.is_icmp:
+        if proto == IPProto.ICMP:
             return ClassifiedPacket(packet, self._classify_icmp(packet.transport))
         return ClassifiedPacket(packet, PacketClass.OTHER)
 

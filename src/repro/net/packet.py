@@ -4,13 +4,13 @@ A :class:`CapturedPacket` is a timestamped IPv4 packet with its
 transport header and opaque transport payload.  It is the pipeline's
 hottest object — one instance per packet — so it is slotted and
 everything the per-packet path (``BatchLane.observe_packets``) reads
-is a plain
-scalar slot: ``timestamp``, ``src``, ``dst``, ``proto``, ``is_udp`` /
-``is_tcp`` / ``is_icmp``, ``src_port`` / ``dst_port`` (``None`` without
-a parsed UDP/TCP header), ``payload``, ``kind`` (``KIND_*``: which
-transport header parsed), ``tcp_flags``, ``icmp_type`` / ``icmp_code``
-(0 for other kinds), ``total_length`` (the IPv4 length field, 0 until
-packed) and the derived :attr:`~CapturedPacket.wire_length`.
+is a plain scalar slot: ``timestamp``, ``src``, ``dst``, ``proto``,
+``src_port`` / ``dst_port`` (``None`` without a parsed UDP/TCP header),
+``payload``, ``kind`` (``KIND_*``: which transport header parsed),
+``tcp_flags``, ``icmp_type`` / ``icmp_code`` (0 for other kinds),
+``total_length`` (the IPv4 length field, 0 until packed) and the
+derived :attr:`~CapturedPacket.wire_length`.  Nothing derivable is
+stored twice: readers branch on ``proto`` itself.
 
 The constructor is eager: generators hand over real header objects and
 the scalars are copied out of them once.
@@ -28,6 +28,9 @@ a payload equal to one parsed recently is that same immutable object.
 Scanners replay a few probe templates, so a capture held as packets
 keeps one copy of each template instead of one per packet; payloads
 that never recur (backscatter) pass through and fall out of the bound.
+``src`` and ``total_length`` go through a second memo of that bound
+(:data:`_shared_int`): two research scanners, in a few datagram sizes,
+send almost all of a telescope's QUIC traffic.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ _TCP_SCALARS = struct.Struct("!HH8xBB")  # ports, data offset, flags
 #: the earlier equal payload if one is in the memo, else this one
 #: (``bytes(payload)`` of a ``bytes`` is the object itself)
 _shared_payload = functools.lru_cache(maxsize=MEMO_ENTRIES)(bytes)
+#: the same for the ``src`` and ``total_length`` ints
+_shared_int = functools.lru_cache(maxsize=MEMO_ENTRIES)(int)
 
 
 class CapturedPacket:
@@ -74,7 +79,7 @@ class CapturedPacket:
 
     __slots__ = (
         ("timestamp", "payload", "_ip", "_transport", "_head")
-        + ("src", "dst", "proto", "total_length", "is_udp", "is_tcp", "is_icmp")
+        + ("src", "dst", "proto", "total_length")
         + ("kind", "src_port", "dst_port", "tcp_flags", "icmp_type", "icmp_code")
     )
     __hash__ = None  # == compares mutable content
@@ -91,14 +96,10 @@ class CapturedPacket:
         self._ip = ip
         self._transport = transport
         self._head = None
-        proto = ip.proto
         self.src = ip.src
         self.dst = ip.dst
-        self.proto = proto
+        self.proto = ip.proto
         self.total_length = ip.total_length
-        self.is_udp = proto == _UDP
-        self.is_tcp = proto == _TCP
-        self.is_icmp = proto == _ICMP
         kind = _KIND_OF_HEADER.get(type(transport), KIND_NONE)
         self.kind = kind
         self.src_port = self.dst_port = None
@@ -138,50 +139,46 @@ class CapturedPacket:
         if n < offset:
             raise ValueError("IPv4 options truncated")
         end = total if offset <= total < n else n
-        self = object.__new__(cls)
-        self.timestamp = timestamp
-        self.src = src
-        self.dst = dst
-        self.proto = proto
-        self.total_length = total
-        self.is_udp = self.is_tcp = self.is_icmp = False
-        self.kind = KIND_NONE
-        self.src_port = self.dst_port = None
-        self.tcp_flags = self.icmp_type = self.icmp_code = 0
-        self._ip = self._transport = None
+        kind = KIND_NONE
+        src_port = dst_port = None
+        tcp_flags = icmp_type = icmp_code = 0
         if proto == _UDP:
-            self.is_udp = True
             if end - offset >= udp.HEADER_LEN:
-                src_port, dst_port, length = _UDP_SCALARS.unpack_from(data, offset)
+                sport, dport, length = _UDP_SCALARS.unpack_from(data, offset)
                 if length >= udp.HEADER_LEN:
-                    self.kind = KIND_UDP
-                    self.src_port = src_port
-                    self.dst_port = dst_port
+                    kind, src_port, dst_port = KIND_UDP, sport, dport
                     if offset + length < end:
                         end = offset + length
                     offset += udp.HEADER_LEN
         elif proto == _TCP:
-            self.is_tcp = True
             if end - offset >= tcp.HEADER_LEN:
-                src_port, dst_port, offset_byte, flags = _TCP_SCALARS.unpack_from(
+                sport, dport, offset_byte, flags = _TCP_SCALARS.unpack_from(
                     data, offset
                 )
                 data_offset = (offset_byte >> 4) * 4
                 if tcp.HEADER_LEN <= data_offset <= end - offset:
-                    self.kind = KIND_TCP
-                    self.src_port = src_port
-                    self.dst_port = dst_port
-                    self.tcp_flags = flags
+                    kind, src_port, dst_port = KIND_TCP, sport, dport
+                    tcp_flags = flags
                     offset += data_offset
         elif proto == _ICMP:
-            self.is_icmp = True
             if end - offset >= icmp.HEADER_LEN:
-                self.kind = KIND_ICMP
-                self.icmp_type = data[offset]
-                self.icmp_code = data[offset + 1]
+                kind, icmp_type, icmp_code = KIND_ICMP, data[offset], data[offset + 1]
                 offset += icmp.HEADER_LEN
-        self._head = data[:offset]
+        self = object.__new__(cls)
+        self.timestamp = timestamp
         self.payload = _shared_payload(data[offset:end])
+        self._ip = self._transport = None
+        self._head = data[:offset]
+        self.src = _shared_int(src)
+        self.dst = dst
+        self.proto = proto
+        self.total_length = _shared_int(total)
+        self.kind = kind
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.tcp_flags = tcp_flags
+        self.icmp_type = icmp_type
+        self.icmp_code = icmp_code
         return self
 
     @property

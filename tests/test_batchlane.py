@@ -150,7 +150,7 @@ def test_scenario_traffic_boundary_agreement(dissector):
     scenario = Scenario(ScenarioConfig(seed=23, duration=HOUR // 2))
     seen = set()
     for packet in scenario.packets():
-        if packet.is_udp and packet.payload not in seen:
+        if packet.proto == IPProto.UDP and packet.payload not in seen:
             seen.add(packet.payload)
             assert_same_entry(dissector, packet.payload)
     assert len(seen) > 100, "scenario produced too few distinct payloads"

@@ -216,6 +216,8 @@ def test_cli_bad_flag_value():
         (["report", "--hours", "-1"], "--hours"),
         (["report", "--hours", "inf"], "--hours"),
         (["probe", "--hours", "0.1", "--count", "-1"], "--count"),
+        (["profile", "--hours", "0.1", "--top", "0"], "--top"),
+        (["profile", "--hours", "0.1", "--top", "-1"], "--top"),
     ],
     ids=[
         "batch-size-0",
@@ -225,6 +227,8 @@ def test_cli_bad_flag_value():
         "hours-negative",
         "hours-infinite",
         "count-negative",
+        "top-0",
+        "top-negative",
     ],
 )
 def test_cli_out_of_range_flag_is_usage_error(argv, flag, capsys):

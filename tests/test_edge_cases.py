@@ -1,7 +1,7 @@
 """Edge-case coverage across substrates."""
 
 from repro.net.addresses import parse_ipv4
-from repro.net.ipv4 import IPv4Header
+from repro.net.ipv4 import IPProto, IPv4Header
 from repro.net.udp import UdpHeader
 from repro.quic.crypto import keys_from_secret
 from repro.quic.frames import AckFrame, FrameType, PingFrame, parse_frames
@@ -104,7 +104,7 @@ def test_tcp_scanner_emits_syn_probes():
     bots = {b.address for b in internet.bot_hosts}
     ports = set()
     for packet in packets:
-        assert packet.is_tcp
+        assert packet.proto == IPProto.TCP
         assert packet.transport.flags == TcpFlags.SYN
         assert packet.src in bots
         assert packet.dst in internet.telescope_net

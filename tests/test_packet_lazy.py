@@ -14,7 +14,10 @@
     patched to count, a capture runs through the pipeline, the monitor
     and both shard transports with zero calls;
 (d) parsed payloads are shared: equal payloads parsed recently are one
-    object, through one bounded memo, and nothing in (b) changes.
+    object, through one bounded memo, and nothing in (b) changes;
+(e) the record stays lean: fifteen slots, nothing derivable stored
+    twice, and equal source addresses and lengths parsed recently are
+    one int object, through a second memo of the same bound.
 """
 
 import collections
@@ -31,7 +34,7 @@ from repro.core import QuicsandPipeline
 from repro.core.pipeline import AnalysisConfig
 from repro.net.icmp import IcmpHeader, IcmpType
 from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket, _shared_payload
+from repro.net.packet import CapturedPacket, _shared_int, _shared_payload
 from repro.net.pcap import PcapReader, read_pcap, read_pcap_batches
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
@@ -110,9 +113,9 @@ def tcp_wire(payload=b"") -> bytes:
     return CapturedPacket(0.0, IPv4Header(SRC, DST, IPProto.TCP), header, payload).to_bytes()
 
 
-def icmp_wire() -> bytes:
+def icmp_wire(payload=b"quoted") -> bytes:
     header = IcmpHeader(IcmpType.DEST_UNREACHABLE, 3, identifier=7, sequence=9)
-    return CapturedPacket(0.0, IPv4Header(SRC, DST, IPProto.ICMP), header, b"quoted").to_bytes()
+    return CapturedPacket(0.0, IPv4Header(SRC, DST, IPProto.ICMP), header, payload).to_bytes()
 
 
 def patched(wire: bytes, at: int, value: int, width: int = 2) -> bytes:
@@ -179,7 +182,7 @@ def test_pinned_cases_mean_what_they_say():
     assert (packet.src_port, packet.dst_port) == (50000, 443)
     packet = assert_agrees(PINNED["unknown protocol"])
     assert packet.transport is None and packet.payload == udp_wire()[20:]
-    assert not (packet.is_udp or packet.is_tcp or packet.is_icmp)
+    assert packet.proto == 47
     for rejected in ("bad version", "ihl<5", "options cut", "header cut", "empty"):
         assert assert_agrees(PINNED[rejected]) is None
 
@@ -376,3 +379,43 @@ def test_a_capture_held_as_packets_keeps_one_object_per_memo_miss(simulated_hour
     misses = _shared_payload.cache_info().misses
     distinct = len({id(packet.payload) for packet in held})
     assert distinct <= misses < len(held)
+
+
+# -- (e) the record stays lean ------------------------------------------------
+
+
+def test_slots_are_pinned():
+    # every slot weighs on each held packet, and one that restates
+    # another (a per-protocol flag restating proto) buys nothing
+    assert set(CapturedPacket.__slots__) == {
+        "timestamp", "payload", "_ip", "_transport", "_head",
+        "src", "dst", "proto", "total_length",
+        "kind", "src_port", "dst_port", "tcp_flags", "icmp_type", "icmp_code",
+    }
+    assert len(CapturedPacket.__slots__) == 15
+
+
+@pytest.mark.parametrize(
+    "wire",
+    [udp_wire(bytes(300)), tcp_wire(bytes(300)), icmp_wire(bytes(300))],
+    ids=["udp", "tcp", "icmp"],
+)
+def test_equal_sources_and_lengths_share_one_int(wire):
+    # SRC and every length here are > 256, past CPython's small-int cache
+    a = CapturedPacket.from_bytes(4.0, wire)
+    b = CapturedPacket.from_bytes(4.0, bytes(bytearray(wire)))
+    assert a.src == SRC and a.total_length > 256
+    assert a.src is b.src and a.total_length is b.total_length
+    assert a == b and a.to_bytes() == wire and b.to_bytes() == wire
+    assert pickle.loads(pickle.dumps(b)) == a
+    assert repr(a) == repr(b)
+
+
+def test_int_memo_is_one_bounded_lru(simulated_hour):
+    assert _shared_int.cache_parameters() == {"maxsize": MEMO_ENTRIES, "typed": False}
+    _shared_int.cache_clear()
+    held = list(read_pcap(simulated_hour))
+    info = _shared_int.cache_info()
+    assert info.currsize <= MEMO_ENTRIES
+    assert info.hits + info.misses == 2 * len(held)
+    assert len({id(packet.src) for packet in held}) <= info.misses

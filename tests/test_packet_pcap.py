@@ -36,7 +36,7 @@ def _udp_packet(ts=1617235200.25, payload=b"x" * 30):
 
 def test_packet_accessors():
     p = _udp_packet()
-    assert p.is_udp and not p.is_tcp and not p.is_icmp
+    assert p.proto == IPProto.UDP
     assert p.src_port == 443
     assert p.dst_port == 40000
 
@@ -80,7 +80,7 @@ def test_wire_roundtrip_icmp():
         b"echo-body",
     )
     q = CapturedPacket.from_bytes(7.0, p.to_bytes())
-    assert q.is_icmp and q.proto == int(IPProto.ICMP)
+    assert q.proto == IPProto.ICMP
     assert q.transport.identifier == 9
     assert q.transport.sequence == 3
     assert q.payload == b"echo-body"
@@ -92,7 +92,7 @@ def test_wire_roundtrip_unknown_proto():
     assert q.transport is None
     assert q.payload == b"gre-ish"
     assert q.src_port is None and q.dst_port is None
-    assert not (q.is_udp or q.is_tcp or q.is_icmp)
+    assert q.proto == 47
 
 
 def test_captured_packet_is_slotted():
@@ -118,7 +118,7 @@ def test_captured_packet_picklable():
         q = pickle.loads(pickle.dumps(p))
         assert q == p
         assert q.src_port == p.src_port
-        assert (q.is_udp, q.is_tcp, q.is_icmp) == (p.is_udp, p.is_tcp, p.is_icmp)
+        assert q.proto == p.proto
         assert q.to_bytes() == p.to_bytes()
 
 

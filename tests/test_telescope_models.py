@@ -209,7 +209,9 @@ def test_tcp_responder_flags(internet):
     packets = flood_backscatter(internet, TCP, 9)
     n = len(packets)
     assert n >= 2000
-    assert all(p.is_tcp and p.src == VICTIM and p.src_port == 443 for p in packets)
+    assert all(
+        p.proto == IPProto.TCP and p.src == VICTIM and p.src_port == 443 for p in packets
+    )
     syn_ack, rst_ack = TcpFlags.SYN | TcpFlags.ACK, TcpFlags.RST | TcpFlags.ACK
     assert {p.transport.flags for p in packets} <= {syn_ack, rst_ack}
     # the RST-ACK share is binomial(n, 0.15): inside 4 standard deviations
@@ -220,7 +222,7 @@ def test_tcp_responder_flags(internet):
 def test_icmp_responder_echo_reply(internet):
     packets = flood_backscatter(internet, ICMP, 10)
     assert len(packets) >= 2000
-    assert all(p.is_icmp and p.src == VICTIM for p in packets)
+    assert all(p.proto == IPProto.ICMP and p.src == VICTIM for p in packets)
     assert {(p.transport.icmp_type, p.transport.code) for p in packets} == {(0, 0)}
     assert {p.payload for p in packets} == {bytes(32)}
     assert [p.transport.sequence for p in packets] == list(range(1, len(packets) + 1))
