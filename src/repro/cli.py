@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--export", help="write per-figure CSV/JSON data here")
     report.add_argument(
         "--workers",
-        type=int,
+        type=_at_least_one,
         default=1,
         help="worker processes: split the scenario's traffic sources into "
         "N parts, analyze each part in its own process and merge the "
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--idle-timeout",
-        type=float,
+        type=_non_negative,
         default=0.0,
         help="stop once the pcap stops growing for this many seconds "
         "(0 = read a complete capture once and stop)",
@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--status-every",
-        type=float,
+        type=_non_negative,
         default=1800.0,
         help="status-line interval in event-time seconds (0 = off)",
     )
@@ -420,9 +420,6 @@ def cmd_analyze(args, stream) -> int:
 
 
 def cmd_report(args, stream) -> int:
-    if args.workers < 1:
-        print("--workers must be at least 1", file=stream)
-        return 2
     _maybe_enable_metrics(args)
     injector = _fault_injector(args, stream)
     if injector == 2:

@@ -50,7 +50,7 @@ import functools
 from typing import Optional
 
 from repro import obs
-from repro.core.classify import PacketClass
+from repro.core.classify import _TCP_RST, _TCP_SYN, _TCP_SYN_ACK, PacketClass
 from repro.core.dissect import (
     MIN_GQUIC_LEN,
     MIN_SHORT_HEADER_LEN,
@@ -58,9 +58,7 @@ from repro.core.dissect import (
     QuicDissector,
     _LONG_HEADER_TYPES,
 )
-from repro.net.icmp import BACKSCATTER_TYPES as _ICMP_BACKSCATTER_TYPES
-from repro.net.packet import KIND_ICMP, KIND_TCP
-from repro.net.tcp import TcpFlags
+from repro.net.packet import BACKSCATTER_TYPES, KIND_ICMP, KIND_TCP
 from repro.quic.header import PacketType
 from repro.quic.versions import version_by_value
 from repro.util.batching import MEMO_ENTRIES
@@ -85,13 +83,6 @@ _M_FALLBACK = obs.counter(
 #: ``error`` — the fast parser raised (defensive mirror of the rich
 #: path's never-raise boundary).
 FALLBACK_REASONS = ("parse", "error")
-
-# int views of the transport predicates the adapters branch on —
-# identical semantics to TcpHeader.is_syn_ack / .is_rst and
-# IcmpHeader.is_backscatter, without enum dispatch per packet.
-_TCP_SYN = int(TcpFlags.SYN)
-_TCP_RST = int(TcpFlags.RST)
-_TCP_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 # LaneEntry tuple indexes (kept a plain tuple: entries are created and
 # cached millions of times, and tuples pickle/compare cheapest).
@@ -424,8 +415,7 @@ class BatchLane:
 
     def observe_packets(self, packets: list, malformed_counts: dict) -> list:
         """Observations of a batch of :class:`CapturedPacket`\\ s (a
-        capture or a live feed).  Reads scalar slots only: ``.ip`` /
-        ``.transport`` would materialise headers."""
+        capture or a live feed)."""
         entry_for = self.entry_for
         dissect = self.dissect_payloads
         request_cls = PacketClass.QUIC_REQUEST
@@ -492,7 +482,7 @@ class BatchLane:
             elif proto == 1:
                 if (
                     packet.kind == KIND_ICMP
-                    and packet.icmp_type in _ICMP_BACKSCATTER_TYPES
+                    and packet.icmp_type in BACKSCATTER_TYPES
                 ):
                     n_icmp_back += 1
                     observe((
@@ -601,7 +591,7 @@ class BatchLane:
                 else:
                     n_tcp_other += 1
             elif proto == 1:
-                if kind == 3 and f1 in _ICMP_BACKSCATTER_TYPES:
+                if kind == 3 and f1 in BACKSCATTER_TYPES:
                     n_icmp_back += 1
                     wire_length = total_length or 28 + payload_length
                     observe(

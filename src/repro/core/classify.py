@@ -18,13 +18,23 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.icmp import IcmpHeader
-from repro.net.ipv4 import IPProto
-from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
+from repro.net.packet import (
+    BACKSCATTER_TYPES,
+    KIND_ICMP,
+    KIND_TCP,
+    CapturedPacket,
+    IPProto,
+    TcpFlags,
+)
 from repro.core.dissect import Dissection, QuicDissector
 
 QUIC_PORT = 443
+
+# int views of the TCP flag tests, shared with the batch lane: SYN-ACK
+# (both bits) or RST is backscatter, a SYN without them a request
+_TCP_SYN = int(TcpFlags.SYN)
+_TCP_RST = int(TcpFlags.RST)
+_TCP_SYN_ACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
 class PacketClass(enum.Enum):
@@ -38,14 +48,6 @@ class PacketClass(enum.Enum):
     ICMP_BACKSCATTER = "icmp-backscatter"
     ICMP_OTHER = "icmp-other"
     OTHER = "other"
-
-    @property
-    def is_backscatter(self) -> bool:
-        return self in (
-            PacketClass.QUIC_RESPONSE,
-            PacketClass.TCP_BACKSCATTER,
-            PacketClass.ICMP_BACKSCATTER,
-        )
 
 
 @dataclass
@@ -100,9 +102,9 @@ class TrafficClassifier:
         if proto == IPProto.UDP:
             return self._classify_udp(packet)
         if proto == IPProto.TCP:
-            return ClassifiedPacket(packet, self._classify_tcp(packet.transport))
+            return ClassifiedPacket(packet, self._classify_tcp(packet))
         if proto == IPProto.ICMP:
-            return ClassifiedPacket(packet, self._classify_icmp(packet.transport))
+            return ClassifiedPacket(packet, self._classify_icmp(packet))
         return ClassifiedPacket(packet, PacketClass.OTHER)
 
     def _classify_udp(self, packet: CapturedPacket) -> ClassifiedPacket:
@@ -128,19 +130,18 @@ class TrafficClassifier:
         return ClassifiedPacket(packet, packet_class, dissection)
 
     @staticmethod
-    def _classify_tcp(tcp: Optional[TcpHeader]) -> PacketClass:
-        if tcp is None:
+    def _classify_tcp(packet: CapturedPacket) -> PacketClass:
+        if packet.kind != KIND_TCP:
             return PacketClass.TCP_OTHER
-        if tcp.is_syn_ack or tcp.is_rst:
+        flags = packet.tcp_flags
+        if (flags & _TCP_SYN_ACK) == _TCP_SYN_ACK or flags & _TCP_RST:
             return PacketClass.TCP_BACKSCATTER
-        if tcp.flags & TcpFlags.SYN:
+        if flags & _TCP_SYN:
             return PacketClass.TCP_REQUEST
         return PacketClass.TCP_OTHER
 
     @staticmethod
-    def _classify_icmp(icmp: Optional[IcmpHeader]) -> PacketClass:
-        if icmp is None:
-            return PacketClass.ICMP_OTHER
-        if icmp.is_backscatter:
+    def _classify_icmp(packet: CapturedPacket) -> PacketClass:
+        if packet.kind == KIND_ICMP and packet.icmp_type in BACKSCATTER_TYPES:
             return PacketClass.ICMP_BACKSCATTER
         return PacketClass.ICMP_OTHER

@@ -23,14 +23,11 @@ Two invariants matter for downstream analysis:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro import obs
 from repro.faults.spec import FAULT_KINDS, FaultSpec
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.udp import UdpHeader
+from repro.net.packet import KIND_UDP, CapturedPacket, IPProto
 from repro.util.batching import BATCH_SIZE, batched
 from repro.util.rng import SeededRng
 
@@ -121,7 +118,7 @@ class FaultInjector:
             yield packet
             if spec.duplicate and rng_duplicate.random() < spec.duplicate:
                 stats["duplicate"] += 1
-                yield _copy(packet, packet.timestamp)
+                yield _copy(packet)
 
     def _mutate_payload(self, packet: CapturedPacket) -> CapturedPacket:
         spec = self.spec
@@ -161,16 +158,10 @@ class FaultInjector:
                 stats["bitflip"] += 1
         if not mutated:
             return packet
-        ip = packet.ip
-        if len(payload) != len(packet.payload):
-            # a capture-sourced header carries the original wire length
-            ip = replace(ip, total_length=0, checksum=0)
-        return CapturedPacket(
-            timestamp=packet.timestamp,
-            ip=ip,
-            transport=packet.transport,
-            payload=payload,
-        )
+        if len(payload) == len(packet.payload):
+            return _copy(packet, payload=payload)
+        # a capture-sourced packet carries the original wire length
+        return _copy(packet, payload=payload, total_length=0)
 
     def _reorder(
         self, stream: Iterator[CapturedPacket]
@@ -186,8 +177,8 @@ class FaultInjector:
                 # the held packet's contents arrive late: its successor's
                 # contents take the earlier timestamp, its own take the
                 # later one, so the stream stays time-ordered.
-                yield _copy(packet, held.timestamp)
-                yield _copy(held, packet.timestamp)
+                yield _copy(packet, timestamp=held.timestamp)
+                yield _copy(held, timestamp=packet.timestamp)
                 self.stats["reorder"] += 1
                 held = None
             elif rng.random() < spec.reorder:
@@ -211,8 +202,12 @@ class FaultInjector:
         payload = rng.randbytes(rng.randint(1, _MAX_GARBAGE_PAYLOAD))
         return CapturedPacket(
             timestamp=reference.timestamp,
-            ip=IPv4Header(src=src, dst=reference.dst, proto=int(IPProto.UDP)),
-            transport=UdpHeader(src_port=src_port, dst_port=_QUIC_PORT),
+            src=src,
+            dst=reference.dst,
+            proto=int(IPProto.UDP),
+            kind=KIND_UDP,
+            src_port=src_port,
+            dst_port=_QUIC_PORT,
             payload=payload,
         )
 
@@ -238,10 +233,8 @@ class FaultInjector:
         )
 
 
-def _copy(packet: CapturedPacket, timestamp: float) -> CapturedPacket:
-    return CapturedPacket(
-        timestamp=timestamp,
-        ip=packet.ip,
-        transport=packet.transport,
-        payload=packet.payload,
-    )
+def _copy(packet: CapturedPacket, **changes) -> CapturedPacket:
+    """A new record with ``packet``'s slots, ``changes`` applied."""
+    fields = {slot: getattr(packet, slot) for slot in CapturedPacket.__slots__}
+    fields.update(changes)
+    return CapturedPacket(**fields)

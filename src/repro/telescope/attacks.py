@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.net.tcp import TcpFlags
+from repro.net.packet import TcpFlags
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 from repro.internet.activescan import QuicServerRecord

@@ -4,10 +4,9 @@ The mirror image of ``repro.core.batchlane``.  The batch lane made
 *analysis* fast by walking raw bytes instead of building header
 objects; this module makes *generation* fast the same way.  Traffic
 models emit flat tuples from ``records()`` — the generator building
-:class:`~repro.net.packet.CapturedPacket` objects out of header
-objects is the tests' reference (``tests/reference/generator.py``);
-production gets its packets by parsing the stamped bytes back
-(``Scenario.packets``) — and
+packets out of header objects is the tests' reference
+(``tests/reference/generator.py``); production gets its packets by
+parsing the stamped bytes back (``Scenario.packets``) — and
 this module turns those tuples into wire bytes by stamping
 preallocated template buffers: bytearray copies of each distinct
 datagram with the mutable fields (addresses, ports, checksums, TCP
@@ -46,7 +45,7 @@ between packets — including the whole payload, folded once at template
 build time via ``int.from_bytes(payload) % 0xFFFF`` (C speed).  Per
 packet only the handful of varying words (address halves, ports,
 seq/ack, identifier) are added and the total folded; the result is
-bit-identical to ``net.checksum.internet_checksum`` over the full
+bit-identical to an RFC 1071 ``internet_checksum`` over the full
 buffer because one's-complement addition is associative and the fold
 preserves the value mod ``0xFFFF``.
 
@@ -128,10 +127,11 @@ class WireStamper:
 
     One template per distinct ``(kind, payload)``; stamping a packet is
     two ``struct.pack_into`` calls and a dozen integer adds.  The
-    output is byte-identical to ``CapturedPacket.to_bytes()`` for the
-    headers the generators produce (TTL 64, no IP options, TCP window
-    65535) — ``tests/test_genlane_equivalence.py`` pins whole-pcap
-    equality against the reference generator.
+    output is byte-identical to the header codecs' serialization
+    (``tests/reference/headers.py``) for the headers the generators
+    produce (TTL 64, no IP options, TCP window 65535) —
+    ``tests/test_genlane_equivalence.py`` pins whole-pcap equality
+    against the reference generator.
 
     The UDP and ICMP templates are ``functools.lru_cache`` memos of
     :data:`~repro.util.batching.MEMO_ENTRIES` each: the hits come from

@@ -325,7 +325,7 @@ class TcpScannerModel:
         return in_time_order(self._sessions(start, end), start, end)
 
     def _sessions(self, start: float, end: float) -> Iterator[tuple]:
-        from repro.net.tcp import TcpFlags
+        from repro.net.packet import TcpFlags
 
         syn = int(TcpFlags.SYN)
         peak = self.diurnal.peak_rate_factor()

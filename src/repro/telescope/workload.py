@@ -161,8 +161,8 @@ class Scenario:
         A packet view of :meth:`records`, the in-process ``simulate |
         analyze``: each record is stamped to wire bytes and parsed back,
         so each packet is what a capture of the same traffic would
-        contain (lazy headers, ``total_length`` filled, timestamp
-        untouched).
+        contain, reduced to the record's scalars (``total_length``
+        filled, timestamp untouched).
         """
         from_bytes = CapturedPacket.from_bytes
         return (

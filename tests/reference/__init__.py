@@ -6,6 +6,10 @@ package textually unchanged once nothing a user can run reached it
 
 - :mod:`tests.reference.generator` — the rich packet generator, the
   oracle ``Scenario.records()`` is compared against;
+- :mod:`tests.reference.headers` — the IPv4/UDP/TCP/ICMP header codecs,
+  the Internet checksum and the header-object packet ``HeaderPacket``:
+  what the wire stamper's bytes and ``CapturedPacket.from_bytes`` are
+  checked against;
 - :mod:`tests.reference.wire` — the wire-level NGINX worker pool, the
   server DES's ground truth;
 - :mod:`tests.reference.transport` — the lossy-link handshake harness.

@@ -2,8 +2,8 @@
 
 ``Scenario.records()`` is the one generator ``repro`` runs; this is the
 oracle it is compared against (same seeds, same draws, same order),
-emitting :class:`~repro.net.packet.CapturedPacket` objects built from
-``IPv4Header``/``UdpHeader``/``TcpHeader``/``IcmpHeader`` dataclasses.
+emitting :class:`~tests.reference.headers.HeaderPacket` objects built
+from ``IPv4Header``/``UdpHeader``/``TcpHeader``/``IcmpHeader`` dataclasses.
 
 Every function here was a method of the traffic model it takes as its
 first argument — still spelled ``self`` so each body is the method's,
@@ -26,11 +26,7 @@ import math
 from functools import singledispatch
 from typing import Iterable, Iterator
 
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.packet import IcmpType, IPProto, TcpFlags
 from repro.internet.topology import BotHost
 from repro.telescope.adversarial import _AdversarialModel
 from repro.telescope.attacks import (
@@ -50,14 +46,21 @@ from repro.telescope.scanners import (
     gquic_probe,
 )
 from repro.telescope.workload import Scenario
+from tests.reference.headers import (
+    HeaderPacket,
+    IcmpHeader,
+    IPv4Header,
+    TcpHeader,
+    UdpHeader,
+)
 
 
-def merge_streams(*streams: Iterable[CapturedPacket]) -> Iterator[CapturedPacket]:
+def merge_streams(*streams: Iterable[HeaderPacket]) -> Iterator[HeaderPacket]:
     """Merge per-source time-sorted packet streams into one tap feed."""
     return heapq.merge(*streams, key=lambda p: p.timestamp)
 
 
-def rich_packets(self: Scenario) -> Iterator[CapturedPacket]:
+def rich_packets(self: Scenario) -> Iterator[HeaderPacket]:
     """The reference generator: the same capture assembled from
     header objects, one ``packets()`` twin per traffic model.
 
@@ -84,7 +87,7 @@ def rich_packets(self: Scenario) -> Iterator[CapturedPacket]:
 
 
 @singledispatch
-def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
+def packets(self, start: float, end: float) -> Iterator[HeaderPacket]:
     """One traffic model's packets within [start, end), in time order."""
     raise TypeError(f"no reference generator for {type(self).__name__}")
 
@@ -93,7 +96,7 @@ def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
 
 
 @packets.register(ResearchScannerModel)
-def research_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
+def research_packets(self, start: float, end: float) -> Iterator[HeaderPacket]:
     """Probe packets within [start, end), in time order."""
     telescope = self.internet.telescope_net
     probes_per_sweep = max(1, int(telescope.size * self.sample))
@@ -109,7 +112,7 @@ def research_packets(self, start: float, end: float) -> Iterator[CapturedPacket]
             if timestamp < start:
                 continue
             dst = telescope.address_at((offset + i * stride) % telescope.size)
-            yield CapturedPacket(
+            yield HeaderPacket(
                 timestamp=timestamp,
                 ip=IPv4Header(
                     src=self.scanner.address, dst=dst, proto=IPProto.UDP
@@ -133,7 +136,7 @@ def session_packets(self: BotScannerModel, session_start: float, bot: BotHost) -
     for _ in range(count):
         dst = self.internet.random_telescope_address(self.rng)
         packets.append(
-            CapturedPacket(
+            HeaderPacket(
                 timestamp=t,
                 ip=IPv4Header(src=bot.address, dst=dst, proto=IPProto.UDP),
                 transport=UdpHeader(src_port=src_port, dst_port=443),
@@ -147,7 +150,7 @@ def session_packets(self: BotScannerModel, session_start: float, bot: BotHost) -
 
 
 @packets.register(BotScannerModel)
-def bot_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
+def bot_packets(self, start: float, end: float) -> Iterator[HeaderPacket]:
     """All bot scan packets in [start, end), time-sorted."""
     sessions = []
     for session_start, bot in self.session_starts(start, end):
@@ -161,7 +164,7 @@ def bot_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
 
 
 @packets.register(TcpScannerModel)
-def tcp_scan_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
+def tcp_scan_packets(self, start: float, end: float) -> Iterator[HeaderPacket]:
     peak = self.diurnal.peak_rate_factor()
     rate = self.sessions_per_day / 86400.0 * peak
     bots = self.internet.bot_hosts
@@ -184,7 +187,7 @@ def tcp_scan_packets(self, start: float, end: float) -> Iterator[CapturedPacket]
         for _ in range(count):
             dst = self.internet.random_telescope_address(self.rng)
             session.append(
-                CapturedPacket(
+                HeaderPacket(
                     timestamp=ts,
                     ip=IPv4Header(src=bot.address, dst=dst, proto=IPProto.TCP),
                     transport=TcpHeader(
@@ -218,7 +221,7 @@ def quic_respond(
 ) -> list:
     """Packets sent to ``spoofed_ip`` in response to one Initial.
 
-    Returns :class:`~repro.net.packet.CapturedPacket` records in
+    Returns :class:`~tests.reference.headers.HeaderPacket` records in
     time order.
     """
     return [
@@ -233,8 +236,8 @@ def _packet(
     dst_ip: int,
     dst_port: int,
     payload: bytes,
-) -> CapturedPacket:
-    return CapturedPacket(
+) -> HeaderPacket:
+    return HeaderPacket(
         timestamp=timestamp,
         ip=IPv4Header(src=self.victim_ip, dst=dst_ip, proto=IPProto.UDP),
         transport=UdpHeader(src_port=443, dst_port=dst_port),
@@ -266,7 +269,7 @@ def tcp_respond(self, timestamp: float, spoofed_ip: int, spoofed_port: int) -> l
         flags = TcpFlags.RST | TcpFlags.ACK
     else:
         flags = TcpFlags.SYN | TcpFlags.ACK
-    packet = CapturedPacket(
+    packet = HeaderPacket(
         timestamp=timestamp,
         ip=IPv4Header(src=self.victim_ip, dst=spoofed_ip, proto=IPProto.TCP),
         transport=TcpHeader(
@@ -283,7 +286,7 @@ def tcp_respond(self, timestamp: float, spoofed_ip: int, spoofed_port: int) -> l
 @respond.register(IcmpResponder)
 def icmp_respond(self, timestamp: float, spoofed_ip: int, _spoofed_port: int) -> list:
     self.sequence = (self.sequence + 1) & 0xFFFF
-    packet = CapturedPacket(
+    packet = HeaderPacket(
         timestamp=timestamp,
         ip=IPv4Header(src=self.victim_ip, dst=spoofed_ip, proto=IPProto.ICMP),
         transport=IcmpHeader(
@@ -356,7 +359,7 @@ def attack_packets(self: AttackTrafficModel, plan: AttackPlan) -> Iterator:
 
 
 @packets.register(MisconfigurationModel)
-def misconfig_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
+def misconfig_packets(self, start: float, end: float) -> Iterator[HeaderPacket]:
     """All misconfiguration packets in [start, end), time-sorted."""
     rate = self.sessions_per_day / 86400.0
     sessions = []
@@ -398,7 +401,7 @@ def _session(self: MisconfigurationModel, session_start: float) -> list:
 
 
 @packets.register(StrayUdpModel)
-def stray_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
+def stray_packets(self, start: float, end: float) -> Iterator[HeaderPacket]:
     rate = self.packets_per_day / 86400.0
     t = start
     while True:
@@ -414,7 +417,7 @@ def stray_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
             payload = self.rng.randbytes(self.rng.randint(1, 25))
         source = self.internet.random_unrouted_address()
         dst = self.internet.random_telescope_address(self.rng)
-        yield CapturedPacket(
+        yield HeaderPacket(
             timestamp=t,
             ip=IPv4Header(src=source, dst=dst, proto=IPProto.UDP),
             transport=UdpHeader(
@@ -429,7 +432,7 @@ def stray_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
 
 
 @packets.register(_AdversarialModel)
-def adversarial_packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
+def adversarial_packets(self, start: float, end: float) -> Iterator[HeaderPacket]:
     """The record stream boxed as captured packets (same draws).
 
     All adversarial traffic is UDP, so unlike the scanner/flood
@@ -437,7 +440,7 @@ def adversarial_packets(self, start: float, end: float) -> Iterator[CapturedPack
     this *is* the record stream.
     """
     for r in self.records(start, end):
-        yield CapturedPacket(
+        yield HeaderPacket(
             timestamp=r[0],
             ip=IPv4Header(src=r[1], dst=r[2], proto=IPProto.UDP),
             transport=UdpHeader(src_port=r[6], dst_port=r[7]),

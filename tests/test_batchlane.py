@@ -38,11 +38,14 @@ from repro.core.batchlane import (
 from repro.core.dissect import MalformedReason, QuicDissector
 from repro.core.pipeline import AnalysisConfig, PartialState
 from repro.core.report import build_report
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import KIND_ICMP, KIND_UDP, CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.packet import (
+    KIND_ICMP,
+    KIND_UDP,
+    CapturedPacket,
+    IcmpType,
+    IPProto,
+    TcpFlags,
+)
 from repro.stream.sketch import SketchTier
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.presets import get_scenario, scenario_names
@@ -52,6 +55,13 @@ from repro.util.timeutil import HOUR
 
 from tests.oracle import make_pipeline, state_facts
 from tests.test_fuzz_dissect import valid_datagrams
+from tests.reference.headers import (
+    HeaderPacket,
+    IPv4Header,
+    IcmpHeader,
+    TcpHeader,
+    UdpHeader,
+)
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "corpus"
 REASON_SLUGS = {reason.value for reason in MalformedReason}
@@ -350,7 +360,7 @@ def test_adapters_agree_on_scenario_traffic(name):
 
 
 def wire(proto, transport, payload=b"") -> bytes:
-    return CapturedPacket(0.0, IPv4Header(7, 9, proto), transport, payload).to_bytes()
+    return HeaderPacket(0.0, IPv4Header(7, 9, proto), transport, payload).to_bytes()
 
 
 def patched(data: bytes, at: int, value: int, width: int = 1) -> bytes:
@@ -393,7 +403,7 @@ def odd_packets():
     ]
     # a generator-built packet: total_length still 0, never serialized
     ip = IPv4Header(7, 9, IPProto.UDP)
-    packets.append(CapturedPacket(99.0, ip, UdpHeader(50000, 443), quic))
+    packets.append(HeaderPacket(99.0, ip, UdpHeader(50000, 443), quic))
     return packets
 
 

@@ -2,16 +2,19 @@
 
 import pytest
 
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.packet import IcmpType, IPProto, TcpFlags
 from repro.util.rng import SeededRng
 from repro.quic.connection import ClientConnection, ServerConnection
 from repro.core.classify import PacketClass, TrafficClassifier
 from repro.core.pipeline import AnalysisConfig, PartialState, merge_states
 from repro.core.sessions import Session, Sessionizer, TimeoutSweep
+from tests.reference.headers import (
+    HeaderPacket,
+    IPv4Header,
+    IcmpHeader,
+    TcpHeader,
+    UdpHeader,
+)
 
 RNG = SeededRng(4242)
 QUIC_REQUEST_PAYLOAD = ClientConnection(RNG.child("c")).initial_datagram()
@@ -22,19 +25,19 @@ QUIC_RESPONSE_PAYLOAD = _server.handle_datagram(
 
 
 def udp_packet(ts=0.0, src=1, dst=2, sport=50000, dport=443, payload=b""):
-    return CapturedPacket(
+    return HeaderPacket(
         ts, IPv4Header(src, dst, IPProto.UDP), UdpHeader(sport, dport), payload
     )
 
 
 def tcp_packet(flags, ts=0.0, src=1):
-    return CapturedPacket(
+    return HeaderPacket(
         ts, IPv4Header(src, 2, IPProto.TCP), TcpHeader(443, 999, flags=flags)
     )
 
 
 def icmp_packet(icmp_type, ts=0.0, src=1):
-    return CapturedPacket(
+    return HeaderPacket(
         ts, IPv4Header(src, 2, IPProto.ICMP), IcmpHeader(icmp_type)
     )
 

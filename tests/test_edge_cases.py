@@ -1,8 +1,7 @@
 """Edge-case coverage across substrates."""
 
 from repro.net.addresses import parse_ipv4
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.udp import UdpHeader
+from repro.net.packet import IPProto
 from repro.quic.crypto import keys_from_secret
 from repro.quic.frames import AckFrame, FrameType, PingFrame, parse_frames
 from repro.quic.packet import protect_short_packet, unprotect_short_packet
@@ -10,6 +9,7 @@ from repro.telescope.scanners import TcpScannerModel
 from repro.util.rng import SeededRng
 from repro.util.varint import encode_varint
 from tests.reference import generator as reference
+from tests.reference.headers import IPv4Header, UdpHeader
 
 
 # -- net edge cases ------------------------------------------------------
@@ -94,7 +94,7 @@ def test_short_packet_key_phase_bit_roundtrip():
 
 def test_tcp_scanner_emits_syn_probes():
     from repro.internet.topology import InternetModel
-    from repro.net.tcp import TcpFlags
+    from repro.net.packet import TcpFlags
     from repro.util.timeutil import APRIL_1_2021, DAY
 
     internet = InternetModel(SeededRng(15))

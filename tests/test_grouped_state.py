@@ -31,15 +31,14 @@ from repro.core import AnalysisConfig, QuicsandPipeline
 from repro.core.classify import PacketClass
 from repro.core.pipeline import PartialState, run_record_batches
 from repro.core.sessions import Session, TimeoutSweep
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
+from repro.net.packet import IPProto, TcpFlags
 from repro.stream import FloodAlert, StreamAnalyzer, StreamConfig
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.presets import get_scenario
 from repro.util.timeutil import HOUR, MINUTE
 
 from tests.oracle import make_pipeline, rich_result, state_facts
+from tests.reference.headers import HeaderPacket, IPv4Header, TcpHeader
 
 REQUEST, RESPONSE = PacketClass.QUIC_REQUEST, PacketClass.QUIC_RESPONSE
 TCP, ICMP = PacketClass.TCP_BACKSCATTER, PacketClass.ICMP_BACKSCATTER
@@ -221,7 +220,7 @@ def test_monitor_alerts_in_crossing_order():
     before victim 2 — and the alerts still come out in crossing order."""
 
     def rst(ts, src):
-        return CapturedPacket(
+        return HeaderPacket(
             ts, IPv4Header(src, 2, IPProto.TCP), TcpHeader(443, 999, flags=TcpFlags.RST)
         )
 

@@ -5,11 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.addresses import parse_ipv4
-from repro.net.checksum import internet_checksum, pseudo_header
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.packet import IPProto, IcmpType, TcpFlags
+from tests.reference.headers import (
+    IPv4Header,
+    IcmpHeader,
+    TcpHeader,
+    UdpHeader,
+    internet_checksum,
+    pseudo_header,
+)
 
 SRC = parse_ipv4("198.51.100.7")
 DST = parse_ipv4("44.12.34.56")

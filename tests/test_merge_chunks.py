@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.tcp import TcpFlags
+from repro.net.packet import TcpFlags
 from repro.telescope import Scenario, ScenarioConfig, attacks, telescope
 from repro.telescope.noise import MisconfigurationModel
 from repro.telescope.scanners import BotScannerModel, TcpScannerModel

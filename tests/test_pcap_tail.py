@@ -11,15 +11,14 @@ import io
 
 import pytest
 
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
+from repro.net.packet import CapturedPacket, IPProto
 from repro.net.pcap import PcapFormatError, PcapReader
-from repro.net.udp import UdpHeader
 from tests.oracle import pcap_bytes
+from tests.reference.headers import HeaderPacket, IPv4Header, UdpHeader
 
 
 def make_packet(ts: float, src: int = 1, dst: int = 2) -> CapturedPacket:
-    return CapturedPacket(
+    return HeaderPacket(
         ts, IPv4Header(src, dst, IPProto.UDP), UdpHeader(50000, 443), b"payload"
     )
 

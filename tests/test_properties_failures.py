@@ -10,11 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.icmp import IcmpHeader
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.packet import IPProto, TcpFlags
 from repro.core import QuicsandPipeline
 from repro.core.classify import PacketClass, TrafficClassifier
 from repro.core.dissect import QuicDissector
@@ -22,6 +18,13 @@ from repro.core.pipeline import AnalysisConfig
 from repro.core.sessions import Sessionizer, TimeoutSweep
 from repro.telescope import Scenario, ScenarioConfig
 from repro.util.timeutil import HOUR
+from tests.reference.headers import (
+    HeaderPacket,
+    IPv4Header,
+    IcmpHeader,
+    TcpHeader,
+    UdpHeader,
+)
 
 
 # -- dissector total safety --------------------------------------------------
@@ -53,12 +56,12 @@ def test_dissector_survives_bit_flips_in_real_packets(noise, index, value):
 
 def _mixed_packets():
     packets = [
-        CapturedPacket(0.0, IPv4Header(1, 2, IPProto.UDP), UdpHeader(443, 1000), b"x"),
-        CapturedPacket(1.0, IPv4Header(1, 2, IPProto.UDP), UdpHeader(1000, 443), b"y"),
-        CapturedPacket(2.0, IPv4Header(1, 2, IPProto.UDP), UdpHeader(53, 53), b"z"),
-        CapturedPacket(3.0, IPv4Header(1, 2, IPProto.TCP), TcpHeader(443, 1, flags=TcpFlags.SYN)),
-        CapturedPacket(4.0, IPv4Header(1, 2, IPProto.ICMP), IcmpHeader(0)),
-        CapturedPacket(5.0, IPv4Header(1, 2, proto=47), None, b"gre"),
+        HeaderPacket(0.0, IPv4Header(1, 2, IPProto.UDP), UdpHeader(443, 1000), b"x"),
+        HeaderPacket(1.0, IPv4Header(1, 2, IPProto.UDP), UdpHeader(1000, 443), b"y"),
+        HeaderPacket(2.0, IPv4Header(1, 2, IPProto.UDP), UdpHeader(53, 53), b"z"),
+        HeaderPacket(3.0, IPv4Header(1, 2, IPProto.TCP), TcpHeader(443, 1, flags=TcpFlags.SYN)),
+        HeaderPacket(4.0, IPv4Header(1, 2, IPProto.ICMP), IcmpHeader(0)),
+        HeaderPacket(5.0, IPv4Header(1, 2, proto=47), None, b"gre"),
     ]
     return packets
 
@@ -106,7 +109,7 @@ def test_sessionizer_matches_gap_rule(events, timeout):
     sweep = TimeoutSweep()
     classifier = TrafficClassifier(dissect_payloads=False)
     for ts, source in timeline:
-        packet = CapturedPacket(
+        packet = HeaderPacket(
             ts, IPv4Header(source, 9, IPProto.UDP), UdpHeader(443, 5), b""
         )
         sessionizer.add(classifier.classify(packet))
@@ -133,7 +136,7 @@ def test_session_packet_conservation(timestamps):
     sessionizer = Sessionizer("quic-response", timeout=100.0)
     classifier = TrafficClassifier(dissect_payloads=False)
     for ts in timestamps:
-        packet = CapturedPacket(
+        packet = HeaderPacket(
             ts, IPv4Header(7, 9, IPProto.UDP), UdpHeader(443, 5), b""
         )
         sessionizer.add(classifier.classify(packet))
@@ -153,9 +156,7 @@ def _corrupting_stream(scenario, every=37):
         if i % every == 0 and packet.payload:
             corrupted = bytearray(packet.payload)
             corrupted[len(corrupted) // 2] ^= 0xFF
-            packet = CapturedPacket(
-                packet.timestamp, packet.ip, packet.transport, bytes(corrupted)
-            )
+            packet.payload = bytes(corrupted)
         yield packet
 
 
@@ -186,7 +187,7 @@ def test_pipeline_handles_empty_stream():
 
 def test_pipeline_single_packet_stream():
     pipeline = QuicsandPipeline(config=AnalysisConfig(retry_probe_count=0))
-    packet = CapturedPacket(
+    packet = HeaderPacket(
         100.0, IPv4Header(1, 2, IPProto.UDP), UdpHeader(443, 9), b"\x01"
     )
     result = pipeline.process(iter([packet]))

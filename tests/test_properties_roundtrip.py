@@ -22,11 +22,7 @@ Properties pinned here:
 
 import os
 
-from repro.net.checksum import internet_checksum, pseudo_header
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.packet import IPProto, IcmpType, TcpFlags
 from repro.util.rng import SeededRng
 from repro.util.varint import (
     MAX_VARINT,
@@ -34,6 +30,14 @@ from repro.util.varint import (
     decode_varint,
     encode_varint,
     varint_length,
+)
+from tests.reference.headers import (
+    IPv4Header,
+    IcmpHeader,
+    TcpHeader,
+    UdpHeader,
+    internet_checksum,
+    pseudo_header,
 )
 
 ITERS = int(os.environ.get("REPRO_FUZZ_ITERS", "300"))

@@ -5,19 +5,18 @@ import pytest
 from repro.core.scanprofile import ScanProfiler
 from repro.internet.topology import InternetModel
 from repro.net.addresses import IPv4Network
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.udp import UdpHeader
+from repro.net.packet import IPProto
 from repro.telescope.scanners import BotScannerModel, ResearchScannerModel
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY, HOUR
 from tests.reference import generator as reference
+from tests.reference.headers import HeaderPacket, IPv4Header, UdpHeader
 
 TELESCOPE = IPv4Network.from_cidr("44.0.0.0/24")  # tiny, for direct tests
 
 
 def probe(src, dst, ts, sport=40000):
-    return CapturedPacket(
+    return HeaderPacket(
         ts, IPv4Header(src, dst, IPProto.UDP), UdpHeader(sport, 443), b""
     )
 

@@ -26,6 +26,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.telescope import Scenario
+from repro.telescope.genlane import wire_items
 from repro.telescope.presets import SCENARIOS, get_scenario, scenario_names
 from tests.oracle import assert_identical, make_pipeline, monitor_events, rich_result, run
 from tests.reference.generator import rich_packets
@@ -86,8 +87,8 @@ def test_gen_lane_vs_rich_synthesis(case):
 
 
 #: what a consumer can read off a packet, however it was built
-#: (``total_length`` is left out: 0 on a constructor-built packet
-#: until it is packed, and ``wire_length`` covers it)
+#: (``total_length`` is left out: 0 on a header-built packet until it
+#: is packed, and ``wire_length`` covers it)
 _SCALARS = (
     ("src", "dst", "proto", "kind", "src_port", "dst_port")
     + ("tcp_flags", "icmp_type", "icmp_code")
@@ -98,17 +99,24 @@ def _observable(packet) -> tuple:
     scalars = tuple(getattr(packet, slot) for slot in _SCALARS)
     # wire_length first: computed on the rich side, read off the wire
     # on the view's
-    return (packet.timestamp, packet.wire_length, packet.payload, *scalars, packet.to_bytes())
+    return (packet.timestamp, packet.wire_length, packet.payload, *scalars)
 
 
 def test_packet_view_vs_rich_synthesis(case):
     """``Scenario.packets()`` — the packets every production consumer
     gets, a view of ``records()`` — is the rich capture packet by
-    packet."""
-    view = list(Scenario(case.config).packets())
-    assert len(view) == len(case.packets), case.name
-    for index, (got, rich) in enumerate(zip(view, case.packets)):
+    packet, and the wire bytes it parses are the rich packets'
+    serialization byte for byte (TTL, IP id, seq/ack and checksums
+    included)."""
+    view = Scenario(case.config).packets()
+    wires = wire_items(Scenario(case.config).records())
+    for index, (got, (timestamp, wire), rich) in enumerate(
+        zip(view, wires, case.packets, strict=True)
+    ):
         assert _observable(got) == _observable(rich), f"{case.name}: packet {index}"
+        assert (timestamp, bytes(wire)) == (rich.timestamp, rich.to_bytes()), (
+            f"{case.name}: packet {index}"
+        )
 
 
 def test_serial_vs_workers(case):

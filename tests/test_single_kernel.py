@@ -41,7 +41,11 @@ The reference generator is not in the package at all
 code only tests call from coming back.
 
 The packet layer sits below QUIC: nothing under ``src/repro/net``
-imports ``repro.quic``.
+imports ``repro.quic``.  It has one packet record: ``CapturedPacket``
+is flat scalars, parsed by ``from_bytes``.  No IPv4/UDP/TCP/ICMP header
+class, Internet checksum or packet serializer is left under
+``src/repro`` to hold equal to the wire stamper; those codecs are the
+tests' reference (``tests/reference/headers.py``).
 
 No environment variable is a hidden knob either: options and config
 fields set every behaviour, and nothing under ``src/repro`` reads the
@@ -185,6 +189,23 @@ def test_packet_layer_knows_nothing_of_quic():
                 imported |= {f"{node.module}.{alias.name}" for alias in node.names}
         quic = {name for name in imported if (name + ".").startswith("repro.quic.")}
         assert not quic, (path.name, quic)
+
+
+def test_one_packet_record():
+    header_codecs = {"IPv4Header", "UdpHeader", "TcpHeader", "IcmpHeader"}
+    checksums = {"internet_checksum", "pseudo_header"}
+    records = []
+    for path, tree in trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                assert node.name not in header_codecs, (path.name, node.name)
+                if node.name == "CapturedPacket":
+                    records.append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name not in checksums, (path.name, node.name)
+    (record,) = records
+    methods = {node.name for node in record.body if isinstance(node, ast.FunctionDef)}
+    assert not methods & {"ip", "transport", "to_bytes"}, methods
 
 
 def test_rich_walker_is_an_oracle_not_a_path():

@@ -21,11 +21,7 @@ from repro import obs as metrics
 from repro.core.batchlane import BatchLane
 from repro.core.classify import PacketClass
 from repro.core.dos import DosThresholds
-from repro.net.icmp import IcmpHeader, IcmpType
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags, TcpHeader
-from repro.net.udp import UdpHeader
+from repro.net.packet import IcmpType, IPProto, TcpFlags
 from repro.quic.connection import ClientConnection, ServerConnection
 from repro.stream.sketch import (
     CountMinSketch,
@@ -37,6 +33,13 @@ from repro.stream.sketch import (
 from repro.stream.sketch.tier import FloodEpisode
 from repro.util.rng import SeededRng
 from tests.reference.sketch_merge import merge
+from tests.reference.headers import (
+    HeaderPacket,
+    IPv4Header,
+    IcmpHeader,
+    TcpHeader,
+    UdpHeader,
+)
 
 
 def zipf_workload(seed, keys=2000, updates=30_000):
@@ -576,7 +579,7 @@ def packets_of(stream, seed):
 
     def captured(timestamp, source, proto, transport, payload=b"", length=0):
         header = IPv4Header(source, 2, proto, total_length=length)
-        return CapturedPacket(timestamp, header, transport, payload)
+        return HeaderPacket(timestamp, header, transport, payload)
 
     packets = []
     positions = []

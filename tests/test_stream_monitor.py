@@ -14,10 +14,8 @@ from repro.core.classify import TrafficClassifier
 from repro.core.dos import DosDetector, DosThresholds
 from repro.core.multivector import CONCURRENT, ISOLATED, SEQUENTIAL
 from repro.core.sessions import Sessionizer
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
+from repro.net.packet import IPProto, TcpFlags
 from repro.net.pcap import write_records
-from repro.net.tcp import TcpFlags, TcpHeader
 from repro.stream import (
     AttackEnded,
     FloodAlert,
@@ -34,10 +32,11 @@ from repro.telescope.genlane import wire_items
 from repro.util.batching import batched
 from repro.util.timeutil import HOUR
 from tests.oracle import monitor_events
+from tests.reference.headers import HeaderPacket, IPv4Header, TcpHeader
 
 
 def backscatter(ts, src=1):
-    return CapturedPacket(
+    return HeaderPacket(
         ts, IPv4Header(src, 2, IPProto.TCP), TcpHeader(443, 999, flags=TcpFlags.RST)
     )
 

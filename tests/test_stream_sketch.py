@@ -216,7 +216,7 @@ def test_tier_merge_deterministic_across_worker_counts(
     for batch in batches:
         lanes = [[] for _ in range(workers)]
         for packet in batch:
-            lanes[mix64(packet.ip.src) % workers].append(packet)
+            lanes[mix64(packet.src) % workers].append(packet)
         for tier, lane in zip(shards, lanes):
             if lane:
                 tier.apply(classifier.observe_packets(lane, {}))

@@ -4,10 +4,7 @@ import pytest
 
 from repro import obs
 from repro.net.addresses import IPv4Network
-from repro.net.ipv4 import IPProto, IPv4Header
-from repro.net.packet import CapturedPacket
-from repro.net.tcp import TcpFlags
-from repro.net.udp import UdpHeader
+from repro.net.packet import CapturedPacket, IPProto, TcpFlags
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY, HOUR
 from repro.internet.topology import InternetModel
@@ -34,6 +31,7 @@ from repro.telescope.scanners import BotScannerModel, ProbePool, ResearchScanner
 from repro.telescope.genlane import wire_items
 from repro.telescope.telescope import Telescope
 from tests.reference.generator import attack_packets, merge_streams
+from tests.reference.headers import HeaderPacket, IPv4Header, UdpHeader
 
 START = APRIL_1_2021
 VICTIM = 0x60001234
@@ -194,7 +192,8 @@ def test_version_named_unknown_raises():
 
 
 def flood_backscatter(internet, vector, seed):
-    """The backscatter of one planned flood on ``VICTIM``, as packets."""
+    """The backscatter of one planned flood on ``VICTIM``, as packets
+    parsed by the reference codec (which keeps seq/ack and ICMP ids)."""
     flood = FloodEvent(
         victim_ip=VICTIM,
         vector=vector,
@@ -202,7 +201,11 @@ def flood_backscatter(internet, vector, seed):
         duration=3000.0,
         telescope_request_rate=5.0,
     )
-    return packet_view(AttackTrafficModel(internet, SeededRng(seed)).flood_records(flood))
+    records = AttackTrafficModel(internet, SeededRng(seed)).flood_records(flood)
+    return [
+        HeaderPacket.from_bytes(timestamp, bytes(wire))
+        for timestamp, wire in wire_items(records)
+    ]
 
 
 def test_tcp_responder_flags(internet):
@@ -381,7 +384,7 @@ def test_telescope_extrapolation_factor():
 
 def test_merge_streams_orders_packets():
     def pkt(t):
-        return CapturedPacket(t, IPv4Header(1, 2, IPProto.UDP), UdpHeader(1, 2), b"")
+        return HeaderPacket(t, IPv4Header(1, 2, IPProto.UDP), UdpHeader(1, 2), b"")
 
     a = [pkt(1.0), pkt(3.0)]
     b = [pkt(2.0), pkt(4.0)]

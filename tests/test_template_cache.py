@@ -29,6 +29,7 @@ from repro.telescope.backscatter import (
     ResponderPolicy,
     _compile_flight,
 )
+from repro.telescope.genlane import wire_items
 from repro.telescope.scanners import ProbePool
 from repro.util.batching import MEMO_ENTRIES
 from repro.util.rng import SeededRng
@@ -52,8 +53,13 @@ def _scenario():
     )
 
 
-def _capture(scenario, generator):
-    return [(p.timestamp, p.to_bytes()) for p in generator(scenario)]
+def _rich_capture(scenario):
+    return [(p.timestamp, p.to_bytes()) for p in rich_packets(scenario)]
+
+
+def _wire_capture(scenario):
+    """The wire bytes ``Scenario.packets()`` parses."""
+    return [(t, bytes(wire)) for t, wire in wire_items(scenario.records())]
 
 
 def _analyze(scenario):
@@ -122,11 +128,11 @@ def test_responder_bytes_identical_cache_on_vs_off(monkeypatch):
 def test_scenario_stream_bytes_identical_cache_on_vs_off(monkeypatch):
     # the reference generator runs the responders' respond(), the
     # production one their respond_records(): each has its own cache use
-    for generator in (rich_packets, Scenario.packets):
-        enabled = _capture(_scenario(), generator)
+    for generator in (_rich_capture, _wire_capture):
+        enabled = generator(_scenario())
         with monkeypatch.context() as patch:
             bypass_template_caches(patch)
-            disabled = _capture(_scenario(), generator)
+            disabled = generator(_scenario())
         assert len(enabled) == len(disabled), generator.__name__
         assert enabled == disabled, generator.__name__
 
