@@ -37,7 +37,6 @@ reference).
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -45,16 +44,12 @@ from typing import Optional
 import repro
 from repro import obs
 from repro.core import AnalysisConfig, QuicsandPipeline
-from repro.core.export import export_results
 from repro.core.report import build_report
 from repro.core.retry_audit import ActiveProber
 from repro.net.addresses import format_ipv4
 from repro.net.pcap import PcapFormatError, PcapReader, write_records
-from repro.server import run_table1, table1_rows
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.genlane import wire_items
-from repro.telescope.presets import scenario_names
-from repro.telescope.presets import scenario_config as _named_scenario_config
 from repro.util.batching import BATCH_SIZE
 from repro.util.render import format_table
 from repro.util.rng import SeededRng
@@ -62,10 +57,20 @@ from repro.util.timeutil import HOUR
 
 
 def _package_version() -> str:
+    import importlib.metadata  # the email/zipfile stack: only for --version
+
     try:
         return importlib.metadata.version("repro")
     except importlib.metadata.PackageNotFoundError:  # run from a source tree
         return repro.__version__
+
+
+class _Version(argparse.Action):
+    """``--version``, looking the version up only when asked."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"repro {_package_version()}")
+        parser.exit()
 
 
 def _checked(kind, holds, requirement: str):
@@ -93,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="QUICsand reproduction: telescope simulation and analysis",
     )
     parser.add_argument(
-        "--version", action="version", version=f"repro {_package_version()}"
+        "--version", action=_Version, nargs=0, help="show program's version number and exit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,6 +253,8 @@ _SCENARIO_ARG_DEFAULTS = dict(seed=20210401, hours=6.0, research_sample=1 / 256)
 
 
 def _scenario_args(parser: argparse.ArgumentParser) -> None:
+    from repro.telescope.presets import scenario_names
+
     parser.add_argument(
         "--scenario",
         choices=scenario_names(),
@@ -330,7 +337,9 @@ def _flag(args: argparse.Namespace, name: str):
 
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     if getattr(args, "scenario", None):
-        config = _named_scenario_config(args.scenario)
+        from repro.telescope.presets import scenario_config
+
+        config = scenario_config(args.scenario)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         if args.hours is not None:
@@ -466,6 +475,8 @@ def _unreadable(path, exc, stream) -> int:
 
 def _maybe_export(result, args, stream) -> None:
     if getattr(args, "export", None):
+        from repro.core.export import export_results
+
         files = export_results(result, args.export)
         print(f"\nexported {len(files)} data files to {args.export}", file=stream)
 
@@ -475,12 +486,7 @@ def cmd_watch(args, stream) -> int:
 
     _maybe_enable_metrics(args)
     scenario = _scenario(args)
-    if args.exact:
-        mode = "exact"
-    elif args.sketch:
-        mode = "sketch"
-    else:
-        mode = "bounded"
+    mode = "exact" if args.exact else "sketch" if args.sketch else "bounded"
     analyzer = StreamAnalyzer(
         registry=scenario.internet.registry,
         census=scenario.internet.census,
@@ -588,6 +594,8 @@ def cmd_profile(args, stream) -> int:
 
 
 def cmd_table1(_args, stream) -> int:
+    from repro.server import run_table1, table1_rows
+
     headers, rows = table1_rows(run_table1())
     print(format_table(headers, rows, title="Table 1 — NGINX DoS resiliency"), file=stream)
     return 0

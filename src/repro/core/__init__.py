@@ -28,13 +28,16 @@ Pipeline stages, mirroring Section 4 of the paper:
    and the parent merges the closed states once
    (:func:`~repro.core.pipeline.merge_states`), so serial and parallel
    runs produce identical results.
+
+The package loads the serial path only: ``parallel`` (with
+``multiprocessing``), ``export`` (``csv``), ``extrapolate`` and
+``scanprofile`` load where a run imports them by name.
 """
 
 from repro.core.classify import PacketClass, TrafficClassifier
 from repro.core.dissect import DissectedPacket, QuicDissector
 from repro.core.dos import DosDetector, DosThresholds, FloodAttack
 from repro.core.multivector import MultiVectorAnalysis, correlate_attacks
-from repro.core.parallel import run_parts
 from repro.core.pipeline import (
     AnalysisConfig,
     PartialState,
@@ -43,10 +46,7 @@ from repro.core.pipeline import (
     merge_states,
 )
 from repro.core.sessions import Session, Sessionizer, TimeoutSweep
-from repro.core.export import export_results
-from repro.core.extrapolate import TelescopeExtrapolator
 from repro.core.report import build_report
-from repro.core.scanprofile import ScanProfiler
 from repro.core.victims import VictimAnalysis, analyze_victims
 
 __all__ = [
@@ -64,14 +64,10 @@ __all__ = [
     "PipelineResult",
     "QuicsandPipeline",
     "merge_states",
-    "run_parts",
     "Session",
     "Sessionizer",
     "TimeoutSweep",
-    "export_results",
-    "TelescopeExtrapolator",
     "build_report",
-    "ScanProfiler",
     "VictimAnalysis",
     "analyze_victims",
 ]

@@ -21,6 +21,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable
 
 from repro import obs
+from repro.core.pipeline import _M_MERGE, _M_PART_PACKETS, _M_PART_SECONDS, _M_WORKERS
 from repro.core.pipeline import (
     AnalysisConfig,
     PartialState,
@@ -28,28 +29,10 @@ from repro.core.pipeline import (
     run_record_batches,
 )
 
-# Workers publish into their own (reset-after-fork) registry and ship
-# one snapshot back with their state; the parent merges each snapshot
-# exactly once, in part order, so parallel metric totals equal serial
-# totals (tests/test_obs_parallel.py).
-_M_PART_PACKETS = obs.counter(
-    "repro_parallel_shard_packets_total",
-    "packets consumed per part worker",
-    labels=("worker",),
-)
-_M_PART_SECONDS = obs.gauge(
-    "repro_parallel_part_seconds",
-    "wall seconds each part worker spent from start to closed state",
-    labels=("worker",),
-)
-_M_WORKERS = obs.gauge(
-    "repro_parallel_workers",
-    "worker processes of the most recent partitioned run",
-)
-_M_MERGE = obs.histogram(
-    "repro_parallel_merge_seconds",
-    "wall seconds merging all part states",
-)
+# Workers publish into their own (reset-after-fork) registry and ship one
+# snapshot back with their state; the parent merges each snapshot exactly
+# once, in part order, so parallel metric totals equal serial totals
+# (tests/test_obs_parallel.py).  The families live in repro.core.pipeline.
 
 
 def _run_part(index: int, feed: Callable, config: AnalysisConfig, metrics: bool):

@@ -53,6 +53,7 @@ from repro.core.sessions import (
     DEFAULT_TIMEOUT,
     Sessionizer,
     TimeoutSweep,
+    add_counts,
     chain_merge_sessions,
     keeps_detail,
     per_bucket,
@@ -113,6 +114,26 @@ _M_MALFORMED = obs.counter(
     "UDP/443 packets rejected by the dissector, per typed reason "
     "(see MalformedReason in repro.core.dissect)",
     labels=("reason",),
+)
+# repro.core.parallel publishes these; registered here, they are in the
+# catalog of a serial run too, which never loads that module.
+_M_PART_PACKETS = obs.counter(
+    "repro_parallel_shard_packets_total",
+    "packets consumed per part worker",
+    labels=("worker",),
+)
+_M_PART_SECONDS = obs.gauge(
+    "repro_parallel_part_seconds",
+    "wall seconds each part worker spent from start to closed state",
+    labels=("worker",),
+)
+_M_WORKERS = obs.gauge(
+    "repro_parallel_workers",
+    "worker processes of the most recent partitioned run",
+)
+_M_MERGE = obs.histogram(
+    "repro_parallel_merge_seconds",
+    "wall seconds merging all part states",
 )
 
 
@@ -220,8 +241,7 @@ class PipelineResult:
         """Initial/Handshake/... shares over response-session packets."""
         totals: dict[str, int] = {}
         for session in self.response_sessions:
-            for name, count in session.message_types.items():
-                totals[name] = totals.get(name, 0) + count
+            add_counts(totals, session.message_types)
         grand = sum(totals.values())
         if not grand:
             return {}
@@ -479,44 +499,23 @@ class PartialState:
         reasons, per-source and hourly counters — the partition-agnostic
         step of :func:`merge_states`.
         """
-        if other.window_start is not None:
-            self.window_start = (
-                other.window_start
-                if self.window_start is None
-                else min(self.window_start, other.window_start)
-            )
-        if other.window_end is not None:
-            self.window_end = (
-                other.window_end
-                if self.window_end is None
-                else max(self.window_end, other.window_end)
-            )
+        starts = [ts for ts in (self.window_start, other.window_start) if ts is not None]
+        ends = [ts for ts in (self.window_end, other.window_end) if ts is not None]
+        self.window_start = min(starts, default=None)
+        self.window_end = max(ends, default=None)
         self.total_packets += other.total_packets
-        for packet_class, count in other.class_counts.items():
-            self.class_counts[packet_class] = (
-                self.class_counts.get(packet_class, 0) + count
-            )
+        add_counts(self.class_counts, other.class_counts)
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.response_long_header_packets += other.response_long_header_packets
         self.response_empty_dcid_packets += other.response_empty_dcid_packets
         self.passive_retry_packets += other.passive_retry_packets
-        for reason, count in other.malformed_counts.items():
-            self.malformed_counts[reason] = (
-                self.malformed_counts.get(reason, 0) + count
-            )
-        for source, count in other.quic_source_packets.items():
-            self.quic_source_packets[source] = (
-                self.quic_source_packets.get(source, 0) + count
-            )
+        add_counts(self.malformed_counts, other.malformed_counts)
+        add_counts(self.quic_source_packets, other.quic_source_packets)
         for source, hours in other.per_source_hourly.items():
-            target = self.per_source_hourly.setdefault(source, {})
-            for hour, count in hours.items():
-                target[hour] = target.get(hour, 0) + count
-        for hour, count in other.hourly_requests.items():
-            self.hourly_requests[hour] = self.hourly_requests.get(hour, 0) + count
-        for hour, count in other.hourly_responses.items():
-            self.hourly_responses[hour] = self.hourly_responses.get(hour, 0) + count
+            add_counts(self.per_source_hourly.setdefault(source, {}), hours)
+        add_counts(self.hourly_requests, other.hourly_requests)
+        add_counts(self.hourly_responses, other.hourly_responses)
 
     # -- snapshot/restore -------------------------------------------------
 
@@ -766,12 +765,8 @@ class QuicsandPipeline:
                 if source in result.research_sources
                 else result.hourly_other_quic
             )
-            for hour, count in hours.items():
-                target[hour] = target.get(hour, 0) + count
-        for hour, count in result.hourly_responses.items():
-            result.hourly_other_quic[hour] = (
-                result.hourly_other_quic.get(hour, 0) + count
-            )
+            add_counts(target, hours)
+        add_counts(result.hourly_other_quic, result.hourly_responses)
         # sanitize the request series
         for source in result.research_sources:
             for hour, count in per_source_hourly.get(source, {}).items():

@@ -15,7 +15,7 @@ Section 6) so the pipeline never stores raw packets.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import sub
 from typing import Callable, Iterable, Optional
 
@@ -33,7 +33,30 @@ def keeps_detail(traffic_class: str) -> bool:
     return traffic_class == "quic-response"
 
 
-@dataclass
+class _NoCounts(dict):
+    """A read-only empty tally; copies as itself and pickles, unlike a mapping proxy."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a session that keeps no detail keeps no tallies")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def copy(self):
+        return self
+
+
+#: the detail fields of every session a :class:`Sessionizer` opens for a
+#: class that keeps no detail: read-only empty stand-ins they all share
+_STAND_INS = dict(
+    dst_ips=frozenset(), dst_ports=frozenset(), scids=frozenset(),
+    message_types=_NoCounts(), version_names=_NoCounts(),
+)
+
+
+@dataclass(slots=True)
 class Session:
     """One per-source traffic session; the destination and dissection
     fields stay empty unless its class :func:`keeps_detail`."""
@@ -155,6 +178,12 @@ def distinct(items):
     return counts.values()
 
 
+def add_counts(target: dict, other: dict) -> None:
+    """Add ``other``'s counts into ``target``, new keys in ``other``'s order."""
+    for key, count in other.items():
+        target[key] = target.get(key, 0) + count
+
+
 def _type_name(packet_type: PacketType) -> str:
     return packet_type.name.lower().replace("_", "-")
 
@@ -238,6 +267,7 @@ class Sessionizer:
             traffic_class=self.traffic_class,
             first_ts=timestamp,
             last_ts=timestamp,
+            **({} if keeps_detail(self.traffic_class) else _STAND_INS),
         )
         return session
 
@@ -303,22 +333,10 @@ class Sessionizer:
 
 
 def _clone_session(session: Session) -> Session:
-    """A deep-enough copy for joining fragments (fresh sets/dicts)."""
-    return Session(
-        source=session.source,
-        traffic_class=session.traffic_class,
-        first_ts=session.first_ts,
-        last_ts=session.last_ts,
-        packet_count=session.packet_count,
-        byte_count=session.byte_count,
-        dst_ips=set(session.dst_ips),
-        dst_ports=set(session.dst_ports),
-        scids=set(session.scids),
-        message_types=dict(session.message_types),
-        minute_slots=dict(session.minute_slots),
-        retry_packets=session.retry_packets,
-        version_names=dict(session.version_names),
-    )
+    """A deep-enough copy for joining fragments: fresh sets and dicts
+    (a read-only stand-in copies as itself)."""
+    fresh = {name: getattr(session, name).copy() for name in _STAND_INS}
+    return replace(session, minute_slots=dict(session.minute_slots), **fresh)
 
 
 def _absorb_session(target: Session, other: Session) -> None:
@@ -328,15 +346,13 @@ def _absorb_session(target: Session, other: Session) -> None:
     target.packet_count += other.packet_count
     target.byte_count += other.byte_count
     target.retry_packets += other.retry_packets
-    target.dst_ips |= other.dst_ips
-    target.dst_ports |= other.dst_ports
-    target.scids |= other.scids
-    for name, count in other.message_types.items():
-        target.message_types[name] = target.message_types.get(name, 0) + count
-    for slot, count in other.minute_slots.items():
-        target.minute_slots[slot] = target.minute_slots.get(slot, 0) + count
-    for name, count in other.version_names.items():
-        target.version_names[name] = target.version_names.get(name, 0) + count
+    add_counts(target.minute_slots, other.minute_slots)
+    if keeps_detail(target.traffic_class):  # else both hold the stand-ins
+        target.dst_ips |= other.dst_ips
+        target.dst_ports |= other.dst_ports
+        target.scids |= other.scids
+        add_counts(target.message_types, other.message_types)
+        add_counts(target.version_names, other.version_names)
 
 
 def chain_merge_sessions(sessions: Iterable[Session], timeout: float) -> list:

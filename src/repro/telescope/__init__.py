@@ -16,7 +16,8 @@ Beyond the paper, :mod:`repro.telescope.adversarial` generates attack
 shapes the 2021 telescope never saw (optimistic-ACK amplification,
 HTTP/3 request floods, pulse waves, carpet bombing, VN/RETRY
 deflection); :data:`repro.telescope.presets.SCENARIOS` is the named
-registry the test matrix and ``report --scenario`` enumerate.
+registry the test matrix and ``report --scenario`` enumerate, loaded
+only by what imports it by name.
 
 :mod:`repro.telescope.workload` composes them into a full scenario and
 :mod:`repro.telescope.telescope` merges the sorted per-source streams
@@ -27,7 +28,6 @@ from repro.telescope.adversarial import AdversarialSpec, ADVERSARIAL_KINDS
 from repro.telescope.diurnal import DiurnalModel
 from repro.telescope.telescope import Telescope
 from repro.telescope.workload import Scenario, ScenarioConfig, ScenarioTruth
-from repro.telescope import presets
 
 __all__ = [
     "AdversarialSpec",
@@ -37,5 +37,4 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "ScenarioTruth",
-    "presets",
 ]

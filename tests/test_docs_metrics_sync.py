@@ -8,15 +8,17 @@ matching types and label names.
 """
 
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "METRICS.md"
 
 #: importing these modules registers every metric family there is.
 INSTRUMENTED_MODULES = (
     "repro.core.pipeline",
-    "repro.core.parallel",
     "repro.stream.analyzer",
     "repro.stream.feeds",
     "repro.stream.sketch.tier",
@@ -28,6 +30,7 @@ INSTRUMENTED_MODULES = (
     "repro.faults.inject",
 )
 
+SECTION = re.compile(r"^## .*\(`(?P<module>repro\.[a-z.]+)`")
 ROW = re.compile(
     r"^\|\s*`(?P<name>repro_[a-z0-9_]+)`\s*"
     r"\|\s*(?P<type>counter|gauge|histogram)\s*"
@@ -35,12 +38,20 @@ ROW = re.compile(
 )
 
 
-def documented_metrics():
+def documented_metrics(section_modules=None):
+    """``{name: (type, labels)}`` of the reference rows; with
+    ``section_modules``, also ``{name: module}`` of its section heading."""
     rows = {}
+    module = None
     for line in DOCS.read_text().splitlines():
+        heading = SECTION.match(line)
+        if heading:
+            module = heading.group("module")
         match = ROW.match(line)
         if not match:
             continue
+        if section_modules is not None:
+            section_modules[match.group("name")] = module
         labels = match.group("labels")
         names = tuple(re.findall(r"`([a-z0-9_]+)`", labels))
         assert match.group("name") not in rows, (
@@ -92,3 +103,24 @@ def test_documented_label_values_exist():
         assert klass in text
     for cache in ("keystream", "flight", "initial"):
         assert f"`{cache}`" in text
+
+
+def test_a_serial_report_exports_every_family_outside_the_monitor(tmp_path):
+    """A fresh ``repro report --metrics-out`` (one process, no partitioned
+    runner loaded) exports every family docs/METRICS.md lists, except the
+    monitor's (``repro.stream``), which only ``watch`` and lenient reads
+    load; the ``repro_parallel_*`` families included."""
+    modules: dict = {}
+    documented = documented_metrics(modules)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(DOCS.parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "serial"
+    subprocess.run(
+        [sys.executable, "-m", "repro", "report", "--hours", "0.1",
+         "--research-sample", "0.0005", "--metrics-out", str(out)],
+        env=env, capture_output=True, check=True,
+    )
+    exported = set(re.findall(r"^# TYPE (repro_[a-z0-9_]+) ", (tmp_path / "serial.prom").read_text(), re.M))
+    expected = {name for name in documented if not modules[name].startswith("repro.stream")}
+    assert {name for name in expected if name.startswith("repro_parallel_")}
+    assert exported == expected

@@ -23,14 +23,26 @@ clock:
     walker — which holds a 6 h state's snapshot to a pinned size.
 """
 
+from copy import deepcopy
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalysisConfig, QuicsandPipeline
+from repro.core.batchlane import BatchLane
 from repro.core.classify import PacketClass
 from repro.core.pipeline import PartialState, run_record_batches
-from repro.core.sessions import Session, TimeoutSweep
+from repro.core.sessions import (
+    Session,
+    Sessionizer,
+    TimeoutSweep,
+    _NoCounts,
+    _absorb_session,
+    _clone_session,
+    chain_merge_sessions,
+)
 from repro.net.packet import IPProto, TcpFlags
 from repro.stream import FloodAlert, StreamAnalyzer, StreamConfig
 from repro.telescope import Scenario, ScenarioConfig
@@ -189,7 +201,7 @@ def observed(state: PartialState) -> dict:
         [sweep.sessions_at(timeout) for timeout in TIMEOUTS],
     )
     facts["sessions"] = {
-        kind: ([vars(session) for session in closed], count, seen)
+        kind: ([asdict(session) for session in closed], count, seen)
         for kind, (closed, count, seen) in facts["sessions"].items()
     }
     return facts
@@ -450,6 +462,104 @@ def test_only_response_sessions_keep_detail(walk):
         all(getattr(s, name) for name in DETAIL if name != "retry_packets")
         for s in result.response_sessions
     )
+    sessions = result.request_sessions + result.tcp_sessions + result.icmp_sessions
+    assert_no_shared_mutable_container(sessions + result.response_sessions)
+
+
+CONTAINERS = ("dst_ips", "dst_ports", "scids", "message_types", "minute_slots", "version_names")
+
+
+def assert_no_shared_mutable_container(sessions):
+    """A container two sessions share is one of the read-only
+    stand-ins: every way to write to it raises."""
+    owners: dict = {}
+    for session in sessions:
+        for name in CONTAINERS:
+            container = getattr(session, name)
+            owners.setdefault(id(container), (container, []))[1].append(session)
+    shared = [container for container, held in owners.values() if len(held) > 1]
+    assert shared  # the stand-ins of the detail-free classes
+    for container in shared:
+        assert not container
+        writes = (
+            (lambda: container.add(1), lambda: container.update({1}))
+            if isinstance(container, frozenset)
+            else (
+                lambda: container.__setitem__("initial", 1),
+                lambda: container.update(initial=1),
+                lambda: container.setdefault("initial", 1),
+                lambda: container.__ior__({"initial": 1}),
+            )
+        )
+        for write in writes:
+            with pytest.raises((AttributeError, TypeError)):
+                write()
+        assert not container
+
+
+def part_sessions(runs):
+    """The sessions one part's sessionizers hold after ``runs``:
+    ``(class, source, stamps)`` each."""
+    sessionizers = {}
+    for traffic_class, source, stamps in runs:
+        sessionizer = sessionizers.setdefault(
+            traffic_class, Sessionizer(traffic_class, timeout=5 * MINUTE)
+        )
+        sessionizer.add_run(source, stamps, (1,) * len(stamps), (443,) * len(stamps),
+                            (60,) * len(stamps), (None,) * len(stamps))
+    return [s for sessionizer in sessionizers.values() for s in sessionizer.open_sessions()]
+
+
+def test_joining_detail_free_fragments_leaves_other_sessions_alone():
+    """``_clone_session`` / ``_absorb_session`` over request sessions —
+    what a ``--workers`` merge does to a source's fragments — write only
+    to the joined session, never to a stand-in another session holds."""
+    first = part_sessions([("quic-request", 7, (0.0, 30.0)), ("quic-request", 8, (5.0,))])
+    second = part_sessions([("quic-request", 7, (90.0, 100.0, 120.0)),
+                            ("tcp-backscatter", 9, (0.0,))])
+    before = deepcopy(first + second)
+
+    joined = _clone_session(first[0])
+    _absorb_session(joined, second[0])
+    assert (joined.packet_count, joined.first_ts, joined.last_ts) == (5, 0.0, 120.0)
+    assert joined.minute_slots == {0: 2, 1: 2, 2: 1}
+    assert first + second == before
+    assert_no_shared_mutable_container([joined] + first + second)
+    [whole] = part_sessions([("quic-request", 7, (0.0, 30.0, 90.0, 100.0, 120.0))])
+    assert joined == whole
+    assert chain_merge_sessions(first + second, 5 * MINUTE) == sorted(
+        [joined, first[1], second[1]], key=lambda s: (s.first_ts, s.source)
+    )
+
+
+def test_state_with_detail_free_sessions_round_trips_through_pickle():
+    """A part hands its state back as a pickle: open and closed sessions
+    of every class load equal to the original, and the detail-free ones
+    come back holding read-only stand-ins."""
+    batches = list(Scenario(MIXED).lane_batches(512))
+    state, lane = PartialState.initial(AnalysisConfig()), BatchLane()
+    for batch in batches[: len(batches) // 2]:
+        state.consume_lane_records(batch, lane)
+    open_sessions = [
+        session
+        for sessionizer in state.sessionizers.values()
+        for session in sessionizer.open_sessions()
+    ]
+    assert {session.traffic_class for session in open_sessions} >= {"quic-request", "quic-response"}
+
+    loaded = PartialState.from_snapshot_bytes(state.snapshot_bytes())
+    assert [
+        session
+        for sessionizer in loaded.sessionizers.values()
+        for session in sessionizer.open_sessions()
+    ] == open_sessions
+    assert state_facts(loaded) == state_facts(state)
+    for kind, sessionizer in loaded.sessionizers.items():
+        if kind is not RESPONSE:
+            assert sessionizer.closed
+            for session in sessionizer.closed:
+                assert type(session.message_types) is type(session.version_names) is _NoCounts
+                assert type(session.scids) is frozenset
 
 
 def test_six_hour_snapshot_size():
