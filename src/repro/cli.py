@@ -43,13 +43,6 @@ from typing import Optional
 
 import repro
 from repro import obs
-from repro.core import AnalysisConfig, QuicsandPipeline
-from repro.core.report import build_report
-from repro.core.retry_audit import ActiveProber
-from repro.net.addresses import format_ipv4
-from repro.net.pcap import PcapFormatError, PcapReader, write_records
-from repro.telescope import Scenario, ScenarioConfig
-from repro.telescope.genlane import wire_items
 from repro.util.batching import BATCH_SIZE
 from repro.util.render import format_table
 from repro.util.rng import SeededRng
@@ -142,14 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _metrics_arg(report)
     _faults_args(report)
 
-    watch = sub.add_parser(
-        "watch", help="online monitor: live flood alerts over a packet feed"
-    )
+    watch = sub.add_parser("watch", help="online monitor: live flood alerts over a packet feed")
     _scenario_args(watch)
-    watch.add_argument(
-        "--pcap",
-        help="tail-follow this pcap instead of the live simulator feed",
-    )
+    watch.add_argument("--pcap", help="tail-follow this pcap instead of the live simulator feed")
     watch.add_argument(
         "--idle-timeout",
         type=_non_negative,
@@ -214,9 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", help="run the NGINX Table 1 benchmark")
 
-    profile = sub.add_parser(
-        "profile", help="cProfile the generate/analyze hot paths"
-    )
+    profile = sub.add_parser("profile", help="cProfile the generate/analyze hot paths")
     _scenario_args(profile)
     profile.add_argument(
         "--stage",
@@ -225,24 +211,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which stage of `repro report` to profile: record "
         "generation, the fused record-batch analysis, or both (default)",
     )
-    profile.add_argument(
-        "--top", type=_at_least_one, default=25, help="print this many functions"
-    )
+    profile.add_argument("--top", type=_at_least_one, default=25, help="print this many functions")
     profile.add_argument(
         "--sort",
         choices=["cumulative", "tottime", "calls"],
         default="cumulative",
         help="pstats sort order",
     )
-    profile.add_argument(
-        "--dump", help="also write the raw pstats data to this file"
-    )
+    profile.add_argument("--dump", help="also write the raw pstats data to this file")
 
     probe = sub.add_parser("probe", help="actively probe servers for RETRY")
     _scenario_args(probe)
-    probe.add_argument(
-        "--count", type=_at_least_one, default=10, help="servers to probe"
-    )
+    probe.add_argument("--count", type=_at_least_one, default=10, help="servers to probe")
 
     return parser
 
@@ -252,16 +232,22 @@ def _build_parser() -> argparse.ArgumentParser:
 _SCENARIO_ARG_DEFAULTS = dict(seed=20210401, hours=6.0, research_sample=1 / 256)
 
 
-def _scenario_args(parser: argparse.ArgumentParser) -> None:
-    from repro.telescope.presets import scenario_names
+class _ScenarioNames:
+    """``--scenario``'s choices: the preset registry, loaded only when read."""
 
+    def __iter__(self):  # ``in`` falls back to iteration
+        from repro.telescope.presets import scenario_names
+
+        return iter(scenario_names())
+
+
+def _scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
-        choices=scenario_names(),
+        choices=_ScenarioNames(),
         metavar="NAME",
         help="start from a named scenario preset (IBR classes and "
-        f"adversarial workloads, see docs/SCENARIOS.md): "
-        f"{', '.join(scenario_names())}",
+        "adversarial workloads, see docs/SCENARIOS.md): %(choices)s",
     )
     parser.add_argument("--seed", type=int)
     parser.add_argument("--hours", type=_positive_hours)
@@ -335,7 +321,9 @@ def _flag(args: argparse.Namespace, name: str):
     return _SCENARIO_ARG_DEFAULTS[name] if value is None else value
 
 
-def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
+def _scenario_config(args: argparse.Namespace):
+    from repro.telescope import ScenarioConfig
+
     if getattr(args, "scenario", None):
         from repro.telescope.presets import scenario_config
 
@@ -354,15 +342,17 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _scenario(args: argparse.Namespace) -> Scenario:
+def _scenario(args: argparse.Namespace):
+    from repro.telescope import Scenario
+
     return Scenario(_scenario_config(args))
 
 
-def _pipeline(scenario: Optional[Scenario], workers: int = 1) -> QuicsandPipeline:
+def _pipeline(scenario, workers: int = 1):
+    from repro.core import AnalysisConfig, QuicsandPipeline
+
     if scenario is None:
-        return QuicsandPipeline(
-            config=AnalysisConfig(retry_probe_count=0)
-        )
+        return QuicsandPipeline(config=AnalysisConfig(retry_probe_count=0))
     return QuicsandPipeline(
         registry=scenario.internet.registry,
         census=scenario.internet.census,
@@ -372,6 +362,8 @@ def _pipeline(scenario: Optional[Scenario], workers: int = 1) -> QuicsandPipelin
 
 
 def _emit_report(result, scenario, out_path: Optional[str], stream) -> None:
+    from repro.core.report import build_report
+
     weight = scenario.truth.research_weight if scenario else 1.0
     text = build_report(result, research_weight=weight)
     print(text, file=stream)
@@ -382,12 +374,13 @@ def _emit_report(result, scenario, out_path: Optional[str], stream) -> None:
 
 
 def cmd_simulate(args, stream) -> int:
+    from repro.net.pcap import write_records
+    from repro.telescope.genlane import wire_items
+
     scenario = _scenario(args)
     hours = scenario.config.duration / HOUR
     print(f"simulating {hours:.1f} h at telescope {scenario.telescope.prefix} ...", file=stream)
-    count = write_records(
-        args.out, wire_items(scenario.records())
-    )
+    count = write_records(args.out, wire_items(scenario.records()))
     print(
         f"wrote {count:,} packets to {args.out} "
         f"(planned QUIC floods: {len(scenario.plan.quic_floods)})",
@@ -397,6 +390,8 @@ def cmd_simulate(args, stream) -> int:
 
 
 def cmd_analyze(args, stream) -> int:
+    from repro.net.pcap import PcapFormatError, PcapReader
+
     _maybe_enable_metrics(args)
     injector = _fault_injector(args, stream)
     if injector == 2:
@@ -482,6 +477,7 @@ def _maybe_export(result, args, stream) -> None:
 
 
 def cmd_watch(args, stream) -> int:
+    from repro.net.pcap import PcapFormatError
     from repro.stream import StreamAnalyzer, StreamConfig, follow_pcap
 
     _maybe_enable_metrics(args)
@@ -506,13 +502,8 @@ def cmd_watch(args, stream) -> int:
         )
         source = f"tail-following {args.pcap}"
     else:
-        feed = scenario.live_batches(
-            batch_size=args.batch_size, speed=args.speed or None
-        )
-        source = (
-            f"live simulator feed "
-            f"({scenario.config.duration / HOUR:.1f} h planned)"
-        )
+        feed = scenario.live_batches(batch_size=args.batch_size, speed=args.speed or None)
+        source = f"live simulator feed ({scenario.config.duration / HOUR:.1f} h planned)"
     if injector is not None:
         feed = injector.wrap_batches(feed, batch_size=args.batch_size)
     print(f"watching {source} [{mode} mode]", file=stream)
@@ -564,12 +555,8 @@ def cmd_profile(args, stream) -> int:
         out = profiler.runcall(work) if args.stage in (stage, "both") else work()
         return out, time.perf_counter() - start
 
-    batches, generate_elapsed = timed(
-        "generate", lambda: list(scenario.lane_batches())
-    )
-    result, analyze_elapsed = timed(
-        "analyze", lambda: pipeline.process_record_batches(batches)
-    )
+    batches, generate_elapsed = timed("generate", lambda: list(scenario.lane_batches()))
+    result, analyze_elapsed = timed("analyze", lambda: pipeline.process_record_batches(batches))
 
     count = sum(map(len, batches))
     print(
@@ -602,6 +589,9 @@ def cmd_table1(_args, stream) -> int:
 
 
 def cmd_probe(args, stream) -> int:
+    from repro.core.retry_audit import ActiveProber
+    from repro.net.addresses import format_ipv4
+
     scenario = _scenario(args)
     prober = ActiveProber(scenario.internet.census, SeededRng(_flag(args, "seed"), "probe"))
     records = scenario.internet.census.all_records()[: args.count]

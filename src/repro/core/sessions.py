@@ -75,6 +75,13 @@ class Session:
     retry_packets: int = 0
     version_names: dict = field(default_factory=dict)
 
+    def __getstate__(self) -> tuple:  # pickled field values, not a dict keyed by slot name
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            setattr(self, name, value)
+
     @property
     def duration(self) -> float:
         return self.last_ts - self.first_ts

@@ -35,7 +35,7 @@ _M_GENERATE = obs.histogram(
     "wall seconds per full capture-stream generation",
 )
 #: records pulled from a unit per generator resumption in merge_chunks
-_PULL = 256
+_PULL = 64
 
 
 class Telescope:
@@ -89,7 +89,8 @@ def merge_chunks(units: Sequence[tuple], window: float) -> Iterator[list]:
     keep unit order and, within a unit, emission order — the order
     ``heapq.merge(*iterators, key=itemgetter(0))`` produces — by
     construction.  Concatenated, the yielded (non-empty) lists are that
-    merge.
+    merge, whatever the window; what the merge holds at once is one
+    window of records plus up to ``_PULL`` pulled ahead per active unit.
     """
     first = operator.itemgetter(0)  # a record's timestamp, a state's position
     # (start, position) descending: pop() hands out the next unit to join

@@ -35,8 +35,9 @@ from repro.telescope.noise import MisconfigurationModel, StrayUdpModel
 from repro.telescope.scanners import BotScannerModel, ResearchScannerModel, TcpScannerModel
 from repro.telescope.telescope import Telescope, merge_chunks
 
-#: simulated seconds sorted per step of the serial record merge
-_MERGE_WINDOW = 300.0
+#: simulated seconds sorted per step of the serial record merge: ≈ one BATCH_SIZE at the
+#: default day's busiest rate (≈ 18.6 records/s over 300 s; its busiest 20 s hold 708)
+_MERGE_WINDOW = 20.0
 
 
 @dataclass
@@ -215,8 +216,8 @@ class Scenario:
     def _captured_chunks(self, units: list) -> Iterator[list]:
         """The capture of ``units`` (``(start, iterator)`` pairs, a
         sub-list of :meth:`_timed_units`) as time-sorted lists of gen
-        records: :func:`merge_chunks` sorts one window of every active
-        unit at a time, the telescope keeps what its tap sees."""
+        records: :func:`merge_chunks` sorts one ``_MERGE_WINDOW`` of
+        every active unit at a time, the telescope keeps what its tap sees."""
         return self.telescope.capture_records(merge_chunks(units, _MERGE_WINDOW))
 
     def records(self, workers: int = 1) -> Iterator[tuple]:

@@ -3,9 +3,10 @@
 ``merge_chunks`` must be ``heapq.merge`` — same records, same order,
 ties broken toward the earlier unit and, inside a unit, toward the
 earlier record — while never touching a unit before its start bound is
-due.  The session-shaped units it feeds from (misconfiguration, bots,
-TCP scans) must stream through ``in_time_order`` rather than
-materialise their window.
+due, and hold about one analysis batch of records at a time, not five
+minutes of them.  The session-shaped units it feeds from
+(misconfiguration, bots, TCP scans) must stream through
+``in_time_order`` rather than materialise their window.
 """
 
 import heapq
@@ -18,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.packet import TcpFlags
-from repro.telescope import Scenario, ScenarioConfig, attacks, telescope
+from repro.telescope import Scenario, ScenarioConfig, attacks, telescope, workload
 from repro.telescope.noise import MisconfigurationModel
 from repro.telescope.scanners import BotScannerModel, TcpScannerModel
 from repro.telescope.telescope import in_time_order, merge_chunks
+from repro.util.batching import BATCH_SIZE
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY, HOUR
 
@@ -92,6 +94,43 @@ def test_unit_is_not_advanced_before_its_start_bound(early, start, late):
     # more than a window older than the bound was already out
     old = sorted(t for times in early for t in times if t < start - WINDOW)
     assert [t for t, *_ in before][: len(old)] == old
+
+
+#: records per second of each synthetic unit: 18 in all, the busiest
+#: five minutes of the default day (1/64 research sample) at ≈ 18.6
+RATES = (8, 4, 3, 2, 1)
+
+
+def _steady_units(seconds):
+    """One ``(start, iterator)`` unit per rate in :data:`RATES`, evenly
+    spaced records over ``seconds``, a third of them joining late."""
+    units = []
+    for position, rate in enumerate(RATES):
+        start = seconds / 3 if position % 2 else 0.0
+        count = int((seconds - start) * rate)
+        units.append((start, iter([(start + n / rate, position, n) for n in range(count)])))
+    return units
+
+
+def test_merge_holds_about_one_batch_of_records():
+    """What the serial merge holds at once — the chunk it yields plus the
+    records it has pulled ahead into the units' buffers — is about one
+    analysis batch at the day's busiest rate, not a five-minute window."""
+    pulled = yielded = high_water = 0
+
+    def counted(records):
+        nonlocal pulled
+        for record in records:
+            pulled += 1
+            yield record
+
+    units = [(start, counted(records)) for start, records in _steady_units(2 * HOUR)]
+    for chunk in merge_chunks(units, workload._MERGE_WINDOW):
+        high_water = max(high_water, pulled - yielded)
+        yielded += len(chunk)
+    assert yielded == pulled > 100_000
+    # two batches; a 300 s window at this rate holds 5,400 in its chunk alone
+    assert high_water <= 2 * BATCH_SIZE
 
 
 def test_first_record_does_not_set_up_later_floods(monkeypatch):
