@@ -41,7 +41,9 @@ path.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator
 
@@ -52,12 +54,9 @@ from repro.quic.header import LongHeader, PacketType, VersionNegotiationPacket
 from repro.quic.packet import PlainPacket, protect_packet
 from repro.quic.retry import RetryTokenMinter, build_retry_packet
 from repro.quic.versions import KNOWN_VERSIONS, QUIC_V1
-from repro.telescope.backscatter import (
-    QuicVictimResponder,
-    ResponderPolicy,
-    version_named,
-)
+from repro.telescope.backscatter import QuicVictimResponder, census_policy
 from repro.telescope.scanners import ProbePool
+from repro.telescope.telescope import in_time_order
 from repro.util.rng import SeededRng
 
 #: every generator this module knows how to build, in registration order.
@@ -109,22 +108,17 @@ def _udp_record(t, src, dst, sport, dport, payload) -> tuple:
     return (t, src, dst, 28 + plen, 17, 1, sport, dport, 0, plen, payload)
 
 
-def _census_policy(internet, victim_ip: int) -> ResponderPolicy:
-    """The victim's response policy, provider-aware when census-known."""
-    record = internet.census.get(victim_ip)
-    if record is None:
-        return ResponderPolicy(retransmit_probability=0.2)
-    provider = None
-    for candidate in internet.content_providers:
-        if candidate.name == record.provider:
-            provider = candidate
-            break
-    return ResponderPolicy(
-        version=version_named(record.versions[0]),
-        keepalive_pings=provider.keepalive_pings if provider else 0,
-        scid_policy="request" if record.provider == "Google" else "source",
-        retransmit_probability=0.2,
-    )
+def _trains(respond, rng, pool, rate, t, t1) -> Iterator[tuple]:
+    """A spoofed flood at ``rate`` requests per second from ``t`` until
+    ``t1``, as one ``(request time, respond(time, spoofed address,
+    port))`` session per request — the input of :func:`in_time_order`."""
+    while True:
+        t += rng.expovariate(rate)
+        if t >= t1:
+            return
+        spoofed = rng.choice(pool)
+        port = rng.randint(1024, 65535)
+        yield t, respond(t, spoofed, port)
 
 
 class _AdversarialModel:
@@ -179,33 +173,19 @@ class OptimisticAckFloodModel(_AdversarialModel):
             for i in range(spec.payload_pool)
         ]
         victim = self.victim_ip
-        buffer: list = []
-        sequence = 0
-        # bursts span under half a millisecond per packet; the reorder
-        # buffer absorbs triggers that arrive faster than a burst drains.
-        span = 0.0004 * spec.burst + 0.001
-        t = t0
-        while True:
-            t += rng.expovariate(spec.rate)
-            if t >= t1:
-                break
-            dst = rng.choice(pool)
-            port = rng.randint(1024, 65535)
-            for j in range(spec.burst):
-                payload = rng.choice(payloads)
-                heapq.heappush(
-                    buffer,
-                    (
-                        t + 0.0004 * j,
-                        sequence,
-                        _udp_record(t + 0.0004 * j, victim, dst, 443, port, payload),
-                    ),
+
+        def burst(t, dst, port):
+            # near-MTU datagrams 0.4 ms apart
+            return [
+                _udp_record(
+                    t + 0.0004 * j, victim, dst, 443, port, rng.choice(payloads)
                 )
-                sequence += 1
-            while buffer and buffer[0][0] <= t - span:
-                yield heapq.heappop(buffer)[2]
-        while buffer:
-            yield heapq.heappop(buffer)[2]
+                for j in range(spec.burst)
+            ]
+
+        yield from in_time_order(
+            _trains(burst, rng, pool, spec.rate, t0, t1), t0, math.inf
+        )
 
 
 def _h3_request_datagrams(probe_rng, request_rng, count: int) -> list:
@@ -365,7 +345,7 @@ class PulseWaveFloodModel(_AdversarialModel):
         super().__init__(spec, internet, rng)
         pick = self.rng.child("victim")
         self.victim_ip = pick.choice(internet.census.all_records()).address
-        self.policy = _census_policy(internet, self.victim_ip)
+        self.policy = census_policy(internet, self.victim_ip)
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
         spec = self.spec
@@ -373,30 +353,15 @@ class PulseWaveFloodModel(_AdversarialModel):
         if t0 >= end:
             return
         rng = self.rng.child("traffic")
-        responder = QuicVictimResponder(self.victim_ip, rng, self.policy)
+        respond = QuicVictimResponder(self.victim_ip, rng, self.policy).respond_records
         pool = self._spoofed_pool(rng)
-        buffer: list = []
-        sequence = 0
-        span = 1.5  # response trains never extend further than this
-        for pulse in range(spec.pulses):
-            p_start = t0 + pulse * (spec.pulse_duration + spec.pulse_gap)
-            p_end = min(p_start + spec.pulse_duration, end)
-            if p_start >= end:
-                break
-            t = p_start
-            while True:
-                t += rng.expovariate(spec.rate)
-                if t >= p_end:
-                    break
-                spoofed = rng.choice(pool)
-                port = rng.randint(1024, 65535)
-                for record in responder.respond_records(t, spoofed, port):
-                    heapq.heappush(buffer, (record[0], sequence, record))
-                    sequence += 1
-                while buffer and buffer[0][0] <= t - span:
-                    yield heapq.heappop(buffer)[2]
-        while buffer:
-            yield heapq.heappop(buffer)[2]
+        period = spec.pulse_duration + spec.pulse_gap
+        sessions = chain.from_iterable(
+            _trains(respond, rng, pool, spec.rate, p, min(p + spec.pulse_duration, end))
+            for p in (t0 + pulse * period for pulse in range(spec.pulses))
+            if p < end
+        )
+        yield from in_time_order(sessions, t0, math.inf)
 
 
 class CarpetBombFloodModel(_AdversarialModel):
@@ -412,11 +377,12 @@ class CarpetBombFloodModel(_AdversarialModel):
         super().__init__(spec, internet, rng)
         pick = self.rng.child("victim")
         anchor = pick.choice(internet.census.all_records()).address
+        # the anchor and the lowest other hosts of its /24
         base = anchor & 0xFFFFFF00
-        hosts = {anchor} | {base | (1 + i) for i in range(spec.victims - 1)}
-        self.victim_ips = sorted(hosts)
+        hosts = [anchor] + [base | h for h in range(1, 255) if base | h != anchor]
+        self.victim_ips = sorted(hosts[: max(1, spec.victims)])
         self.policies = {
-            ip: _census_policy(internet, ip) for ip in self.victim_ips
+            ip: census_policy(internet, ip) for ip in self.victim_ips
         }
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
@@ -430,27 +396,15 @@ class CarpetBombFloodModel(_AdversarialModel):
         yield from heapq.merge(*streams, key=itemgetter(0))
 
     def _victim_records(self, index: int, victim_ip: int, t0: float, t1: float):
-        spec = self.spec
         rng = self.rng.child(f"victim:{index}:{victim_ip}")
         responder = QuicVictimResponder(victim_ip, rng, self.policies[victim_ip])
         pool = self._spoofed_pool(rng)
-        buffer: list = []
-        sequence = 0
-        span = 1.5
-        t = t0 + rng.uniform(0.0, 5.0)
-        while True:
-            t += rng.expovariate(spec.rate)
-            if t >= t1:
-                break
-            spoofed = rng.choice(pool)
-            port = rng.randint(1024, 65535)
-            for record in responder.respond_records(t, spoofed, port):
-                heapq.heappush(buffer, (record[0], sequence, record))
-                sequence += 1
-            while buffer and buffer[0][0] <= t - span:
-                yield heapq.heappop(buffer)[2]
-        while buffer:
-            yield heapq.heappop(buffer)[2]
+        first = t0 + rng.uniform(0.0, 5.0)
+        yield from in_time_order(
+            _trains(responder.respond_records, rng, pool, self.spec.rate, first, t1),
+            t0,
+            math.inf,
+        )
 
 
 class VnRetryFloodModel(_AdversarialModel):

@@ -24,7 +24,6 @@ of the packet stream.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -32,13 +31,9 @@ from typing import Iterator, Optional
 from repro.net.packet import TcpFlags
 from repro.util.rng import SeededRng
 from repro.util.timeutil import HOUR
-from repro.internet.activescan import QuicServerRecord
 from repro.internet.topology import InternetModel
-from repro.telescope.backscatter import (
-    QuicVictimResponder,
-    ResponderPolicy,
-    version_named,
-)
+from repro.telescope.backscatter import QuicVictimResponder, census_policy
+from repro.telescope.telescope import in_time_order
 
 QUIC = "quic"
 TCP = "tcp"
@@ -376,35 +371,28 @@ class AttackTrafficModel:
         self.rng = rng.child("attack-traffic")
         self.config = config or AttackPlanConfig()
 
-    def _policy_for(self, flood: FloodEvent) -> ResponderPolicy:
-        record: Optional[QuicServerRecord] = self.internet.census.get(flood.victim_ip)
-        if record is None:
-            return ResponderPolicy(retransmit_probability=0.2)
-        provider = None
-        for candidate in self.internet.content_providers:
-            if candidate.name == record.provider:
-                provider = candidate
-                break
-        return ResponderPolicy(
-            version=version_named(record.versions[0]),
-            keepalive_pings=provider.keepalive_pings if provider else 0,
-            scid_policy="request" if record.provider == "Google" else "source",
-            retransmit_probability=0.2,
-        )
-
-    #: a response train never extends further than this past its request
-    #: (keep-alives at +0.1 s, one PTO retransmission at +1 s).
-    _TRAIN_SPAN = 1.5
-
     def flood_records(self, flood: FloodEvent) -> Iterator:
         """One flood's telescope records, lazily, in time order.
 
+        A TCP or ICMP victim answers each request with one record at the
+        request time, so :meth:`_answers` yields those records as they
+        are.  A QUIC victim answers with a train that outlasts the
+        request, so :meth:`_answers` yields ``(request time, train)``
+        sessions and :func:`~repro.telescope.telescope.in_time_order`
+        interleaves the trains.
+        """
+        answers = self._answers(flood)
+        if flood.vector == QUIC:
+            answers = in_time_order(answers, flood.start, math.inf)
+        yield from answers
+
+    def _answers(self, flood: FloodEvent) -> Iterator:
+        """The victim's answer to each of one flood's requests.
+
         One request loop draws every flood's arrivals, pulses and spoofed
-        (address, port) pairs.  A QUIC victim answers with a train that
-        outlasts the request, so trains pass a bounded reorder buffer
-        keyed on ``(timestamp, sequence)``; a TCP or ICMP victim answers
-        with one record at the request time, drawn from its own child
-        stream, so that record is yielded at once.
+        (address, port) pairs.  A TCP or ICMP answer is one record drawn
+        from the victim's own child stream; a QUIC answer is a
+        ``(request time, train)`` session.
 
         The loop inlines its draws — ``expovariate`` is
         ``-log(1 - random()) / rate``, and ``choice`` / ``randint`` bottom
@@ -426,7 +414,7 @@ class AttackTrafficModel:
             rbits = responder_rng.getrandbits
         else:
             respond = QuicVictimResponder(
-                victim, rng, self._policy_for(flood)
+                victim, rng, census_policy(self.internet, victim)
             ).respond_records
         pool = [
             self.internet.random_telescope_address(rng)
@@ -447,10 +435,6 @@ class AttackTrafficModel:
         pool_size = len(pool)
         pool_bits = pool_size.bit_length()
         echo_sequence = 0
-        buffer: list = []
-        sequence = 0
-        heappush, heappop = heapq.heappush, heapq.heappop
-        span = self._TRAIN_SPAN
         while True:
             t += -log(1.0 - random()) / rate
             if random() < pulse_probability:
@@ -494,10 +478,4 @@ class AttackTrafficModel:
                     0, 0, 0, 32, ICMP_ECHO_PAYLOAD, identifier, echo_sequence,
                 )
             else:
-                for record in respond(t, spoofed_ip, 1024 + port):
-                    heappush(buffer, (record[0], sequence, record))
-                    sequence += 1
-                while buffer and buffer[0][0] <= t - span:
-                    yield heappop(buffer)[2]
-        while buffer:
-            yield heappop(buffer)[2]
+                yield t, respond(t, spoofed_ip, 1024 + port)

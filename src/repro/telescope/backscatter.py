@@ -161,6 +161,24 @@ class ResponderPolicy:
     attacker_dcid_pool: int = 24
 
 
+def census_policy(internet, victim_ip: int) -> ResponderPolicy:
+    """The victim's response policy, provider-aware when census-known."""
+    record = internet.census.get(victim_ip)
+    if record is None:
+        return ResponderPolicy(retransmit_probability=0.2)
+    provider = None
+    for candidate in internet.content_providers:
+        if candidate.name == record.provider:
+            provider = candidate
+            break
+    return ResponderPolicy(
+        version=version_named(record.versions[0]),
+        keepalive_pings=provider.keepalive_pings if provider else 0,
+        scid_policy="request" if record.provider == "Google" else "source",
+        retransmit_probability=0.2,
+    )
+
+
 class QuicVictimResponder:
     """Builds the backscatter train one victim emits per spoofed Initial."""
 

@@ -64,12 +64,6 @@ from typing import Iterable, Iterator, Tuple
 
 from repro.util.batching import MEMO_ENTRIES
 
-#: index aliases into a gen record (the first 11 match the lane record)
-GEN_TS, GEN_SRC, GEN_DST = 0, 1, 2
-GEN_TOTAL, GEN_PROTO, GEN_KIND = 3, 4, 5
-GEN_F1, GEN_F2, GEN_F3 = 6, 7, 8
-GEN_PLEN, GEN_PAYLOAD, GEN_X1, GEN_X2 = 9, 10, 11, 12
-
 _IP_BASE = struct.Struct("!BBHHHBBH")  # through the checksum field
 _UDP_BASE = struct.Struct("!HHHH")
 _TCP_BASE = struct.Struct("!HHIIBBHHH")

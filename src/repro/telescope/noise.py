@@ -42,7 +42,8 @@ class MisconfigurationModel:
         return prefix.address_at(self.rng.randint(1, prefix.size - 2))
 
     def _session_items(self, session_start: float) -> list:
-        """One session's gen records, time-sorted."""
+        """One session's gen records, train after train (trains overlap;
+        :func:`in_time_order` sorts them)."""
         source = self._pick_source()
         responder = QuicVictimResponder(
             source,
@@ -60,7 +61,6 @@ class MisconfigurationModel:
         for _ in range(requests):
             records.extend(responder.respond_records(t, dst, dst_port))
             t += self.rng.expovariate(requests / max(self.mean_duration, 1.0))
-        records.sort(key=lambda r: r[0])
         return records
 
     def records(self, start: float, end: float) -> Iterator[tuple]:

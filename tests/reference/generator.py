@@ -12,8 +12,9 @@ unchanged but for calls to other moved methods (``self.session_packets(…)``
 responders' ``respond`` are :func:`functools.singledispatch`
 functions, which is what ``model.packets(…)`` / ``responder.respond(…)``
 were.  What the twins always shared with the record path —
-``_pool``, ``_response_schedule``, ``session_starts``, ``_policy_for`` —
-they still read from the models.  The TCP and ICMP victims have no
+``_pool``, ``_response_schedule``, ``session_starts`` — they still read
+from the models, and the victim's policy from ``census_policy``; their
+reorder buffers are their own.  The TCP and ICMP victims have no
 class under ``src/`` (``flood_records`` writes their records inline):
 :class:`TcpResponder` and :class:`IcmpResponder` here derive the same
 child streams and draw from them with the textbook ``random`` methods.
@@ -37,7 +38,11 @@ from repro.telescope.attacks import (
     AttackTrafficModel,
     FloodEvent,
 )
-from repro.telescope.backscatter import QuicVictimResponder, ResponderPolicy
+from repro.telescope.backscatter import (
+    QuicVictimResponder,
+    ResponderPolicy,
+    census_policy,
+)
 from repro.telescope.noise import MisconfigurationModel, StrayUdpModel
 from repro.telescope.scanners import (
     BotScannerModel,
@@ -305,16 +310,16 @@ def icmp_respond(self, timestamp: float, spoofed_ip: int, _spoofed_port: int) ->
 def flood_packets(self: AttackTrafficModel, flood: FloodEvent) -> Iterator:
     """Telescope packets for one flood, lazily, in time order.
 
-    Requests are generated in order; each spawns a short response
-    train, so a bounded reorder buffer suffices to emit a globally
-    sorted stream without materializing the flood.
+    Requests are generated in order and no train starts before its
+    request, so once a request's train is in the reorder buffer every
+    packet at or before the request time is final and leaves it.
     """
     rng = self.rng.child(
         f"flood:{flood.vector}:{flood.victim_ip}:{flood.start:.3f}"
     )
     if flood.vector == QUIC:
         responder = QuicVictimResponder(
-            flood.victim_ip, rng, self._policy_for(flood)
+            flood.victim_ip, rng, census_policy(self.internet, flood.victim_ip)
         )
     elif flood.vector == TCP:
         responder = TcpResponder(flood.victim_ip, rng)
@@ -343,7 +348,7 @@ def flood_packets(self: AttackTrafficModel, flood: FloodEvent) -> Iterator:
         for packet in respond(responder, t, spoofed_ip, spoofed_port):
             heapq.heappush(buffer, (packet.timestamp, sequence, packet))
             sequence += 1
-        while buffer and buffer[0][0] <= t - self._TRAIN_SPAN:
+        while buffer and buffer[0][0] <= t:
             yield heapq.heappop(buffer)[2]
     while buffer:
         yield heapq.heappop(buffer)[2]

@@ -108,6 +108,14 @@ def test_carpet_bomb_stresses_victim_aggregation(analyzed):
     assert len(prefixes) == 1  # all victims share the carpet-bombed /24
 
 
+def test_carpet_bomb_floods_as_many_hosts_as_asked():
+    # seed 44 anchors the bomb on one of the /24's lowest hosts, which
+    # once cost the victim set a member
+    model = Scenario(scenario_config("adv-carpet-bomb", seed=44)).adversarial[0]
+    assert len(set(model.victim_ips)) == model.spec.victims
+    assert len({ip & 0xFFFFFF00 for ip in model.victim_ips}) == 1
+
+
 def test_vn_retry_flood_lights_the_passive_retry_counter(analyzed):
     """VN/RETRY deflection backscatter is still a detectable QUIC
     response flood — and it is the only scenario where the passive

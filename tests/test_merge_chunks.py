@@ -6,7 +6,9 @@ earlier record — while never touching a unit before its start bound is
 due, and hold about one analysis batch of records at a time, not five
 minutes of them.  The session-shaped units it feeds from
 (misconfiguration, bots, TCP scans) must stream through
-``in_time_order`` rather than materialise their window.
+``in_time_order`` rather than materialise their window, and every
+unit that emits trains (floods, adversarial floods) is ordered by that
+same rule.
 """
 
 import heapq
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro.net.packet import TcpFlags
 from repro.telescope import Scenario, ScenarioConfig, attacks, telescope, workload
 from repro.telescope.noise import MisconfigurationModel
+from repro.telescope.presets import scenario_config, scenario_names
 from repro.telescope.scanners import BotScannerModel, TcpScannerModel
 from repro.telescope.telescope import in_time_order, merge_chunks
 from repro.util.batching import BATCH_SIZE
@@ -256,3 +259,12 @@ def test_session_records_stream_with_a_bounded_reorder_heap(kind, monkeypatch):
     # pending records belong to sessions still open, not to the window
     assert 0 < high_water <= 2 * max(map(len, sessions))
     assert high_water < len(expected) / 20
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_unit_of_a_scenario_is_in_time_order(name):
+    # what merge_chunks requires of each unit, whatever reorders its trains
+    scenario = Scenario(scenario_config(name, duration=HOUR))
+    for position, unit in enumerate(scenario.record_units()):
+        stamps = [record[0] for record in unit]
+        assert stamps == sorted(stamps), f"{name}: unit {position} out of order"

@@ -1,5 +1,8 @@
 """Tests for the telescope traffic generators."""
 
+from itertools import chain
+from operator import itemgetter
+
 import pytest
 
 from repro import obs
@@ -8,6 +11,7 @@ from repro.net.packet import CapturedPacket, IPProto, TcpFlags
 from repro.util.rng import SeededRng
 from repro.util.timeutil import APRIL_1_2021, DAY, HOUR
 from repro.internet.topology import InternetModel
+from repro.telescope import attacks
 from repro.telescope.attacks import (
     CONCURRENT,
     ICMP,
@@ -206,6 +210,26 @@ def flood_backscatter(internet, vector, seed):
         HeaderPacket.from_bytes(timestamp, bytes(wire))
         for timestamp, wire in wire_items(records)
     ]
+
+
+def test_long_quic_trains_leave_a_flood_in_stable_time_order(internet, monkeypatch):
+    # 40 keep-alive PINGs put a train's end 2 s past its request: no
+    # guessed train length bounds the reorder, the flood is still the
+    # stable timestamp sort of its trains
+    policy = ResponderPolicy(keepalive_pings=40, retransmit_probability=0.2)
+    monkeypatch.setattr(attacks, "census_policy", lambda _internet, _victim: policy)
+    flood = FloodEvent(
+        victim_ip=VICTIM,
+        vector=QUIC,
+        start=START,
+        duration=120.0,
+        telescope_request_rate=5.0,
+    )
+    sessions = list(AttackTrafficModel(internet, SeededRng(12))._answers(flood))
+    assert max(r[0] - t for t, train in sessions for r in train) >= 2.0
+    expected = sorted(chain.from_iterable(t for _, t in sessions), key=itemgetter(0))
+    streamed = list(AttackTrafficModel(internet, SeededRng(12)).flood_records(flood))
+    assert streamed == expected
 
 
 def test_tcp_responder_flags(internet):
