@@ -14,7 +14,8 @@ Usage:  python examples/scanner_forensics.py
 
 from collections import Counter
 
-from repro.core.classify import PacketClass, TrafficClassifier
+from repro.core.batchlane import BatchLane
+from repro.core.classify import PacketClass
 from repro.core.extrapolate import TelescopeExtrapolator
 from repro.core.scanprofile import ScanProfiler
 from repro.net.addresses import format_ipv4
@@ -28,13 +29,15 @@ def main() -> None:
     scenario = Scenario(config)
     extrapolator = TelescopeExtrapolator(scenario.telescope.prefix)
 
-    # pass 1: count QUIC request packets per source
+    # pass 1: count QUIC request packets per source, from the lane's
+    # observations (kind, source, ...) of each batch
     print("pass 1: finding UDP/443 scan sources ...")
-    classifier = TrafficClassifier()
+    lane = BatchLane()
     per_source = Counter()
-    for packet in scenario.packets():
-        if classifier.classify(packet).packet_class is PacketClass.QUIC_REQUEST:
-            per_source[packet.src] += 1
+    for batch in scenario.packet_batches():
+        for kind, source, *_ in lane.observe_packets(batch, {}):
+            if kind is PacketClass.QUIC_REQUEST:
+                per_source[source] += 1
     heavy_hitters = [src for src, count in per_source.most_common(10)]
 
     # pass 2: profile the heavy hitters

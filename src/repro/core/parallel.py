@@ -8,8 +8,8 @@ of lane-record batches, ``Scenario.parts`` hands out one per group of
 generation units — runs the serial fused loop over it
 (:func:`~repro.core.pipeline.run_record_batches`) and returns the
 closed :class:`~repro.core.pipeline.PartialState`.  The parent only
-merges, once, and finalizes.  Nothing per packet crosses a process
-boundary; each part's closed state does, once.
+folds the states in part order and finalizes.  Nothing per packet
+crosses a process boundary; each part's closed state does, once.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ def _run_part(index: int, feed: Callable, config: AnalysisConfig, metrics: bool)
 def run_parts(feeds: Iterable[Callable], config: AnalysisConfig) -> PartialState:
     """Run each picklable zero-argument ``feed`` (an iterable of lane
     record batches) through the fused loop in a worker process of its
-    own, then merge: the parts' closed states merged once and their
-    metrics snapshots merged once each, in part order.
+    own, and fold the parts' closed states into one as they are handed
+    over, in part order, each part's metrics snapshot merged once.
 
     A feed that raises fails the run with an error naming its part,
     chained to the worker's traceback; a worker that dies fails it with
@@ -67,25 +67,33 @@ def run_parts(feeds: Iterable[Callable], config: AnalysisConfig) -> PartialState
     # own manager thread
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    results = []
     with ProcessPoolExecutor(len(feeds), mp_context=context) as pool:
         futures = [
             pool.submit(_run_part, index, feed, config, obs.enabled())
             for index, feed in enumerate(feeds)
         ]
-        for index, future in enumerate(futures):
+        waited = 0.0
+
+        def part_state(index: int) -> PartialState:
+            # a future holds its result: drop it, so the state lives
+            # only until it is folded
+            nonlocal waited
+            future, futures[index] = futures[index], None
+            start = time.perf_counter()
             try:
-                results.append(future.result())
+                state, snapshot = future.result()
             except BrokenProcessPool:
                 raise
             except Exception as exc:
-                raise RuntimeError(
-                    f"part {index} of {len(feeds)} failed: {exc!r}"
-                ) from exc
-    _M_WORKERS.set(len(feeds))
-    with obs.span(_M_MERGE):
-        merged = merge_states([state for state, _ in results], config)
-    for _, snapshot in results:
-        if snapshot is not None:
-            obs.REGISTRY.merge_snapshot(snapshot)
+                raise RuntimeError(f"part {index} of {len(feeds)} failed: {exc!r}") from exc
+            waited += time.perf_counter() - start
+            if snapshot is not None:
+                obs.REGISTRY.merge_snapshot(snapshot)
+            return state
+
+        _M_WORKERS.set(len(feeds))
+        start = time.perf_counter()
+        merged = merge_states((part_state(index) for index in range(len(feeds))), config)
+        # the fold's own seconds, not the wait for the later parts
+        _M_MERGE.observe(time.perf_counter() - start - waited)
     return merged

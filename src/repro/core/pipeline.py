@@ -585,22 +585,14 @@ def run_record_batches(batches: Iterable[list], config: AnalysisConfig) -> Parti
     return state
 
 
-def _merge_sessionizers(merged: PartialState, states: list, timeout: float) -> None:
+def _fold_sessionizers(merged: PartialState, state: PartialState) -> None:
     for packet_class, target in merged.sessionizers.items():
-        fragments: list = []
-        seen: set = set()
-        for state in states:
-            source = state.sessionizers.get(packet_class)
-            if source is None:
-                continue
-            if source.timeout != timeout:
-                raise ValueError("cannot merge sessionizers with different timeouts")
-            fragments.extend(source.closed)
-            fragments.extend(source.open_sessions())
-            seen |= source._seen_sources
-        target.closed = chain_merge_sessions(fragments, timeout)
-        target._seen_sources = seen
-        target.source_count = len(seen)
+        source = state.sessionizers[packet_class]
+        if source.timeout != target.timeout:
+            raise ValueError("cannot merge sessionizers with different timeouts")
+        target.closed.extend(source.closed)
+        target.closed.extend(source.open_sessions())
+        target._seen_sources |= source._seen_sources
 
 
 def merge_states(states: Iterable[PartialState], config: AnalysisConfig) -> PartialState:
@@ -615,16 +607,22 @@ def merge_states(states: Iterable[PartialState], config: AnalysisConfig) -> Part
     in its docstring) and the timeout sweeps by the same rule in
     :meth:`~repro.core.sessions.TimeoutSweep.merge`.  The inputs should
     be closed — open sessions are treated as fragments — and are not
-    mutated.
+    mutated, and each is let go before the next is pulled: only its
+    session fragments are kept, for one chain merge after the last.
     """
-    states = list(states)
-    if not states:
-        raise ValueError("nothing to merge: no partial states")
     merged = PartialState.initial(config)
+    folded = False
     for state in states:
         merged.merge_counts(state)
         merged.sweep.merge(state.sweep)
-    _merge_sessionizers(merged, states, config.session_timeout)
+        _fold_sessionizers(merged, state)
+        folded = True
+        del state
+    if not folded:
+        raise ValueError("nothing to merge: no partial states")
+    for target in merged.sessionizers.values():
+        target.closed = chain_merge_sessions(target.closed, target.timeout)
+        target.source_count = len(target._seen_sources)
     return merged
 
 

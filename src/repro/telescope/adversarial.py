@@ -281,13 +281,10 @@ class H3SlowlorisModel(_AdversarialModel):
         t0, t1 = self._window(start, end)
         if t1 <= t0:
             return
-        streams = [
-            self._source_records(i, t0, t1) for i in range(len(self.sources))
-        ]
+        streams = (self._source_records(i, t0, t1) for i in range(len(self.sources)))
         yield from heapq.merge(*streams, key=itemgetter(0))
 
-    def _source_records(self, index: int, t0: float, t1: float) -> list:
-        spec = self.spec
+    def _source_records(self, index: int, t0: float, t1: float) -> Iterator[tuple]:
         rng = self.rng.child(f"source:{index}")
         src = self.sources[index]
         dst = self.internet.random_telescope_address(rng)
@@ -308,7 +305,7 @@ class H3SlowlorisModel(_AdversarialModel):
         # session close, which is the whole point of the attack.
         gap = (t1 - t0) / (len(pieces) + 2)
         t = t0 + rng.uniform(0.0, gap)
-        out = [_udp_record(t, src, dst, sport, 443, probe)]
+        yield _udp_record(t, src, dst, sport, 443, probe)
         offset = 0
         for n, piece in enumerate(pieces):
             t += gap * rng.uniform(0.6, 1.4)
@@ -326,11 +323,8 @@ class H3SlowlorisModel(_AdversarialModel):
                     StreamFrame(0, offset, piece, n == len(pieces) - 1)
                 ],
             )
-            out.append(
-                _udp_record(t, src, dst, sport, 443, protect_packet(packet, keys))
-            )
+            yield _udp_record(t, src, dst, sport, 443, protect_packet(packet, keys))
             offset += len(piece)
-        return out
 
 
 class PulseWaveFloodModel(_AdversarialModel):

@@ -147,7 +147,8 @@ def test_cli_analyze_without_correlation(tmp_path):
     assert "Overview" in out
 
 
-def test_cli_table1():
+def test_cli_table1(table1, monkeypatch):
+    monkeypatch.setattr("repro.server.run_table1", lambda: table1)
     code, out = run_cli(["table1"])
     assert code == 0
     assert "Table 1" in out

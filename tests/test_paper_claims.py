@@ -15,7 +15,9 @@ row:
   through ``QuicsandPipeline.process_scenario``, which every figure row
   and A2 read, plus the ablations A1, A4 and A5 in their own smaller
   configurations drawn from the same seed;
-- once: TAB1, D3 and A3, which have no scenario.
+- once: TAB1, D3 and A3, which have no scenario.  TAB1 reads the
+  session's ``table1`` rows (``tests/conftest.py``), the ones
+  ``repro table1`` prints.
 
 Every per-seed row is asserted on every seed.  Two rows do not follow
 the paper on every seed, and their bands state what the seeds show
@@ -58,8 +60,7 @@ from repro.quic.header import LongHeader, PacketType
 from repro.quic.packet import PlainPacket, build_datagram
 from repro.quic.resumption import SessionCache
 from repro.quic.versions import QUIC_V1
-from repro.server.benchmark import TABLE1_SETUPS, run_attack
-from repro.server.nginx import AUTO_WORKERS, NginxConfig, NginxQuicServer
+from repro.server.nginx import AUTO_WORKERS
 from repro.telescope import Scenario, ScenarioConfig
 from repro.telescope.attacks import AttackPlanConfig
 from repro.util.rng import SeededRng
@@ -383,11 +384,10 @@ def measure_once() -> dict:
     return {**_d3(), **_a3()}
 
 
-def measure_tab1(volume: int, retry: bool, workers: int, requests: int) -> dict:
-    """One row of ``run_table1``: a replayed Initial flood against NGINX."""
-    server = NginxQuicServer(NginxConfig(workers=workers, retry_enabled=retry))
-    row = run_attack(server, rate_pps=volume, total_requests=requests)
-    return {_tab1_id(volume, retry, workers): row.availability}
+def tab1_values(rows: list) -> dict:
+    """The TAB1 rows from ``run_table1()``'s rows: replayed Initial
+    floods against NGINX."""
+    return {_tab1_id(r.volume_pps, r.retry, r.workers): r.availability for r in rows}
 
 
 def _tab1_id(pps: int, retry: bool, workers: int) -> str:
@@ -627,17 +627,18 @@ def _measured_once(claim: Claim) -> bool:
 
 
 @pytest.fixture(scope="module")
-def measured() -> dict:
-    """{seed: {claim id: value}}, plus the once-measured rows under ``None``."""
+def measured(table1) -> dict:
+    """{seed: {claim id: value}}, plus the once-measured rows under ``None``
+    (Table 1's from the session's ``table1``)."""
     # (key, function, arguments), longest first so the workers pack evenly
     jobs = [
         *((seed, measure_seed, (seed,)) for seed in SEEDS),
         *((seed, measure_ablations, (seed,)) for seed in SEEDS),
-        *((None, measure_tab1, setup) for setup in TABLE1_SETUPS),
         (None, measure_once, ()),
     ]
     workers = max(1, min(2, os.cpu_count() or 1))
     values = {key: {} for key in (*SEEDS, None)}
+    values[None].update(tab1_values(table1))
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
         futures = [(key, pool.submit(function, *args)) for key, function, args in jobs]

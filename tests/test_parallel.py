@@ -11,9 +11,11 @@ hit/miss split depends on the partition while the sum does not.
 """
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 import signal
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
@@ -308,6 +310,32 @@ def test_merge_states_leaves_its_inputs_unchanged(law):
     merged = merge_states(states, AnalysisConfig())
     assert merged.total_packets == sum(state.total_packets for state in states)
     assert [state.snapshot_bytes() for state in states] == before
+
+
+def test_merge_states_lets_each_state_go_before_pulling_the_next():
+    """``merge_states`` folds its input in one pass: a state it has
+    folded is garbage before it pulls the next, so a ``--workers``
+    parent keeps the parts' session fragments, not their states."""
+    folded = []
+
+    def states():
+        for stamps, src in (((0.0, 100.0), 10), ((50.0, 200.0, 900.0), 10), ((5.0,), 20)):
+            gc.collect()
+            assert not any(ref() for ref in folded), "a folded state is still alive"
+            state = requests(*stamps, src=src)
+            folded.append(weakref.ref(state))
+            yield state
+            del state
+        gc.collect()
+        assert not any(ref() for ref in folded), "a folded state is still alive"
+
+    merged = merge_states(states(), AnalysisConfig())
+    assert len(folded) == 3
+    again = merge_states(
+        [requests(0.0, 100.0, src=10), requests(50.0, 200.0, 900.0, src=10), requests(5.0, src=20)],
+        AnalysisConfig(),
+    )
+    assert merged.snapshot_bytes() == again.snapshot_bytes()
 
 
 def test_merge_rejects_empty_input():

@@ -187,10 +187,9 @@ def test_run_attack_retry_keeps_service_up():
     assert row.extra_rtt
 
 
-def test_table1_shape():
-    rows = run_table1(scale=1.0)
-    assert len(rows) == len(TABLE1_SETUPS)
-    by_key = {(r.volume_pps, r.retry, r.workers): r for r in rows}
+def test_table1_shape(table1):
+    assert len(table1) == len(TABLE1_SETUPS)
+    by_key = {(r.volume_pps, r.retry, r.workers): r for r in table1}
     # paper: 100%, 68%, 7%, 100%, 26%, 26%, then retry rows all 100%
     assert by_key[(10, False, 4)].availability == 1.0
     assert 0.6 < by_key[(100, False, 4)].availability < 0.8
